@@ -1,0 +1,1 @@
+"""Real-clock end-to-end benchmark of the repro package (see README.md)."""
