@@ -905,7 +905,7 @@ def serve_bench(
 
     executor = LSTMExecutor(network, exec_config)
     # The numerics contract is backend-graded: the numpy oracle must match
-    # the fleet bit-for-bit; fused backends project with one big GEMM whose
+    # the fleet bit-for-bit; the cgen backend projects with one big GEMM whose
     # BLAS blocking may differ between shard and plan-group batch shapes,
     # so they get the documented tolerance instead.
     tolerance = 0.0 if executor.backend == "numpy" else 1e-9

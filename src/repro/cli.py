@@ -36,8 +36,8 @@ from repro.nn.quantize import PRECISIONS
 
 #: Shared help text for the ``--backend`` flag.
 _BACKEND_HELP = (
-    "compiled-program lowering: 'numpy' is the bit-exact oracle, 'fused' "
-    "picks the fastest available fused kernel backend (cgen, then numba)"
+    "compiled-program lowering: 'numpy' carries the fp64 bit contract with "
+    "the reference, 'cgen' runs generated-C fused kernels (needs a C compiler)"
 )
 
 _THREADS_HELP = (

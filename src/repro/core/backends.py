@@ -4,27 +4,20 @@
 LSTMExecutor` lowers plans into compiled programs:
 
 * ``"numpy"`` — the default: the :mod:`repro.core.program` lowerings,
-  whose BLAS-dispatch-pinned arithmetic is the frozen fp64 bit-exact
-  oracle (bit-identical to :class:`~repro.core.reference.
-  ReferenceExecutor` in all five modes).
+  whose BLAS-dispatch-pinned arithmetic carries the fp64 contract with
+  :class:`~repro.core.reference.ReferenceExecutor` — bit-identical in
+  BASELINE / INTER / INTRA / ZERO_PRUNE, within ``1e-9`` with equal
+  predictions in COMBINED.
 * ``"cgen"`` — generated-C fused kernels (:mod:`repro.core.cgen`): one
   native call per layer run, GEMM + fused gate epilogue, in-kernel DRS
-  row compaction, Appleyard timestep-batched input GEMM. Needs a host C
-  compiler; tolerance-level agreement with the oracle.
-* ``"numba"`` — the same fused pass jitted with numba
-  (:mod:`repro.core.backend_numba`); unavailable when numba is not
-  installed.
-* ``"torch"`` — an optional torch lowering
-  (:mod:`repro.core.backend_torch`); unavailable when torch is not
-  installed.
-* ``"fused"`` — alias resolving to the best available fused backend:
-  ``cgen`` first (the complete lowering — it also covers combined-mode
-  tissue walks), then ``numba``.
+  row compaction, Appleyard timestep-batched input GEMM, and a native
+  combined-mode tissue walk. Needs a host C compiler; tolerance-level
+  agreement with the oracle.
 
-Resolution happens once, at executor construction
+The name is checked once, at executor construction
 (:func:`resolve_backend`), so a missing toolchain fails fast with a
 :class:`~repro.errors.BackendUnavailableError` naming the reason rather
-than deep inside a run. Two invariants every non-oracle backend keeps:
+than deep inside a run. Two invariants the non-oracle backend keeps:
 
 * **Plans are backend-invariant.** Anywhere the inter-level planner reads
   projection bits (combined mode, inter-active stepwise), the projection
@@ -35,17 +28,12 @@ than deep inside a run. Two invariants every non-oracle backend keeps:
   accounting describe the *modeled mobile GPU* execution of a plan; a
   host backend changes how the numerics are computed, never the plan, so
   weight-traffic counters are identical across backends (tested).
-
-Combined-mode programs: ``cgen`` lowers them natively; ``numba`` and
-``torch`` fall back to the numpy :class:`~repro.core.program.
-CombinedGroupProgram` (correct, just not accelerated).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core import backend_numba, backend_torch
 from repro.core.program import CombinedGroupProgram, StepwiseProgram
 from repro.errors import BackendUnavailableError, ConfigurationError
 
@@ -54,28 +42,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.executor import _UnitedWeights
     from repro.core.plan import CachedLayerPlan
 
-#: Every accepted ``ExecutionConfig.backend`` value (including the alias).
-BACKEND_NAMES: tuple[str, ...] = ("numpy", "fused", "cgen", "numba", "torch")
-
-#: Resolution order of the ``fused`` alias.
-FUSED_ORDER: tuple[str, ...] = ("cgen", "numba")
-
-
-def _cgen_available() -> tuple[bool, str]:
-    from repro.core import cgen
-
-    if cgen.compiler_available():
-        return True, ""
-    return False, "no C compiler (cc/gcc/clang) on this host"
+#: Every accepted ``ExecutionConfig.backend`` value.
+BACKEND_NAMES: tuple[str, ...] = ("numpy", "cgen")
 
 
 def backend_availability() -> dict[str, tuple[bool, str]]:
-    """Map every concrete backend to ``(available, reason-if-not)``."""
+    """Map every backend to ``(available, reason-if-not)``."""
+    from repro.core import cgen
+
+    cgen_ok = cgen.compiler_available()
     return {
         "numpy": (True, ""),
-        "cgen": _cgen_available(),
-        "numba": (backend_numba.available(), backend_numba.unavailable_reason()),
-        "torch": (backend_torch.available(), backend_torch.unavailable_reason()),
+        "cgen": (cgen_ok, "" if cgen_ok else "no C compiler (cc/gcc/clang) on this host"),
     }
 
 
@@ -89,25 +67,13 @@ def validate_backend_name(name: str) -> str:
 
 
 def resolve_backend(name: str) -> str:
-    """Resolve a backend name to a concrete, available backend.
+    """Check that a backend name is known and can run on this host.
 
-    ``"fused"`` picks the first available entry of :data:`FUSED_ORDER`.
-    Raises :class:`~repro.errors.BackendUnavailableError` with the
-    per-backend reason when nothing can run.
+    Raises :class:`~repro.errors.BackendUnavailableError` with the reason
+    when its toolchain is missing.
     """
     validate_backend_name(name)
-    availability = backend_availability()
-    if name == "fused":
-        reasons = []
-        for candidate in FUSED_ORDER:
-            ok, reason = availability[candidate]
-            if ok:
-                return candidate
-            reasons.append(f"{candidate}: {reason}")
-        raise BackendUnavailableError(
-            "no fused backend available (" + "; ".join(reasons) + ")"
-        )
-    ok, reason = availability[name]
+    ok, reason = backend_availability()[name]
     if not ok:
         raise BackendUnavailableError(f"backend {name!r} unavailable: {reason}")
     return name
@@ -133,14 +99,6 @@ def make_stepwise_program(
         from repro.core.cgen import CGenStepwiseProgram
 
         return CGenStepwiseProgram(united, link, batch, seq_len, drs_alpha=drs_alpha)
-    if backend == "numba":  # pragma: no cover - needs numba
-        return backend_numba.NumbaStepwiseProgram(
-            united, link, batch, seq_len, drs_alpha=drs_alpha
-        )
-    if backend == "torch":  # pragma: no cover - needs torch
-        return backend_torch.TorchStepwiseProgram(
-            united, link, batch, seq_len, drs_alpha=drs_alpha
-        )
     raise ConfigurationError(f"unresolved backend {backend!r}")
 
 
@@ -153,11 +111,7 @@ def make_combined_program(
     seq_len: int,
     alpha_intra: float = 0.0,
 ):
-    """Build one combined-group program under a *resolved* backend name.
-
-    ``numba`` / ``torch`` fall back to the numpy lowering (see module
-    docstring); ``cgen`` lowers the tissue walk natively.
-    """
+    """Build one combined-group program under a *resolved* backend name."""
     if backend == "cgen":
         from repro.core.cgen import CGenCombinedProgram
 

@@ -1,4 +1,4 @@
-"""Generated-C fused kernels: the default ``fused`` backend lowering.
+"""Generated-C fused kernels: the ``cgen`` backend lowering.
 
 The numpy programs in :mod:`repro.core.program` are already allocation-free,
 but every timestep still crosses the interpreter a dozen times (matmul
@@ -18,7 +18,7 @@ compiler, loaded through :mod:`ctypes` — so one layer's whole timestep loop
   masks into the tissue's *shared* mask (the shared-weight-load
   constraint); pass two runs the remaining gate math, skipping shared
   rows; state writes happen only after every cell has read the pre-tissue
-  state, matching the interpreted walk's gather-then-scatter order.
+  state, matching the numpy program's gather-then-scatter order.
 
 The input projections are hoisted out of the kernels: the program stages
 ``W·x_t`` for *all* timesteps as one large GEMM at :meth:`project` time

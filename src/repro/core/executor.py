@@ -39,15 +39,20 @@ Three levels of batching keep the hot paths vectorized:
   each tissue step becomes a single stacked ``(G, k, H) @ (H, 4H)`` matmul
   across the group instead of ``G`` separate per-sequence products.
 
-All transformations are bit-compatible with the per-sequence walk
-(:class:`repro.core.reference.ReferenceExecutor`); the equivalence is
-property-tested in ``tests/test_executor_equivalence.py``.
+Under the numpy backend the transformations are bit-compatible with the
+per-sequence walk (:class:`repro.core.reference.ReferenceExecutor`) in
+the four stepwise modes and agree to ``1e-9`` with equal predictions in
+COMBINED (bit-equal at the property-tested sizes ``H <= 24``; ``4.4e-16``
+measured on calibrated BABI at ``H = 256``).
+``tests/test_executor_equivalence.py`` property-tests the equivalence and
+``tests/test_executor.py`` pins the grade at serving geometry.
 
-With ``compile=True`` (the default) the executor additionally lowers each
-layer's execution into a preallocated, fused program
+Every layer runs as a preallocated, fused program
 (:mod:`repro.core.program`): staged gate weights, a reusable workspace,
-one stacked matmul per timestep, and in-place ufunc chains — same bits,
-no per-step allocation. Programs are cached in a
+one stacked matmul per timestep, and in-place ufunc chains — the
+reference walk's bits with no per-step allocation; the readable
+specification of the arithmetic is that frozen reference. Programs are
+cached in a
 :class:`~repro.core.program.ProgramCache` keyed on (weights fingerprint,
 shapes, and — in combined mode — the plan ``schedule_key``), so repeated
 runs and fleet shards grouped by the runtime scheduler reuse one program.
@@ -97,7 +102,6 @@ from repro.core.tissue import align_tissues, schedule_key
 from repro.core.trace_builder import build_kernel_trace
 from repro.errors import ConfigurationError, ShapeError
 from repro.gpu.specs import GPUSpec, TEGRA_X1
-from repro.nn.activations import sigmoid, tanh
 from repro.nn.lstm_cell import GATE_ORDER, LSTMCellWeights
 from repro.nn.network import LSTMNetwork
 from repro.nn.pruning import prune_cell_weights
@@ -130,41 +134,29 @@ class ExecutionConfig:
         zero_prune_fraction: Element fraction erased in ``ZERO_PRUNE`` mode.
         use_exact_relevance: Use the exact-overlap ablation of Algorithm 2.
         spec: GPU model used when building kernel traces.
-        compact_drs_gemm: Opt-in row-compacted DRS recurrent products
-            (``h @ U_g[alive].T``), mimicking the paper's GPU kernel that
-            never computes dropped rows. **Approximate**: column-subset
-            GEMV/GEMM products change OpenBLAS's blocking and reduction
-            order (measured 19-75 % last-bit mismatch across shapes), so
-            this flag trades the bit-identity contract with the reference
-            walk for the literal memory-access pattern; outputs agree to
-            ``allclose`` tolerance only. Forces the interpreted stepwise
-            DRS loop. Off by default.
         precision: Weight-storage policy (:class:`~repro.nn.quantize.
-            Precision`). ``fp64`` (the default) is the identity — bits
-            match the frozen reference in every mode. ``int8`` / ``fp16``
+            Precision`). ``fp64`` (the default) is the identity — the
+            weights the frozen reference runs on. ``int8`` / ``fp16``
             quantize ``W``/``U`` once at executor construction, so every
             downstream path (programs, planning, the fleet) runs on the
             dequantized values; a plain string (``"int8"``) is coerced.
-        backend: How compiled programs execute
-            (:mod:`repro.core.backends`). ``"numpy"`` (the default) is
-            the frozen fp64 bit-exact oracle; ``"fused"`` resolves to the
-            best available fused-kernel lowering (generated C, then
-            numba); ``"cgen"`` / ``"numba"`` / ``"torch"`` name one
-            explicitly. Non-numpy backends require ``compile=True`` and
-            agree with the oracle at tolerance level, never bit-exactly;
-            structural plans stay backend-invariant. Availability is
-            resolved at executor construction.
+        backend: How programs execute (:mod:`repro.core.backends`).
+            ``"numpy"`` (the default) carries the fp64 bit contract with
+            the frozen reference; ``"cgen"`` runs generated-C fused
+            kernels that agree with it at tolerance level, never
+            bit-exactly. Structural plans stay backend-invariant.
+            Availability is resolved at executor construction.
         threads: In-process work-unit parallelism
-            (:mod:`repro.core.parallel`). ``1`` (the default) is today's
-            serial walk — the dispatcher is never touched, so the path is
-            bit-identical by construction. Above one, ``run_batch`` /
-            ``run_stream`` partition the batch into contiguous row shards
-            executed on a persistent thread pool; each shard's bits are
-            independent of the batch composition (per-row GEMV / per-row
-            projection lifts), so outputs stay bit-identical at every
-            thread count. Shards share the plan cache (single-flight) and
-            key their compiled programs per dispatch slot, so each thread
-            owns its program workspaces.
+            (:mod:`repro.core.parallel`). ``1`` (the default) runs the
+            whole batch as one shard inline on the caller's thread — the
+            dispatcher is never touched and no output is copied. Above
+            one, ``run_batch`` / ``run_stream`` map the same shard body
+            over contiguous row shards on a persistent thread pool; each
+            shard's bits are independent of the batch composition
+            (per-row GEMV / per-row projection lifts), so outputs stay
+            bit-identical at every thread count. Shards share the plan
+            cache (single-flight) and key their compiled programs per
+            dispatch slot, so each thread owns its program workspaces.
     """
 
     mode: ExecutionMode = ExecutionMode.BASELINE
@@ -175,7 +167,6 @@ class ExecutionConfig:
     zero_prune_fraction: float = 0.37
     use_exact_relevance: bool = False
     spec: GPUSpec = TEGRA_X1
-    compact_drs_gemm: bool = False
     precision: Precision = Precision()
     backend: str = "numpy"
     threads: int = 1
@@ -336,7 +327,6 @@ class _UnitedWeights:
     u: np.ndarray  # (4H, H)
     b: np.ndarray  # (4H,)
     slices: dict[str, slice]
-    _gate_ops: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
 
     @classmethod
     def from_weights(cls, weights: LSTMCellWeights) -> "_UnitedWeights":
@@ -348,31 +338,6 @@ class _UnitedWeights:
         return cls(
             w=weights.united_w(), u=weights.united_u(), b=weights.united_b(), slices=slices
         )
-
-    def gate_ops(self) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per-gate operands for the stepwise loops.
-
-        Maps each gate in :data:`~repro.nn.lstm_cell.GATE_ORDER` to
-        ``(w, u, b)`` — row-major ``(H, E)`` / ``(H, H)`` slices of the
-        united matrices plus the bias slice, consumed as ``x @ w.T`` /
-        ``h @ u.T`` exactly like the reference walk. The stepwise loops run
-        four narrow per-gate products instead of one wide fused GEMM: on
-        cache-starved CPU cores the ``(B, 4H)`` fused pre-activation plus
-        its strided per-gate slices spills the cache during the elementwise
-        tail, and measures ~1.7x slower per step than per-gate ``(B, H)``
-        work. The operands stay row-major transpose *views* (never
-        re-laid-out copies) so BLAS takes the same transposed-kernel path
-        as the reference and the reduction order — hence every bit —
-        matches. The fused layout remains the right call for the
-        tissue-grouped COMBINED path, where whole sublayer spans feed each
-        product. Built lazily once per layer.
-        """
-        if self._gate_ops is None:
-            self._gate_ops = {
-                gate: (self.w[sl], self.u[sl], self.b[sl])
-                for gate, sl in self.slices.items()
-            }
-        return self._gate_ops
 
 
 class LSTMExecutor:
@@ -392,13 +357,8 @@ class LSTMExecutor:
             pipeline.OptimizedLSTM.run` records through its own builder
             instead and leaves this unset, so runs are never
             double-recorded.
-        compile: Lower layer execution into cached, preallocated programs
-            (:mod:`repro.core.program`) — same bits, no per-step
-            allocation. ``False`` keeps the interpreted loops (the
-            readable specification of the arithmetic).
         program_cache: Optional shared :class:`~repro.core.program.
-            ProgramCache`; when omitted and ``compile`` is on, the
-            executor owns a private one.
+            ProgramCache`; when omitted the executor owns a private one.
         quantized_cells: Pre-quantized per-layer payloads
             (:class:`~repro.nn.quantize.QuantizedCell`) to run with
             instead of quantizing ``network``'s weights here. The fleet
@@ -422,7 +382,6 @@ class LSTMExecutor:
         predicted_links: list[PredictedLink] | None = None,
         plan_cache: PlanCache | None = None,
         recorder: "Recorder | None" = None,
-        compile: bool = True,
         program_cache: ProgramCache | None = None,
         quantized_cells: list[QuantizedCell] | None = None,
         dwell_s: float = 0.0,
@@ -431,37 +390,18 @@ class LSTMExecutor:
         self.config = config
         self.plan_cache = plan_cache
         self.recorder = recorder
-        self.compile = compile
         if dwell_s < 0:
             raise ConfigurationError(f"dwell_s must be >= 0, got {dwell_s}")
         self.dwell_s = dwell_s
-        #: Per-thread mutable run state. Sharded runs execute layers on
-        #: pool threads; routing the wall-clock accumulators, the
-        #: collect-states flag and the current dispatch slot through
-        #: thread-local storage lets every existing ``self._plan_wall +=``
-        #: site work unchanged whether it runs on the caller or a worker.
+        #: Per-thread mutable run state: a shard runs on the caller's
+        #: thread or on a pool thread, and each needs its own wall-clock
+        #: accumulators and dispatch slot.
         self._tls = threading.local()
-        #: Resolved concrete backend name ("fused" resolves here, once;
-        #: a missing toolchain raises BackendUnavailableError now, not
-        #: mid-run). Interpreted execution is numpy-only by definition.
-        if compile:
-            self.backend = resolve_backend(config.backend)
-        elif config.backend != "numpy":
-            raise ConfigurationError(
-                f"backend {config.backend!r} requires compile=True "
-                "(the interpreted loops are the numpy specification)"
-            )
-        else:
-            self.backend = "numpy"
+        #: Checked backend name (a missing toolchain raises
+        #: BackendUnavailableError now, not mid-run).
+        self.backend = resolve_backend(config.backend)
         self._exact_backend = backend_is_exact(self.backend)
-        if config.compact_drs_gemm and not self._exact_backend:
-            raise ConfigurationError(
-                "compact_drs_gemm forces the interpreted numpy DRS loop; "
-                f"it cannot run under backend {self.backend!r}"
-            )
-        if compile and program_cache is None:
-            program_cache = ProgramCache()
-        self.program_cache = program_cache
+        self.program_cache = ProgramCache() if program_cache is None else program_cache
         self._link_fps: list[str | None] = [None] * len(network.layers)
         self._weights_fps: list[str | None] = [None] * len(network.layers)
         self._cells_by_t: dict[int, list[list[tuple[int, int]]]] = {}
@@ -489,10 +429,6 @@ class LSTMExecutor:
                 kept.append(aggregate.kept_fraction)
             self._weights = pruned
             self.pruning_kept_fraction = float(np.mean(kept))
-        #: Quantized W/U payloads (codes + scales) when the precision
-        #: policy is low-precision; ``None`` under fp64. Retained so the
-        #: compacted DRS GEMM can dequantize only the surviving rows.
-        self.quantized_cells: list[QuantizedCell] | None = None
         if quantized_cells is not None and not config.precision.is_quantized:
             raise ConfigurationError(
                 "quantized_cells were supplied but config.precision is fp64"
@@ -510,18 +446,13 @@ class LSTMExecutor:
                     "need one quantized cell per layer "
                     f"({len(network.layers)}), got {len(quantized_cells)}"
                 )
-            self.quantized_cells = list(quantized_cells)
-            self._weights = [cell.dequantized for cell in self.quantized_cells]
+            self._weights = [cell.dequantized for cell in quantized_cells]
             # The deployed (dequantized) weights are what DRS profiles,
             # so row ranges are recomputed from them.
             self._row_ranges = [recurrent_row_ranges(w) for w in self._weights]
         self._united = [_UnitedWeights.from_weights(w) for w in self._weights]
 
     # ----------------------------------------------------- per-thread state
-    # Sharded runs execute `_run_layer` on dispatcher threads, each of
-    # which needs its own wall-clock accumulators, state buffers, and
-    # dispatch slot. Routing them through `self._tls` keeps every legacy
-    # `self._plan_wall += ...` site valid on any thread.
 
     @property
     def _plan_wall(self) -> float:
@@ -538,22 +469,6 @@ class LSTMExecutor:
     @_compile_wall.setter
     def _compile_wall(self, value: float) -> None:
         self._tls.compile_wall = value
-
-    @property
-    def _collect_states(self) -> bool:
-        return getattr(self._tls, "collect_states", False)
-
-    @_collect_states.setter
-    def _collect_states(self, value: bool) -> None:
-        self._tls.collect_states = value
-
-    @property
-    def _last_states(self) -> np.ndarray | None:
-        return getattr(self._tls, "last_states", None)
-
-    @_last_states.setter
-    def _last_states(self, value: np.ndarray | None) -> None:
-        self._tls.last_states = value
 
     @property
     def _slot(self) -> int | None:
@@ -575,71 +490,101 @@ class LSTMExecutor:
                 (used by the offline context-link calibration; stepwise
                 modes only).
         """
-        tokens = np.asarray(tokens)
+        tokens = self.network.check_tokens(tokens)
         if tokens.ndim != 2:
             raise ShapeError(f"tokens must be (B, T), got shape {tokens.shape}")
         batch, seq_len = tokens.shape
         start_wall = time.perf_counter()
-        self._plan_wall = 0.0
-        self._compile_wall = 0.0
         record = self.recorder is not None and self.recorder.enabled
         plan_stats_before = (
             self.plan_cache.stats.as_dict()
             if record and self.plan_cache is not None
             else None
         )
-        program_stats_before = (
-            self.program_cache.stats.as_dict()
-            if record and self.program_cache is not None
-            else None
+        program_stats_before = self.program_cache.stats.as_dict() if record else None
+
+        def run_shard(slot: int | None, rows: slice):
+            self._slot = slot
+            self._plan_wall = 0.0
+            self._compile_wall = 0.0
+            cur = self.network.embedding[tokens[rows]]  # (b, T, E)
+            shard_batch = cur.shape[0]
+            shard_plans: list[list[LayerPlanRecord]] = [[] for _ in range(shard_batch)]
+            outs: list[np.ndarray] = []
+            states: list[np.ndarray] = []
+            for layer_index, weights in enumerate(self._weights):
+                cur, records, cs = self._run_layer(layer_index, weights, cur, collect_states)
+                outs.append(cur)
+                if cs is not None:
+                    states.append(cs)
+                for i in range(shard_batch):
+                    shard_plans[i].append(records[i])
+            logits = self._head_logits(cur)
+            if self.dwell_s > 0.0:
+                time.sleep(self.dwell_s * shard_batch)  # modeled device occupancy
+            return outs, states, shard_plans, logits, self._plan_wall, self._compile_wall
+
+        # The state-collecting calibration path stays one shard: its
+        # per-layer cell states are returned whole, never reassembled.
+        results, dispatch_timings = self._map_shards(
+            batch, 1 if collect_states else self.config.threads, run_shard
         )
-        xs = self.network.embedding[tokens]  # (B, T, E)
-
-        if (
-            self.config.threads > 1
-            and batch > 1
-            and not collect_states
-            and not self.config.compact_drs_gemm
-        ):
-            # Contiguous row shards on the persistent thread pool. The
-            # state-collecting calibration path and the approximate
-            # compacted-GEMM opt-in stay on the serial walk.
-            return self._run_batch_parallel(
-                xs, batch, seq_len, start_wall, record,
-                plan_stats_before, program_stats_before,
-            )
-
-        plan_layers: list[list[LayerPlanRecord]] = [[] for _ in range(batch)]
-        layer_outputs: list[np.ndarray] = []
-        layer_states: list[np.ndarray] = []
-        self._collect_states = collect_states
-        for layer_index, weights in enumerate(self._weights):
-            xs, records = self._run_layer(layer_index, weights, xs)
-            layer_outputs.append(xs)
-            if collect_states and self._last_states is not None:
-                layer_states.append(self._last_states)
-            for b in range(batch):
-                plan_layers[b].append(records[b])
-
-        logits = self._head_logits(xs)
-        if self.dwell_s > 0.0:
-            time.sleep(self.dwell_s * batch)  # modeled device occupancy
-        plans = [SequencePlan(layers=plan_layers[b]) for b in range(batch)]
-        timings = {
-            "exec_wall_s": time.perf_counter() - start_wall,
-            "plan_wall_s": self._plan_wall,
-            "compile_wall_s": self._compile_wall,
-        }
+        outs, states, shard_plans, logits, plan_walls, compile_walls = zip(*results)
+        if len(results) == 1:
+            layer_outputs, logits = outs[0], logits[0]
+        else:
+            # Shards are ascending contiguous row ranges, so ordered
+            # concatenation reassembles exactly the unsharded arrays.
+            layer_outputs = [np.concatenate(layer, axis=0) for layer in zip(*outs)]
+            logits = np.concatenate(logits, axis=0)
         result = ExecutionResult(
             logits=logits,
-            plans=plans,
+            plans=[SequencePlan(layers=rows) for shard in shard_plans for rows in shard],
             layer_outputs=layer_outputs,
-            layer_states=layer_states,
-            timings=timings,
+            layer_states=states[0],  # collected on one shard only
+            timings={
+                "exec_wall_s": time.perf_counter() - start_wall,
+                "plan_wall_s": sum(plan_walls),
+                "compile_wall_s": sum(compile_walls),
+                **dispatch_timings,
+            },
         )
         if record:
             self._record_run(result, batch, seq_len, plan_stats_before, program_stats_before)
         return result
+
+    def _map_shards(self, batch: int, threads: int, run_shard) -> tuple[list, dict[str, float]]:
+        """Run ``run_shard(slot, rows)`` over the batch's row shards.
+
+        One thread (or one row) is one shard covering the whole batch,
+        executed inline on the caller's thread under slot ``None``: the
+        dispatcher is never touched and the shard's arrays are the
+        result — the serial path is bit-identical
+        by construction. Otherwise the batch splits into ``<= threads``
+        contiguous row shards on the persistent thread pool. Because every
+        stepwise product is a per-row GEMV lift and the combined-mode
+        group walk dispatches per leading-axis slice, a row's bits are
+        independent of which rows share its dispatch — so the shards, in
+        order, are bit-identical to the inline walk (gated in
+        ``bench_parallel``). Shards share the single-flight plan cache;
+        programs are keyed per dispatch slot so each thread owns its
+        workspaces. Real concurrency comes from BLAS / ufunc / ctypes GIL
+        release inside the shard bodies.
+
+        Returns:
+            The per-shard results in row order, and the dispatcher's
+            timing keys (empty when run inline).
+        """
+        if threads == 1 or batch <= 1:
+            return [run_shard(None, slice(0, batch))], {}
+        from repro.core.parallel import get_dispatcher, shard_slices
+
+        thunks = [
+            (lambda slot=slot, rows=rows: run_shard(slot, rows))
+            for slot, rows in enumerate(shard_slices(batch, threads))
+        ]
+        results, stats = get_dispatcher(threads).map(thunks)
+        return results, stats.timing_keys()
 
     def _head_logits(self, xs: np.ndarray) -> np.ndarray:
         """Classifier-head readout of the top layer's outputs."""
@@ -657,97 +602,6 @@ class LSTMExecutor:
         # projections: a (T, H) GEMM's row bits depend on T, which
         # would make streamed logits diverge from contiguous runs.
         return self.network.head_logits(top[..., None, :])[..., 0, :]
-
-    def _run_batch_parallel(
-        self,
-        xs: np.ndarray,
-        batch: int,
-        seq_len: int,
-        start_wall: float,
-        record: bool,
-        plan_stats_before: dict | None,
-        program_stats_before: dict | None,
-    ) -> ExecutionResult:
-        """Row-sharded ``run_batch`` body on the persistent thread pool.
-
-        The batch splits into ``<= threads`` contiguous row shards; each
-        shard walks every layer plus the head readout on its own pool
-        thread and returns arrays covering only its rows. Because every
-        stepwise product is a per-row GEMV lift and the combined-mode
-        group walk dispatches per leading-axis slice, a row's bits are
-        independent of which rows share its dispatch — so reassembling
-        the shards in order is bit-identical to the serial walk (gated in
-        ``bench_parallel``). Shards share the single-flight plan cache;
-        compiled programs are keyed per dispatch slot so each thread owns
-        its workspaces. Real concurrency comes from BLAS / ufunc / ctypes
-        GIL release inside the shard bodies.
-        """
-        from repro.core.parallel import get_dispatcher, shard_slices
-
-        cfg = self.config
-        shards = shard_slices(batch, cfg.threads)
-        dispatcher = get_dispatcher(cfg.threads)
-        n_layers = len(self._weights)
-        dwell = self.dwell_s
-
-        def run_shard(slot: int, rows: slice):
-            tls = self._tls
-            tls.slot = slot
-            tls.plan_wall = 0.0
-            tls.compile_wall = 0.0
-            tls.collect_states = False
-            tls.last_states = None
-            cur = xs[rows]
-            shard_batch = cur.shape[0]
-            shard_plans: list[list[LayerPlanRecord]] = [
-                [] for _ in range(shard_batch)
-            ]
-            outs: list[np.ndarray] = []
-            for layer_index, weights in enumerate(self._weights):
-                cur, records = self._run_layer(layer_index, weights, cur)
-                outs.append(cur)
-                for i in range(shard_batch):
-                    shard_plans[i].append(records[i])
-            logits = self._head_logits(cur)
-            if dwell > 0.0:
-                time.sleep(dwell * shard_batch)  # modeled device occupancy
-            return outs, shard_plans, logits, tls.plan_wall, tls.compile_wall
-
-        thunks = [
-            (lambda slot=slot, rows=rows: run_shard(slot, rows))
-            for slot, rows in enumerate(shards)
-        ]
-        results, dstats = dispatcher.map(thunks)
-
-        # Shards are ascending contiguous row ranges, so ordered
-        # concatenation reassembles exactly the unsharded arrays.
-        layer_outputs = [
-            np.concatenate([res[0][li] for res in results], axis=0)
-            for li in range(n_layers)
-        ]
-        logits = np.concatenate([res[2] for res in results], axis=0)
-        plan_layers: list[list[LayerPlanRecord]] = []
-        for res in results:
-            plan_layers.extend(res[1])
-        plans = [SequencePlan(layers=rows) for rows in plan_layers]
-        timings = {
-            "exec_wall_s": time.perf_counter() - start_wall,
-            "plan_wall_s": sum(res[3] for res in results),
-            "compile_wall_s": sum(res[4] for res in results),
-            **dstats.timing_keys(),
-        }
-        result = ExecutionResult(
-            logits=logits,
-            plans=plans,
-            layer_outputs=layer_outputs,
-            layer_states=[],
-            timings=timings,
-        )
-        if record:
-            self._record_run(
-                result, batch, seq_len, plan_stats_before, program_stats_before
-            )
-        return result
 
     def run_stream(
         self,
@@ -793,13 +647,7 @@ class LSTMExecutor:
                 "level plans from full-sequence relevance, which chunked "
                 "arrivals never have"
             )
-        if not self.compile:
-            raise ConfigurationError("run_stream requires compile=True")
-        if cfg.compact_drs_gemm:
-            raise ConfigurationError(
-                "run_stream does not support compact_drs_gemm (interpreted loop only)"
-            )
-        tokens = np.asarray(tokens)
+        tokens = self.network.check_tokens(tokens)
         if tokens.ndim != 2:
             raise ShapeError(f"tokens must be (B, L), got shape {tokens.shape}")
         batch, chunk = tokens.shape
@@ -812,56 +660,13 @@ class LSTMExecutor:
                 f"{h_states.shape} / {c_states.shape}"
             )
         drs = cfg.intra_active and cfg.alpha_intra > 0.0
-        xs = self.network.embedding[tokens]  # (B, L, E)
-        if cfg.threads > 1 and batch > 1:
-            return self._run_stream_parallel(
-                xs, h_states, c_states, batch, chunk, hidden, drs
-            )
-        for layer_index, united in enumerate(self._united):
-            program = self._compiled_stepwise(layer_index, united, batch, chunk, drs)
-            program.project(xs)
-            hs = np.empty((batch, chunk, hidden))
-            program.execute(
-                hs,
-                h0=h_states[layer_index],
-                c0=c_states[layer_index],
-                state_out=(h_states[layer_index], c_states[layer_index]),
-            )
-            xs = hs
-        return xs
 
-    def _run_stream_parallel(
-        self,
-        xs: np.ndarray,
-        h_states: np.ndarray,
-        c_states: np.ndarray,
-        batch: int,
-        chunk: int,
-        hidden: int,
-        drs: bool,
-    ) -> np.ndarray:
-        """Row-sharded streaming tick: sessions split across pool threads.
-
-        Each shard replays the whole layer stack for its contiguous slice
-        of sessions against *views* of the resident state block — row
-        slices of ``(B, H)`` per-layer state are disjoint memory, so
-        in-place state writebacks never interleave. The per-row lifts
-        make every session's bits independent of its tick batch
-        composition, so sharded ticks match serial ticks exactly (the
-        streaming runtime's existing chunked-replay contract, now at any
-        thread count).
-        """
-        from repro.core.parallel import get_dispatcher, shard_slices
-
-        shards = shard_slices(batch, self.config.threads)
-        dispatcher = get_dispatcher(self.config.threads)
-        out = np.empty((batch, chunk, hidden))
-
-        def run_shard(slot: int, rows: slice):
-            tls = self._tls
-            tls.slot = slot
-            tls.compile_wall = 0.0
-            cur = xs[rows]
+        def run_shard(slot: int | None, rows: slice) -> np.ndarray:
+            # Row slices of the resident ``(B, H)`` per-layer state are
+            # views of disjoint memory, so the in-place state writebacks
+            # of concurrent shards never interleave.
+            self._slot = slot
+            cur = self.network.embedding[tokens[rows]]  # (b, L, E)
             shard_batch = cur.shape[0]
             for layer_index, united in enumerate(self._united):
                 program = self._compiled_stepwise(
@@ -871,18 +676,12 @@ class LSTMExecutor:
                 hs = np.empty((shard_batch, chunk, hidden))
                 h_view = h_states[layer_index, rows]
                 c_view = c_states[layer_index, rows]
-                program.execute(
-                    hs, h0=h_view, c0=c_view, state_out=(h_view, c_view)
-                )
+                program.execute(hs, h0=h_view, c0=c_view, state_out=(h_view, c_view))
                 cur = hs
-            out[rows] = cur
+            return cur
 
-        thunks = [
-            (lambda slot=slot, rows=rows: run_shard(slot, rows))
-            for slot, rows in enumerate(shards)
-        ]
-        dispatcher.map(thunks)
-        return out
+        results, _ = self._map_shards(batch, cfg.threads, run_shard)
+        return results[0] if len(results) == 1 else np.concatenate(results, axis=0)
 
     def _record_run(
         self,
@@ -943,15 +742,22 @@ class LSTMExecutor:
     # ------------------------------------------------------------ internals
 
     def _run_layer(
-        self, layer_index: int, weights: LSTMCellWeights, xs: np.ndarray
-    ) -> tuple[np.ndarray, list[LayerPlanRecord]]:
+        self,
+        layer_index: int,
+        weights: LSTMCellWeights,
+        xs: np.ndarray,
+        collect_states: bool,
+    ) -> tuple[np.ndarray, list[LayerPlanRecord], np.ndarray | None]:
+        """One layer: ``(hs, per-sequence records, cs)`` — ``cs`` is the
+        cell-state sequence when collected (stepwise modes only)."""
         united = self._united[layer_index]
         if self.config.mode is ExecutionMode.COMBINED:
             proj_u = _row_proj(xs, united.w.T)  # (B, T, 4H) fused, per-row dispatch
             proj = {g: proj_u[..., united.slices[g]] for g in GATE_ORDER}
             plans = self._plan_inter(layer_index, weights, proj, xs)
-            return self._run_layer_combined(layer_index, weights, united, proj_u, plans)
-        return self._run_layer_stepwise(layer_index, weights, united, xs)
+            hs, records = self._run_layer_combined(layer_index, weights, united, proj_u, plans)
+            return hs, records, None  # combined mode does not collect states
+        return self._run_layer_stepwise(layer_index, weights, united, xs, collect_states)
 
     def _relevance(self, layer_index: int, weights, proj_b: dict[str, np.ndarray]):
         fn = exact_relevance_values if self.config.use_exact_relevance else relevance_values
@@ -1023,107 +829,22 @@ class LSTMExecutor:
         weights: LSTMCellWeights,
         united: _UnitedWeights,
         xs: np.ndarray,
-    ) -> tuple[np.ndarray, list[LayerPlanRecord]]:
-        """Per-gate batched timestep loop for every mode except COMBINED.
-
-        Four narrow per-gate products per step instead of one fused
-        ``(B, 4H)`` GEMM — see :meth:`_UnitedWeights.gate_ops` for why the
-        narrow layout wins on CPU. Each recurrent product runs as stacked
-        per-row GEMVs (:func:`_row_gemv`), so every sequence's bits are
-        independent of the batch composition. This interpreted loop is the
-        readable specification; ``compile=True`` lowers the same
-        arithmetic into a preallocated program.
-        """
-        cfg = self.config
-        drs = cfg.intra_active and cfg.alpha_intra > 0.0
-        # INTRA never divides the layer (inter level off), so the DRS
-        # loops need no breakpoint handling.
-        if drs and cfg.compact_drs_gemm:
-            # The approximate opt-in compaction lives only in the
-            # interpreted DRS loop.
-            return self._run_layer_stepwise_drs(layer_index, weights, united, xs)
-        if self.compile:
-            return self._run_layer_stepwise_compiled(layer_index, weights, united, xs, drs)
-        if drs:
-            return self._run_layer_stepwise_drs(layer_index, weights, united, xs)
-        batch, seq_len, _ = xs.shape
-        hidden = weights.hidden_size
-        link = self.predicted_links[layer_index]
-        ops = united.gate_ops()
-        w_f, u_f, b_f = ops["f"]
-        w_i, u_i, b_i = ops["i"]
-        w_c, u_c, b_c = ops["c"]
-        w_o, u_o, b_o = ops["o"]
-        proj_f = _row_proj(xs, w_f.T)  # (B, T, H) per gate, per-row dispatch
-        proj_i = _row_proj(xs, w_i.T)
-        proj_c = _row_proj(xs, w_c.T)
-        proj_o = _row_proj(xs, w_o.T)
-
-        break_mask = np.zeros((batch, seq_len), dtype=bool)
-        plans: list[CachedLayerPlan] | None = None
-        if cfg.inter_active:
-            proj = {"f": proj_f, "i": proj_i, "c": proj_c, "o": proj_o}
-            plans = self._plan_inter(layer_index, weights, proj, xs)
-            for b, plan in enumerate(plans):
-                for start in plan.breakpoints:
-                    break_mask[b, start] = True
-
-        h = np.zeros((batch, hidden))
-        c = np.zeros((batch, hidden))
-        hs = np.empty((batch, seq_len, hidden))
-        cs = np.empty((batch, seq_len, hidden)) if self._collect_states else None
-        skip_fracs = np.zeros((batch, seq_len))
-        warp_fracs = np.zeros((batch, seq_len))
-
-        for t in range(seq_len):
-            if cfg.inter_active and break_mask[:, t].any():
-                reset = break_mask[:, t][:, None]
-                h = np.where(reset, link.h_bar[None, :], h)
-                c = np.where(reset, link.c_bar[None, :], c)
-
-            f = sigmoid(proj_f[:, t] + _row_gemv(h, u_f.T) + b_f)
-            i = sigmoid(proj_i[:, t] + _row_gemv(h, u_i.T) + b_i)
-            g = tanh(proj_c[:, t] + _row_gemv(h, u_c.T) + b_c)
-            o = sigmoid(proj_o[:, t] + _row_gemv(h, u_o.T) + b_o)
-            c = f * c + i * g
-            h = o * tanh(c)
-            hs[:, t] = h
-            if cs is not None:
-                cs[:, t] = c
-        self._last_states = cs
-
-        records = []
-        for b in range(batch):
-            records.append(
-                self._stepwise_record(
-                    layer_index,
-                    weights,
-                    seq_len,
-                    plans[b] if plans is not None else None,
-                    skip_fracs[b],
-                    warp_fracs[b],
-                )
-            )
-        return hs, records
-
-    def _run_layer_stepwise_compiled(
-        self,
-        layer_index: int,
-        weights: LSTMCellWeights,
-        united: _UnitedWeights,
-        xs: np.ndarray,
-        drs: bool,
-    ) -> tuple[np.ndarray, list[LayerPlanRecord]]:
-        """Compiled stepwise path: one cached program per (shapes, weights).
+        collect_states: bool,
+    ) -> tuple[np.ndarray, list[LayerPlanRecord], np.ndarray | None]:
+        """Timestep loop of every mode except COMBINED: one cached program
+        per (shapes, weights).
 
         Mode differences are run-time inputs to the program — the inter
         level passes breakpoint reset columns resolved from the sequence
         plans, DRS reads its threshold out of the program — so BASELINE /
         ZERO_PRUNE / INTER / INTRA at one ``(B, T)`` all replay the same
-        compiled object. Bit-identical to the interpreted loop above
-        (property-tested in ``tests/test_program.py``).
+        compiled object. INTRA never divides the layer (inter level off),
+        so DRS needs no breakpoint handling. Bit-identical to the frozen
+        reference walk under the numpy backend (property-tested in
+        ``tests/test_program.py``).
         """
         cfg = self.config
+        drs = cfg.intra_active and cfg.alpha_intra > 0.0
         batch, seq_len, _ = xs.shape
         hidden = weights.hidden_size
         program = self._compiled_stepwise(layer_index, united, batch, seq_len, drs)
@@ -1147,11 +868,9 @@ class LSTMExecutor:
                 ]
 
         hs = np.empty((batch, seq_len, hidden))
-        cs = np.empty((batch, seq_len, hidden)) if self._collect_states else None
+        cs = np.empty((batch, seq_len, hidden)) if collect_states else None
         program.execute(hs, reset_cols=reset_cols, cs=cs)
-        self._last_states = cs
 
-        records: list[LayerPlanRecord] = []
         if plans is not None:
             # Inter-level records resolve per-tissue statistics against
             # the planned tissue structure, so their fractions stay eager.
@@ -1161,158 +880,44 @@ class LSTMExecutor:
             else:
                 skip_fracs = np.zeros((batch, seq_len))
                 warp_fracs = np.zeros((batch, seq_len))
-            for b in range(batch):
-                records.append(
-                    self._stepwise_record(
-                        layer_index,
-                        weights,
-                        seq_len,
-                        plans[b],
-                        skip_fracs[b],
-                        warp_fracs[b],
-                    )
+            records = [
+                self._inter_record(
+                    layer_index, weights, seq_len, plans[b], skip_fracs[b], warp_fracs[b]
                 )
-            return hs, records
+                for b in range(batch)
+            ]
+            return hs, records, cs
         # Single-cell records: both the record objects and the DRS mask
         # reductions are read at most once (if at all) after the run, so
         # everything defers — the masks are snapshotted because the
         # program buffer is workspace for the next run.
         cells_by_t = self._single_cells(seq_len)
-        stats = (
-            _DeferredStepStats(program.masks_all.copy(), hidden) if drs else None
-        )
+        stats = _DeferredStepStats(program.masks_all.copy(), hidden) if drs else None
         zeros = None if drs else self._zero_fractions(seq_len)
+        records = []
         for b in range(batch):
+            # Lazy: B*T single-cell records per layer run cost more to
+            # build than the arithmetic they describe; the sequence
+            # materializes them only if something indexes or iterates it
+            # (tests, trace building) — the recorder reads aggregates.
             tissues = (
                 SingleCellTissues(cells_by_t, loader=stats.loader(b))
                 if drs
                 else SingleCellTissues(cells_by_t, zeros, zeros)
             )
             records.append(
-                self._stepwise_record(
-                    layer_index, weights, seq_len, None, None, None, tissues=tissues
+                LayerPlanRecord(
+                    layer_index=layer_index,
+                    hidden_size=hidden,
+                    input_size=weights.input_size,
+                    seq_length=seq_len,
+                    breakpoints=[],
+                    sublayer_lengths=[seq_len],
+                    tissues=tissues,
+                    relevance=None,
                 )
             )
-        return hs, records
-
-    def _run_layer_stepwise_drs(
-        self,
-        layer_index: int,
-        weights: LSTMCellWeights,
-        united: _UnitedWeights,
-        xs: np.ndarray,
-    ) -> tuple[np.ndarray, list[LayerPlanRecord]]:
-        """Row-compacted DRS timestep loop (INTRA with a live threshold).
-
-        Algorithm 3 taken literally instead of compute-then-zero: with the
-        per-gate operand layout the output gate costs the same as any other
-        gate, so every step computes ``o_t`` first and its mask picks the
-        trivial rows. On steps where some row is trivial across the *whole*
-        batch, the ``f``/``i``/``c`` work is gathered to the surviving
-        columns, computed compacted, and scattered back into the cell
-        state — dropped rows never see a bias add, an activation, or a
-        cell update.
-
-        By default the ``h @ U_g^T`` products stay full width and the
-        compaction covers everything elementwise *after* them. A mobile
-        GPU's DRS kernel skips output rows inside the kernel, where every
-        output element is an independent dot product; CPU BLAS does not
-        expose that guarantee — gathering rows of ``U_g`` (columns of the
-        product) changes the GEMV's ``N`` dimension, which changes
-        OpenBLAS's kernel/blocking choice and hence the reduction order.
-        Measured on this platform: 19-75 % last-bit mismatch for
-        column-subset products across ``(B, H)`` shapes, so shrinking the
-        product would break the frozen bit-identity contract with
-        :class:`~repro.core.reference.ReferenceExecutor`. Opting in to
-        :attr:`ExecutionConfig.compact_drs_gemm` runs the literal
-        row-compacted ``h @ U_g[alive].T`` per gate — the paper's true
-        memory-access pattern, allclose-but-not-bit-equal. Everything
-        elementwise after the product is subset-safe either way (ufuncs
-        are per-element): surviving elements go through the same
-        ``(x + hU) + b`` chain, dropped elements are exactly ``0.0`` on
-        both sides.
-
-        The skip/warp statistics are accumulated as raw masks and reduced
-        once per layer, replacing the two per-timestep reductions that made
-        the batched INTRA path slower than the seed walk.
-        """
-        cfg = self.config
-        compact = cfg.compact_drs_gemm
-        batch, seq_len, _ = xs.shape
-        hidden = weights.hidden_size
-        alpha = cfg.alpha_intra
-        ops = united.gate_ops()
-        w_f, u_f, b_f = ops["f"]
-        w_i, u_i, b_i = ops["i"]
-        w_c, u_c, b_c = ops["c"]
-        w_o, u_o, b_o = ops["o"]
-        proj_f = _row_proj(xs, w_f.T)  # (B, T, H) per gate, per-row dispatch
-        proj_i = _row_proj(xs, w_i.T)
-        proj_c = _row_proj(xs, w_c.T)
-        proj_o = _row_proj(xs, w_o.T)
-
-        h = np.zeros((batch, hidden))
-        c = np.zeros((batch, hidden))
-        hs = np.empty((batch, seq_len, hidden))
-        cs = np.empty((batch, seq_len, hidden)) if self._collect_states else None
-        masks_all = np.empty((batch, seq_len, hidden), dtype=bool)
-
-        for t in range(seq_len):
-            o = sigmoid(proj_o[:, t] + _row_gemv(h, u_o.T) + b_o)
-            masks = o < alpha  # (B, H)
-            masks_all[:, t] = masks
-            dropped = masks.all(axis=0)
-            if dropped.any():
-                alive = np.flatnonzero(~dropped)
-                if compact:
-                    # Literal Algorithm-3 memory pattern: dropped rows of
-                    # U_g are never read. Approximate (see docstring).
-                    if self.quantized_cells is not None:
-                        # Fused dequant-on-load: widen only the surviving
-                        # rows of the stored codes, so the bytes touched
-                        # shrink with both the precision and the skip.
-                        # Same values as slicing the pre-dequantized
-                        # matrix (per-row dequant is independent).
-                        qu = self.quantized_cells[layer_index].u
-                        hu_f = _row_gemv(h, qu["f"].dequantize_rows(alive).T)
-                        hu_i = _row_gemv(h, qu["i"].dequantize_rows(alive).T)
-                        hu_c = _row_gemv(h, qu["c"].dequantize_rows(alive).T)
-                    else:
-                        hu_f = _row_gemv(h, u_f[alive].T)
-                        hu_i = _row_gemv(h, u_i[alive].T)
-                        hu_c = _row_gemv(h, u_c[alive].T)
-                else:
-                    hu_f = _row_gemv(h, u_f.T)[:, alive]
-                    hu_i = _row_gemv(h, u_i.T)[:, alive]
-                    hu_c = _row_gemv(h, u_c.T)[:, alive]
-                f = sigmoid(proj_f[:, t, alive] + hu_f + b_f[alive])
-                i = sigmoid(proj_i[:, t, alive] + hu_i + b_i[alive])
-                g = tanh(proj_c[:, t, alive] + hu_c + b_c[alive])
-                c_next = np.zeros((batch, hidden))
-                c_next[:, alive] = np.where(
-                    masks[:, alive], 0.0, f * c[:, alive] + i * g
-                )
-                c = c_next
-            else:
-                f = sigmoid(proj_f[:, t] + _row_gemv(h, u_f.T) + b_f)
-                i = sigmoid(proj_i[:, t] + _row_gemv(h, u_i.T) + b_i)
-                g = tanh(proj_c[:, t] + _row_gemv(h, u_c.T) + b_c)
-                c = np.where(masks, 0.0, f * c + i * g)
-            h = o * tanh(c)
-            hs[:, t] = h
-            if cs is not None:
-                cs[:, t] = c
-        self._last_states = cs
-
-        skip_fracs = masks_all.mean(axis=2)  # (B, T)
-        warp_fracs = _warp_skip_fractions(masks_all)
-        records = [
-            self._stepwise_record(
-                layer_index, weights, seq_len, None, skip_fracs[b], warp_fracs[b]
-            )
-            for b in range(batch)
-        ]
-        return hs, records
+        return hs, records, cs
 
     def _single_cells(self, seq_len: int) -> list[list[tuple[int, int]]]:
         """One ``[(0, t)]`` list per timestep, shared across every
@@ -1331,62 +936,39 @@ class LSTMExecutor:
             self._zero_fracs[seq_len] = zeros
         return zeros
 
-    def _stepwise_record(
+    def _inter_record(
         self,
         layer_index: int,
         weights: LSTMCellWeights,
         seq_len: int,
-        plan: CachedLayerPlan | None,
-        skip_fracs: np.ndarray | None,
-        warp_fracs: np.ndarray | None,
-        tissues: SingleCellTissues | None = None,
+        plan: CachedLayerPlan,
+        skip_fracs: np.ndarray,
+        warp_fracs: np.ndarray,
     ) -> LayerPlanRecord:
-        if self.config.inter_active:
-            assert plan is not None
-            tissue_records = []
-            for tissue in plan.tissues:
-                # Timestamp-resolved skip stats; the per-tissue shared-load
-                # fraction is the mean of the fused cells' fractions here
-                # because stepwise modes never intersect masks (INTER has
-                # alpha_intra == 0, so the fractions are all zero anyway).
-                ts = tissue.timestamps()
-                tissue_records.append(
-                    TissueRecord(
-                        cells=list(tissue.cells),
-                        skip_fraction=float(np.mean([skip_fracs[t] for t in ts])),
-                        warp_skip_fraction=float(np.mean([warp_fracs[t] for t in ts])),
-                    )
+        """Plan record of one inter-active stepwise sequence."""
+        tissue_records = []
+        for tissue in plan.tissues:
+            # Timestamp-resolved skip stats; the per-tissue shared-load
+            # fraction is the mean of the fused cells' fractions here
+            # because stepwise modes never intersect masks (INTER has
+            # alpha_intra == 0, so the fractions are all zero anyway).
+            ts = tissue.timestamps()
+            tissue_records.append(
+                TissueRecord(
+                    cells=list(tissue.cells),
+                    skip_fraction=float(np.mean([skip_fracs[t] for t in ts])),
+                    warp_skip_fraction=float(np.mean([warp_fracs[t] for t in ts])),
                 )
-            breakpoints = [sub.start for sub in plan.sublayers[1:]]
-            sublayer_lengths = [sub.length for sub in plan.sublayers]
-            relevance = plan.relevance
-        else:
-            if tissues is None:
-                # tolist() converts to plain Python floats in one C pass —
-                # identical values, far cheaper than 2*T numpy-scalar casts.
-                skip_list = np.asarray(skip_fracs).tolist()
-                warp_list = np.asarray(warp_fracs).tolist()
-                tissues = SingleCellTissues(
-                    self._single_cells(seq_len), skip_list, warp_list
-                )
-            # Lazy either way: B*T single-cell records per layer run cost
-            # more to build than the arithmetic they describe; the
-            # sequence materializes them only if something indexes or
-            # iterates it (tests, trace building) — the recorder reads
-            # aggregates.
-            tissue_records = tissues
-            breakpoints = []
-            sublayer_lengths = [seq_len]
-            relevance = None
+            )
         return LayerPlanRecord(
             layer_index=layer_index,
             hidden_size=weights.hidden_size,
             input_size=weights.input_size,
             seq_length=seq_len,
-            breakpoints=breakpoints,
-            sublayer_lengths=sublayer_lengths,
+            breakpoints=[sub.start for sub in plan.sublayers[1:]],
+            sublayer_lengths=[sub.length for sub in plan.sublayers],
             tissues=tissue_records,
-            relevance=relevance,
+            relevance=plan.relevance,
         )
 
     def _run_layer_combined(
@@ -1403,17 +985,14 @@ class LSTMExecutor:
         *together*: each tissue step is one stacked ``(G, k, H) @ (H, 4H)``
         matmul over the group, bit-identical to ``G`` independent
         per-sequence ``(k, H)`` products (numpy dispatches the same GEMM
-        per leading-axis slice). With ``compile=True`` each plan group
-        replays a cached :class:`~repro.core.program.CombinedGroupProgram`
-        keyed on the plan ``signature`` (the scheduler's ``schedule_key``),
-        so fleet shards grouped by the runtime scheduler share programs.
+        per leading-axis slice). Each plan group replays a cached
+        :class:`~repro.core.program.CombinedGroupProgram` keyed on the
+        plan ``signature`` (the scheduler's ``schedule_key``), so fleet
+        shards grouped by the runtime scheduler share programs.
         """
         cfg = self.config
         batch, seq_len, _ = proj_u.shape
         hidden = weights.hidden_size
-        link = self.predicted_links[layer_index]
-        self._last_states = None  # combined mode does not collect states
-        sl = united.slices
 
         groups: dict[tuple, list[int]] = {}
         for b, plan in enumerate(plans):
@@ -1424,77 +1003,32 @@ class LSTMExecutor:
         for indices in groups.values():
             plan = plans[indices[0]]
             group = len(indices)
-            seq_idx = np.asarray(indices)
-            if self.compile:
-                program = self._compiled_combined(
-                    layer_index, united, plan, group, seq_len
-                )
-                # One group covering the whole batch walks proj_u directly
-                # (indices are ascending, so the gather would be identity).
-                proj_group = proj_u if group == batch else proj_u[seq_idx]
-                program.execute(proj_group)
-                if group == batch:
-                    hs[:] = program.hs
-                else:
-                    hs[seq_idx] = program.hs
-                if cfg.alpha_intra > 0.0:
-                    skip_all = program.shared.mean(axis=2).tolist()
-                    warp_all = _warp_skip_fractions(program.shared).tolist()
-                else:
-                    zeros = [[0.0] * group] * len(plan.tissues)
-                    skip_all = warp_all = zeros
-                # One cells list per tissue, shared across the group's
-                # records (nothing mutates record cells downstream).
-                cells_lists = [list(t.cells) for t in plan.tissues]
-                for ti in range(len(plan.tissues)):
-                    cells = cells_lists[ti]
-                    skip_row = skip_all[ti]
-                    warp_row = warp_all[ti]
-                    for gi, b in enumerate(indices):
-                        tissue_records[b].append(
-                            TissueRecord(cells, skip_row[gi], warp_row[gi])
-                        )
-                continue
-            n_sub = len(plan.sublayers)
-            h_state = np.zeros((group, n_sub, hidden))
-            c_state = np.zeros((group, n_sub, hidden))
-            if n_sub > 1:
-                h_state[:, 1:] = link.h_bar
-                c_state[:, 1:] = link.c_bar
-
-            for tissue in plan.tissues:
-                subs = [s for s, _ in tissue.cells]
-                ts = np.asarray([t for _, t in tissue.cells])
-                h_prev = h_state[:, subs]  # (G, k, H)
-                c_prev = c_state[:, subs]
-                x = proj_u[seq_idx[:, None], ts[None, :]]  # (G, k, 4H)
-                pre = x + h_prev @ united.u.T + united.b
-                o = sigmoid(pre[..., sl["o"]])
-                f = sigmoid(pre[..., sl["f"]])
-                i = sigmoid(pre[..., sl["i"]])
-                g = tanh(pre[..., sl["c"]])
-                c_new = f * c_prev + i * g
-                skip = np.zeros(group)
-                warp = np.zeros(group)
-                if cfg.alpha_intra > 0.0:
-                    masks = o < cfg.alpha_intra  # (G, k, H)
-                    shared = masks.all(axis=1)  # per-sequence intersection
-                    c_new = np.where(shared[:, None, :], 0.0, c_new)
-                    skip = shared.mean(axis=1)
-                    warp = _warp_skip_fractions(shared)
-                h_new = o * tanh(c_new)
-                h_state[:, subs] = h_new
-                c_state[:, subs] = c_new
-                hs[seq_idx[:, None], ts[None, :]] = h_new
+            program = self._compiled_combined(layer_index, united, plan, group, seq_len)
+            # One group covering the whole batch walks proj_u directly
+            # (indices are ascending, so the gather would be identity).
+            if group == batch:
+                program.execute(proj_u)
+                hs[:] = program.hs
+            else:
+                seq_idx = np.asarray(indices)
+                program.execute(proj_u[seq_idx])
+                hs[seq_idx] = program.hs
+            if cfg.alpha_intra > 0.0:
+                skip_all = program.shared.mean(axis=2).tolist()
+                warp_all = _warp_skip_fractions(program.shared).tolist()
+            else:
+                zeros = [[0.0] * group] * len(plan.tissues)
+                skip_all = warp_all = zeros
+            # One cells list per tissue, shared across the group's
+            # records (nothing mutates record cells downstream).
+            for ti, tissue in enumerate(plan.tissues):
+                cells = list(tissue.cells)
+                skip_row = skip_all[ti]
+                warp_row = warp_all[ti]
                 for gi, b in enumerate(indices):
                     tissue_records[b].append(
-                        TissueRecord(
-                            cells=list(tissue.cells),
-                            skip_fraction=float(skip[gi]),
-                            warp_skip_fraction=float(warp[gi]),
-                        )
+                        TissueRecord(cells, skip_row[gi], warp_row[gi])
                     )
-
         records = []
         for b, plan in enumerate(plans):
             records.append(

@@ -1,6 +1,7 @@
 """Compiled plan programs: preallocated, fused lowerings of layer execution.
 
-The interpreted executor pays avoidable memory churn on every timestep:
+A timestep loop written as plain numpy expressions (the frozen
+:mod:`repro.core.reference` walk) pays avoidable memory churn on every step:
 each gate activation allocates fresh ``(B, H)`` arrays, every step
 re-derives operand views, and the pre-activation chain materializes three
 intermediates per gate. This module lowers one layer's execution — the
@@ -9,7 +10,7 @@ combined mode — into a *program*: an object that owns
 
 * **staged weights** — the per-gate recurrent blocks restacked once into a
   ``(4, H, H)`` array (each block kept row-major, so BLAS sees the same
-  transposed-GEMV layout as the interpreted views and the bits match),
+  transposed-GEMV layout as the reference walk and the bits match),
 * **a single preallocated workspace** — gate slabs, ``h``/``c`` state,
   DRS mask scratch, gather/scatter index vectors — reused across
   timesteps and across runs via ``np.matmul(..., out=)`` and in-place
@@ -18,8 +19,8 @@ combined mode — into a *program*: an object that owns
   ``(k, state-rows, gather-rows)`` tuples; breakpoint resets arrive as a
   per-timestep column list resolved by the caller from the sequence plans.
 
-Bit-identity contract: every program below reproduces the interpreted
-arithmetic *exactly* (property-tested in ``tests/test_program.py`` and
+Bit-identity contract: every program below reproduces the reference
+walk's arithmetic *exactly* (property-tested in ``tests/test_program.py`` and
 ``tests/test_executor_equivalence.py``). The rules that make this work on
 OpenBLAS, measured on this platform:
 
@@ -39,8 +40,8 @@ OpenBLAS, measured on this platform:
   cell update) are elementwise and bit-identical to their allocating
   forms; ``np.take(..., out=)`` and boolean ``np.copyto`` likewise.
 
-Programs are built by :class:`~repro.core.executor.LSTMExecutor` (the
-``compile=True`` fast path) and cached in a :class:`ProgramCache` keyed on
+Programs are built by :class:`~repro.core.executor.LSTMExecutor` (they
+are its only forward pass) and cached in a :class:`ProgramCache` keyed on
 (weights fingerprint, link fingerprint, shapes, and — for combined mode —
 the plan signature ``schedule_key``), so repeated runs, threshold sweeps
 over one batch, and fleet shards grouped by the runtime scheduler all
@@ -235,8 +236,8 @@ class StepwiseProgram:
         sl = united.slices
         # Staged weights: restack the recurrent gate blocks into STACK_ORDER.
         # np.stack keeps each (H, H) block row-major — the layout that makes
-        # the transpose view below dispatch the same GEMV as the interpreted
-        # per-gate `h @ u_g.T` (see module docstring).
+        # the transpose view below dispatch the same GEMV as the reference
+        # walk's per-gate `h @ u_g.T` (see module docstring).
         u_stack = np.stack([united.u[sl[g]] for g in STACK_ORDER])
         self._u_op = u_stack.transpose(0, 2, 1)[:, None]  # (4, 1, H, H)
         self._w_ops = [united.w[sl[g]].T for g in STACK_ORDER]  # (E, H) views
@@ -289,14 +290,14 @@ class StepwiseProgram:
     def project(self, xs: np.ndarray, exact: bool = True) -> dict[str, np.ndarray]:
         """Stage the per-gate input projections; returns planner views.
 
-        The matmul is lifted to per-row GEMV dispatch exactly like the
-        interpreted :func:`repro.core.executor._row_proj` — each token's
+        The matmul is lifted to per-row GEMV dispatch exactly like
+        :func:`repro.core.executor._row_proj` — each token's
         projected bits are a pure function of the token and the weights,
         independent of ``T``, ``B``, or chunk boundaries (the property the
         streaming runtime's chunked replay relies on). ``out=`` never
         changes bits relative to the allocating call.
 
-        ``exact`` exists for signature parity with the fused backend
+        ``exact`` exists for signature parity with the cgen backend
         programs (:mod:`repro.core.backends`) and is ignored: the numpy
         lowering always projects exactly — it *is* the oracle.
         """
@@ -378,8 +379,8 @@ class StepwiseProgram:
                     # on ``(B, alive)`` only, and scatter back. Per-element
                     # ops on a column subset are bit-identical to full
                     # width (the recurrent product above stays full width —
-                    # shrinking a GEMV changes BLAS's reduction order; see
-                    # the interpreted loop's docstring).
+                    # shrinking a GEMV changes BLAS's N dimension, hence its
+                    # blocking and reduction order and the last bit).
                     np.logical_not(self._dropped, out=self._alive)
                     alive = np.flatnonzero(self._alive)
                     k = alive.size
@@ -402,7 +403,7 @@ class StepwiseProgram:
                     np.multiply(self._i, self._g, out=t1)
                     np.add(c, t1, out=c)
                 # Masked elements end exactly 0.0 on both sides: surviving
-                # elements ran the same chain as the interpreted compacted
+                # elements ran the same chain as the reference's full-width
                 # update, dropped ones never see a stale value.
                 np.copyto(c, 0.0, where=mask)
             else:
@@ -464,7 +465,7 @@ class CombinedGroupProgram:
       pinned constant (zeros for sub-layer 0, the predicted link state
       elsewhere). The recurrent GEMMs are then evaluated *once at compile
       time* — per tissue, the same ``(k, H) @ (H, 4H)`` product the
-      interpreted walk would run every step, staged into a ``(T, 4H)``
+      reference walk would run every step, staged into a ``(T, 4H)``
       table — and the whole layer collapses into a few full-width
       elementwise passes with no gathers, scatters, or per-tissue loop.
       The per-tissue DRS intersections become one ``logical_and.reduceat``
@@ -475,7 +476,7 @@ class CombinedGroupProgram:
       in-place-elementwise / scatter with no index arithmetic and no
       allocation.
 
-    Both lowerings are bit-identical to the interpreted walk: the stacked
+    Both lowerings reproduce the reference tissue walk: the stacked
     ``(G, k, H) @ (H, 4H)`` matmul runs the same ``(k, H)`` GEMM per
     leading slice, so identical constant slices give identical bits, and
     every elementwise op is per-element. Cached under the plan's
@@ -501,7 +502,7 @@ class CombinedGroupProgram:
         self.n_sub = n_sub = len(plan.sublayers)
         self.n_tissues = len(plan.tissues)
         self._link = link
-        self._u_t = united.u.T  # (H, 4H) transpose view, as interpreted
+        self._u_t = united.u.T  # (H, 4H) transpose view, as the reference
         self._b = united.b
         sl = united.slices
         self._sl_f, self._sl_i = sl["f"], sl["i"]
@@ -545,7 +546,7 @@ class CombinedGroupProgram:
 
         # Every h_prev/c_prev row is a pinned constant: zeros for
         # sub-layer 0, the predicted link state elsewhere. Evaluate each
-        # tissue's recurrent GEMM once, with exactly the interpreted
+        # tissue's recurrent GEMM once, with exactly the reference walk's
         # dimensions — (k, H) @ (H, 4H) is what every slice of the stacked
         # runtime matmul dispatches — and stage the rows by timestamp.
         self._hu_map = np.empty((seq_len, 4 * hidden))
@@ -561,7 +562,7 @@ class CombinedGroupProgram:
 
         # Full-width workspace: one slab per intermediate, reused across
         # runs; gate outputs land in fresh buffers exactly like the
-        # interpreted walk's allocating calls.
+        # reference walk's allocating calls.
         self._pre = np.empty((group, seq_len, 4 * hidden))
         self._o = np.empty((group, seq_len, hidden))
         self._f = np.empty((group, seq_len, hidden))

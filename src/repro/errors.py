@@ -24,10 +24,9 @@ class BackendUnavailableError(ConfigurationError):
     """A requested execution backend cannot run on this host.
 
     Raised when :func:`repro.core.backends.resolve_backend` is asked for a
-    backend whose toolchain is missing — ``numba``/``torch`` not importable,
-    or no C compiler for the generated-C backend. The message carries the
-    per-backend reason so callers (CLI, benches) can skip cleanly instead
-    of crashing mid-run.
+    backend whose toolchain is missing — no C compiler for the
+    generated-C backend. The message carries the reason so callers (CLI,
+    benches) can skip cleanly instead of crashing mid-run.
     """
 
 

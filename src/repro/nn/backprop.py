@@ -292,11 +292,9 @@ def _step_gates(
 
 def _embed_batch(network: LSTMNetwork, tokens: np.ndarray) -> np.ndarray:
     """Batched embedding lookup ``(B, T) -> (B, T, E)`` with range checks."""
-    tokens = np.asarray(tokens)
+    tokens = network.check_tokens(tokens)
     if tokens.ndim != 2:
         raise ShapeError(f"tokens must be 2-D (B, T), got shape {tokens.shape}")
-    if tokens.min(initial=0) < 0 or tokens.max(initial=0) >= network.vocab_size:
-        raise ShapeError("token id out of vocabulary range")
     return network.embedding[tokens]
 
 

@@ -94,13 +94,25 @@ class LSTMNetwork:
         """Number of stacked LSTM layers."""
         return len(self.layers)
 
-    def embed(self, tokens: np.ndarray) -> np.ndarray:
-        """Look up token embeddings; returns ``(T, E)``."""
+    def check_tokens(self, tokens: np.ndarray) -> np.ndarray:
+        """Token ids as an array, rejecting anything ``embedding[tokens]``
+        would misread: a negative id wraps to the last rows, a boolean
+        array indexes as a mask, and a float or an id past the vocabulary
+        raises a bare ``IndexError`` from deep inside a run."""
         tokens = np.asarray(tokens)
-        if tokens.ndim != 1:
-            raise ShapeError(f"tokens must be 1-D, got shape {tokens.shape}")
+        if tokens.dtype.kind not in "iu":
+            raise ShapeError(
+                f"token id out of vocabulary range (non-integer dtype {tokens.dtype})"
+            )
         if tokens.min(initial=0) < 0 or tokens.max(initial=0) >= self.vocab_size:
             raise ShapeError("token id out of vocabulary range")
+        return tokens
+
+    def embed(self, tokens: np.ndarray) -> np.ndarray:
+        """Look up token embeddings; returns ``(T, E)``."""
+        tokens = self.check_tokens(tokens)
+        if tokens.ndim != 1:
+            raise ShapeError(f"tokens must be 1-D, got shape {tokens.shape}")
         return self.embedding[tokens]
 
     def head_logits(self, hidden: np.ndarray) -> np.ndarray:

@@ -32,10 +32,7 @@ Quantization happens once, at executor construction (mirroring how zero
 pruning replaces weights before planning), so every downstream path —
 relevance planning, compiled programs, the shared-memory arena, the
 fleet — observes ordinary float64 weights whose *values* carry the
-quantization. The retained :class:`QuantizedMatrix` payloads enable the
-DRS-aware fused dequant in the compacted per-gate GEMM
-(:meth:`QuantizedMatrix.dequantize_rows`): only surviving rows are
-widened, so bytes moved shrink with both the precision and the skip.
+quantization.
 """
 
 from __future__ import annotations
@@ -161,17 +158,6 @@ class QuantizedMatrix:
         if self.scales is None:
             return self.data.astype(np.float64)
         return dequantize_rows(self.data, self.scales)
-
-    def dequantize_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Fused dequant of only the surviving rows (DRS-compacted GEMM).
-
-        Bit-identical to ``self.dequantize()[rows]`` — per-row dequant is
-        an independent elementwise multiply — but only ``len(rows)`` rows
-        are widened, so the bytes touched scale with the skip.
-        """
-        if self.scales is None:
-            return self.data[rows].astype(np.float64)
-        return dequantize_rows(self.data[rows], self.scales[rows])
 
 
 def quantize_matrix(matrix: np.ndarray, precision: Precision) -> QuantizedMatrix:

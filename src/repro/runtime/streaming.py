@@ -357,11 +357,6 @@ class StreamingServer:
                 "inter level plans from full-sequence relevance, which "
                 "chunked arrivals never have"
             )
-        if config.compact_drs_gemm:
-            raise ConfigurationError(
-                "streaming requires the compiled stepwise path; "
-                "compact_drs_gemm forces the interpreted loop"
-            )
         if max_batch < 1:
             raise ConfigurationError(f"max_batch must be >= 1, got {max_batch}")
         if chunk_len < 1:
@@ -375,12 +370,7 @@ class StreamingServer:
         self.queue_limit = queue_limit
         self.clock = clock
         self.recorder = recorder
-        self.executor = LSTMExecutor(
-            network,
-            config,
-            compile=True,
-            program_cache=program_cache,
-        )
+        self.executor = LSTMExecutor(network, config, program_cache=program_cache)
         self.sessions = SessionTable(
             num_layers=network.num_layers,
             hidden=network.config.hidden_size,
@@ -442,6 +432,8 @@ class StreamingServer:
         them FIFO; the ticket resolves when the last chunk is served.
 
         Raises:
+            ShapeError: The tokens are not a non-empty 1-D array of ids
+                inside the vocabulary; nothing is queued.
             BackpressureError: The admission queue cannot hold the
                 submission's chunks, or the session table is full of
                 busy sessions. Nothing is partially enqueued — shedding
@@ -450,7 +442,9 @@ class StreamingServer:
         """
         if now is None:
             now = self.clock()
-        tokens = np.asarray(tokens)
+        # Admission is where a bad id is one session's error; inside a
+        # tick it would fail the chunk of every co-batched session.
+        tokens = self.network.check_tokens(tokens)
         if tokens.ndim != 1 or tokens.shape[0] == 0:
             raise ShapeError(
                 f"tokens must be a non-empty 1-D array, got shape {tokens.shape}"

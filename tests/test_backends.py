@@ -5,20 +5,17 @@ What :mod:`repro.core.backends` promises:
 * **Registry discipline.** Unknown names fail config validation; missing
   toolchains fail resolution with
   :class:`~repro.errors.BackendUnavailableError` carrying a reason, at
-  executor construction rather than mid-run; ``fused`` resolves to the
-  best available fused backend.
+  executor construction rather than mid-run; the surface is exactly
+  ``("numpy", "cgen")``.
 
 * **The numpy oracle is untouched.** ``backend="numpy"`` stays
   bit-identical to the frozen
-  :class:`~repro.core.reference.ReferenceExecutor` in all five modes.
+  :class:`~repro.core.reference.ReferenceExecutor` in all five modes at
+  this geometry.
 
 * **Fused numerics.** The generated-C backend agrees with the oracle at
   fp64-roundoff tolerance in every mode, deterministically, with
   backend-invariant plans (the inter level sees identical projections).
-
-* **Kernel twins.** The numba backend's pure-Python kernel body — kept
-  importable without numba — computes the same arithmetic as the fused
-  contract specifies, validated against an inline numpy step loop.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.config import LSTMConfig
-from repro.core import backend_numba, backend_torch, cgen
+from repro.core import cgen
 from repro.core.backends import (
     BACKEND_NAMES,
     backend_availability,
@@ -80,50 +77,33 @@ def mode_config(mode: ExecutionMode, backend: str = "numpy") -> ExecutionConfig:
 
 class TestRegistry:
     def test_backend_names_and_exactness(self):
-        assert BACKEND_NAMES == ("numpy", "fused", "cgen", "numba", "torch")
+        assert BACKEND_NAMES == ("numpy", "cgen")
         assert backend_is_exact("numpy")
-        assert not any(backend_is_exact(n) for n in ("cgen", "numba", "torch"))
+        assert not backend_is_exact("cgen")
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            validate_backend_name("cuda")
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            ExecutionConfig(backend="cuda")
+        for name in ("cuda", "numba", "torch", "fused"):
+            with pytest.raises(ConfigurationError, match="unknown backend"):
+                validate_backend_name(name)
+            with pytest.raises(ConfigurationError, match="unknown backend"):
+                ExecutionConfig(backend=name)
 
     def test_numpy_always_resolves(self):
         assert resolve_backend("numpy") == "numpy"
         availability = backend_availability()
         assert availability["numpy"] == (True, "")
 
-    @needs_compiler
-    def test_fused_prefers_cgen(self):
-        assert resolve_backend("fused") == "cgen"
-
-    def test_unavailable_backends_raise_with_reason(self):
-        for name, module in (("numba", backend_numba), ("torch", backend_torch)):
-            if module.available():
-                continue
-            assert module.unavailable_reason()
-            with pytest.raises(BackendUnavailableError, match=name):
-                resolve_backend(name)
-
-    def test_interpreted_execution_is_numpy_only(self):
-        network, _ = make_case()
-        config = mode_config(ExecutionMode.BASELINE, backend="fused")
-        with pytest.raises(ConfigurationError, match="compile=True"):
-            LSTMExecutor(network, config, compile=False)
-
-    @needs_compiler
-    def test_compact_drs_gemm_requires_the_oracle(self):
-        network, _ = make_case()
-        config = ExecutionConfig(
-            mode=ExecutionMode.INTRA,
-            alpha_intra=0.4,
-            compact_drs_gemm=True,
-            backend="fused",
+    def test_unavailable_backends_raise_with_reason(self, monkeypatch):
+        """No C compiler: cgen fails at executor construction, not mid-run."""
+        monkeypatch.setattr(cgen, "compiler_available", lambda: False)
+        assert backend_availability()["cgen"] == (
+            False, "no C compiler (cc/gcc/clang) on this host"
         )
-        with pytest.raises(ConfigurationError, match="compact_drs_gemm"):
-            LSTMExecutor(network, config)
+        with pytest.raises(BackendUnavailableError, match="cgen.*no C compiler"):
+            resolve_backend("cgen")
+        network, _ = make_case()
+        with pytest.raises(BackendUnavailableError, match="cgen"):
+            LSTMExecutor(network, mode_config(ExecutionMode.BASELINE, backend="cgen"))
 
 
 # ------------------------------------------------------------------- numerics
@@ -142,7 +122,7 @@ class TestFusedNumerics:
     def test_fused_agrees_at_tolerance(self, mode):
         network, tokens = make_case()
         out_ref = ReferenceExecutor(network, mode_config(mode)).run_batch(tokens)
-        fused = LSTMExecutor(network, mode_config(mode, backend="fused"))
+        fused = LSTMExecutor(network, mode_config(mode, backend="cgen"))
         out_fused = fused.run_batch(tokens)
         assert fused.backend == "cgen"
         assert np.abs(out_fused.logits - out_ref.logits).max() <= TOLERANCE
@@ -160,7 +140,7 @@ class TestFusedNumerics:
 
     def test_fused_runs_are_deterministic(self):
         network, tokens = make_case()
-        config = mode_config(ExecutionMode.INTRA, backend="fused")
+        config = mode_config(ExecutionMode.INTRA, backend="cgen")
         first = LSTMExecutor(network, config).run_batch(tokens)
         second = LSTMExecutor(network, config).run_batch(tokens)
         assert np.array_equal(first.logits, second.logits)
@@ -174,7 +154,7 @@ class TestFusedNumerics:
         network, tokens = make_case()
         out_numpy = LSTMExecutor(network, mode_config(mode)).run_batch(tokens)
         out_fused = LSTMExecutor(
-            network, mode_config(mode, backend="fused")
+            network, mode_config(mode, backend="cgen")
         ).run_batch(tokens)
         for plan_a, plan_b in zip(out_numpy.plans, out_fused.plans):
             for layer_a, layer_b in zip(plan_a.layers, plan_b.layers):
@@ -185,7 +165,7 @@ class TestFusedNumerics:
         network, tokens = make_case()
         recorder = Recorder()
         executor = LSTMExecutor(
-            network, mode_config(ExecutionMode.INTRA, backend="fused"),
+            network, mode_config(ExecutionMode.INTRA, backend="cgen"),
             recorder=recorder,
         )
         executor.run_batch(tokens)
@@ -214,57 +194,5 @@ class TestFusedNumerics:
             server.drain(now=0.0)
             return ticket.result.logits
 
-        delta = np.abs(serve("fused") - serve("numpy")).max()
+        delta = np.abs(serve("cgen") - serve("numpy")).max()
         assert delta <= TOLERANCE
-
-
-# ---------------------------------------------------------------- kernel twin
-
-
-class TestNumbaKernelBody:
-    def test_pure_python_kernel_matches_numpy_step_loop(self):
-        """The numba kernel body (run un-jitted) computes the fused
-        contract: o-gate first, DRS zeroing, f/i/g skipped on masked rows."""
-        rng = np.random.default_rng(5)
-        batch, seq_len, hidden = 2, 4, 6
-        alpha = 0.45
-        proj = rng.normal(size=(batch, seq_len, 4 * hidden))
-        u = rng.normal(scale=0.3, size=(4 * hidden, hidden))
-        bias = rng.normal(size=4 * hidden)
-        h_bar = np.tanh(rng.normal(size=hidden))
-        c_bar = rng.normal(size=hidden)
-        resets = np.zeros((seq_len, batch), dtype=np.uint8)
-        resets[2, 1] = 1
-
-        h = np.zeros((batch, hidden))
-        c = np.zeros((batch, hidden))
-        hs = np.empty((batch, seq_len, hidden))
-        cs = np.empty((batch, seq_len, hidden))
-        masks = np.zeros((batch, seq_len, hidden), dtype=np.uint8)
-        backend_numba.stepwise_kernel(
-            proj, u, bias, h, c, hs, cs, masks, resets, h_bar, c_bar,
-            alpha, True, True,
-        )
-
-        def sigmoid(x):
-            return 1.0 / (1.0 + np.exp(-x))
-
-        h_ref = np.zeros((batch, hidden))
-        c_ref = np.zeros((batch, hidden))
-        for t in range(seq_len):
-            reset = resets[t].astype(bool)
-            h_ref[reset] = h_bar
-            c_ref[reset] = c_bar
-            pre = proj[:, t] + h_ref @ u.T + bias
-            o = sigmoid(pre[:, 3 * hidden :])
-            mask = o < alpha
-            f = sigmoid(pre[:, :hidden])
-            i = sigmoid(pre[:, hidden : 2 * hidden])
-            g = np.tanh(pre[:, 2 * hidden : 3 * hidden])
-            c_ref = np.where(mask, 0.0, f * c_ref + i * g)
-            h_ref = np.where(mask, 0.0, o * np.tanh(c_ref))
-            assert np.array_equal(masks[:, t].astype(bool), mask)
-            assert np.abs(hs[:, t] - h_ref).max() <= 1e-12
-            assert np.abs(cs[:, t] - c_ref).max() <= 1e-12
-        assert np.abs(h - h_ref).max() <= 1e-12
-        assert np.abs(c - c_ref).max() <= 1e-12

@@ -15,8 +15,10 @@ from repro.core.executor import (
     ExecutionMode,
     LSTMExecutor,
 )
+from repro.core.pipeline import OptimizedLSTM
+from repro.core.reference import ReferenceExecutor
 from repro.errors import ConfigurationError, ShapeError
-from tests.conftest import make_executor
+from tests.conftest import TINY_HIDDEN, TINY_VOCAB, make_executor
 
 
 class TestConfig:
@@ -62,6 +64,22 @@ class TestBaseline:
     def test_rejects_1d_tokens(self, tiny_network, tiny_tokens):
         with pytest.raises(ShapeError):
             make_executor(tiny_network).run_batch(tiny_tokens[0])
+
+    @pytest.mark.parametrize(
+        "bad", [-1, TINY_VOCAB, 1.5, True], ids=["negative", "oov", "float", "bool"]
+    )
+    def test_rejects_token_ids_outside_the_vocabulary(self, tiny_network, tiny_tokens, bad):
+        """``embedding[tokens]`` would wrap a negative id to the last row,
+        read a boolean as a mask, and raise a bare IndexError on the rest."""
+        tokens = tiny_tokens.astype(type(bad))
+        tokens[1, 3] = bad
+        executor = make_executor(tiny_network)
+        states = np.zeros((tiny_network.num_layers, *tokens.shape[:1], TINY_HIDDEN))
+        with pytest.raises(ShapeError, match="token id out of vocabulary range"):
+            executor.run_batch(tokens)
+        with pytest.raises(ShapeError, match="token id out of vocabulary range"):
+            executor.run_stream(tokens, states, states.copy())
+        assert not states.any()
 
 
 class TestIntra:
@@ -357,8 +375,6 @@ class TestPartialWarp:
             assert summary.total_time > 0.0
 
     def test_batched_matches_reference(self, network48):
-        from repro.core.reference import ReferenceExecutor
-
         rng = np.random.default_rng(5)
         tokens = rng.integers(0, 60, size=(3, 10))
         config = ExecutionConfig(
@@ -369,3 +385,72 @@ class TestPartialWarp:
         # BLAS accumulation order differs at non-power-of-two widths, so
         # equality holds only to machine epsilon here (unlike hidden=64).
         np.testing.assert_allclose(batched.logits, reference.logits, atol=1e-12)
+
+
+class TestServingGeometry:
+    """The declared oracle grade at ``H = 256`` (BABI, calibrated links,
+    threshold set 5, batch 8) — hypothesis only draws ``H <= 24``, where
+    COMBINED happens to be bit-equal too."""
+
+    @pytest.fixture(scope="class")
+    def babi(self):
+        app = OptimizedLSTM.from_app("BABI", seed=0)
+        app.calibrate()
+        net = app.network
+        tokens = np.random.default_rng(11).integers(
+            0, net.vocab_size, size=(8, net.config.seq_length)
+        )
+        return app, tokens
+
+    @staticmethod
+    def executor(app, mode, **kwargs):
+        return LSTMExecutor(
+            app.network,
+            app.execution_config(mode, threshold_index=5, **kwargs),
+            predicted_links=app.calibration.predicted_links,
+        )
+
+    @pytest.mark.parametrize("mode", list(ExecutionMode), ids=lambda m: m.value)
+    def test_oracle_grade_and_thread_invariance(self, babi, mode):
+        app, tokens = babi
+        serial = self.executor(app, mode)
+        out = serial.run_batch(tokens)
+        ref = ReferenceExecutor(
+            app.network, serial.config, predicted_links=app.calibration.predicted_links
+        ).run_batch(tokens)
+        if mode is ExecutionMode.COMBINED:
+            assert np.abs(out.logits - ref.logits).max() <= 1e-9
+            assert np.array_equal(out.predictions(), ref.predictions())
+        else:
+            assert np.array_equal(out.logits, ref.logits)
+        threaded = self.executor(app, mode, threads=2).run_batch(tokens)
+        assert "dispatch_wall_s" in threaded.timings
+        assert "dispatch_wall_s" not in out.timings
+        assert np.array_equal(threaded.logits, out.logits)
+        for h_t, h_s in zip(threaded.layer_outputs, out.layer_outputs):
+            assert np.array_equal(h_t, h_s)
+
+    @pytest.mark.parametrize(
+        "mode",
+        [ExecutionMode.BASELINE, ExecutionMode.INTRA, ExecutionMode.ZERO_PRUNE],
+        ids=lambda m: m.value,
+    )
+    def test_run_stream_thread_invariance(self, babi, mode):
+        app, tokens = babi
+        net = app.network
+        shape = (net.num_layers, tokens.shape[0], net.config.hidden_size)
+        resident = {}
+        outputs = {}
+        for threads in (1, 2):
+            executor = self.executor(app, mode, threads=threads)
+            h, c = np.zeros(shape), np.zeros(shape)
+            outputs[threads] = [
+                executor.run_stream(tokens[:, start : start + 4], h, c)
+                for start in (0, 4, 8)
+            ]
+            resident[threads] = (h, c)
+        for chunk_1, chunk_2 in zip(outputs[1], outputs[2]):
+            assert np.array_equal(chunk_1, chunk_2)
+        assert np.array_equal(resident[1][0], resident[2][0])
+        assert np.array_equal(resident[1][1], resident[2][1])
+        assert resident[1][0].any()

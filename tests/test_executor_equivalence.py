@@ -1,7 +1,6 @@
 """Property-based equivalence: batched executor vs the frozen seed walk.
 
-Two families of properties, both over all five execution modes and over
-both executor paths (interpreted loops and ``compile=True`` programs):
+Two families of properties, both over all five execution modes:
 
 * **Batched vs reference.** :class:`repro.core.executor.LSTMExecutor`
   (united-gate GEMMs, plan-grouped combined mode, optional plan cache,
@@ -80,7 +79,6 @@ def executor_cases(draw):
     alpha_intra = draw(st.sampled_from([0.0, 0.2, 0.5, 0.9]))
     mts = draw(st.integers(1, 6))
     use_links = draw(st.booleans())
-    compiled = draw(st.booleans())
 
     config = LSTMConfig(
         hidden_size=hidden,
@@ -107,15 +105,15 @@ def executor_cases(draw):
         mts=mts,
         use_exact_relevance=draw(st.booleans()),
     )
-    return network, tokens, exec_config, links, compiled
+    return network, tokens, exec_config, links
 
 
 class TestBatchedMatchesReference:
     @settings(max_examples=40, deadline=None)
     @given(case=executor_cases())
     def test_bit_identical_outputs_and_plans(self, case):
-        network, tokens, config, links, compiled = case
-        batched = LSTMExecutor(network, config, predicted_links=links, compile=compiled)
+        network, tokens, config, links = case
+        batched = LSTMExecutor(network, config, predicted_links=links)
         reference = ReferenceExecutor(network, config, predicted_links=links)
         out_b = batched.run_batch(tokens)
         out_r = reference.run_batch(tokens)
@@ -125,28 +123,13 @@ class TestBatchedMatchesReference:
             assert np.array_equal(h_b, h_r)
         assert_plans_equal(out_b.plans, out_r.plans)
 
-    @settings(max_examples=20, deadline=None)
-    @given(case=executor_cases())
-    def test_compiled_matches_interpreted(self, case):
-        network, tokens, config, links, _ = case
-        interpreted = LSTMExecutor(network, config, predicted_links=links, compile=False)
-        compiled = LSTMExecutor(network, config, predicted_links=links, compile=True)
-        out_i = interpreted.run_batch(tokens)
-        out_c = compiled.run_batch(tokens)
-        assert np.array_equal(out_i.logits, out_c.logits)
-        for h_i, h_c in zip(out_i.layer_outputs, out_c.layer_outputs):
-            assert np.array_equal(h_i, h_c)
-        assert_plans_equal(out_i.plans, out_c.plans)
-
     @settings(max_examples=15, deadline=None)
     @given(case=executor_cases())
     def test_plan_cache_does_not_change_results(self, case):
-        network, tokens, config, links, compiled = case
+        network, tokens, config, links = case
         cache = PlanCache()
-        uncached = LSTMExecutor(network, config, predicted_links=links, compile=compiled)
-        cached = LSTMExecutor(
-            network, config, predicted_links=links, plan_cache=cache, compile=compiled
-        )
+        uncached = LSTMExecutor(network, config, predicted_links=links)
+        cached = LSTMExecutor(network, config, predicted_links=links, plan_cache=cache)
         out_u = uncached.run_batch(tokens)
         out_c1 = cached.run_batch(tokens)
         out_c2 = cached.run_batch(tokens)  # second run served from cache
@@ -165,8 +148,8 @@ class TestPerSequenceMatchesBatch:
     @settings(max_examples=30, deadline=None)
     @given(case=executor_cases())
     def test_each_sequence_alone_reproduces_the_batch(self, case):
-        network, tokens, config, links, compiled = case
-        executor = LSTMExecutor(network, config, predicted_links=links, compile=compiled)
+        network, tokens, config, links = case
+        executor = LSTMExecutor(network, config, predicted_links=links)
         batch_out = executor.run_batch(tokens)
         for b in range(tokens.shape[0]):
             solo = executor.run_batch(tokens[b : b + 1])

@@ -2,11 +2,10 @@
 
 Three properties of :mod:`repro.core.program`:
 
-* **Bit identity with the oracle.** The ``compile=True`` executor path
-  equals the frozen :class:`~repro.core.reference.ReferenceExecutor` in
-  all five modes (hypothesis-driven; the broader sweep lives in
-  ``tests/test_executor_equivalence.py``, which also draws the compiled
-  flag).
+* **Bit identity with the oracle.** The executor's programs equal the
+  frozen :class:`~repro.core.reference.ReferenceExecutor` in all five
+  modes (the broader hypothesis sweep lives in
+  ``tests/test_executor_equivalence.py``).
 
 * **Workspace reuse.** A program owns its buffers for as long as it is
   cached; consecutive ``run_batch`` calls on one compiled executor must be
@@ -129,7 +128,7 @@ class TestCompiledMatchesReference:
     def test_all_five_modes_bit_identical(self, mode):
         network, tokens, links = make_case(seed=101)
         config = ExecutionConfig(mode=mode, **MODE_CONFIGS[mode])
-        compiled = LSTMExecutor(network, config, predicted_links=links, compile=True)
+        compiled = LSTMExecutor(network, config, predicted_links=links)
         reference = ReferenceExecutor(network, config, predicted_links=links)
         out_c = compiled.run_batch(tokens)
         out_r = reference.run_batch(tokens)
@@ -157,7 +156,7 @@ class TestCompiledMatchesReference:
         config = ExecutionConfig(mode=ExecutionMode.INTRA, alpha_intra=0.5)
         cache = ProgramCache()
         compiled = LSTMExecutor(
-            network, config, predicted_links=links, compile=True, program_cache=cache
+            network, config, predicted_links=links, program_cache=cache
         )
         compiled.run_batch(tokens)  # builds and caches the programs
         assert len(cache) == network.num_layers
@@ -171,15 +170,17 @@ class TestCompiledMatchesReference:
         assert np.array_equal(out.logits, reference.run_batch(tokens).logits)
 
     def test_collect_states_matches_interpreted(self):
+        """The program's collected cell states equal the reference walk's
+        (the readable, interpreted specification of the arithmetic)."""
         network, tokens, links = make_case(seed=33)
         config = ExecutionConfig(mode=ExecutionMode.INTER, alpha_inter=50.0, mts=3)
-        compiled = LSTMExecutor(network, config, predicted_links=links, compile=True)
-        interpreted = LSTMExecutor(network, config, predicted_links=links, compile=False)
+        compiled = LSTMExecutor(network, config, predicted_links=links)
+        reference = ReferenceExecutor(network, config, predicted_links=links)
         out_c = compiled.run_batch(tokens, collect_states=True)
-        out_i = interpreted.run_batch(tokens, collect_states=True)
-        assert len(out_c.layer_states) == len(out_i.layer_states)
-        for c_c, c_i in zip(out_c.layer_states, out_i.layer_states):
-            assert np.array_equal(c_c, c_i)
+        out_r = reference.run_batch(tokens, collect_states=True)
+        assert len(out_c.layer_states) == len(out_r.layer_states) == network.num_layers
+        for c_c, c_r in zip(out_c.layer_states, out_r.layer_states):
+            assert np.array_equal(c_c, c_r)
 
 
 class TestWorkspaceReuse:
@@ -199,13 +200,13 @@ class TestWorkspaceReuse:
         tokens_b = rng.integers(0, VOCAB, size=(batch, seq))
         config = ExecutionConfig(mode=mode, **MODE_CONFIGS[mode])
 
-        reused = LSTMExecutor(network, config, predicted_links=links, compile=True)
+        reused = LSTMExecutor(network, config, predicted_links=links)
         out_a = reused.run_batch(tokens_a)
         out_b = reused.run_batch(tokens_b)
         out_a2 = reused.run_batch(tokens_a)  # and back, same program again
 
         for out, toks in ((out_a, tokens_a), (out_b, tokens_b), (out_a2, tokens_a)):
-            fresh = LSTMExecutor(network, config, predicted_links=links, compile=True)
+            fresh = LSTMExecutor(network, config, predicted_links=links)
             expect = fresh.run_batch(toks)
             assert np.array_equal(out.logits, expect.logits)
             for h_got, h_want in zip(out.layer_outputs, expect.layer_outputs):
@@ -228,10 +229,10 @@ class TestWorkspaceReuse:
         never = ExecutionConfig(mode=ExecutionMode.INTER, alpha_inter=0.0, mts=2)
         shared = ProgramCache()
         ex_always = LSTMExecutor(
-            network, always, predicted_links=links, compile=True, program_cache=shared
+            network, always, predicted_links=links, program_cache=shared
         )
         ex_never = LSTMExecutor(
-            network, never, predicted_links=links, compile=True, program_cache=shared
+            network, never, predicted_links=links, program_cache=shared
         )
 
         first = ex_always.run_batch(tokens)
@@ -243,7 +244,7 @@ class TestWorkspaceReuse:
         assert shared.stats.misses == network.num_layers
         assert shared.stats.hits == 2 * network.num_layers
 
-        fresh_never = LSTMExecutor(network, never, predicted_links=links, compile=True)
+        fresh_never = LSTMExecutor(network, never, predicted_links=links)
         expect_after = fresh_never.run_batch(tokens)
         assert np.array_equal(after.logits, expect_after.logits)
         for h_got, h_want in zip(after.layer_outputs, expect_after.layer_outputs):
@@ -268,7 +269,7 @@ class TestStepwiseStateInjection:
     def test_chunked_run_stream_equals_contiguous_run_batch(self, splits):
         network, tokens, _ = make_case(seed=71)
         config = ExecutionConfig(mode=ExecutionMode.BASELINE)
-        executor = LSTMExecutor(network, config, compile=True)
+        executor = LSTMExecutor(network, config)
         full = executor.run_batch(tokens, collect_states=True)
 
         batch = tokens.shape[0]
@@ -291,7 +292,7 @@ class TestStepwiseStateInjection:
         """A streamed step must not contaminate the cached programs."""
         network, tokens, _ = make_case(seed=23)
         config = ExecutionConfig(mode=ExecutionMode.INTRA, alpha_intra=0.4)
-        executor = LSTMExecutor(network, config, compile=True)
+        executor = LSTMExecutor(network, config)
         before = executor.run_batch(tokens)
 
         rng = np.random.default_rng(24)
@@ -316,7 +317,7 @@ class TestAllocationRegression:
     def test_steady_state_program_allocations_are_zero(self, mode):
         network, tokens, links = make_case(seed=5, hidden=24, seq=16, batch=6)
         config = ExecutionConfig(mode=mode, **MODE_CONFIGS[mode])
-        executor = LSTMExecutor(network, config, predicted_links=links, compile=True)
+        executor = LSTMExecutor(network, config, predicted_links=links)
         executor.run_batch(tokens)  # compile + warm every program
         executor.run_batch(tokens)
 
@@ -341,7 +342,7 @@ class TestAllocationRegression:
     def test_compile_wall_time_only_on_cache_miss(self):
         network, tokens, links = make_case(seed=9)
         config = ExecutionConfig(mode=ExecutionMode.COMBINED, **MODE_CONFIGS[ExecutionMode.COMBINED])
-        executor = LSTMExecutor(network, config, predicted_links=links, compile=True)
+        executor = LSTMExecutor(network, config, predicted_links=links)
         cold = executor.run_batch(tokens)
         warm = executor.run_batch(tokens)
         assert cold.timings["compile_wall_s"] > 0.0

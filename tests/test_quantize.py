@@ -5,12 +5,13 @@ Covers the ``repro.nn.quantize`` contract end to end:
 * **Per-element error bounds** (hypothesis property tests): the symmetric
   per-row int8 scheme reconstructs within ``scale / 2`` everywhere,
   all-zero rows exactly; fp16 stays within its ``2**-11`` relative
-  rounding in the normal range; ``dequantize_rows`` is bit-identical to
-  slicing the full dequantization (the fused-dequant DRS path relies on
-  it). GRU cells are quantized through the same primitives.
+  rounding in the normal range. GRU cells are quantized through the same
+  primitives.
 * **Policy plumbing**: the fp64 policy is a strict no-op — bit-identical
-  to the frozen reference in all five execution modes — and quantized
-  policies keep end-task predictions within the documented tolerance.
+  to the frozen reference in all five execution modes — a quantized
+  executor equals the reference run on the dequantized weights, and
+  quantized policies keep end-task predictions within the documented
+  tolerance.
 * **Arena layout**: quantized publish/attach round-trips byte-identical
   payloads; corrupt manifests (misaligned, overlapping, out-of-bounds)
   raise :class:`~repro.errors.ArenaLayoutError` before any view exists;
@@ -43,6 +44,7 @@ from repro.errors import ArenaLayoutError, CalibrationError, ConfigurationError
 from repro.nn.gru import GRUCellWeights
 from repro.nn.initializers import WeightInitializer
 from repro.nn.network import LSTMNetwork
+from repro.nn.pruning import prune_cell_weights
 from repro.nn.quantize import (
     INT8_LEVELS,
     PRECISIONS,
@@ -55,7 +57,7 @@ from repro.nn.quantize import (
     quantize_rows,
 )
 from repro.runtime import WeightArena, leaked_segments
-from repro.runtime.arena import validate_layout
+from repro.runtime.arena import _dequantized_network, validate_layout
 
 #: Documented end-task tolerance: minimum prediction agreement with the
 #: fp64 policy on the small test workloads (mirrors bench_quantization's
@@ -130,28 +132,6 @@ class TestQuantizePrimitives:
         assert rel.size == 0 or rel.max() <= 2.0**-11
         assert np.all(np.abs(deq - matrix)[~normal] <= 2.0**-24)
 
-    @settings(max_examples=100, deadline=None)
-    @given(
-        # Bounded to the fp16-representable range: the property covers
-        # both policies, and +/-1e6 would overflow the fp16 cast.
-        matrix=hnp.arrays(
-            dtype=np.float64,
-            shape=hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
-            elements=st.floats(min_value=-1e4, max_value=1e4, allow_nan=False),
-        ),
-        data=st.data(),
-    )
-    def test_dequantize_rows_matches_full_dequant_slice(self, matrix, data):
-        rows = data.draw(
-            st.lists(
-                st.integers(0, matrix.shape[0] - 1), min_size=1, max_size=6
-            )
-        )
-        rows = np.asarray(rows)
-        for tag in ("int8", "fp16"):
-            q = quantize_matrix(matrix, Precision.parse(tag))
-            assert np.array_equal(q.dequantize_rows(rows), q.dequantize()[rows])
-
     def test_precision_policy_parsing_and_bytes(self):
         assert Precision.parse("fp64") == Precision()
         assert not Precision().is_quantized
@@ -225,13 +205,25 @@ class TestExecutorPolicy:
 
     @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
     def test_compiled_and_interpreted_agree_under_quantization(self, mode):
+        """The int8 executor's programs equal the reference walk (the
+        interpreted specification) run on the dequantized weights."""
         network, tokens = build_case()
-        config = ExecutionConfig(
-            mode=mode, precision="int8", **MODE_CONFIGS[mode]
-        )
+        config = ExecutionConfig(mode=mode, precision="int8", **MODE_CONFIGS[mode])
         compiled = LSTMExecutor(network, config).run_batch(tokens)
-        interpreted = LSTMExecutor(network, config, compile=False).run_batch(tokens)
-        assert np.array_equal(compiled.logits, interpreted.logits)
+        # The executor quantizes what the mode executes — the pruned
+        # weights under ZERO_PRUNE — so the reference gets those weights
+        # dequantized and, being pruned already, the baseline flow.
+        weights = [layer.weights for layer in network.layers]
+        ref_mode = mode
+        if mode is ExecutionMode.ZERO_PRUNE:
+            weights = [prune_cell_weights(w, config.zero_prune_fraction)[0] for w in weights]
+            ref_mode = ExecutionMode.BASELINE
+        cells = [quantize_cell_weights(w, config.precision) for w in weights]
+        reference = ReferenceExecutor(
+            _dequantized_network(network, cells),
+            dataclasses.replace(config, mode=ref_mode, precision="fp64"),
+        ).run_batch(tokens)
+        assert np.array_equal(compiled.logits, reference.logits)
 
     def test_quantized_cells_param_requires_quantized_precision(self):
         network, _ = build_case()

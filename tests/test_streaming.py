@@ -401,14 +401,6 @@ class TestRejections:
         with pytest.raises(ConfigurationError, match="full-sequence relevance"):
             StreamingServer(network, ExecutionConfig(**kwargs))
 
-    def test_compact_drs_gemm_rejected(self):
-        network = make_network(per_timestep_head=True)
-        config = ExecutionConfig(
-            mode=ExecutionMode.INTRA, alpha_intra=0.4, compact_drs_gemm=True
-        )
-        with pytest.raises(ConfigurationError, match="compact_drs_gemm"):
-            StreamingServer(network, config)
-
     def test_submit_rejects_bad_tokens(self):
         network = make_network(per_timestep_head=True)
         server = make_server(network)
@@ -416,12 +408,31 @@ class TestRejections:
             server.submit("s", np.zeros((2, 3), dtype=int), now=0.0)
         with pytest.raises(ShapeError):
             server.submit("s", np.array([], dtype=int), now=0.0)
+        for bad in ([1, 2, -1], [1, VOCAB, 3], [1.0, 2.0], [True, False]):
+            with pytest.raises(ShapeError, match="token id out of vocabulary range"):
+                server.submit("s", np.array(bad), now=0.0)
+        assert server.queue_depth == 0 and server.stats.shed_chunks == 0
+
+    def test_bad_submit_leaves_the_other_sessions_tick_intact(self):
+        """An out-of-vocabulary id is refused at admission; before the
+        check it raised IndexError out of tick() and took the co-batched
+        session's chunk down with it."""
+        network = make_network(per_timestep_head=True)
+        good = np.arange(4) % VOCAB
+        server = make_server(network)
+        ticket = server.submit("good", good, now=0.0)
+        with pytest.raises(ShapeError, match="token id out of vocabulary range"):
+            server.submit("bad", np.array([1, 2, 3, VOCAB]), now=0.0)
+        report = server.tick(now=0.0)
+        assert report.batch == 1 and ticket.done
+        alone = make_server(network)
+        expected = alone.submit("good", good, now=0.0)
+        alone.tick(now=0.0)
+        assert np.array_equal(ticket.result.logits, expected.result.logits)
 
     def test_run_stream_rejects_bad_state_shapes(self):
         network = make_network(per_timestep_head=True)
-        executor = LSTMExecutor(
-            network, ExecutionConfig(**STREAM_MODES["baseline"]), compile=True
-        )
+        executor = LSTMExecutor(network, ExecutionConfig(**STREAM_MODES["baseline"]))
         tokens = np.zeros((2, 3), dtype=int)
         good = np.zeros((LAYERS, 2, HIDDEN))
         with pytest.raises(ShapeError):
