@@ -40,7 +40,6 @@ from repro.errors import BackendUnavailableError, ConfigurationError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.context_prediction import PredictedLink
     from repro.core.executor import _UnitedWeights
-    from repro.core.plan import CachedLayerPlan
 
 #: Every accepted ``ExecutionConfig.backend`` value.
 BACKEND_NAMES: tuple[str, ...] = ("numpy", "cgen")
@@ -106,18 +105,14 @@ def make_combined_program(
     backend: str,
     united: "_UnitedWeights",
     link: "PredictedLink",
-    plan: "CachedLayerPlan",
-    group: int,
+    batch: int,
     seq_len: int,
+    mts: int,
     alpha_intra: float = 0.0,
 ):
-    """Build one combined-group program under a *resolved* backend name."""
+    """Build one combined-mode layer program under a *resolved* backend name."""
     if backend == "cgen":
-        from repro.core.cgen import CGenCombinedProgram
-
-        return CGenCombinedProgram(
-            united, link, plan, group, seq_len, alpha_intra=alpha_intra
-        )
-    return CombinedGroupProgram(
-        united, link, plan, group, seq_len, alpha_intra=alpha_intra
-    )
+        from repro.core.cgen import CGenCombinedProgram as program_type
+    else:
+        program_type = CombinedGroupProgram
+    return program_type(united, link, batch, seq_len, mts, alpha_intra=alpha_intra)

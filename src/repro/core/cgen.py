@@ -5,7 +5,7 @@ but every timestep still crosses the interpreter a dozen times (matmul
 dispatch, ufunc ladder, mask bookkeeping). This module lowers the same
 arithmetic into two C kernels — compiled once per host with the system C
 compiler, loaded through :mod:`ctypes` — so one layer's whole timestep loop
-(or one combined plan group's whole tissue walk) is a single native call:
+(or one sequence's whole combined-mode tissue walk) is a single native call:
 
 * ``stepwise_run`` — the Appleyard single-pass shape: for each ``(b, t)``
   the recurrent GEMV and the sigmoid/tanh gate epilogue fuse into one pass
@@ -13,7 +13,8 @@ compiler, loaded through :mod:`ctypes` — so one layer's whole timestep loop
   the output gate's rows are computed first, and a trivial row skips its
   ``f``/``i``/``g`` dot products entirely — the literal row compaction the
   paper's GPU kernel performs, not compute-then-zero.
-* ``combined_run`` — one plan group's tissue walk. Per tissue, pass one
+* ``combined_run`` — the tissue walk of sequences sharing one plan (the
+  program calls it once per sequence). Per tissue, pass one
   computes every fused cell's output gate and intersects the trivial-row
   masks into the tissue's *shared* mask (the shared-weight-load
   constraint); pass two runs the remaining gate math, skipping shared
@@ -412,7 +413,7 @@ class CGenStepwiseProgram:
             np.matmul(xs[:, :, None, :], self._w_t, out=self.proj[:, :, None, :])
         else:
             flat = xs.reshape(-1, xs.shape[-1])
-            np.matmul(flat, self._w_t_dense, out=self.proj.reshape(flat.shape[0], -1))
+            np.matmul(flat, self._w_t_dense, out=self.proj.reshape(flat.shape[0], 4 * self.hidden))
         return {g: self.proj[..., sl] for g, sl in self._slices.items()}
 
     def execute(
@@ -452,11 +453,10 @@ class CGenStepwiseProgram:
 class CGenCombinedProgram:
     """C-kernel twin of :class:`repro.core.program.CombinedGroupProgram`.
 
-    One lowering covers both of the numpy program's regimes (constant-
-    folded and tissue walk): the kernel walks the plan's tissues in
-    schedule order with the per-tissue shared-mask intersection inside
-    the pass. Exposes the same ``hs`` / ``shared`` outputs the executor
-    reads for scatter and DRS statistics.
+    Same shape-keyed interface — plans are run-time inputs — but no wave
+    batching: ``combined_run`` walks one sequence's tissues per call over
+    the index vectors cached on its plan, with the per-tissue shared-mask
+    intersection inside the pass.
     """
 
     bit_exact = False
@@ -465,59 +465,49 @@ class CGenCombinedProgram:
         self,
         united: "_UnitedWeights",
         link: "PredictedLink",
-        plan: "CachedLayerPlan",
-        group: int,
+        batch: int,
         seq_len: int,
+        mts: int,
         alpha_intra: float = 0.0,
     ) -> None:
         self._lib = load_library()
         hidden = united.u.shape[1]
-        self.group = group
         self.seq_len = seq_len
         self.hidden = hidden
         self.alpha_intra = alpha_intra
-        self.n_sub = len(plan.sublayers)
-        self.n_tissues = len(plan.tissues)
         self._u = np.ascontiguousarray(united.u)
         self._b = np.ascontiguousarray(united.b)
         self._h_bar = np.ascontiguousarray(link.h_bar)
         self._c_bar = np.ascontiguousarray(link.c_bar)
-        subs: list[int] = []
-        ts: list[int] = []
-        offsets = [0]
-        max_k = 1
-        for tissue in plan.tissues:
-            for s, t in tissue.cells:
-                subs.append(s)
-                ts.append(t)
-            offsets.append(len(subs))
-            max_k = max(max_k, len(tissue.cells))
-        self._subs = np.asarray(subs, dtype=np.int64)
-        self._ts = np.asarray(ts, dtype=np.int64)
-        self._offsets = np.asarray(offsets, dtype=np.int64)
-        self._scratch = np.empty(3 * max_k * hidden)
-        self.h_state = np.zeros((group, self.n_sub, hidden))
-        self.c_state = np.zeros((group, self.n_sub, hidden))
-        self.hs = np.empty((group, seq_len, hidden))
-        self.shared: np.ndarray | None = (
-            np.empty((self.n_tissues, group, hidden), dtype=bool)
-            if alpha_intra > 0.0
-            else None
+        self._scratch = np.empty(3 * min(mts, seq_len) * hidden)
+        self._h_state = np.empty((seq_len, hidden))
+        self._c_state = np.empty((seq_len, hidden))
+        self._shared = (
+            np.empty((batch * seq_len, hidden), dtype=bool) if alpha_intra > 0.0 else None
         )
 
-    def execute(self, proj_group: np.ndarray) -> None:
-        """Run the compiled group over ``proj_group`` ``(G, T, 4H)``."""
-        proj = np.ascontiguousarray(proj_group)
-        self.h_state[:, 0] = 0.0
-        self.c_state[:, 0] = 0.0
-        if self.n_sub > 1:
-            self.h_state[:, 1:] = self._h_bar
-            self.c_state[:, 1:] = self._c_bar
-        self._lib.combined_run(
-            _ptr(proj), _ptr(self._u), _ptr(self._b),
-            _ptr(self.h_state), _ptr(self.c_state), _ptr(self.hs),
-            _ptr(self.shared), _ptr(self._offsets),
-            _ptr(self._subs), _ptr(self._ts),
-            float(self.alpha_intra), _ptr(self._scratch),
-            self.group, self.seq_len, self.hidden, self.n_sub, self.n_tissues,
-        )
+    def execute(
+        self, proj_u: np.ndarray, plans: "list[CachedLayerPlan]", hs: np.ndarray
+    ) -> np.ndarray | None:
+        """Walk ``plans`` over ``proj_u`` ``(B, T, 4H)`` (same contract as
+        the numpy program: fills ``hs``, returns the shared masks)."""
+        proj = np.ascontiguousarray(proj_u)
+        drs = self._shared is not None
+        done = 0
+        for b, plan in enumerate(plans):
+            n_sub, n_tissues = len(plan.sublayers), plan.num_tissues
+            self._h_state[0] = 0.0
+            self._c_state[0] = 0.0
+            self._h_state[1:n_sub] = self._h_bar
+            self._c_state[1:n_sub] = self._c_bar
+            shared = self._shared[done : done + n_tissues] if drs else None
+            self._lib.combined_run(
+                _ptr(proj[b]), _ptr(self._u), _ptr(self._b),
+                _ptr(self._h_state), _ptr(self._c_state), _ptr(hs[b]),
+                _ptr(shared), _ptr(plan.offsets),
+                _ptr(plan.subs), _ptr(plan.ts),
+                float(self.alpha_intra), _ptr(self._scratch),
+                1, self.seq_len, self.hidden, n_sub, n_tissues,
+            )
+            done += n_tissues
+        return self._shared[:done] if drs else None

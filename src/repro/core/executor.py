@@ -21,10 +21,10 @@ timing results come from the simulator). Modes:
 Three levels of batching keep the hot paths vectorized:
 
 * **Gate fusion.** Every mode drives the recurrence through the *united*
-  matrices; the combined mode runs one ``(G, k, H) @ (H, 4H)`` GEMM per
-  tissue and one ``(B, T, E) @ (E, 4H)`` GEMM per layer for the input
-  projections. The fused products are sliced per gate before the
-  activations, which is bit-identical to the per-gate computation.
+  matrices; the combined mode runs one ``(k, H) @ (H, 4H)`` GEMM per
+  tissue, sliced per gate before the activations. The input projections
+  of every mode are per-row GEMVs against one gate block at a time
+  (:func:`repro.core.program.project_rows`).
 * **Batch-invariant stepwise recurrence.** The stepwise recurrent products
   run as *stacked per-row GEMVs* — ``h[:, None, :] @ U_g.T`` — instead of
   one ``(B, H) @ (H, H)`` GEMM (:func:`_row_gemv`). A ``(1, H)`` slice of
@@ -34,10 +34,14 @@ Three levels of batching keep the hot paths vectorized:
   last bit. (The seed's batched GEMM did not have this property — its
   bits drifted between GEMV and GEMM dispatch across batch sizes.) The
   classifier head is lifted the same way for pooled readouts.
-* **Plan grouping.** Combined-mode sequences whose structural plan
-  (breakpoints + aligned tissue schedule) is identical execute *together*:
-  each tissue step becomes a single stacked ``(G, k, H) @ (H, 4H)`` matmul
-  across the group instead of ``G`` separate per-sequence products.
+* **Wave walk.** Combined mode steps the whole shard together, whatever
+  mix of structural plans it holds: wave ``w`` is the ``w``-th tissue of
+  every sequence, its rows ordered by tissue size so that each size class
+  is a single stacked ``(g, k, H) @ (H, 4H)`` matmul, and the gather, the
+  gate epilogue, the DRS intersection and the scatter run once per wave
+  instead of once per tissue per sequence. Tissues of different sequences
+  never depend on each other, so only the order of independent work
+  changes; each tissue still runs the per-sequence walk's own GEMM.
 
 Under the numpy backend the transformations are bit-compatible with the
 per-sequence walk (:class:`repro.core.reference.ReferenceExecutor`) in
@@ -52,10 +56,11 @@ Every layer runs as a preallocated, fused program
 one stacked matmul per timestep, and in-place ufunc chains — the
 reference walk's bits with no per-step allocation; the readable
 specification of the arithmetic is that frozen reference. Programs are
-cached in a
-:class:`~repro.core.program.ProgramCache` keyed on (weights fingerprint,
-shapes, and — in combined mode — the plan ``schedule_key``), so repeated
-runs and fleet shards grouped by the runtime scheduler reuse one program.
+cached in a :class:`~repro.core.program.ProgramCache` keyed on content and
+shape only (backend, weights and link fingerprints, ``(B, T)``, thresholds)
+— plans and breakpoints are run-time inputs in every mode — so a serving
+workload at a steady shape compiles one program per layer and replays it
+for every request, however its sequences plan.
 
 Structural planning (relevance -> breakpoints -> aligned tissues) can be
 memoized across runs through an optional :class:`~repro.core.plan.
@@ -92,13 +97,13 @@ from repro.core.plan import (
     fingerprint_array,
     fingerprint_weights,
 )
-from repro.core.program import ProgramCache, StepwiseProgram
+from repro.core.program import ProgramCache, StepwiseProgram, project_rows
 from repro.core.relevance import (
     exact_relevance_values,
     recurrent_row_ranges,
     relevance_values,
 )
-from repro.core.tissue import align_tissues, schedule_key
+from repro.core.tissue import align_tissues
 from repro.core.trace_builder import build_kernel_trace
 from repro.errors import ConfigurationError, ShapeError
 from repro.gpu.specs import GPUSpec, TEGRA_X1
@@ -490,9 +495,7 @@ class LSTMExecutor:
                 (used by the offline context-link calibration; stepwise
                 modes only).
         """
-        tokens = self.network.check_tokens(tokens)
-        if tokens.ndim != 2:
-            raise ShapeError(f"tokens must be (B, T), got shape {tokens.shape}")
+        tokens = self._check_batch(tokens)
         batch, seq_len = tokens.shape
         start_wall = time.perf_counter()
         record = self.recorder is not None and self.recorder.enabled
@@ -553,6 +556,19 @@ class LSTMExecutor:
             self._record_run(result, batch, seq_len, plan_stats_before, program_stats_before)
         return result
 
+    def _check_batch(self, tokens: np.ndarray) -> np.ndarray:
+        """The door check of :meth:`run_batch` / :meth:`run_stream`: in-vocabulary
+        integer ids, two axes, at least one timestep. An empty batch
+        ``(0, T)`` is legal; a zero-length sequence has no last state to
+        read out and nothing to plan, so it is rejected here rather than
+        surfacing as NaN logits or a ``PlanError`` mid-run."""
+        tokens = self.network.check_tokens(tokens)
+        if tokens.ndim != 2 or tokens.shape[1] == 0:
+            raise ShapeError(
+                f"tokens must be (B, T) with T >= 1, got shape {tokens.shape}"
+            )
+        return tokens
+
     def _map_shards(self, batch: int, threads: int, run_shard) -> tuple[list, dict[str, float]]:
         """Run ``run_shard(slot, rows)`` over the batch's row shards.
 
@@ -563,7 +579,7 @@ class LSTMExecutor:
         by construction. Otherwise the batch splits into ``<= threads``
         contiguous row shards on the persistent thread pool. Because every
         stepwise product is a per-row GEMV lift and the combined-mode
-        group walk dispatches per leading-axis slice, a row's bits are
+        wave walk dispatches one GEMM per tissue, a row's bits are
         independent of which rows share its dispatch — so the shards, in
         order, are bit-identical to the inline walk (gated in
         ``bench_parallel``). Shards share the single-flight plan cache;
@@ -647,9 +663,7 @@ class LSTMExecutor:
                 "level plans from full-sequence relevance, which chunked "
                 "arrivals never have"
             )
-        tokens = self.network.check_tokens(tokens)
-        if tokens.ndim != 2:
-            raise ShapeError(f"tokens must be (B, L), got shape {tokens.shape}")
+        tokens = self._check_batch(tokens)
         batch, chunk = tokens.shape
         n_layers = len(self._weights)
         hidden = self.network.config.hidden_size
@@ -752,8 +766,11 @@ class LSTMExecutor:
         cell-state sequence when collected (stepwise modes only)."""
         united = self._united[layer_index]
         if self.config.mode is ExecutionMode.COMBINED:
-            proj_u = _row_proj(xs, united.w.T)  # (B, T, 4H) fused, per-row dispatch
-            proj = {g: proj_u[..., united.slices[g]] for g in GATE_ORDER}
+            # One (B, T, 4H) block for the walk's fused gate math, filled
+            # gate by gate through the stepwise programs' per-row lift.
+            proj_u = np.empty(xs.shape[:2] + united.b.shape)
+            proj = {g: proj_u[..., sl] for g, sl in united.slices.items()}
+            project_rows(xs, [united.w[sl].T for sl in united.slices.values()], proj.values())
             plans = self._plan_inter(layer_index, weights, proj, xs)
             hs, records = self._run_layer_combined(layer_index, weights, united, proj_u, plans)
             return hs, records, None  # combined mode does not collect states
@@ -773,13 +790,7 @@ class LSTMExecutor:
         breaks = find_breakpoints(relevance, self.config.alpha_inter)
         sublayers = divide_layer(seq_len, breaks)
         tissues = align_tissues(sublayers, self.config.mts)
-        return CachedLayerPlan(
-            relevance=relevance,
-            breakpoints=tuple(breaks),
-            sublayers=tuple(sublayers),
-            tissues=tuple(tissues),
-            signature=schedule_key(tissues),
-        )
+        return CachedLayerPlan.from_schedule(relevance, breaks, sublayers, tissues)
 
     def _plan_inter(
         self,
@@ -947,17 +958,16 @@ class LSTMExecutor:
     ) -> LayerPlanRecord:
         """Plan record of one inter-active stepwise sequence."""
         tissue_records = []
-        for tissue in plan.tissues:
+        for cells in plan.tissue_cells():
             # Timestamp-resolved skip stats; the per-tissue shared-load
             # fraction is the mean of the fused cells' fractions here
             # because stepwise modes never intersect masks (INTER has
             # alpha_intra == 0, so the fractions are all zero anyway).
-            ts = tissue.timestamps()
             tissue_records.append(
                 TissueRecord(
-                    cells=list(tissue.cells),
-                    skip_fraction=float(np.mean([skip_fracs[t] for t in ts])),
-                    warp_skip_fraction=float(np.mean([warp_fracs[t] for t in ts])),
+                    cells=cells,
+                    skip_fraction=float(np.mean([skip_fracs[t] for _, t in cells])),
+                    warp_skip_fraction=float(np.mean([warp_fracs[t] for _, t in cells])),
                 )
             )
         return LayerPlanRecord(
@@ -979,58 +989,36 @@ class LSTMExecutor:
         proj_u: np.ndarray,
         plans: list[CachedLayerPlan],
     ) -> tuple[np.ndarray, list[LayerPlanRecord]]:
-        """Plan-grouped tissue-ordered walk (inter + intra together).
+        """Tissue-ordered walk of the whole shard (inter + intra together).
 
-        Sequences with an identical structural plan walk the schedule
-        *together*: each tissue step is one stacked ``(G, k, H) @ (H, 4H)``
-        matmul over the group, bit-identical to ``G`` independent
-        per-sequence ``(k, H)`` products (numpy dispatches the same GEMM
-        per leading-axis slice). Each plan group replays a cached
-        :class:`~repro.core.program.CombinedGroupProgram` keyed on the
-        plan ``signature`` (the scheduler's ``schedule_key``), so fleet
-        shards grouped by the runtime scheduler share programs.
+        One cached program per layer and shape walks every sequence's
+        plan at once (:class:`~repro.core.program.CombinedGroupProgram`):
+        the ``w``-th tissues of all sequences step together, each tissue
+        size as one stacked ``(g, k, H) @ (H, 4H)`` matmul, bit-identical
+        to ``g`` independent per-sequence ``(k, H)`` products (numpy
+        dispatches the same GEMM per leading-axis slice).
         """
-        cfg = self.config
         batch, seq_len, _ = proj_u.shape
         hidden = weights.hidden_size
-
-        groups: dict[tuple, list[int]] = {}
-        for b, plan in enumerate(plans):
-            groups.setdefault(plan.signature, []).append(b)
-
+        program = self._compiled_combined(layer_index, united, batch, seq_len)
         hs = np.empty((batch, seq_len, hidden))
-        tissue_records: list[list[TissueRecord]] = [[] for _ in range(batch)]
-        for indices in groups.values():
-            plan = plans[indices[0]]
-            group = len(indices)
-            program = self._compiled_combined(layer_index, united, plan, group, seq_len)
-            # One group covering the whole batch walks proj_u directly
-            # (indices are ascending, so the gather would be identity).
-            if group == batch:
-                program.execute(proj_u)
-                hs[:] = program.hs
-            else:
-                seq_idx = np.asarray(indices)
-                program.execute(proj_u[seq_idx])
-                hs[seq_idx] = program.hs
-            if cfg.alpha_intra > 0.0:
-                skip_all = program.shared.mean(axis=2).tolist()
-                warp_all = _warp_skip_fractions(program.shared).tolist()
-            else:
-                zeros = [[0.0] * group] * len(plan.tissues)
-                skip_all = warp_all = zeros
-            # One cells list per tissue, shared across the group's
-            # records (nothing mutates record cells downstream).
-            for ti, tissue in enumerate(plan.tissues):
-                cells = list(tissue.cells)
-                skip_row = skip_all[ti]
-                warp_row = warp_all[ti]
-                for gi, b in enumerate(indices):
-                    tissue_records[b].append(
-                        TissueRecord(cells, skip_row[gi], warp_row[gi])
-                    )
+        shared = program.execute(proj_u, plans, hs)
+        if shared is None:
+            skip = warp = [0.0] * sum(plan.num_tissues for plan in plans)
+        else:
+            skip = shared.mean(axis=1).tolist()
+            warp = _warp_skip_fractions(shared).tolist()
         records = []
-        for b, plan in enumerate(plans):
+        done = 0
+        for plan in plans:
+            stop = done + plan.num_tissues
+            tissue_records = [
+                TissueRecord(cells, skip_frac, warp_frac)
+                for cells, skip_frac, warp_frac in zip(
+                    plan.tissue_cells(), skip[done:stop], warp[done:stop]
+                )
+            ]
+            done = stop
             records.append(
                 LayerPlanRecord(
                     layer_index=layer_index,
@@ -1039,7 +1027,7 @@ class LSTMExecutor:
                     seq_length=seq_len,
                     breakpoints=[sub.start for sub in plan.sublayers[1:]],
                     sublayer_lengths=[sub.length for sub in plan.sublayers],
-                    tissues=tissue_records[b],
+                    tissues=tissue_records,
                     relevance=plan.relevance,
                 )
             )
@@ -1066,8 +1054,27 @@ class LSTMExecutor:
             self._weights_fps[layer_index] = fp
         return fp
 
-    def _program(self, key, build):
-        """Program-cache lookup; build time lands in ``compile_wall_s``."""
+    def _program(self, kind: str, layer_index: int, shape: tuple, build):
+        """Program-cache lookup; build time lands in ``compile_wall_s``.
+
+        Programs are keyed on content (weights + link fingerprints), the
+        resolved backend, and ``shape`` — sizes and thresholds — never on
+        breakpoints or plans, which are run-time inputs: every run at one
+        shape replays one program per layer. On dispatcher threads the key
+        additionally carries the dispatch slot: programs own mutable
+        workspaces, so equal-shape shards running concurrently must not
+        share one instance. Serial runs (``slot is None``) keep the
+        unsuffixed key.
+        """
+        key = (
+            kind,
+            self.backend,
+            self._weights_fingerprint(layer_index),
+            self._link_fingerprint(layer_index),
+            *shape,
+        )
+        if self._slot is not None:
+            key += (("slot", self._slot),)
 
         def timed_build():
             start = time.perf_counter()
@@ -1085,31 +1092,14 @@ class LSTMExecutor:
         seq_len: int,
         drs: bool,
     ) -> StepwiseProgram:  # or a backend twin with the same interface
-        """Cached stepwise program for this layer at ``(batch, seq_len)``.
-
-        Keyed on content (weights + link fingerprints), the resolved
-        backend, shapes, and the DRS threshold — *not* on breakpoints,
-        which are run-time inputs — so every stepwise mode at one shape
-        shares a program. On dispatcher threads the key additionally
-        carries the dispatch slot: programs own mutable workspaces, so
-        equal-shape shards running concurrently must not share one
-        instance. Serial runs (``slot is None``) keep the unsuffixed key.
-        """
+        """Cached stepwise program for this layer at ``(batch, seq_len)``;
+        every stepwise mode at one shape shares it."""
         alpha = self.config.alpha_intra if drs else 0.0
-        key = (
-            "stepwise",
-            self.backend,
-            self._weights_fingerprint(layer_index),
-            self._link_fingerprint(layer_index),
-            batch,
-            seq_len,
-            alpha,
-        )
-        if self._slot is not None:
-            key += (("slot", self._slot),)
         link = self.predicted_links[layer_index]
         return self._program(
-            key,
+            "stepwise",
+            layer_index,
+            (batch, seq_len, alpha),
             lambda: make_stepwise_program(
                 self.backend, united, link, batch, seq_len, drs_alpha=alpha
             ),
@@ -1119,42 +1109,19 @@ class LSTMExecutor:
         self,
         layer_index: int,
         united: _UnitedWeights,
-        plan: CachedLayerPlan,
-        group: int,
+        batch: int,
         seq_len: int,
     ):
-        """Cached tissue-walk program for one combined-mode plan group.
-
-        The plan ``signature`` in the key is :func:`repro.core.tissue.
-        schedule_key` — the exact key the fleet scheduler groups dispatches
-        by, so shards of one scheduler group replay one program.
-        """
+        """Cached wave-walk program for this layer at ``(batch, seq_len)``;
+        fresh sequences replay it, however they plan."""
         cfg = self.config
-        key = (
-            "combined",
-            self.backend,
-            self._weights_fingerprint(layer_index),
-            self._link_fingerprint(layer_index),
-            plan.signature,
-            group,
-            seq_len,
-            cfg.alpha_intra,
-        )
-        if self._slot is not None:
-            # Per-slot instances: group programs own workspaces too (see
-            # _compiled_stepwise), and two shards can hold equal-size
-            # groups of the same schedule key.
-            key += (("slot", self._slot),)
         link = self.predicted_links[layer_index]
         return self._program(
-            key,
+            "combined",
+            layer_index,
+            (batch, seq_len, cfg.mts, cfg.alpha_intra),
             lambda: make_combined_program(
-                self.backend,
-                united,
-                link,
-                plan,
-                group,
-                seq_len,
+                self.backend, united, link, batch, seq_len, cfg.mts,
                 alpha_intra=cfg.alpha_intra,
             ),
         )

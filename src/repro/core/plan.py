@@ -11,10 +11,10 @@ breakpoints and trivial-row counts, DeepBench replays them on the board.
 Two cache layers sit on top of these records: the :class:`PlanCache` here
 memoizes the *structural* pipeline (relevance arrays and layer plans,
 content-addressed by weights + inputs), and the :class:`~repro.core.
-program.ProgramCache` memoizes the *executable* lowering of a plan — a
-:class:`CachedLayerPlan`'s ``signature`` (:func:`repro.core.tissue.
-schedule_key`) is the shared key that links a cached plan to its compiled
-combined-mode program.
+program.ProgramCache` memoizes the *executable* lowering of a layer at one
+shape. Plans are run-time inputs to those programs: a
+:class:`CachedLayerPlan` carries its tissue schedule as index vectors, so
+one combined-mode program walks any mix of plans.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import threading
 from collections import OrderedDict
 from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -276,23 +277,136 @@ class CachedLayerPlan:
     which is exactly the part that is identical across repeated runs of the
     same sequence under the same configuration.
 
+    The tissue schedule is held as three index vectors, the form the
+    combined-mode programs walk: they are built once with the plan, and a
+    cached plan keeps no per-cell Python objects alive.
+
     Attributes:
         relevance: Per-timestep relevance ``S`` of shape ``(T,)``. Marked
             read-only when served from a :class:`PlanCache` because many
             plans/records may share it.
         breakpoints: Sorted timestamps where the layer divides.
         sublayers: The division (empty breakpoints -> one sub-layer).
-        tissues: The MTS-aligned tissue schedule.
-        signature: Hashable schedule key (:func:`repro.core.tissue.
-            schedule_key`); equal signatures mean structurally identical
-            execution, which is what the batched combined mode groups by.
+        subs: Sub-layer index of every cell, flattened in schedule order.
+        ts: Timestamp of every cell, same order.
+        offsets: Tissue extents into ``subs`` / ``ts``
+            (``num_tissues + 1`` entries).
     """
 
     relevance: np.ndarray
     breakpoints: tuple[int, ...]
     sublayers: tuple["SubLayer", ...]
-    tissues: tuple["Tissue", ...]
-    signature: tuple
+    subs: np.ndarray
+    ts: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def from_schedule(
+        cls,
+        relevance: np.ndarray,
+        breakpoints: Sequence[int],
+        sublayers: Sequence["SubLayer"],
+        tissues: Sequence["Tissue"],
+    ) -> "CachedLayerPlan":
+        """Freeze one planned (MTS-aligned) tissue schedule."""
+        cells = [cell for tissue in tissues for cell in tissue.cells]
+        subs, ts = np.asarray(cells, dtype=np.int64).reshape(-1, 2).T
+        offsets = np.zeros(len(tissues) + 1, dtype=np.int64)
+        np.cumsum([len(tissue.cells) for tissue in tissues], out=offsets[1:])
+        return cls(
+            relevance=relevance,
+            breakpoints=tuple(breakpoints),
+            sublayers=tuple(sublayers),
+            subs=np.ascontiguousarray(subs),
+            ts=np.ascontiguousarray(ts),
+            offsets=offsets,
+        )
+
+    @property
+    def num_tissues(self) -> int:
+        """Number of tissues in the schedule."""
+        return len(self.offsets) - 1
+
+    def tissue_cells(self) -> list[list[tuple[int, int]]]:
+        """The schedule as fresh per-tissue ``(sub-layer, timestamp)`` lists
+        (the form :class:`TissueRecord` carries)."""
+        cells = list(zip(self.subs.tolist(), self.ts.tolist()))
+        extents = self.offsets.tolist()
+        return [cells[lo:hi] for lo, hi in zip(extents, extents[1:])]
+
+
+def wave_schedule(plans: Sequence[CachedLayerPlan], seq_len: int):
+    """Lay a batch's tissue schedules out wave by wave.
+
+    Wave ``w`` holds the ``w``-th tissue of every plan that has one:
+    tissues of different sequences are independent and a sequence's own
+    tissues run in schedule order, so one wave's tissues can execute
+    together. Inside a wave the tissues are ordered by size (ties by
+    sequence), so every size class is one contiguous run of rows. This is
+    the order combined-mode programs walk (the *walk order*).
+
+    Rows address flat arrays: cell ``(s, t)`` of sequence ``b`` reads its
+    projection and writes its output at row ``b * T + t``, and keeps its
+    recurrent state at row ``chains[b] + s`` — the batch's sub-layers
+    (*chains*) numbered consecutively, sequence by sequence.
+
+    Returns ``(waves, rank, chains, num_chains)``. ``rank[j]`` is the walk
+    position of tissue ``j`` in sequence-major schedule order (sequence
+    0's tissues, then sequence 1's, …); ``chains[b]`` is the state row of
+    sequence ``b``'s first sub-layer (the one that starts from zeros, not
+    from the predicted link). Each wave is a tuple
+
+    ``(out_rows, state_rows, classes, tissues, starts, tissue_of_row)``
+
+    of its rows' output and state row indices, its size classes as
+    ``(first row, end row, k)`` in wave-local rows, its tissues' walk
+    positions as a ``slice``, each tissue's first wave-local row, and each
+    row's tissue as a walk position.
+    """
+    base = (np.arange(len(plans)) * seq_len).tolist()
+    chain_counts = [len(plan.sublayers) for plan in plans]
+    chain_ends = np.cumsum(chain_counts)
+    chains = chain_ends - chain_counts
+    # One entry per tissue, sequence-major. Every plan covers its T cells
+    # exactly once, so sequence b's cells sit at [b * T, (b + 1) * T) of
+    # the concatenated per-cell vectors.
+    first = np.concatenate([b + plan.offsets[:-1] for b, plan in zip(base, plans)])
+    sizes = np.concatenate([np.diff(plan.offsets) for plan in plans])
+    wave = np.concatenate([np.arange(plan.num_tissues) for plan in plans])
+    order = np.lexsort((sizes, wave))  # stable: ties stay in sequence order
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    first, sizes, wave = first[order], sizes[order], wave[order]
+    row_end = np.cumsum(sizes)
+    row_start = row_end - sizes
+    # The concatenated ranges first[j] .. first[j] + sizes[j], in walk order.
+    cells = np.repeat(first - row_start, sizes) + np.arange(row_end[-1])
+    out_rows = np.concatenate([b + plan.ts for b, plan in zip(base, plans)])[cells]
+    state_rows = np.concatenate([c + plan.subs for c, plan in zip(chains, plans)])[cells]
+    tissue_of_row = np.repeat(np.arange(order.size), sizes)
+
+    wave_starts = np.flatnonzero(np.diff(wave)) + 1
+    bounds = [0, *wave_starts.tolist(), order.size]
+    first_rows, end_rows, size_list = row_start.tolist(), row_end.tolist(), sizes.tolist()
+    waves = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        r0, r1 = first_rows[lo], end_rows[hi - 1]
+        classes, c0 = [], 0
+        for k, run in groupby(size_list[lo:hi]):
+            c1 = c0 + k * len(list(run))
+            classes.append((c0, c1, k))
+            c0 = c1
+        waves.append(
+            (
+                out_rows[r0:r1],
+                state_rows[r0:r1],
+                classes,
+                slice(lo, hi),
+                row_start[lo:hi] - r0,
+                tissue_of_row[r0:r1],
+            )
+        )
+    return waves, rank, chains, int(chain_ends[-1])
 
 
 @dataclass

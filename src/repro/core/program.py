@@ -5,19 +5,20 @@ A timestep loop written as plain numpy expressions (the frozen
 each gate activation allocates fresh ``(B, H)`` arrays, every step
 re-derives operand views, and the pre-activation chain materializes three
 intermediates per gate. This module lowers one layer's execution — the
-timestep loop of the stepwise modes, or one plan group's tissue walk in
+timestep loop of the stepwise modes, or the shard-wide tissue walk of
 combined mode — into a *program*: an object that owns
 
 * **staged weights** — the per-gate recurrent blocks restacked once into a
   ``(4, H, H)`` array (each block kept row-major, so BLAS sees the same
   transposed-GEMV layout as the reference walk and the bits match),
 * **a single preallocated workspace** — gate slabs, ``h``/``c`` state,
-  DRS mask scratch, gather/scatter index vectors — reused across
-  timesteps and across runs via ``np.matmul(..., out=)`` and in-place
-  ufunc chains,
-* **a flat op list** — tissue steps are unrolled at compile time into
-  ``(k, state-rows, gather-rows)`` tuples; breakpoint resets arrive as a
-  per-timestep column list resolved by the caller from the sequence plans.
+  DRS mask scratch — reused across timesteps and across runs via
+  ``np.matmul(..., out=)`` and in-place ufunc chains,
+* **no structure** — what the inter level decided is a run-time input:
+  breakpoint resets arrive as a per-timestep column list, tissue
+  schedules as the index vectors cached on each sequence's plan
+  (:class:`~repro.core.plan.CachedLayerPlan`), so a program is compiled
+  from shapes and weights alone.
 
 Bit-identity contract: every program below reproduces the reference
 walk's arithmetic *exactly* (property-tested in ``tests/test_program.py`` and
@@ -42,10 +43,10 @@ OpenBLAS, measured on this platform:
 
 Programs are built by :class:`~repro.core.executor.LSTMExecutor` (they
 are its only forward pass) and cached in a :class:`ProgramCache` keyed on
-(weights fingerprint, link fingerprint, shapes, and — for combined mode —
-the plan signature ``schedule_key``), so repeated runs, threshold sweeps
-over one batch, and fleet shards grouped by the runtime scheduler all
-reuse one compiled program. Workspace lifetime rule: a program owns its
+(backend, weights fingerprint, link fingerprint, shapes, thresholds) and
+nothing input-dependent, so repeated runs, fresh inputs, threshold sweeps
+over ``alpha_inter`` and fleet shards of one shape all reuse one compiled
+program per layer. Workspace lifetime rule: a program owns its
 buffers for as long as it is cached; every run rewrites the full state
 (``h``/``c`` set on entry — zeros, or caller-injected resident state for
 the streaming runtime — and every output cell written), so consecutive
@@ -63,6 +64,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.plan import wave_schedule
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -76,6 +78,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: arithmetic is unchanged — and differs from the united-matrix row order
 #: ``GATE_ORDER`` (f, i, c, o), hence the explicit restack at compile time.
 STACK_ORDER: tuple[str, ...] = ("f", "i", "o", "c")
+
+#: Bound on one combined program's memoized size-class operand views (a
+#: few hundred bytes each; a serving shard sees a few hundred layouts).
+_MAX_STACKED_VIEWS = 4096
 
 
 def sigmoid_into(
@@ -102,6 +108,23 @@ def sigmoid_into(
     np.divide(s1, s2, out=out)  # negative branch
     np.divide(1.0, s2, out=s2)  # positive branch
     np.copyto(out, s2, where=mask)
+
+
+def project_rows(xs: np.ndarray, w_ops, outs) -> None:
+    """Gate-blocked per-row input projection: ``outs[j] = xs @ w_ops[j]``.
+
+    ``xs`` is ``(B, T, E)``, every ``w_ops[j]`` the ``(E, H)`` transpose
+    view of one row-major gate block, every ``outs[j]`` a ``(B, T, H)``
+    array or view. Each token is lifted to its own ``(1, E)`` GEMV (see
+    :func:`repro.core.executor._row_proj`), so its projected bits depend
+    on the token and the weights only. Gate by gate rather than one fused
+    ``(E, 4H)`` operand: a gate block stays cache-resident across all
+    ``B * T`` rows instead of the whole united matrix streaming past every
+    row — same bits, about half the time at serving widths.
+    """
+    xs_rows = xs[:, :, None, :]  # (B, T, 1, E): one GEMV per token
+    for w_t, out in zip(w_ops, outs):
+        np.matmul(xs_rows, w_t, out=out[:, :, None, :])
 
 
 @dataclass
@@ -138,8 +161,10 @@ class ProgramCache:
 
     Programs own multi-megabyte workspaces, so the default bound is far
     smaller than the :class:`~repro.core.plan.PlanCache` bound; an entry
-    is one (shape, weights, plan-signature) combination and a steady
-    serving workload needs only a handful.
+    is one (layer weights, shape, thresholds, dispatch slot) combination
+    — never one per input — so a serving workload at a steady shape
+    holds one entry per layer and slot and stops compiling after its
+    first request.
 
     Thread-safe with *single-flight* compilation: under the in-process
     dispatcher (:mod:`repro.core.parallel`) several threads can request
@@ -301,9 +326,7 @@ class StepwiseProgram:
         programs (:mod:`repro.core.backends`) and is ignored: the numpy
         lowering always projects exactly — it *is* the oracle.
         """
-        xs_rows = xs[:, :, None, :]  # (B, T, 1, E): one GEMV per token
-        for idx in range(4):
-            np.matmul(xs_rows, self._w_ops[idx], out=self.proj[idx][:, :, None, :])
+        project_rows(xs, self._w_ops, self.proj)
         return {g: self.proj[idx] for idx, g in enumerate(STACK_ORDER)}
 
     def execute(
@@ -427,261 +450,163 @@ class StepwiseProgram:
             out_c[:] = c
 
 
-class _TissueBuffers:
-    """Per-tissue-width scratch of one :class:`CombinedGroupProgram`."""
-
-    def __init__(self, group: int, k: int, hidden: int) -> None:
-        self.x = np.empty((group, k, 4 * hidden))
-        self.x2d = self.x.reshape(group * k, 4 * hidden)
-        self.hu = np.empty((group, k, 4 * hidden))
-        self.hp = np.empty((group, k, hidden))
-        self.hp2d = self.hp.reshape(group * k, hidden)
-        self.cp = np.empty((group, k, hidden))
-        self.cp2d = self.cp.reshape(group * k, hidden)
-        self.o = np.empty((group, k, hidden))
-        self.f = np.empty((group, k, hidden))
-        self.i = np.empty((group, k, hidden))
-        self.g = np.empty((group, k, hidden))
-        self.g2d = self.g.reshape(group * k, hidden)
-        self.cn = np.empty((group, k, hidden))
-        self.cn2d = self.cn.reshape(group * k, hidden)
-        self.t1 = np.empty((group, k, hidden))
-        self.s1 = np.empty((group, k, hidden))
-        self.s2 = np.empty((group, k, hidden))
-        self.m = np.empty((group, k, hidden), dtype=bool)
-        self.masks = np.empty((group, k, hidden), dtype=bool)
-
-
 class CombinedGroupProgram:
-    """Compiled tissue walk for one combined-mode plan group.
+    """Compiled wave walk of one combined-mode layer at a fixed ``(B, T)``.
 
-    Compiled from one :class:`~repro.core.plan.CachedLayerPlan` for a fixed
-    group size ``G``. Compilation analyzes the plan's dependency structure
-    and picks one of two lowerings:
+    The program is compiled from shapes and weights only; the sequences'
+    structural plans are run-time inputs, so one program serves every
+    batch at its shape, whatever mix of plans the batch holds. A run walks
+    *waves*: wave ``w`` is the ``w``-th tissue of every sequence that has
+    one. Tissues of different sequences never depend on each other and a
+    sequence's own tissues run in schedule order, so a wave's tissues are
+    independent and execute together:
 
-    * **Constant-folded layer** — when every sub-layer has length 1 (the
-      fully-divided regime a high inter threshold produces), no cell's
-      recurrent operand depends on another cell: every ``h_prev`` row is a
-      pinned constant (zeros for sub-layer 0, the predicted link state
-      elsewhere). The recurrent GEMMs are then evaluated *once at compile
-      time* — per tissue, the same ``(k, H) @ (H, 4H)`` product the
-      reference walk would run every step, staged into a ``(T, 4H)``
-      table — and the whole layer collapses into a few full-width
-      elementwise passes with no gathers, scatters, or per-tissue loop.
-      The per-tissue DRS intersections become one ``logical_and.reduceat``
-      over the tissue extents.
-    * **Tissue walk** — for plans with real recurrence chains, the flat op
-      list holds, per tissue, the precomputed state-row and projection-row
-      index vectors, so the run-time loop is pure gather / stacked-GEMM /
-      in-place-elementwise / scatter with no index arithmetic and no
-      allocation.
+    * the wave's rows are ordered by tissue size, so each size class ``k``
+      is a contiguous slice and runs as one stacked ``(g, k, H) @ (H, 4H)``
+      matmul — the same ``(k, H)`` GEMM per leading slice as the
+      reference's per-tissue product, hence the same bits at any batch
+      composition;
+    * gather, gate epilogue, the DRS intersection (one
+      ``logical_and.reduceat`` over the wave's tissue extents) and scatter
+      run once per wave over all of its rows.
 
-    Both lowerings reproduce the reference tissue walk: the stacked
-    ``(G, k, H) @ (H, 4H)`` matmul runs the same ``(k, H)`` GEMM per
-    leading slice, so identical constant slices give identical bits, and
-    every elementwise op is per-element. Cached under the plan's
-    ``signature`` (:func:`repro.core.tissue.schedule_key`) — the same key
-    the fleet scheduler groups dispatches by, so every shard of a
-    scheduler group replays one program.
+    The per-plan index vectors come prebuilt on
+    :class:`~repro.core.plan.CachedLayerPlan`; a run only concatenates and
+    sorts them (:func:`~repro.core.plan.wave_schedule`). The workspace
+    holds one wave — at most ``B * mts`` rows.
     """
 
     def __init__(
         self,
         united: "_UnitedWeights",
         link: "PredictedLink",
-        plan: "CachedLayerPlan",
-        group: int,
+        batch: int,
         seq_len: int,
+        mts: int,
         alpha_intra: float = 0.0,
     ) -> None:
         hidden = united.u.shape[1]
-        self.group = group
+        cells = batch * seq_len
+        rows = batch * min(mts, seq_len)  # the widest possible wave
         self.seq_len = seq_len
         self.hidden = hidden
         self.alpha_intra = alpha_intra
-        self.n_sub = n_sub = len(plan.sublayers)
-        self.n_tissues = len(plan.tissues)
         self._link = link
         self._u_t = united.u.T  # (H, 4H) transpose view, as the reference
         self._b = united.b
-        sl = united.slices
-        self._sl_f, self._sl_i = sl["f"], sl["i"]
-        self._sl_c, self._sl_o = sl["c"], sl["o"]
+        self._gate_columns = [united.slices[g] for g in "ofic"]
 
-        #: Per-run hidden output, scattered back to batch rows by the caller.
-        self.hs = np.empty((group, seq_len, hidden))
-        #: Per-tissue shared (intersection) DRS masks for the statistics
-        #: reductions, shaped ``(n_tissues, G, H)``; fully rewritten each
-        #: run when DRS is live.
-        self.shared: np.ndarray | None = None
+        # Recurrent (h, c) state, one row per sub-layer of the batch. A
+        # layer has up to T sub-layers per sequence but typically a few,
+        # so the pair grows to the largest need seen instead of B * T rows.
+        self._state = np.empty((2, 0, hidden))
+        # One wave of scratch: gathered projections, pre-activations,
+        # gathered h/c, gate outputs, c/h results, temporaries, and three
+        # boolean planes (sigmoid sign, per-cell DRS mask, per-row shared
+        # mask) — unpacked by name in execute().
+        self._scratch = (
+            *np.empty((2, rows, 4 * hidden)),
+            *np.empty((11, rows, hidden)),
+            *np.empty((3, rows, hidden), dtype=bool),
+        )
+        #: Views of the scratch, built on first use so a warm walk creates
+        #: no array objects for layouts it has seen: wave height -> every
+        #: buffer's leading rows (prefix views of C-contiguous buffers stay
+        #: contiguous) plus the pre-activations' gate columns, and size
+        #: class ``(first row, end row, k)`` -> its stacked ``(g, k, H)`` /
+        #: ``(g, k, 4H)`` matmul operands.
+        self._wave_views: dict[int, tuple[np.ndarray, ...]] = {}
+        self._stacked: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+        if alpha_intra > 0.0:
+            # Per-tissue shared (intersection) masks, in walk order and —
+            # what execute() returns — in sequence-major schedule order.
+            self._shared_walk = np.empty((cells, hidden), dtype=bool)
+            self._shared = np.empty((cells, hidden), dtype=bool)
 
-        self.fused = self._compile_fused(united, link, plan)
-        if not self.fused:
-            self._compile_walk(plan)
+    def _rows(self, n: int) -> tuple[np.ndarray, ...]:
+        """The scratch's leading ``n`` rows and their gate columns."""
+        views = tuple(buf[:n] for buf in self._scratch)
+        views += tuple(views[1][:, columns] for columns in self._gate_columns)
+        self._wave_views[n] = views
+        return views
 
-    # ------------------------------------------------- constant-folded form
+    def _stack(self, size_class: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """One size class's gathered ``h`` rows and pre-activation rows,
+        one tissue per leading slice."""
+        c0, c1, k = size_class
+        if len(self._stacked) >= _MAX_STACKED_VIEWS:
+            self._stacked.clear()
+        _, pre, h_prev = self._scratch[:3]
+        operands = self._stacked[size_class] = (
+            h_prev[c0:c1].reshape(-1, k, self.hidden),
+            pre[c0:c1].reshape(-1, k, 4 * self.hidden),
+        )
+        return operands
 
-    def _compile_fused(
-        self,
-        united: "_UnitedWeights",
-        link: "PredictedLink",
-        plan: "CachedLayerPlan",
-    ) -> bool:
-        """Try the constant-folded lowering; returns False when the plan
-        has a real recurrence chain (some sub-layer longer than one step)
-        or a non-contiguous tissue partition."""
-        group, seq_len, hidden = self.group, self.seq_len, self.hidden
-        if any(sub.length != 1 for sub in plan.sublayers):
-            return False
-        starts = []
-        cursor = 0
-        for tissue in plan.tissues:
-            ts = [t for _, t in tissue.cells]
-            if ts != list(range(cursor, cursor + len(ts))):
-                return False
-            starts.append(cursor)
-            cursor += len(ts)
-        if cursor != seq_len:
-            return False
+    def execute(
+        self, proj_u: np.ndarray, plans: "list[CachedLayerPlan]", hs: np.ndarray
+    ) -> np.ndarray | None:
+        """Walk ``plans`` over the fused projections ``proj_u`` ``(B, T, 4H)``.
 
-        # Every h_prev/c_prev row is a pinned constant: zeros for
-        # sub-layer 0, the predicted link state elsewhere. Evaluate each
-        # tissue's recurrent GEMM once, with exactly the reference walk's
-        # dimensions — (k, H) @ (H, 4H) is what every slice of the stacked
-        # runtime matmul dispatches — and stage the rows by timestamp.
-        self._hu_map = np.empty((seq_len, 4 * hidden))
-        self._c_map = np.empty((seq_len, hidden))
-        for tissue in plan.tissues:
-            h_prev = np.stack(
-                [np.zeros(hidden) if s == 0 else link.h_bar for s, _ in tissue.cells]
-            )
-            hu = h_prev @ self._u_t  # (k, 4H), compile-time
-            for j, (s, t) in enumerate(tissue.cells):
-                self._hu_map[t] = hu[j]
-                self._c_map[t] = 0.0 if s == 0 else link.c_bar
-
-        # Full-width workspace: one slab per intermediate, reused across
-        # runs; gate outputs land in fresh buffers exactly like the
-        # reference walk's allocating calls.
-        self._pre = np.empty((group, seq_len, 4 * hidden))
-        self._o = np.empty((group, seq_len, hidden))
-        self._f = np.empty((group, seq_len, hidden))
-        self._i = np.empty((group, seq_len, hidden))
-        self._g = np.empty((group, seq_len, hidden))
-        self._cn = np.empty((group, seq_len, hidden))
-        self._t1 = np.empty((group, seq_len, hidden))
-        self._s1 = np.empty((group, seq_len, hidden))
-        self._s2 = np.empty((group, seq_len, hidden))
-        self._m = np.empty((group, seq_len, hidden), dtype=bool)
-        if self.alpha_intra > 0.0:
-            self._masks = np.empty((group, seq_len, hidden), dtype=bool)
-            self._starts = np.asarray(starts)
-            #: t -> tissue index, to expand the shared masks back per cell.
-            self._rep_idx = np.repeat(
-                np.arange(self.n_tissues),
-                [len(t.cells) for t in plan.tissues],
-            )
-            self._shared_gt = np.empty((group, self.n_tissues, hidden), dtype=bool)
-            self.shared = self._shared_gt.transpose(1, 0, 2)
-            self._mask_full = np.empty((group, seq_len, hidden), dtype=bool)
-        return True
-
-    def _execute_fused(self, proj_group: np.ndarray) -> None:
-        alpha = self.alpha_intra
-        np.add(proj_group, self._hu_map, out=self._pre)
-        np.add(self._pre, self._b, out=self._pre)
-        pre = self._pre
-        sigmoid_into(pre[..., self._sl_o], self._o, self._s1, self._s2, self._m)
-        sigmoid_into(pre[..., self._sl_f], self._f, self._s1, self._s2, self._m)
-        sigmoid_into(pre[..., self._sl_i], self._i, self._s1, self._s2, self._m)
-        np.tanh(pre[..., self._sl_c], out=self._g)
-        np.multiply(self._f, self._c_map, out=self._cn)
-        np.multiply(self._i, self._g, out=self._t1)
-        np.add(self._cn, self._t1, out=self._cn)
-        if alpha > 0.0:
-            np.less(self._o, alpha, out=self._masks)
-            np.logical_and.reduceat(
-                self._masks, self._starts, axis=1, out=self._shared_gt
-            )
-            np.take(self._shared_gt, self._rep_idx, axis=1, out=self._mask_full)
-            np.copyto(self._cn, 0.0, where=self._mask_full)
-        np.tanh(self._cn, out=self._t1)
-        np.multiply(self._o, self._t1, out=self.hs)
-
-    # ---------------------------------------------------- tissue-walk form
-
-    def _compile_walk(self, plan: "CachedLayerPlan") -> None:
-        group, seq_len, hidden = self.group, self.seq_len, self.hidden
-        n_sub = self.n_sub
-        self.h_state = np.zeros((group, n_sub, hidden))
-        self.c_state = np.zeros((group, n_sub, hidden))
-        self._h_flat = self.h_state.reshape(group * n_sub, hidden)
-        self._c_flat = self.c_state.reshape(group * n_sub, hidden)
-        self._hs_flat = self.hs.reshape(group * seq_len, hidden)
-        if self.alpha_intra > 0.0:
-            self.shared = np.empty((self.n_tissues, group, hidden), dtype=bool)
-            self._shared_where = [
-                self.shared[ti][:, None, :] for ti in range(self.n_tissues)
-            ]
-
-        rows = np.arange(group)[:, None]
-        buffers: dict[int, _TissueBuffers] = {}
-        ops = []
-        for tissue in plan.tissues:
-            subs = np.asarray([s for s, _ in tissue.cells])
-            ts = np.asarray([t for _, t in tissue.cells])
-            k = len(tissue.cells)
-            if k not in buffers:
-                buffers[k] = _TissueBuffers(group, k, hidden)
-            state_rows = (rows * n_sub + subs[None, :]).ravel()
-            proj_rows = (rows * seq_len + ts[None, :]).ravel()
-            ops.append((state_rows, proj_rows, buffers[k]))
-        #: The flat op list: one (state-rows, proj-rows, buffers) per tissue.
-        self.ops = ops
-
-    def _execute_walk(self, proj_group: np.ndarray) -> None:
+        Fills ``hs``, the caller-owned ``(B, T, H)`` output (freshly
+        allocated per run, as for :meth:`StepwiseProgram.execute`). With
+        DRS live, returns the tissues' shared (intersection) masks as a
+        ``(total tissues, H)`` workspace view — sequence 0's tissues in
+        schedule order, then sequence 1's, … — for the caller's
+        statistics; ``None`` otherwise.
+        """
         alpha = self.alpha_intra
         drs = alpha > 0.0
-        link = self._link
-        proj_flat = proj_group.reshape(self.group * self.seq_len, 4 * self.hidden)
-        self.h_state[:, 0] = 0.0
-        self.c_state[:, 0] = 0.0
-        if self.n_sub > 1:
-            self.h_state[:, 1:] = link.h_bar
-            self.c_state[:, 1:] = link.c_bar
-        for ti, (state_rows, proj_rows, bufs) in enumerate(self.ops):
-            np.take(proj_flat, proj_rows, axis=0, out=bufs.x2d)
-            np.take(self._h_flat, state_rows, axis=0, out=bufs.hp2d)
-            np.take(self._c_flat, state_rows, axis=0, out=bufs.cp2d)
-            np.matmul(bufs.hp, self._u_t, out=bufs.hu)
-            np.add(bufs.x, bufs.hu, out=bufs.hu)
-            np.add(bufs.hu, self._b, out=bufs.hu)
-            pre = bufs.hu
-            sigmoid_into(pre[..., self._sl_o], bufs.o, bufs.s1, bufs.s2, bufs.m)
-            sigmoid_into(pre[..., self._sl_f], bufs.f, bufs.s1, bufs.s2, bufs.m)
-            sigmoid_into(pre[..., self._sl_i], bufs.i, bufs.s1, bufs.s2, bufs.m)
-            np.tanh(pre[..., self._sl_c], out=bufs.g)
-            np.multiply(bufs.f, bufs.cp, out=bufs.cn)
-            np.multiply(bufs.i, bufs.g, out=bufs.t1)
-            np.add(bufs.cn, bufs.t1, out=bufs.cn)
+        if not plans:
+            return self._shared[:0] if drs else None
+        proj_flat = proj_u.reshape(-1, 4 * self.hidden)
+        hs_flat = hs.reshape(-1, self.hidden)
+        waves, rank, chains, num_chains = wave_schedule(plans, self.seq_len)
+        if self._state.shape[1] < num_chains:
+            self._state = np.empty((2, num_chains, self.hidden))
+        h_flat, c_flat = self._state
+        # Every sub-layer starts from the predicted link, except each
+        # sequence's first, which starts from zeros.
+        h_flat[:num_chains] = self._link.h_bar
+        c_flat[:num_chains] = self._link.c_bar
+        h_flat[chains] = 0.0
+        c_flat[chains] = 0.0
+        for out_rows, state_rows, classes, tissues, starts, tissue_of_row in waves:
+            views = self._wave_views.get(out_rows.size) or self._rows(out_rows.size)
+            (
+                x, pre, h_prev, c_prev, o, f, i, g, c_new, h_new, t1, s1, s2,
+                m, masks, mask_rows, pre_o, pre_f, pre_i, pre_c,
+            ) = views
+            # mode="clip" only skips take's bounds-check staging copy;
+            # the schedule's rows are in range by construction.
+            np.take(proj_flat, out_rows, axis=0, out=x, mode="clip")
+            np.take(h_flat, state_rows, axis=0, out=h_prev, mode="clip")
+            np.take(c_flat, state_rows, axis=0, out=c_prev, mode="clip")
+            for size_class in classes:
+                operands = self._stacked.get(size_class) or self._stack(size_class)
+                np.matmul(operands[0], self._u_t, out=operands[1])
+            np.add(x, pre, out=pre)
+            np.add(pre, self._b, out=pre)
+            sigmoid_into(pre_o, o, s1, s2, m)
+            sigmoid_into(pre_f, f, s1, s2, m)
+            sigmoid_into(pre_i, i, s1, s2, m)
+            np.tanh(pre_c, out=g)
+            np.multiply(f, c_prev, out=c_new)
+            np.multiply(i, g, out=t1)
+            np.add(c_new, t1, out=c_new)
             if drs:
-                np.less(bufs.o, alpha, out=bufs.masks)
-                bufs.masks.all(axis=1, out=self.shared[ti])
-                np.copyto(bufs.cn, 0.0, where=self._shared_where[ti])
-            np.tanh(bufs.cn, out=bufs.t1)
-            np.multiply(bufs.o, bufs.t1, out=bufs.g)  # h_new, reusing g
-            self._h_flat[state_rows] = bufs.g2d
-            self._c_flat[state_rows] = bufs.cn2d
-            self._hs_flat[proj_rows] = bufs.g2d
-
-    def execute(self, proj_group: np.ndarray) -> None:
-        """Run the compiled group over ``proj_group`` ``(G, T, 4H)``.
-
-        Fills :attr:`hs` (and :attr:`shared` when DRS is live). The caller
-        gathers the group's projection rows and scatters :attr:`hs` back —
-        both outside the compiled loop.
-        """
-        if self.fused:
-            self._execute_fused(proj_group)
-        else:
-            self._execute_walk(proj_group)
+                # A tissue's shared mask is the intersection of its cells'
+                # trivial rows, and every one of its cells drops those rows.
+                np.less(o, alpha, out=masks)
+                np.logical_and.reduceat(masks, starts, axis=0, out=self._shared_walk[tissues])
+                np.take(self._shared_walk, tissue_of_row, axis=0, out=mask_rows, mode="clip")
+                np.copyto(c_new, 0.0, where=mask_rows)
+            np.tanh(c_new, out=t1)
+            np.multiply(o, t1, out=h_new)
+            h_flat[state_rows] = h_new
+            c_flat[state_rows] = c_new
+            hs_flat[out_rows] = h_new
+        if not drs:
+            return None
+        shared = self._shared[: rank.size]
+        return np.take(self._shared_walk, rank, axis=0, out=shared, mode="clip")

@@ -98,10 +98,8 @@ def schedule_key(tissues: list[Tissue] | tuple[Tissue, ...]) -> tuple:
 
     Two layers with equal signatures execute the *exact same* structural
     plan — same breakpoints (recoverable from the ``(sub-layer, timestamp)``
-    cells), same tissue composition, same order. The batched executor groups
-    combined-mode sequences by this key so that same-plan sequences execute
-    together, and the :class:`~repro.core.plan.PlanCache` uses it when
-    comparing cached plans.
+    cells), same tissue composition, same order. The fleet scheduler
+    (:mod:`repro.runtime.scheduler`) batches queued sequences by this key.
     """
     return tuple(tuple(t.cells) for t in tissues)
 

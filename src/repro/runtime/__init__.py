@@ -6,9 +6,9 @@ process scale: an :class:`InferenceRuntime` publishes the network's
 parameters once into a shared-memory :class:`WeightArena`, shards
 incoming sequences across a worker pool that attaches those same pages,
 and groups queued sequences fleet-wide by structural plan signature
-(:class:`FleetScheduler`) before dispatch, so the batched executor's
-combined-mode plan grouping fires across all in-flight requests instead
-of within one caller's batch. A bounded request queue provides
+(:class:`FleetScheduler`) before dispatch, so same-plan sequences from
+all in-flight requests share a shard and the combined-mode wave walk runs
+its widest stacked matmuls. A bounded request queue provides
 backpressure; per-worker run records merge into a single fleet record
 (:func:`repro.obs.merge.merge_run_records`); ``workers=0`` degenerates
 to a bit-identical synchronous :class:`~repro.core.executor.LSTMExecutor`

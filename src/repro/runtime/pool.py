@@ -91,9 +91,9 @@ class InferenceRuntime:
         self.dwell_s = dwell_s
         self.recorder = recorder
         self.plan_cache = PlanCache()
-        # Shared by every workers=0 executor so scheduler groups with one
-        # schedule_key recompile nothing across run_batch calls (the
-        # spawned workers hold their own long-lived caches instead).
+        # Shared by every workers=0 executor so scheduler groups of one
+        # size recompile nothing across run_batch calls (the spawned
+        # workers hold their own long-lived caches instead).
         self.program_cache = ProgramCache()
         self.scheduler = FleetScheduler(
             network, config, max_batch=max_batch, plan_cache=self.plan_cache

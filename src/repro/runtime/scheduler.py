@@ -1,20 +1,21 @@
 """Fleet-wide batch scheduler: group queued sequences by plan signature.
 
-The batched executor already groups *within* one caller's batch: combined
-mode executes same-plan sequences together so each tissue step is one
-stacked matmul. The fleet scheduler applies the same idea *across*
-requests: before dispatch, queued sequences are grouped by the structural
-signature of their first layer — :func:`repro.core.tissue.schedule_key`
-of the relevance → breakpoints → aligned-tissue pipeline — so that
-same-plan sequences land in the same worker batch and the executor's
-plan grouping fires at full strength fleet-wide.
+Before dispatch, queued sequences are grouped by the structural signature
+of their first layer — :func:`repro.core.tissue.schedule_key` of the
+relevance → breakpoints → aligned-tissue pipeline — so that same-plan
+sequences land in the same worker batch: every wave of such a batch is
+full width and one tissue size, the widest stacked matmuls the combined
+walk can run.
 
-The same ``schedule_key`` is the plan-signature component of the
-combined-mode program-cache key (:meth:`repro.core.executor.LSTMExecutor.
-_compiled_combined`): a worker's long-lived executor compiles one
-:class:`~repro.core.program.CombinedGroupProgram` per scheduler group
-shape and replays it for every subsequent shard of that group — grouping
-here is what makes program reuse land fleet-wide.
+Grouping is no longer what makes program reuse land. The combined-mode
+program (:class:`~repro.core.program.CombinedGroupProgram`) is keyed on
+shape only and takes the plans as run-time inputs, so a worker's
+long-lived executor replays one program per layer for *any* shard of a
+given size, same-plan or not. Follow-up: with that, ``FleetScheduler`` may
+batch by length only (as it already does for the undivided modes) and
+skip the parent-side relevance pass; whether same-plan batches are worth
+their scheduling cost is now a throughput question for
+``bench_runtime_scaling``, not a cache-hit one.
 
 The signature deliberately uses only **layer 0**: its relevance depends
 on nothing but the embedded tokens and the layer weights, so it is

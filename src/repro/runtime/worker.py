@@ -6,9 +6,8 @@ private :class:`~repro.core.executor.LSTMExecutor` with its own
 :class:`~repro.core.plan.PlanCache`, :class:`~repro.core.program.
 ProgramCache` and :class:`~repro.obs.Recorder`. The executor lives for
 the whole worker lifetime, so compiled programs persist across shards:
-the scheduler groups sequences by plan ``schedule_key``, which is exactly
-the combined-mode program-cache key, so every shard of a scheduler group
-after the first replays an already-compiled program. Tasks arrive as
+programs are keyed on shape, never on plans, so every shard after the
+first of its size replays an already-compiled program. Tasks arrive as
 :class:`~repro.runtime.scheduler.DispatchGroup`-shaped tuples; every
 shard answers with a :class:`~repro.runtime.results.ShardResult` whose
 run record has ``seq_index`` remapped to the original batch positions, so

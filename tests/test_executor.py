@@ -82,6 +82,42 @@ class TestBaseline:
         assert not states.any()
 
 
+#: Every mode with both of its levels live, so the degenerate shapes reach
+#: planning, the wave schedule and the DRS statistics.
+LIVE_THRESHOLDS = {"alpha_inter": 50.0, "alpha_intra": 0.4, "mts": 3}
+
+
+@pytest.mark.parametrize("mode", list(ExecutionMode), ids=lambda m: m.value)
+class TestDegenerateShapes:
+    def test_rejects_zero_length_sequences(self, tiny_network, mode):
+        """``(B, 0)`` used to return NaN logits under a numpy RuntimeWarning
+        (stepwise modes) or raise ``PlanError`` (INTER / COMBINED)."""
+        executor = make_executor(tiny_network, mode, **LIVE_THRESHOLDS)
+        tokens = np.zeros((3, 0), dtype=int)
+        with pytest.raises(ShapeError, match="T >= 1"):
+            executor.run_batch(tokens)
+        states = np.zeros((tiny_network.num_layers, 3, TINY_HIDDEN))
+        if not executor.config.inter_active:  # else run_stream refuses the mode first
+            with pytest.raises(ShapeError, match="T >= 1"):
+                executor.run_stream(tokens, states, states.copy())
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_empty_batch_is_legal(self, tiny_network, tiny_tokens, mode, threads):
+        executor = make_executor(tiny_network, mode, threads=threads, **LIVE_THRESHOLDS)
+        seq_len = tiny_tokens.shape[1]
+        with np.errstate(all="raise"):
+            result = executor.run_batch(tiny_tokens[:0])
+        assert result.logits.shape == (0, tiny_network.num_classes)
+        assert result.plans == []
+        assert [h.shape for h in result.layer_outputs] == [
+            (0, seq_len, TINY_HIDDEN)
+        ] * tiny_network.num_layers
+        # The empty run leaves the cached programs' neighbours untouched.
+        full = executor.run_batch(tiny_tokens)
+        fresh = make_executor(tiny_network, mode, **LIVE_THRESHOLDS).run_batch(tiny_tokens)
+        assert np.array_equal(full.logits, fresh.logits)
+
+
 class TestIntra:
     def test_alpha_zero_equals_baseline(self, tiny_network, tiny_tokens):
         base = make_executor(tiny_network).run_batch(tiny_tokens)
@@ -429,6 +465,28 @@ class TestServingGeometry:
         assert np.array_equal(threaded.logits, out.logits)
         for h_t, h_s in zip(threaded.layer_outputs, out.layer_outputs):
             assert np.array_equal(h_t, h_s)
+
+    def test_combined_shard_of_unlike_plans_equals_solo_runs(self, babi):
+        """The wave walk steps unlike plans together — here one shard holds
+        plans from 15 to 86 tissues — and each sequence still computes
+        exactly what it computes alone."""
+        app, tokens = babi
+        executor = self.executor(app, ExecutionMode.COMBINED)
+        out = executor.run_batch(tokens)
+        tissue_counts = {rec.num_tissues for plan in out.plans for rec in plan.layers}
+        assert min(tissue_counts) == 15 and max(tissue_counts) == tokens.shape[1] == 86
+        for layer in range(app.network.num_layers):
+            assert len({plan.layers[layer].num_tissues for plan in out.plans}) > 1
+        for b, plan in enumerate(out.plans):
+            solo = executor.run_batch(tokens[b : b + 1])
+            assert np.array_equal(solo.logits[0], out.logits[b])
+            for h_solo, h_batch in zip(solo.layer_outputs, out.layer_outputs):
+                assert np.array_equal(h_solo[0], h_batch[b])
+            for rec_solo, rec_batch in zip(solo.plans[0].layers, plan.layers):
+                assert rec_solo.breakpoints == rec_batch.breakpoints
+                assert [
+                    (t.cells, t.skip_fraction, t.warp_skip_fraction) for t in rec_solo.tissues
+                ] == [(t.cells, t.skip_fraction, t.warp_skip_fraction) for t in rec_batch.tissues]
 
     @pytest.mark.parametrize(
         "mode",

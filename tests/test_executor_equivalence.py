@@ -3,7 +3,7 @@
 Two families of properties, both over all five execution modes:
 
 * **Batched vs reference.** :class:`repro.core.executor.LSTMExecutor`
-  (united-gate GEMMs, plan-grouped combined mode, optional plan cache,
+  (united-gate GEMMs, wave-walked combined mode, optional plan cache,
   compiled programs) must produce *bit-identical* logits, per-layer
   ``h_t`` trajectories, and structurally identical
   :class:`~repro.core.plan.SequencePlan` records compared to
@@ -15,8 +15,8 @@ Two families of properties, both over all five execution modes:
   and logits. The stepwise recurrences and the pooled head run as stacked
   per-row GEMVs (:func:`repro.core.executor._row_gemv`), so each
   sequence's arithmetic is independent of the batch composition; the
-  combined mode's grouped ``(G, k, H)`` matmul dispatches the same GEMM
-  per leading-axis slice at any group size. (Before the lift, stepwise
+  combined mode's stacked ``(g, k, H)`` matmul dispatches the same GEMM
+  per leading-axis slice whatever else shares its wave. (Before the lift, stepwise
   layer>=1 plan floats only matched to GEMV-vs-GEMM tolerance and these
   assertions were relaxed; they are now fully tight.)
 """
@@ -29,7 +29,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.config import LSTMConfig  # noqa: E402
+from repro.config import AppConfig, LSTMConfig, TaskFamily  # noqa: E402
 from repro.core.context_prediction import PredictedLink  # noqa: E402
 from repro.core.executor import (  # noqa: E402
     ExecutionConfig,
@@ -38,6 +38,7 @@ from repro.core.executor import (  # noqa: E402
 )
 from repro.core.plan import PlanCache  # noqa: E402
 from repro.core.reference import ReferenceExecutor  # noqa: E402
+from repro.nn.model_zoo import build_calibrated_network  # noqa: E402
 from repro.nn.network import LSTMNetwork  # noqa: E402
 
 VOCAB = 40
@@ -144,6 +145,69 @@ class TestBatchedMatchesReference:
             assert cache.stats.plan_hits >= tokens.shape[0] * layers
 
 
+class TestMixedDivisionBatch:
+    """One shard whose plans differ as much as plans can.
+
+    The random networks above saturate Algorithm 2 (every link scores the
+    same), so a drawn batch is all-undivided or all-fully-divided. On a
+    calibrated network a layer-0 link's relevance is a function of the
+    token it enters, which lets the batch be built: only strong-link
+    tokens, only weak-link tokens, and runs of both — with ``alpha_inter``
+    between the two token groups' relevance ranges.
+    """
+
+    def test_undivided_partly_and_fully_divided_in_one_batch(self):
+        seq_length = 12
+        model = LSTMConfig(hidden_size=24, num_layers=2, seq_length=seq_length, input_size=20)
+        app = AppConfig(
+            name="MIXED",
+            family=TaskFamily.SENTIMENT_CLASSIFICATION,
+            model=model,
+            vocab_size=60,
+            num_classes=3,
+        )
+        network = build_calibrated_network(app, seed=5)
+        probe = LSTMExecutor(
+            network, ExecutionConfig(mode=ExecutionMode.INTER, alpha_inter=1.0)
+        ).run_batch(np.tile(np.arange(app.vocab_size)[:, None], (1, seq_length)))
+        token_relevance = np.array([plan.layers[0].relevance[1] for plan in probe.plans])
+        ranked = np.argsort(token_relevance)
+        weak, strong = ranked[:15], ranked[-15:]
+        alpha_inter = (token_relevance[weak].max() + token_relevance[strong].min()) / 2
+
+        rng = np.random.default_rng(21)
+        runs = np.arange(seq_length) % 5 < 3  # strong, strong, strong, weak, weak, ...
+        tokens = np.stack(
+            [
+                rng.choice(strong, seq_length),
+                np.where(runs, rng.choice(strong, seq_length), rng.choice(weak, seq_length)),
+                rng.choice(weak, seq_length),
+            ]
+        )
+        links = [
+            PredictedLink(
+                h_bar=np.tanh(rng.normal(size=model.hidden_size)),
+                c_bar=rng.normal(size=model.hidden_size),
+            )
+            for _ in range(model.num_layers)
+        ]
+        config = ExecutionConfig(
+            mode=ExecutionMode.COMBINED, alpha_inter=alpha_inter, alpha_intra=0.4, mts=3
+        )
+        out = LSTMExecutor(network, config, predicted_links=links).run_batch(tokens)
+        ref = ReferenceExecutor(network, config, predicted_links=links).run_batch(tokens)
+
+        divisions = [len(plan.layers[0].breakpoints) for plan in out.plans]
+        assert divisions[0] == 0 and divisions[2] == seq_length - 1
+        assert 0 < divisions[1] < seq_length - 1
+        skipped = [t.skip_fraction for plan in out.plans for t in plan.layers[0].tissues]
+        assert any(skipped)  # DRS really is on
+        assert np.array_equal(out.logits, ref.logits)
+        for h_b, h_r in zip(out.layer_outputs, ref.layer_outputs):
+            assert np.array_equal(h_b, h_r)
+        assert_plans_equal(out.plans, ref.plans)
+
+
 class TestPerSequenceMatchesBatch:
     @settings(max_examples=30, deadline=None)
     @given(case=executor_cases())
@@ -156,7 +220,7 @@ class TestPerSequenceMatchesBatch:
             # Every mode is batch-composition-invariant: the stepwise
             # recurrences and the pooled head run as stacked per-row GEMVs
             # and the combined walk dispatches the same GEMM per
-            # leading-axis slice at any group size — so trajectories,
+            # leading-axis slice in any wave — so trajectories,
             # plan floats, and logits are all bit-exact.
             assert_plans_equal(solo.plans, [batch_out.plans[b]])
             for h_solo, h_batch in zip(solo.layer_outputs, batch_out.layer_outputs):

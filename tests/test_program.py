@@ -28,7 +28,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.config import LSTMConfig  # noqa: E402
+from repro.config import AppConfig, LSTMConfig, TaskFamily  # noqa: E402
 from repro.core import program as program_module  # noqa: E402
 from repro.core.context_prediction import PredictedLink  # noqa: E402
 from repro.core.executor import (  # noqa: E402
@@ -40,6 +40,7 @@ from repro.core.program import ProgramCache, sigmoid_into  # noqa: E402
 from repro.core.reference import ReferenceExecutor  # noqa: E402
 from repro.errors import ConfigurationError  # noqa: E402
 from repro.nn.activations import sigmoid  # noqa: E402
+from repro.nn.model_zoo import build_calibrated_network  # noqa: E402
 from repro.nn.network import LSTMNetwork  # noqa: E402
 
 VOCAB = 31
@@ -349,3 +350,55 @@ class TestAllocationRegression:
         assert warm.timings["compile_wall_s"] == 0.0
         assert executor.program_cache.stats.misses > 0
         assert executor.program_cache.stats.hits > 0
+
+
+class TestFreshInputsReplayPrograms:
+    """Plans are run-time inputs of the combined program: new tokens at one
+    ``(B, T)`` replay the layer's program — one per layer (and per dispatch
+    slot), never one per distinct plan."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_combined_program_cache_counters(self, threads):
+        # A calibrated network: random weights saturate Algorithm 2, so
+        # every sequence would plan alike at any threshold.
+        model = LSTMConfig(hidden_size=16, num_layers=2, seq_length=10, input_size=16)
+        app = AppConfig(
+            name="FRESH",
+            family=TaskFamily.SENTIMENT_CLASSIFICATION,
+            model=model,
+            vocab_size=VOCAB,
+            num_classes=CLASSES,
+        )
+        network = build_calibrated_network(app, seed=13)
+        rng = np.random.default_rng(14)
+
+        def draw():
+            return rng.integers(0, VOCAB, size=(4, model.seq_length))
+
+        probe = LSTMExecutor(
+            network, ExecutionConfig(mode=ExecutionMode.INTER, alpha_inter=1.0)
+        ).run_batch(draw())
+        alpha_inter = float(np.median([p.layers[0].relevance[1:] for p in probe.plans]))
+        config = ExecutionConfig(
+            mode=ExecutionMode.COMBINED,
+            alpha_inter=alpha_inter,
+            alpha_intra=0.4,
+            mts=3,
+            threads=threads,
+        )
+        executor = LSTMExecutor(network, config)
+        schedules = set()
+        for call in range(3):
+            out = executor.run_batch(draw())
+            schedules |= {
+                tuple(tuple(t.cells) for t in plan.layers[0].tissues) for plan in out.plans
+            }
+            if call:
+                assert out.timings["compile_wall_s"] == 0.0
+        assert len(schedules) > 4  # the inputs really did plan differently
+        programs = network.num_layers * threads
+        cache = executor.program_cache
+        assert cache.stats.misses == programs
+        assert cache.stats.hits == 2 * programs
+        assert cache.stats.evictions == 0
+        assert len(cache) == programs
