@@ -12,6 +12,10 @@ arithmetic) on the same workloads, verifies bit-identical outputs, writes
   sample, unlike plans inside every batch, plan cache cold) must compile
   nothing after warm-up — the replayed 64-sequence batch above has one
   plan for all sequences and cannot see a per-plan program key,
+* one executor plus its warmed streaming programs must hold at most a
+  quarter of the network's weight bytes (``resident_bytes``, numpy and
+  cgen): weights exist once, in the network, and programs own only their
+  workspace,
 * attaching an enabled :class:`repro.obs.recorder.Recorder` must not
   change a logits bit and must stay under a 5 % wall-clock overhead.
 
@@ -49,18 +53,21 @@ import json
 import pathlib
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
 from dataclasses import replace
 
 from repro.config import AppConfig, LSTMConfig, TaskFamily
+from repro.core.backends import backend_availability
 from repro.core.executor import ExecutionConfig, ExecutionMode, LSTMExecutor
 from repro.bench.deflake import REPEATS, WARMUP, gc_paused, pick
 from repro.bench.gates import GateSet
 from repro.core.plan import PlanCache
 from repro.core.reference import ReferenceExecutor
 from repro.gpu.simulator import TimingSimulator
+from repro.nn.backprop import network_parameters
 from repro.nn.model_zoo import build_calibrated_network
 from repro.nn.network import LSTMNetwork
 from repro.obs import Recorder
@@ -89,6 +96,15 @@ MIN_INT8_COMBINED_TRAFFIC_REDUCTION = 3.0
 
 #: Recorder-enabled wall-clock must stay within this factor of recorder-off.
 MAX_RECORDER_OVERHEAD = 1.05
+
+#: Bytes held by one executor and its warmed programs, as a share of the
+#: network's weight bytes. Copying executors read 0.7-1.0 here (a united
+#: copy per executor, a restacked ``U`` per program); the cgen backend's
+#: one dense ``W^T`` per layer is the only weight-sized thing left.
+MAX_RESIDENT_SHARE = 0.25
+#: The ``(batch, chunk)`` shapes the resident-bytes row warms: token by
+#: token, and a full streaming tick.
+RESIDENT_SHAPES = ((1, 1), (8, 4))
 
 NUM_SEQUENCES = 64
 #: The fresh-input row serves shards of this many sequences.
@@ -282,6 +298,73 @@ def combined_fresh(gates: GateSet) -> dict:
     return row
 
 
+def resident_bytes(gates: GateSet) -> dict:
+    """What an executor adds to the memory its network already holds.
+
+    A small LM-shaped server model (H=256, two layers, 4096-word embedding
+    and per-timestep head: 25 MB of fp64 parameters) run in streaming INTRA
+    at :data:`RESIDENT_SHAPES`. ``held_bytes`` is ``tracemalloc``'s count
+    of everything still alive after construction and warm-up — the
+    executor, its program cache and every compiled program — with the
+    outputs dropped. A count, not a timing: it repeats exactly.
+    """
+    config = LSTMConfig(hidden_size=256, num_layers=2, seq_length=64, input_size=256)
+    network = LSTMNetwork(
+        config, vocab_size=4096, num_classes=4096, seed=11, per_timestep_head=True
+    )
+    weight_bytes = sum(array.nbytes for array in network_parameters(network))
+    row: dict = {
+        "hidden_size": config.hidden_size,
+        "num_layers": config.num_layers,
+        "shapes": [list(shape) for shape in RESIDENT_SHAPES],
+        "weight_bytes": weight_bytes,
+        "max_share": MAX_RESIDENT_SHARE,
+    }
+    states = np.zeros((config.num_layers, 8, config.hidden_size))
+    for backend, (available, reason) in backend_availability().items():
+        if not available:
+            row[backend] = {"skipped": reason}
+            continue
+        execution = ExecutionConfig(
+            mode=ExecutionMode.INTRA, alpha_intra=0.05, backend=backend
+        )
+        # Untraced first: the cgen library build/load is per process, not
+        # per executor.
+        LSTMExecutor(network, execution).run_stream(
+            np.zeros((1, 1), dtype=np.int64), states[:, :1].copy(), states[:, :1].copy()
+        )
+        tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        executor = LSTMExecutor(network, execution)
+        for batch, chunk in RESIDENT_SHAPES:
+            executor.run_stream(
+                np.zeros((batch, chunk), dtype=np.int64),
+                states[:, :batch].copy(),
+                states[:, :batch].copy(),
+            )
+        held = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.stop()
+        share = held / weight_bytes
+        gates.require_at_most(
+            f"resident-bytes/{backend}",
+            share,
+            MAX_RESIDENT_SHARE,
+            "executor + warmed programs over the network's weight bytes",
+        )
+        row[backend] = {
+            "held_bytes": held,
+            "share": share,
+            "programs": len(executor.program_cache),
+        }
+        print(
+            f"{'resident':10s} {backend:6s} holds {held / 1e6:6.2f} MB beside "
+            f"{weight_bytes / 1e6:6.2f} MB of weights   "
+            f"{share:5.3f} (gate <= {MAX_RESIDENT_SHARE})   "
+            f"{len(executor.program_cache)} warmed programs"
+        )
+    return row
+
+
 def recorder_overhead(
     network: LSTMNetwork, tokens: np.ndarray, repeats: int = RECORDER_REPEATS
 ) -> dict:
@@ -427,6 +510,7 @@ def run() -> tuple[dict, GateSet]:
         )
 
     results["combined_fresh"] = combined_fresh(gates)
+    results["resident_bytes"] = resident_bytes(gates)
 
     recorder = recorder_overhead(network, tokens)
     gates.require_true(

@@ -17,7 +17,9 @@ LSTMExecutor` lowers plans into compiled programs:
 The name is checked once, at executor construction
 (:func:`resolve_backend`), so a missing toolchain fails fast with a
 :class:`~repro.errors.BackendUnavailableError` naming the reason rather
-than deep inside a run. Two invariants the non-oracle backend keeps:
+than deep inside a run. Programs of every backend are built from the
+layer's ``_UnitedWeights`` — views of the network's own blocks — and own
+only their workspace. Two invariants the non-oracle backend keeps:
 
 * **Plans are backend-invariant.** Anywhere the inter-level planner reads
   projection bits (combined mode, inter-active stepwise), the projection

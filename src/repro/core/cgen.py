@@ -27,6 +27,11 @@ The input projections are hoisted out of the kernels: the program stages
 the planner's bit-exact per-row lift (``exact=True``), which keeps
 structural plans identical across backends.
 
+The kernels read the layer's united ``U`` / ``b`` blocks in place (the
+row-major layout :class:`~repro.nn.lstm_cell.LSTMCellWeights` stores), so
+a program owns only its workspace; the batched input GEMM's dense ``W^T``
+is the one staged copy, made once per layer and shared by its programs.
+
 Numerics contract: these kernels are **tolerance-level**, not bit-exact —
 plain ``1/(1+exp(-x))``/``tanh`` in fp64 and natural dot-product order
 instead of the numpy programs' BLAS-dispatch-pinned ladders. The frozen
@@ -383,10 +388,10 @@ class CGenStepwiseProgram:
         self.seq_len = seq_len
         self.hidden = hidden
         self.drs_alpha = drs_alpha
-        self._u = np.ascontiguousarray(united.u)
-        self._b = np.ascontiguousarray(united.b)
+        self._u = united.u
+        self._b = united.b
         self._w_t = united.w.T  # (E, 4H) view: exact per-row lift operand
-        self._w_t_dense = np.ascontiguousarray(united.w.T)  # big-GEMM operand
+        self._w_t_dense = united.dense_w_t()  # big-GEMM operand, one per layer
         self._h_bar = np.ascontiguousarray(link.h_bar)
         self._c_bar = np.ascontiguousarray(link.c_bar)
         self._slices = dict(united.slices)
@@ -475,8 +480,8 @@ class CGenCombinedProgram:
         self.seq_len = seq_len
         self.hidden = hidden
         self.alpha_intra = alpha_intra
-        self._u = np.ascontiguousarray(united.u)
-        self._b = np.ascontiguousarray(united.b)
+        self._u = united.u
+        self._b = united.b
         self._h_bar = np.ascontiguousarray(link.h_bar)
         self._c_bar = np.ascontiguousarray(link.c_bar)
         self._scratch = np.empty(3 * min(mts, seq_len) * hidden)

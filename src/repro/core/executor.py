@@ -52,7 +52,8 @@ measured on calibrated BABI at ``H = 256``).
 ``tests/test_executor.py`` pins the grade at serving geometry.
 
 Every layer runs as a preallocated, fused program
-(:mod:`repro.core.program`): staged gate weights, a reusable workspace,
+(:mod:`repro.core.program`): views of the layer's weight blocks (nothing
+here copies a weight), a reusable workspace,
 one stacked matmul per timestep, and in-place ufunc chains — the
 reference walk's bits with no per-step allocation; the readable
 specification of the arithmetic is that frozen reference. Programs are
@@ -322,16 +323,20 @@ class _DeferredStepStats:
 
 @dataclass
 class _UnitedWeights:
-    """The fused-gate view of one layer's weights.
+    """What one layer's programs compute on: the layer's own blocks.
 
-    Rows follow :data:`~repro.nn.lstm_cell.GATE_ORDER` — ``(f, i, c, o)`` —
-    so ``slices[g]`` selects gate ``g`` out of a ``(..., 4H)`` product.
+    ``w`` / ``u`` / ``b`` *are* the :class:`~repro.nn.lstm_cell.
+    LSTMCellWeights` blocks (for a fleet worker, the arena's shared pages),
+    never copies. Rows follow :data:`~repro.nn.lstm_cell.GATE_ORDER` —
+    ``(f, i, c, o)`` — so ``slices[g]`` selects gate ``g`` out of a
+    ``(..., 4H)`` product.
     """
 
     w: np.ndarray  # (4H, E)
     u: np.ndarray  # (4H, H)
     b: np.ndarray  # (4H,)
     slices: dict[str, slice]
+    _w_t_dense: np.ndarray | None = None
 
     @classmethod
     def from_weights(cls, weights: LSTMCellWeights) -> "_UnitedWeights":
@@ -340,9 +345,15 @@ class _UnitedWeights:
             gate: slice(k * hidden, (k + 1) * hidden)
             for k, gate in enumerate(GATE_ORDER)
         }
-        return cls(
-            w=weights.united_w(), u=weights.united_u(), b=weights.united_b(), slices=slices
-        )
+        return cls(w=weights.w, u=weights.u, b=weights.b, slices=slices)
+
+    def dense_w_t(self) -> np.ndarray:
+        """``W^T`` laid out dense ``(E, 4H)`` for the cgen backend's batched
+        input GEMM: the one staged weight copy, made once and shared by
+        every program of the layer."""
+        if self._w_t_dense is None:
+            self._w_t_dense = np.ascontiguousarray(self.w.T)
+        return self._w_t_dense
 
 
 class LSTMExecutor:
@@ -456,6 +467,9 @@ class LSTMExecutor:
             # so row ranges are recomputed from them.
             self._row_ranges = [recurrent_row_ranges(w) for w in self._weights]
         self._united = [_UnitedWeights.from_weights(w) for w in self._weights]
+        if not self._exact_backend:
+            for united in self._united:
+                united.dense_w_t()  # staged here, before dispatch threads could race to it
 
     # ----------------------------------------------------- per-thread state
 

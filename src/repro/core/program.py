@@ -6,14 +6,16 @@ each gate activation allocates fresh ``(B, H)`` arrays, every step
 re-derives operand views, and the pre-activation chain materializes three
 intermediates per gate. This module lowers one layer's execution — the
 timestep loop of the stepwise modes, or the shard-wide tissue walk of
-combined mode — into a *program*: an object that owns
+combined mode — into a *program*: an object that holds
 
-* **staged weights** — the per-gate recurrent blocks restacked once into a
-  ``(4, H, H)`` array (each block kept row-major, so BLAS sees the same
-  transposed-GEMV layout as the reference walk and the bits match),
+* **no weights of its own** — its operands are views of the layer's united
+  blocks (:class:`~repro.nn.lstm_cell.LSTMCellWeights`: ``U`` seen as
+  ``(4, H, H)``, ``b`` as ``(4, 1, H)``, ``W`` gate by gate, hence gate
+  slabs in ``GATE_ORDER``): the weights exist once, in the network or the
+  arena's shared pages, however many programs run on them,
 * **a single preallocated workspace** — gate slabs, ``h``/``c`` state,
-  DRS mask scratch — reused across timesteps and across runs via
-  ``np.matmul(..., out=)`` and in-place ufunc chains,
+  DRS mask scratch, all a program owns — reused across timesteps and
+  across runs via ``np.matmul(..., out=)`` and in-place ufunc chains,
 * **no structure** — what the inter level decided is a run-time input:
   breakpoint resets arrive as a per-timestep column list, tissue
   schedules as the index vectors cached on each sequence's plan
@@ -31,12 +33,14 @@ OpenBLAS, measured on this platform:
   stacked matmul ``(1, B, 1, H) @ (4, 1, H, H)``: each ``(1, H) @ (H, H)``
   slice dispatches the same GEMV as the per-gate call (0 mismatches in
   10^4 random trials), so a step costs one BLAS dispatch instead of four.
-* Gate blocks may be *restacked* (copied) as long as each ``(H, H)`` block
-  stays row-major and is consumed through a transpose view — layout is
-  what selects the BLAS kernel. Re-laying a block out transposed-
-  contiguous changes the reduction order and the bits (up to 100 %
-  mismatch measured), so that classic "pre-transpose the weights"
-  staging is deliberately NOT done here.
+* Each per-gate block stays row-major and is consumed through a
+  transpose view — layout is what selects the BLAS kernel, and a row
+  slice of the united block *is* the reference walk's ``u_g``. Re-laying
+  a block out transposed-contiguous changes the reduction order and the
+  bits (up to 100 % mismatch measured), so that classic "pre-transpose
+  the weights" staging is deliberately NOT done here.
+* The sigmoid gates activate as two in-place ladders — the contiguous
+  ``(f, i)`` pair, then ``o`` — elementwise, so the split moves no bit.
 * In-place ufunc chains (the sigmoid ladder below, ``tanh(out=)``, the
   cell update) are elementwise and bit-identical to their allocating
   forms; ``np.take(..., out=)`` and boolean ``np.copyto`` likewise.
@@ -46,8 +50,9 @@ are its only forward pass) and cached in a :class:`ProgramCache` keyed on
 (backend, weights fingerprint, link fingerprint, shapes, thresholds) and
 nothing input-dependent, so repeated runs, fresh inputs, threshold sweeps
 over ``alpha_inter`` and fleet shards of one shape all reuse one compiled
-program per layer. Workspace lifetime rule: a program owns its
-buffers for as long as it is cached; every run rewrites the full state
+program per layer, and an entry costs only its workspace (0.5 MB at
+``(8, 4)`` and ``H = 256``, kilobytes at ``(1, 1)``). Workspace lifetime
+rule: a program owns its buffers while it is cached; every run rewrites the full state
 (``h``/``c`` set on entry — zeros, or caller-injected resident state for
 the streaming runtime — and every output cell written), so consecutive
 runs are bit-identical to fresh executors — property-tested, including
@@ -66,18 +71,12 @@ import numpy as np
 
 from repro.core.plan import wave_schedule
 from repro.errors import ConfigurationError
+from repro.nn.lstm_cell import GATE_ORDER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.context_prediction import PredictedLink
     from repro.core.executor import _UnitedWeights
     from repro.core.plan import CachedLayerPlan
-
-#: Gate order of the *stacked* stepwise buffers: the three sigmoid gates
-#: first (one fused in-place sigmoid over a contiguous ``[:3]`` slab), the
-#: tanh candidate last. This is a buffer layout choice only — each gate's
-#: arithmetic is unchanged — and differs from the united-matrix row order
-#: ``GATE_ORDER`` (f, i, c, o), hence the explicit restack at compile time.
-STACK_ORDER: tuple[str, ...] = ("f", "i", "o", "c")
 
 #: Bound on one combined program's memoized size-class operand views (a
 #: few hundred bytes each; a serving shard sees a few hundred layouts).
@@ -159,12 +158,13 @@ class ProgramCacheStats:
 class ProgramCache:
     """Bounded LRU cache of compiled programs.
 
-    Programs own multi-megabyte workspaces, so the default bound is far
-    smaller than the :class:`~repro.core.plan.PlanCache` bound; an entry
-    is one (layer weights, shape, thresholds, dispatch slot) combination
-    — never one per input — so a serving workload at a steady shape
-    holds one entry per layer and slot and stops compiling after its
-    first request.
+    Programs own workspaces (``4 * B * T * H`` projection doubles
+    dominate: megabytes at batch shapes, kilobytes at streaming ones) and
+    no weights. The default bound is far smaller than the
+    :class:`~repro.core.plan.PlanCache` bound; an entry is one (layer
+    weights, shape, thresholds, dispatch slot) combination — never one per
+    input — so a serving workload at a steady shape holds one entry per
+    layer and slot and stops compiling after its first request.
 
     Thread-safe with *single-flight* compilation: under the in-process
     dispatcher (:mod:`repro.core.parallel`) several threads can request
@@ -258,15 +258,13 @@ class StepwiseProgram:
         self.hidden = hidden
         self.drs_alpha = drs_alpha
         self._link = link
-        sl = united.slices
-        # Staged weights: restack the recurrent gate blocks into STACK_ORDER.
-        # np.stack keeps each (H, H) block row-major — the layout that makes
-        # the transpose view below dispatch the same GEMV as the reference
+        # Operands: views of the layer's own blocks, one leading slice per
+        # gate. Each gate block is row-major and consumed through a transpose
+        # view, so the products below dispatch the same GEMV as the reference
         # walk's per-gate `h @ u_g.T` (see module docstring).
-        u_stack = np.stack([united.u[sl[g]] for g in STACK_ORDER])
-        self._u_op = u_stack.transpose(0, 2, 1)[:, None]  # (4, 1, H, H)
-        self._w_ops = [united.w[sl[g]].T for g in STACK_ORDER]  # (E, H) views
-        self._b = np.stack([united.b[sl[g]] for g in STACK_ORDER])[:, None, :]
+        self._u_op = united.u.reshape(4, hidden, hidden).transpose(0, 2, 1)[:, None]
+        self._w_ops = [united.w[sl].T for sl in united.slices.values()]  # (E, H)
+        self._b = united.b.reshape(4, 1, hidden)
 
         # The workspace: every per-step array the loop touches, allocated
         # once. `proj` is the largest block (4 * B * T * H doubles).
@@ -275,9 +273,9 @@ class StepwiseProgram:
         self.c = np.zeros((batch, hidden))
         self._hu = np.empty((4, batch, 1, hidden))
         self._pre = np.empty((4, batch, hidden))
-        self._s1 = np.empty((3, batch, hidden))
-        self._s2 = np.empty((3, batch, hidden))
-        self._m = np.empty((3, batch, hidden), dtype=bool)
+        s1 = np.empty((3, batch, hidden))
+        s2 = np.empty((3, batch, hidden))
+        m = np.empty((3, batch, hidden), dtype=bool)
         self._t1 = np.empty((batch, hidden))
         #: Per-step DRS masks (read by the executor for skip statistics);
         #: fully rewritten on every DRS run.
@@ -303,8 +301,12 @@ class StepwiseProgram:
         # Fixed views, built once so the loop creates no per-step objects.
         self._h_op = self.h[None, :, None, :]  # (1, B, 1, H) matmul operand
         self._huv = self._hu[:, :, 0, :]  # (4, B, H)
-        self._sig = self._pre[:3]  # the three sigmoid gates, contiguous
-        self._f, self._i, self._o, self._g = self._pre
+        self._f, self._i, self._g, self._o = self._pre
+        # The sigmoid gates in place: the contiguous (f, i) pair, then o,
+        # each as (x, out, s1, s2, mask) of one sigmoid_into call.
+        fi = self._pre[:2]
+        self._sig_fi = (fi, fi, s1[:2], s2[:2], m[:2])
+        self._sig_o = (self._o, self._o, s1[2], s2[2], m[2])
         self._proj_t = [self.proj[:, :, t] for t in range(seq_len)]
         self._mask_t = (
             [self.masks_all[:, t] for t in range(seq_len)]
@@ -327,7 +329,7 @@ class StepwiseProgram:
         lowering always projects exactly — it *is* the oracle.
         """
         project_rows(xs, self._w_ops, self.proj)
-        return {g: self.proj[idx] for idx, g in enumerate(STACK_ORDER)}
+        return dict(zip(GATE_ORDER, self.proj))
 
     def execute(
         self,
@@ -386,11 +388,12 @@ class StepwiseProgram:
             np.matmul(prev_op, self._u_op, out=self._hu)
             np.add(self._proj_t[t], self._huv, out=self._pre)
             np.add(self._pre, self._b, out=self._pre)
-            sigmoid_into(self._sig, self._sig, self._s1, self._s2, self._m)
+            sigmoid_into(*self._sig_fi)
+            sigmoid_into(*self._sig_o)
             if drs:
                 # Algorithm 3: the activated output gate decides how much
                 # of the remaining elementwise work survives this step.
-                # The fused three-gate sigmoid above stays on the hot path
+                # The full-width sigmoids above stay on the hot path
                 # (per-element, so activating f/i before the mask is known
                 # is bit-free); only the tanh + cell update compact.
                 mask = self._mask_t[t]

@@ -182,17 +182,8 @@ class Gradients:
         The order matches :func:`network_parameters`, so optimizers can
         zip parameters with gradients positionally.
         """
-        out = [self.embedding]
-        for layer in self.layers:
-            for gate in GATE_ORDER:
-                out.append(layer.gate_w(gate))
-            for gate in GATE_ORDER:
-                out.append(layer.gate_u(gate))
-            for gate in GATE_ORDER:
-                out.append(layer.gate_b(gate))
-        out.append(self.head_weight)
-        out.append(self.head_bias)
-        return out
+        cells = [array for layer in self.layers for array in _cell_arrays(layer)]
+        return [self.embedding, *cells, self.head_weight, self.head_bias]
 
     def allclose(self, other: "Gradients", exact: bool = True) -> bool:
         """Compare two gradient sets array-wise (exact bit equality by
@@ -218,18 +209,14 @@ def network_parameters(network: LSTMNetwork) -> list[np.ndarray]:
     ``b_{f,i,c,o}``, then head weight and bias — matching
     :meth:`Gradients.arrays`.
     """
-    out = [network.embedding]
-    for layer in network.layers:
-        weights = layer.weights
-        for gate in GATE_ORDER:
-            out.append(weights.gate_w(gate))
-        for gate in GATE_ORDER:
-            out.append(weights.gate_u(gate))
-        for gate in GATE_ORDER:
-            out.append(weights.gate_b(gate))
-    out.append(network.head_weight)
-    out.append(network.head_bias)
-    return out
+    cells = [array for layer in network.layers for array in _cell_arrays(layer.weights)]
+    return [network.embedding, *cells, network.head_weight, network.head_bias]
+
+
+def _cell_arrays(weights: LSTMCellWeights) -> list[np.ndarray]:
+    """One cell's twelve per-gate arrays — views of its united blocks, so an
+    in-place optimizer step updates the weights every executor runs on."""
+    return [getattr(weights, f"{kind}_{gate}") for kind in "wub" for gate in GATE_ORDER]
 
 
 def analytic_saved_bytes(
@@ -483,12 +470,12 @@ def _layer_backward(
     h_prevs[:, 0] = 0.0
     h_prevs[:, 1:] = saved.y[:, :-1]
     flat_h = h_prevs.reshape(batch * seq_len, hidden)
-    grads: dict[str, np.ndarray] = {}
+    layer_grads = LSTMCellWeights.zeros(hidden, flat_x.shape[1])
     for gate in GATE_ORDER:
         flat_dpre = dpre[gate].reshape(batch * seq_len, hidden)
-        grads[f"w_{gate}"] = flat_dpre.T @ flat_x
-        grads[f"u_{gate}"] = flat_dpre.T @ flat_h
-        grads[f"b_{gate}"] = dpre[gate].sum(axis=(0, 1))
+        np.matmul(flat_dpre.T, flat_x, out=layer_grads.gate_w(gate))
+        np.matmul(flat_dpre.T, flat_h, out=layer_grads.gate_u(gate))
+        dpre[gate].sum(axis=(0, 1), out=layer_grads.gate_b(gate))
 
     d_xs = (
         dpre["f"].reshape(batch * seq_len, hidden) @ weights.w_f
@@ -496,11 +483,6 @@ def _layer_backward(
         + dpre["c"].reshape(batch * seq_len, hidden) @ weights.w_c
         + dpre["o"].reshape(batch * seq_len, hidden) @ weights.w_o
     ).reshape(xs.shape)
-    layer_grads = LSTMCellWeights(
-        w_f=grads["w_f"], w_i=grads["w_i"], w_c=grads["w_c"], w_o=grads["w_o"],
-        u_f=grads["u_f"], u_i=grads["u_i"], u_c=grads["u_c"], u_o=grads["u_o"],
-        b_f=grads["b_f"], b_i=grads["b_i"], b_c=grads["b_c"], b_o=grads["b_o"],
-    )
     return d_xs, layer_grads
 
 

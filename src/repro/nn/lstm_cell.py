@@ -37,52 +37,50 @@ GATE_ORDER: tuple[str, ...] = ("f", "i", "c", "o")
 
 @dataclass
 class LSTMCellWeights:
-    """Weights of one LSTM layer's cell.
+    """Weights of one LSTM layer's cell, stored united.
 
-    The per-gate matrices are stored separately (``w_f .. b_o``) because the
-    optimizations treat them differently — DRS skips rows of ``U_f, U_i,
-    U_c`` but never ``U_o`` — while :meth:`united_u` / :meth:`united_w`
-    expose the concatenated forms the GPU kernels operate on.
+    Three row-major blocks in :data:`GATE_ORDER` — ``w`` ``(4H, E)``, ``u``
+    ``(4H, H)``, ``b`` ``(4H,)``, the forms the GPU kernels operate on — are
+    the only storage; :meth:`united_w` / :meth:`united_u` / :meth:`united_b`
+    return them, not copies. The per-gate names ``w_f .. b_o`` (the
+    optimizations treat gates differently — DRS skips rows of ``U_f, U_i,
+    U_c`` but never ``U_o``) are row slices of the blocks: each keeps its
+    own row-major layout, and reads, in-place updates and assignments all
+    land in the one copy that executors, compiled programs and the
+    shared-memory arena compute on.
     """
 
-    w_f: np.ndarray
-    w_i: np.ndarray
-    w_c: np.ndarray
-    w_o: np.ndarray
-    u_f: np.ndarray
-    u_i: np.ndarray
-    u_c: np.ndarray
-    u_o: np.ndarray
-    b_f: np.ndarray
-    b_i: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
+    w: np.ndarray
+    u: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self) -> None:
-        hidden = self.u_f.shape[0]
-        for name in ("u_f", "u_i", "u_c", "u_o"):
-            mat = getattr(self, name)
-            if mat.shape != (hidden, hidden):
-                raise ShapeError(f"{name} must be ({hidden}, {hidden}), got {mat.shape}")
-        input_size = self.w_f.shape[1]
-        for name in ("w_f", "w_i", "w_c", "w_o"):
-            mat = getattr(self, name)
-            if mat.shape != (hidden, input_size):
-                raise ShapeError(f"{name} must be ({hidden}, {input_size}), got {mat.shape}")
-        for name in ("b_f", "b_i", "b_c", "b_o"):
-            vec = getattr(self, name)
-            if vec.shape != (hidden,):
-                raise ShapeError(f"{name} must be ({hidden},), got {vec.shape}")
+        hidden = self.u.shape[-1]
+        if self.u.shape != (4 * hidden, hidden):
+            raise ShapeError(f"u must be ({4 * hidden}, {hidden}), got {self.u.shape}")
+        if self.w.ndim != 2 or self.w.shape[0] != 4 * hidden:
+            raise ShapeError(f"w must be ({4 * hidden}, E), got {self.w.shape}")
+        if self.b.shape != (4 * hidden,):
+            raise ShapeError(f"b must be ({4 * hidden},), got {self.b.shape}")
+        if not all(block.flags.c_contiguous for block in (self.w, self.u, self.b)):
+            # Gate slices and the programs' (4, H, ·) reshapes must be views.
+            raise ShapeError("w, u and b must be C-contiguous (row-major)")
+
+    @classmethod
+    def zeros(cls, hidden_size: int, input_size: int) -> "LSTMCellWeights":
+        """All-zero blocks, for callers that fill them gate by gate."""
+        rows = 4 * hidden_size
+        return cls(np.zeros((rows, input_size)), np.zeros((rows, hidden_size)), np.zeros(rows))
 
     @property
     def hidden_size(self) -> int:
         """Number of hidden units ``H``."""
-        return self.u_f.shape[0]
+        return self.u.shape[1]
 
     @property
     def input_size(self) -> int:
         """Width of the layer input ``x_t``."""
-        return self.w_f.shape[1]
+        return self.w.shape[1]
 
     def gate_w(self, gate: str) -> np.ndarray:
         """Input-projection matrix ``W_gate``."""
@@ -97,16 +95,16 @@ class LSTMCellWeights:
         return getattr(self, f"b_{gate}")
 
     def united_w(self) -> np.ndarray:
-        """Concatenated ``W_{f,i,c,o}`` of shape ``(4H, input_size)``."""
-        return np.concatenate([self.gate_w(g) for g in GATE_ORDER], axis=0)
+        """The ``W_{f,i,c,o}`` block, shape ``(4H, input_size)`` (not a copy)."""
+        return self.w
 
     def united_u(self) -> np.ndarray:
-        """Concatenated ``U_{f,i,c,o}`` of shape ``(4H, H)``."""
-        return np.concatenate([self.gate_u(g) for g in GATE_ORDER], axis=0)
+        """The ``U_{f,i,c,o}`` block, shape ``(4H, H)`` (not a copy)."""
+        return self.u
 
     def united_b(self) -> np.ndarray:
-        """Concatenated bias ``b_{f,i,c,o}`` of shape ``(4H,)``."""
-        return np.concatenate([self.gate_b(g) for g in GATE_ORDER], axis=0)
+        """The bias block ``b_{f,i,c,o}``, shape ``(4H,)`` (not a copy)."""
+        return self.b
 
     @classmethod
     def initialize(
@@ -123,20 +121,34 @@ class LSTMCellWeights:
         for the recurrent projections; the forget-gate bias follows the
         common positive-bias convention so fresh cells retain state.
         """
-        return cls(
-            w_f=init.xavier_uniform(hidden_size, input_size),
-            w_i=init.xavier_uniform(hidden_size, input_size),
-            w_c=init.xavier_uniform(hidden_size, input_size),
-            w_o=init.xavier_uniform(hidden_size, input_size),
-            u_f=init.orthogonal(hidden_size, hidden_size, gain=recurrent_scale),
-            u_i=init.orthogonal(hidden_size, hidden_size, gain=recurrent_scale),
-            u_c=init.orthogonal(hidden_size, hidden_size, gain=recurrent_scale),
-            u_o=init.orthogonal(hidden_size, hidden_size, gain=recurrent_scale),
-            b_f=init.bias(hidden_size, value=forget_bias),
-            b_i=init.bias(hidden_size),
-            b_c=init.bias(hidden_size),
-            b_o=init.bias(hidden_size),
-        )
+        weights = cls.zeros(hidden_size, input_size)
+        for gate in GATE_ORDER:
+            weights.gate_w(gate)[...] = init.xavier_uniform(hidden_size, input_size)
+        for gate in GATE_ORDER:
+            weights.gate_u(gate)[...] = init.orthogonal(
+                hidden_size, hidden_size, gain=recurrent_scale
+            )
+        weights.b_f = forget_bias
+        return weights
+
+
+def _gate_slice(kind: str, index: int) -> property:
+    """Rows ``index * H .. (index + 1) * H`` of block ``kind`` as an attribute
+    that reads a view and assigns through it."""
+
+    def view(self: LSTMCellWeights) -> np.ndarray:
+        hidden = self.u.shape[1]
+        return getattr(self, kind)[index * hidden : (index + 1) * hidden]
+
+    def assign(self: LSTMCellWeights, value) -> None:
+        view(self)[...] = value
+
+    return property(view, assign)
+
+
+for _index, _gate in enumerate(GATE_ORDER):
+    for _kind in "wub":
+        setattr(LSTMCellWeights, f"{_kind}_{_gate}", _gate_slice(_kind, _index))
 
 
 @dataclass

@@ -208,7 +208,8 @@ def _calibrated_cell(
     input_rms: float,
 ) -> LSTMCellWeights:
     decay = profile.layer_decay**layer_index
-    kwargs = {}
+    # Every gate is drawn straight into the united blocks (rng order unchanged).
+    weights = LSTMCellWeights.zeros(hidden, input_size)
     gate_preact_std = {
         "o": profile.output_gate_preact_std,
         "f": profile.forget_gate_preact_std,
@@ -216,11 +217,11 @@ def _calibrated_cell(
         "c": profile.input_preact_std,
     }
     for gate in GATE_ORDER:
-        target = gate_preact_std[gate]
-        kwargs[f"w_{gate}"] = _input_matrix(rng, hidden, input_size, target * decay, input_rms)
-        kwargs[f"u_{gate}"] = _sparse_recurrent_matrix(rng, hidden, profile)
+        target = gate_preact_std[gate] * decay
+        weights.gate_w(gate)[...] = _input_matrix(rng, hidden, input_size, target, input_rms)
+        weights.gate_u(gate)[...] = _sparse_recurrent_matrix(rng, hidden, profile)
     memory_dims = rng.random(hidden) < profile.forget_memory_fraction
-    kwargs["b_f"] = np.where(
+    weights.b_f = np.where(
         memory_dims,
         rng.normal(profile.forget_memory_bias, profile.forget_memory_spread, size=hidden),
         rng.normal(profile.forget_bias_mean, profile.forget_bias_std, size=hidden),
@@ -230,12 +231,12 @@ def _calibrated_cell(
     # behaviour of trained LSTM memory cells). This is what keeps the
     # per-step perturbation noise of the approximations from integrating
     # into the persistent state over long sequences.
-    kwargs["b_i"] = np.where(
+    weights.b_i = np.where(
         memory_dims,
         rng.normal(-2.5, 0.5, size=hidden),
         rng.normal(0.0, 1.0, size=hidden),
     )
-    kwargs["b_c"] = rng.normal(0.0, 0.8, size=hidden)
+    weights.b_c = rng.normal(0.0, 0.8, size=hidden)
     # Closed output gates correlate with short-horizon dimensions: a
     # trained network gains nothing from long-range state it never outputs,
     # so persistent-memory dimensions keep their gates (mostly) open. The
@@ -248,20 +249,18 @@ def _calibrated_cell(
     )
     p_closed = np.where(memory_dims, closed_if_memory, closed_if_normal)
     closed = rng.random(hidden) < p_closed
-    kwargs["b_o"] = np.where(
+    weights.b_o = np.where(
         closed,
         rng.normal(profile.output_closed_bias, profile.output_closed_spread, size=hidden),
         rng.normal(profile.output_open_bias, profile.output_open_spread, size=hidden),
     )
-    _install_boundary_structure(rng, kwargs, hidden, input_size, profile, layer_index)
-    return LSTMCellWeights(**kwargs)
+    _install_boundary_structure(rng, weights, profile, layer_index)
+    return weights
 
 
 def _install_boundary_structure(
     rng: np.random.Generator,
-    kwargs: dict[str, np.ndarray],
-    hidden: int,
-    input_size: int,
+    weights: LSTMCellWeights,
     profile: CalibrationProfile,
     layer_index: int,
 ) -> None:
@@ -279,7 +278,8 @@ def _install_boundary_structure(
     """
     if profile.boundary_rate <= 0.0:
         return
-    bc = input_size - 1
+    hidden = weights.hidden_size
+    bc = weights.input_size - 1
     # Layer 0 reads the raw flag (level 1.0); upper layers read the previous
     # layer's channel, which tops out at _BOUNDARY_CHANNEL_LEVEL.
     level = 1.0 if layer_index == 0 else _BOUNDARY_CHANNEL_LEVEL
@@ -293,7 +293,7 @@ def _install_boundary_structure(
         ("o", profile.boundary_gamma_o),
         ("i", profile.boundary_gamma_i),
     ):
-        kwargs[f"w_{gate}"][:, bc] = (
+        weights.gate_w(gate)[:, bc] = (
             -(gamma * depth / level) * rng.uniform(0.85, 1.15, size=hidden)
         )
 
@@ -301,13 +301,13 @@ def _install_boundary_structure(
     # open), candidate driven purely by the boundary feature.
     ch = hidden - 1
     for gate in GATE_ORDER:
-        kwargs[f"w_{gate}"][ch, :] = 0.0
-        kwargs[f"u_{gate}"][ch, :] = 0.0
-    kwargs["w_c"][ch, bc] = 2.5 / level
-    kwargs["b_f"][ch] = -4.0
-    kwargs["b_i"][ch] = 3.0
-    kwargs["b_o"][ch] = 3.0
-    kwargs["b_c"][ch] = 0.0
+        weights.gate_w(gate)[ch, :] = 0.0
+        weights.gate_u(gate)[ch, :] = 0.0
+    weights.w_c[ch, bc] = 2.5 / level
+    weights.b_f[ch] = -4.0
+    weights.b_i[ch] = 3.0
+    weights.b_o[ch] = 3.0
+    weights.b_c[ch] = 0.0
 
 
 def build_calibrated_network(
@@ -359,9 +359,11 @@ def build_calibrated_network(
         head_pool=head_pool,
     )
     rng = np.random.default_rng(seed + 0xC0FFEE)
-    network.embedding = rng.normal(
-        0.0, profile.embedding_std, size=network.embedding.shape
-    )
+    # The constructor's draws only pin the seeded rng order: each is dropped
+    # before its replacement is drawn, so the build never holds two copies.
+    embedding_shape = network.embedding.shape
+    network.embedding = None
+    network.embedding = rng.normal(0.0, profile.embedding_std, size=embedding_shape)
     # Boundary tokens: a vocabulary share acting as clause separators. The
     # last embedding coordinate is their flag (read by the layer-0 gate
     # closures installed below).
@@ -378,6 +380,7 @@ def build_calibrated_network(
         # bounded hidden sequences whose RMS is empirically ~0.3 for
         # calibrated cells.
         input_rms = profile.embedding_std if layer_index == 0 else 0.3
+        layer.weights = None
         layer.weights = _calibrated_cell(
             rng,
             config.hidden_size,
@@ -406,8 +409,13 @@ def _informativeness_scale_head(network: LSTMNetwork, rng: np.random.Generator) 
     probe = rng.integers(0, network.vocab_size, size=(4, network.config.seq_length))
     hs = []
     for row in probe:
-        hs.append(network.forward(row).layer_outputs[-1])
+        # The layers only: the probe reads the top hidden sequence, and a
+        # per-timestep LM head would cost (T, classes) logits it never uses.
+        xs = network.embed(row)
+        for layer in network.layers:
+            xs, _ = layer.forward(xs)
+        hs.append(xs)
     stacked = np.concatenate(hs, axis=0)
     rms = np.sqrt((stacked**2).mean(axis=0))
     scale = rms / max(float(rms.mean()), 1e-12)
-    network.head_weight = network.head_weight * scale[None, :]
+    network.head_weight *= scale[None, :]

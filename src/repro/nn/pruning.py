@@ -108,19 +108,13 @@ def zero_prune(
 def prune_cell_weights(weights, prune_fraction: float):
     """Zero-prune the recurrent matrices of an LSTM cell in place-free style.
 
-    Returns a new :class:`~repro.nn.lstm_cell.LSTMCellWeights` with pruned
-    ``U`` matrices plus the aggregate :class:`ZeroPruningResult` statistics
-    for the united matrix (what the GPU kernel would actually stream).
+    Returns a new :class:`~repro.nn.lstm_cell.LSTMCellWeights` holding a
+    pruned ``U`` block of its own and the *source's* ``W`` / ``b`` blocks
+    (pruning never touches them, so they are shared, not copied), plus the
+    aggregate :class:`ZeroPruningResult` statistics for the united matrix
+    (what the GPU kernel would actually stream).
     """
-    from repro.nn.lstm_cell import LSTMCellWeights  # local import avoids a cycle
-
-    united = weights.united_u()
-    aggregate = zero_prune(united, prune_fraction=prune_fraction)
-    kwargs = {}
-    for gate in ("f", "i", "c", "o"):
-        kwargs[f"w_{gate}"] = weights.gate_w(gate)
-        kwargs[f"b_{gate}"] = weights.gate_b(gate)
-        kwargs[f"u_{gate}"] = zero_prune(
-            weights.gate_u(gate), threshold=aggregate.threshold
-        ).pruned
-    return LSTMCellWeights(**kwargs), aggregate
+    aggregate = zero_prune(weights.united_u(), prune_fraction=prune_fraction)
+    # One threshold over the united matrix is an elementwise rule, so the
+    # united result *is* the four per-gate prunes, already in block form.
+    return type(weights)(weights.w, aggregate.pruned, weights.b), aggregate

@@ -224,21 +224,27 @@ def quantize_cell_weights(
             "fp64 is the identity policy"
         )
     gates = _gate_order_for(weights)
-    qw: dict[str, QuantizedMatrix] = {}
-    qu: dict[str, QuantizedMatrix] = {}
-    kwargs: dict[str, np.ndarray] = {}
-    for gate in gates:
-        for prefix, store in (("w", qw), ("u", qu)):
-            name = f"{prefix}_{gate}"
-            qm = quantize_matrix(getattr(weights, name), precision)
-            store[gate] = qm
-            kwargs[name] = qm.dequantize()
-        kwargs[f"b_{gate}"] = getattr(weights, f"b_{gate}")
-    return QuantizedCell(
-        precision=precision,
-        dequantized=type(weights)(**kwargs),
-        w=qw,
-        u=qu,
+    qw = {g: quantize_matrix(getattr(weights, f"w_{g}"), precision) for g in gates}
+    qu = {g: quantize_matrix(getattr(weights, f"u_{g}"), precision) for g in gates}
+    if gates is GATE_ORDER:
+        dequantized = dequantize_lstm_cell(qw, qu, weights.b)
+    else:
+        dequantized = GRUCellWeights(
+            **{f"w_{g}": m.dequantize() for g, m in qw.items()},
+            **{f"u_{g}": m.dequantize() for g, m in qu.items()},
+            **{f"b_{g}": getattr(weights, f"b_{g}") for g in gates},
+        )
+    return QuantizedCell(precision=precision, dequantized=dequantized, w=qw, u=qu)
+
+
+def dequantize_lstm_cell(
+    w: dict[str, QuantizedMatrix], u: dict[str, QuantizedMatrix], b: np.ndarray
+) -> LSTMCellWeights:
+    """Float64 reconstruction of an LSTM cell's per-gate payloads, packed
+    into fresh united ``W`` / ``U`` blocks beside the bias block ``b``
+    (taken as is — biases are never quantized)."""
+    return LSTMCellWeights(
+        *(np.concatenate([m[g].dequantize() for g in GATE_ORDER]) for m in (w, u)), b
     )
 
 

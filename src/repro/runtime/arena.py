@@ -37,13 +37,14 @@ import numpy as np
 from repro.config import LSTMConfig
 from repro.core.plan import fingerprint_network
 from repro.errors import ArenaLayoutError, ConfigurationError, RuntimeStateError
-from repro.nn.lstm_cell import LSTMCellWeights
+from repro.nn.lstm_cell import GATE_ORDER, LSTMCellWeights
 from repro.nn.lstm_layer import LSTMLayer
 from repro.nn.network import LSTMNetwork
 from repro.nn.quantize import (
     Precision,
     QuantizedCell,
     QuantizedMatrix,
+    dequantize_lstm_cell,
     quantize_network_layers,
 )
 
@@ -52,19 +53,6 @@ _ALIGN = 64
 
 #: Shared-memory name prefix; the CI smoke job greps ``/dev/shm`` for it.
 ARENA_NAME_PREFIX = "repro-arena-"
-
-#: The twelve per-gate arrays of one layer, in manifest order.
-_CELL_FIELDS = (
-    "w_f", "w_i", "w_c", "w_o",
-    "u_f", "u_i", "u_c", "u_o",
-    "b_f", "b_i", "b_c", "b_o",
-)
-
-#: The eight gate matrices a quantized publish stores as payloads.
-_GATE_MATRIX_FIELDS = _CELL_FIELDS[:8]
-
-#: The four bias vectors (always published float64).
-_BIAS_FIELDS = _CELL_FIELDS[8:]
 
 
 @dataclass(frozen=True)
@@ -96,36 +84,35 @@ class ArenaManifest:
     #: Weight-storage policy of the published gate matrices (``fp64``,
     #: ``fp16``, or ``int8``). Quantized segments store per-gate payload
     #: entries (``layers.N.u_f.q``) plus, for int8, per-row scale vectors
-    #: (``layers.N.u_f.scale``); biases/embedding/head stay float64.
+    #: (``layers.N.u_f.scale``); the bias block, embedding and head stay
+    #: float64. An fp64 segment holds three entries per layer — the
+    #: united blocks ``layers.N.w`` / ``.u`` / ``.b``.
     precision: str = "fp64"
     entries: tuple[ArenaEntry, ...] = field(default_factory=tuple)
 
 
-def _network_arrays(network: LSTMNetwork) -> list[tuple[str, np.ndarray]]:
-    """Flatten every parameter array to ``(key, array)`` in a fixed order."""
+def _network_arrays(
+    network: LSTMNetwork, cells: list[QuantizedCell] | None = None
+) -> list[tuple[str, np.ndarray]]:
+    """Flatten every parameter array to ``(key, array)`` in a fixed order.
+
+    Per layer: the united ``w`` / ``u`` / ``b`` blocks — or, for a
+    quantized publish (``cells``), the per-gate payloads + scales in place
+    of the fp64 ``w`` / ``u``.
+    """
     arrays: list[tuple[str, np.ndarray]] = [("embedding", network.embedding)]
     for index, layer in enumerate(network.layers):
-        for name in _CELL_FIELDS:
-            arrays.append((f"layers.{index}.{name}", getattr(layer.weights, name)))
-    arrays.append(("head_weight", network.head_weight))
-    arrays.append(("head_bias", network.head_bias))
-    return arrays
-
-
-def _quantized_arrays(
-    network: LSTMNetwork, cells: list[QuantizedCell]
-) -> list[tuple[str, np.ndarray]]:
-    """Flatten a quantized publish: payloads + scales instead of fp64 gates."""
-    arrays: list[tuple[str, np.ndarray]] = [("embedding", network.embedding)]
-    for index, (layer, cell) in enumerate(zip(network.layers, cells)):
-        for name in _GATE_MATRIX_FIELDS:
-            prefix, gate = name.split("_", 1)
-            matrix = (cell.w if prefix == "w" else cell.u)[gate]
-            arrays.append((f"layers.{index}.{name}.q", matrix.data))
-            if matrix.scales is not None:
-                arrays.append((f"layers.{index}.{name}.scale", matrix.scales))
-        for name in _BIAS_FIELDS:
-            arrays.append((f"layers.{index}.{name}", getattr(layer.weights, name)))
+        if cells is None:
+            arrays.append((f"layers.{index}.w", layer.weights.w))
+            arrays.append((f"layers.{index}.u", layer.weights.u))
+        else:
+            for kind, payloads in (("w", cells[index].w), ("u", cells[index].u)):
+                for gate in GATE_ORDER:
+                    matrix = payloads[gate]
+                    arrays.append((f"layers.{index}.{kind}_{gate}.q", matrix.data))
+                    if matrix.scales is not None:
+                        arrays.append((f"layers.{index}.{kind}_{gate}.scale", matrix.scales))
+        arrays.append((f"layers.{index}.b", layer.weights.b))
     arrays.append(("head_weight", network.head_weight))
     arrays.append(("head_bias", network.head_bias))
     return arrays
@@ -240,7 +227,7 @@ class WeightArena:
         precision = Precision.parse(precision)
         if precision.is_quantized:
             cells = quantize_network_layers(network, precision)
-            arrays = _quantized_arrays(network, cells)
+            arrays = _network_arrays(network, cells)
             fingerprint = fingerprint_network(_dequantized_network(network, cells))
         else:
             arrays = _network_arrays(network)
@@ -345,12 +332,24 @@ class WeightArena:
             scales = None if scales is None else np.array(scales)
         return QuantizedMatrix(data=data, scales=scales)
 
+    def _layer_payloads(
+        self, views: dict[str, np.ndarray], index: int, copy: bool
+    ) -> tuple[dict[str, QuantizedMatrix], dict[str, QuantizedMatrix]]:
+        """Layer ``index``'s per-gate ``W`` and ``U`` payloads (``copy``:
+        detached from the segment)."""
+        return tuple(
+            {g: self._gate_payload(views, index, f"{kind}_{g}", copy) for g in GATE_ORDER}
+            for kind in "wu"
+        )
+
     def network(self) -> LSTMNetwork:
         """Rebuild the network on top of the shared pages.
 
-        For an fp64 arena the parameter arrays are zero-copy read-only
-        views into the segment; the network must not outlive this arena's
-        mapping. For a quantized arena the gate matrices are dequantized
+        For an fp64 arena the parameter arrays — per layer, the three
+        united blocks — are zero-copy read-only views into the segment, so
+        an executor built on this network computes on the shared pages
+        themselves; the network must not outlive this arena's mapping.
+        For a quantized arena the gate matrices are dequantized
         into fresh float64 arrays (the payloads stay shared; only the
         reconstruction is materialized), so the rebuilt weights are
         byte-identical to what the publishing side dequantized.
@@ -368,15 +367,13 @@ class WeightArena:
         network.layers = []
         for index in range(manifest.config.num_layers):
             if precision.is_quantized:
-                fields = {
-                    name: self._gate_payload(views, index, name, copy=False).dequantize()
-                    for name in _GATE_MATRIX_FIELDS
-                }
-                for name in _BIAS_FIELDS:
-                    fields[name] = views[f"layers.{index}.{name}"]
+                weights = dequantize_lstm_cell(
+                    *self._layer_payloads(views, index, copy=False),
+                    views[f"layers.{index}.b"],
+                )
             else:
-                fields = {name: views[f"layers.{index}.{name}"] for name in _CELL_FIELDS}
-            network.layers.append(LSTMLayer(LSTMCellWeights(**fields)))
+                weights = LSTMCellWeights(*(views[f"layers.{index}.{name}"] for name in "wub"))
+            network.layers.append(LSTMLayer(weights))
         network.head_weight = views["head_weight"]
         network.head_bias = views["head_bias"]
         if fingerprint_network(network) != manifest.fingerprint:
@@ -403,20 +400,12 @@ class WeightArena:
         views = self.arrays()
         cells: list[QuantizedCell] = []
         for index in range(self.manifest.config.num_layers):
-            qw: dict[str, QuantizedMatrix] = {}
-            qu: dict[str, QuantizedMatrix] = {}
-            kwargs: dict[str, np.ndarray] = {}
-            for name in _GATE_MATRIX_FIELDS:
-                prefix, gate = name.split("_", 1)
-                matrix = self._gate_payload(views, index, name, copy=True)
-                (qw if prefix == "w" else qu)[gate] = matrix
-                kwargs[name] = matrix.dequantize()
-            for name in _BIAS_FIELDS:
-                kwargs[name] = np.array(views[f"layers.{index}.{name}"])
+            qw, qu = self._layer_payloads(views, index, copy=True)
+            bias = np.array(views[f"layers.{index}.b"])
             cells.append(
                 QuantizedCell(
                     precision=precision,
-                    dequantized=LSTMCellWeights(**kwargs),
+                    dequantized=dequantize_lstm_cell(qw, qu, bias),
                     w=qw,
                     u=qu,
                 )

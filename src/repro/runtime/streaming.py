@@ -289,12 +289,21 @@ class SessionTable:
         )
 
     def sweep_ttl(self, now: float) -> int:
-        """Evict idle sessions not touched within ``ttl_s``; returns count."""
-        expired = [
-            sid
-            for sid, session in self._sessions.items()
-            if session.pending == 0 and now - session.last_active > self.ttl_s
-        ]
+        """Evict idle sessions not touched within ``ttl_s``; returns count.
+
+        The table is in last-active order (:meth:`get_or_admit` / :meth:`touch`
+        move a session to the end), so the walk starts at the oldest session,
+        passes over pinned ones and stops at the first unexpired one: a tick
+        pays for what it evicts, not for every resident session. ``now``
+        values passed slightly out of order delay an eviction by that skew.
+        """
+        expired = []
+        for sid, session in self._sessions.items():  # oldest first
+            if session.pending:
+                continue
+            if now - session.last_active <= self.ttl_s:
+                break
+            expired.append(sid)
         for sid in expired:
             del self._sessions[sid]
         self.ttl_evictions += len(expired)
@@ -335,7 +344,9 @@ class StreamingServer:
         clock: Time source used when a ``now`` argument is omitted.
         recorder: Optional :class:`~repro.obs.recorder.Recorder`; when
             enabled, every tick appends one run record.
-        program_cache: Optional shared compiled-program cache.
+        program_cache: Optional shared compiled-program cache. When
+            omitted the server creates one sized to every shape it can
+            emit (``max_batch x chunk_len x layers`` per dispatch slot).
     """
 
     def __init__(
@@ -370,6 +381,13 @@ class StreamingServer:
         self.queue_limit = queue_limit
         self.clock = clock
         self.recorder = recorder
+        if program_cache is None:
+            # Every (batch, chunk length, layer) the batcher can emit, per
+            # dispatch slot: programs own only their workspace, so the whole
+            # lattice is cheap to hold and a warm server never recompiles.
+            program_cache = ProgramCache(
+                max_entries=max_batch * chunk_len * network.num_layers * config.threads
+            )
         self.executor = LSTMExecutor(network, config, program_cache=program_cache)
         self.sessions = SessionTable(
             num_layers=network.num_layers,

@@ -1,8 +1,10 @@
 """Worker process of the serving runtime.
 
 Each worker attaches the shared-memory weight arena (no weight copies
-cross the queue), rebuilds the network on the shared pages, and runs a
-private :class:`~repro.core.executor.LSTMExecutor` with its own
+cross the queue), rebuilds the network on the shared pages — three united
+blocks per layer — and runs a private
+:class:`~repro.core.executor.LSTMExecutor` whose programs compute on those
+pages themselves (an fp64 worker holds no private ``W`` / ``U``), with its own
 :class:`~repro.core.plan.PlanCache`, :class:`~repro.core.program.
 ProgramCache` and :class:`~repro.obs.Recorder`. The executor lives for
 the whole worker lifetime, so compiled programs persist across shards:

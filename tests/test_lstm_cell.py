@@ -53,20 +53,7 @@ class TestWeights:
     def test_shape_validation(self):
         w = small_weights()
         with pytest.raises(ShapeError):
-            LSTMCellWeights(
-                w_f=w.w_f,
-                w_i=w.w_i,
-                w_c=w.w_c,
-                w_o=w.w_o,
-                u_f=w.u_f[:-1],  # wrong shape
-                u_i=w.u_i,
-                u_c=w.u_c,
-                u_o=w.u_o,
-                b_f=w.b_f,
-                b_i=w.b_i,
-                b_c=w.b_c,
-                b_o=w.b_o,
-            )
+            LSTMCellWeights(w.w, w.u[:-1], w.b)  # one U row short
 
     def test_gate_accessors(self):
         w = small_weights()

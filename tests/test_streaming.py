@@ -214,6 +214,47 @@ class TestSessionLifecycle:
         assert "idle" not in server.sessions
         assert server.stats.ttl_evictions == 1
 
+    def test_ttl_sweep_stops_at_the_first_fresh_session(self):
+        """Regression: the sweep used to scan every resident session on
+        every tick. The table is in last-active order, so the walk visits
+        the expired front and the first fresh session, nothing else."""
+        from repro.runtime.streaming import SessionTable
+
+        table = SessionTable(
+            num_layers=1, hidden=2, head_pool=1, max_sessions=8192, ttl_s=10.0
+        )
+        table.get_or_admit("expired", now=0.0)
+        for n in range(4096):
+            table.get_or_admit(f"fresh-{n}", now=100.0)
+
+        visited = []
+
+        class Counted(type(table._sessions)):
+            def items(self):
+                for item in super().items():
+                    visited.append(item[0])
+                    yield item
+
+        table._sessions = Counted(table._sessions)
+        assert table.sweep_ttl(now=101.0) == 1
+        assert visited == ["expired", "fresh-0"]
+        assert "expired" not in table and len(table) == 4096
+        assert table.ttl_evictions == 1
+
+    def test_ttl_sweep_passes_over_pinned_sessions(self):
+        """A session with queued work at the old end neither gets evicted
+        nor hides the expired idle sessions behind it."""
+        from repro.runtime.streaming import SessionTable
+
+        table = SessionTable(
+            num_layers=1, hidden=2, head_pool=1, max_sessions=8, ttl_s=10.0
+        )
+        table.get_or_admit("pinned", now=0.0).pending = 1
+        table.get_or_admit("idle", now=1.0)
+        table.get_or_admit("fresh", now=100.0)
+        assert table.sweep_ttl(now=101.0) == 1
+        assert "pinned" in table and "fresh" in table and "idle" not in table
+
     def test_busy_sessions_are_pinned(self):
         network = make_network(per_timestep_head=True)
         rng = np.random.default_rng(9)
@@ -344,6 +385,39 @@ class TestTickBatching:
 
 
 # -------------------------------------------------------------------- records
+
+
+class TestProgramCacheSizing:
+    def test_private_cache_holds_every_emittable_shape(self):
+        """The cache the server creates covers its whole (batch, chunk
+        length, layer) lattice: after one pass over the shapes nothing is
+        ever evicted or recompiled, in whatever order they recur."""
+        network = make_network(per_timestep_head=True)
+        server = make_server(network, max_batch=5, chunk_len=4)
+        cache = server.executor.program_cache
+        assert cache.max_entries == 5 * 4 * LAYERS > 32  # past the default bound
+
+        def one_pass(order):
+            for batch, length in order:
+                for s in range(batch):
+                    server.submit(f"s{s}", np.zeros(length, dtype=np.int64), now=0.0)
+                server.tick(now=0.0)
+
+        shapes = [(b, n) for b in range(1, 6) for n in range(1, 5)]
+        one_pass(shapes)  # warm-up: every shape compiles once
+        assert cache.stats.misses == len(shapes) * LAYERS
+        one_pass(reversed(shapes))
+        one_pass(shapes)
+        assert cache.stats.evictions == 0
+        assert cache.stats.misses == len(shapes) * LAYERS
+
+    def test_caller_supplied_cache_keeps_its_bound(self):
+        from repro.core.program import ProgramCache
+
+        shared = ProgramCache(max_entries=3)
+        server = make_server(make_network(per_timestep_head=True), program_cache=shared)
+        assert server.executor.program_cache is shared
+        assert shared.max_entries == 3
 
 
 class TestRecords:
