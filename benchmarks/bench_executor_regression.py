@@ -16,6 +16,10 @@ arithmetic) on the same workloads, verifies bit-identical outputs, writes
   quarter of the network's weight bytes (``resident_bytes``, numpy and
   cgen): weights exist once, in the network, and programs own only their
   workspace,
+* a five-mode ``OptimizedLSTM.run`` sweep over one token batch
+  (``sweep_overhead``) must, once warm, construct no executor and project
+  no more layer-0 rows than the batch has distinct tokens — the share of
+  the sweep's wall spent outside ``run_batch`` is reported beside them,
 * attaching an enabled :class:`repro.obs.recorder.Recorder` must not
   change a logits bit and must stay under a 5 % wall-clock overhead.
 
@@ -64,6 +68,7 @@ from repro.core.backends import backend_availability
 from repro.core.executor import ExecutionConfig, ExecutionMode, LSTMExecutor
 from repro.bench.deflake import REPEATS, WARMUP, gc_paused, pick
 from repro.bench.gates import GateSet
+from repro.core.pipeline import OptimizedLSTM
 from repro.core.plan import PlanCache
 from repro.core.reference import ReferenceExecutor
 from repro.gpu.simulator import TimingSimulator
@@ -197,18 +202,9 @@ def weight_traffic(
     }
 
 
-def combined_fresh(gates: GateSet) -> dict:
-    """COMBINED as a server sees it: new tokens in every batch.
-
-    A calibrated network (random weights saturate Algorithm 2, so every
-    sequence would plan alike) with ``alpha_inter`` at the median link
-    relevance: each batch of ``FRESH_BATCH`` holds unlike plans, every
-    sample draws new tokens (plan cache cold on every lookup), and only
-    the program cache can be warm. Reports microseconds per token beside
-    the reference walk's on the same batches (totals over all samples —
-    the samples differ in work, so a min would pick the easiest batch)
-    and gates on the program cache: nothing compiles after warm-up.
-    """
+def calibrated_case() -> tuple[AppConfig, LSTMNetwork]:
+    """The calibrated H=64 model of the fresh-input rows (random weights
+    saturate Algorithm 2, so every sequence would plan alike)."""
     model = LSTMConfig(hidden_size=64, num_layers=2, seq_length=64, input_size=64)
     app = AppConfig(
         name="FRESH",
@@ -217,7 +213,22 @@ def combined_fresh(gates: GateSet) -> dict:
         vocab_size=200,
         num_classes=8,
     )
-    network = build_calibrated_network(app, seed=11)
+    return app, build_calibrated_network(app, seed=11)
+
+
+def combined_fresh(gates: GateSet) -> dict:
+    """COMBINED as a server sees it: new tokens in every batch.
+
+    A calibrated network with ``alpha_inter`` at the median link
+    relevance: each batch of ``FRESH_BATCH`` holds unlike plans, every
+    sample draws new tokens (plan cache cold on every lookup), and only
+    the program cache can be warm. Reports microseconds per token beside
+    the reference walk's on the same batches (totals over all samples —
+    the samples differ in work, so a min would pick the easiest batch)
+    and gates on the program cache: nothing compiles after warm-up.
+    """
+    app, network = calibrated_case()
+    model = app.model
     rng = np.random.default_rng(29)
 
     def draw() -> np.ndarray:
@@ -294,6 +305,80 @@ def combined_fresh(gates: GateSet) -> dict:
         f"{row['speedup']:5.2f}x (no gate)    "
         f"program misses after warm-up {misses_after_warmup} (gate 0)   "
         f"distinct plans/batch >= {distinct_plans}"
+    )
+    return row
+
+
+def sweep_overhead(gates: GateSet) -> dict:
+    """What a five-mode sweep pays beside its arithmetic.
+
+    ``OptimizedLSTM.run`` in all five modes over one token batch, new
+    tokens per sweep, after one warm-up sweep. ``overhead_share`` is
+    ``(run wall - exec_wall_s) / run wall`` summed over the timed sweeps:
+    executor look-up, trace building and simulation. The two counts are
+    exact: executors constructed after warm-up (gate 0 — a sweep goes
+    straight to ``run_batch``) and layer-0 rows projected per sweep
+    (gate: at most the batch's distinct tokens — the first mode projects
+    them, the other four gather).
+    """
+    config, network = calibrated_case()
+    app = OptimizedLSTM(network)
+    app.calibrate(num_sequences=FRESH_BATCH)
+    rng = np.random.default_rng(31)
+
+    def sweep() -> tuple[float, float, int, int]:
+        tokens = rng.integers(
+            0, config.vocab_size, size=(FRESH_BATCH, config.model.seq_length)
+        )
+        projected = app.plan_cache.token_rows.projected
+        wall = exec_wall = 0.0
+        for mode in ExecutionMode:
+            start = time.perf_counter()
+            outcome = app.run(tokens, mode=mode, threshold_index=5, keep_result=True)
+            wall += time.perf_counter() - start
+            exec_wall += outcome.result.timings["exec_wall_s"]
+        rows = app.plan_cache.token_rows.projected - projected
+        return wall, exec_wall, rows, int(np.unique(tokens).size)
+
+    sweep()
+    constructed_warmup = app.executor_cache.stats.misses
+    samples = [sweep() for _ in range(REPEATS)]
+    constructed_after = app.executor_cache.stats.misses - constructed_warmup
+    wall, exec_wall = (sum(column) for column in list(zip(*samples))[:2])
+    excess_rows = max(rows - distinct for _, _, rows, distinct in samples)
+    gates.require_at_most(
+        "sweep_overhead/executors-constructed-after-warmup",
+        constructed_after,
+        0,
+        "a warm sweep rebuilt an executor",
+    )
+    gates.require_at_most(
+        "sweep_overhead/rows-projected-over-distinct-tokens",
+        excess_rows,
+        0,
+        "a sweep projected a token more than once",
+    )
+    row = {
+        "batch": FRESH_BATCH,
+        "modes": len(ExecutionMode),
+        "samples": REPEATS,
+        "run_wall_s": wall / REPEATS,
+        "exec_wall_s": exec_wall / REPEATS,
+        "overhead_share": (wall - exec_wall) / wall,
+        "statistic": "mean per sweep",
+        "tokens_per_sweep": FRESH_BATCH * config.model.seq_length,
+        "distinct_tokens_per_sweep": [distinct for *_, distinct in samples],
+        "rows_projected_per_sweep": [rows for _, _, rows, _ in samples],
+        "executors_constructed_warmup": constructed_warmup,
+        "executors_constructed_after_warmup": constructed_after,
+    }
+    print(
+        f"{'sweep':10s} five modes {row['run_wall_s'] * 1e3:8.2f} ms   "
+        f"outside run_batch {row['overhead_share']:5.3f} of it (no gate)   "
+        f"rows projected {max(row['rows_projected_per_sweep'])} of "
+        f"{row['tokens_per_sweep']} tokens x 5 modes "
+        f"(gate <= distinct {min(row['distinct_tokens_per_sweep'])})   "
+        f"executors built after warm-up {constructed_after} (gate 0)"
     )
     return row
 
@@ -511,6 +596,7 @@ def run() -> tuple[dict, GateSet]:
 
     results["combined_fresh"] = combined_fresh(gates)
     results["resident_bytes"] = resident_bytes(gates)
+    results["sweep_overhead"] = sweep_overhead(gates)
 
     recorder = recorder_overhead(network, tokens)
     gates.require_true(

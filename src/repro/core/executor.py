@@ -43,6 +43,14 @@ Three levels of batching keep the hot paths vectorized:
   never depend on each other, so only the order of independent work
   changes; each tissue still runs the per-sequence walk's own GEMM.
 
+Layer 0 adds a fourth saving on the same lift: a token's projected row is
+a function of the token id, the embedding and ``W`` alone, so a call
+projects each *distinct* id once and gathers the ``(B, T)`` block from
+those rows, and the shared :class:`~repro.core.plan.TokenRowMemo` (one
+call deep, owned by the plan cache) lets the next call — another mode of a
+sweep over the same tokens, the next request over a small vocabulary —
+skip the ids it has already seen. A copy moves no bit.
+
 Under the numpy backend the transformations are bit-compatible with the
 per-sequence walk (:class:`repro.core.reference.ReferenceExecutor`) in
 the four stepwise modes and agree to ``1e-9`` with equal predictions in
@@ -95,10 +103,12 @@ from repro.core.plan import (
     SequencePlan,
     SingleCellTissues,
     TissueRecord,
+    TokenRowMemo,
     fingerprint_array,
+    fingerprint_embedding,
     fingerprint_weights,
 )
-from repro.core.program import ProgramCache, StepwiseProgram, project_rows
+from repro.core.program import ProgramCache, StepwiseProgram, gather_rows, project_rows
 from repro.core.relevance import (
     exact_relevance_values,
     recurrent_row_ranges,
@@ -347,6 +357,11 @@ class _UnitedWeights:
         }
         return cls(w=weights.w, u=weights.u, b=weights.b, slices=slices)
 
+    def gate_w_ops(self) -> list[np.ndarray]:
+        """The ``(E, H)`` transpose view of every gate's ``W`` block, the
+        operands of :func:`~repro.core.program.project_rows`."""
+        return [self.w[sl].T for sl in self.slices.values()]
+
     def dense_w_t(self) -> np.ndarray:
         """``W^T`` laid out dense ``(E, 4H)`` for the cgen backend's batched
         input GEMM: the one staged weight copy, made once and shared by
@@ -364,8 +379,10 @@ class LSTMExecutor:
         config: The execution scheme and its thresholds.
         predicted_links: Per-layer Eq. 6 context links (zeros by default).
         plan_cache: Optional shared :class:`~repro.core.plan.PlanCache`;
-            when given, per-sequence relevance arrays and structural plans
-            are reused across executor instances and runs.
+            when given, per-sequence relevance arrays, structural plans
+            and layer 0's projected token rows are reused across executor
+            instances and runs (without one the executor keeps a private
+            token memo).
         recorder: Optional :class:`~repro.obs.recorder.Recorder`; when
             enabled, every ``run_batch`` emits a numerics-plane
             :class:`~repro.obs.record.RunRecord` (plan counters, cache
@@ -470,6 +487,14 @@ class LSTMExecutor:
         if not self._exact_backend:
             for united in self._united:
                 united.dense_w_t()  # staged here, before dispatch threads could race to it
+        #: Layer 0 serves its projections from the distinct-token memo
+        #: wherever the parent path is :func:`project_rows` (every numpy
+        #: program, COMBINED on any backend); the cgen stepwise programs keep
+        #: their own projections. The memo is the plan cache's, so every
+        #: executor of an app shares it.
+        self._memo_layer0 = self._exact_backend or config.mode is ExecutionMode.COMBINED
+        self._token_memo = plan_cache.token_rows if plan_cache is not None else TokenRowMemo()
+        self._w0_fp: str | None = None
 
     # ----------------------------------------------------- per-thread state
 
@@ -519,6 +544,7 @@ class LSTMExecutor:
             else None
         )
         program_stats_before = self.program_cache.stats.as_dict() if record else None
+        token_rows = self._token_rows(tokens)
 
         def run_shard(slot: int | None, rows: slice):
             self._slot = slot
@@ -529,8 +555,12 @@ class LSTMExecutor:
             shard_plans: list[list[LayerPlanRecord]] = [[] for _ in range(shard_batch)]
             outs: list[np.ndarray] = []
             states: list[np.ndarray] = []
+            staged = self._staged(token_rows, rows)
             for layer_index, weights in enumerate(self._weights):
-                cur, records, cs = self._run_layer(layer_index, weights, cur, collect_states)
+                cur, records, cs = self._run_layer(
+                    layer_index, weights, cur, collect_states, staged
+                )
+                staged = None  # layer 0 only
                 outs.append(cur)
                 if cs is not None:
                     states.append(cs)
@@ -688,6 +718,7 @@ class LSTMExecutor:
                 f"{h_states.shape} / {c_states.shape}"
             )
         drs = cfg.intra_active and cfg.alpha_intra > 0.0
+        token_rows = self._token_rows(tokens)
 
         def run_shard(slot: int | None, rows: slice) -> np.ndarray:
             # Row slices of the resident ``(B, H)`` per-layer state are
@@ -696,11 +727,16 @@ class LSTMExecutor:
             self._slot = slot
             cur = self.network.embedding[tokens[rows]]  # (b, L, E)
             shard_batch = cur.shape[0]
+            staged = self._staged(token_rows, rows)
             for layer_index, united in enumerate(self._united):
                 program = self._compiled_stepwise(
                     layer_index, united, shard_batch, chunk, drs
                 )
-                program.project(cur)
+                if staged is None:
+                    program.project(cur)
+                else:
+                    program.gather(*staged)
+                    staged = None  # layer 0 only
                 hs = np.empty((shard_batch, chunk, hidden))
                 h_view = h_states[layer_index, rows]
                 c_view = c_states[layer_index, rows]
@@ -775,20 +811,62 @@ class LSTMExecutor:
         weights: LSTMCellWeights,
         xs: np.ndarray,
         collect_states: bool,
+        staged: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, list[LayerPlanRecord], np.ndarray | None]:
         """One layer: ``(hs, per-sequence records, cs)`` — ``cs`` is the
-        cell-state sequence when collected (stepwise modes only)."""
+        cell-state sequence when collected (stepwise modes only).
+        ``staged`` is layer 0's ``(token rows, index)`` when its
+        projections come from the token memo (:meth:`_token_rows`)."""
         united = self._united[layer_index]
         if self.config.mode is ExecutionMode.COMBINED:
             # One (B, T, 4H) block for the walk's fused gate math, filled
             # gate by gate through the stepwise programs' per-row lift.
             proj_u = np.empty(xs.shape[:2] + united.b.shape)
             proj = {g: proj_u[..., sl] for g, sl in united.slices.items()}
-            project_rows(xs, [united.w[sl].T for sl in united.slices.values()], proj.values())
+            if staged is None:
+                project_rows(xs, united.gate_w_ops(), proj.values())
+            else:
+                gather_rows(*staged, proj.values())
             plans = self._plan_inter(layer_index, weights, proj, xs)
             hs, records = self._run_layer_combined(layer_index, weights, united, proj_u, plans)
             return hs, records, None  # combined mode does not collect states
-        return self._run_layer_stepwise(layer_index, weights, united, xs, collect_states)
+        return self._run_layer_stepwise(layer_index, weights, united, xs, collect_states, staged)
+
+    def _token_rows(self, tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """Layer 0's projections of a call's *distinct* tokens.
+
+        The per-row lift makes a token's projected row a function of the
+        token and ``W`` only, so each distinct id is projected once — and
+        not at all if the previous call through the shared
+        :class:`~repro.core.plan.TokenRowMemo` left it behind (every mode
+        after the first of a sweep). Runs once per call on the caller's
+        thread; the shards gather from the result (:meth:`_staged`).
+        Returns ``(rows, index)`` — ``(4, n, H)`` and ``(B, T)`` — or
+        ``None`` where layer 0 projects through its program: the cgen
+        stepwise programs, and a one-token call (a streamed LM tick), which
+        has nothing to share and would only displace the previous call's
+        rows.
+        """
+        if not self._memo_layer0 or tokens.size == 1:
+            return None
+        united = self._united[0]
+        if self._w0_fp is None:
+            self._w0_fp = fingerprint_array(united.w)
+
+        def project(ids: np.ndarray, out: np.ndarray) -> None:
+            project_rows(self.network.embedding[ids][None], united.gate_w_ops(), out)
+
+        return self._token_memo.lookup(
+            (fingerprint_embedding(self.network), self._w0_fp),
+            tokens,
+            united.u.shape[1],
+            project,
+        )
+
+    @staticmethod
+    def _staged(token_rows, rows: slice):
+        """One shard's view of :meth:`_token_rows`."""
+        return None if token_rows is None else (token_rows[0], token_rows[1][rows])
 
     def _relevance(self, layer_index: int, weights, proj_b: dict[str, np.ndarray]):
         fn = exact_relevance_values if self.config.use_exact_relevance else relevance_values
@@ -855,6 +933,7 @@ class LSTMExecutor:
         united: _UnitedWeights,
         xs: np.ndarray,
         collect_states: bool,
+        staged: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, list[LayerPlanRecord], np.ndarray | None]:
         """Timestep loop of every mode except COMBINED: one cached program
         per (shapes, weights).
@@ -876,7 +955,10 @@ class LSTMExecutor:
         # Inter-active planning reads the projection bits, so fused
         # backends project exactly there (plans stay backend-invariant);
         # everywhere else they take the timestep-batched input GEMM.
-        proj = program.project(xs, exact=cfg.inter_active or self._exact_backend)
+        if staged is None:
+            proj = program.project(xs, exact=cfg.inter_active or self._exact_backend)
+        else:
+            proj = program.gather(*staged)  # numpy programs only, see _memo_layer0
 
         plans: list[CachedLayerPlan] | None = None
         reset_cols: list[np.ndarray | None] | None = None

@@ -13,6 +13,15 @@ Typical use::
 ``run`` executes the exact numerics of the chosen scheme *and* replays the
 recorded plan on the GPU timing model, so one call yields predictions,
 simulated latency, and simulated whole-system energy.
+
+A sweep — the same tokens under several modes or threshold sets, which is
+what ``repro run``, the figure harness and :func:`repro.core.tuner.
+sweep_precision_thresholds` do — pays for each derived thing once: the app keeps the
+executors it builds (pruned / dequantized weights, row ranges, digests), one
+program cache and one plan cache under all of them, and through the plan
+cache the layer-0 projections of the last call's distinct tokens. What is
+kept, keyed on what, dropped when and bounded by what is tabled in
+``docs/architecture.md`` ("What an app keeps between runs").
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from repro.core.executor import (
     ExecutionResult,
     LSTMExecutor,
 )
-from repro.core.plan import PlanCache
+from repro.core.plan import PlanCache, fingerprint_array, fingerprint_weights
 from repro.core.program import ProgramCache
 from repro.core.tuner import OfflineCalibration, calibrate_offline
 from repro.errors import CalibrationError, ConfigurationError
@@ -89,6 +98,13 @@ class InferenceOutcome:
         return float(np.mean(self.predictions == baseline.predictions))
 
 
+#: Executors one app keeps (an executor is views of the network's weights
+#: plus, under ZERO_PRUNE or a quantized precision, its own derived ``U`` /
+#: dequantized blocks — a sweep's five modes fit with room for threshold
+#: sets).
+_MAX_EXECUTORS = 8
+
+
 class OptimizedLSTM:
     """Memory-friendly LSTM inference on a simulated mobile GPU."""
 
@@ -101,10 +117,13 @@ class OptimizedLSTM:
         self.network = network
         self.spec = spec
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
-        # Compiled executor programs persist across run() calls (each call
-        # builds a fresh LSTMExecutor, so without this, threshold sweeps
-        # would recompile identical programs every run).
+        # One program cache under every executor of this app: modes and
+        # threshold sets at one shape replay the same compiled programs.
         self.program_cache = ProgramCache()
+        #: The executors :meth:`run` has built, least recently used out
+        #: first (the same bounded single-flight store the programs use;
+        #: ``stats.misses`` counts constructions).
+        self.executor_cache = ProgramCache(max_entries=_MAX_EXECUTORS)
         self.calibration: OfflineCalibration | None = None
         self._calibration_tokens: np.ndarray | None = None
         self._rng = np.random.default_rng(0xA11CE)
@@ -217,6 +236,40 @@ class OptimizedLSTM:
             threads=threads,
         )
 
+    def _executor_for(self, config: ExecutionConfig) -> LSTMExecutor:
+        """The executor for ``config``, built on first use and kept.
+
+        Construction is where a scheme's derived weights are made
+        (ZERO_PRUNE's pruned ``U``, a quantized precision's dequantized
+        blocks, row ranges, digests), so a repeated :meth:`run` goes
+        straight to ``run_batch``. The key is content: the frozen config,
+        every layer's weight digest and the predicted links' digests — a
+        second ``calibrate()`` or a weight update followed by
+        :func:`~repro.core.plan.invalidate_weight_fingerprints` reaches a
+        fresh executor, never a stale one. The embedding and the head are
+        read live from the network and need no key.
+        """
+        links = self.calibration.predicted_links if self.calibration is not None else None
+        key = (
+            config,
+            *(fingerprint_weights(layer.weights) for layer in self.network.layers),
+            *(
+                fingerprint_array(vector)
+                for link in links or ()
+                for vector in (link.h_bar, link.c_bar)
+            ),
+        )
+        return self.executor_cache.get(
+            key,
+            lambda: LSTMExecutor(
+                self.network,
+                config,
+                predicted_links=links,
+                plan_cache=self.plan_cache,
+                program_cache=self.program_cache,
+            ),
+        )
+
     def run(
         self,
         tokens: np.ndarray,
@@ -263,14 +316,7 @@ class OptimizedLSTM:
             backend=backend,
             threads=threads,
         )
-        links = self.calibration.predicted_links if self.calibration is not None else None
-        executor = LSTMExecutor(
-            self.network,
-            config,
-            predicted_links=links,
-            plan_cache=self.plan_cache,
-            program_cache=self.program_cache,
-        )
+        executor = self._executor_for(config)
         cache_before = self.plan_cache.stats.as_dict()
         program_before = self.program_cache.stats.as_dict()
         tokens = np.asarray(tokens)
@@ -303,8 +349,14 @@ class OptimizedLSTM:
         sim_start = time.perf_counter()
         simulator = TimingSimulator(self.spec)
         times, energies, traces = [], [], []
+        # With neither level live (BASELINE, ZERO_PRUNE) every sequence's
+        # plan is the same by construction — T single cells per layer,
+        # nothing skipped — so one trace is built and simulated for all.
+        one_trace = not (config.inter_active or config.intra_active)
+        trace = None
         for seq_index, plan in enumerate(result.plans):
-            trace = simulator.run_trace(executor.kernel_trace(plan))
+            if trace is None or not one_trace:
+                trace = simulator.run_trace(executor.kernel_trace(plan))
             times.append(trace.total_time)
             energies.append(trace.total_energy)
             if keep_traces:

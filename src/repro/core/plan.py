@@ -455,12 +455,16 @@ class PlanCacheStats:
 
 
 def fingerprint_array(array: np.ndarray) -> str:
-    """Content fingerprint of one ndarray (dtype + shape + bytes)."""
+    """Content fingerprint of one ndarray (dtype + shape + bytes).
+
+    The digest reads the array's own buffer; only a non-contiguous view
+    is staged into a contiguous copy first.
+    """
     arr = np.ascontiguousarray(array)
     digest = hashlib.blake2b(digest_size=16)
     digest.update(str(arr.dtype).encode())
     digest.update(str(arr.shape).encode())
-    digest.update(arr.tobytes())
+    digest.update(arr)
     return digest.hexdigest()
 
 
@@ -480,22 +484,38 @@ def fingerprint_weights(weights: "LSTMCellWeights") -> str:
     digest = hashlib.blake2b(digest_size=16)
     for gate in GATE_ORDER:
         for mat in (weights.gate_w(gate), weights.gate_u(gate), weights.gate_b(gate)):
-            digest.update(np.ascontiguousarray(mat).tobytes())
+            # Row slices of the row-major blocks: hashed where they lie.
+            digest.update(np.ascontiguousarray(mat))
     fingerprint = digest.hexdigest()
     weights._plan_fingerprint = fingerprint
     return fingerprint
 
 
-def invalidate_weight_fingerprints(network) -> None:
-    """Drop the memoized per-layer digests after a weight mutation.
+def fingerprint_embedding(network) -> str:
+    """Content fingerprint of a network's embedding table, memoized on the
+    network like the per-layer digests (and dropped with them by
+    :func:`invalidate_weight_fingerprints`)."""
+    cached = getattr(network, "_embedding_fingerprint", None)
+    if cached is None:
+        cached = network._embedding_fingerprint = fingerprint_array(network.embedding)
+    return cached
 
-    :func:`fingerprint_weights` memoizes on the weights object under the
-    inference-time immutability assumption. Training breaks it: an
+
+def invalidate_weight_fingerprints(network) -> None:
+    """Drop the memoized digests after a weight mutation.
+
+    :func:`fingerprint_weights` and :func:`fingerprint_embedding` memoize
+    on the objects they hash under the inference-time immutability
+    assumption. Training breaks it: an
     optimizer step (or :func:`repro.nn.calibrate.drift_network`, whose
     ``deepcopy`` even clones the memo) rewrites the arrays in place and
     would leave :func:`fingerprint_network` reporting the stale digest.
-    Every mutating path must call this before re-fingerprinting.
+    Every mutating path must call this before re-fingerprinting; it is
+    also what tells :class:`~repro.core.pipeline.OptimizedLSTM` that its
+    kept executors and the layer-0 token memo are out of date.
     """
+    if hasattr(network, "_embedding_fingerprint"):
+        del network._embedding_fingerprint
     for layer in network.layers:
         if hasattr(layer.weights, "_plan_fingerprint"):
             del layer.weights._plan_fingerprint
@@ -517,6 +537,82 @@ def fingerprint_network(network) -> str:
     digest.update(fingerprint_array(network.head_weight).encode())
     digest.update(fingerprint_array(network.head_bias).encode())
     return digest.hexdigest()
+
+
+class TokenRowMemo:
+    """Layer-0 projections of the last call's distinct tokens, one call deep.
+
+    The exact input projection lifts every token to its own GEMV, so a
+    token's projected row is a function of the token id, the embedding and
+    ``W`` alone. A call therefore projects each *distinct* id once, and a
+    sweep that runs the same tokens under several modes projects them in
+    the first mode only; every later mode gathers. The memo holds exactly
+    one entry — the rows of one call's distinct ids, ``distinct x 4H``
+    doubles — keyed on the embedding and ``W`` content: ZERO_PRUNE, which
+    shares ``W``, hits; a quantized ``W``, another network or a weight
+    update replaces the entry. A call whose ids are all present leaves the
+    entry alone; otherwise the call's own rows (carried over or freshly
+    projected) replace it, so the bound never grows past one call.
+
+    Entries are immutable once stored, so concurrent callers only race
+    for which entry survives, never for its contents.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entry: tuple[Hashable, np.ndarray, np.ndarray, np.ndarray] | None = None
+        #: Token rows projected so far (each is four gate GEMVs).
+        self.projected = 0
+
+    def clear(self) -> None:
+        """Drop the entry (the counter is kept)."""
+        with self._lock:
+            self._entry = None
+
+    def lookup(
+        self,
+        key: Hashable,
+        tokens: np.ndarray,
+        hidden: int,
+        project: Callable[[np.ndarray, np.ndarray], None],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Projected rows for a ``(B, T)`` token batch.
+
+        Returns ``(rows, index)``: ``rows`` is ``(4, n, H)`` in gate order
+        and ``rows[g][index]`` is gate ``g``'s ``(B, T, H)`` projection.
+        ``project(ids, out)`` fills ``out`` — ``(4, 1, m, H)`` — with the
+        projections of the ``m`` ids the previous call did not leave
+        behind.
+        """
+        ids, inverse = np.unique(tokens, return_inverse=True)
+        inverse = inverse.reshape(tokens.shape)
+        if ids.size == 0:  # an empty batch projects nothing and displaces nothing
+            return np.empty((4, 0, hidden)), inverse
+        with self._lock:
+            entry = self._entry
+        hit = np.zeros(ids.size, dtype=bool)
+        if entry is not None and entry[0] == key:
+            _, old_ids, old_slots, old_rows = entry
+            pos = np.minimum(np.searchsorted(old_ids, ids), old_ids.size - 1)
+            hit = old_ids[pos] == ids
+            if hit.all():
+                return old_rows, old_slots[pos][inverse]
+        # This call's rows: the ids carried over first, then the new ones,
+        # which project straight into their (contiguous) slab.
+        carried = int(np.count_nonzero(hit))
+        slots = np.empty(ids.size, dtype=np.intp)
+        slots[hit] = np.arange(carried)
+        slots[~hit] = np.arange(carried, ids.size)
+        rows = np.empty((4, ids.size, hidden))
+        if carried:
+            source = old_slots[pos[hit]]
+            for old_gate, gate in zip(old_rows, rows):
+                np.take(old_gate, source, axis=0, out=gate[:carried], mode="clip")
+        project(ids[~hit], rows[:, None, carried:])
+        with self._lock:
+            self.projected += ids.size - carried
+            self._entry = (key, ids, slots, rows)
+        return rows, slots[inverse]
 
 
 class PlanCache:
@@ -560,6 +656,9 @@ class PlanCache:
         self._lock = threading.Lock()
         self._pending: dict[Hashable, threading.Event] = {}
         self.stats = PlanCacheStats()
+        #: Layer-0 projected token rows, shared by every executor wired to
+        #: this cache (not counted by ``len``: it is one entry, not a store).
+        self.token_rows = TokenRowMemo()
 
     def __len__(self) -> int:
         with self._lock:
@@ -570,6 +669,7 @@ class PlanCache:
         with self._lock:
             self._relevance.clear()
             self._plans.clear()
+        self.token_rows.clear()
 
     def reset_stats(self) -> None:
         """Zero the hit/miss counters."""

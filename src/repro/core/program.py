@@ -45,8 +45,18 @@ OpenBLAS, measured on this platform:
   cell update) are elementwise and bit-identical to their allocating
   forms; ``np.take(..., out=)`` and boolean ``np.copyto`` likewise.
 
+A stepwise program's projection block has two writers with the same
+bits: :meth:`StepwiseProgram.project` lifts every token of the layer input
+to its own GEMV (:func:`project_rows`); at layer 0, where a token's row
+depends on the token id and ``W`` only, the executor instead projects each
+*distinct* id once per call — or not at all, if the previous call left it
+in the :class:`~repro.core.plan.TokenRowMemo` — and :func:`gather_rows`
+copies the rows into the block (:meth:`StepwiseProgram.gather`).
+
 Programs are built by :class:`~repro.core.executor.LSTMExecutor` (they
-are its only forward pass) and cached in a :class:`ProgramCache` keyed on
+are its only forward pass; :class:`~repro.core.pipeline.OptimizedLSTM`
+keeps its executors, so neither is rebuilt from run to run) and cached in
+a :class:`ProgramCache` keyed on
 (backend, weights fingerprint, link fingerprint, shapes, thresholds) and
 nothing input-dependent, so repeated runs, fresh inputs, threshold sweeps
 over ``alpha_inter`` and fleet shards of one shape all reuse one compiled
@@ -124,6 +134,19 @@ def project_rows(xs: np.ndarray, w_ops, outs) -> None:
     xs_rows = xs[:, :, None, :]  # (B, T, 1, E): one GEMV per token
     for w_t, out in zip(w_ops, outs):
         np.matmul(xs_rows, w_t, out=out[:, :, None, :])
+
+
+def gather_rows(rows: np.ndarray, index: np.ndarray, outs) -> None:
+    """Fill per-gate projections from already projected token rows:
+    ``outs[j] = rows[j][index]``.
+
+    ``rows`` is ``(4, n, H)`` — the distinct tokens of a call, projected
+    once by :func:`project_rows` (:class:`~repro.core.plan.TokenRowMemo`) —
+    and ``index`` the ``(B, T)`` row of every token. A copy moves no bit,
+    so the result equals projecting the embedded batch row by row.
+    """
+    for gate_rows, out in zip(rows, outs):
+        np.take(gate_rows, index, axis=0, out=out, mode="clip")
 
 
 @dataclass
@@ -263,7 +286,7 @@ class StepwiseProgram:
         # view, so the products below dispatch the same GEMV as the reference
         # walk's per-gate `h @ u_g.T` (see module docstring).
         self._u_op = united.u.reshape(4, hidden, hidden).transpose(0, 2, 1)[:, None]
-        self._w_ops = [united.w[sl].T for sl in united.slices.values()]  # (E, H)
+        self._w_ops = united.gate_w_ops()  # (E, H) each
         self._b = united.b.reshape(4, 1, hidden)
 
         # The workspace: every per-step array the loop touches, allocated
@@ -329,6 +352,13 @@ class StepwiseProgram:
         lowering always projects exactly — it *is* the oracle.
         """
         project_rows(xs, self._w_ops, self.proj)
+        return dict(zip(GATE_ORDER, self.proj))
+
+    def gather(self, rows: np.ndarray, index: np.ndarray) -> dict[str, np.ndarray]:
+        """:meth:`project` for a layer-0 batch whose distinct tokens are
+        already projected (:func:`gather_rows`): same block, same bits,
+        same planner views."""
+        gather_rows(rows, index, self.proj)
         return dict(zip(GATE_ORDER, self.proj))
 
     def execute(

@@ -82,15 +82,13 @@ def zero_prune(
         raise ConfigurationError(f"zero_prune expects a 2-D matrix, got shape {matrix.shape}")
     if (prune_fraction is None) == (threshold is None):
         raise ConfigurationError("pass exactly one of prune_fraction or threshold")
+    magnitude = np.abs(matrix)  # one pass serves the quantile and the mask
     if prune_fraction is not None:
         if not 0.0 <= prune_fraction < 1.0:
             raise ConfigurationError(f"prune_fraction must be in [0, 1), got {prune_fraction}")
-        if prune_fraction == 0.0:
-            threshold = 0.0
-        else:
-            threshold = float(np.quantile(np.abs(matrix), prune_fraction))
+        threshold = 0.0 if prune_fraction == 0.0 else float(np.quantile(magnitude, prune_fraction))
     assert threshold is not None
-    mask = np.abs(matrix) >= threshold if threshold > 0.0 else np.ones_like(matrix, dtype=bool)
+    mask = magnitude >= threshold if threshold > 0.0 else np.ones_like(matrix, dtype=bool)
     pruned = np.where(mask, matrix, 0.0)
     nnz = int(mask.sum())
     dense_bytes = matrix.size * value_bytes

@@ -152,8 +152,11 @@ class TestProgramsAreWeightFree:
         united = _UnitedWeights.from_weights(weights)
         assert all(mine is block for mine, block in zip((united.w, united.u, united.b), blocks))
         link = PredictedLink.zeros(weights.hidden_size)
-        stepwise = make_stepwise_program(backend, united, link, 2, 4, drs_alpha=0.3)
-        combined = make_combined_program(backend, united, link, 2, 4, 3, alpha_intra=0.3)
+        # Batch 3: no workspace buffer has a block's shape (at batch 2 the
+        # DRS scratch is ``(4H,)`` like ``b``, and ``np.empty`` can hand back
+        # the stale bytes of a freed copy made while the network was built).
+        stepwise = make_stepwise_program(backend, united, link, 3, 4, drs_alpha=0.3)
+        combined = make_combined_program(backend, united, link, 3, 4, 3, alpha_intra=0.3)
         dense_w_t = united.dense_w_t() if backend == "cgen" else None
         for program in (stepwise, combined):
             held = arrays_of(program)
