@@ -14,8 +14,10 @@ arithmetic) on the same workloads, verifies bit-identical outputs, writes
   plan for all sequences and cannot see a per-plan program key,
 * one executor plus its warmed streaming programs must hold at most a
   quarter of the network's weight bytes (``resident_bytes``, numpy and
-  cgen): weights exist once, in the network, and programs own only their
-  workspace,
+  cgen): weights exist once, in the network — and, with a ``(16, 64)``
+  batch shape warmed in two more modes through the same cache, the
+  workspace arenas must hold no more than the largest single program
+  layout per dispatch slot: workspaces exist once too,
 * a five-mode ``OptimizedLSTM.run`` sweep over one token batch
   (``sweep_overhead``) must, once warm, construct no executor and project
   no more layer-0 rows than the batch has distinct tokens — the share of
@@ -110,6 +112,10 @@ MAX_RESIDENT_SHARE = 0.25
 #: The ``(batch, chunk)`` shapes the resident-bytes row warms: token by
 #: token, and a full streaming tick.
 RESIDENT_SHAPES = ((1, 1), (8, 4))
+#: The batch shape it then warms in two modes through the same program
+#: cache, for the workspace gate: the arena must hold the largest single
+#: program layout, not one workspace per cached program.
+RESIDENT_BATCH_SHAPE = (16, 64)
 
 NUM_SEQUENCES = 64
 #: The fresh-input row serves shards of this many sequences.
@@ -392,6 +398,13 @@ def resident_bytes(gates: GateSet) -> dict:
     of everything still alive after construction and warm-up — the
     executor, its program cache and every compiled program — with the
     outputs dropped. A count, not a timing: it repeats exactly.
+
+    The same cache then serves :data:`RESIDENT_BATCH_SHAPE` batches in two
+    modes (INTRA and BASELINE: two more programs per layer), and the
+    second gate reads its workspace arenas: their bytes must not exceed
+    the largest single program layout times the dispatch slots in use —
+    beside it, ``layout_sum_bytes`` is what the same programs would hold
+    if each owned its workspace.
     """
     config = LSTMConfig(hidden_size=256, num_layers=2, seq_length=64, input_size=256)
     network = LSTMNetwork(
@@ -436,16 +449,36 @@ def resident_bytes(gates: GateSet) -> dict:
             MAX_RESIDENT_SHARE,
             "executor + warmed programs over the network's weight bytes",
         )
+        cache = executor.program_cache
+        batch_tokens = np.zeros(RESIDENT_BATCH_SHAPE, dtype=np.int64)
+        for config_of_mode in (execution, replace(execution, mode=ExecutionMode.BASELINE)):
+            LSTMExecutor(network, config_of_mode, program_cache=cache).run_batch(batch_tokens)
+        layouts = [program.workspace_nbytes for _, program in cache.items()]
+        arenas = cache.arenas()
+        workspace = sum(arena.nbytes for arena in arenas.values())
+        gates.require_at_most(
+            f"resident-bytes/{backend}/workspace",
+            workspace,
+            max(layouts) * len(arenas),
+            "arena bytes over the largest single program layout x slots used "
+            "(slab alignment is part of a layout)",
+        )
         row[backend] = {
             "held_bytes": held,
             "share": share,
-            "programs": len(executor.program_cache),
+            "programs": len(cache),
+            "workspace_bytes": workspace,
+            "largest_layout_bytes": max(layouts),
+            "layout_sum_bytes": sum(layouts),
+            "slots": len(arenas),
         }
         print(
             f"{'resident':10s} {backend:6s} holds {held / 1e6:6.2f} MB beside "
             f"{weight_bytes / 1e6:6.2f} MB of weights   "
             f"{share:5.3f} (gate <= {MAX_RESIDENT_SHARE})   "
-            f"{len(executor.program_cache)} warmed programs"
+            f"workspace {workspace / 1e6:5.2f} MB in {len(arenas)} arena(s) "
+            f"(gate <= largest layout {max(layouts) / 1e6:5.2f} MB x slots; "
+            f"the {len(cache)} programs' layouts sum to {sum(layouts) / 1e6:5.2f} MB)"
         )
     return row
 

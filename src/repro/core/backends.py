@@ -18,8 +18,9 @@ The name is checked once, at executor construction
 (:func:`resolve_backend`), so a missing toolchain fails fast with a
 :class:`~repro.errors.BackendUnavailableError` naming the reason rather
 than deep inside a run. Programs of every backend are built from the
-layer's ``_UnitedWeights`` — views of the network's own blocks — and own
-only their workspace. Two invariants the non-oracle backend keeps:
+layer's ``_UnitedWeights`` — views of the network's own blocks — and lease
+their workspace from the arena the factory is handed (a private one when
+it is omitted). Two invariants the non-oracle backend keeps:
 
 * **Plans are backend-invariant.** Anywhere the inter-level planner reads
   projection bits (combined mode, inter-active stepwise), the projection
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.program import CombinedGroupProgram, StepwiseProgram
+from repro.core.program import CombinedGroupProgram, StepwiseProgram, WorkspaceArena
 from repro.errors import BackendUnavailableError, ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -92,15 +93,16 @@ def make_stepwise_program(
     batch: int,
     seq_len: int,
     drs_alpha: float = 0.0,
+    arena: WorkspaceArena | None = None,
 ):
     """Build one stepwise program under a *resolved* backend name."""
     if backend == "numpy":
-        return StepwiseProgram(united, link, batch, seq_len, drs_alpha=drs_alpha)
-    if backend == "cgen":
-        from repro.core.cgen import CGenStepwiseProgram
-
-        return CGenStepwiseProgram(united, link, batch, seq_len, drs_alpha=drs_alpha)
-    raise ConfigurationError(f"unresolved backend {backend!r}")
+        program_type = StepwiseProgram
+    elif backend == "cgen":
+        from repro.core.cgen import CGenStepwiseProgram as program_type
+    else:
+        raise ConfigurationError(f"unresolved backend {backend!r}")
+    return program_type(united, link, batch, seq_len, drs_alpha=drs_alpha, arena=arena)
 
 
 def make_combined_program(
@@ -111,10 +113,13 @@ def make_combined_program(
     seq_len: int,
     mts: int,
     alpha_intra: float = 0.0,
+    arena: WorkspaceArena | None = None,
 ):
     """Build one combined-mode layer program under a *resolved* backend name."""
     if backend == "cgen":
         from repro.core.cgen import CGenCombinedProgram as program_type
     else:
         program_type = CombinedGroupProgram
-    return program_type(united, link, batch, seq_len, mts, alpha_intra=alpha_intra)
+    return program_type(
+        united, link, batch, seq_len, mts, alpha_intra=alpha_intra, arena=arena
+    )

@@ -59,6 +59,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.program import LeasedProgram, WorkspaceArena
 from repro.errors import BackendUnavailableError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -364,12 +365,12 @@ def _ptr(array: np.ndarray | None) -> int | None:
     return array.ctypes.data
 
 
-class CGenStepwiseProgram:
+class CGenStepwiseProgram(LeasedProgram):
     """C-kernel twin of :class:`repro.core.program.StepwiseProgram`.
 
-    Same two-phase API and the same workspace-ownership rules; the
-    timestep loop runs in ``stepwise_run`` as one native call. Tolerance-
-    level agreement with the numpy lowering, never bit-contracted.
+    Same two-phase API and the same leased workspace; the timestep loop
+    runs in ``stepwise_run`` as one native call. Tolerance-level agreement
+    with the numpy lowering, never bit-contracted.
     """
 
     bit_exact = False
@@ -381,6 +382,7 @@ class CGenStepwiseProgram:
         batch: int,
         seq_len: int,
         drs_alpha: float = 0.0,
+        arena: WorkspaceArena | None = None,
     ) -> None:
         self._lib = load_library()
         hidden = united.u.shape[1]
@@ -395,14 +397,22 @@ class CGenStepwiseProgram:
         self._h_bar = np.ascontiguousarray(link.h_bar)
         self._c_bar = np.ascontiguousarray(link.c_bar)
         self._slices = dict(united.slices)
-        self.proj = np.empty((batch, seq_len, 4 * hidden))
-        self.h = np.zeros((batch, hidden))
-        self.c = np.zeros((batch, hidden))
-        self._scratch = np.empty(3 * hidden)
-        self._resets = np.zeros((seq_len, batch), dtype=np.uint8)
-        self.masks_all = (
-            np.empty((batch, seq_len, hidden), dtype=bool) if drs_alpha > 0.0 else None
-        )
+        slabs = [
+            ("h", (batch, hidden), float),
+            ("c", (batch, hidden), float),
+            ("scratch", (3 * hidden,), float),
+            ("resets", (seq_len, batch), np.uint8),
+        ]
+        if drs_alpha > 0.0:
+            slabs.append(("masks_all", (batch, seq_len, hidden), bool))
+        slabs.append(("proj", (batch, seq_len, 4 * hidden), float))
+        self._lease(arena, slabs)
+
+    @property
+    def masks_all(self) -> np.ndarray | None:
+        """Per-step ``(B, T, H)`` DRS masks of the last run (``None``
+        without DRS); arena bytes, as for the numpy program."""
+        return getattr(self._ws or self._bind(), "masks_all", None)
 
     def project(self, xs: np.ndarray, exact: bool = False) -> dict[str, np.ndarray]:
         """Stage the input projections; returns per-gate planner views.
@@ -414,12 +424,13 @@ class CGenStepwiseProgram:
         sees the same projection bits on every backend (structural plans
         stay backend-invariant).
         """
+        proj = (self._ws or self._bind()).proj
         if exact:
-            np.matmul(xs[:, :, None, :], self._w_t, out=self.proj[:, :, None, :])
+            np.matmul(xs[:, :, None, :], self._w_t, out=proj[:, :, None, :])
         else:
             flat = xs.reshape(-1, xs.shape[-1])
-            np.matmul(flat, self._w_t_dense, out=self.proj.reshape(flat.shape[0], 4 * self.hidden))
-        return {g: self.proj[..., sl] for g, sl in self._slices.items()}
+            np.matmul(flat, self._w_t_dense, out=proj.reshape(flat.shape[0], 4 * self.hidden))
+        return {g: proj[..., sl] for g, sl in self._slices.items()}
 
     def execute(
         self,
@@ -431,31 +442,32 @@ class CGenStepwiseProgram:
         state_out: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
         """Run the fused timestep loop (same contract as the numpy program)."""
-        self.h[:] = 0.0 if h0 is None else h0
-        self.c[:] = 0.0 if c0 is None else c0
+        ws = self._ws or self._bind()
+        ws.h[:] = 0.0 if h0 is None else h0
+        ws.c[:] = 0.0 if c0 is None else c0
         resets = None
         if reset_cols is not None:
-            self._resets[:] = 0
+            resets = ws.resets
+            resets[:] = 0
             for t, col in enumerate(reset_cols):
                 if col is not None:
-                    self._resets[t] = col[:, 0]
-            resets = self._resets
-        masks = self.masks_all if self.drs_alpha > 0.0 else None
+                    resets[t] = col[:, 0]
+        masks = ws.masks_all if self.drs_alpha > 0.0 else None
         self._lib.stepwise_run(
-            _ptr(self.proj), _ptr(self._u), _ptr(self._b),
-            _ptr(self.h), _ptr(self.c), _ptr(hs), _ptr(cs),
+            _ptr(ws.proj), _ptr(self._u), _ptr(self._b),
+            _ptr(ws.h), _ptr(ws.c), _ptr(hs), _ptr(cs),
             _ptr(masks), _ptr(resets),
             _ptr(self._h_bar), _ptr(self._c_bar),
-            float(self.drs_alpha), _ptr(self._scratch),
+            float(self.drs_alpha), _ptr(ws.scratch),
             self.batch, self.seq_len, self.hidden,
         )
         if state_out is not None:
             out_h, out_c = state_out
-            out_h[:] = self.h
-            out_c[:] = self.c
+            out_h[:] = ws.h
+            out_c[:] = ws.c
 
 
-class CGenCombinedProgram:
+class CGenCombinedProgram(LeasedProgram):
     """C-kernel twin of :class:`repro.core.program.CombinedGroupProgram`.
 
     Same shape-keyed interface — plans are run-time inputs — but no wave
@@ -474,6 +486,7 @@ class CGenCombinedProgram:
         seq_len: int,
         mts: int,
         alpha_intra: float = 0.0,
+        arena: WorkspaceArena | None = None,
     ) -> None:
         self._lib = load_library()
         hidden = united.u.shape[1]
@@ -484,35 +497,39 @@ class CGenCombinedProgram:
         self._b = united.b
         self._h_bar = np.ascontiguousarray(link.h_bar)
         self._c_bar = np.ascontiguousarray(link.c_bar)
-        self._scratch = np.empty(3 * min(mts, seq_len) * hidden)
-        self._h_state = np.empty((seq_len, hidden))
-        self._c_state = np.empty((seq_len, hidden))
-        self._shared = (
-            np.empty((batch * seq_len, hidden), dtype=bool) if alpha_intra > 0.0 else None
-        )
+        slabs = [
+            ("scratch", (3 * min(mts, seq_len) * hidden,), float),
+            ("h_state", (seq_len, hidden), float),
+            ("c_state", (seq_len, hidden), float),
+        ]
+        if alpha_intra > 0.0:
+            slabs.append(("shared", (batch * seq_len, hidden), bool))
+        self._lease(arena, slabs)
 
     def execute(
         self, proj_u: np.ndarray, plans: "list[CachedLayerPlan]", hs: np.ndarray
     ) -> np.ndarray | None:
         """Walk ``plans`` over ``proj_u`` ``(B, T, 4H)`` (same contract as
         the numpy program: fills ``hs``, returns the shared masks)."""
+        ws = self._ws or self._bind()
         proj = np.ascontiguousarray(proj_u)
-        drs = self._shared is not None
+        drs = self.alpha_intra > 0.0
+        h_state, c_state = ws.h_state, ws.c_state
         done = 0
         for b, plan in enumerate(plans):
             n_sub, n_tissues = len(plan.sublayers), plan.num_tissues
-            self._h_state[0] = 0.0
-            self._c_state[0] = 0.0
-            self._h_state[1:n_sub] = self._h_bar
-            self._c_state[1:n_sub] = self._c_bar
-            shared = self._shared[done : done + n_tissues] if drs else None
+            h_state[0] = 0.0
+            c_state[0] = 0.0
+            h_state[1:n_sub] = self._h_bar
+            c_state[1:n_sub] = self._c_bar
+            shared = ws.shared[done : done + n_tissues] if drs else None
             self._lib.combined_run(
                 _ptr(proj[b]), _ptr(self._u), _ptr(self._b),
-                _ptr(self._h_state), _ptr(self._c_state), _ptr(hs[b]),
+                _ptr(h_state), _ptr(c_state), _ptr(hs[b]),
                 _ptr(shared), _ptr(plan.offsets),
                 _ptr(plan.subs), _ptr(plan.ts),
-                float(self.alpha_intra), _ptr(self._scratch),
+                float(self.alpha_intra), _ptr(ws.scratch),
                 1, self.seq_len, self.hidden, n_sub, n_tissues,
             )
             done += n_tissues
-        return self._shared[:done] if drs else None
+        return ws.shared[:done] if drs else None

@@ -61,8 +61,9 @@ measured on calibrated BABI at ``H = 256``).
 
 Every layer runs as a preallocated, fused program
 (:mod:`repro.core.program`): views of the layer's weight blocks (nothing
-here copies a weight), a reusable workspace,
-one stacked matmul per timestep, and in-place ufunc chains — the
+here copies a weight), a workspace leased from the program cache's one
+arena per dispatch slot (whatever a run returns is copied or reduced out
+of it first), one stacked matmul per timestep, and in-place ufunc chains — the
 reference walk's bits with no per-step allocation; the readable
 specification of the arithmetic is that frozen reference. Programs are
 cached in a :class:`~repro.core.program.ProgramCache` keyed on content and
@@ -172,7 +173,8 @@ class ExecutionConfig:
             (per-row GEMV / per-row projection lifts), so outputs stay
             bit-identical at every thread count. Shards share the plan
             cache (single-flight) and key their compiled programs per
-            dispatch slot, so each thread owns its program workspaces.
+            dispatch slot, so each thread computes in its own workspace
+            arena.
     """
 
     mode: ExecutionMode = ExecutionMode.BASELINE
@@ -301,7 +303,7 @@ class _DeferredStepStats:
     """Batch-shared lazy DRS statistics for compiled stepwise runs.
 
     Holds a snapshot of the program's per-step masks (the program's own
-    buffer is workspace, rewritten by the next run) and reduces it to
+    view is arena memory, rewritten by whatever runs next) and reduces it to
     per-sequence skip / warp-skip fraction lists only when some record's
     statistics are first read. ``count_nonzero`` sums booleans exactly
     and the division matches ``masks.mean(axis=2)`` bit for bit, so the
@@ -483,6 +485,10 @@ class LSTMExecutor:
             # The deployed (dequantized) weights are what DRS profiles,
             # so row ranges are recomputed from them.
             self._row_ranges = [recurrent_row_ranges(w) for w in self._weights]
+        #: The quantized payloads this executor runs on (``None`` at fp64);
+        #: :class:`~repro.core.pipeline.OptimizedLSTM` hands them to its
+        #: next executor of the same precision over the same weights.
+        self.quantized_cells = quantized_cells
         self._united = [_UnitedWeights.from_weights(w) for w in self._weights]
         if not self._exact_backend:
             for united in self._united:
@@ -495,6 +501,28 @@ class LSTMExecutor:
         self._memo_layer0 = self._exact_backend or config.mode is ExecutionMode.COMBINED
         self._token_memo = plan_cache.token_rows if plan_cache is not None else TokenRowMemo()
         self._w0_fp: str | None = None
+
+    def owned_arrays(self) -> list[np.ndarray]:
+        """The weight arrays this executor holds beyond the network's own:
+        ZERO_PRUNE's pruned ``U``, a quantized precision's codes, scales
+        and dequantized blocks, the cgen backend's staged ``W^T`` — what
+        keeping the executor costs (:attr:`~repro.core.program.
+        ProgramCache.nbytes` counts each once across executors sharing
+        it)."""
+        owned = []
+        for layer, weights, united in zip(self.network.layers, self._weights, self._united):
+            model = layer.weights
+            owned += [
+                mine
+                for mine, theirs in ((weights.w, model.w), (weights.u, model.u), (weights.b, model.b))
+                if mine is not theirs
+            ]
+            if united._w_t_dense is not None:
+                owned.append(united._w_t_dense)
+        for cell in self.quantized_cells or ():
+            for matrix in (*cell.w.values(), *cell.u.values()):
+                owned += [a for a in (matrix.data, matrix.scales) if a is not None]
+        return owned
 
     # ----------------------------------------------------- per-thread state
 
@@ -628,7 +656,7 @@ class LSTMExecutor:
         order, are bit-identical to the inline walk (gated in
         ``bench_parallel``). Shards share the single-flight plan cache;
         programs are keyed per dispatch slot so each thread owns its
-        workspaces. Real concurrency comes from BLAS / ufunc / ctypes GIL
+        workspace arena. Real concurrency comes from BLAS / ufunc / ctypes GIL
         release inside the shard bodies.
 
         Returns:
@@ -996,8 +1024,8 @@ class LSTMExecutor:
             return hs, records, cs
         # Single-cell records: both the record objects and the DRS mask
         # reductions are read at most once (if at all) after the run, so
-        # everything defers — the masks are snapshotted because the
-        # program buffer is workspace for the next run.
+        # everything defers — the masks are snapshotted because they are
+        # arena memory, the next program's workspace.
         cells_by_t = self._single_cells(seq_len)
         stats = _DeferredStepStats(program.masks_all.copy(), hidden) if drs else None
         zeros = None if drs else self._zero_fractions(seq_len)
@@ -1157,10 +1185,10 @@ class LSTMExecutor:
         resolved backend, and ``shape`` — sizes and thresholds — never on
         breakpoints or plans, which are run-time inputs: every run at one
         shape replays one program per layer. On dispatcher threads the key
-        additionally carries the dispatch slot: programs own mutable
-        workspaces, so equal-shape shards running concurrently must not
-        share one instance. Serial runs (``slot is None``) keep the
-        unsuffixed key.
+        additionally carries the dispatch slot: a program computes in its
+        slot's workspace arena, which ``build(arena)`` receives, so
+        equal-shape shards running concurrently must not share one
+        instance. Serial runs (``slot is None``) keep the unsuffixed key.
         """
         key = (
             kind,
@@ -1174,7 +1202,7 @@ class LSTMExecutor:
 
         def timed_build():
             start = time.perf_counter()
-            program = build()
+            program = build(self.program_cache.arena(self._slot))
             self._compile_wall += time.perf_counter() - start
             return program
 
@@ -1196,8 +1224,8 @@ class LSTMExecutor:
             "stepwise",
             layer_index,
             (batch, seq_len, alpha),
-            lambda: make_stepwise_program(
-                self.backend, united, link, batch, seq_len, drs_alpha=alpha
+            lambda arena: make_stepwise_program(
+                self.backend, united, link, batch, seq_len, drs_alpha=alpha, arena=arena
             ),
         )
 
@@ -1216,8 +1244,8 @@ class LSTMExecutor:
             "combined",
             layer_index,
             (batch, seq_len, cfg.mts, cfg.alpha_intra),
-            lambda: make_combined_program(
+            lambda arena: make_combined_program(
                 self.backend, united, link, batch, seq_len, cfg.mts,
-                alpha_intra=cfg.alpha_intra,
+                alpha_intra=cfg.alpha_intra, arena=arena,
             ),
         )

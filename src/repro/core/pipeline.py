@@ -46,6 +46,7 @@ from repro.errors import CalibrationError, ConfigurationError
 from repro.gpu.simulator import TimingSimulator
 from repro.gpu.specs import GPUSpec, TEGRA_X1
 from repro.gpu.trace import TraceSummary
+from repro.nn.backprop import network_parameters
 from repro.nn.model_zoo import build_calibrated_network
 from repro.nn.network import LSTMNetwork
 from repro.nn.quantize import Precision
@@ -118,7 +119,8 @@ class OptimizedLSTM:
         self.spec = spec
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         # One program cache under every executor of this app: modes and
-        # threshold sets at one shape replay the same compiled programs.
+        # threshold sets at one shape replay the same compiled programs,
+        # and every program of every mode leases the same workspace arena.
         self.program_cache = ProgramCache()
         #: The executors :meth:`run` has built, least recently used out
         #: first (the same bounded single-flight store the programs use;
@@ -166,6 +168,19 @@ class OptimizedLSTM:
             self.network, self._calibration_tokens, spec=self.spec, mts=mts
         )
         return self.calibration
+
+    def resident_bytes(self) -> dict[str, int]:
+        """What this app keeps resident, in bytes by owner — the rows of
+        the "what is resident" table in ``docs/architecture.md``. Each
+        figure is the owner's own ``nbytes`` (array bytes; interpreter
+        objects are not counted), read at the time of the call."""
+        return {
+            "weights": sum(array.nbytes for array in network_parameters(self.network)),
+            "workspace_arenas": self.program_cache.nbytes,
+            "plan_cache": self.plan_cache.nbytes,
+            "token_row_memo": self.plan_cache.token_rows.nbytes,
+            "executor_cache": self.executor_cache.nbytes,
+        }
 
     def _require_calibration(self, mode: ExecutionMode | None = None) -> OfflineCalibration:
         if self.calibration is None:
@@ -250,8 +265,7 @@ class OptimizedLSTM:
         read live from the network and need no key.
         """
         links = self.calibration.predicted_links if self.calibration is not None else None
-        key = (
-            config,
+        content = (
             *(fingerprint_weights(layer.weights) for layer in self.network.layers),
             *(
                 fingerprint_array(vector)
@@ -260,15 +274,35 @@ class OptimizedLSTM:
             ),
         )
         return self.executor_cache.get(
-            key,
+            (config, content),
             lambda: LSTMExecutor(
                 self.network,
                 config,
                 predicted_links=links,
                 plan_cache=self.plan_cache,
                 program_cache=self.program_cache,
+                quantized_cells=self._kept_quantized_cells(config, content),
             ),
         )
+
+    def _kept_quantized_cells(self, config: ExecutionConfig, content: tuple):
+        """The quantized payloads a kept executor already runs on, if one
+        has ``config``'s precision over the same weight set — the network's
+        blocks, or their pruning at one fraction — so a threshold sweep at
+        int8 holds one dequantized copy, not one per threshold set.
+        ``None`` at fp64 and for the first such executor, which quantizes
+        for itself."""
+        if not config.precision.is_quantized:
+            return None
+
+        def weight_set(cfg: ExecutionConfig):
+            pruned = cfg.mode is ExecutionMode.ZERO_PRUNE
+            return cfg.precision, cfg.zero_prune_fraction if pruned else None
+
+        for (other, other_content), executor in self.executor_cache.items():
+            if other_content == content and weight_set(other) == weight_set(config):
+                return executor.quantized_cells
+        return None
 
     def run(
         self,

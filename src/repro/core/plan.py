@@ -569,6 +569,14 @@ class TokenRowMemo:
         with self._lock:
             self._entry = None
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the entry: one call's distinct ids, their slots and
+        their ``(4, distinct, H)`` projected rows."""
+        with self._lock:
+            entry = self._entry
+        return 0 if entry is None else sum(array.nbytes for array in entry[1:])
+
     def lookup(
         self,
         key: Hashable,
@@ -615,6 +623,21 @@ class TokenRowMemo:
         return rows, slots[inverse]
 
 
+#: What one planned (sequence, layer) costs while cached, measured at serving
+#: geometry (BABI, ``T = 86``; IMDB's ``T = 80`` reads 5.5 KB): 2.4 KB of
+#: arrays — the relevance array and the plan's three index vectors, what
+#: :attr:`PlanCache.nbytes` counts — plus the two keys, the sub-layer tuple
+#: and the containers around them.
+_PLAN_ENTRY_BYTES = 6 * 1024
+
+#: Default bound of each :class:`PlanCache` store: what 24 MiB hold. A
+#: fresh-token request adds entries that never hit again, so the bound is
+#: what a long-lived server's cache weighs; a threshold sweep's reuse
+#: distance (every sequence and layer of an application, times its eleven
+#: threshold sets) stays well inside it.
+_DEFAULT_MAX_ENTRIES = (24 << 20) // _PLAN_ENTRY_BYTES
+
+
 class PlanCache:
     """Memoizes per-sequence structural planning across executions.
 
@@ -631,9 +654,10 @@ class PlanCache:
       the relevance key extended with ``(alpha_inter, MTS, GPU spec)`` —
       the full configuration that determines the structural schedule.
 
-    Both stores are bounded LRU maps; hit/miss counters are kept in
-    :attr:`stats` and rendered by :func:`repro.bench.reporting.
-    format_cache_stats`. A shared instance is carried by
+    Both stores are LRU maps bounded at ``max_entries`` each; hit/miss
+    counters are kept in :attr:`stats` and rendered by
+    :func:`repro.bench.reporting.format_cache_stats`, the bytes the entries
+    keep alive are counted by :attr:`nbytes`. A shared instance is carried by
     :class:`repro.core.pipeline.OptimizedLSTM` and (session-wide) by
     :class:`repro.bench.harness.ExperimentContext`.
 
@@ -647,7 +671,7 @@ class PlanCache:
     asserts.
     """
 
-    def __init__(self, max_entries: int = 65536) -> None:
+    def __init__(self, max_entries: int = _DEFAULT_MAX_ENTRIES) -> None:
         if max_entries < 1:
             raise ConfigurationError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
@@ -663,6 +687,20 @@ class PlanCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._relevance) + len(self._plans)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays the two stores keep alive — every relevance
+        array, every plan's index vectors — an array a plan shares with
+        the relevance store counted once. The token-row memo reports its
+        own. Walks both stores: a ledger read, not a hot-path one."""
+        with self._lock:
+            relevance, plans = list(self._relevance.values()), list(self._plans.values())
+        arrays = {id(array): array.nbytes for array in relevance}
+        for plan in plans:
+            for array in (plan.relevance, plan.subs, plan.ts, plan.offsets):
+                arrays[id(array)] = array.nbytes
+        return sum(arrays.values())
 
     def clear(self) -> None:
         """Drop every entry (counters are kept; see :meth:`reset_stats`)."""

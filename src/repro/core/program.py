@@ -13,9 +13,12 @@ combined mode — into a *program*: an object that holds
   ``(4, H, H)``, ``b`` as ``(4, 1, H)``, ``W`` gate by gate, hence gate
   slabs in ``GATE_ORDER``): the weights exist once, in the network or the
   arena's shared pages, however many programs run on them,
-* **a single preallocated workspace** — gate slabs, ``h``/``c`` state,
-  DRS mask scratch, all a program owns — reused across timesteps and
-  across runs via ``np.matmul(..., out=)`` and in-place ufunc chains,
+* **no memory of its own either** — its workspace (projection block,
+  gate slabs, ``h``/``c`` state, DRS mask and compaction scratch, wave
+  planes) is a fixed layout *leased* from the :class:`WorkspaceArena` of
+  the dispatch slot it runs on, reused across timesteps and runs via
+  ``np.matmul(..., out=)`` and in-place ufunc chains, and shared with
+  every other program of the slot, which run strictly one after another,
 * **no structure** — what the inter level decided is a run-time input:
   breakpoint resets arrive as a per-timestep column list, tissue
   schedules as the index vectors cached on each sequence's plan
@@ -60,21 +63,42 @@ a :class:`ProgramCache` keyed on
 (backend, weights fingerprint, link fingerprint, shapes, thresholds) and
 nothing input-dependent, so repeated runs, fresh inputs, threshold sweeps
 over ``alpha_inter`` and fleet shards of one shape all reuse one compiled
-program per layer, and an entry costs only its workspace (0.5 MB at
-``(8, 4)`` and ``H = 256``, kilobytes at ``(1, 1)``). Workspace lifetime
-rule: a program owns its buffers while it is cached; every run rewrites the full state
-(``h``/``c`` set on entry — zeros, or caller-injected resident state for
-the streaming runtime — and every output cell written), so consecutive
-runs are bit-identical to fresh executors — property-tested, including
-across mid-sequence breakpoint resets.
+program per layer, and an entry costs kilobytes: its shape, its weight
+views and the views it prebuilt over the arena.
+
+Workspace lifetime rule. The memory belongs to the
+:class:`ProgramCache`: one arena per dispatch slot, exactly as large as
+the largest layout any program of that slot has leased, so resident bytes
+follow the largest live shape, not the history of shapes (a program built
+without an arena — a test, a probe — owns a private one of exactly its
+layout). What a program may assume about its slabs on entry: **nothing**.
+Another layer, mode or shape ran there a moment ago, so every run rewrites
+everything it reads — ``h``/``c`` set on entry (zeros, or caller-injected
+resident state for the streaming runtime), every scratch element written
+before it is read, every output cell written — and consecutive runs are
+bit-identical to fresh executors (property-tested, including across
+mid-sequence breakpoint resets and with the arena overwritten between any
+two runs: ``tests/test_workspace_arena.py``). Two things follow for
+callers. A ``project`` / ``gather`` -> plan -> ``execute`` sequence on one
+layer must not be interleaved with another program of the same slot: the
+projection block lives in the arena between the two calls. And whatever a
+program hands back that is arena memory — the planner views, the DRS
+masks, the shared tissue masks — is valid only until the next program
+runs; the executor reduces or copies it at once, so nothing a run returns
+aliases the arena. When the arena regrows for a larger layout it first
+tells its tenants to drop their views (so the old buffer is freed, not
+kept alive by a stale program) and each rebinds on its next entry.
 """
 
 from __future__ import annotations
 
+import math
 import threading
+import weakref
 from collections import OrderedDict
-from collections.abc import Callable, Hashable
+from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -91,6 +115,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Bound on one combined program's memoized size-class operand views (a
 #: few hundred bytes each; a serving shard sees a few hundred layouts).
 _MAX_STACKED_VIEWS = 4096
+
+#: A combined program's ``(rows, H)`` float scratch planes, in the order
+#: its walk unpacks them.
+_WAVE_PLANES = (
+    "h_prev", "c_prev", "o", "f", "i", "g", "c_new", "h_new", "t1", "s1", "s2",
+)
+
+#: Alignment of an arena's buffer and of every slab inside it: one cache line.
+_ALIGN = 64
 
 
 def sigmoid_into(
@@ -149,6 +182,98 @@ def gather_rows(rows: np.ndarray, index: np.ndarray, outs) -> None:
         np.take(gate_rows, index, axis=0, out=out, mode="clip")
 
 
+class WorkspaceArena:
+    """One dispatch slot's scratch memory: a single buffer every program of
+    the slot leases, exactly as large as the largest layout asked of it.
+
+    Layers, modes and shapes of one slot run strictly one after another, so
+    their workspaces never need to exist at the same time: resident bytes
+    follow the largest live shape, not the history of shapes. The buffer
+    only grows (:meth:`ProgramCache.clear` drops it); when it does, every
+    tenant is told to forget its views *first*, so the old buffer is freed
+    before the new one is allocated and nothing keeps it alive.
+
+    Not thread-safe, by construction: a slot runs one program at a time.
+    """
+
+    def __init__(self) -> None:
+        self._bytes = np.empty(0, dtype=np.uint8)
+        self._tenants: "weakref.WeakSet[LeasedProgram]" = weakref.WeakSet()
+
+    @property
+    def buffer(self) -> np.ndarray:
+        """The arena's bytes. Their contents belong to whichever program
+        runs next — the arena tests overwrite them between runs to prove
+        it."""
+        return self._bytes
+
+    @property
+    def nbytes(self) -> int:
+        """Resident size: the largest layout leased so far."""
+        return self._bytes.nbytes
+
+    def lease(self, tenant: "LeasedProgram", nbytes: int) -> np.ndarray:
+        """At least ``nbytes`` cache-line-aligned bytes for ``tenant``, who
+        may keep views of them until its ``_unbind()`` is called."""
+        if nbytes > self._bytes.nbytes:
+            for other in self._tenants:
+                other._unbind()
+            self._bytes = np.empty(0, dtype=np.uint8)  # freed before the regrow
+            raw = np.empty(nbytes + _ALIGN, dtype=np.uint8)
+            head = -raw.ctypes.data % _ALIGN
+            self._bytes = raw[head : head + nbytes]
+        self._tenants.add(tenant)
+        return self._bytes
+
+
+class LeasedProgram:
+    """What every program is besides its arithmetic: a fixed layout of
+    named slabs, bound to an arena's bytes on demand.
+
+    A subclass ends its constructor with :meth:`_lease` and starts every
+    entry point with ``ws = self._ws or self._bind()`` — the arena drops
+    ``_ws`` when it regrows. What it finds in the slabs on entry is
+    whatever ran last on the slot: a program assumes nothing.
+    """
+
+    _ws: SimpleNamespace | None = None
+
+    def _lease(
+        self,
+        arena: WorkspaceArena | None,
+        slabs: Sequence[tuple[str, tuple[int, ...], type]],
+    ) -> None:
+        """Fix the layout — ``(name, shape, dtype)`` per slab, each on its
+        own cache line, in the order given — and bind it. Without an arena
+        the program owns a private one of exactly its layout."""
+        self._arena = WorkspaceArena() if arena is None else arena
+        self._slabs = []
+        offset = 0
+        for name, shape, dtype in slabs:
+            size = math.prod(shape) * np.dtype(dtype).itemsize
+            self._slabs.append((name, offset, offset + size, dtype, shape))
+            offset += -(-size // _ALIGN) * _ALIGN
+        #: Bytes this program leases (slab sizes plus alignment padding).
+        self.workspace_nbytes = offset
+        self._bind()
+
+    def _bind(self) -> SimpleNamespace:
+        """Carve the slabs out of the arena's current buffer, one attribute
+        per slab. Subclasses add the views their hot loop wants prebuilt."""
+        data = self._arena.lease(self, self.workspace_nbytes)
+        ws = self._ws = SimpleNamespace(
+            **{
+                name: data[lo:hi].view(dtype).reshape(shape)
+                for name, lo, hi, dtype, shape in self._slabs
+            }
+        )
+        return ws
+
+    def _unbind(self) -> None:
+        """Forget every view of the arena (it is about to regrow)."""
+        self._ws = None
+
+
 @dataclass
 class ProgramCacheStats:
     """Hit/miss counters of one :class:`ProgramCache`."""
@@ -179,15 +304,17 @@ class ProgramCacheStats:
 
 
 class ProgramCache:
-    """Bounded LRU cache of compiled programs.
+    """Bounded LRU cache of compiled programs, and the owner of the memory
+    they run in.
 
-    Programs own workspaces (``4 * B * T * H`` projection doubles
-    dominate: megabytes at batch shapes, kilobytes at streaming ones) and
-    no weights. The default bound is far smaller than the
-    :class:`~repro.core.plan.PlanCache` bound; an entry is one (layer
-    weights, shape, thresholds, dispatch slot) combination — never one per
-    input — so a serving workload at a steady shape holds one entry per
-    layer and slot and stops compiling after its first request.
+    Programs hold no weights and no buffers: each leases its workspace from
+    the cache's :class:`WorkspaceArena` of the dispatch slot it runs on
+    (:meth:`arena`), so an entry costs kilobytes of views and the cache's
+    resident bytes are one largest layout per slot, whatever it has cached.
+    An entry is one (layer weights, shape, thresholds, dispatch slot)
+    combination — never one per input — so a serving workload at a steady
+    shape holds one entry per layer and slot and stops compiling after its
+    first request.
 
     Thread-safe with *single-flight* compilation: under the in-process
     dispatcher (:mod:`repro.core.parallel`) several threads can request
@@ -203,6 +330,7 @@ class ProgramCache:
             raise ConfigurationError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
         self._store: OrderedDict[Hashable, object] = OrderedDict()
+        self._arenas: dict[int | None, WorkspaceArena] = {}
         self._lock = threading.Lock()
         self._pending: dict[Hashable, threading.Event] = {}
         self.stats = ProgramCacheStats()
@@ -212,9 +340,46 @@ class ProgramCache:
             return len(self._store)
 
     def clear(self) -> None:
-        """Drop every program (counters are kept)."""
+        """Drop every program and every arena (counters are kept)."""
         with self._lock:
             self._store.clear()
+            self._arenas.clear()
+
+    def arena(self, slot: int | None = None) -> WorkspaceArena:
+        """The workspace arena of one dispatch slot (``None``: the serial
+        path), created on first use. Slots run concurrently, so each owns
+        its own; everything that runs *on* one slot shares it."""
+        with self._lock:
+            arena = self._arenas.get(slot)
+            if arena is None:
+                arena = self._arenas[slot] = WorkspaceArena()
+            return arena
+
+    def arenas(self) -> dict[int | None, WorkspaceArena]:
+        """Snapshot of the arenas in use, by dispatch slot."""
+        with self._lock:
+            return dict(self._arenas)
+
+    def items(self) -> list[tuple[Hashable, object]]:
+        """Snapshot of the ``(key, cached object)`` pairs, least recently
+        used first."""
+        with self._lock:
+            return list(self._store.items())
+
+    @property
+    def nbytes(self) -> int:
+        """Resident bytes: every slot's arena, plus whatever arrays the
+        entries say they own (``owned_arrays()``: programs lease, so they
+        own nothing; a kept executor owns its derived weights), each array
+        counted once however many entries share it."""
+        total = sum(arena.nbytes for arena in self.arenas().values())
+        owned = {
+            id(array): array.nbytes
+            for _, entry in self.items()
+            if hasattr(entry, "owned_arrays")
+            for array in entry.owned_arrays()
+        }
+        return total + sum(owned.values())
 
     def get(self, key: Hashable, build: Callable[[], object]):
         """Cached lookup; ``build`` runs only on a miss (single-flight)."""
@@ -250,7 +415,7 @@ class ProgramCache:
         return program
 
 
-class StepwiseProgram:
+class StepwiseProgram(LeasedProgram):
     """Compiled timestep loop for the stepwise modes.
 
     One program serves BASELINE / ZERO_PRUNE / INTER / INTRA at a fixed
@@ -261,10 +426,14 @@ class StepwiseProgram:
     Two-phase API (the inter-level planner needs the input projections
     *before* the recurrence runs):
 
-    1. :meth:`project` stages ``xs`` into the preallocated ``(4, B, T, H)``
+    1. :meth:`project` stages ``xs`` into the leased ``(4, B, T, H)``
        projection block and returns per-gate views for the planner.
     2. :meth:`execute` runs the unrolled timestep loop into caller-owned
        output arrays.
+
+    ``arena`` is the :class:`WorkspaceArena` the workspace is leased from
+    (the executor passes its cache's); omitted, the program owns a private
+    one.
     """
 
     def __init__(
@@ -274,6 +443,7 @@ class StepwiseProgram:
         batch: int,
         seq_len: int,
         drs_alpha: float = 0.0,
+        arena: WorkspaceArena | None = None,
     ) -> None:
         hidden = united.u.shape[1]
         self.batch = batch
@@ -289,53 +459,64 @@ class StepwiseProgram:
         self._w_ops = united.gate_w_ops()  # (E, H) each
         self._b = united.b.reshape(4, 1, hidden)
 
-        # The workspace: every per-step array the loop touches, allocated
-        # once. `proj` is the largest block (4 * B * T * H doubles).
-        self.proj = np.empty((4, batch, seq_len, hidden))
-        self.h = np.zeros((batch, hidden))
-        self.c = np.zeros((batch, hidden))
-        self._hu = np.empty((4, batch, 1, hidden))
-        self._pre = np.empty((4, batch, hidden))
-        s1 = np.empty((3, batch, hidden))
-        s2 = np.empty((3, batch, hidden))
-        m = np.empty((3, batch, hidden), dtype=bool)
-        self._t1 = np.empty((batch, hidden))
-        #: Per-step DRS masks (read by the executor for skip statistics);
-        #: fully rewritten on every DRS run.
-        self.masks_all = (
-            np.empty((batch, seq_len, hidden), dtype=bool) if drs_alpha > 0.0 else None
-        )
+        # The workspace: every per-step array the loop touches, the small
+        # per-step ones first (programs of one arena overlay them, so they
+        # stay cache-warm from layer to layer) and `proj`, the largest
+        # block (4 * B * T * H doubles), last.
+        slabs = [
+            ("h", (batch, hidden), float),
+            ("c", (batch, hidden), float),
+            ("hu", (4, batch, 1, hidden), float),
+            ("pre", (4, batch, hidden), float),
+            ("s1", (3, batch, hidden), float),
+            ("s2", (3, batch, hidden), float),
+            ("m", (3, batch, hidden), bool),
+            ("t1", (batch, hidden), float),
+        ]
         if drs_alpha > 0.0:
             # Compacted-update scratch (Algorithm 3 in the program): on
             # steps where some row is trivial across the whole batch, the
             # g tanh and the cell update run on the surviving columns
             # only, gathered into the leading elements of these buffers.
-            # Flat full-capacity allocations reshaped per step — the alive
+            # Flat full-capacity slabs reshaped per step — the alive
             # count varies, the capacity does not. The per-step views must
             # be CONTIGUOUS (prefix-of-flat, not a ``[:, :, :k]`` column
             # slice): in-place unary ufuncs on strided views read the gap
             # bytes on some numpy builds, leaking uninitialized scratch
             # into the activation ladder.
-            self._cfi = np.empty(2 * batch * hidden)
-            self._cg = np.empty(batch * hidden)
-            self._cc = np.empty(batch * hidden)
-            self._dropped = np.empty(hidden, dtype=bool)
-            self._alive = np.empty(hidden, dtype=bool)
+            slabs += [
+                ("cfi", (2 * batch * hidden,), float),
+                ("cg", (batch * hidden,), float),
+                ("cc", (batch * hidden,), float),
+                ("dropped", (hidden,), bool),
+                ("alive", (hidden,), bool),
+                ("masks_all", (batch, seq_len, hidden), bool),
+            ]
+        slabs.append(("proj", (4, batch, seq_len, hidden), float))
+        self._lease(arena, slabs)
+
+    def _bind(self) -> SimpleNamespace:
+        ws = super()._bind()
         # Fixed views, built once so the loop creates no per-step objects.
-        self._h_op = self.h[None, :, None, :]  # (1, B, 1, H) matmul operand
-        self._huv = self._hu[:, :, 0, :]  # (4, B, H)
-        self._f, self._i, self._g, self._o = self._pre
+        ws.h_op = ws.h[None, :, None, :]  # (1, B, 1, H) matmul operand
+        ws.huv = ws.hu[:, :, 0, :]  # (4, B, H)
+        ws.f, ws.i, ws.g, ws.o = ws.pre
         # The sigmoid gates in place: the contiguous (f, i) pair, then o,
         # each as (x, out, s1, s2, mask) of one sigmoid_into call.
-        fi = self._pre[:2]
-        self._sig_fi = (fi, fi, s1[:2], s2[:2], m[:2])
-        self._sig_o = (self._o, self._o, s1[2], s2[2], m[2])
-        self._proj_t = [self.proj[:, :, t] for t in range(seq_len)]
-        self._mask_t = (
-            [self.masks_all[:, t] for t in range(seq_len)]
-            if self.masks_all is not None
-            else None
-        )
+        fi = ws.pre[:2]
+        ws.sig_fi = (fi, fi, ws.s1[:2], ws.s2[:2], ws.m[:2])
+        ws.sig_o = (ws.o, ws.o, ws.s1[2], ws.s2[2], ws.m[2])
+        ws.proj_t = [ws.proj[:, :, t] for t in range(self.seq_len)]
+        if self.drs_alpha > 0.0:
+            ws.mask_t = [ws.masks_all[:, t] for t in range(self.seq_len)]
+        return ws
+
+    @property
+    def masks_all(self) -> np.ndarray | None:
+        """Per-step ``(B, T, H)`` DRS masks of the last run (``None``
+        without DRS): arena bytes, so the executor reduces or copies them
+        before anything else runs."""
+        return getattr(self._ws or self._bind(), "masks_all", None)
 
     def project(self, xs: np.ndarray, exact: bool = True) -> dict[str, np.ndarray]:
         """Stage the per-gate input projections; returns planner views.
@@ -351,15 +532,17 @@ class StepwiseProgram:
         programs (:mod:`repro.core.backends`) and is ignored: the numpy
         lowering always projects exactly — it *is* the oracle.
         """
-        project_rows(xs, self._w_ops, self.proj)
-        return dict(zip(GATE_ORDER, self.proj))
+        proj = (self._ws or self._bind()).proj
+        project_rows(xs, self._w_ops, proj)
+        return dict(zip(GATE_ORDER, proj))
 
     def gather(self, rows: np.ndarray, index: np.ndarray) -> dict[str, np.ndarray]:
         """:meth:`project` for a layer-0 batch whose distinct tokens are
         already projected (:func:`gather_rows`): same block, same bits,
         same planner views."""
-        gather_rows(rows, index, self.proj)
-        return dict(zip(GATE_ORDER, self.proj))
+        proj = (self._ws or self._bind()).proj
+        gather_rows(rows, index, proj)
+        return dict(zip(GATE_ORDER, proj))
 
     def execute(
         self,
@@ -390,10 +573,13 @@ class StepwiseProgram:
                 arrays that receive the post-sequence state for
                 re-injection on the next chunk.
         """
+        ws = self._ws or self._bind()
         link = self._link
         alpha = self.drs_alpha
         drs = alpha > 0.0
-        h, c, t1 = self.h, self.c, self._t1
+        h, c, t1 = ws.h, ws.c, ws.t1
+        hu, huv, pre = ws.hu, ws.huv, ws.pre
+        f, i, g, o = ws.f, ws.i, ws.g, ws.o
         if h0 is None:
             h[:] = 0.0
         else:
@@ -408,28 +594,28 @@ class StepwiseProgram:
         # dispatches the same per-row GEMV as the h-buffer operand.
         direct = reset_cols is None
         h_out = h
-        prev_op = self._h_op
+        prev_op = ws.h_op
         for t in range(self.seq_len):
             if not direct:
                 reset = reset_cols[t]
                 if reset is not None:
                     np.copyto(h, link.h_bar, where=reset)
                     np.copyto(c, link.c_bar, where=reset)
-            np.matmul(prev_op, self._u_op, out=self._hu)
-            np.add(self._proj_t[t], self._huv, out=self._pre)
-            np.add(self._pre, self._b, out=self._pre)
-            sigmoid_into(*self._sig_fi)
-            sigmoid_into(*self._sig_o)
+            np.matmul(prev_op, self._u_op, out=hu)
+            np.add(ws.proj_t[t], huv, out=pre)
+            np.add(pre, self._b, out=pre)
+            sigmoid_into(*ws.sig_fi)
+            sigmoid_into(*ws.sig_o)
             if drs:
                 # Algorithm 3: the activated output gate decides how much
                 # of the remaining elementwise work survives this step.
                 # The full-width sigmoids above stay on the hot path
                 # (per-element, so activating f/i before the mask is known
                 # is bit-free); only the tanh + cell update compact.
-                mask = self._mask_t[t]
-                np.less(self._o, alpha, out=mask)
-                np.all(mask, axis=0, out=self._dropped)
-                if self._dropped.any():
+                mask = ws.mask_t[t]
+                np.less(o, alpha, out=mask)
+                np.all(mask, axis=0, out=ws.dropped)
+                if ws.dropped.any():
                     # Batch-wide trivial rows: gather the survivors into
                     # compact scratch, run the g tanh and the cell update
                     # on ``(B, alive)`` only, and scatter back. Per-element
@@ -437,43 +623,43 @@ class StepwiseProgram:
                     # width (the recurrent product above stays full width —
                     # shrinking a GEMV changes BLAS's N dimension, hence its
                     # blocking and reduction order and the last bit).
-                    np.logical_not(self._dropped, out=self._alive)
-                    alive = np.flatnonzero(self._alive)
+                    np.logical_not(ws.dropped, out=ws.alive)
+                    alive = np.flatnonzero(ws.alive)
                     k = alive.size
                     bk = self.batch * k
-                    fi = self._cfi[: 2 * bk].reshape(2, self.batch, k)
-                    np.take(self._f, alive, axis=1, out=fi[0])
-                    np.take(self._i, alive, axis=1, out=fi[1])
-                    g = self._cg[:bk].reshape(self.batch, k)
-                    np.take(self._g, alive, axis=1, out=g)
-                    np.tanh(g, out=g)
-                    ck = self._cc[:bk].reshape(self.batch, k)
+                    fi = ws.cfi[: 2 * bk].reshape(2, self.batch, k)
+                    np.take(f, alive, axis=1, out=fi[0])
+                    np.take(i, alive, axis=1, out=fi[1])
+                    gk = ws.cg[:bk].reshape(self.batch, k)
+                    np.take(g, alive, axis=1, out=gk)
+                    np.tanh(gk, out=gk)
+                    ck = ws.cc[:bk].reshape(self.batch, k)
                     np.take(c, alive, axis=1, out=ck)
                     np.multiply(fi[0], ck, out=ck)
-                    np.multiply(fi[1], g, out=g)
-                    np.add(ck, g, out=ck)
+                    np.multiply(fi[1], gk, out=gk)
+                    np.add(ck, gk, out=ck)
                     c[:, alive] = ck
                 else:
-                    np.tanh(self._g, out=self._g)
-                    np.multiply(self._f, c, out=c)
-                    np.multiply(self._i, self._g, out=t1)
+                    np.tanh(g, out=g)
+                    np.multiply(f, c, out=c)
+                    np.multiply(i, g, out=t1)
                     np.add(c, t1, out=c)
                 # Masked elements end exactly 0.0 on both sides: surviving
                 # elements ran the same chain as the reference's full-width
                 # update, dropped ones never see a stale value.
                 np.copyto(c, 0.0, where=mask)
             else:
-                np.tanh(self._g, out=self._g)
-                np.multiply(self._f, c, out=c)
-                np.multiply(self._i, self._g, out=t1)
+                np.tanh(g, out=g)
+                np.multiply(f, c, out=c)
+                np.multiply(i, g, out=t1)
                 np.add(c, t1, out=c)
             np.tanh(c, out=t1)
             if direct:
                 h_out = hs[:, t]
-                np.multiply(self._o, t1, out=h_out)
+                np.multiply(o, t1, out=h_out)
                 prev_op = h_out[None, :, None, :]
             else:
-                np.multiply(self._o, t1, out=h)
+                np.multiply(o, t1, out=h)
                 hs[:, t] = h
             if cs is not None:
                 cs[:, t] = c
@@ -483,7 +669,7 @@ class StepwiseProgram:
             out_c[:] = c
 
 
-class CombinedGroupProgram:
+class CombinedGroupProgram(LeasedProgram):
     """Compiled wave walk of one combined-mode layer at a fixed ``(B, T)``.
 
     The program is compiled from shapes and weights only; the sequences'
@@ -517,6 +703,7 @@ class CombinedGroupProgram:
         seq_len: int,
         mts: int,
         alpha_intra: float = 0.0,
+        arena: WorkspaceArena | None = None,
     ) -> None:
         hidden = united.u.shape[1]
         cells = batch * seq_len
@@ -529,50 +716,59 @@ class CombinedGroupProgram:
         self._b = united.b
         self._gate_columns = [united.slices[g] for g in "ofic"]
 
-        # Recurrent (h, c) state, one row per sub-layer of the batch. A
-        # layer has up to T sub-layers per sequence but typically a few,
-        # so the pair grows to the largest need seen instead of B * T rows.
-        self._state = np.empty((2, 0, hidden))
-        # One wave of scratch: gathered projections, pre-activations,
+        # One wave of scratch — gathered projections, pre-activations,
         # gathered h/c, gate outputs, c/h results, temporaries, and three
         # boolean planes (sigmoid sign, per-cell DRS mask, per-row shared
-        # mask) — unpacked by name in execute().
-        self._scratch = (
-            *np.empty((2, rows, 4 * hidden)),
-            *np.empty((11, rows, hidden)),
-            *np.empty((3, rows, hidden), dtype=bool),
-        )
+        # mask) — in the order execute() unpacks them.
+        slabs = [(name, (rows, 4 * hidden), float) for name in ("x", "pre")]
+        slabs += [(name, (rows, hidden), float) for name in _WAVE_PLANES]
+        slabs += [(name, (rows, hidden), bool) for name in ("m", "masks", "mask_rows")]
+        self._wave_names = [name for name, _, _ in slabs]
+        if alpha_intra > 0.0:
+            # Per-tissue shared (intersection) masks, in walk order and —
+            # what execute() returns — in sequence-major schedule order.
+            slabs += [
+                ("shared_walk", (cells, hidden), bool),
+                ("shared", (cells, hidden), bool),
+            ]
+        # Recurrent (h, c) state, one row per sub-layer of the batch: room
+        # for the B * T a fully divided batch has. A layer typically has a
+        # few per sequence, so the slab goes last, where the rows a walk
+        # never reaches stay untouched pages.
+        slabs.append(("state", (2, cells, hidden), float))
+        self._lease(arena, slabs)
+
+    def _bind(self) -> SimpleNamespace:
+        ws = super()._bind()
+        ws.scratch = tuple(getattr(ws, name) for name in self._wave_names)
         #: Views of the scratch, built on first use so a warm walk creates
         #: no array objects for layouts it has seen: wave height -> every
         #: buffer's leading rows (prefix views of C-contiguous buffers stay
         #: contiguous) plus the pre-activations' gate columns, and size
         #: class ``(first row, end row, k)`` -> its stacked ``(g, k, H)`` /
         #: ``(g, k, 4H)`` matmul operands.
-        self._wave_views: dict[int, tuple[np.ndarray, ...]] = {}
-        self._stacked: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
-        if alpha_intra > 0.0:
-            # Per-tissue shared (intersection) masks, in walk order and —
-            # what execute() returns — in sequence-major schedule order.
-            self._shared_walk = np.empty((cells, hidden), dtype=bool)
-            self._shared = np.empty((cells, hidden), dtype=bool)
+        ws.wave_views = {}
+        ws.stacked = {}
+        return ws
 
-    def _rows(self, n: int) -> tuple[np.ndarray, ...]:
+    def _rows(self, ws: SimpleNamespace, n: int) -> tuple[np.ndarray, ...]:
         """The scratch's leading ``n`` rows and their gate columns."""
-        views = tuple(buf[:n] for buf in self._scratch)
+        views = tuple(buf[:n] for buf in ws.scratch)
         views += tuple(views[1][:, columns] for columns in self._gate_columns)
-        self._wave_views[n] = views
+        ws.wave_views[n] = views
         return views
 
-    def _stack(self, size_class: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    def _stack(
+        self, ws: SimpleNamespace, size_class: tuple[int, int, int]
+    ) -> tuple[np.ndarray, np.ndarray]:
         """One size class's gathered ``h`` rows and pre-activation rows,
         one tissue per leading slice."""
         c0, c1, k = size_class
-        if len(self._stacked) >= _MAX_STACKED_VIEWS:
-            self._stacked.clear()
-        _, pre, h_prev = self._scratch[:3]
-        operands = self._stacked[size_class] = (
-            h_prev[c0:c1].reshape(-1, k, self.hidden),
-            pre[c0:c1].reshape(-1, k, 4 * self.hidden),
+        if len(ws.stacked) >= _MAX_STACKED_VIEWS:
+            ws.stacked.clear()
+        operands = ws.stacked[size_class] = (
+            ws.h_prev[c0:c1].reshape(-1, k, self.hidden),
+            ws.pre[c0:c1].reshape(-1, k, 4 * self.hidden),
         )
         return operands
 
@@ -586,26 +782,27 @@ class CombinedGroupProgram:
         DRS live, returns the tissues' shared (intersection) masks as a
         ``(total tissues, H)`` workspace view — sequence 0's tissues in
         schedule order, then sequence 1's, … — for the caller's
-        statistics; ``None`` otherwise.
+        statistics, to be reduced before anything else runs; ``None``
+        otherwise.
         """
+        ws = self._ws or self._bind()
         alpha = self.alpha_intra
         drs = alpha > 0.0
         if not plans:
-            return self._shared[:0] if drs else None
+            return ws.shared[:0] if drs else None
         proj_flat = proj_u.reshape(-1, 4 * self.hidden)
         hs_flat = hs.reshape(-1, self.hidden)
         waves, rank, chains, num_chains = wave_schedule(plans, self.seq_len)
-        if self._state.shape[1] < num_chains:
-            self._state = np.empty((2, num_chains, self.hidden))
-        h_flat, c_flat = self._state
+        h_flat, c_flat = ws.state
         # Every sub-layer starts from the predicted link, except each
         # sequence's first, which starts from zeros.
         h_flat[:num_chains] = self._link.h_bar
         c_flat[:num_chains] = self._link.c_bar
         h_flat[chains] = 0.0
         c_flat[chains] = 0.0
+        wave_views, stacked = ws.wave_views, ws.stacked
         for out_rows, state_rows, classes, tissues, starts, tissue_of_row in waves:
-            views = self._wave_views.get(out_rows.size) or self._rows(out_rows.size)
+            views = wave_views.get(out_rows.size) or self._rows(ws, out_rows.size)
             (
                 x, pre, h_prev, c_prev, o, f, i, g, c_new, h_new, t1, s1, s2,
                 m, masks, mask_rows, pre_o, pre_f, pre_i, pre_c,
@@ -616,7 +813,7 @@ class CombinedGroupProgram:
             np.take(h_flat, state_rows, axis=0, out=h_prev, mode="clip")
             np.take(c_flat, state_rows, axis=0, out=c_prev, mode="clip")
             for size_class in classes:
-                operands = self._stacked.get(size_class) or self._stack(size_class)
+                operands = stacked.get(size_class) or self._stack(ws, size_class)
                 np.matmul(operands[0], self._u_t, out=operands[1])
             np.add(x, pre, out=pre)
             np.add(pre, self._b, out=pre)
@@ -631,8 +828,8 @@ class CombinedGroupProgram:
                 # A tissue's shared mask is the intersection of its cells'
                 # trivial rows, and every one of its cells drops those rows.
                 np.less(o, alpha, out=masks)
-                np.logical_and.reduceat(masks, starts, axis=0, out=self._shared_walk[tissues])
-                np.take(self._shared_walk, tissue_of_row, axis=0, out=mask_rows, mode="clip")
+                np.logical_and.reduceat(masks, starts, axis=0, out=ws.shared_walk[tissues])
+                np.take(ws.shared_walk, tissue_of_row, axis=0, out=mask_rows, mode="clip")
                 np.copyto(c_new, 0.0, where=mask_rows)
             np.tanh(c_new, out=t1)
             np.multiply(o, t1, out=h_new)
@@ -641,5 +838,5 @@ class CombinedGroupProgram:
             hs_flat[out_rows] = h_new
         if not drs:
             return None
-        shared = self._shared[: rank.size]
-        return np.take(self._shared_walk, rank, axis=0, out=shared, mode="clip")
+        shared = ws.shared[: rank.size]
+        return np.take(ws.shared_walk, rank, axis=0, out=shared, mode="clip")

@@ -25,7 +25,12 @@ import numpy as np
 
 from repro.core.breakpoints import divide_layer
 from repro.core.context_prediction import ContextLinkPredictor, PredictedLink
-from repro.core.executor import ExecutionConfig, ExecutionMode, LSTMExecutor
+from repro.core.executor import (
+    ExecutionConfig,
+    ExecutionMode,
+    ExecutionResult,
+    LSTMExecutor,
+)
 from repro.core.thresholds import ThresholdSchedule, select_ao
 from repro.core.tissue import align_tissues, calibrate_mts
 from repro.errors import CalibrationError
@@ -127,34 +132,32 @@ def find_alpha_inter_max(
     return best_alpha
 
 
-def collect_relevance_samples(
-    network: LSTMNetwork, tokens: np.ndarray, spec: GPUSpec = TEGRA_X1
-) -> list[np.ndarray]:
-    """Relevance arrays ``S`` for every (sequence, layer) of a calibration
-    batch, computed with an epsilon threshold (no links actually break)."""
+def _relevance_probe(
+    network: LSTMNetwork, tokens: np.ndarray, spec: GPUSpec, collect_states: bool = False
+) -> ExecutionResult:
+    """An INTER run at an epsilon threshold: every layer's relevance is
+    computed and recorded, and no link breaks unless its relevance is
+    exactly zero."""
     probe = LSTMExecutor(
         network,
         ExecutionConfig(mode=ExecutionMode.INTER, alpha_inter=1e-300, spec=spec),
     )
-    result = probe.run_batch(np.asarray(tokens))
-    samples = []
-    for plan in result.plans:
-        for record in plan.layers:
-            if record.relevance is not None:
-                samples.append(record.relevance)
+    return probe.run_batch(np.asarray(tokens), collect_states=collect_states)
+
+
+def _relevance_samples(result: ExecutionResult) -> list[np.ndarray]:
+    samples = [
+        record.relevance
+        for plan in result.plans
+        for record in plan.layers
+        if record.relevance is not None
+    ]
     if not samples:
         raise CalibrationError("calibration run produced no relevance samples")
     return samples
 
 
-def fit_predicted_links(
-    network: LSTMNetwork, tokens: np.ndarray, spec: GPUSpec = TEGRA_X1
-) -> list[PredictedLink]:
-    """Fig. 10, step 4: Eq. 6 link predictors from an exact calibration run."""
-    baseline = LSTMExecutor(
-        network, ExecutionConfig(mode=ExecutionMode.BASELINE, spec=spec)
-    )
-    result = baseline.run_batch(np.asarray(tokens), collect_states=True)
+def _fit_links(result: ExecutionResult) -> list[PredictedLink]:
     links = []
     for hs, cs in zip(result.layer_outputs, result.layer_states):
         predictor = ContextLinkPredictor(hs.shape[-1])
@@ -164,6 +167,28 @@ def fit_predicted_links(
     return links
 
 
+def _exact_run(network: LSTMNetwork, tokens: np.ndarray, spec: GPUSpec) -> ExecutionResult:
+    baseline = LSTMExecutor(
+        network, ExecutionConfig(mode=ExecutionMode.BASELINE, spec=spec)
+    )
+    return baseline.run_batch(np.asarray(tokens), collect_states=True)
+
+
+def collect_relevance_samples(
+    network: LSTMNetwork, tokens: np.ndarray, spec: GPUSpec = TEGRA_X1
+) -> list[np.ndarray]:
+    """Relevance arrays ``S`` for every (sequence, layer) of a calibration
+    batch, computed with an epsilon threshold (no links actually break)."""
+    return _relevance_samples(_relevance_probe(network, tokens, spec))
+
+
+def fit_predicted_links(
+    network: LSTMNetwork, tokens: np.ndarray, spec: GPUSpec = TEGRA_X1
+) -> list[PredictedLink]:
+    """Fig. 10, step 4: Eq. 6 link predictors from an exact calibration run."""
+    return _fit_links(_exact_run(network, tokens, spec))
+
+
 def calibrate_offline(
     network: LSTMNetwork,
     tokens: np.ndarray,
@@ -171,21 +196,30 @@ def calibrate_offline(
     mts: int | None = None,
     alpha_intra_max: float = DEFAULT_ALPHA_INTRA_MAX,
 ) -> OfflineCalibration:
-    """Run all offline operations (Fig. 10, steps 1-4) for one application."""
+    """Run all offline operations (Fig. 10, steps 1-4) for one application.
+
+    One forward pass serves steps 2 and 4: with no link broken, the
+    relevance probe walks the exact recurrence, so its hidden and cell
+    states *are* the exact calibration run's.
+    """
     hidden = network.config.hidden_size
     if mts is None:
         # The MTS is a property of the GPU and the layer width, not of any
         # particular sequence: probe with a fixed, amortization-friendly
         # length so short applications do not bias the knee (Fig. 10 (1)).
         mts = calibrate_mts(spec, hidden)
-    relevance_samples = collect_relevance_samples(network, tokens, spec)
+    result = _relevance_probe(network, tokens, spec, collect_states=True)
+    relevance_samples = _relevance_samples(result)
     alpha_max = find_alpha_inter_max(relevance_samples, mts)
-    links = fit_predicted_links(network, tokens, spec)
+    if any(record.breakpoints for plan in result.plans for record in plan.layers):
+        # A relevance of exactly zero broke a link even at the epsilon
+        # threshold, so the probe was not the exact walk: run that.
+        result = _exact_run(network, tokens, spec)
     return OfflineCalibration(
         mts=mts,
         alpha_inter_max=alpha_max,
         alpha_intra_max=alpha_intra_max,
-        predicted_links=links,
+        predicted_links=_fit_links(result),
         relevance_samples=relevance_samples,
     )
 

@@ -383,8 +383,10 @@ class StreamingServer:
         self.recorder = recorder
         if program_cache is None:
             # Every (batch, chunk length, layer) the batcher can emit, per
-            # dispatch slot: programs own only their workspace, so the whole
-            # lattice is cheap to hold and a warm server never recompiles.
+            # dispatch slot: programs lease their workspace from the cache's
+            # one arena per slot (sized by the largest tick shape seen), so
+            # an entry is kilobytes of views, the whole lattice is cheap to
+            # hold and a warm server never recompiles.
             program_cache = ProgramCache(
                 max_entries=max_batch * chunk_len * network.num_layers * config.threads
             )

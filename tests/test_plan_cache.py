@@ -128,6 +128,72 @@ class TestPlanCacheStore:
             PlanCache(max_entries=0)
 
 
+class TestResidentBytes:
+    def test_nbytes_counts_each_array_once(self):
+        from repro.core.breakpoints import divide_layer
+        from repro.core.plan import CachedLayerPlan
+        from repro.core.tissue import align_tissues
+
+        cache = PlanCache()
+        assert cache.nbytes == 0
+
+        def build(relevance):
+            sublayers = divide_layer(8, [3])
+            return CachedLayerPlan.from_schedule(
+                relevance, [3], sublayers, align_tissues(sublayers, 2)
+            )
+
+        plan = cache.layer_plan(("p", 1.0), "rel", lambda: np.arange(8.0), build)
+        vectors = plan.subs.nbytes + plan.ts.nbytes + plan.offsets.nbytes
+        assert cache.nbytes == plan.relevance.nbytes + vectors  # the shared array once
+        cache.layer_plan(("p", 2.0), "rel", lambda: np.arange(8.0), build)
+        assert cache.nbytes == plan.relevance.nbytes + 2 * vectors
+        assert cache.token_rows.nbytes == 0
+        cache.clear()
+        assert cache.nbytes == 0
+
+    def test_fresh_token_soak_reaches_a_flat_footprint(self):
+        """Real traffic never repeats a batch, so every request adds plans
+        that never hit: the default bound — chosen from what an entry
+        weighs — must turn that into a plateau."""
+        from repro.config import AppConfig, TaskFamily
+        from repro.nn.model_zoo import build_calibrated_network
+
+        model = LSTMConfig(hidden_size=8, num_layers=2, seq_length=6, input_size=8)
+        app = AppConfig(
+            name="SOAK",
+            family=TaskFamily.SENTIMENT_CLASSIFICATION,
+            model=model,
+            vocab_size=30,
+            num_classes=3,
+        )
+        network = build_calibrated_network(app, seed=2)
+        cache = PlanCache()
+        assert 4096 <= cache.max_entries <= 8192
+        # At serving geometry (T ~ 86) an entry weighs ~6 KB all told.
+        assert 16 << 20 <= cache.max_entries * 6 * 1024 <= 64 << 20
+        executor = LSTMExecutor(network, combined_config(alpha_inter=40.0), plan_cache=cache)
+        rng = np.random.default_rng(3)
+        per_request = 8 * model.num_layers
+        requests = 600
+        assert requests * per_request > cache.max_entries
+        footprint = []  # nbytes after every tenth request
+        for request in range(requests):
+            executor.run_batch(rng.integers(0, 30, size=(8, model.seq_length)))
+            if request % 10 == 9:
+                footprint.append(cache.nbytes)
+        stats = cache.stats
+        assert stats.plan_hits == 0 and stats.evictions > 0
+        assert len(cache) == 2 * cache.max_entries
+        full = cache.max_entries // per_request // 10 + 1  # first sample at the bound
+        plateau = footprint[full:]
+        assert len(plateau) >= 10
+        # Entries differ by a few index-vector elements, so flat means a
+        # band, not a constant; growth would be ~30 KB per sample.
+        assert max(plateau) - min(plateau) < 0.02 * max(plateau)
+        assert footprint[full // 2] < 0.6 * plateau[0]  # it did grow on the way there
+
+
 class TestExecutorIntegration:
     def test_repeat_run_hits_plan_store(self, network, tokens):
         cache = PlanCache()

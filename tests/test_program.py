@@ -7,10 +7,11 @@ Three properties of :mod:`repro.core.program`:
   modes (the broader hypothesis sweep lives in
   ``tests/test_executor_equivalence.py``).
 
-* **Workspace reuse.** A program owns its buffers for as long as it is
-  cached; consecutive ``run_batch`` calls on one compiled executor must be
-  bit-identical to fresh executors — no state or scratch leaks between
-  runs, including across mid-sequence breakpoint resets (hypothesis).
+* **Workspace reuse.** Every program of a cache computes in the cache's
+  one workspace arena; consecutive ``run_batch`` calls on one compiled
+  executor must be bit-identical to fresh executors — no state or scratch
+  leaks between runs, including across mid-sequence breakpoint resets
+  (hypothesis).
 
 * **Allocation regression.** Once a program is warm, the steady-state
   timestep loop must allocate nothing: a tracemalloc diff over a repeat
@@ -145,11 +146,14 @@ class TestCompiledMatchesReference:
         uninitialized compact scratch produces *plausible* numbers on the
         first run and garbage once the heap is warm (this exact failure
         shipped once: in-place unary ufuncs on strided ``[:, :, :k]``
-        column slices read the gap bytes on some numpy builds). Poisoning
-        every float64 workspace with NaN after the program is built makes
+        column slices read the gap bytes on some numpy builds). Filling
+        the whole workspace arena with ``0xFF`` bytes — NaN as a float,
+        a non-canonical true as a bool — after the programs are built makes
         any such read deterministic: one leaked element NaNs the logits.
         The high threshold at small batch keeps the batch-wide dropped
         branch firing with small alive counts every few steps.
+        (``tests/test_workspace_arena.py`` does the same between every two
+        programs, in every mode and on both backends.)
         """
         network, _, links = make_case(seed=57, batch=batch)
         rng = np.random.default_rng(58)
@@ -161,11 +165,8 @@ class TestCompiledMatchesReference:
         )
         compiled.run_batch(tokens)  # builds and caches the programs
         assert len(cache) == network.num_layers
-        for program in cache._store.values():
-            for name, value in vars(program).items():
-                if isinstance(value, np.ndarray) and value.dtype == np.float64:
-                    if name.startswith("_c") or name in ("_s1", "_s2", "_t1"):
-                        value.fill(np.nan)
+        assert cache.arena().nbytes > 0
+        cache.arena().buffer.fill(0xFF)
         out = compiled.run_batch(tokens)
         reference = ReferenceExecutor(network, config, predicted_links=links)
         assert np.array_equal(out.logits, reference.run_batch(tokens).logits)

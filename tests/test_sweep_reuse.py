@@ -262,6 +262,50 @@ class TestSweepEquivalence:
         # fp64 modes share one projection of the new ids; int8 has its own W.
         assert tiny_app.plan_cache.token_rows.projected - projected <= 2 * np.unique(fresh_tokens).size
 
+    @pytest.mark.parametrize("precision", ["int8", "fp16"])
+    def test_a_quantized_sweep_holds_one_dequantized_copy(self, precision):
+        """Executors of one precision over one weight set run on the same
+        ``QuantizedCell`` objects: a second threshold set costs kilobytes,
+        not another fp64 copy of every ``W`` and ``U``."""
+        config = LSTMConfig(hidden_size=96, num_layers=2, seq_length=9, input_size=96)
+        app = OptimizedLSTM(LSTMNetwork(config, VOCAB, 3, seed=4))
+        app.calibrate(num_sequences=4)
+        tokens = app.sample_tokens(3, seed=5)
+        run = dict(mode=ExecutionMode.COMBINED, precision=precision, keep_result=True, keep_traces=True)
+        first = app.run(tokens, threshold_index=3, **run)
+        block_bytes = app.network.layers[0].weights.u.nbytes
+        kept = app.executor_cache.nbytes
+        assert kept > 2 * config.num_layers * block_bytes  # dequantized W and U, plus codes
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            second_config = app.execution_config(
+                ExecutionMode.COMBINED, threshold_index=6, precision=precision
+            )
+            second_executor = app._executor_for(second_config)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 64 * 1024 < block_bytes
+        second = app.run(tokens, threshold_index=6, **run)
+        first_executor = app._executor_for(
+            app.execution_config(ExecutionMode.COMBINED, threshold_index=3, precision=precision)
+        )
+        assert app.executor_cache.stats.misses == 2
+        assert first_executor is not second_executor
+        for mine, theirs in zip(first_executor._united, second_executor._united):
+            assert np.shares_memory(mine.u, theirs.u) and np.shares_memory(mine.w, theirs.w)
+        assert app.executor_cache.nbytes == kept  # counted once
+        for outcome, index in ((first, 3), (second, 6)):
+            assert_outcomes_equal(outcome, fresh_app(app).run(tokens, threshold_index=index, **run))
+        # Another weight set shares nothing: ZERO_PRUNE quantizes its own pruning.
+        app.run(tokens, mode=ExecutionMode.ZERO_PRUNE, precision=precision)
+        pruned = app._executor_for(
+            app.execution_config(ExecutionMode.ZERO_PRUNE, precision=precision)
+        )
+        assert not np.shares_memory(pruned._united[0].u, first_executor._united[0].u)
+        assert app.executor_cache.nbytes > kept + config.num_layers * block_bytes
+
     def test_the_executor_store_is_bounded(self, tiny_app, tiny_tokens):
         for k in range(pipeline_module._MAX_EXECUTORS + 3):
             tiny_app.run(tiny_tokens, mode=ExecutionMode.ZERO_PRUNE, zero_prune_fraction=0.05 * k)

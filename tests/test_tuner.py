@@ -96,6 +96,73 @@ class TestCalibrateOffline:
         assert step_first < step_last / 5
 
 
+def two_pass_calibration(network, tokens, mts):
+    """What ``calibrate_offline`` used to run: an INTER relevance probe,
+    then a second, BASELINE walk of the same batch for the links."""
+    samples = collect_relevance_samples(network, tokens)
+    return samples, find_alpha_inter_max(samples, mts), fit_predicted_links(network, tokens)
+
+
+def assert_calibration_equals(calibration, samples, alpha_max, links):
+    assert calibration.alpha_inter_max == alpha_max
+    assert len(calibration.relevance_samples) == len(samples)
+    for mine, theirs in zip(calibration.relevance_samples, samples):
+        assert np.array_equal(mine, theirs)
+    assert len(calibration.predicted_links) == len(links)
+    for mine, theirs in zip(calibration.predicted_links, links):
+        assert np.array_equal(mine.h_bar, theirs.h_bar)
+        assert np.array_equal(mine.c_bar, theirs.c_bar)
+
+
+class TestOnePassCalibration:
+    """``calibrate_offline`` walks the batch once; every field equals the
+    two-pass result (also compared, at the commit that made it one pass,
+    with the ``OfflineCalibration`` saved from its parent: 0 entries differ
+    on BABI and IMDB)."""
+
+    @pytest.mark.parametrize("app_name, sequences", [("BABI", 8), ("IMDB", 2)])
+    def test_equals_the_two_pass_result_at_serving_geometry(
+        self, monkeypatch, app_name, sequences
+    ):
+        from repro.core import tuner
+        from repro.core.pipeline import OptimizedLSTM
+
+        app = OptimizedLSTM.from_app(app_name, seed=0)
+        runs = []
+        run_batch = tuner.LSTMExecutor.run_batch
+        monkeypatch.setattr(
+            tuner.LSTMExecutor,
+            "run_batch",
+            lambda self, *args, **kwargs: runs.append(self.config.mode)
+            or run_batch(self, *args, **kwargs),
+        )
+        calibration = app.calibrate(num_sequences=sequences)
+        assert len(runs) == 1
+        tokens = app.sample_tokens(sequences, seed=0xCA11B)  # calibrate()'s own draw
+        assert_calibration_equals(
+            calibration, *two_pass_calibration(app.network, tokens, calibration.mts)
+        )
+        assert len(runs) == 3
+
+    def test_a_zero_relevance_link_falls_back_to_the_exact_walk(
+        self, tiny_network, tiny_tokens
+    ):
+        """With ``U = 0`` every recurrent range is zero, saturated cells
+        have relevance exactly 0 and break even at the epsilon threshold —
+        the probe is then not the exact walk, and the links must still come
+        from one."""
+        import copy
+
+        network = copy.deepcopy(tiny_network)
+        for layer in network.layers:
+            layer.weights.u[:] = 0.0
+            layer.weights.b[:] = 6.0
+        samples, alpha_max, links = two_pass_calibration(network, tiny_tokens, 3)
+        assert any((s[1:] == 0.0).any() for s in samples)
+        calibration = calibrate_offline(network, tiny_tokens, mts=3)
+        assert_calibration_equals(calibration, samples, alpha_max, links)
+
+
 class TestAccuracyGuided:
     def test_wraps_ao(self):
         acc = np.array([1.0, 0.99, 0.95])
