@@ -34,7 +34,7 @@ from repro.bench.gates import GateSet
 from repro.config import LSTMConfig
 from repro.core.executor import ExecutionConfig, ExecutionMode, LSTMExecutor
 from repro.nn.network import LSTMNetwork
-from repro.runtime import InferenceRuntime, leaked_segments
+from repro.runtime import InferenceRuntime, leaked_segments, plan_dispatch
 
 #: Throughput at WORKER_COUNTS[-1] must be at least this multiple of the
 #: single-worker throughput.
@@ -84,7 +84,6 @@ def serve_once(
         "workers": workers,
         "queue_depth": queue_depth,
         "shards": fleet.num_shards,
-        "plan_groups": len(fleet.groups),
         "wall_s": wall_s,
         "throughput_seq_s": NUM_SEQUENCES / wall_s,
     }
@@ -97,7 +96,7 @@ def expected_logits(
     """Per-dispatch-group executor logits, reassembled in request order."""
     runtime = InferenceRuntime(network, exec_config, workers=0, max_batch=MAX_BATCH)
     executor = LSTMExecutor(network, exec_config)
-    groups = runtime.scheduler.plan_dispatch(tokens)
+    groups = plan_dispatch(tokens, runtime.max_batch)
     first = executor.run_batch(groups[0].tokens).logits
     logits = np.empty((tokens.shape[0],) + first.shape[1:], dtype=first.dtype)
     for number, group in enumerate(groups):

@@ -255,7 +255,7 @@ def load_phase(utilization: float, duration_s: float) -> tuple[dict, object]:
         server,
         arrivals,
         tick_interval_s=TICK_INTERVAL_S,
-        service_time=lambda wall: MODEL_TICK_S if wall > 0.0 else 0.0,
+        service_model=lambda tick: MODEL_TICK_S,
     )
     summary = {
         "utilization_target": utilization,

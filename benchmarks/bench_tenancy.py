@@ -54,7 +54,7 @@ from repro.runtime import (
     TenantSpec,
     ZooServer,
     generate_tenant_arrivals,
-    run_zoo_open_loop,
+    run_open_loop,
 )
 
 VOCAB = 200
@@ -268,7 +268,7 @@ def check_controller(gates: GateSet, duration_s: float) -> dict:
             network,
             controller=controller,
         )
-        report = run_zoo_open_loop(
+        report = run_open_loop(
             server,
             arrivals,
             tick_interval_s=TICK_INTERVAL_S,
@@ -279,11 +279,15 @@ def check_controller(gates: GateSet, duration_s: float) -> dict:
 
     moved = bool(controller.moves)
     move_tick = controller.moves[0].tick if moved else -1
-    samples = report.samples["slo"]
+    tenant_report = report.per_tenant["slo"]
     # Trailing window: the last third of the (virtual) run, after the
     # controller has had time to reconverge.
     cutoff = report.duration_s * (2.0 / 3.0)
-    trailing = [latency for (end, latency) in samples if end >= cutoff]
+    trailing = [
+        latency
+        for end, latency in zip(tenant_report.completed_at_s, tenant_report.latencies_s)
+        if end >= cutoff
+    ]
     trailing_p99 = (
         float(np.percentile(np.asarray(trailing), 99.0)) if trailing else float("inf")
     )
@@ -312,12 +316,11 @@ def check_controller(gates: GateSet, duration_s: float) -> dict:
         MIN_INT8_AGREEMENT,
         "sampled shadow agreement vs the exact fp64 oracle",
     )
-    overall = report.per_tenant["slo"]
     print(
         f"controller: {len(arrivals)} arrivals, moved at tick {move_tick}, "
         f"moves {[(m.tick, m.reason) for m in controller.moves]}, "
         f"trailing p99 {trailing_p99 * 1e3:.1f} ms (SLO {SLO_P99_S * 1e3:.0f} ms), "
-        f"agreement {agreement:.4f}, shed {overall.shed_submissions}"
+        f"agreement {agreement:.4f}, shed {tenant_report.shed_submissions}"
     )
     return {
         "arrivals": len(arrivals),

@@ -859,7 +859,7 @@ def serve_bench(
     from repro.core.executor import ExecutionConfig, LSTMExecutor
     from repro.nn.network import LSTMNetwork
     from repro.obs import Recorder, write_jsonl
-    from repro.runtime import InferenceRuntime, leaked_segments
+    from repro.runtime import InferenceRuntime, leaked_segments, plan_dispatch
 
     config = LSTMConfig(
         hidden_size=hidden_size,
@@ -910,7 +910,7 @@ def serve_bench(
     # so they get the documented tolerance instead.
     tolerance = 0.0 if executor.backend == "numpy" else 1e-9
     bit_identical = True
-    for group in runtime.scheduler.plan_dispatch(tokens):
+    for group in plan_dispatch(tokens, max_batch):
         expected = executor.run_batch(group.tokens)
         for row, index in enumerate(group.indices):
             if tolerance == 0.0:
@@ -938,7 +938,6 @@ def serve_bench(
         "queue_depth": queue_depth,
         "dwell_s": dwell_s,
         "shards": fleet.num_shards,
-        "plan_groups": len(fleet.groups),
         "wall_s": fleet.wall_s,
         "throughput_seq_s": fleet.throughput_seq_s,
         "bit_identical": bit_identical,
@@ -956,7 +955,6 @@ def serve_bench(
             ("workers", workers),
             ("threads/worker", exec_config.threads),
             ("dispatched shards", fleet.num_shards),
-            ("plan groups", len(fleet.groups)),
             ("wall clock", f"{fleet.wall_s * 1e3:.1f} ms"),
             ("throughput", f"{fleet.throughput_seq_s:.1f} seq/s"),
             ("bit-identical vs executor", str(bit_identical)),

@@ -540,12 +540,13 @@ def _cmd_serve_zoo(args) -> int:
     from repro.nn.quantize import PRECISIONS
     from repro.obs import Recorder, write_jsonl
     from repro.runtime import (
+        LoadReport,
         LoadSpec,
         OperatingPoint,
         TenantSpec,
         ZooServer,
         generate_tenant_arrivals,
-        run_zoo_open_loop,
+        run_open_loop,
     )
 
     raw = args.tenants or ["MR:2:fp64", "MR:1:fp64", "MR:1:int8"]
@@ -613,17 +614,16 @@ def _cmd_serve_zoo(args) -> int:
             f"{len(parsed)} tenant(s) ...",
             file=sys.stderr,
         )
-        report = run_zoo_open_loop(
+        report = run_open_loop(
             server, arrivals, tick_interval_s=args.tick_interval_ms / 1e3
         )
-        overall = report.overall()
         print(
-            f"served {overall.completed_submissions}/{overall.offered_submissions} "
-            f"requests ({overall.completed_tokens} tokens) over "
+            f"served {report.completed_submissions}/{report.offered_submissions} "
+            f"requests ({report.completed_tokens} tokens) over "
             f"{report.duration_s:.2f} virtual s in {server.ticks} ticks"
         )
         for name in server.tenant_names():
-            tenant_report = report.per_tenant[name]
+            tenant_report = report.per_tenant.get(name, LoadReport())
             point = server.tenant_point(name)
             print(
                 f"  {name}: weight {weights_by_name[name]:g}, "

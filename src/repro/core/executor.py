@@ -401,13 +401,6 @@ class LSTMExecutor:
             so parent and workers compute on byte-identical codes and
             scales (re-quantizing a dequantized copy could drift by one
             ulp). Requires a quantized ``config.precision``.
-        dwell_s: Modeled per-sequence device dwell (seconds) slept inside
-            each work unit after its numerics — the in-process twin of the
-            fleet workers' dwell, modeling the mobile GPU's device
-            occupancy that concurrent dispatch overlaps (the disclosed
-            scaling model of ``bench_runtime_scaling`` / ``bench_parallel``
-            on core-starved CI hosts). ``0.0`` (the default) disables it;
-            sleeping never touches the numerics.
     """
 
     def __init__(
@@ -419,15 +412,11 @@ class LSTMExecutor:
         recorder: "Recorder | None" = None,
         program_cache: ProgramCache | None = None,
         quantized_cells: list[QuantizedCell] | None = None,
-        dwell_s: float = 0.0,
     ) -> None:
         self.network = network
         self.config = config
         self.plan_cache = plan_cache
         self.recorder = recorder
-        if dwell_s < 0:
-            raise ConfigurationError(f"dwell_s must be >= 0, got {dwell_s}")
-        self.dwell_s = dwell_s
         #: Per-thread mutable run state: a shard runs on the caller's
         #: thread or on a pool thread, and each needs its own wall-clock
         #: accumulators and dispatch slot.
@@ -595,8 +584,6 @@ class LSTMExecutor:
                 for i in range(shard_batch):
                     shard_plans[i].append(records[i])
             logits = self._head_logits(cur)
-            if self.dwell_s > 0.0:
-                time.sleep(self.dwell_s * shard_batch)  # modeled device occupancy
             return outs, states, shard_plans, logits, self._plan_wall, self._compile_wall
 
         # The state-collecting calibration path stays one shard: its

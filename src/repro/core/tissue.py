@@ -93,17 +93,6 @@ def align_tissues(sublayers: list[SubLayer], mts: int) -> list[Tissue]:
     return tissues
 
 
-def schedule_key(tissues: list[Tissue] | tuple[Tissue, ...]) -> tuple:
-    """A hashable signature of a tissue schedule.
-
-    Two layers with equal signatures execute the *exact same* structural
-    plan — same breakpoints (recoverable from the ``(sub-layer, timestamp)``
-    cells), same tissue composition, same order. The fleet scheduler
-    (:mod:`repro.runtime.scheduler`) batches queued sequences by this key.
-    """
-    return tuple(tuple(t.cells) for t in tissues)
-
-
 def validate_schedule(sublayers: list[SubLayer], tissues: list[Tissue], mts: int) -> None:
     """Check a tissue schedule: capacity, coverage, and chain order.
 

@@ -1,32 +1,32 @@
-"""Parallel sharded serving runtime (``repro.runtime``).
+"""Serving runtime (``repro.runtime``): one serving core, two policies, one fleet.
 
 The paper's memory-friendliness principle — load the recurrent weights
-once, amortize them across every cell that needs them — applied at
-process scale: an :class:`InferenceRuntime` publishes the network's
-parameters once into a shared-memory :class:`WeightArena`, shards
-incoming sequences across a worker pool that attaches those same pages,
-and groups queued sequences fleet-wide by structural plan signature
-(:class:`FleetScheduler`) before dispatch, so same-plan sequences from
-all in-flight requests share a shard and the combined-mode wave walk runs
-its widest stacked matmuls. A bounded request queue provides
-backpressure; per-worker run records merge into a single fleet record
-(:func:`repro.obs.merge.merge_run_records`); ``workers=0`` degenerates
-to a bit-identical synchronous :class:`~repro.core.executor.LSTMExecutor`
-call.
+once, amortize them across every cell that needs them — applied to
+serving. :mod:`repro.runtime.serving` is the core every online engine
+shares: bounded all-or-nothing admission that checks token ids at the
+door, one ticket and result type, the FIFO "head sets the length" batch
+rule, the timed executor call, per-tick run records merged into one
+window record, and ``drain``; :func:`run_open_loop` drives any policy on
+virtual time against the deterministic open-loop workloads of
+:mod:`repro.runtime.loadgen` (Poisson arrivals, diurnal ramp,
+heavy-tailed session lengths). Two batch-forming policies ride on it:
 
-For interactive workloads, :mod:`repro.runtime.streaming` adds the
-online shape: per-session resident ``(h, c)`` state, a tick-driven
-continuous batcher over the compiled program path, LRU/TTL session
-eviction, and an asyncio front door; :mod:`repro.runtime.loadgen`
-generates the deterministic open-loop workloads (Poisson arrivals,
-diurnal ramp, heavy-tailed session lengths) that measure it.
+* :class:`StreamingServer` (:mod:`repro.runtime.streaming`) — at most one
+  chunk per session per tick over resident per-session ``(h, c)`` state,
+  LRU/TTL session eviction, an asyncio front door;
+* :class:`ZooServer` (:mod:`repro.runtime.tenancy`) — weighted deficit
+  round-robin over per-tenant queues on one deduplicated
+  :class:`ArenaRegistry` and one cross-tenant program/plan cache, with
+  :mod:`repro.runtime.controller` closing the per-tenant SLO loop after
+  each tick from :mod:`repro.runtime.shadow`'s sampled agreement.
 
-For consolidated fleets, :mod:`repro.runtime.tenancy` serves N tenants
-over one deduplicated :class:`ArenaRegistry`, one cross-tenant
-program/plan cache, and a QoS-weighted deficit round-robin scheduler;
-:mod:`repro.runtime.controller` closes the per-tenant SLO loop over the
-offline sweep frontier, with :mod:`repro.runtime.shadow` providing the
-sampled exact-replay agreement signal.
+The fleet, :class:`InferenceRuntime`, publishes the network once into a
+shared-memory :class:`WeightArena`, cuts each batch into length-batched
+shards by the same rule (:func:`plan_dispatch`) and runs them across a
+worker pool that attaches those pages, behind a bounded dispatch queue;
+per-worker run records merge into one fleet record and ``workers=0``
+degenerates to a bit-identical synchronous
+:class:`~repro.core.executor.LSTMExecutor` call.
 """
 
 from repro.runtime.arena import (
@@ -46,34 +46,26 @@ from repro.runtime.loadgen import (
     Arrival,
     LoadReport,
     LoadSpec,
-    TenantArrival,
     generate_arrivals,
     generate_tenant_arrivals,
     run_open_loop,
 )
-from repro.runtime.pool import InferenceRuntime
+from repro.runtime.pool import DispatchGroup, InferenceRuntime, plan_dispatch
 from repro.runtime.results import FleetResult, ShardResult
-from repro.runtime.scheduler import DispatchGroup, FleetScheduler
+from repro.runtime.serving import (
+    ServingCore,
+    ServingResult,
+    ServingStats,
+    ServingTicket,
+    TickReport,
+)
 from repro.runtime.shadow import ShadowSampler
 from repro.runtime.streaming import (
     SessionTable,
     StreamingFrontDoor,
     StreamingServer,
-    StreamingStats,
-    StreamResult,
-    StreamTicket,
-    TickReport,
 )
-from repro.runtime.tenancy import (
-    TenantSpec,
-    TenantStats,
-    ZooLoadReport,
-    ZooResult,
-    ZooServer,
-    ZooTicket,
-    ZooTickReport,
-    run_zoo_open_loop,
-)
+from repro.runtime.tenancy import TenantSpec, ZooServer
 
 __all__ = [
     "ArenaManifest",
@@ -83,34 +75,28 @@ __all__ = [
     "ControllerMove",
     "DispatchGroup",
     "FleetResult",
-    "FleetScheduler",
     "InferenceRuntime",
     "LoadReport",
     "LoadSpec",
     "OperatingPoint",
     "SLOController",
+    "ServingCore",
+    "ServingResult",
+    "ServingStats",
+    "ServingTicket",
     "SessionTable",
     "ShadowSampler",
     "ShardResult",
-    "StreamResult",
-    "StreamTicket",
     "StreamingFrontDoor",
     "StreamingServer",
-    "StreamingStats",
-    "TenantArrival",
     "TenantSLO",
     "TenantSpec",
-    "TenantStats",
     "TickReport",
     "WeightArena",
-    "ZooLoadReport",
-    "ZooResult",
     "ZooServer",
-    "ZooTicket",
-    "ZooTickReport",
     "generate_arrivals",
     "generate_tenant_arrivals",
     "leaked_segments",
+    "plan_dispatch",
     "run_open_loop",
-    "run_zoo_open_loop",
 ]

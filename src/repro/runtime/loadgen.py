@@ -1,4 +1,4 @@
-"""Open-loop load generation for the streaming runtime.
+"""Open-loop load generation and the virtual-time runner of the serving core.
 
 Serving latency is a property of the *arrival process*, not just of the
 kernel: an open-loop generator keeps submitting on its own schedule
@@ -17,25 +17,26 @@ shapes real session traffic has:
 Everything derives from ``seed`` — the same spec replays the same
 arrival times, session ids, lengths, and tokens.
 
-The driver (:func:`run_open_loop`) advances a *virtual* clock: arrivals
-land at their scheduled virtual times, while each tick's service time is
-the measured wall clock of the batched step (or an injected model, for
-deterministic tests). Queueing physics are preserved — when offered load
-exceeds capacity the virtual clock falls behind the arrival schedule,
-queues grow, latency climbs, and the admission bound sheds — without the
-bench ever sleeping.
+One runner, :func:`run_open_loop`, serves either policy of
+:class:`~repro.runtime.serving.ServingCore` and advances a *virtual*
+clock: arrivals land at their scheduled virtual times, while each tick's
+service time is the measured wall clock of the batched step (or an
+injected model, for deterministic tests). Queueing physics are preserved
+— when offered load exceeds capacity the virtual clock falls behind the
+arrival schedule, queues grow, latency climbs, and the admission bound
+sheds — without the bench ever sleeping.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from repro.errors import BackpressureError, ConfigurationError
-from repro.runtime.streaming import StreamingServer
+from repro.runtime.serving import ServingCore, TickReport
 
 
 @dataclass(frozen=True)
@@ -85,11 +86,13 @@ class LoadSpec:
 
 @dataclass(frozen=True)
 class Arrival:
-    """One scheduled submission: a token chunk for one session."""
+    """One scheduled submission: a token chunk for one session, or (with a
+    ``tenant``) one whole-sequence request for a zoo tenant."""
 
     time_s: float
     session_id: str
     tokens: np.ndarray
+    tenant: str | None = None
 
 
 def _bounded_pareto(rng: np.random.Generator, spec: LoadSpec) -> int:
@@ -100,6 +103,27 @@ def _bounded_pareto(rng: np.random.Generator, spec: LoadSpec) -> int:
     ratio = (lo / hi) ** alpha
     length = lo / (1.0 - u * (1.0 - ratio)) ** (1.0 / alpha)
     return int(min(hi, max(lo, math.floor(length))))
+
+
+def _session_starts(spec: LoadSpec, rng: np.random.Generator) -> Iterator[float]:
+    """Poisson session-start times, thinned against the diurnal envelope.
+
+    Lazy, so a caller's per-session draws from ``rng`` interleave with the
+    process's own draws — that interleaving is part of the seeded workload.
+    """
+    peak_rate = spec.session_rate * (1.0 + spec.diurnal_amplitude)
+    t = 0.0
+    while True:
+        t += rng.exponential(1.0 / peak_rate)
+        if t >= spec.duration_s:
+            return
+        rate_t = spec.session_rate * (
+            1.0
+            + spec.diurnal_amplitude
+            * math.sin(2.0 * math.pi * t / spec.diurnal_period_s)
+        )
+        if rng.random() * peak_rate <= rate_t:  # else thinned out
+            yield t
 
 
 def generate_arrivals(spec: LoadSpec, vocab_size: int) -> list[Arrival]:
@@ -117,25 +141,11 @@ def generate_arrivals(spec: LoadSpec, vocab_size: int) -> list[Arrival]:
     if vocab_size <= 1:
         raise ConfigurationError(f"vocab_size must exceed 1, got {vocab_size}")
     rng = np.random.default_rng(spec.seed)
-    peak_rate = spec.session_rate * (1.0 + spec.diurnal_amplitude)
     arrivals: list[Arrival] = []
-    t = 0.0
-    session_index = 0
-    while True:
-        t += rng.exponential(1.0 / peak_rate)
-        if t >= spec.duration_s:
-            break
-        rate_t = spec.session_rate * (
-            1.0
-            + spec.diurnal_amplitude
-            * math.sin(2.0 * math.pi * t / spec.diurnal_period_s)
-        )
-        if rng.random() * peak_rate > rate_t:
-            continue  # thinned out
+    for session_index, t in enumerate(_session_starts(spec, rng)):
         length = _bounded_pareto(rng, spec)
         tokens = rng.integers(0, vocab_size, size=length)
         sid = f"s{session_index:05d}"
-        session_index += 1
         for k, start in enumerate(range(0, length, spec.chunk_len)):
             t_k = t + k * spec.think_time_s
             if k > 0 and t_k >= spec.duration_s:
@@ -151,26 +161,11 @@ def generate_arrivals(spec: LoadSpec, vocab_size: int) -> list[Arrival]:
     return arrivals
 
 
-@dataclass(frozen=True)
-class TenantArrival:
-    """One scheduled whole-sequence request for one tenant.
-
-    The multi-tenant runtime serves whole sequences (structural planning
-    needs full-sequence relevance), so unlike :class:`Arrival` a session
-    maps to exactly one submission carrying all of its tokens.
-    """
-
-    time_s: float
-    tenant: str
-    session_id: str
-    tokens: np.ndarray
-
-
 def generate_tenant_arrivals(
     spec: LoadSpec,
     tenant_weights: dict[str, float],
     vocab_sizes: dict[str, int],
-) -> list[TenantArrival]:
+) -> list[Arrival]:
     """Materialize a deterministic multi-tenant arrival mix.
 
     Session starts follow the same Poisson-by-thinning process against
@@ -179,7 +174,8 @@ def generate_tenant_arrivals(
     (drawn from the same seeded stream, so the mix is part of the
     replayable workload), its length is bounded-Pareto, and its tokens
     are uniform over that tenant's vocabulary. Every session is one
-    whole-sequence submission. Both ``bench_tenancy`` and the
+    whole-sequence submission (structural planning needs full-sequence
+    relevance), an :class:`Arrival` carrying its ``tenant``. Both ``bench_tenancy`` and the
     ``serve-zoo`` CLI consume this generator, so their workloads agree
     by construction.
 
@@ -212,40 +208,26 @@ def generate_tenant_arrivals(
             )
     probabilities = weights / weights.sum()
     rng = np.random.default_rng(spec.seed)
-    peak_rate = spec.session_rate * (1.0 + spec.diurnal_amplitude)
-    arrivals: list[TenantArrival] = []
-    t = 0.0
-    session_index = 0
-    while True:
-        t += rng.exponential(1.0 / peak_rate)
-        if t >= spec.duration_s:
-            break
-        rate_t = spec.session_rate * (
-            1.0
-            + spec.diurnal_amplitude
-            * math.sin(2.0 * math.pi * t / spec.diurnal_period_s)
-        )
-        if rng.random() * peak_rate > rate_t:
-            continue  # thinned out
+    arrivals: list[Arrival] = []
+    for session_index, t in enumerate(_session_starts(spec, rng)):
         tenant = names[int(rng.choice(len(names), p=probabilities))]
         length = _bounded_pareto(rng, spec)
         tokens = rng.integers(0, vocab_sizes[tenant], size=length)
         arrivals.append(
-            TenantArrival(
+            Arrival(
                 time_s=t,
-                tenant=tenant,
                 session_id=f"{tenant}-s{session_index:05d}",
                 tokens=tokens,
+                tenant=tenant,
             )
         )
-        session_index += 1
     arrivals.sort(key=lambda a: (a.time_s, a.session_id))
     return arrivals
 
 
 @dataclass
 class LoadReport:
-    """Outcome of one open-loop run."""
+    """Outcome of one open-loop run (or of one tenant's share of it)."""
 
     offered_submissions: int = 0
     completed_submissions: int = 0
@@ -254,6 +236,18 @@ class LoadReport:
     completed_tokens: int = 0
     duration_s: float = 0.0
     latencies_s: list[float] = field(default_factory=list)
+    #: Completion time of each ``latencies_s`` entry, in completion order —
+    #: windowed tail analysis (the controller convergence gate) slices by it.
+    completed_at_s: list[float] = field(default_factory=list)
+    #: Per-tenant reports when the arrivals carry tenants; empty otherwise.
+    per_tenant: dict[str, "LoadReport"] = field(default_factory=dict)
+
+    def _owners(self, tenant: str | None) -> tuple["LoadReport", ...]:
+        """The reports an event of ``tenant`` counts in: this one, and its
+        tenant's."""
+        if tenant is None:
+            return (self,)
+        return self, self.per_tenant.setdefault(tenant, LoadReport())
 
     @property
     def goodput_tokens_per_s(self) -> float:
@@ -275,9 +269,9 @@ class LoadReport:
             return 0.0
         return float(np.percentile(np.asarray(self.latencies_s), q))
 
-    def as_dict(self) -> dict[str, float]:
-        """Flat summary for bench reports."""
-        return {
+    def as_dict(self) -> dict:
+        """Flat summary for bench reports (plus ``per_tenant`` when split)."""
+        summary = {
             "offered_submissions": self.offered_submissions,
             "completed_submissions": self.completed_submissions,
             "shed_submissions": self.shed_submissions,
@@ -296,25 +290,33 @@ class LoadReport:
                 float(np.max(self.latencies_s)) if self.latencies_s else 0.0
             ),
         }
+        if self.per_tenant:
+            summary["per_tenant"] = {
+                name: report.as_dict() for name, report in sorted(self.per_tenant.items())
+            }
+        return summary
 
 
 def run_open_loop(
-    server: StreamingServer,
+    server: ServingCore,
     arrivals: list[Arrival],
     tick_interval_s: float = 0.002,
-    service_time: Callable[[float], float] | None = None,
+    service_model: Callable[[TickReport], float] | None = None,
 ) -> LoadReport:
-    """Drive a server through an arrival timeline on virtual time.
+    """Drive a serving policy through an arrival timeline on virtual time.
 
     Ticks fire every ``tick_interval_s`` of virtual time, arrivals are
-    submitted at their scheduled times, and each tick advances the clock
-    by its *measured* execution wall (or ``service_time(measured)`` when
-    a model is injected — tests pass a constant to make overload
-    deterministic). A submission's latency is admission to the end of the
-    tick that served its last chunk.
+    submitted at their scheduled times (``server.submit_arrival``), and
+    each tick advances the clock to its ``end_s``: the tick's start plus
+    its *measured* execution wall, or ``service_model(report)`` when a
+    model is injected — tests and the gates pass one to make overload
+    deterministic. A submission's latency is admission to the end of the
+    tick that served its last part, the same number a zoo tenant's
+    controller observes.
 
-    Returns the :class:`LoadReport`; occupancy/shed counters accumulate
-    on ``server.stats``.
+    Returns the :class:`LoadReport`, split per tenant when the arrivals
+    carry tenants; occupancy/shed counters accumulate on the server's
+    stats.
     """
     if tick_interval_s <= 0:
         raise ConfigurationError(
@@ -325,34 +327,32 @@ def run_open_loop(
     next_tick = tick_interval_s
     idx = 0
     n = len(arrivals)
-
-    def fire_tick(at: float) -> float:
-        tick_report = server.tick(now=at)
-        cost = tick_report.exec_wall_s
-        if service_time is not None:
-            cost = service_time(cost)
-        end = at + cost
-        for result in tick_report.completed:
-            report.completed_submissions += 1
-            report.completed_tokens += result.n_tokens
-            report.latencies_s.append(end - result.submitted_at)
-        return end
-
     while idx < n or server.queue_depth > 0:
         if idx < n and arrivals[idx].time_s <= next_tick:
             arrival = arrivals[idx]
             idx += 1
             now = max(now, arrival.time_s)
-            report.offered_submissions += 1
-            report.offered_tokens += int(arrival.tokens.shape[0])
             try:
-                server.submit(arrival.session_id, arrival.tokens, now=now)
+                server.submit_arrival(arrival, now)
+                shed = 0
             except BackpressureError:
-                report.shed_submissions += 1
+                shed = 1
+            for owner in report._owners(arrival.tenant):
+                owner.offered_submissions += 1
+                owner.offered_tokens += int(arrival.tokens.shape[0])
+                owner.shed_submissions += shed
             continue
         now = max(now, next_tick)
-        now = fire_tick(now)
+        tick = server.tick(now=now, service_model=service_model)
+        now = max(now, tick.end_s)
+        for result in tick.completed:
+            for owner in report._owners(result.tenant):
+                owner.completed_submissions += 1
+                owner.completed_tokens += result.n_tokens
+                owner.latencies_s.append(result.latency_s)
+                owner.completed_at_s.append(result.completed_at)
         next_tick = max(next_tick + tick_interval_s, now)
 
-    report.duration_s = now
+    for owner in (report, *report.per_tenant.values()):
+        owner.duration_s = now
     return report

@@ -4,11 +4,14 @@
 publishes the network's weights once into a shared-memory arena
 (:mod:`repro.runtime.arena`), spawns ``workers`` processes that attach
 it, and drives them through a bounded task queue. Incoming batches are
-grouped by the fleet scheduler (:mod:`repro.runtime.scheduler`) so that
-same-plan sequences execute together, then dispatched shard by shard
-with backpressure: at most ``queue_depth`` shards are in flight, a
-blocking submit waits, a non-blocking one raises
-:class:`~repro.errors.BackpressureError`.
+cut into shards of at most ``max_batch`` sequences by the serving core's
+equal-length rule (:func:`plan_dispatch`) — programs are keyed on shape
+and take plans at run time, so length is all a shard needs to agree on —
+then dispatched shard by shard with backpressure: at most
+``queue_depth`` shards are in flight, a blocking submit waits, a
+non-blocking one raises :class:`~repro.errors.BackpressureError`. Token
+ids are checked in the parent before anything is dispatched, so a bad id
+is the caller's :class:`~repro.errors.ShapeError`, never a dead worker.
 
 Numerics contract (property-tested in ``tests/test_runtime.py``): each
 dispatched group is executed bit-identically to calling
@@ -17,7 +20,7 @@ parent — the shared-memory views, the process boundary, and the worker
 count change no bits. ``workers=0`` degenerates to exactly that
 synchronous call (one executor in-process per group), so the fallback is
 bit-identical by construction, not by luck. Grouping itself is a pure
-function of ``(network, config, tokens)`` — never of worker count — so a
+function of the batch and ``max_batch`` — never of worker count — so a
 fleet's outputs are reproducible at any parallelism. Every mode is also
 bit-stable under *any* grouping: the stepwise recurrences run as stacked
 per-row GEMVs (:func:`repro.core.executor._row_gemv`), so each
@@ -31,6 +34,8 @@ from __future__ import annotations
 import multiprocessing
 import queue as queue_mod
 import time
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +50,45 @@ from repro.obs.record import RunRecord
 from repro.runtime import worker as worker_mod
 from repro.runtime.arena import WeightArena
 from repro.runtime.results import FleetResult, ShardResult
-from repro.runtime.scheduler import DispatchGroup, FleetScheduler
+from repro.runtime.serving import take_batch
+
+
+@dataclass(frozen=True)
+class DispatchGroup:
+    """One dispatchable shard.
+
+    Attributes:
+        indices: Original batch positions of the member sequences (ascending).
+        tokens: ``(k, T)`` token rows, ordered like ``indices``.
+    """
+
+    indices: tuple[int, ...]
+    tokens: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Row:
+    index: int
+    tokens: np.ndarray
+
+
+def plan_dispatch(tokens: np.ndarray, max_batch: int) -> list[DispatchGroup]:
+    """Cut a ``(B, T)`` batch into shards of at most ``max_batch`` sequences.
+
+    The rows queue FIFO and the serving core's :func:`~repro.runtime.
+    serving.take_batch` forms each shard (the head sets the length), so a
+    fleet batches by length exactly like a serving tick; every input index
+    lands in exactly one shard, in ascending order.
+    """
+    tokens = np.asarray(tokens)
+    if tokens.ndim != 2:
+        raise ShapeError(f"tokens must be (B, T), got shape {tokens.shape}")
+    queue = deque(_Row(index, row) for index, row in enumerate(tokens))
+    groups = []
+    while queue:
+        indices = tuple(row.index for row in take_batch(queue, max_batch))
+        groups.append(DispatchGroup(indices=indices, tokens=tokens[list(indices)]))
+    return groups
 
 
 class InferenceRuntime:
@@ -56,7 +99,7 @@ class InferenceRuntime:
         config: Execution scheme (one per runtime, like one executor).
         workers: Worker process count; ``0`` serves synchronously in the
             parent (no arena, no processes) with identical results.
-        max_batch: Largest dispatched shard (scheduler chunk size).
+        max_batch: Largest dispatched shard.
         queue_depth: Bound on in-flight shards (backpressure window).
         dwell_s: Modeled per-sequence device dwell in the workers (see
             :mod:`repro.runtime.worker`); ``0`` for pure host compute.
@@ -79,6 +122,8 @@ class InferenceRuntime:
         recorder: Recorder | None = None,
         mp_context: str = "spawn",
     ) -> None:
+        if max_batch < 1:
+            raise ShapeError(f"max_batch must be >= 1, got {max_batch}")
         if workers < 0:
             raise ShapeError(f"workers must be >= 0, got {workers}")
         if queue_depth < 1:
@@ -95,9 +140,6 @@ class InferenceRuntime:
         # size recompile nothing across run_batch calls (the spawned
         # workers hold their own long-lived caches instead).
         self.program_cache = ProgramCache()
-        self.scheduler = FleetScheduler(
-            network, config, max_batch=max_batch, plan_cache=self.plan_cache
-        )
         self._mp_context = mp_context
         #: Liveness bounds (seconds); a stuck pool raises instead of hanging.
         self.startup_timeout_s = 120.0
@@ -240,18 +282,21 @@ class InferenceRuntime:
         return results
 
     def run_batch(self, tokens: np.ndarray) -> FleetResult:
-        """Serve a whole ``(B, T)`` batch: group, dispatch, reassemble."""
+        """Serve a whole ``(B, T)`` batch: group, dispatch, reassemble.
+
+        Raises:
+            ShapeError: ``tokens`` is not ``(B, T)`` or holds an id outside
+                the vocabulary; nothing is dispatched.
+        """
         self._require_serving()
-        tokens = np.asarray(tokens)
-        if tokens.ndim != 2:
-            raise ShapeError(f"tokens must be (B, T), got shape {tokens.shape}")
+        tokens = self.network.check_tokens(tokens)
         start = time.perf_counter()
-        groups = self.scheduler.plan_dispatch(tokens)
+        groups = plan_dispatch(tokens, self.max_batch)
         for group in groups:
             self.submit(group, block=True)
         shards = self.collect(len(groups))
         wall_s = time.perf_counter() - start
-        return self._assemble(tokens, groups, shards, wall_s)
+        return self._assemble(tokens, shards, wall_s)
 
     # ------------------------------------------------------------ internals
 
@@ -310,11 +355,7 @@ class InferenceRuntime:
         return payload
 
     def _assemble(
-        self,
-        tokens: np.ndarray,
-        groups: list[DispatchGroup],
-        shards: list[ShardResult],
-        wall_s: float,
+        self, tokens: np.ndarray, shards: list[ShardResult], wall_s: float
     ) -> FleetResult:
         batch = tokens.shape[0]
         shards = sorted(shards, key=lambda s: s.shard_id)
@@ -332,10 +373,6 @@ class InferenceRuntime:
                 record = merge_run_records(shard_records, label="fleet")
                 record.timing["fleet_wall_s"] = wall_s
                 self.recorder.records.append(record)
-        group_sizes: dict[str, int] = {}
-        for group in groups:
-            key = repr(group.signature)
-            group_sizes[key] = group_sizes.get(key, 0) + len(group.indices)
         return FleetResult(
             logits=logits,
             plans=plans,
@@ -344,5 +381,4 @@ class InferenceRuntime:
             num_sequences=batch,
             num_shards=len(shards),
             workers=self.workers,
-            groups=group_sizes,
         )

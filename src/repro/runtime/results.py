@@ -7,7 +7,7 @@ scaling benchmark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class FleetResult:
     num_sequences: int
     num_shards: int
     workers: int
-    groups: dict[str, int] = field(default_factory=dict)
 
     @property
     def throughput_seq_s(self) -> float:

@@ -4,24 +4,23 @@ The sharded runtime (:mod:`repro.runtime.pool`) serves *whole sequences*:
 a request carries all of its tokens, and batching happens once, at
 dispatch. Interactive workloads do not look like that — a session's
 tokens arrive one step or a few steps at a time, and the latency budget
-covers each arrival, not the sequence. This module adds the online shape:
+covers each arrival, not the sequence. :class:`StreamingServer` is the
+online batch-forming policy over the serving core
+(:class:`~repro.runtime.serving.ServingCore`, which owns admission,
+shedding, tickets, tick timing, records and ``drain``):
 
 * a :class:`SessionTable` keeps each live session's per-layer ``(h, c)``
   recurrent state resident between arrivals (plus the trailing top-layer
   window a pooled head reads), with LRU capacity eviction and TTL
   idle-sweep;
-* a bounded admission queue sheds overload deterministically with
-  :class:`~repro.errors.BackpressureError` — the same contract as the
-  sharded runtime's dispatch queue;
-* a tick-driven **continuous batcher**: each :meth:`StreamingServer.tick`
-  scans the admission queue FIFO, gathers up to ``max_batch`` compatible
-  chunks — same server means same weights fingerprint / precision /
-  schedule key already, so within a tick compatibility reduces to equal
-  chunk length, at most one chunk per session — stacks the owning
-  sessions' states into one ``(layers, B, H)`` block, runs one
-  :meth:`~repro.core.executor.LSTMExecutor.run_stream` step through the
-  compiled :class:`~repro.core.program.ProgramCache` path, and scatters
-  the updated states back.
+* submissions split into chunks of at most ``chunk_len`` tokens, and each
+  tick takes up to ``max_batch`` chunks by the core's FIFO rule with at
+  most one chunk per session — one server is one network under one
+  scheme, so compatibility within a tick reduces to equal chunk length —
+  stacks the owning sessions' states into one ``(layers, B, H)`` block,
+  runs one :meth:`~repro.core.executor.LSTMExecutor.run_stream` step
+  through the compiled :class:`~repro.core.program.ProgramCache` path, and
+  scatters the updated states back.
 
 **Bit-identity contract.** At fp64, a session served in any chunking
 under any batch composition produces logits bit-identical to running its
@@ -36,20 +35,12 @@ shape-independent. Structural modes (INTER / COMBINED) plan from
 full-sequence relevance, which chunked arrivals never have, so the server
 rejects them at construction.
 
-Observability: every tick emits one ``repro.obs/run/v1``
-:class:`~repro.obs.record.RunRecord` (batch = sessions in the tick,
-seq_length = the tick's chunk length) with a ``queue_wait_s`` timing key
-attributing how long the tick's chunks sat queued;
-:meth:`StreamingServer.merged_record` folds a serving window's ticks into
-one schema-identical record via :func:`repro.obs.merge.merge_run_records`
-(``allow_varying_seq_length`` — ticks legitimately differ in chunk
-length).
-
-The synchronous engine is deterministic under an injected clock — the
-tests and the open-loop bench drive it on virtual time.
-:class:`StreamingFrontDoor` is the asyncio face: ``await
-door.request(session_id, tokens)`` admits a chunk and resolves when the
-tick loop completes it.
+Every tick records one ``repro.obs/run/v1`` run labelled ``stream-tick``
+(batch = sessions in the tick, seq_length = the tick's chunk length);
+:meth:`~repro.runtime.serving.ServingCore.merged_record` folds a window
+into one record labelled ``stream``. :class:`StreamingFrontDoor` is the
+asyncio face: ``await door.request(session_id, tokens)`` admits a chunk
+and resolves when the tick loop completes it.
 """
 
 from __future__ import annotations
@@ -57,110 +48,22 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from repro.core.executor import ExecutionConfig, LSTMExecutor
 from repro.core.program import ProgramCache
-from repro.errors import BackpressureError, ConfigurationError, ShapeError
+from repro.errors import BackpressureError, ConfigurationError
 from repro.nn.network import LSTMNetwork
-from repro.obs.merge import merge_run_records
-from repro.obs.record import RunRecord
 from repro.obs.recorder import Recorder
-
-
-@dataclass
-class StreamResult:
-    """Resolved outcome of one :meth:`StreamingServer.submit`.
-
-    Attributes:
-        session_id: The owning session.
-        logits: Per-timestep heads: ``(n_tokens, C)`` — one row per
-            submitted token. Pooled heads: ``(C,)`` — the readout after
-            the submission's last token (pooled over the trailing
-            ``head_pool`` top-layer states the session has seen so far).
-        n_tokens: Tokens covered by the submission.
-        submitted_at: Clock time of admission.
-        completed_at: Clock time of the tick that finished the last chunk.
-    """
-
-    session_id: str
-    logits: np.ndarray
-    n_tokens: int
-    submitted_at: float
-    completed_at: float
-
-    @property
-    def latency_s(self) -> float:
-        """Admission-to-completion latency."""
-        return self.completed_at - self.submitted_at
-
-
-class StreamTicket:
-    """Pending handle for one submission (possibly several chunks)."""
-
-    __slots__ = (
-        "session_id",
-        "submitted_at",
-        "result",
-        "_parts",
-        "_remaining",
-        "_n_tokens",
-        "_callback",
-    )
-
-    def __init__(
-        self, session_id: str, submitted_at: float, n_chunks: int, n_tokens: int
-    ) -> None:
-        self.session_id = session_id
-        self.submitted_at = submitted_at
-        self.result: StreamResult | None = None
-        self._parts: list[tuple[int, np.ndarray]] = []
-        self._remaining = n_chunks
-        self._n_tokens = n_tokens
-        self._callback: Callable[[StreamResult], None] | None = None
-
-    @property
-    def done(self) -> bool:
-        """Whether every chunk of the submission has been served."""
-        return self.result is not None
-
-    def _complete_chunk(
-        self, logits: np.ndarray, per_timestep: bool, now: float, chunk_index: int
-    ) -> StreamResult | None:
-        self._parts.append((chunk_index, logits))
-        self._remaining -= 1
-        if self._remaining > 0:
-            return None
-        # Merge in submission order by explicit chunk index: the pooled
-        # head must read the *last* chunk's logits and per-timestep heads
-        # must concatenate chronologically, even if a scheduler ever
-        # completes chunks out of order.
-        parts = [part for _, part in sorted(self._parts, key=lambda item: item[0])]
-        merged = np.concatenate(parts, axis=0) if per_timestep else parts[-1]
-        self.result = StreamResult(
-            session_id=self.session_id,
-            logits=merged,
-            n_tokens=self._n_tokens,
-            submitted_at=self.submitted_at,
-            completed_at=now,
-        )
-        if self._callback is not None:
-            self._callback(self.result)
-        return self.result
-
-
-@dataclass
-class _Chunk:
-    """One queued unit of work: a contiguous token slice of one session."""
-
-    session_id: str
-    tokens: np.ndarray  # 1-D, 1 <= len <= chunk_len
-    enqueued_at: float
-    ticket: StreamTicket
-    chunk_index: int  # position within the owning submission
+from repro.runtime.serving import (
+    ServingCore,
+    ServingResult,
+    ServingStats,
+    ServingTicket,
+    take_batch,
+)
 
 
 class _Session:
@@ -178,51 +81,6 @@ class _Session:
         self.steps = 0
         self.last_active = 0.0
         self.pending = 0  # queued chunks not yet served
-
-
-@dataclass
-class TickReport:
-    """Outcome of one batcher tick."""
-
-    batch: int
-    chunk_len: int
-    exec_wall_s: float = 0.0
-    queue_wait_s: float = 0.0
-    completed: list[StreamResult] = field(default_factory=list)
-    ttl_evictions: int = 0
-
-
-@dataclass
-class StreamingStats:
-    """Aggregate serving-window counters."""
-
-    ticks: int = 0
-    chunks_served: int = 0
-    tokens_served: int = 0
-    occupancy_sum: int = 0
-    max_occupancy: int = 0
-    shed_chunks: int = 0
-    lru_evictions: int = 0
-    ttl_evictions: int = 0
-
-    def occupancy_mean(self, max_batch: int) -> float:
-        """Mean tick batch occupancy as a fraction of ``max_batch``."""
-        if self.ticks == 0:
-            return 0.0
-        return self.occupancy_sum / (self.ticks * max_batch)
-
-    def as_dict(self, max_batch: int) -> dict[str, float]:
-        """Flat dict form for bench reports."""
-        return {
-            "ticks": self.ticks,
-            "chunks_served": self.chunks_served,
-            "tokens_served": self.tokens_served,
-            "occupancy_mean": self.occupancy_mean(max_batch),
-            "max_occupancy": self.max_occupancy,
-            "shed_chunks": self.shed_chunks,
-            "lru_evictions": self.lru_evictions,
-            "ttl_evictions": self.ttl_evictions,
-        }
 
 
 class SessionTable:
@@ -317,7 +175,7 @@ class SessionTable:
             session.last_active = now
 
 
-class StreamingServer:
+class StreamingServer(ServingCore):
     """Tick-driven continuous batcher over one network + one scheme.
 
     Synchronous, deterministic engine: :meth:`submit` admits work,
@@ -349,6 +207,8 @@ class StreamingServer:
             emit (``max_batch x chunk_len x layers`` per dispatch slot).
     """
 
+    record_label = "stream"
+
     def __init__(
         self,
         network: LSTMNetwork,
@@ -374,13 +234,12 @@ class StreamingServer:
             raise ConfigurationError(f"chunk_len must be >= 1, got {chunk_len}")
         if queue_limit < 1:
             raise ConfigurationError(f"queue_limit must be >= 1, got {queue_limit}")
+        super().__init__(clock, recorder)
         self.network = network
         self.config = config
         self.max_batch = max_batch
         self.chunk_len = chunk_len
         self.queue_limit = queue_limit
-        self.clock = clock
-        self.recorder = recorder
         if program_cache is None:
             # Every (batch, chunk length, layer) the batcher can emit, per
             # dispatch slot: programs lease their workspace from the cache's
@@ -391,6 +250,8 @@ class StreamingServer:
                 max_entries=max_batch * chunk_len * network.num_layers * config.threads
             )
         self.executor = LSTMExecutor(network, config, program_cache=program_cache)
+        self.program_cache = self.executor.program_cache
+        self.plan_cache = self.executor.plan_cache
         self.sessions = SessionTable(
             num_layers=network.num_layers,
             hidden=network.config.hidden_size,
@@ -398,9 +259,8 @@ class StreamingServer:
             max_sessions=max_sessions,
             ttl_s=session_ttl_s,
         )
-        self._queue: "deque[_Chunk]" = deque()
-        self.stats = StreamingStats()
-        self._tick_records: list[RunRecord] = []
+        self._queue: deque = deque()
+        self.stats = ServingStats()
         self._record_config = {
             "backend": self.executor.backend,
             "alpha_inter": config.alpha_inter,
@@ -412,40 +272,12 @@ class StreamingServer:
             "stream_chunk_len": chunk_len,
             "stream_max_batch": max_batch,
         }
-        self._stream_key: tuple | None = None
-
-    # --------------------------------------------------------------- compat
-
-    @property
-    def stream_key(self) -> tuple:
-        """Compatibility key of this server's batches.
-
-        Sessions are batchable when their (weights fingerprint, precision,
-        schedule key) agree — one server serves one network under one
-        scheme, so all of its sessions share this key, and within a tick
-        compatibility reduces to equal chunk length. Non-inter schemes'
-        scheduler signature is purely length-based
-        (:meth:`repro.runtime.scheduler.FleetScheduler.signature`), which
-        is exactly the per-tick chunk-length grouping below.
-        """
-        if self._stream_key is None:
-            weights_fp = tuple(
-                self.executor._weights_fingerprint(i)
-                for i in range(self.network.num_layers)
-            )
-            self._stream_key = (
-                weights_fp,
-                self.config.precision.tag,
-                self.config.mode.value,
-                self.config.alpha_intra,
-            )
-        return self._stream_key
 
     # ------------------------------------------------------------ admission
 
     def submit(
         self, session_id: str, tokens: np.ndarray, now: float | None = None
-    ) -> StreamTicket:
+    ) -> ServingTicket:
         """Admit one submission (a single step or a short run of tokens).
 
         Splits the tokens into chunks of at most ``chunk_len`` and queues
@@ -462,40 +294,17 @@ class StreamingServer:
         """
         if now is None:
             now = self.clock()
-        # Admission is where a bad id is one session's error; inside a
-        # tick it would fail the chunk of every co-batched session.
-        tokens = self.network.check_tokens(tokens)
-        if tokens.ndim != 1 or tokens.shape[0] == 0:
-            raise ShapeError(
-                f"tokens must be a non-empty 1-D array, got shape {tokens.shape}"
-            )
-        n_chunks = -(-tokens.shape[0] // self.chunk_len)
-        if len(self._queue) + n_chunks > self.queue_limit:
-            self.stats.shed_chunks += n_chunks
-            raise BackpressureError(
-                f"admission queue full ({len(self._queue)}/{self.queue_limit} "
-                f"chunks queued, submission needs {n_chunks}); retry later"
-            )
-        try:
-            session = self.sessions.get_or_admit(session_id, now)
-        except BackpressureError:
-            # A session-table shed drops the same n_chunks as a queue-full
-            # shed; count it identically so stats.shed_chunks covers every
-            # shed path.
-            self.stats.shed_chunks += n_chunks
-            raise
-        ticket = StreamTicket(session_id, now, n_chunks, int(tokens.shape[0]))
-        for index, start in enumerate(range(0, tokens.shape[0], self.chunk_len)):
-            chunk = _Chunk(
-                session_id=session_id,
-                tokens=tokens[start : start + self.chunk_len],
-                enqueued_at=now,
-                ticket=ticket,
-                chunk_index=index,
-            )
-            self._queue.append(chunk)
-        session.pending += n_chunks
-        return ticket
+        return self._admit(
+            self._queue, self.queue_limit, self.stats, self.network,
+            session_id, tokens, now, part_len=self.chunk_len,
+        )
+
+    def submit_arrival(self, arrival, now: float) -> ServingTicket:
+        """Admit one :class:`~repro.runtime.loadgen.Arrival` (``run_open_loop``'s door)."""
+        return self.submit(arrival.session_id, arrival.tokens, now=now)
+
+    def _reserve(self, session_id: str, n_parts: int, now: float) -> None:
+        self.sessions.get_or_admit(session_id, now).pending += n_parts
 
     @property
     def queue_depth(self) -> int:
@@ -504,99 +313,38 @@ class StreamingServer:
 
     # ----------------------------------------------------------------- tick
 
-    def tick(self, now: float | None = None) -> TickReport:
-        """Serve one continuous-batching step.
-
-        FIFO-scans the queue for up to ``max_batch`` chunks of equal
-        length (the head chunk sets the length; at most one chunk per
-        session, and a session whose head chunk does not fit blocks its
-        later chunks to preserve order), stacks the owning sessions'
-        resident states, runs one compiled streamed step, scatters state
-        back, and resolves finished tickets. Also TTL-sweeps the session
-        table. An empty queue still sweeps and returns a zero-batch
-        report.
-        """
-        if now is None:
-            now = self.clock()
-        ttl_evicted = self.sessions.sweep_ttl(now)
+    def _form_batch(self, report, now):
+        # An idle tick still sweeps the session table.
+        report.ttl_evictions = self.sessions.sweep_ttl(now)
         self.stats.ttl_evictions = self.sessions.ttl_evictions
-        if not self._queue:
-            return TickReport(batch=0, chunk_len=0, ttl_evictions=ttl_evicted)
+        return take_batch(self._queue, self.max_batch, one_per_session=True)
 
-        picked: list[_Chunk] = []
-        seen: set[str] = set()
-        length = int(self._queue[0].tokens.shape[0])
-        for chunk in self._queue:
-            if chunk.session_id in seen:
-                continue
-            seen.add(chunk.session_id)
-            if int(chunk.tokens.shape[0]) == length:
-                picked.append(chunk)
-                if len(picked) == self.max_batch:
-                    break
-        picked_ids = set(map(id, picked))
-        self._queue = deque(c for c in self._queue if id(c) not in picked_ids)
+    def _run(self, report, picked, tokens):
+        members = [self.sessions._sessions[work.session_id] for work in picked]
+        h = np.stack([session.h for session in members], axis=1)  # (layers, B, H)
+        c = np.stack([session.c for session in members], axis=1)
+        return self.executor.run_stream(tokens, h, c), h, c, members
 
-        batch = len(picked)
-        tokens = np.stack([c.tokens for c in picked])
-        h = np.empty((self.network.num_layers, batch, self.network.config.hidden_size))
-        c_state = np.empty_like(h)
-        members = []
-        for j, chunk in enumerate(picked):
-            session = self.sessions._sessions[chunk.session_id]
-            members.append(session)
-            h[:, j] = session.h
-            c_state[:, j] = session.c
-
-        record = self.recorder is not None and self.recorder.enabled
-        program_before = (
-            self.executor.program_cache.stats.as_dict() if record else None
-        )
-        exec_start = time.perf_counter()
-        top = self.executor.run_stream(tokens, h, c_state)  # (B, L, H)
-        exec_wall = time.perf_counter() - exec_start
-
+    def _rows(self, report, picked, out, now):
+        top, h, c, members = out  # top: (B, L, H)
         per_ts = self.network.per_timestep_head
         if per_ts:
             # Same per-row head lift as the batched executor: streamed
             # logits bits must not depend on L or B.
             logits_all = self.network.head_logits(top[..., None, :])[..., 0, :]
-        report = TickReport(
-            batch=batch, chunk_len=length, exec_wall_s=exec_wall,
-            ttl_evictions=ttl_evicted,
-        )
-        for j, chunk in enumerate(picked):
-            session = members[j]
+        rows = []
+        for j, (work, session) in enumerate(zip(picked, members)):
             session.h[:] = h[:, j]
-            session.c[:] = c_state[:, j]
+            session.c[:] = c[:, j]
             self._update_ring(session, top[j])
-            session.steps += length
+            session.steps += report.length
             session.pending -= 1
-            self.sessions.touch(chunk.session_id, now)
-            report.queue_wait_s += now - chunk.enqueued_at
-            if per_ts:
-                logits = logits_all[j]
-            else:
-                logits = self._pooled_logits(session)
-            result = chunk.ticket._complete_chunk(logits, per_ts, now, chunk.chunk_index)
-            if result is not None:
-                report.completed.append(result)
+            self.sessions.touch(work.session_id, now)
+            rows.append(logits_all[j] if per_ts else self._pooled_logits(session))
+        return rows
 
-        self.stats.ticks += 1
-        self.stats.chunks_served += batch
-        self.stats.tokens_served += batch * length
-        self.stats.occupancy_sum += batch
-        self.stats.max_occupancy = max(self.stats.max_occupancy, batch)
-        if record:
-            self._record_tick(report, program_before)
-        return report
-
-    def drain(self, now: float | None = None) -> list[TickReport]:
-        """Tick until the queue is empty; returns the tick reports."""
-        reports = []
-        while self._queue:
-            reports.append(self.tick(now=now))
-        return reports
+    def _stats(self, report) -> ServingStats:
+        return self.stats
 
     def _update_ring(self, session: _Session, top_chunk: np.ndarray) -> None:
         """Append a chunk's top-layer states to the pooled-readout window."""
@@ -621,47 +369,8 @@ class StreamingServer:
         pooled = self.network.pool_top(window[None])  # (1, H)
         return self.network.head_logits(pooled[:, None, :])[0, 0]
 
-    # -------------------------------------------------------------- records
-
-    def _record_tick(self, report: TickReport, program_before: dict | None) -> None:
-        builder = self.recorder.start_run(
-            label="stream-tick",
-            mode=self.config.mode.value,
-            spec=self.config.spec.name,
-            batch=report.batch,
-            seq_length=report.chunk_len,
-            config=self._record_config,
-        )
-        if builder is None:
-            return
-        if program_before is not None:
-            builder.observe_program_cache_delta(
-                program_before, self.executor.program_cache.stats.as_dict()
-            )
-        builder.set_timing(
-            wall_s=report.exec_wall_s,
-            exec_wall_s=report.exec_wall_s,
-            queue_wait_s=report.queue_wait_s,
-            ticks=1.0,
-        )
-        self._tick_records.append(builder.finish())
-
-    def merged_record(self, label: str = "stream") -> RunRecord | None:
-        """One serving-window record folding every tick recorded so far.
-
-        Schema-identical to a single run record (``repro.obs/run/v1``):
-        ``batch`` totals the session-chunks served, ``seq_length`` is the
-        largest chunk length, timing keys — including ``queue_wait_s``
-        and the per-tick ``ticks`` counter — sum across ticks. Returns
-        ``None`` when no tick was recorded.
-        """
-        if not self._tick_records:
-            return None
-        return merge_run_records(
-            self._tick_records,
-            label=label,
-            allow_varying_seq_length=True,
-        )
+    def _record_meta(self, report):
+        return "stream-tick", self.config, self._record_config
 
 
 class StreamingFrontDoor:
@@ -716,17 +425,17 @@ class StreamingFrontDoor:
                 return
             await asyncio.sleep(self.tick_interval_s)
 
-    async def request(self, session_id: str, tokens: np.ndarray) -> StreamResult:
+    async def request(self, session_id: str, tokens: np.ndarray) -> ServingResult:
         """Admit a chunk for ``session_id`` and await its result."""
         loop = asyncio.get_running_loop()
-        future: asyncio.Future[StreamResult] = loop.create_future()
+        future: asyncio.Future[ServingResult] = loop.create_future()
         ticket = self.server.submit(session_id, tokens)
 
-        def resolve(result: StreamResult) -> None:
+        def resolve(result: ServingResult) -> None:
             if not future.done():
                 future.set_result(result)
 
         if ticket.done:  # zero-latency path cannot happen today, but be safe
             return ticket.result
-        ticket._callback = resolve
+        ticket.callback = resolve
         return await future

@@ -17,11 +17,13 @@ owns. Three shared structures carry that:
   fingerprints and shapes, so sharing is safe by construction, and a
   tenant's first batch after another tenant warmed the same model
   replays a compiled program instead of recompiling;
-* **one QoS-weighted scheduler** — weighted deficit round-robin over
-  per-tenant bounded FIFO queues: each backlogged tenant accrues
-  ``weight x quantum`` deficit per visit and serves at most its deficit,
-  so sustained service ratios converge to the configured weights while
-  admission overload sheds per tenant with
+* **one QoS-weighted batch-forming policy** over the serving core
+  (:class:`~repro.runtime.serving.ServingCore`, which owns admission,
+  tickets, tick timing, records and ``drain``) — weighted deficit
+  round-robin over per-tenant bounded FIFO queues: each backlogged
+  tenant accrues ``weight x quantum`` deficit per visit and serves at
+  most its deficit, so sustained service ratios converge to the
+  configured weights while admission overload sheds per tenant with
   :class:`~repro.errors.BackpressureError` (one noisy tenant cannot
   starve or shed another).
 
@@ -42,13 +44,12 @@ how the WDRR scheduler batches or interleaves it with other tenants
 (batched fp64 execution is batch-composition invariant).
 
 Observability: every tick emits one ``repro.obs/run/v1`` record labelled
-with the serving tenant; :meth:`ZooServer.merged_record` folds a window
-into one record whose cache counters are namespaced per tenant
-(``tenantA/program_hits``) via :func:`~repro.obs.merge.merge_run_records`
+with the serving tenant; ``merged_record`` folds a window into one record
+whose cache counters are namespaced per tenant (``tenantA/program_hits``)
 — the per-tenant hit attribution that ``trace summarize``/``diff``
 render. All time enters through ``now`` arguments and an optional
 injected service model, so benches replay deterministic virtual-time
-histories (:func:`run_zoo_open_loop`).
+histories (:func:`~repro.runtime.loadgen.run_open_loop`).
 """
 
 from __future__ import annotations
@@ -63,14 +64,12 @@ import numpy as np
 from repro.core.executor import ExecutionConfig, ExecutionMode, LSTMExecutor
 from repro.core.plan import PlanCache
 from repro.core.program import ProgramCache
-from repro.errors import BackpressureError, ConfigurationError, ShapeError
+from repro.errors import ConfigurationError
 from repro.nn.network import LSTMNetwork
-from repro.obs.merge import merge_run_records
-from repro.obs.record import RunRecord
 from repro.obs.recorder import Recorder
 from repro.runtime.arena import ArenaRegistry, WeightArena
 from repro.runtime.controller import OperatingPoint, SLOController
-from repro.runtime.loadgen import LoadReport, TenantArrival
+from repro.runtime.serving import ServingCore, ServingStats, ServingTicket, take_batch
 from repro.runtime.shadow import ShadowSampler
 
 
@@ -117,69 +116,6 @@ class TenantSpec:
             )
 
 
-@dataclass
-class ZooResult:
-    """Resolved outcome of one whole-sequence request."""
-
-    tenant: str
-    session_id: str
-    logits: np.ndarray
-    prediction: np.ndarray
-    submitted_at: float
-    completed_at: float
-
-    @property
-    def latency_s(self) -> float:
-        """Admission-to-completion latency."""
-        return self.completed_at - self.submitted_at
-
-
-class ZooTicket:
-    """Pending handle for one submitted request."""
-
-    __slots__ = ("tenant", "session_id", "submitted_at", "result")
-
-    def __init__(self, tenant: str, session_id: str, submitted_at: float) -> None:
-        self.tenant = tenant
-        self.session_id = session_id
-        self.submitted_at = submitted_at
-        self.result: ZooResult | None = None
-
-    @property
-    def done(self) -> bool:
-        """Whether the request has been served."""
-        return self.result is not None
-
-
-@dataclass
-class _Request:
-    """One queued whole-sequence request."""
-
-    session_id: str
-    tokens: np.ndarray  # 1-D
-    enqueued_at: float
-    ticket: ZooTicket
-
-
-@dataclass
-class TenantStats:
-    """Per-tenant serving counters."""
-
-    served_requests: int = 0
-    served_tokens: int = 0
-    shed_requests: int = 0
-    ticks: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        """Flat form for bench reports."""
-        return {
-            "served_requests": self.served_requests,
-            "served_tokens": self.served_tokens,
-            "shed_requests": self.shed_requests,
-            "ticks": self.ticks,
-        }
-
-
 class _Tenant:
     """Runtime state of one tenant."""
 
@@ -195,38 +131,22 @@ class _Tenant:
         self.controller = controller
         self.shadow = shadow
         self.point = controller.point if controller is not None else spec.point
-        self.queue: deque[_Request] = deque()
+        self.queue: deque = deque()
         self.deficit = 0.0
-        self.stats = TenantStats()
+        self.stats = ServingStats()
         #: (arena, executor) per operating point — switching points keeps
         #: previously built executors (and their warm programs) alive.
         self.executors: dict[OperatingPoint, tuple[WeightArena, LSTMExecutor]] = {}
 
 
-@dataclass
-class ZooTickReport:
-    """Outcome of one WDRR scheduler tick."""
-
-    tenant: str | None  # None: no backlogged tenant could serve
-    batch: int
-    seq_length: int
-    point: OperatingPoint | None = None
-    exec_wall_s: float = 0.0
-    service_s: float = 0.0
-    end_s: float = 0.0
-    queue_wait_s: float = 0.0
-    completed: list[ZooResult] = field(default_factory=list)
-    moved_to: OperatingPoint | None = None
-
-
-class ZooServer:
+class ZooServer(ServingCore):
     """WDRR multi-tenant server over shared arena/program/plan caches.
 
-    Synchronous, deterministic engine in the style of
-    :class:`~repro.runtime.streaming.StreamingServer`: :meth:`submit`
-    admits whole-sequence requests per tenant, :meth:`tick` serves one
-    tenant's batch under weighted deficit round-robin. All time enters
-    through ``now`` and the optional per-tick ``service_model``.
+    The serving core's whole-sequence policy: :meth:`submit` admits
+    requests per tenant, ``tick`` serves one tenant's batch under weighted
+    deficit round-robin and then feeds its shadow sampler and controller.
+    All time enters through ``now`` and the optional per-tick
+    ``service_model``.
 
     Args:
         registry: Shared weight-arena registry; owned (and torn down on
@@ -245,6 +165,17 @@ class ZooServer:
             serial path.
     """
 
+    record_label = "zoo"
+    #: Ticks of different tenants differ in sequence length *and*
+    #: configuration (models, alphas, precisions; a controller moves a
+    #: tenant mid-window): agreeing config keys survive the merge, disputed
+    #: ones are listed under ``"varied"``, cache counters namespace per tenant.
+    merge_flags = {
+        "allow_varying_seq_length": True,
+        "allow_varying_config": True,
+        "group_cache_by_label": True,
+    }
+
     def __init__(
         self,
         registry: ArenaRegistry | None = None,
@@ -258,12 +189,11 @@ class ZooServer:
             raise ConfigurationError(f"quantum must be positive, got {quantum}")
         if threads < 1:
             raise ConfigurationError(f"threads must be >= 1, got {threads}")
+        super().__init__(clock, recorder)
         self.registry = registry if registry is not None else ArenaRegistry()
         self._owns_registry = registry is None
-        self.recorder = recorder
         self.quantum = quantum
         self.mts = mts
-        self.clock = clock
         #: In-process dispatcher width stamped on every tenant executor
         #: (:attr:`repro.core.executor.ExecutionConfig.threads`): tenant
         #: batches shard across the shared pool while the single-flight
@@ -275,7 +205,6 @@ class ZooServer:
         self._ring: list[str] = []
         self._cursor = 0
         self.ticks = 0
-        self._tick_records: list[RunRecord] = []
 
     # -------------------------------------------------------------- tenants
 
@@ -325,7 +254,7 @@ class ZooServer:
         """Registered tenants in ring order."""
         return list(self._ring)
 
-    def tenant_stats(self, name: str) -> TenantStats:
+    def tenant_stats(self, name: str) -> ServingStats:
         """Serving counters of one tenant."""
         return self._require(name).stats
 
@@ -405,37 +334,26 @@ class ZooServer:
         session_id: str,
         tokens: np.ndarray,
         now: float | None = None,
-    ) -> ZooTicket:
+    ) -> ServingTicket:
         """Admit one whole-sequence request for a tenant.
 
         Raises:
+            ShapeError: The tokens are not a non-empty 1-D array of ids
+                inside the tenant's vocabulary; nothing is queued.
             BackpressureError: The tenant's bounded queue is full. Only
                 that tenant sheds — its neighbours' queues are untouched.
         """
         if now is None:
             now = self.clock()
         tenant = self._require(tenant_name)
-        tokens = np.asarray(tokens)
-        if tokens.ndim != 1 or tokens.shape[0] == 0:
-            raise ShapeError(
-                f"tokens must be a non-empty 1-D array, got shape {tokens.shape}"
-            )
-        if len(tenant.queue) >= tenant.spec.queue_limit:
-            tenant.stats.shed_requests += 1
-            raise BackpressureError(
-                f"tenant {tenant_name!r} queue full "
-                f"({len(tenant.queue)}/{tenant.spec.queue_limit}); retry later"
-            )
-        ticket = ZooTicket(tenant_name, session_id, now)
-        tenant.queue.append(
-            _Request(
-                session_id=session_id,
-                tokens=tokens,
-                enqueued_at=now,
-                ticket=ticket,
-            )
+        return self._admit(
+            tenant.queue, tenant.spec.queue_limit, tenant.stats,
+            tenant.source_network, session_id, tokens, now, tenant=tenant_name,
         )
-        return ticket
+
+    def submit_arrival(self, arrival, now: float) -> ServingTicket:
+        """Admit one :class:`~repro.runtime.loadgen.Arrival` (``run_open_loop``'s door)."""
+        return self.submit(arrival.tenant, arrival.session_id, arrival.tokens, now=now)
 
     @property
     def queue_depth(self) -> int:
@@ -473,93 +391,36 @@ class ZooServer:
                 return tenant, budget
         return None
 
-    def tick(
-        self,
-        now: float | None = None,
-        service_model: Callable[["ZooTickReport"], float] | None = None,
-    ) -> ZooTickReport:
-        """Serve one tenant's batch under weighted deficit round-robin.
-
-        Picks the next eligible tenant, gathers up to
-        ``min(deficit, max_batch)`` FIFO requests of equal sequence
-        length (the head request sets the length; later equal-length
-        requests may jump shorter-queue positions, but order within a
-        length class is preserved), runs one batched step at the
-        tenant's current operating point, resolves tickets, feeds the
-        tenant's shadow sampler and controller, and applies any
-        controller move.
-
-        ``service_model`` maps the partially filled report (tenant,
-        batch, operating point, measured ``exec_wall_s``) to the tick's
-        modeled service seconds — the virtual-time benches use it to
-        make latency gates runner-independent. Without it the measured
-        wall time is the cost. Completion times (``end_s``) include the
-        service cost, so controller-observed latencies match what an
-        open-loop report measures.
-        """
-        if now is None:
-            now = self.clock()
+    def _form_batch(self, report, now):
+        """WDRR: the next eligible tenant's FIFO equal-length batch of up to
+        ``min(deficit, max_batch)`` requests, at its current point."""
         self.ticks += 1
         picked = self._pick_tenant()
         if picked is None:
-            return ZooTickReport(tenant=None, batch=0, seq_length=0, end_s=now)
+            return []
         tenant, budget = picked
-        spec = tenant.spec
-
-        length = int(tenant.queue[0].tokens.shape[0])
-        limit = min(budget, spec.max_batch)
-        requests: list[_Request] = []
-        for request in tenant.queue:
-            if int(request.tokens.shape[0]) == length:
-                requests.append(request)
-                if len(requests) == limit:
-                    break
-        picked_ids = set(map(id, requests))
-        tenant.queue = deque(r for r in tenant.queue if id(r) not in picked_ids)
-        tenant.deficit -= len(requests)
+        report.tenant, report.point = tenant.spec.name, tenant.point
+        batch = take_batch(tenant.queue, min(budget, tenant.spec.max_batch))
+        tenant.deficit -= len(batch)
         if not tenant.queue:
             tenant.deficit = 0.0
+        return batch
 
-        executor = self._executor_for(tenant, tenant.point)
-        record = self.recorder is not None and self.recorder.enabled
-        plan_before = self.plan_cache.stats.as_dict() if record else None
-        program_before = self.program_cache.stats.as_dict() if record else None
-        tokens = np.stack([r.tokens for r in requests])
-        exec_start = time.perf_counter()
-        result = executor.run_batch(tokens)
-        exec_wall = time.perf_counter() - exec_start
-        predictions = result.predictions()
+    def _run(self, report, picked, tokens):
+        tenant = self._tenants[report.tenant]
+        return self._executor_for(tenant, tenant.point).run_batch(tokens)
 
-        report = ZooTickReport(
-            tenant=spec.name,
-            batch=len(requests),
-            seq_length=length,
-            point=tenant.point,
-            exec_wall_s=exec_wall,
-        )
-        report.service_s = (
-            service_model(report) if service_model is not None else exec_wall
-        )
-        report.end_s = now + report.service_s
-        for j, request in enumerate(requests):
-            report.queue_wait_s += now - request.enqueued_at
-            zoo_result = ZooResult(
-                tenant=spec.name,
-                session_id=request.session_id,
-                logits=result.logits[j],
-                prediction=predictions[j],
-                submitted_at=request.ticket.submitted_at,
-                completed_at=report.end_s,
-            )
-            request.ticket.result = zoo_result
-            report.completed.append(zoo_result)
+    def _rows(self, report, picked, out, now):
+        return out.logits
 
-        tenant.stats.ticks += 1
-        tenant.stats.served_requests += len(requests)
-        tenant.stats.served_tokens += len(requests) * length
+    def _stats(self, report) -> ServingStats:
+        return self._tenants[report.tenant].stats
 
+    def _after_tick(self, report, tokens, out) -> None:
+        """Feed the tenant's shadow sampler and controller; apply a move."""
+        tenant = self._tenants[report.tenant]
         if tenant.shadow is not None:
-            sample = tenant.shadow.observe(tokens, predictions)
+            sample = tenant.shadow.observe(tokens, out.predictions())
             if sample is not None and tenant.controller is not None:
                 # Feed the pooled estimate, not the single-batch fraction:
                 # one mismatch in a small batch reads as e.g. 0.875 and
@@ -567,94 +428,26 @@ class ZooServer:
                 # moves only as fast as the evidence accumulates.
                 tenant.controller.observe_agreement(tenant.shadow.agreement)
         if tenant.controller is not None:
-            for zoo_result in report.completed:
-                tenant.controller.observe_latency(zoo_result.latency_s)
+            for result in report.completed:
+                tenant.controller.observe_latency(result.latency_s)
             moved = tenant.controller.decide()
             if moved is not None:
-                tenant.point = moved
-                report.moved_to = moved
-        if record:
-            self._record_tick(tenant, report, plan_before, program_before)
-        return report
+                tenant.point = report.moved_to = moved
+                self._executor_for(tenant, moved)  # built outside any timed call
 
-    def drain(
-        self,
-        now: float | None = None,
-        service_model: Callable[["ZooTickReport"], float] | None = None,
-    ) -> list[ZooTickReport]:
-        """Tick until every tenant queue is empty; returns the reports."""
-        reports = []
-        while self.queue_depth > 0:
-            reports.append(self.tick(now=now, service_model=service_model))
-        return reports
-
-    # -------------------------------------------------------------- records
-
-    def _record_tick(
-        self,
-        tenant: _Tenant,
-        report: ZooTickReport,
-        plan_before: dict | None,
-        program_before: dict | None,
-    ) -> None:
+    def _record_meta(self, report):
+        tenant = self._tenants[report.tenant]
         config = self._point_config(report.point)  # the point the tick served at
-        builder = self.recorder.start_run(
-            label=tenant.spec.name,
-            mode=config.mode.value,
-            spec=config.spec.name,
-            batch=report.batch,
-            seq_length=report.seq_length,
-            config={
-                "tenant": tenant.spec.name,
-                "model": tenant.spec.model,
-                "weight": tenant.spec.weight,
-                "alpha_inter": config.alpha_inter,
-                "alpha_intra": config.alpha_intra,
-                "mts": config.mts,
-                "precision": config.precision.tag,
-                "backend": "numpy",
-            },
-        )
-        if builder is None:
-            return
-        if plan_before is not None:
-            builder.observe_cache_delta(plan_before, self.plan_cache.stats.as_dict())
-        if program_before is not None:
-            builder.observe_program_cache_delta(
-                program_before, self.program_cache.stats.as_dict()
-            )
-        builder.set_timing(
-            wall_s=report.exec_wall_s,
-            exec_wall_s=report.exec_wall_s,
-            queue_wait_s=report.queue_wait_s,
-            ticks=1.0,
-        )
-        self._tick_records.append(builder.finish())
-
-    def merged_record(self, label: str = "zoo") -> RunRecord | None:
-        """One serving-window record with per-tenant cache attribution.
-
-        Ticks of different tenants legitimately differ in sequence
-        length *and* configuration (different models, alphas,
-        precisions; a controller changes a tenant's config mid-window),
-        so the merge tolerates both — agreeing config keys survive,
-        disputed ones are listed under ``"varied"`` — and cache counters
-        are namespaced per tenant (``tenantA/program_hits``). Returns
-        ``None`` when no tick was recorded.
-        """
-        if not self._tick_records:
-            return None
-        return merge_run_records(
-            self._tick_records,
-            label=label,
-            allow_varying_seq_length=True,
-            allow_varying_config=True,
-            group_cache_by_label=True,
-        )
-
-    def tick_records(self) -> list[RunRecord]:
-        """The per-tick records recorded so far (one per serving tick)."""
-        return list(self._tick_records)
+        return tenant.spec.name, config, {
+            "tenant": tenant.spec.name,
+            "model": tenant.spec.model,
+            "weight": tenant.spec.weight,
+            "alpha_inter": config.alpha_inter,
+            "alpha_intra": config.alpha_intra,
+            "mts": config.mts,
+            "precision": config.precision.tag,
+            "backend": "numpy",
+        }
 
     # ------------------------------------------------------------ lifecycle
 
@@ -673,100 +466,3 @@ class ZooServer:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-# ------------------------------------------------------------------ open loop
-
-
-@dataclass
-class ZooLoadReport:
-    """Outcome of one multi-tenant open-loop run."""
-
-    per_tenant: dict[str, LoadReport] = field(default_factory=dict)
-    #: Per-tenant ``(completion_time_s, latency_s)`` samples, in
-    #: completion order — windowed tail analysis (the controller
-    #: convergence gate) slices these by time.
-    samples: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
-    duration_s: float = 0.0
-
-    def overall(self) -> LoadReport:
-        """All tenants folded into one report."""
-        total = LoadReport()
-        for report in self.per_tenant.values():
-            total.offered_submissions += report.offered_submissions
-            total.completed_submissions += report.completed_submissions
-            total.shed_submissions += report.shed_submissions
-            total.offered_tokens += report.offered_tokens
-            total.completed_tokens += report.completed_tokens
-            total.latencies_s.extend(report.latencies_s)
-        total.duration_s = self.duration_s
-        return total
-
-    def as_dict(self) -> dict:
-        """Nested flat summary for bench reports."""
-        return {
-            "duration_s": self.duration_s,
-            "overall": self.overall().as_dict(),
-            "per_tenant": {
-                name: report.as_dict()
-                for name, report in sorted(self.per_tenant.items())
-            },
-        }
-
-
-def run_zoo_open_loop(
-    server: ZooServer,
-    arrivals: list[TenantArrival],
-    tick_interval_s: float = 0.002,
-    service_model: Callable[[ZooTickReport], float] | None = None,
-) -> ZooLoadReport:
-    """Drive a zoo server through a multi-tenant timeline on virtual time.
-
-    The same queueing physics as :func:`~repro.runtime.loadgen.
-    run_open_loop`: arrivals submit at their scheduled virtual times,
-    ticks fire every ``tick_interval_s``, and each tick advances the
-    clock by its (modeled) service cost, so overload grows queues and
-    sheds deterministically. Latencies are admission to the end of the
-    serving tick — the same numbers the tenants' controllers observe.
-    """
-    if tick_interval_s <= 0:
-        raise ConfigurationError(
-            f"tick_interval_s must be positive, got {tick_interval_s}"
-        )
-    report = ZooLoadReport()
-    for name in server.tenant_names():
-        report.per_tenant[name] = LoadReport()
-        report.samples[name] = []
-    now = 0.0
-    next_tick = tick_interval_s
-    idx = 0
-    n = len(arrivals)
-    while idx < n or server.queue_depth > 0:
-        if idx < n and arrivals[idx].time_s <= next_tick:
-            arrival = arrivals[idx]
-            idx += 1
-            now = max(now, arrival.time_s)
-            tenant_report = report.per_tenant[arrival.tenant]
-            tenant_report.offered_submissions += 1
-            tenant_report.offered_tokens += int(arrival.tokens.shape[0])
-            try:
-                server.submit(
-                    arrival.tenant, arrival.session_id, arrival.tokens, now=now
-                )
-            except BackpressureError:
-                tenant_report.shed_submissions += 1
-            continue
-        now = max(now, next_tick)
-        tick_report = server.tick(now=now, service_model=service_model)
-        now = max(now, tick_report.end_s)
-        for result in tick_report.completed:
-            tenant_report = report.per_tenant[result.tenant]
-            tenant_report.completed_submissions += 1
-            tenant_report.completed_tokens += tick_report.seq_length
-            tenant_report.latencies_s.append(result.latency_s)
-            report.samples[result.tenant].append(
-                (result.completed_at, result.latency_s)
-            )
-        next_tick = max(next_tick + tick_interval_s, now)
-    report.duration_s = now
-    return report

@@ -10,7 +10,7 @@ ProgramCache` and :class:`~repro.obs.Recorder`. The executor lives for
 the whole worker lifetime, so compiled programs persist across shards:
 programs are keyed on shape, never on plans, so every shard after the
 first of its size replays an already-compiled program. Tasks arrive as
-:class:`~repro.runtime.scheduler.DispatchGroup`-shaped tuples; every
+:class:`~repro.runtime.pool.DispatchGroup`-shaped tuples; every
 shard answers with a :class:`~repro.runtime.results.ShardResult` whose
 run record has ``seq_index`` remapped to the original batch positions, so
 the parent can merge fleet records without bookkeeping.

@@ -133,14 +133,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             ExecutionConfig(mode=ExecutionMode.BASELINE, threads=0)
 
-    def test_dwell_must_be_nonnegative(self, tiny_network):
-        with pytest.raises(ConfigurationError):
-            LSTMExecutor(
-                tiny_network,
-                ExecutionConfig(mode=ExecutionMode.BASELINE),
-                dwell_s=-0.1,
-            )
-
 
 # ------------------------------------------------------ run_batch identity
 
@@ -191,14 +183,6 @@ class TestRunBatchBitIdentity:
         assert len(out.layer_states) == len(serial.layer_states)
         for got, want in zip(out.layer_states, serial.layer_states):
             np.testing.assert_array_equal(got, want)
-
-    def test_dwell_does_not_change_bits(self, tiny_network, rng):
-        tokens = rng.integers(0, TINY_VOCAB, size=(4, tiny_network.config.seq_length))
-        serial = LSTMExecutor(tiny_network, _config("combined")).run_batch(tokens)
-        dwelled = LSTMExecutor(
-            tiny_network, _config("combined", 2), dwell_s=0.001
-        ).run_batch(tokens)
-        np.testing.assert_array_equal(dwelled.logits, serial.logits)
 
 
 # ------------------------------------------------------ run_stream identity

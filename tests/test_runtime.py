@@ -8,8 +8,9 @@ a pure function of ``(network, config, tokens)``, so fleet outputs are
 identical at any parallelism. ``workers=0`` must reproduce the worker
 path exactly. Lifecycle: the weight arena tears down cleanly (no leaked
 ``/dev/shm`` segments), the bounded queue raises
-:class:`~repro.errors.BackpressureError` when full, and per-worker run
-records merge into one schema-valid fleet record.
+:class:`~repro.errors.BackpressureError` when full, a bad token id is the
+caller's :class:`~repro.errors.ShapeError` and leaves the fleet serving,
+and per-worker run records merge into one schema-valid fleet record.
 
 Worker processes spawn per test, so the cross-process tests use one
 fixed mid-size workload per mode instead of hypothesis-sized fleets;
@@ -35,14 +36,15 @@ from repro.errors import (  # noqa: E402
     BackpressureError,
     ConfigurationError,
     RuntimeStateError,
+    ShapeError,
 )
 from repro.nn.network import LSTMNetwork  # noqa: E402
 from repro.obs import Recorder, merge_run_records, validate_run_dict  # noqa: E402
 from repro.runtime import (  # noqa: E402
-    FleetScheduler,
     InferenceRuntime,
     WeightArena,
     leaked_segments,
+    plan_dispatch,
 )
 from tests.test_executor_equivalence import assert_plans_equal  # noqa: E402
 
@@ -75,11 +77,10 @@ def build_workload(
 
 def groupwise_expected(network, exec_config, tokens, max_batch):
     """Executor logits/plans per dispatch group, scattered to request order."""
-    scheduler = FleetScheduler(network, exec_config, max_batch=max_batch)
     executor = LSTMExecutor(network, exec_config)
     logits = None
     plans = [None] * tokens.shape[0]
-    for group in scheduler.plan_dispatch(tokens):
+    for group in plan_dispatch(tokens, max_batch):
         out = executor.run_batch(group.tokens)
         if logits is None:
             logits = np.empty((tokens.shape[0],) + out.logits.shape[1:],
@@ -122,16 +123,15 @@ class TestSynchronousFallback:
     @settings(max_examples=15, deadline=None)
     @given(case=runtime_cases())
     def test_grouping_covers_batch_exactly_once(self, case):
-        network, tokens, exec_config, max_batch = case
-        scheduler = FleetScheduler(network, exec_config, max_batch=max_batch)
-        groups = scheduler.plan_dispatch(tokens)
-        covered = sorted(i for g in groups for i in g.indices)
-        assert covered == list(range(tokens.shape[0]))
+        _, tokens, _, max_batch = case
+        groups = plan_dispatch(tokens, max_batch)
+        covered = [i for g in groups for i in g.indices]
+        assert covered == list(range(tokens.shape[0]))  # FIFO, length-only
+        for group in groups[:-1]:
+            assert len(group.indices) == max_batch
         for group in groups:
             assert 1 <= len(group.indices) <= max_batch
             assert np.array_equal(group.tokens, tokens[list(group.indices)])
-            for index in group.indices:
-                assert scheduler.signature(tokens[index]) == group.signature
 
 
 class TestFleetBitIdentity:
@@ -203,7 +203,7 @@ class TestBackpressure:
             queue_depth=2,
             dwell_s=0.05,
         ) as runtime:
-            groups = runtime.scheduler.plan_dispatch(tokens)
+            groups = plan_dispatch(tokens, runtime.max_batch)
             assert len(groups) == 3
             runtime.submit(groups[0], block=False)
             runtime.submit(groups[1], block=False)
@@ -212,6 +212,21 @@ class TestBackpressure:
             runtime.collect(1)  # frees a slot
             runtime.submit(groups[2], block=False)
             runtime.collect(2)
+
+    def test_bad_token_id_is_the_callers_error_not_a_dead_worker(self):
+        """An out-of-vocabulary id used to reach a worker, whose ShapeError
+        ended its loop and took the whole fleet down with it."""
+        network, tokens = build_workload()
+        exec_config = MODE_CONFIGS[ExecutionMode.BASELINE]
+        bad = tokens.copy()
+        bad[1, 3] = VOCAB
+        with InferenceRuntime(network, exec_config, workers=2, max_batch=3) as runtime:
+            with pytest.raises(ShapeError, match="vocabulary"):
+                runtime.run_batch(bad)
+            fleet = runtime.run_batch(tokens)
+        expected_logits, _ = groupwise_expected(network, exec_config, tokens, max_batch=3)
+        assert np.array_equal(fleet.logits, expected_logits)
+        assert leaked_segments() == []
 
     def test_lifecycle_errors(self):
         network, tokens = build_workload(batch=2)

@@ -38,6 +38,7 @@ from repro.obs.recorder import Recorder
 from repro.obs.schema import validate_run_dict
 from repro.runtime import (
     LoadSpec,
+    ServingTicket,
     StreamingFrontDoor,
     StreamingServer,
     generate_arrivals,
@@ -293,20 +294,20 @@ class TestBackpressure:
         with pytest.raises(BackpressureError):
             server.submit("s", rng.integers(0, VOCAB, size=4), now=0.0)  # needs 4
         assert server.queue_depth == 0  # nothing partially enqueued
-        assert server.stats.shed_chunks == 4
+        assert server.stats.shed == 4
         server.submit("s", rng.integers(0, VOCAB, size=3), now=0.0)  # fits
         assert server.queue_depth == 3
 
     def test_session_table_shed_counts_chunks(self):
-        """A full-table shed increments shed_chunks like a queue shed."""
+        """A full-table shed counts its chunks like a queue shed."""
         network = make_network(per_timestep_head=True)
         rng = np.random.default_rng(9)
         server = make_server(network, max_sessions=1)
         server.submit("busy", rng.integers(0, VOCAB, size=4), now=0.0)
-        assert server.stats.shed_chunks == 0
+        assert server.stats.shed == 0
         with pytest.raises(BackpressureError):
             server.submit("other", rng.integers(0, VOCAB, size=8), now=0.0)
-        assert server.stats.shed_chunks == 2  # the shed submission's 2 chunks
+        assert server.stats.shed == 2  # the shed submission's 2 chunks
         assert server.queue_depth == 1  # only "busy"'s chunk remains
 
 
@@ -314,28 +315,28 @@ class TestBackpressure:
 
 
 class TestTicketMerge:
-    def _ticket(self, n_chunks: int) -> "StreamTicket":
-        from repro.runtime.streaming import StreamTicket
-
-        return StreamTicket("s", 0.0, n_chunks=n_chunks, n_tokens=3 * n_chunks)
+    def _ticket(self, n_chunks: int, per_timestep: bool) -> ServingTicket:
+        return ServingTicket(
+            "s", 0.0, n_parts=n_chunks, n_tokens=3 * n_chunks, per_timestep=per_timestep
+        )
 
     def test_pooled_merge_reads_highest_chunk_index(self):
         """Pooled result is the *last* chunk's logits by index, not by
         completion order."""
-        ticket = self._ticket(3)
+        ticket = self._ticket(3, per_timestep=False)
         first, middle, last = (np.full((1, 2), v) for v in (0.0, 1.0, 2.0))
-        assert ticket._complete_chunk(last, False, 1.0, 2) is None
-        assert ticket._complete_chunk(first, False, 1.0, 0) is None
-        result = ticket._complete_chunk(middle, False, 1.0, 1)
+        assert ticket._complete(last, 1.0, 2) is None
+        assert ticket._complete(first, 1.0, 0) is None
+        result = ticket._complete(middle, 1.0, 1)
         assert result is not None
         assert np.array_equal(result.logits, last)
 
     def test_per_timestep_merge_orders_by_chunk_index(self):
-        ticket = self._ticket(3)
+        ticket = self._ticket(3, per_timestep=True)
         parts = [np.full((2, 2), v) for v in (0.0, 1.0, 2.0)]
-        ticket._complete_chunk(parts[1], True, 1.0, 1)
-        ticket._complete_chunk(parts[2], True, 1.0, 2)
-        result = ticket._complete_chunk(parts[0], True, 1.0, 0)
+        ticket._complete(parts[1], 1.0, 1)
+        ticket._complete(parts[2], 1.0, 2)
+        result = ticket._complete(parts[0], 1.0, 0)
         assert np.array_equal(result.logits, np.concatenate(parts, axis=0))
 
     def test_multi_chunk_pooled_submission_matches_reference(self):
@@ -366,22 +367,13 @@ class TestTickBatching:
         first = server.tick(now=0.0)
         # Head chunk (a's first, length 4) sets the tick length: a and b
         # batch, c's length-2 chunk and a's second chunk wait.
-        assert (first.batch, first.chunk_len) == (2, 4)
+        assert (first.batch, first.length) == (2, 4)
         second = server.tick(now=0.0)
-        assert (second.batch, second.chunk_len) == (1, 4)  # a's second chunk
+        assert (second.batch, second.length) == (1, 4)  # a's second chunk
         third = server.tick(now=0.0)
-        assert (third.batch, third.chunk_len) == (1, 2)  # c
+        assert (third.batch, third.length) == (1, 2)  # c
         assert server.queue_depth == 0
         assert server.stats.max_occupancy == 2
-
-    def test_queue_wait_attribution(self):
-        network = make_network(per_timestep_head=True)
-        rng = np.random.default_rng(6)
-        server = make_server(network)
-        server.submit("a", rng.integers(0, VOCAB, size=4), now=1.0)
-        server.submit("b", rng.integers(0, VOCAB, size=4), now=2.0)
-        report = server.tick(now=5.0)
-        assert report.queue_wait_s == pytest.approx((5.0 - 1.0) + (5.0 - 2.0))
 
 
 # -------------------------------------------------------------------- records
@@ -445,13 +437,6 @@ class TestRecords:
         assert data["timing"]["ticks"] == float(len(recorder.records))
         assert "queue_wait_s" in data["timing"]
 
-    def test_merged_record_none_without_recorder(self):
-        network = make_network(per_timestep_head=True)
-        server = make_server(network)
-        server.submit("s", np.arange(4) % VOCAB, now=0.0)
-        server.tick(now=0.0)
-        assert server.merged_record() is None
-
 
 # ----------------------------------------------------------------- rejections
 
@@ -485,7 +470,7 @@ class TestRejections:
         for bad in ([1, 2, -1], [1, VOCAB, 3], [1.0, 2.0], [True, False]):
             with pytest.raises(ShapeError, match="token id out of vocabulary range"):
                 server.submit("s", np.array(bad), now=0.0)
-        assert server.queue_depth == 0 and server.stats.shed_chunks == 0
+        assert server.queue_depth == 0 and server.stats.shed == 0
 
     def test_bad_submit_leaves_the_other_sessions_tick_intact(self):
         """An out-of-vocabulary id is refused at admission; before the
@@ -570,7 +555,7 @@ class TestLoadgen:
                 arrivals,
                 tick_interval_s=0.002,
                 # Modeled slow ticks make 40 sessions/s an overload.
-                service_time=lambda wall: 0.05 if wall > 0.0 else 0.0,
+                service_model=lambda tick: 0.05,
             )
             return report, server.stats
 
