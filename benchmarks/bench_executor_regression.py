@@ -2,12 +2,18 @@
 
 Times :class:`repro.core.executor.LSTMExecutor` against
 :class:`repro.core.reference.ReferenceExecutor` (the frozen seed
-arithmetic) on the same workloads, verifies bit-identical outputs, writes
+arithmetic) on the same workloads, verifies each mode's output at its
+oracle grade (bit-identical in the exact tier, ``1e-9`` with equal
+predictions for COMBINED; :func:`repro.core.backends.is_exact`), writes
 ``BENCH_executor.json``, and exits non-zero if the executor regresses:
 
 * every mode must be at least as fast as the reference (guard band below),
 * combined mode on the 64-sequence workload must be >= 2x faster and the
   DRS (intra) mode >= 1.2x (the compiled-program bar),
+* graded COMBINED must beat exact BASELINE by >= 1.3x on ``exec_wall_s``
+  at serving geometry (``combined_vs_baseline``: calibrated BABI, set 5,
+  batch 8, fresh tokens per sample, the two interleaved, min-of-N) — the
+  paper's scheme on the real clock,
 * combined mode on *fresh* inputs (``combined_fresh``: new tokens per
   sample, unlike plans inside every batch, plan cache cold) must compile
   nothing after warm-up — the replayed 64-sequence batch above has one
@@ -69,7 +75,7 @@ from repro.config import AppConfig, LSTMConfig, TaskFamily
 from repro.core.backends import backend_availability
 from repro.core.executor import ExecutionConfig, ExecutionMode, LSTMExecutor
 from repro.bench.deflake import REPEATS, WARMUP, gc_paused, pick
-from repro.bench.gates import GateSet
+from repro.bench.gates import GateSet, grade_check
 from repro.core.pipeline import OptimizedLSTM
 from repro.core.plan import PlanCache
 from repro.core.reference import ReferenceExecutor
@@ -116,6 +122,12 @@ RESIDENT_SHAPES = ((1, 1), (8, 4))
 #: cache, for the workspace gate: the arena must hold the largest single
 #: program layout, not one workspace per cached program.
 RESIDENT_BATCH_SHAPE = (16, 64)
+
+#: The paper's scheme on the real clock: graded COMBINED over exact
+#: BASELINE on ``exec_wall_s`` at serving geometry (calibrated BABI,
+#: threshold set 5, batch 8, fresh tokens per sample).
+MIN_COMBINED_VS_BASELINE = 1.3
+VS_BASELINE_SAMPLES = pick(15, 7)
 
 NUM_SEQUENCES = 64
 #: The fresh-input row serves shards of this many sequences.
@@ -315,6 +327,74 @@ def combined_fresh(gates: GateSet) -> dict:
     return row
 
 
+def combined_vs_baseline(gates: GateSet) -> dict:
+    """The paper's scheme against BASELINE, on the host's real clock.
+
+    Calibrated BABI (``H = 256``, ``T = 86``) at threshold set 5, batch
+    :data:`FRESH_BATCH`, new tokens every sample. Exact BASELINE and graded
+    COMBINED run interleaved on the same tokens, each through its own plan
+    cache (so neither gathers layer-0 rows the other projected), and each
+    reports the minimum ``exec_wall_s`` — planning included — over
+    :data:`VS_BASELINE_SAMPLES` samples after one warm-up batch.
+    """
+    app = OptimizedLSTM.from_app("BABI", seed=0)
+    app.calibrate()
+    network = app.network
+    rng = np.random.default_rng(37)
+    modes = (ExecutionMode.BASELINE, ExecutionMode.COMBINED)
+    executors = [
+        LSTMExecutor(
+            network,
+            app.execution_config(mode, threshold_index=5),
+            predicted_links=app.calibration.predicted_links,
+            plan_cache=PlanCache(),
+        )
+        for mode in modes
+    ]
+
+    def draw() -> np.ndarray:
+        return rng.integers(0, network.vocab_size, size=(FRESH_BATCH, network.config.seq_length))
+
+    walls: list[list[float]] = [[] for _ in modes]
+    for _ in range(WARMUP):
+        tokens = draw()
+        for executor in executors:
+            executor.run_batch(tokens)
+    with gc_paused():
+        for _ in range(VS_BASELINE_SAMPLES):
+            tokens = draw()
+            for executor, samples in zip(executors, walls):
+                samples.append(executor.run_batch(tokens).timings["exec_wall_s"])
+    baseline, combined = (min(samples) for samples in walls)
+    speedup = baseline / combined
+    gates.require_at_least(
+        "combined_vs_baseline/speedup",
+        speedup,
+        MIN_COMBINED_VS_BASELINE,
+        "graded COMBINED over exact BASELINE, exec_wall_s",
+    )
+    row = {
+        "app": "BABI",
+        "hidden_size": network.config.hidden_size,
+        "seq_length": network.config.seq_length,
+        "batch": FRESH_BATCH,
+        "threshold_index": 5,
+        "samples": VS_BASELINE_SAMPLES,
+        "statistic": "min exec_wall_s",
+        "baseline_exec_wall_s": baseline,
+        "combined_exec_wall_s": combined,
+        "speedup": speedup,
+        "min_speedup": MIN_COMBINED_VS_BASELINE,
+        "exact": [executor.exact for executor in executors],
+    }
+    print(
+        f"{'comb_vs_bl':10s} baseline {baseline * 1e3:8.2f} ms   "
+        f"combined {combined * 1e3:8.2f} ms   "
+        f"{speedup:5.2f}x (gate {MIN_COMBINED_VS_BASELINE:.1f}x)"
+    )
+    return row
+
+
 def sweep_overhead(gates: GateSet) -> dict:
     """What a five-mode sweep pays beside its arithmetic.
 
@@ -491,8 +571,9 @@ def recorder_overhead(
     Times **one** executor instance with its recorder detached and
     attached on alternating repeats (warmed up, min-of-N like
     :func:`time_group`), and checks that recording never changes a
-    logits bit relative to the frozen :class:`ReferenceExecutor`
-    arithmetic. A single toggled instance matters here: two separately
+    logits bit relative to the same executor run without it (the run's
+    grade against the reference is the mode gates' business). A single
+    toggled instance matters here: two separately
     constructed executors land their workspaces at different heap
     offsets and carry a persistent few-percent wall-clock bias either
     way — larger than the sub-millisecond recording cost this gate
@@ -505,11 +586,11 @@ def recorder_overhead(
     executor = LSTMExecutor(
         network, config, plan_cache=PlanCache(), recorder=recorder
     )
-    reference = ReferenceExecutor(network, config)
 
     out_recorded = executor.run_batch(tokens)
-    out_reference = reference.run_batch(tokens)
-    bit_identical = bool(np.array_equal(out_recorded.logits, out_reference.logits))
+    executor.recorder = None
+    out_plain = executor.run_batch(tokens)
+    bit_identical = bool(np.array_equal(out_recorded.logits, out_plain.logits))
 
     samples_plain: list[float] = []
     samples_recorded: list[float] = []
@@ -562,11 +643,11 @@ def run() -> tuple[dict, GateSet]:
             if attempt == 0:
                 compile_wall_cold = out_c.timings["compile_wall_s"]
                 out_r = reference.run_batch(tokens)
-                identical = bool(np.array_equal(out_c.logits, out_r.logits))
+                grade, identical = grade_check(out_c, out_r, compiled.exact)
                 gates.require_true(
-                    f"{mode.value}/bit-identical",
+                    f"{mode.value}/{grade}",
                     identical,
-                    "compiled output differs from reference",
+                    "compiled output differs from reference beyond its oracle grade",
                 )
 
             sample = time_group([compiled, reference], tokens)
@@ -615,7 +696,8 @@ def run() -> tuple[dict, GateSet]:
             "compile_wall_cold_s": compile_wall_cold,
             "compile_wall_steady_s": compile_wall_steady,
             "compile_excluded_from_gates": True,
-            "bit_identical": identical,
+            "oracle_grade": grade,
+            "meets_grade": identical,
             "weight_traffic": traffic,
         }
         print(
@@ -624,10 +706,11 @@ def run() -> tuple[dict, GateSet]:
             f"{speedup:5.2f}x (gate {gate:.1f}x)   "
             f"compile {compile_wall_cold * 1e3:6.2f} ms cold   "
             f"int8 traffic {traffic['traffic_reduction']:4.2f}x less   "
-            f"bit-identical={identical}"
+            f"{grade}={identical}"
         )
 
     results["combined_fresh"] = combined_fresh(gates)
+    results["combined_vs_baseline"] = combined_vs_baseline(gates)
     results["resident_bytes"] = resident_bytes(gates)
     results["sweep_overhead"] = sweep_overhead(gates)
 
@@ -635,7 +718,7 @@ def run() -> tuple[dict, GateSet]:
     gates.require_true(
         "recorder/bit-identical",
         recorder["bit_identical"],
-        "recording changed the logits vs reference",
+        "recording changed the logits",
     )
     gates.require_at_most(
         "recorder/overhead-ratio",

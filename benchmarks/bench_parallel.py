@@ -5,9 +5,10 @@ through two gate families, writes ``BENCH_parallel.json``, and exits
 non-zero unless
 
 * fp64 logits at ``threads`` in {1, 2, 4} are **bit-identical** to the
-  serial executor in every execution mode (row sharding never changes
+  serial executor in every exact-tier mode (row sharding never changes
   the numerics — the per-row GEMV lift pins each row's bits regardless
-  of batch grouping); and
+  of batch grouping) and within the graded tier in COMBINED
+  (:func:`repro.core.backends.is_exact`); and
 * a concurrent cold start over a shared plan cache performs **zero
   duplicate compiles**: with every batch row identical, the four shard
   threads race on the same relevance/plan keys and single-flight must
@@ -36,7 +37,7 @@ import time
 import numpy as np
 
 from repro.bench.deflake import REPEATS, SHORT, gc_paused, pick
-from repro.bench.gates import GateSet
+from repro.bench.gates import GateSet, grade_check
 from repro.config import LSTMConfig
 from repro.core.executor import ExecutionConfig, ExecutionMode, LSTMExecutor
 from repro.core.plan import PlanCache
@@ -89,18 +90,22 @@ def mode_config(mode: ExecutionMode, threads: int = 1) -> ExecutionConfig:
 
 
 def bit_identity_run(network, tokens, gates: GateSet) -> dict:
-    """fp64 bit-identity of every mode at threads in {1, 2, 4}."""
+    """Every mode at threads in {1, 2, 4} against the serial run, at its
+    oracle grade: bit-identical in the exact tier, ``1e-9`` with equal
+    predictions in the graded one (COMBINED, whose wave GEMM changes shape
+    with the shard)."""
     results = {}
     for mode in MODES:
-        serial = LSTMExecutor(network, mode_config(mode)).run_batch(tokens)
+        executor = LSTMExecutor(network, mode_config(mode))
+        serial = executor.run_batch(tokens)
         per_mode = {}
         for threads in THREAD_COUNTS:
             out = LSTMExecutor(network, mode_config(mode, threads)).run_batch(tokens)
-            identical = bool(np.array_equal(out.logits, serial.logits))
+            grade, identical = grade_check(out, serial, executor.exact)
             gates.require_true(
-                f"bit-identical/{mode.value}/threads={threads}",
+                f"{grade}/{mode.value}/threads={threads}",
                 identical,
-                "threaded logits differ from serial",
+                "threaded logits differ from serial beyond the oracle grade",
             )
             per_mode[str(threads)] = identical
         results[mode.value] = per_mode

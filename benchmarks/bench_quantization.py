@@ -4,9 +4,10 @@ Runs the acceptance workload of ``bench_executor_regression`` under every
 weight-storage policy x execution mode combination and enforces the
 quantized-weight-memory contract:
 
-* the **fp64 policy is a strict no-op** — bit-identical logits to the
-  frozen :class:`repro.core.reference.ReferenceExecutor` in all five
-  modes (quantization must never perturb the default path),
+* the **fp64 policy is a strict no-op** — logits meet the oracle grade
+  against the frozen :class:`repro.core.reference.ReferenceExecutor` in
+  all five modes: bit-identical in the stepwise modes, graded in COMBINED
+  (quantization must never perturb the default path),
 * **end-task accuracy** under fp16/int8 storage stays within the
   documented tolerance of the fp64 predictions per mode (prediction
   agreement; the paper's Δ-accuracy metric),
@@ -31,7 +32,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.bench.gates import GateSet
+from repro.bench.gates import GateSet, grade_check
 from repro.config import LSTMConfig
 from repro.core.executor import ExecutionConfig, ExecutionMode, LSTMExecutor
 from repro.core.plan import PlanCache
@@ -127,13 +128,13 @@ def run() -> tuple[dict, GateSet]:
         per_mode: dict[str, dict] = {}
         fp64_exec = LSTMExecutor(network, config, plan_cache=PlanCache())
         out_fp64 = fp64_exec.run_batch(tokens)
-        fp64_identical = bool(np.array_equal(out_fp64.logits, out_ref.logits))
+        grade, fp64_meets = grade_check(out_fp64, out_ref, fp64_exec.exact)
         gates.require_true(
-            f"{mode.value}/fp64-bit-identical",
-            fp64_identical,
-            "fp64 policy is not bit-identical to the reference",
+            f"{mode.value}/fp64-{grade}",
+            fp64_meets,
+            "fp64 policy does not meet its oracle grade against the reference",
         )
-        per_mode["fp64"] = {"bit_identical_to_reference": fp64_identical}
+        per_mode["fp64"] = {"oracle_grade": grade, "meets_grade": fp64_meets}
 
         base_pred = out_fp64.predictions()
         for tag in ("fp16", "int8"):

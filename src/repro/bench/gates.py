@@ -18,6 +18,10 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro.core.backends import GRADED_ATOL
+
 
 def _fmt(value: object) -> str:
     """Compact human/machine-stable rendering of a gate operand."""
@@ -142,3 +146,14 @@ class GateSet:
         if self.passed:
             print(f"{self.bench} gates passed", file=stream)
         return 0 if self.passed else 1
+
+
+def grade_check(result, reference, exact: bool) -> tuple[str, bool]:
+    """One run's logits against its oracle's, at the grade
+    :func:`repro.core.backends.is_exact` assigns: ``("bit-identical",
+    equal)`` in the exact tier, ``("graded", within GRADED_ATOL with equal
+    predictions)`` in the graded one."""
+    if exact:
+        return "bit-identical", bool(np.array_equal(result.logits, reference.logits))
+    close = np.abs(result.logits - reference.logits).max() <= GRADED_ATOL
+    return "graded", bool(close and np.array_equal(result.predictions(), reference.predictions()))

@@ -847,7 +847,7 @@ def serve_bench(
     Builds the executor-benchmark workload geometry, serves ``sequences``
     random sequences through an :class:`~repro.runtime.pool.
     InferenceRuntime` with the given worker/queue settings, verifies the
-    outputs bit-for-bit against an in-process
+    outputs at the oracle grade against an in-process
     :class:`~repro.core.executor.LSTMExecutor` run per dispatch group
     (the runtime's numerics contract), and optionally writes the merged
     fleet :class:`~repro.obs.record.RunRecord` as JSONL.
@@ -856,6 +856,7 @@ def serve_bench(
     ``repro serve-bench`` CLI and the CI runtime smoke job.
     """
     from repro.config import LSTMConfig
+    from repro.core.backends import GRADED_ATOL
     from repro.core.executor import ExecutionConfig, LSTMExecutor
     from repro.nn.network import LSTMNetwork
     from repro.obs import Recorder, write_jsonl
@@ -904,11 +905,10 @@ def serve_bench(
         fleet = runtime.run_batch(tokens)
 
     executor = LSTMExecutor(network, exec_config)
-    # The numerics contract is backend-graded: the numpy oracle must match
-    # the fleet bit-for-bit; the cgen backend projects with one big GEMM whose
-    # BLAS blocking may differ between shard and plan-group batch shapes,
-    # so they get the documented tolerance instead.
-    tolerance = 0.0 if executor.backend == "numpy" else 1e-9
+    # The numerics contract follows the oracle grade (is_exact): exact runs
+    # must match the fleet bit-for-bit; graded runs (COMBINED, cgen) get the
+    # graded tolerance.
+    tolerance = 0.0 if executor.exact else GRADED_ATOL
     bit_identical = True
     for group in plan_dispatch(tokens, max_batch):
         expected = executor.run_batch(group.tokens)

@@ -517,7 +517,7 @@ class CGenCombinedProgram(LeasedProgram):
         h_state, c_state = ws.h_state, ws.c_state
         done = 0
         for b, plan in enumerate(plans):
-            n_sub, n_tissues = len(plan.sublayers), plan.num_tissues
+            n_sub, n_tissues = plan.num_sublayers, plan.num_tissues
             h_state[0] = 0.0
             c_state[0] = 0.0
             h_state[1:n_sub] = self._h_bar

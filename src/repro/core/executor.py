@@ -21,10 +21,12 @@ timing results come from the simulator). Modes:
 Three levels of batching keep the hot paths vectorized:
 
 * **Gate fusion.** Every mode drives the recurrence through the *united*
-  matrices; the combined mode runs one ``(k, H) @ (H, 4H)`` GEMM per
-  tissue, sliced per gate before the activations. The input projections
-  of every mode are per-row GEMVs against one gate block at a time
-  (:func:`repro.core.program.project_rows`).
+  matrices; the combined mode runs one ``(rows, H) @ (H, 4H)`` GEMM per
+  wave, sliced per gate before the activations. The input projections
+  of the stepwise modes and of COMBINED's layer 0 are per-row GEMVs
+  against one gate block at a time (:func:`repro.core.program.
+  project_rows`); COMBINED projects layers >= 1 with one
+  ``(B*T, E) @ (E, 4H)`` GEMM.
 * **Batch-invariant stepwise recurrence.** The stepwise recurrent products
   run as *stacked per-row GEMVs* — ``h[:, None, :] @ U_g.T`` — instead of
   one ``(B, H) @ (H, H)`` GEMM (:func:`_row_gemv`). A ``(1, H)`` slice of
@@ -36,28 +38,32 @@ Three levels of batching keep the hot paths vectorized:
   classifier head is lifted the same way for pooled readouts.
 * **Wave walk.** Combined mode steps the whole shard together, whatever
   mix of structural plans it holds: wave ``w`` is the ``w``-th tissue of
-  every sequence, its rows ordered by tissue size so that each size class
-  is a single stacked ``(g, k, H) @ (H, 4H)`` matmul, and the gather, the
-  gate epilogue, the DRS intersection and the scatter run once per wave
-  instead of once per tissue per sequence. Tissues of different sequences
-  never depend on each other, so only the order of independent work
-  changes; each tissue still runs the per-sequence walk's own GEMM.
+  every sequence, and its recurrent products are one ``(rows, H) @
+  (H, 4H)`` GEMM that loads ``U`` once for every cell of the wave — the
+  paper's Sgemv -> Sgemm. The gather, the gate epilogue, the DRS
+  intersection and the scatter run once per wave instead of once per
+  tissue per sequence. Tissues of different sequences never depend on
+  each other, so the walk changes only the order of independent work and
+  the GEMM shapes, never a plan.
 
-Layer 0 adds a fourth saving on the same lift: a token's projected row is
-a function of the token id, the embedding and ``W`` alone, so a call
+Layer 0 adds a fourth saving on the per-row lift: a token's projected row
+is a function of the token id, the embedding and ``W`` alone, so a call
 projects each *distinct* id once and gathers the ``(B, T)`` block from
 those rows, and the shared :class:`~repro.core.plan.TokenRowMemo` (one
 call deep, owned by the plan cache) lets the next call — another mode of a
 sweep over the same tokens, the next request over a small vocabulary —
-skip the ids it has already seen. A copy moves no bit.
+skip the ids it has already seen. A copy moves no bit, and the memo only
+ever holds exact rows.
 
-Under the numpy backend the transformations are bit-compatible with the
-per-sequence walk (:class:`repro.core.reference.ReferenceExecutor`) in
-the four stepwise modes and agree to ``1e-9`` with equal predictions in
-COMBINED (bit-equal at the property-tested sizes ``H <= 24``; ``4.4e-16``
-measured on calibrated BABI at ``H = 256``).
-``tests/test_executor_equivalence.py`` property-tests the equivalence and
-``tests/test_executor.py`` pins the grade at serving geometry.
+Two oracle grades (:func:`repro.core.backends.is_exact`, exposed as
+:attr:`LSTMExecutor.exact`). Under the numpy backend the four stepwise
+modes are *exact*: bit-compatible with the per-sequence walk
+(:class:`repro.core.reference.ReferenceExecutor`). COMBINED, on any
+backend, and cgen in every mode are *graded*: logits within ``1e-9`` with
+equal predictions, identical breakpoints, tissues and skip fractions,
+relevance and layer outputs within ``1e-9``.
+``tests/test_executor_equivalence.py`` property-tests both grades and
+``tests/test_executor.py`` pins them at serving geometry.
 
 Every layer runs as a preallocated, fused program
 (:mod:`repro.core.program`): views of the layer's weight blocks (nothing
@@ -89,7 +95,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.backends import (
-    backend_is_exact,
+    is_exact,
     make_combined_program,
     make_stepwise_program,
     resolve_backend,
@@ -159,19 +165,22 @@ class ExecutionConfig:
             dequantized values; a plain string (``"int8"``) is coerced.
         backend: How programs execute (:mod:`repro.core.backends`).
             ``"numpy"`` (the default) carries the fp64 bit contract with
-            the frozen reference; ``"cgen"`` runs generated-C fused
-            kernels that agree with it at tolerance level, never
-            bit-exactly. Structural plans stay backend-invariant.
+            the frozen reference in the stepwise modes; ``"cgen"`` runs
+            generated-C fused kernels that agree with it at the graded
+            tier, never bit-exactly (the grade of a backend and mode is
+            :func:`~repro.core.backends.is_exact`). Structural plans stay
+            backend-invariant.
             Availability is resolved at executor construction.
         threads: In-process work-unit parallelism
             (:mod:`repro.core.parallel`). ``1`` (the default) runs the
             whole batch as one shard inline on the caller's thread — the
             dispatcher is never touched and no output is copied. Above
             one, ``run_batch`` / ``run_stream`` map the same shard body
-            over contiguous row shards on a persistent thread pool; each
-            shard's bits are independent of the batch composition
-            (per-row GEMV / per-row projection lifts), so outputs stay
-            bit-identical at every thread count. Shards share the plan
+            over contiguous row shards on a persistent thread pool; in the
+            exact tier each shard's bits are independent of the batch
+            composition (per-row GEMV / per-row projection lifts), so
+            outputs stay bit-identical at every thread count (graded
+            COMBINED stays within its grade). Shards share the plan
             cache (single-flight) and key their compiled programs per
             dispatch slot, so each thread computes in its own workspace
             arena.
@@ -424,7 +433,10 @@ class LSTMExecutor:
         #: Checked backend name (a missing toolchain raises
         #: BackendUnavailableError now, not mid-run).
         self.backend = resolve_backend(config.backend)
-        self._exact_backend = backend_is_exact(self.backend)
+        #: The oracle grade (:func:`~repro.core.backends.is_exact`): exact
+        #: runs are bit-identical to the reference, graded ones agree to
+        #: ``1e-9`` with equal predictions and identical plans.
+        self.exact = is_exact(self.backend, config.mode)
         self.program_cache = ProgramCache() if program_cache is None else program_cache
         self._link_fps: list[str | None] = [None] * len(network.layers)
         self._weights_fps: list[str | None] = [None] * len(network.layers)
@@ -479,15 +491,15 @@ class LSTMExecutor:
         #: next executor of the same precision over the same weights.
         self.quantized_cells = quantized_cells
         self._united = [_UnitedWeights.from_weights(w) for w in self._weights]
-        if not self._exact_backend:
+        if self.backend == "cgen":
             for united in self._united:
                 united.dense_w_t()  # staged here, before dispatch threads could race to it
         #: Layer 0 serves its projections from the distinct-token memo
-        #: wherever the parent path is :func:`project_rows` (every numpy
-        #: program, COMBINED on any backend); the cgen stepwise programs keep
-        #: their own projections. The memo is the plan cache's, so every
-        #: executor of an app shares it.
-        self._memo_layer0 = self._exact_backend or config.mode is ExecutionMode.COMBINED
+        #: wherever the parent path is :func:`project_rows` (the exact
+        #: programs, COMBINED on any backend); the cgen stepwise programs
+        #: keep their own projections. The memo is the plan cache's, so
+        #: every executor of an app shares it.
+        self._memo_layer0 = self.exact or config.mode is ExecutionMode.COMBINED
         self._token_memo = plan_cache.token_rows if plan_cache is not None else TokenRowMemo()
         self._w0_fp: str | None = None
 
@@ -637,11 +649,11 @@ class LSTMExecutor:
         result — the serial path is bit-identical
         by construction. Otherwise the batch splits into ``<= threads``
         contiguous row shards on the persistent thread pool. Because every
-        stepwise product is a per-row GEMV lift and the combined-mode
-        wave walk dispatches one GEMM per tissue, a row's bits are
+        exact-tier product is a per-row GEMV lift, a row's bits are
         independent of which rows share its dispatch — so the shards, in
-        order, are bit-identical to the inline walk (gated in
-        ``bench_parallel``). Shards share the single-flight plan cache;
+        order, are bit-identical to the inline walk; graded COMBINED's wave
+        GEMMs change shape with the shard and stay within the grade (both
+        gated in ``bench_parallel``). Shards share the single-flight plan cache;
         programs are keyed per dispatch slot so each thread owns its
         workspace arena. Real concurrency comes from BLAS / ufunc / ctypes GIL
         release inside the shard bodies.
@@ -664,8 +676,8 @@ class LSTMExecutor:
     def _head_logits(self, xs: np.ndarray) -> np.ndarray:
         """Classifier-head readout of the top layer's outputs."""
         top = xs if self.network.per_timestep_head else self.network.pool_top(xs)
-        if not self._exact_backend:
-            # Fused backends carry no bit contract, so the head readout
+        if not self.exact:
+            # The graded tier carries no bit contract, so the head readout
             # runs as one plain GEMM — the cheap form the per-row lift
             # deliberately gave up to keep the oracle's invariances.
             return self.network.head_logits(top)
@@ -834,14 +846,23 @@ class LSTMExecutor:
         projections come from the token memo (:meth:`_token_rows`)."""
         united = self._united[layer_index]
         if self.config.mode is ExecutionMode.COMBINED:
-            # One (B, T, 4H) block for the walk's fused gate math, filled
-            # gate by gate through the stepwise programs' per-row lift.
+            # One (B, T, 4H) block for the walk's fused gate math. Layer 0
+            # keeps the exact per-row lift: its rows come from (or go into)
+            # the token memo and its relevance keys, which a sweep shares
+            # with the exact stepwise modes. Layers >= 1 are graded: one
+            # (B*T, E) @ (E, 4H) GEMM.
             proj_u = np.empty(xs.shape[:2] + united.b.shape)
             proj = {g: proj_u[..., sl] for g, sl in united.slices.items()}
-            if staged is None:
+            if staged is not None:
+                gather_rows(*staged, proj.values())
+            elif layer_index == 0:
                 project_rows(xs, united.gate_w_ops(), proj.values())
             else:
-                gather_rows(*staged, proj.values())
+                np.matmul(
+                    xs.reshape(-1, xs.shape[-1]),
+                    united.w.T,
+                    out=proj_u.reshape(-1, proj_u.shape[-1]),
+                )
             plans = self._plan_inter(layer_index, weights, proj, xs)
             hs, records = self._run_layer_combined(layer_index, weights, united, proj_u, plans)
             return hs, records, None  # combined mode does not collect states
@@ -895,9 +916,8 @@ class LSTMExecutor:
         seq_len: int,
     ) -> CachedLayerPlan:
         breaks = find_breakpoints(relevance, self.config.alpha_inter)
-        sublayers = divide_layer(seq_len, breaks)
-        tissues = align_tissues(sublayers, self.config.mts)
-        return CachedLayerPlan.from_schedule(relevance, breaks, sublayers, tissues)
+        tissues = align_tissues(divide_layer(seq_len, breaks), self.config.mts)
+        return CachedLayerPlan.from_schedule(relevance, breaks, tissues)
 
     def _plan_inter(
         self,
@@ -912,6 +932,9 @@ class LSTMExecutor:
         batch, seq_len, _ = xs.shape
         cache = self.plan_cache
         weights_fp = fingerprint_weights(weights) if cache is not None else None
+        # COMBINED's layers >= 1 plan from GEMM-projected rows: their
+        # relevance must never serve an exact mode with the same layer input.
+        graded = ("gemm",) if cfg.mode is ExecutionMode.COMBINED and layer_index > 0 else ()
         plans = []
         for b in range(batch):
             def compute_relevance(b=b):
@@ -928,7 +951,7 @@ class LSTMExecutor:
                 weights_fp,
                 fingerprint_array(xs[b]),
                 cfg.use_exact_relevance,
-            )
+            ) + graded
             plan_key = relevance_key + (cfg.alpha_inter, cfg.mts, cfg.spec.name)
             plans.append(
                 cache.layer_plan(
@@ -971,7 +994,7 @@ class LSTMExecutor:
         # backends project exactly there (plans stay backend-invariant);
         # everywhere else they take the timestep-batched input GEMM.
         if staged is None:
-            proj = program.project(xs, exact=cfg.inter_active or self._exact_backend)
+            proj = program.project(xs, exact=cfg.inter_active or self.exact)
         else:
             proj = program.gather(*staged)  # numpy programs only, see _memo_layer0
 
@@ -1086,8 +1109,8 @@ class LSTMExecutor:
             hidden_size=weights.hidden_size,
             input_size=weights.input_size,
             seq_length=seq_len,
-            breakpoints=[sub.start for sub in plan.sublayers[1:]],
-            sublayer_lengths=[sub.length for sub in plan.sublayers],
+            breakpoints=list(plan.breakpoints),
+            sublayer_lengths=plan.sublayer_lengths(),
             tissues=tissue_records,
             relevance=plan.relevance,
         )
@@ -1104,10 +1127,7 @@ class LSTMExecutor:
 
         One cached program per layer and shape walks every sequence's
         plan at once (:class:`~repro.core.program.CombinedGroupProgram`):
-        the ``w``-th tissues of all sequences step together, each tissue
-        size as one stacked ``(g, k, H) @ (H, 4H)`` matmul, bit-identical
-        to ``g`` independent per-sequence ``(k, H)`` products (numpy
-        dispatches the same GEMM per leading-axis slice).
+        the ``w``-th tissues of all sequences step together as one GEMM.
         """
         batch, seq_len, _ = proj_u.shape
         hidden = weights.hidden_size
@@ -1136,8 +1156,8 @@ class LSTMExecutor:
                     hidden_size=hidden,
                     input_size=weights.input_size,
                     seq_length=seq_len,
-                    breakpoints=[sub.start for sub in plan.sublayers[1:]],
-                    sublayer_lengths=[sub.length for sub in plan.sublayers],
+                    breakpoints=list(plan.breakpoints),
+                    sublayer_lengths=plan.sublayer_lengths(),
                     tissues=tissue_records,
                     relevance=plan.relevance,
                 )

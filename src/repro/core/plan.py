@@ -24,7 +24,6 @@ import threading
 from collections import OrderedDict
 from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -32,7 +31,6 @@ import numpy as np
 from repro.errors import ConfigurationError, PlanError
 
 if TYPE_CHECKING:
-    from repro.core.breakpoints import SubLayer
     from repro.core.tissue import Tissue
     from repro.nn.lstm_cell import LSTMCellWeights
 
@@ -266,7 +264,7 @@ class LayerPlanRecord:
             raise PlanError(f"layer {self.layer_index}: sub-layer lengths are inconsistent")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CachedLayerPlan:
     """One layer's structural plan for one sequence, as cached/reused.
 
@@ -279,14 +277,17 @@ class CachedLayerPlan:
 
     The tissue schedule is held as three index vectors, the form the
     combined-mode programs walk: they are built once with the plan, and a
-    cached plan keeps no per-cell Python objects alive.
+    cached plan keeps no per-cell or per-sub-layer Python objects alive
+    (the division is the breakpoints; its lengths are derived on demand).
+    A fresh-token server adds plans that never hit, so what an entry
+    weighs is what a busy server's cache weighs.
 
     Attributes:
         relevance: Per-timestep relevance ``S`` of shape ``(T,)``. Marked
             read-only when served from a :class:`PlanCache` because many
             plans/records may share it.
-        breakpoints: Sorted timestamps where the layer divides.
-        sublayers: The division (empty breakpoints -> one sub-layer).
+        breakpoints: Sorted timestamps where the layer divides (none ->
+            one sub-layer).
         subs: Sub-layer index of every cell, flattened in schedule order.
         ts: Timestamp of every cell, same order.
         offsets: Tissue extents into ``subs`` / ``ts``
@@ -295,7 +296,6 @@ class CachedLayerPlan:
 
     relevance: np.ndarray
     breakpoints: tuple[int, ...]
-    sublayers: tuple["SubLayer", ...]
     subs: np.ndarray
     ts: np.ndarray
     offsets: np.ndarray
@@ -305,7 +305,6 @@ class CachedLayerPlan:
         cls,
         relevance: np.ndarray,
         breakpoints: Sequence[int],
-        sublayers: Sequence["SubLayer"],
         tissues: Sequence["Tissue"],
     ) -> "CachedLayerPlan":
         """Freeze one planned (MTS-aligned) tissue schedule."""
@@ -316,7 +315,6 @@ class CachedLayerPlan:
         return cls(
             relevance=relevance,
             breakpoints=tuple(breakpoints),
-            sublayers=tuple(sublayers),
             subs=np.ascontiguousarray(subs),
             ts=np.ascontiguousarray(ts),
             offsets=offsets,
@@ -326,6 +324,15 @@ class CachedLayerPlan:
     def num_tissues(self) -> int:
         """Number of tissues in the schedule."""
         return len(self.offsets) - 1
+
+    @property
+    def num_sublayers(self) -> int:
+        """Number of sub-layers the breakpoints divide the layer into."""
+        return len(self.breakpoints) + 1
+
+    def sublayer_lengths(self) -> list[int]:
+        """Every sub-layer's cell count, in order."""
+        return np.diff((0, *self.breakpoints, self.relevance.size)).tolist()
 
     def tissue_cells(self) -> list[list[tuple[int, int]]]:
         """The schedule as fresh per-tissue ``(sub-layer, timestamp)`` lists
@@ -341,9 +348,9 @@ def wave_schedule(plans: Sequence[CachedLayerPlan], seq_len: int):
     Wave ``w`` holds the ``w``-th tissue of every plan that has one:
     tissues of different sequences are independent and a sequence's own
     tissues run in schedule order, so one wave's tissues can execute
-    together. Inside a wave the tissues are ordered by size (ties by
-    sequence), so every size class is one contiguous run of rows. This is
-    the order combined-mode programs walk (the *walk order*).
+    together. Inside a wave the tissues keep sequence order and each
+    tissue's cells are one contiguous run of rows. This is the order
+    combined-mode programs walk (the *walk order*).
 
     Rows address flat arrays: cell ``(s, t)`` of sequence ``b`` reads its
     projection and writes its output at row ``b * T + t``, and keeps its
@@ -356,15 +363,14 @@ def wave_schedule(plans: Sequence[CachedLayerPlan], seq_len: int):
     sequence ``b``'s first sub-layer (the one that starts from zeros, not
     from the predicted link). Each wave is a tuple
 
-    ``(out_rows, state_rows, classes, tissues, starts, tissue_of_row)``
+    ``(out_rows, state_rows, tissues, starts, tissue_of_row)``
 
-    of its rows' output and state row indices, its size classes as
-    ``(first row, end row, k)`` in wave-local rows, its tissues' walk
+    of its rows' output and state row indices, its tissues' walk
     positions as a ``slice``, each tissue's first wave-local row, and each
     row's tissue as a walk position.
     """
     base = (np.arange(len(plans)) * seq_len).tolist()
-    chain_counts = [len(plan.sublayers) for plan in plans]
+    chain_counts = [plan.num_sublayers for plan in plans]
     chain_ends = np.cumsum(chain_counts)
     chains = chain_ends - chain_counts
     # One entry per tissue, sequence-major. Every plan covers its T cells
@@ -373,7 +379,7 @@ def wave_schedule(plans: Sequence[CachedLayerPlan], seq_len: int):
     first = np.concatenate([b + plan.offsets[:-1] for b, plan in zip(base, plans)])
     sizes = np.concatenate([np.diff(plan.offsets) for plan in plans])
     wave = np.concatenate([np.arange(plan.num_tissues) for plan in plans])
-    order = np.lexsort((sizes, wave))  # stable: ties stay in sequence order
+    order = np.argsort(wave, kind="stable")  # ties stay in sequence order
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     first, sizes, wave = first[order], sizes[order], wave[order]
@@ -387,20 +393,14 @@ def wave_schedule(plans: Sequence[CachedLayerPlan], seq_len: int):
 
     wave_starts = np.flatnonzero(np.diff(wave)) + 1
     bounds = [0, *wave_starts.tolist(), order.size]
-    first_rows, end_rows, size_list = row_start.tolist(), row_end.tolist(), sizes.tolist()
+    first_rows, end_rows = row_start.tolist(), row_end.tolist()
     waves = []
     for lo, hi in zip(bounds, bounds[1:]):
         r0, r1 = first_rows[lo], end_rows[hi - 1]
-        classes, c0 = [], 0
-        for k, run in groupby(size_list[lo:hi]):
-            c1 = c0 + k * len(list(run))
-            classes.append((c0, c1, k))
-            c0 = c1
         waves.append(
             (
                 out_rows[r0:r1],
                 state_rows[r0:r1],
-                classes,
                 slice(lo, hi),
                 row_start[lo:hi] - r0,
                 tissue_of_row[r0:r1],
@@ -623,11 +623,11 @@ class TokenRowMemo:
         return rows, slots[inverse]
 
 
-#: What one planned (sequence, layer) costs while cached, measured at serving
-#: geometry (BABI, ``T = 86``; IMDB's ``T = 80`` reads 5.5 KB): 2.4 KB of
-#: arrays — the relevance array and the plan's three index vectors, what
-#: :attr:`PlanCache.nbytes` counts — plus the two keys, the sub-layer tuple
-#: and the containers around them.
+#: A conservative weight of one planned (sequence, layer) while cached at
+#: serving geometry (BABI, ``T = 86``; ~5 KB measured): 2.4 KB of arrays —
+#: the relevance array and the plan's three index vectors, what
+#: :attr:`PlanCache.nbytes` counts — plus the two keys and the containers
+#: around them.
 _PLAN_ENTRY_BYTES = 6 * 1024
 
 #: Default bound of each :class:`PlanCache` store: what 24 MiB hold. A

@@ -25,10 +25,15 @@ combined mode — into a *program*: an object that holds
   (:class:`~repro.core.plan.CachedLayerPlan`), so a program is compiled
   from shapes and weights alone.
 
-Bit-identity contract: every program below reproduces the reference
-walk's arithmetic *exactly* (property-tested in ``tests/test_program.py`` and
-``tests/test_executor_equivalence.py``). The rules that make this work on
-OpenBLAS, measured on this platform:
+Two grades (:func:`repro.core.backends.is_exact`). The stepwise program is
+*exact*: it reproduces the reference walk's arithmetic bit for bit
+(property-tested in ``tests/test_program.py`` and
+``tests/test_executor_equivalence.py``). The combined program is *graded*:
+each wave's recurrent product is one real ``(rows, H) @ (H, 4H)`` GEMM, whose
+row bits depend on how many rows share it, so it agrees with the reference
+to ``1e-9`` with equal predictions and identical plans — and, at one shape,
+deterministically with itself. The rules that keep the exact program exact
+on OpenBLAS, measured on this platform:
 
 * ``np.matmul(..., out=)`` never changes bits relative to the allocating
   call — the dispatch is chosen from the operands, not the output.
@@ -111,10 +116,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.context_prediction import PredictedLink
     from repro.core.executor import _UnitedWeights
     from repro.core.plan import CachedLayerPlan
-
-#: Bound on one combined program's memoized size-class operand views (a
-#: few hundred bytes each; a serving shard sees a few hundred layouts).
-_MAX_STACKED_VIEWS = 4096
 
 #: A combined program's ``(rows, H)`` float scratch planes, in the order
 #: its walk unpacks them.
@@ -680,18 +681,16 @@ class CombinedGroupProgram(LeasedProgram):
     sequence's own tissues run in schedule order, so a wave's tissues are
     independent and execute together:
 
-    * the wave's rows are ordered by tissue size, so each size class ``k``
-      is a contiguous slice and runs as one stacked ``(g, k, H) @ (H, 4H)``
-      matmul — the same ``(k, H)`` GEMM per leading slice as the
-      reference's per-tissue product, hence the same bits at any batch
-      composition;
+    * the wave's recurrent products are one ``(rows, H) @ (H, 4H)`` GEMM
+      over every cell of every tissue in it — ``U`` is loaded once per
+      wave, the paper's Sgemv -> Sgemm (graded, see the module docstring);
     * gather, gate epilogue, the DRS intersection (one
-      ``logical_and.reduceat`` over the wave's tissue extents) and scatter
-      run once per wave over all of its rows.
+      ``logical_and.reduceat`` over the wave's contiguous tissue extents)
+      and scatter run once per wave over all of its rows.
 
     The per-plan index vectors come prebuilt on
     :class:`~repro.core.plan.CachedLayerPlan`; a run only concatenates and
-    sorts them (:func:`~repro.core.plan.wave_schedule`). The workspace
+    orders them (:func:`~repro.core.plan.wave_schedule`). The workspace
     holds one wave — at most ``B * mts`` rows.
     """
 
@@ -742,13 +741,10 @@ class CombinedGroupProgram(LeasedProgram):
         ws = super()._bind()
         ws.scratch = tuple(getattr(ws, name) for name in self._wave_names)
         #: Views of the scratch, built on first use so a warm walk creates
-        #: no array objects for layouts it has seen: wave height -> every
-        #: buffer's leading rows (prefix views of C-contiguous buffers stay
-        #: contiguous) plus the pre-activations' gate columns, and size
-        #: class ``(first row, end row, k)`` -> its stacked ``(g, k, H)`` /
-        #: ``(g, k, 4H)`` matmul operands.
+        #: no array objects for wave heights it has seen: every buffer's
+        #: leading rows (prefix views of C-contiguous buffers stay
+        #: contiguous) plus the pre-activations' gate columns.
         ws.wave_views = {}
-        ws.stacked = {}
         return ws
 
     def _rows(self, ws: SimpleNamespace, n: int) -> tuple[np.ndarray, ...]:
@@ -757,20 +753,6 @@ class CombinedGroupProgram(LeasedProgram):
         views += tuple(views[1][:, columns] for columns in self._gate_columns)
         ws.wave_views[n] = views
         return views
-
-    def _stack(
-        self, ws: SimpleNamespace, size_class: tuple[int, int, int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One size class's gathered ``h`` rows and pre-activation rows,
-        one tissue per leading slice."""
-        c0, c1, k = size_class
-        if len(ws.stacked) >= _MAX_STACKED_VIEWS:
-            ws.stacked.clear()
-        operands = ws.stacked[size_class] = (
-            ws.h_prev[c0:c1].reshape(-1, k, self.hidden),
-            ws.pre[c0:c1].reshape(-1, k, 4 * self.hidden),
-        )
-        return operands
 
     def execute(
         self, proj_u: np.ndarray, plans: "list[CachedLayerPlan]", hs: np.ndarray
@@ -800,8 +782,8 @@ class CombinedGroupProgram(LeasedProgram):
         c_flat[:num_chains] = self._link.c_bar
         h_flat[chains] = 0.0
         c_flat[chains] = 0.0
-        wave_views, stacked = ws.wave_views, ws.stacked
-        for out_rows, state_rows, classes, tissues, starts, tissue_of_row in waves:
+        wave_views = ws.wave_views
+        for out_rows, state_rows, tissues, starts, tissue_of_row in waves:
             views = wave_views.get(out_rows.size) or self._rows(ws, out_rows.size)
             (
                 x, pre, h_prev, c_prev, o, f, i, g, c_new, h_new, t1, s1, s2,
@@ -812,9 +794,9 @@ class CombinedGroupProgram(LeasedProgram):
             np.take(proj_flat, out_rows, axis=0, out=x, mode="clip")
             np.take(h_flat, state_rows, axis=0, out=h_prev, mode="clip")
             np.take(c_flat, state_rows, axis=0, out=c_prev, mode="clip")
-            for size_class in classes:
-                operands = stacked.get(size_class) or self._stack(ws, size_class)
-                np.matmul(operands[0], self._u_t, out=operands[1])
+            # The wave's one GEMM: U is loaded once for every cell of every
+            # tissue in the wave (the paper's Sgemv -> Sgemm).
+            np.matmul(h_prev, self._u_t, out=pre)
             np.add(x, pre, out=pre)
             np.add(pre, self._b, out=pre)
             sigmoid_into(pre_o, o, s1, s2, m)

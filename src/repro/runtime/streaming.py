@@ -305,6 +305,7 @@ class StreamingServer(ServingCore):
 
     def _reserve(self, session_id: str, n_parts: int, now: float) -> None:
         self.sessions.get_or_admit(session_id, now).pending += n_parts
+        self.stats.lru_evictions = self.sessions.lru_evictions
 
     @property
     def queue_depth(self) -> int:

@@ -1,0 +1,76 @@
+"""The two oracle grades, asserted the same way by every suite.
+
+:func:`repro.core.backends.is_exact` decides which grade a
+``(backend, mode)`` pair carries:
+
+* **exact** (numpy, stepwise modes) — logits, every layer's outputs and
+  every plan record bit-identical to the oracle;
+* **graded** (COMBINED on any backend, cgen in any mode) — logits within
+  :data:`GRADED_ATOL` with equal predictions; breakpoints, sub-layer
+  lengths, tissue cells, ``skip_fraction`` and ``warp_skip_fraction``
+  identical; relevance and layer outputs within :data:`GRADED_ATOL`.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core.backends import GRADED_ATOL
+from repro.core.executor import ExecutionResult
+
+
+def assert_plans_equal(plans_a, plans_b, relevance_atol: float = 0.0) -> None:
+    """Structural + statistics equality of two SequencePlan lists; relevance
+    bit-exact unless ``relevance_atol`` is given."""
+    assert len(plans_a) == len(plans_b)
+    for plan_a, plan_b in zip(plans_a, plans_b):
+        assert len(plan_a.layers) == len(plan_b.layers)
+        for rec_a, rec_b in zip(plan_a.layers, plan_b.layers):
+            assert rec_a.layer_index == rec_b.layer_index
+            assert rec_a.seq_length == rec_b.seq_length
+            assert rec_a.breakpoints == rec_b.breakpoints
+            assert rec_a.sublayer_lengths == rec_b.sublayer_lengths
+            assert len(rec_a.tissues) == len(rec_b.tissues)
+            for t_a, t_b in zip(rec_a.tissues, rec_b.tissues):
+                assert t_a.cells == t_b.cells
+                assert t_a.skip_fraction == t_b.skip_fraction
+                assert t_a.warp_skip_fraction == t_b.warp_skip_fraction
+            if rec_a.relevance is None:
+                assert rec_b.relevance is None
+            elif relevance_atol == 0.0:
+                assert np.array_equal(rec_a.relevance, rec_b.relevance)
+            else:
+                np.testing.assert_allclose(
+                    rec_a.relevance, rec_b.relevance, rtol=0, atol=relevance_atol
+                )
+
+
+def assert_graded(result, reference) -> None:
+    """``result`` agrees with ``reference`` at the graded tier."""
+    np.testing.assert_allclose(result.logits, reference.logits, rtol=0, atol=GRADED_ATOL)
+    assert np.array_equal(result.predictions(), reference.predictions())
+    assert len(result.layer_outputs) == len(reference.layer_outputs)
+    for mine, theirs in zip(result.layer_outputs, reference.layer_outputs):
+        np.testing.assert_allclose(mine, theirs, rtol=0, atol=GRADED_ATOL)
+    assert_plans_equal(result.plans, reference.plans, relevance_atol=GRADED_ATOL)
+
+
+def assert_meets_grade(result, reference, exact: bool) -> None:
+    """``result`` agrees with ``reference`` at the grade ``exact`` names."""
+    if not exact:
+        assert_graded(result, reference)
+        return
+    assert np.array_equal(result.logits, reference.logits)
+    assert len(result.layer_outputs) == len(reference.layer_outputs)
+    for mine, theirs in zip(result.layer_outputs, reference.layer_outputs):
+        assert np.array_equal(mine, theirs)
+    assert_plans_equal(result.plans, reference.plans)
+
+
+def row_of(result, b: int) -> ExecutionResult:
+    """Sequence ``b`` of a batch result, as a one-sequence result."""
+    return ExecutionResult(
+        logits=result.logits[b : b + 1],
+        plans=[result.plans[b]],
+        layer_outputs=[h[b : b + 1] for h in result.layer_outputs],
+    )

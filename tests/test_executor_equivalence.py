@@ -1,24 +1,23 @@
 """Property-based equivalence: batched executor vs the frozen seed walk.
 
-Two families of properties, both over all five execution modes:
+Two families of properties, both over all five execution modes, each at
+the oracle grade :func:`repro.core.backends.is_exact` assigns
+(``tests/grading.py``):
 
 * **Batched vs reference.** :class:`repro.core.executor.LSTMExecutor`
   (united-gate GEMMs, wave-walked combined mode, optional plan cache,
-  compiled programs) must produce *bit-identical* logits, per-layer
-  ``h_t`` trajectories, and structurally identical
-  :class:`~repro.core.plan.SequencePlan` records compared to
-  :class:`repro.core.reference.ReferenceExecutor` — the seed arithmetic
-  with the disclosed GEMV lift.
+  compiled programs) against :class:`repro.core.reference.ReferenceExecutor`
+  — the seed arithmetic with the disclosed GEMV lift. The stepwise modes
+  are exact: bit-identical logits, per-layer ``h_t`` trajectories and
+  plan records. COMBINED is graded: its waves and layer >= 1 input
+  projections are real GEMMs.
 
 * **Per-sequence vs batched.** Running each sequence alone must reproduce
-  the batch run *bit for bit* — trajectories, plan floats at every layer,
-  and logits. The stepwise recurrences and the pooled head run as stacked
-  per-row GEMVs (:func:`repro.core.executor._row_gemv`), so each
-  sequence's arithmetic is independent of the batch composition; the
-  combined mode's stacked ``(g, k, H)`` matmul dispatches the same GEMM
-  per leading-axis slice whatever else shares its wave. (Before the lift, stepwise
-  layer>=1 plan floats only matched to GEMV-vs-GEMM tolerance and these
-  assertions were relaxed; they are now fully tight.)
+  the batch run. The stepwise recurrences and the pooled head run as
+  stacked per-row GEMVs (:func:`repro.core.executor._row_gemv`), so each
+  sequence's arithmetic is independent of the batch composition, bit for
+  bit. COMBINED's wave GEMM changes shape with the batch around a
+  sequence, so a solo run meets the batch run at the graded tier.
 """
 
 from __future__ import annotations
@@ -41,29 +40,15 @@ from repro.core.reference import ReferenceExecutor  # noqa: E402
 from repro.nn.model_zoo import build_calibrated_network  # noqa: E402
 from repro.nn.network import LSTMNetwork  # noqa: E402
 
+from tests.grading import (  # noqa: E402
+    assert_graded,
+    assert_meets_grade,
+    assert_plans_equal,
+    row_of,
+)
+
 VOCAB = 40
 CLASSES = 4
-
-
-def assert_plans_equal(plans_a, plans_b) -> None:
-    """Bit-exact structural + float equality of two SequencePlan lists."""
-    assert len(plans_a) == len(plans_b)
-    for plan_a, plan_b in zip(plans_a, plans_b):
-        assert len(plan_a.layers) == len(plan_b.layers)
-        for rec_a, rec_b in zip(plan_a.layers, plan_b.layers):
-            assert rec_a.layer_index == rec_b.layer_index
-            assert rec_a.seq_length == rec_b.seq_length
-            assert rec_a.breakpoints == rec_b.breakpoints
-            assert rec_a.sublayer_lengths == rec_b.sublayer_lengths
-            assert len(rec_a.tissues) == len(rec_b.tissues)
-            for t_a, t_b in zip(rec_a.tissues, rec_b.tissues):
-                assert t_a.cells == t_b.cells
-                assert t_a.skip_fraction == t_b.skip_fraction
-                assert t_a.warp_skip_fraction == t_b.warp_skip_fraction
-            if rec_a.relevance is None:
-                assert rec_b.relevance is None
-            else:
-                assert np.array_equal(rec_a.relevance, rec_b.relevance)
 
 
 @st.composite
@@ -118,11 +103,7 @@ class TestBatchedMatchesReference:
         reference = ReferenceExecutor(network, config, predicted_links=links)
         out_b = batched.run_batch(tokens)
         out_r = reference.run_batch(tokens)
-        assert np.array_equal(out_b.logits, out_r.logits)
-        assert len(out_b.layer_outputs) == len(out_r.layer_outputs)
-        for h_b, h_r in zip(out_b.layer_outputs, out_r.layer_outputs):
-            assert np.array_equal(h_b, h_r)
-        assert_plans_equal(out_b.plans, out_r.plans)
+        assert_meets_grade(out_b, out_r, batched.exact)
 
     @settings(max_examples=15, deadline=None)
     @given(case=executor_cases())
@@ -202,10 +183,7 @@ class TestMixedDivisionBatch:
         assert 0 < divisions[1] < seq_length - 1
         skipped = [t.skip_fraction for plan in out.plans for t in plan.layers[0].tissues]
         assert any(skipped)  # DRS really is on
-        assert np.array_equal(out.logits, ref.logits)
-        for h_b, h_r in zip(out.layer_outputs, ref.layer_outputs):
-            assert np.array_equal(h_b, h_r)
-        assert_plans_equal(out.plans, ref.plans)
+        assert_graded(out, ref)
 
 
 class TestPerSequenceMatchesBatch:
@@ -217,12 +195,7 @@ class TestPerSequenceMatchesBatch:
         batch_out = executor.run_batch(tokens)
         for b in range(tokens.shape[0]):
             solo = executor.run_batch(tokens[b : b + 1])
-            # Every mode is batch-composition-invariant: the stepwise
-            # recurrences and the pooled head run as stacked per-row GEMVs
-            # and the combined walk dispatches the same GEMM per
-            # leading-axis slice in any wave — so trajectories,
-            # plan floats, and logits are all bit-exact.
-            assert_plans_equal(solo.plans, [batch_out.plans[b]])
-            for h_solo, h_batch in zip(solo.layer_outputs, batch_out.layer_outputs):
-                assert np.array_equal(h_solo[0], h_batch[b])
-            assert np.array_equal(solo.logits[0], batch_out.logits[b])
+            # The exact modes are batch-composition-invariant: the stepwise
+            # recurrences and the pooled head run as stacked per-row GEMVs,
+            # so trajectories, plan floats and logits are all bit-exact.
+            assert_meets_grade(solo, row_of(batch_out, b), executor.exact)

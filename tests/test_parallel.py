@@ -3,9 +3,10 @@
 The contract under test is the one ``ExecutionConfig.threads`` sells:
 ``threads=1`` is byte-for-byte today's serial path, and ``threads>1``
 shards batch rows over a persistent pool without changing a single bit
-of any output — in every mode, for full-sequence batches and for the
+of any exact-tier output — for full-sequence batches and for the
 streaming step path (whose hidden/cell state views are written in
-place).
+place). COMBINED's wave GEMM changes shape with the shard, so its
+threaded runs meet the serial one at the graded tier.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.core.parallel import (
 from repro.errors import ConfigurationError
 
 from tests.conftest import TINY_VOCAB
+from tests.grading import assert_graded
 
 MODES = {
     "baseline": {},
@@ -142,9 +144,13 @@ class TestRunBatchBitIdentity:
     @pytest.mark.parametrize("threads", [2, 3, 4])
     def test_threaded_matches_serial(self, tiny_network, rng, mode, threads):
         tokens = rng.integers(0, TINY_VOCAB, size=(7, tiny_network.config.seq_length))
-        serial = LSTMExecutor(tiny_network, _config(mode)).run_batch(tokens)
+        executor = LSTMExecutor(tiny_network, _config(mode))
+        serial = executor.run_batch(tokens)
         out = LSTMExecutor(tiny_network, _config(mode, threads)).run_batch(tokens)
-        np.testing.assert_array_equal(out.logits, serial.logits)
+        if executor.exact:
+            np.testing.assert_array_equal(out.logits, serial.logits)
+        else:
+            assert_graded(out, serial)
         assert len(out.plans) == len(serial.plans)
         assert [p.total_breakpoints for p in out.plans] == [
             p.total_breakpoints for p in serial.plans
@@ -154,7 +160,7 @@ class TestRunBatchBitIdentity:
         tokens = rng.integers(0, TINY_VOCAB, size=(2, tiny_network.config.seq_length))
         serial = LSTMExecutor(tiny_network, _config("combined")).run_batch(tokens)
         out = LSTMExecutor(tiny_network, _config("combined", 8)).run_batch(tokens)
-        np.testing.assert_array_equal(out.logits, serial.logits)
+        assert_graded(out, serial)
 
     def test_batch_of_one_stays_serial(self, tiny_network, rng):
         tokens = rng.integers(0, TINY_VOCAB, size=(1, tiny_network.config.seq_length))
@@ -260,11 +266,14 @@ class TestRecorderAttribution:
 class TestPipelineThreads:
     def test_run_threads_bit_identical(self, tiny_app):
         tokens = tiny_app.sample_tokens(6, seed=9)
-        serial = tiny_app.run(tokens, mode=ExecutionMode.COMBINED, threshold_index=2)
-        threaded = tiny_app.run(
-            tokens, mode=ExecutionMode.COMBINED, threshold_index=2, threads=4
+        serial = tiny_app.run(
+            tokens, mode=ExecutionMode.COMBINED, threshold_index=2, keep_result=True
         )
-        np.testing.assert_array_equal(threaded.logits, serial.logits)
+        threaded = tiny_app.run(
+            tokens, mode=ExecutionMode.COMBINED, threshold_index=2, threads=4,
+            keep_result=True,
+        )
+        assert_graded(threaded.result, serial.result)
 
     def test_run_records_threads(self, tiny_app):
         from repro.obs.recorder import Recorder

@@ -138,9 +138,8 @@ class TestResidentBytes:
         assert cache.nbytes == 0
 
         def build(relevance):
-            sublayers = divide_layer(8, [3])
             return CachedLayerPlan.from_schedule(
-                relevance, [3], sublayers, align_tissues(sublayers, 2)
+                relevance, [3], align_tissues(divide_layer(8, [3]), 2)
             )
 
         plan = cache.layer_plan(("p", 1.0), "rel", lambda: np.arange(8.0), build)

@@ -2,10 +2,10 @@
 
 Three properties of :mod:`repro.core.program`:
 
-* **Bit identity with the oracle.** The executor's programs equal the
-  frozen :class:`~repro.core.reference.ReferenceExecutor` in all five
-  modes (the broader hypothesis sweep lives in
-  ``tests/test_executor_equivalence.py``).
+* **Agreement with the oracle.** The executor's programs equal the
+  frozen :class:`~repro.core.reference.ReferenceExecutor` bit for bit in
+  the four stepwise modes and at the graded tier in COMBINED (the
+  broader hypothesis sweep lives in ``tests/test_executor_equivalence.py``).
 
 * **Workspace reuse.** Every program of a cache computes in the cache's
   one workspace arena; consecutive ``run_batch`` calls on one compiled
@@ -43,6 +43,8 @@ from repro.errors import ConfigurationError  # noqa: E402
 from repro.nn.activations import sigmoid  # noqa: E402
 from repro.nn.model_zoo import build_calibrated_network  # noqa: E402
 from repro.nn.network import LSTMNetwork  # noqa: E402
+
+from tests.grading import assert_meets_grade  # noqa: E402
 
 VOCAB = 31
 CLASSES = 3
@@ -134,9 +136,7 @@ class TestCompiledMatchesReference:
         reference = ReferenceExecutor(network, config, predicted_links=links)
         out_c = compiled.run_batch(tokens)
         out_r = reference.run_batch(tokens)
-        assert np.array_equal(out_c.logits, out_r.logits)
-        for h_c, h_r in zip(out_c.layer_outputs, out_r.layer_outputs):
-            assert np.array_equal(h_c, h_r)
+        assert_meets_grade(out_c, out_r, compiled.exact)
 
     @pytest.mark.parametrize("batch", [1, 2, 5])
     def test_drs_compact_scratch_never_read_before_write(self, batch):

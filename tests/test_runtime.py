@@ -46,7 +46,7 @@ from repro.runtime import (  # noqa: E402
     leaked_segments,
     plan_dispatch,
 )
-from tests.test_executor_equivalence import assert_plans_equal  # noqa: E402
+from tests.grading import assert_plans_equal  # noqa: E402
 
 VOCAB = 50
 CLASSES = 4

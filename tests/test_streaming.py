@@ -183,6 +183,17 @@ class TestSessionLifecycle:
         server.tick()
         assert np.array_equal(again.result.logits, first.result.logits)
 
+    def test_lru_evictions_reach_the_stats(self):
+        network = make_network(per_timestep_head=True)
+        tokens = np.random.default_rng(9).integers(0, VOCAB, size=4)
+        server = make_server(network, max_sessions=2)
+        for now, session in enumerate("abc"):
+            server.submit(session, tokens, now=float(now))
+            server.tick(now=float(now))
+        stats = server.stats.as_dict(server.max_batch)
+        assert stats["lru_evictions"] == 1
+        assert stats["ttl_evictions"] == 0
+
     def test_resident_state_survives_between_arrivals(self):
         """The second arrival continues the first one's state, not zeros."""
         network = make_network(per_timestep_head=True)

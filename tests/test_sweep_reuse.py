@@ -12,7 +12,8 @@ Three properties:
   compiles nothing.
 * **No stale state.** A second ``calibrate()`` and an in-place weight
   update followed by ``invalidate_weight_fingerprints`` both reach fresh
-  executors and fresh token rows.
+  executors and fresh token rows, and an exact mode never plans from the
+  relevance a graded COMBINED run computed.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.config import LSTMConfig  # noqa: E402
+from repro.config import AppConfig, LSTMConfig, TaskFamily  # noqa: E402
 from repro.core import executor as executor_module  # noqa: E402
 from repro.core import pipeline as pipeline_module  # noqa: E402
 from repro.core.executor import ExecutionConfig, ExecutionMode, LSTMExecutor  # noqa: E402
@@ -33,7 +34,10 @@ from repro.core.pipeline import OptimizedLSTM  # noqa: E402
 from repro.core.plan import PlanCache, invalidate_weight_fingerprints  # noqa: E402
 from repro.core.program import project_rows  # noqa: E402
 from repro.core.reference import ReferenceExecutor  # noqa: E402
+from repro.nn.model_zoo import build_calibrated_network  # noqa: E402
 from repro.nn.network import LSTMNetwork  # noqa: E402
+
+from tests.grading import assert_meets_grade  # noqa: E402
 
 VOCAB = 23
 HIDDEN = 16
@@ -145,10 +149,9 @@ class TestMemoBitIdentity:
         for threads, shape in ((1, (4, 9)), (2, (4, 9)), (2, (5, 6)), (1, (1, 3))):
             tokens = rng.integers(0, VOCAB, size=shape)
             threaded = ExecutionConfig(**{**config.__dict__, "threads": threads})
-            out = LSTMExecutor(network, threaded, plan_cache=cache).run_batch(tokens)
-            expected = reference.run_batch(tokens)
-            assert np.array_equal(out.layer_outputs[0], expected.layer_outputs[0])
-            assert np.array_equal(out.logits, expected.logits)
+            executor = LSTMExecutor(network, threaded, plan_cache=cache)
+            out = executor.run_batch(tokens)
+            assert_meets_grade(out, reference.run_batch(tokens), executor.exact)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_stream_chunks_match_one_contiguous_run(self, threads):
@@ -345,3 +348,34 @@ class TestNoStaleState:
         assert tiny_app.executor_cache.stats.misses == 2
         reference = ReferenceExecutor(network, config)
         assert np.array_equal(outcome.logits, reference.run_batch(tiny_tokens).logits)
+
+    def test_exact_modes_never_read_graded_relevance(self):
+        """COMBINED plans layers >= 1 from GEMM-projected rows. Given the
+        same layer-1 input, a later INTER run through the same plan cache
+        must still plan from its own exact rows, not from COMBINED's."""
+        model = LSTMConfig(hidden_size=24, num_layers=2, seq_length=12, input_size=20)
+        app = AppConfig(
+            name="GRADED",
+            family=TaskFamily.SENTIMENT_CLASSIFICATION,
+            model=model,
+            vocab_size=60,
+            num_classes=3,
+        )
+        network = build_calibrated_network(app, seed=5)
+        tokens = np.random.default_rng(1).integers(0, app.vocab_size, size=(1, 12))
+        cache = PlanCache()
+        combined = LSTMExecutor(
+            network, ExecutionConfig(mode=ExecutionMode.COMBINED), plan_cache=cache
+        ).run_batch(tokens)
+        inter_config = ExecutionConfig(mode=ExecutionMode.INTER)
+        expected = ReferenceExecutor(network, inter_config).run_batch(tokens)
+        # The case this guards: one layer-1 input, two layer-1 relevances.
+        assert np.array_equal(combined.layer_outputs[0], expected.layer_outputs[0])
+        graded = combined.plans[0].layers[1].relevance
+        assert not np.array_equal(graded, expected.plans[0].layers[1].relevance)
+        inter = LSTMExecutor(network, inter_config, plan_cache=cache).run_batch(tokens)
+        assert np.array_equal(
+            inter.plans[0].layers[1].relevance, expected.plans[0].layers[1].relevance
+        )
+        # Layer 0's keys are still shared; layer 1 planned twice.
+        assert (cache.stats.plan_hits, cache.stats.relevance_misses) == (1, 3)

@@ -30,12 +30,15 @@ import pytest
 from repro.config import AppConfig, LSTMConfig, TaskFamily
 from repro.core import cgen
 from repro.core import program as program_module
+from repro.core.backends import is_exact
 from repro.core.context_prediction import PredictedLink
 from repro.core.executor import ExecutionConfig, ExecutionMode, LSTMExecutor
 from repro.core.pipeline import OptimizedLSTM
 from repro.core.program import ProgramCache
 from repro.core.reference import ReferenceExecutor
 from repro.nn.model_zoo import build_calibrated_network
+
+from tests.grading import assert_meets_grade
 
 needs_cc = pytest.mark.skipif(not cgen.compiler_available(), reason="no C compiler")
 BACKENDS = ["numpy", pytest.param("cgen", marks=needs_cc)]
@@ -128,16 +131,6 @@ def plan_facts(result):
     ]
 
 
-def assert_graded(result, reference, exact: bool) -> None:
-    """The oracle grade: bit-exact for the numpy stepwise modes, ``1e-9``
-    with equal predictions for COMBINED and for cgen."""
-    if exact:
-        assert np.array_equal(result.logits, reference.logits)
-    else:
-        np.testing.assert_allclose(result.logits, reference.logits, rtol=0, atol=1e-9)
-        assert np.array_equal(result.predictions(), reference.predictions())
-
-
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("mode", list(ExecutionMode), ids=lambda m: m.value)
@@ -150,7 +143,7 @@ class TestPoisonedArena:
         poisoned = executor_for(network, config, cache)
         clean = executor_for(network, config)
         reference = ReferenceExecutor(network, config, predicted_links=LINKS)
-        exact = backend == "numpy" and mode is not ExecutionMode.COMBINED
+        exact = is_exact(backend, mode)
         for shape in SHAPES:
             tokens = draw(shape)
             got = poisoned.run_batch(tokens)
@@ -160,7 +153,7 @@ class TestPoisonedArena:
             for mine, theirs in zip(got.layer_outputs, want.layer_outputs):
                 assert np.array_equal(mine, theirs)
             assert plan_facts(got) == plan_facts(want)
-            assert_graded(got, reference.run_batch(tokens), exact)
+            assert_meets_grade(got, reference.run_batch(tokens), exact)
 
 
 
@@ -190,7 +183,7 @@ class TestPoisonedArenaStreaming:
             want = clean.run_stream(piece, *states[1])
             assert np.array_equal(got, want)
             assert np.array_equal(states[0], states[1])
-        if backend == "numpy":  # the streamed bits are the contiguous run's
+        if is_exact(backend, mode):  # the streamed bits are the contiguous run's
             reference = ReferenceExecutor(network, config, predicted_links=LINKS)
             whole = reference.run_batch(tokens[:, :start])
             assert np.array_equal(got[:, -1], whole.layer_outputs[-1][:, -1])
