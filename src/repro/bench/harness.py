@@ -825,141 +825,3 @@ def ablation_exact_relevance(ctx: ExperimentContext | None = None, app: str = "M
     )
     return {"paper": paper, "exact": exact}, report
 
-
-def serve_bench(
-    mode: ExecutionMode = ExecutionMode.COMBINED,
-    sequences: int = 16,
-    workers: int = 2,
-    max_batch: int = 8,
-    queue_depth: int = 16,
-    dwell_s: float = 0.0,
-    hidden_size: int = 64,
-    num_layers: int = 2,
-    seq_length: int = 64,
-    seed: int = 11,
-    record_path: str | None = None,
-    precision: str = "fp64",
-    backend: str = "numpy",
-    threads: int = 1,
-):
-    """Drive the serving runtime once and report fleet-level figures.
-
-    Builds the executor-benchmark workload geometry, serves ``sequences``
-    random sequences through an :class:`~repro.runtime.pool.
-    InferenceRuntime` with the given worker/queue settings, verifies the
-    outputs at the oracle grade against an in-process
-    :class:`~repro.core.executor.LSTMExecutor` run per dispatch group
-    (the runtime's numerics contract), and optionally writes the merged
-    fleet :class:`~repro.obs.record.RunRecord` as JSONL.
-
-    Returns ``(stats, report)``: a flat dict and an ASCII table. Backs the
-    ``repro serve-bench`` CLI and the CI runtime smoke job.
-    """
-    from repro.config import LSTMConfig
-    from repro.core.backends import GRADED_ATOL
-    from repro.core.executor import ExecutionConfig, LSTMExecutor
-    from repro.nn.network import LSTMNetwork
-    from repro.obs import Recorder, write_jsonl
-    from repro.runtime import InferenceRuntime, leaked_segments, plan_dispatch
-
-    config = LSTMConfig(
-        hidden_size=hidden_size,
-        num_layers=num_layers,
-        seq_length=seq_length,
-        input_size=hidden_size,
-    )
-    network = LSTMNetwork(config, vocab_size=200, num_classes=8, seed=seed)
-    rng = np.random.default_rng(seed + 12)
-    tokens = rng.integers(0, 200, size=(sequences, seq_length))
-    if mode is ExecutionMode.COMBINED:
-        exec_config = ExecutionConfig(
-            mode=mode, alpha_inter=1e12, alpha_intra=0.05, mts=5,
-            precision=precision, backend=backend, threads=threads,
-        )
-    elif mode is ExecutionMode.INTER:
-        exec_config = ExecutionConfig(
-            mode=mode, alpha_inter=1e12, mts=5, precision=precision,
-            backend=backend, threads=threads,
-        )
-    elif mode is ExecutionMode.INTRA:
-        exec_config = ExecutionConfig(
-            mode=mode, alpha_intra=0.05, precision=precision, backend=backend,
-            threads=threads,
-        )
-    else:
-        exec_config = ExecutionConfig(
-            mode=mode, precision=precision, backend=backend, threads=threads
-        )
-
-    recorder = Recorder()
-    runtime = InferenceRuntime(
-        network,
-        exec_config,
-        workers=workers,
-        max_batch=max_batch,
-        queue_depth=queue_depth,
-        dwell_s=dwell_s,
-        recorder=recorder,
-    )
-    with runtime:
-        fleet = runtime.run_batch(tokens)
-
-    executor = LSTMExecutor(network, exec_config)
-    # The numerics contract follows the oracle grade (is_exact): exact runs
-    # must match the fleet bit-for-bit; graded runs (COMBINED, cgen) get the
-    # graded tolerance.
-    tolerance = 0.0 if executor.exact else GRADED_ATOL
-    bit_identical = True
-    for group in plan_dispatch(tokens, max_batch):
-        expected = executor.run_batch(group.tokens)
-        for row, index in enumerate(group.indices):
-            if tolerance == 0.0:
-                if not np.array_equal(expected.logits[row], fleet.logits[index]):
-                    bit_identical = False
-            elif np.abs(expected.logits[row] - fleet.logits[index]).max() > tolerance:
-                bit_identical = False
-
-    leaks = leaked_segments()
-    weight_bytes = (
-        fleet.record.weight_bytes_totals()
-        if fleet.record is not None
-        else {"fp64": 0.0, "moved": 0.0, "skipped": 0.0}
-    )
-    stats = {
-        "mode": mode.value,
-        "backend": executor.backend,
-        "precision": exec_config.precision.tag,
-        "weight_bytes_fp64": weight_bytes["fp64"],
-        "weight_bytes_moved": weight_bytes["moved"],
-        "sequences": sequences,
-        "workers": workers,
-        "threads": exec_config.threads,
-        "max_batch": max_batch,
-        "queue_depth": queue_depth,
-        "dwell_s": dwell_s,
-        "shards": fleet.num_shards,
-        "wall_s": fleet.wall_s,
-        "throughput_seq_s": fleet.throughput_seq_s,
-        "bit_identical": bit_identical,
-        "leaked_segments": len(leaks),
-    }
-    if record_path is not None and fleet.record is not None:
-        write_jsonl([fleet.record], record_path)
-    report = format_table(
-        ["Metric", "Value"],
-        [
-            ("mode", mode.value),
-            ("backend", executor.backend),
-            ("precision", exec_config.precision.tag),
-            ("sequences", sequences),
-            ("workers", workers),
-            ("threads/worker", exec_config.threads),
-            ("dispatched shards", fleet.num_shards),
-            ("wall clock", f"{fleet.wall_s * 1e3:.1f} ms"),
-            ("throughput", f"{fleet.throughput_seq_s:.1f} seq/s"),
-            ("bit-identical vs executor", str(bit_identical)),
-            ("leaked shm segments", len(leaks)),
-        ],
-        title=f"Serving runtime — {mode.value}, {workers} worker(s)",
-    )
-    return stats, report

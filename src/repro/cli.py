@@ -6,9 +6,9 @@ Subcommands::
     repro run BABI --mode combined --set 4 --sequences 8
     repro sweep MR --mode combined     # the Fig. 19 row for one app
     repro figure fig14 --apps MR,PTB   # regenerate a paper figure
-    repro serve-bench --workers 2 --sequences 16 --mode combined
-    repro serve-stream --mode intra --duration-s 2 --record stream.jsonl
-    repro serve-zoo --tenant MR:2:fp64 --tenant MR:1:int8 --duration-s 2
+    repro serve --policy stream --mode intra --record stream.jsonl
+    repro serve --policy zoo --tenant MR:2:fp64 --tenant MR:1:int8
+    repro serve --policy fleet --workers 2 --mode combined
     repro calibrate MR --steps 5 --optimizer adam --policy recompute
     repro trace record MR --out runs.jsonl --chrome trace.json
     repro trace summarize runs.jsonl
@@ -111,115 +111,73 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     serve = sub.add_parser(
-        "serve-bench",
-        help="drive the sharded serving runtime once and report fleet figures",
+        "serve",
+        help="drive one serving policy through a deterministic open-loop "
+        "workload and report latency/goodput figures",
+    )
+    serve.add_argument(
+        "--policy",
+        choices=["stream", "zoo", "fleet"],
+        required=True,
+        help="stream: chunked sessions over resident state; zoo: N tenants "
+        "under QoS-weighted scheduling; fleet: whole sequences sharded "
+        "across worker processes",
     )
     serve.add_argument(
         "--mode",
         choices=[m.value for m in ExecutionMode],
-        default="combined",
-        help="execution scheme to serve",
+        default="baseline",
+        help="execution scheme of stream/fleet (stream cannot run inter/"
+        "combined: they plan from full-sequence relevance)",
     )
-    serve.add_argument("--sequences", type=int, default=16, help="fleet batch size")
-    serve.add_argument(
-        "--workers", type=int, default=2,
-        help="worker process count (0 = synchronous in-process fallback)",
-    )
-    serve.add_argument("--max-batch", type=int, default=8,
-                       help="largest dispatched shard")
-    serve.add_argument("--queue-depth", type=int, default=16,
-                       help="bound on in-flight shards (backpressure window)")
-    serve.add_argument(
-        "--dwell-ms", type=float, default=0.0,
-        help="modeled per-sequence device dwell in the workers (ms)",
-    )
-    serve.add_argument("--seed", type=int, default=11)
-    serve.add_argument(
-        "--record", default=None,
-        help="write the merged fleet RunRecord to this JSONL path",
-    )
+    serve.add_argument("--alpha-intra", type=float, default=0.35,
+                       help="intra-cell threshold when --mode is intra/combined")
     serve.add_argument(
         "--precision",
         choices=[*PRECISIONS],
         default="fp64",
-        help="weight-storage policy served by the fleet (arena publishes "
-        "quantized payloads)",
+        help="weight-storage policy of stream/fleet (the fleet's arena "
+        "publishes quantized payloads)",
     )
     serve.add_argument(
         "--backend", choices=[*BACKEND_NAMES], default="numpy", help=_BACKEND_HELP
     )
     serve.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
-
-    stream = sub.add_parser(
-        "serve-stream",
-        help="drive the streaming runtime through a deterministic open-loop "
-        "workload and report latency/goodput figures",
+    serve.add_argument(
+        "--workers", type=int, default=2,
+        help="fleet worker processes (0 = in-process, identical results)",
     )
-    stream.add_argument(
-        "--mode",
-        choices=["baseline", "intra", "zero_prune"],
-        default="baseline",
-        help="execution scheme to stream (inter/combined plan from "
-        "full-sequence relevance and cannot stream)",
-    )
-    stream.add_argument("--alpha-intra", type=float, default=0.35,
-                        help="intra-cell threshold when --mode intra")
-    stream.add_argument("--duration-s", type=float, default=2.0,
-                        help="arrival window (virtual seconds)")
-    stream.add_argument("--session-rate", type=float, default=10.0,
-                        help="mean session starts per second")
-    stream.add_argument("--max-batch", type=int, default=8,
-                        help="sessions batched per tick")
-    stream.add_argument("--chunk-len", type=int, default=4,
-                        help="max tokens served per session per tick")
-    stream.add_argument("--queue-limit", type=int, default=64,
-                        help="admission-queue bound (backpressure window)")
-    stream.add_argument("--tick-interval-ms", type=float, default=2.0,
-                        help="virtual tick cadence")
-    stream.add_argument("--hidden", type=int, default=64, help="hidden size")
-    stream.add_argument("--layers", type=int, default=2, help="LSTM layers")
-    stream.add_argument("--seed", type=int, default=11)
-    stream.add_argument(
-        "--record", default=None,
-        help="write the merged serving-window RunRecord to this JSONL path",
-    )
-    stream.add_argument(
-        "--backend", choices=[*BACKEND_NAMES], default="numpy", help=_BACKEND_HELP
-    )
-    stream.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
-
-    zoo = sub.add_parser(
-        "serve-zoo",
-        help="serve N tenants over one deduplicated weight arena and shared "
-        "program/plan caches under QoS-weighted scheduling",
-    )
-    zoo.add_argument(
+    serve.add_argument(
         "--tenant",
         action="append",
         dest="tenants",
         metavar="APP[:WEIGHT[:PRECISION]]",
         default=None,
-        help="add one tenant bound to a Table II app (repeatable); WEIGHT "
+        help="add one zoo tenant bound to a Table II app (repeatable); WEIGHT "
         "is its QoS share (default 1), PRECISION its weight storage "
         "(default fp64). Tenants of the same app share arena segments. "
         "Default: MR:2:fp64 MR:1:fp64 MR:1:int8",
     )
-    zoo.add_argument("--duration-s", type=float, default=2.0,
-                     help="arrival window (virtual seconds)")
-    zoo.add_argument("--session-rate", type=float, default=8.0,
-                     help="mean request starts per second across all tenants")
-    zoo.add_argument("--max-batch", type=int, default=8,
-                     help="largest batch served to one tenant per tick")
-    zoo.add_argument("--queue-limit", type=int, default=64,
-                     help="per-tenant admission bound (backpressure window)")
-    zoo.add_argument("--tick-interval-ms", type=float, default=2.0,
-                     help="virtual tick cadence")
-    zoo.add_argument("--seed", type=int, default=11)
-    zoo.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
-    zoo.add_argument(
+    serve.add_argument("--max-batch", type=int, default=8,
+                       help="largest tick batch (fleet: rows per worker shard)")
+    serve.add_argument("--chunk-len", type=int, default=4,
+                       help="stream: max tokens served per session per tick")
+    serve.add_argument("--queue-limit", type=int, default=64,
+                       help="admission-queue bound (zoo: per tenant)")
+    serve.add_argument("--duration-s", type=float, default=2.0,
+                       help="arrival window (virtual seconds)")
+    serve.add_argument("--session-rate", type=float, default=10.0,
+                       help="mean session starts per second")
+    serve.add_argument("--tick-interval-ms", type=float, default=2.0,
+                       help="virtual tick cadence")
+    serve.add_argument("--hidden", type=int, default=64,
+                       help="hidden size of the stream/fleet network")
+    serve.add_argument("--layers", type=int, default=2,
+                       help="LSTM layers of the stream/fleet network")
+    serve.add_argument("--seed", type=int, default=11)
+    serve.add_argument(
         "--record", default=None,
-        help="write the merged zoo-window RunRecord (per-tenant cache "
-        "attribution under namespaced keys) to this JSONL path",
+        help="write the merged serving-window RunRecord to this JSONL path",
     )
 
     calibrate = sub.add_parser(
@@ -431,133 +389,93 @@ def _cmd_figure(args) -> int:
     return 0
 
 
-def _cmd_serve_bench(args) -> int:
-    from repro.bench.harness import serve_bench
-
-    mode = ExecutionMode(args.mode)
-    stats, report = serve_bench(
-        mode=mode,
-        sequences=args.sequences,
-        workers=args.workers,
-        max_batch=args.max_batch,
-        queue_depth=args.queue_depth,
-        dwell_s=args.dwell_ms / 1e3,
-        seed=args.seed,
-        record_path=args.record,
-        precision=args.precision,
-        backend=args.backend,
-        threads=args.threads,
-    )
-    print(report)
-    if args.record:
-        print(f"wrote merged fleet record to {args.record}")
-    if not stats["bit_identical"]:
-        print("repro: error: fleet outputs diverged from the executor", file=sys.stderr)
-        return 1
-    if stats["leaked_segments"]:
-        print("repro: error: leaked shared-memory segments remain", file=sys.stderr)
-        return 1
-    return 0
+#: Whole-sequence arrivals of the zoo and the fleet: one submission per
+#: session (``chunk_len`` covers the longest session).
+_SEQUENCE_LEN = (8, 32)
 
 
-def _cmd_serve_stream(args) -> int:
-    from repro.config import LSTMConfig
+def _serve_config(args):
     from repro.core.executor import ExecutionConfig
-    from repro.nn.network import LSTMNetwork
-    from repro.obs import Recorder, write_jsonl
-    from repro.runtime import (
-        LoadSpec,
-        StreamingServer,
-        generate_arrivals,
-        run_open_loop,
-    )
 
     mode = ExecutionMode(args.mode)
-    exec_kwargs = {"mode": mode, "backend": args.backend, "threads": args.threads}
-    if mode is ExecutionMode.INTRA:
-        exec_kwargs["alpha_intra"] = args.alpha_intra
-    exec_config = ExecutionConfig(**exec_kwargs)
-    net_config = LSTMConfig(
-        hidden_size=args.hidden,
-        num_layers=args.layers,
-        seq_length=64,
+    kwargs = {
+        "mode": mode, "precision": args.precision, "backend": args.backend,
+        "threads": args.threads,
+    }
+    if mode in (ExecutionMode.INTER, ExecutionMode.COMBINED):
+        # Every link of a random network counts as weak: the most breakpoints.
+        kwargs.update(alpha_inter=1e12, mts=5)
+    if mode in (ExecutionMode.INTRA, ExecutionMode.COMBINED):
+        kwargs["alpha_intra"] = args.alpha_intra
+    return ExecutionConfig(**kwargs)
+
+
+def _serve_network(args, per_timestep_head: bool):
+    from repro.config import LSTMConfig
+    from repro.nn.network import LSTMNetwork
+
+    config = LSTMConfig(
+        hidden_size=args.hidden, num_layers=args.layers, seq_length=64,
         input_size=args.hidden,
     )
-    network = LSTMNetwork(
-        net_config, vocab_size=200, num_classes=8, seed=args.seed,
-        per_timestep_head=True,
+    return LSTMNetwork(
+        config, vocab_size=200, num_classes=8, seed=args.seed,
+        per_timestep_head=per_timestep_head,
     )
-    recorder = Recorder()
+
+
+def _serve_spec(args, **kwargs):
+    from repro.runtime import LoadSpec
+
+    return LoadSpec(
+        duration_s=args.duration_s, session_rate=args.session_rate, seed=args.seed,
+        **kwargs,
+    )
+
+
+def _stream_policy(args, recorder):
+    from repro.runtime import StreamingServer, generate_arrivals
+
     server = StreamingServer(
-        network,
-        exec_config,
+        _serve_network(args, per_timestep_head=True),
+        _serve_config(args),
         max_batch=args.max_batch,
         chunk_len=args.chunk_len,
         queue_limit=args.queue_limit,
         recorder=recorder,
     )
-    spec = LoadSpec(
-        duration_s=args.duration_s,
-        session_rate=args.session_rate,
-        seed=args.seed,
-        chunk_len=args.chunk_len,
-    )
-    arrivals = generate_arrivals(spec, vocab_size=200)
-    print(f"Serving {len(arrivals)} scheduled submissions ...", file=sys.stderr)
-    report = run_open_loop(
-        server, arrivals, tick_interval_s=args.tick_interval_ms / 1e3
-    )
-    stats = server.stats
-    print(
-        f"streamed {report.completed_submissions}/{report.offered_submissions} "
-        f"submissions ({report.completed_tokens} tokens) over "
-        f"{report.duration_s:.2f} virtual s in {stats.ticks} ticks"
-    )
-    print(
-        f"latency: p50 {report.percentile(50) * 1e3:.1f} ms, "
-        f"p99 {report.percentile(99) * 1e3:.1f} ms, "
-        f"max {report.as_dict()['latency_max_s'] * 1e3:.1f} ms"
-    )
-    print(
-        f"goodput {report.goodput_tokens_per_s:.1f} tokens/s, "
-        f"shed {report.shed_fraction:.1%}, "
-        f"occupancy {stats.occupancy_mean(args.max_batch):.2f}, "
-        f"evictions lru={stats.lru_evictions} ttl={stats.ttl_evictions}"
-    )
-    if args.record:
-        merged = server.merged_record()
-        if merged is None:
-            print("repro: error: no ticks were recorded", file=sys.stderr)
-            return 1
-        write_jsonl([merged], args.record)
-        print(f"wrote merged serving-window record to {args.record}")
-    return 0
+    return server, generate_arrivals(_serve_spec(args, chunk_len=args.chunk_len), 200)
 
 
-def _cmd_serve_zoo(args) -> int:
+def _fleet_policy(args, recorder):
+    from repro.runtime import FleetServer, generate_arrivals
+
+    low, high = _SEQUENCE_LEN
+    spec = _serve_spec(args, chunk_len=high, session_len_min=low, session_len_max=high)
+    arrivals = generate_arrivals(spec, 200)
+    server = FleetServer(
+        _serve_network(args, per_timestep_head=False),
+        _serve_config(args),
+        workers=args.workers,
+        max_batch=args.max_batch,
+        queue_limit=args.queue_limit,
+        recorder=recorder,
+    )
+    return server, arrivals
+
+
+def _zoo_policy(args, recorder):
     from repro.config import get_app
     from repro.nn.model_zoo import build_calibrated_network
-    from repro.nn.quantize import PRECISIONS
-    from repro.obs import Recorder, write_jsonl
-    from repro.runtime import (
-        LoadReport,
-        LoadSpec,
-        OperatingPoint,
-        TenantSpec,
-        ZooServer,
-        generate_tenant_arrivals,
-        run_open_loop,
-    )
+    from repro.runtime import OperatingPoint, TenantSpec, ZooServer, generate_tenant_arrivals
 
-    raw = args.tenants or ["MR:2:fp64", "MR:1:fp64", "MR:1:int8"]
     parsed: list[tuple[str, float, str]] = []
-    for entry in raw:
+    for entry in args.tenants or ["MR:2:fp64", "MR:1:fp64", "MR:1:int8"]:
         parts = entry.split(":")
         if not 1 <= len(parts) <= 3:
             raise ConfigurationError(
                 f"tenant spec {entry!r} is not APP[:WEIGHT[:PRECISION]]"
             )
-        app_name = parts[0]
         try:
             weight = float(parts[1]) if len(parts) > 1 and parts[1] else 1.0
         except ValueError:
@@ -570,7 +488,7 @@ def _cmd_serve_zoo(args) -> int:
                 f"unknown precision {precision!r} in tenant spec {entry!r}; "
                 f"known: {', '.join(PRECISIONS)}"
             )
-        parsed.append((app_name, weight, precision))
+        parsed.append((parts[0], weight, precision))
 
     # One network build per distinct app: tenants of the same app submit
     # the *same* weights to the registry, which is what deduplicates them.
@@ -581,10 +499,10 @@ def _cmd_serve_zoo(args) -> int:
             print(f"Building {app.name} ...", file=sys.stderr)
             networks[app_name] = (app, build_calibrated_network(app, seed=args.seed))
 
-    recorder = Recorder()
-    with ZooServer(recorder=recorder, threads=args.threads) as server:
-        weights_by_name: dict[str, float] = {}
-        vocab_by_name: dict[str, int] = {}
+    server = ZooServer(recorder=recorder, threads=args.threads)
+    weights: dict[str, float] = {}
+    vocabs: dict[str, int] = {}
+    try:
         for index, (app_name, weight, precision) in enumerate(parsed):
             app, network = networks[app_name]
             name = f"t{index}-{app_name.lower()}-{precision}"
@@ -599,61 +517,48 @@ def _cmd_serve_zoo(args) -> int:
                 ),
                 network,
             )
-            weights_by_name[name] = weight
-            vocab_by_name[name] = app.vocab_size
-        spec = LoadSpec(
-            duration_s=args.duration_s,
-            session_rate=args.session_rate,
-            seed=args.seed,
-            session_len_min=8,
-            session_len_max=32,
-        )
-        arrivals = generate_tenant_arrivals(spec, weights_by_name, vocab_by_name)
-        print(
-            f"Serving {len(arrivals)} scheduled requests across "
-            f"{len(parsed)} tenant(s) ...",
-            file=sys.stderr,
-        )
+            weights[name] = weight
+            vocabs[name] = app.vocab_size
+    except BaseException:
+        server.close()
+        raise
+    low, high = _SEQUENCE_LEN
+    spec = _serve_spec(args, session_len_min=low, session_len_max=high)
+    return server, generate_tenant_arrivals(spec, weights, vocabs)
+
+
+def _cmd_serve(args) -> int:
+    from repro.obs import Recorder, write_jsonl
+    from repro.runtime import run_open_loop
+
+    policies = {"stream": _stream_policy, "zoo": _zoo_policy, "fleet": _fleet_policy}
+    recorder = Recorder()
+    server, arrivals = policies[args.policy](args, recorder)
+    with server:
+        print(f"Serving {len(arrivals)} scheduled submissions ...", file=sys.stderr)
         report = run_open_loop(
             server, arrivals, tick_interval_s=args.tick_interval_ms / 1e3
         )
+        merged = server.merged_record()
+    print(
+        f"{args.policy}: served {report.completed_submissions}/"
+        f"{report.offered_submissions} submissions ({report.completed_tokens} "
+        f"tokens) over {report.duration_s:.2f} virtual s in "
+        f"{int(merged.timing['ticks']) if merged else 0} ticks"
+    )
+    for name, part in [("all", report), *sorted(report.per_tenant.items())]:
         print(
-            f"served {report.completed_submissions}/{report.offered_submissions} "
-            f"requests ({report.completed_tokens} tokens) over "
-            f"{report.duration_s:.2f} virtual s in {server.ticks} ticks"
+            f"  {name}: p50 {part.percentile(50) * 1e3:.1f} ms, "
+            f"p99 {part.percentile(99) * 1e3:.1f} ms, "
+            f"goodput {part.goodput_tokens_per_s:.1f} tokens/s, "
+            f"shed {part.shed_fraction:.1%}"
         )
-        for name in server.tenant_names():
-            tenant_report = report.per_tenant.get(name, LoadReport())
-            point = server.tenant_point(name)
-            print(
-                f"  {name}: weight {weights_by_name[name]:g}, "
-                f"{tenant_report.completed_submissions} served / "
-                f"{tenant_report.shed_submissions} shed, "
-                f"p50 {tenant_report.percentile(50) * 1e3:.1f} ms, "
-                f"p99 {tenant_report.percentile(99) * 1e3:.1f} ms "
-                f"[{point.precision}]"
-            )
-        stats = server.registry.stats
-        print(
-            f"arena: {stats.published_segments} segment(s), "
-            f"{stats.published_bytes / 1e6:.2f} MB published vs "
-            f"{stats.naive_bytes / 1e6:.2f} MB naive "
-            f"({stats.dedup_ratio:.2f}x ratio, {stats.dedup_hits} dedup hits)"
-        )
-        program = server.program_cache.stats.as_dict()
-        plan = server.plan_cache.stats.as_dict()
-        print(
-            f"shared caches: program {program['program_hits']} hits / "
-            f"{program['program_misses']} misses, "
-            f"plan {plan['plan_hits']} hits / {plan['plan_misses']} misses"
-        )
-        if args.record:
-            merged = server.merged_record()
-            if merged is None:
-                print("repro: error: no ticks were recorded", file=sys.stderr)
-                return 1
-            write_jsonl([merged], args.record)
-            print(f"wrote merged zoo-window record to {args.record}")
+    if args.record:
+        if merged is None:
+            print("repro: error: no ticks were recorded", file=sys.stderr)
+            return 1
+        write_jsonl([merged], args.record)
+        print(f"wrote merged {merged.label} record to {args.record}")
     return 0
 
 
@@ -843,9 +748,7 @@ _COMMANDS = {
     "run": _cmd_run,
     "sweep": _cmd_sweep,
     "figure": _cmd_figure,
-    "serve-bench": _cmd_serve_bench,
-    "serve-stream": _cmd_serve_stream,
-    "serve-zoo": _cmd_serve_zoo,
+    "serve": _cmd_serve,
     "calibrate": _cmd_calibrate,
     "trace": _cmd_trace,
 }

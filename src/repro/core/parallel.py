@@ -1,6 +1,6 @@
 """In-process multicore dispatch over independent execution work units.
 
-The spawn fleet (:mod:`repro.runtime.pool`) scales across *processes*;
+The spawn fleet (:mod:`repro.runtime.fleet`) scales across *processes*;
 this module scales *inside* one. A run is partitioned into independent
 work units — contiguous batch-row shards, combined-mode schedule-key
 groups, per-tissue programs — whose outputs land in disjoint array

@@ -402,7 +402,7 @@ class FrontierPoint:
     threshold_index: int
 
     def as_dict(self) -> dict:
-        """JSON form (the serve-zoo CLI and bench reports embed it)."""
+        """JSON form (bench reports embed it)."""
         return {
             "alpha_inter": self.alpha_inter,
             "alpha_intra": self.alpha_intra,

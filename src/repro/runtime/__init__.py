@@ -1,15 +1,16 @@
-"""Serving runtime (``repro.runtime``): one serving core, two policies, one fleet.
+"""Serving runtime (``repro.runtime``): one serving core, three policies.
 
 The paper's memory-friendliness principle — load the recurrent weights
 once, amortize them across every cell that needs them — applied to
-serving. :mod:`repro.runtime.serving` is the core every online engine
-shares: bounded all-or-nothing admission that checks token ids at the
-door, one ticket and result type, the FIFO "head sets the length" batch
-rule, the timed executor call, per-tick run records merged into one
-window record, and ``drain``; :func:`run_open_loop` drives any policy on
+serving. :mod:`repro.runtime.serving` is the core every engine shares:
+bounded all-or-nothing admission that checks token ids at the door, one
+ticket and result type, the FIFO "head sets the length" batch rule, the
+timed executor call, per-tick run records merged into one window record,
+``drain`` and ``close``; :func:`run_open_loop` drives any policy on
 virtual time against the deterministic open-loop workloads of
 :mod:`repro.runtime.loadgen` (Poisson arrivals, diurnal ramp,
-heavy-tailed session lengths). Two batch-forming policies ride on it:
+heavy-tailed session lengths), and ``repro serve --policy`` is its one
+command. Three batch-forming policies ride on it:
 
 * :class:`StreamingServer` (:mod:`repro.runtime.streaming`) — at most one
   chunk per session per tick over resident per-session ``(h, c)`` state,
@@ -18,15 +19,11 @@ heavy-tailed session lengths). Two batch-forming policies ride on it:
   round-robin over per-tenant queues on one deduplicated
   :class:`ArenaRegistry` and one cross-tenant program/plan cache, with
   :mod:`repro.runtime.controller` closing the per-tenant SLO loop after
-  each tick from :mod:`repro.runtime.shadow`'s sampled agreement.
-
-The fleet, :class:`InferenceRuntime`, publishes the network once into a
-shared-memory :class:`WeightArena`, cuts each batch into length-batched
-shards by the same rule (:func:`plan_dispatch`) and runs them across a
-worker pool that attaches those pages, behind a bounded dispatch queue;
-per-worker run records merge into one fleet record and ``workers=0``
-degenerates to a bit-identical synchronous
-:class:`~repro.core.executor.LSTMExecutor` call.
+  each tick from :mod:`repro.runtime.shadow`'s sampled agreement;
+* :class:`FleetServer` (:mod:`repro.runtime.fleet`) — whole sequences FIFO
+  by length, each tick cut into shards of ``max_batch`` rows that run one
+  per spawned worker over a shared-memory :class:`WeightArena` (or
+  in-process at ``workers=0``, with identical bits).
 """
 
 from repro.runtime.arena import (
@@ -42,6 +39,7 @@ from repro.runtime.controller import (
     SLOController,
     TenantSLO,
 )
+from repro.runtime.fleet import FleetServer
 from repro.runtime.loadgen import (
     Arrival,
     LoadReport,
@@ -50,8 +48,6 @@ from repro.runtime.loadgen import (
     generate_tenant_arrivals,
     run_open_loop,
 )
-from repro.runtime.pool import DispatchGroup, InferenceRuntime, plan_dispatch
-from repro.runtime.results import FleetResult, ShardResult
 from repro.runtime.serving import (
     ServingCore,
     ServingResult,
@@ -73,9 +69,7 @@ __all__ = [
     "ArenaRegistryStats",
     "Arrival",
     "ControllerMove",
-    "DispatchGroup",
-    "FleetResult",
-    "InferenceRuntime",
+    "FleetServer",
     "LoadReport",
     "LoadSpec",
     "OperatingPoint",
@@ -86,7 +80,6 @@ __all__ = [
     "ServingTicket",
     "SessionTable",
     "ShadowSampler",
-    "ShardResult",
     "StreamingFrontDoor",
     "StreamingServer",
     "TenantSLO",
@@ -97,6 +90,5 @@ __all__ = [
     "generate_arrivals",
     "generate_tenant_arrivals",
     "leaked_segments",
-    "plan_dispatch",
     "run_open_loop",
 ]

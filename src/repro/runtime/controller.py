@@ -240,7 +240,7 @@ class SLOController:
         return self.point
 
     def as_dict(self) -> dict:
-        """Status summary for bench reports and the serve-zoo CLI."""
+        """Status summary for bench reports."""
         return {
             "index": self.index,
             "point": self.point.as_dict(),

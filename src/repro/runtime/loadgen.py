@@ -17,7 +17,7 @@ shapes real session traffic has:
 Everything derives from ``seed`` — the same spec replays the same
 arrival times, session ids, lengths, and tokens.
 
-One runner, :func:`run_open_loop`, serves either policy of
+One runner, :func:`run_open_loop`, serves every policy of
 :class:`~repro.runtime.serving.ServingCore` and advances a *virtual*
 clock: arrivals land at their scheduled virtual times, while each tick's
 service time is the measured wall clock of the batched step (or an
@@ -176,7 +176,7 @@ def generate_tenant_arrivals(
     are uniform over that tenant's vocabulary. Every session is one
     whole-sequence submission (structural planning needs full-sequence
     relevance), an :class:`Arrival` carrying its ``tenant``. Both ``bench_tenancy`` and the
-    ``serve-zoo`` CLI consume this generator, so their workloads agree
+    ``repro serve --policy zoo`` CLI consume this generator, so their workloads agree
     by construction.
 
     Args:

@@ -1,10 +1,12 @@
 """The serving core: one admission door and one tick engine under every policy.
 
-Both online engines — :class:`~repro.runtime.streaming.StreamingServer`
-(continuous batching over resident session state) and
+Every serving engine — :class:`~repro.runtime.streaming.StreamingServer`
+(continuous batching over resident session state),
 :class:`~repro.runtime.tenancy.ZooServer` (weighted deficit round-robin
-over per-tenant queues) — are *batch-forming policies* over
-:class:`ServingCore`. The core owns everything that is not policy:
+over per-tenant queues) and :class:`~repro.runtime.fleet.FleetServer`
+(whole sequences FIFO by length, sharded across spawned workers) — is a
+*batch-forming policy* over :class:`ServingCore`. The core owns
+everything that is not policy:
 
 * **admission** — token ids checked at the door (a bad id is one
   submission's :class:`~repro.errors.ShapeError`, never a failed tick for
@@ -17,7 +19,8 @@ over per-tenant queues) — are *batch-forming policies* over
   charges ``service_model(report)`` seconds (the measured wall without one),
   attributes queue wait, resolves :class:`ServingTicket` parts at the end of
   the tick, counts stats and emits one ``repro.obs/run/v1`` record;
-* :meth:`ServingCore.drain` and :meth:`ServingCore.merged_record`.
+* :meth:`ServingCore.drain`, :meth:`ServingCore.merged_record` and the
+  ``close`` / context-manager lifecycle.
 
 A policy supplies ``submit`` (its public admission signature),
 ``submit_arrival`` (:func:`~repro.runtime.loadgen.run_open_loop`'s door),
@@ -25,7 +28,9 @@ A policy supplies ``submit`` (its public admission signature),
 ``program_cache`` / ``plan_cache`` its records observe (the plan cache may
 be ``None``) and the ``_form_batch`` / ``_run`` / ``_rows`` / ``_stats`` /
 ``_record_meta`` hooks, plus ``_reserve`` or ``_after_tick`` when it
-vets an admission or reacts to a served tick. All time enters through
+vets an admission or reacts to a served tick (the fleet, whose executors
+record themselves in other processes, replaces ``_record_tick`` and
+``_cache_stats`` instead of naming caches). All time enters through
 ``now`` arguments (or the injected ``clock``), so
 :func:`~repro.runtime.loadgen.run_open_loop` replays identical histories on
 virtual time.
@@ -367,7 +372,7 @@ class ServingCore:
         stats.max_occupancy = max(stats.max_occupancy, report.batch)
         self._after_tick(report, tokens, out)
         if record:
-            self._record_tick(report, before)
+            self._record_tick(report, before, out)
         return report
 
     def drain(
@@ -410,7 +415,9 @@ class ServingCore:
         """``(label, execution config, record config)`` of a tick record."""
         raise NotImplementedError
 
-    def _record_tick(self, report: TickReport, before: tuple[dict | None, dict]) -> None:
+    def _record_tick(
+        self, report: TickReport, before: tuple[dict | None, dict], out
+    ) -> None:
         label, config, meta = self._record_meta(report)
         builder = self.recorder.start_run(
             label=label,
@@ -455,3 +462,15 @@ class ServingCore:
         return merge_run_records(
             self._tick_records, label=label or self.record_label, **self.merge_flags
         )
+
+    # ------------------------------------------------------------ lifecycle
+
+    def close(self) -> None:
+        """Release what the policy holds beyond the process (shared memory,
+        worker processes); a no-op for a policy that holds none."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()

@@ -1,8 +1,8 @@
 """Streaming serving: continuous batching over resident per-session state.
 
-The sharded runtime (:mod:`repro.runtime.pool`) serves *whole sequences*:
-a request carries all of its tokens, and batching happens once, at
-dispatch. Interactive workloads do not look like that — a session's
+The fleet (:mod:`repro.runtime.fleet`) serves *whole sequences*: a
+request carries all of its tokens, and a tick batches requests of one
+length. Interactive workloads do not look like that — a session's
 tokens arrive one step or a few steps at a time, and the latency budget
 covers each arrival, not the sequence. :class:`StreamingServer` is the
 online batch-forming policy over the serving core

@@ -161,7 +161,7 @@ class ZooServer(ServingCore):
             activates the inter level.
         clock: Time source when ``now`` arguments are omitted.
         threads: In-process work-unit parallelism for every tenant
-            executor (``repro serve-zoo --threads``); ``1`` keeps the
+            executor (``repro serve --policy zoo --threads``); ``1`` keeps the
             serial path.
     """
 
@@ -460,9 +460,3 @@ class ZooServer(ServingCore):
             tenant.executors.clear()
         if self._owns_registry:
             self.registry.close()
-
-    def __enter__(self) -> "ZooServer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

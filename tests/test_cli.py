@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import FIGURES, build_parser, main
@@ -32,6 +34,14 @@ class TestParser:
             args = build_parser().parse_args(["figure", name])
             assert args.name == name
 
+    def test_serve_requires_a_policy(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--policy", "fleet", "--dwell-ms", "5"])
+        args = build_parser().parse_args(["serve", "--policy", "fleet"])
+        assert (args.mode, args.workers, args.max_batch) == ("baseline", 2, 8)
+
 
 class TestCommands:
     def test_info_prints_tables(self, capsys):
@@ -53,6 +63,24 @@ class TestCommands:
         )
         assert code == 0
         assert "speedup" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize(
+        "policy, extra",
+        [
+            ("stream", ["--mode", "intra"]),
+            ("fleet", ["--workers", "0", "--mode", "combined"]),
+            ("zoo", ["--tenant", "MR:2:fp64", "--tenant", "MR:1:int8"]),
+        ],
+    )
+    def test_serve_writes_the_policys_merged_record(self, capsys, tmp_path, policy, extra):
+        out = tmp_path / f"{policy}.jsonl"
+        argv = ["serve", "--policy", policy, "--duration-s", "0.3", "--session-rate", "20"]
+        assert main([*argv, *extra, "--record", str(out)]) == 0
+        assert "p99" in capsys.readouterr().out
+        record = json.loads(out.read_text().splitlines()[0])
+        assert record["label"] == policy
+        assert record["timing"]["ticks"] >= 1.0
 
 
 class TestTraceParser:

@@ -1,24 +1,28 @@
-"""Property and lifecycle tests of the sharded serving runtime.
+"""Property, lifecycle and failure tests of the fleet policy.
 
-The runtime's numerics contract: every dispatched group executes
-bit-identically to :meth:`repro.core.executor.LSTMExecutor.run_batch` on
-that group in the calling process — shared-memory weight views, the
-process boundary, and the worker count change no bits — and grouping is
-a pure function of ``(network, config, tokens)``, so fleet outputs are
-identical at any parallelism. ``workers=0`` must reproduce the worker
-path exactly. Lifecycle: the weight arena tears down cleanly (no leaked
-``/dev/shm`` segments), the bounded queue raises
-:class:`~repro.errors.BackpressureError` when full, a bad token id is the
-caller's :class:`~repro.errors.ShapeError` and leaves the fleet serving,
-and per-worker run records merge into one schema-valid fleet record.
+The fleet's numerics contract: every shard executes bit-identically to
+:meth:`repro.core.executor.LSTMExecutor.run_batch` on that shard in the
+calling process — shared-memory weight views, the process boundary and the
+worker count change no bits — and a tick's shards are consecutive
+``max_batch``-row slices of its FIFO batch, so a sequence's logits and its
+per-sequence record are the same at any parallelism. ``workers=0`` must
+reproduce the worker path exactly. Lifecycle: the weight arena tears down
+cleanly (no leaked ``/dev/shm`` segments), a bad token id is the caller's
+:class:`~repro.errors.ShapeError` and leaves the fleet serving, a worker
+killed mid-shard fails the tick at once, and per-shard run records merge
+into schema-valid tick and window records. (Admission, shedding and
+open-loop replay are the serving core's, checked in ``test_serving.py``.)
 
-Worker processes spawn per test, so the cross-process tests use one
-fixed mid-size workload per mode instead of hypothesis-sized fleets;
-hypothesis drives the (cheap, in-process) ``workers=0`` fallback and the
-shard-split grouping properties.
+Worker processes spawn per test, so the cross-process tests use one fixed
+mid-size workload per mode instead of hypothesis-sized fleets; hypothesis
+drives the (cheap, in-process) ``workers=0`` fleet.
 """
 
 from __future__ import annotations
+
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -33,19 +37,13 @@ from repro.core.executor import (  # noqa: E402
     LSTMExecutor,
 )
 from repro.errors import (  # noqa: E402
-    BackpressureError,
     ConfigurationError,
     RuntimeStateError,
     ShapeError,
 )
 from repro.nn.network import LSTMNetwork  # noqa: E402
 from repro.obs import Recorder, merge_run_records, validate_run_dict  # noqa: E402
-from repro.runtime import (  # noqa: E402
-    InferenceRuntime,
-    WeightArena,
-    leaked_segments,
-    plan_dispatch,
-)
+from repro.runtime import FleetServer, WeightArena, leaked_segments  # noqa: E402
 from tests.grading import assert_plans_equal  # noqa: E402
 
 VOCAB = 50
@@ -75,25 +73,32 @@ def build_workload(
     return network, tokens
 
 
+def serve(network, exec_config, tokens, **kwargs):
+    """Serve a ``(B, T)`` batch through a fleet's door; returns the logits in
+    request order, the merged window record and the tick reports."""
+    with FleetServer(network, exec_config, recorder=Recorder(), **kwargs) as fleet:
+        tickets = [fleet.submit(f"r{i}", row, now=0.0) for i, row in enumerate(tokens)]
+        reports = fleet.drain(now=0.0)
+        record = fleet.merged_record()
+    return np.stack([ticket.result.logits for ticket in tickets]), record, reports
+
+
 def groupwise_expected(network, exec_config, tokens, max_batch):
-    """Executor logits/plans per dispatch group, scattered to request order."""
-    executor = LSTMExecutor(network, exec_config)
-    logits = None
-    plans = [None] * tokens.shape[0]
-    for group in plan_dispatch(tokens, max_batch):
-        out = executor.run_batch(group.tokens)
-        if logits is None:
-            logits = np.empty((tokens.shape[0],) + out.logits.shape[1:],
-                              dtype=out.logits.dtype)
-        for row, index in enumerate(group.indices):
-            logits[index] = out.logits[row]
-            plans[index] = out.plans[row]
-    return logits, plans
+    """Executor logits and per-sequence observations over consecutive shards."""
+    recorder = Recorder()
+    executor = LSTMExecutor(network, exec_config, recorder=recorder)
+    logits, sequences = [], []
+    for start in range(0, tokens.shape[0], max_batch):
+        logits.append(executor.run_batch(tokens[start : start + max_batch]).logits)
+        for seq in recorder.last().sequences:
+            seq.seq_index += start
+            sequences.append(seq)
+    return np.concatenate(logits), sequences
 
 
 @st.composite
 def runtime_cases(draw):
-    """Small workload + mode + shard split for the in-process properties."""
+    """Small workload + mode + shard size for the in-process properties."""
     hidden = draw(st.sampled_from([8, 16]))
     layers = draw(st.integers(1, 2))
     seq = draw(st.integers(4, 10))
@@ -110,28 +115,23 @@ class TestSynchronousFallback:
     @given(case=runtime_cases())
     def test_workers0_matches_groupwise_executor(self, case):
         network, tokens, exec_config, max_batch = case
-        with InferenceRuntime(
-            network, exec_config, workers=0, max_batch=max_batch
-        ) as runtime:
-            fleet = runtime.run_batch(tokens)
-        expected_logits, expected_plans = groupwise_expected(
+        logits, record, _ = serve(network, exec_config, tokens, max_batch=max_batch)
+        expected_logits, expected_sequences = groupwise_expected(
             network, exec_config, tokens, max_batch
         )
-        assert np.array_equal(fleet.logits, expected_logits)
-        assert_plans_equal(fleet.plans, expected_plans)
+        assert np.array_equal(logits, expected_logits)
+        assert record.sequences == expected_sequences
 
     @settings(max_examples=15, deadline=None)
     @given(case=runtime_cases())
     def test_grouping_covers_batch_exactly_once(self, case):
-        _, tokens, _, max_batch = case
-        groups = plan_dispatch(tokens, max_batch)
-        covered = [i for g in groups for i in g.indices]
-        assert covered == list(range(tokens.shape[0]))  # FIFO, length-only
-        for group in groups[:-1]:
-            assert len(group.indices) == max_batch
-        for group in groups:
-            assert 1 <= len(group.indices) <= max_batch
-            assert np.array_equal(group.tokens, tokens[list(group.indices)])
+        network, tokens, exec_config, max_batch = case
+        _, record, reports = serve(network, exec_config, tokens, max_batch=max_batch)
+        batches = [report.batch for report in reports]
+        assert sum(batches) == tokens.shape[0]  # FIFO, length-only
+        assert all(batch == max_batch for batch in batches[:-1])
+        assert 1 <= batches[-1] <= max_batch
+        assert [seq.seq_index for seq in record.sequences] == list(range(tokens.shape[0]))
 
 
 class TestFleetBitIdentity:
@@ -139,29 +139,24 @@ class TestFleetBitIdentity:
     def test_two_workers_match_groupwise_executor(self, mode):
         network, tokens = build_workload()
         exec_config = MODE_CONFIGS[mode]
-        with InferenceRuntime(
-            network, exec_config, workers=2, max_batch=3
-        ) as runtime:
-            fleet = runtime.run_batch(tokens)
-        expected_logits, expected_plans = groupwise_expected(
+        logits, record, _ = serve(network, exec_config, tokens, workers=2, max_batch=3)
+        expected_logits, expected_sequences = groupwise_expected(
             network, exec_config, tokens, max_batch=3
         )
-        assert np.array_equal(fleet.logits, expected_logits)
-        assert_plans_equal(fleet.plans, expected_plans)
+        assert np.array_equal(logits, expected_logits)
+        assert record.sequences == expected_sequences
         assert leaked_segments() == []
 
     def test_worker_count_does_not_change_bits(self):
         network, tokens = build_workload()
         exec_config = MODE_CONFIGS[ExecutionMode.COMBINED]
-        outputs = []
-        for workers in (0, 1, 2):
-            with InferenceRuntime(
-                network, exec_config, workers=workers, max_batch=3
-            ) as runtime:
-                outputs.append(runtime.run_batch(tokens))
-        for fleet in outputs[1:]:
-            assert np.array_equal(fleet.logits, outputs[0].logits)
-            assert_plans_equal(fleet.plans, outputs[0].plans)
+        outputs = [
+            serve(network, exec_config, tokens, workers=workers, max_batch=3)
+            for workers in (0, 1, 2)
+        ]
+        for logits, record, _ in outputs[1:]:
+            assert np.array_equal(logits, outputs[0][0])
+            assert record.sequences == outputs[0][1].sequences
 
 
 class TestArena:
@@ -189,55 +184,61 @@ class TestArena:
 
 
 class TestBackpressure:
-    def test_nonblocking_submit_raises_when_queue_full(self):
-        network, tokens = build_workload(batch=6)
-        exec_config = MODE_CONFIGS[ExecutionMode.BASELINE]
-        # In-flight is counted parent-side (dispatched, not yet collected),
-        # so a slow worker is not required for determinism — but the dwell
-        # keeps results from racing into the buffer during submit.
-        with InferenceRuntime(
-            network,
-            exec_config,
-            workers=1,
-            max_batch=2,
-            queue_depth=2,
-            dwell_s=0.05,
-        ) as runtime:
-            groups = plan_dispatch(tokens, runtime.max_batch)
-            assert len(groups) == 3
-            runtime.submit(groups[0], block=False)
-            runtime.submit(groups[1], block=False)
-            with pytest.raises(BackpressureError):
-                runtime.submit(groups[2], block=False)
-            runtime.collect(1)  # frees a slot
-            runtime.submit(groups[2], block=False)
-            runtime.collect(2)
-
     def test_bad_token_id_is_the_callers_error_not_a_dead_worker(self):
         """An out-of-vocabulary id used to reach a worker, whose ShapeError
         ended its loop and took the whole fleet down with it."""
         network, tokens = build_workload()
         exec_config = MODE_CONFIGS[ExecutionMode.BASELINE]
-        bad = tokens.copy()
-        bad[1, 3] = VOCAB
-        with InferenceRuntime(network, exec_config, workers=2, max_batch=3) as runtime:
+        with FleetServer(network, exec_config, workers=2, max_batch=3) as fleet:
             with pytest.raises(ShapeError, match="vocabulary"):
-                runtime.run_batch(bad)
-            fleet = runtime.run_batch(tokens)
+                fleet.submit("bad", np.array([1, 2, VOCAB]), now=0.0)
+            tickets = [fleet.submit(f"r{i}", row, now=0.0) for i, row in enumerate(tokens)]
+            fleet.drain(now=0.0)
         expected_logits, _ = groupwise_expected(network, exec_config, tokens, max_batch=3)
-        assert np.array_equal(fleet.logits, expected_logits)
+        assert np.array_equal(np.stack([t.result.logits for t in tickets]), expected_logits)
         assert leaked_segments() == []
 
     def test_lifecycle_errors(self):
         network, tokens = build_workload(batch=2)
-        runtime = InferenceRuntime(network, MODE_CONFIGS[ExecutionMode.BASELINE])
-        with pytest.raises(RuntimeStateError):
-            runtime.run_batch(tokens)
-        runtime.start()
-        runtime.run_batch(tokens)
-        runtime.close()
-        with pytest.raises(RuntimeStateError):
-            runtime.run_batch(tokens)
+        config = MODE_CONFIGS[ExecutionMode.BASELINE]
+        for bad in ({"workers": -1}, {"max_batch": 0}, {"queue_limit": 0}):
+            with pytest.raises(ConfigurationError):
+                FleetServer(network, config, **bad)
+        fleet = FleetServer(network, config)
+        fleet.submit("a", tokens[0], now=0.0)
+        fleet.tick(now=0.0)
+        fleet.close()
+        fleet.submit("b", tokens[1], now=0.0)
+        with pytest.raises(RuntimeStateError, match="closed"):
+            fleet.tick(now=0.0)
+        assert fleet.queue_depth == 1  # refused before anything was dequeued
+
+
+class TestWorkerDeath:
+    def test_sigkill_mid_shard_fails_the_tick_at_once(self, monkeypatch):
+        """A killed worker used to surface only after ``result_timeout_s``
+        (300 s by default) as "no shard result"; the gather now also waits
+        on the process sentinels."""
+        network, tokens = build_workload(hidden=64, seq=64, batch=8)
+        fleet = FleetServer(network, MODE_CONFIGS[ExecutionMode.BASELINE], workers=2,
+                            max_batch=4)
+        gather = fleet._gather
+
+        def kill_then_gather(*args):
+            os.kill(fleet._processes[1].pid, signal.SIGKILL)  # shards are in flight
+            return gather(*args)
+
+        monkeypatch.setattr(fleet, "_gather", kill_then_gather)
+        for i, row in enumerate(tokens):
+            fleet.submit(f"r{i}", row, now=0.0)
+        start = time.monotonic()
+        with pytest.raises(RuntimeStateError, match="worker 1 died"):
+            fleet.tick(now=0.0)
+        assert time.monotonic() - start < 10.0
+        assert leaked_segments() == []
+        assert all(not process.is_alive() for process in fleet._processes)
+        with pytest.raises(RuntimeStateError, match="closed"):
+            fleet.tick(now=0.0)
 
 
 class TestFleetRecords:
@@ -245,13 +246,17 @@ class TestFleetRecords:
         network, tokens = build_workload()
         exec_config = MODE_CONFIGS[ExecutionMode.COMBINED]
         recorder = Recorder()
-        with InferenceRuntime(
+        with FleetServer(
             network, exec_config, workers=2, max_batch=3, recorder=recorder
-        ) as runtime:
-            fleet = runtime.run_batch(tokens)
-        assert fleet.record is not None
-        assert len(recorder.records) == 1
-        record = recorder.last()
+        ) as fleet:
+            for i, row in enumerate(tokens):
+                fleet.submit(f"r{i}", row, now=0.0)
+            reports = fleet.drain(now=0.0)
+            record = fleet.merged_record()
+        assert [r.batch for r in reports] == [6, 1]  # two shards of 3, then one row
+        assert [r.label for r in recorder.records] == ["fleet-tick", "fleet-tick"]
+        for tick_record in recorder.records:
+            validate_run_dict(tick_record.to_dict())
         assert record.label == "fleet"
         assert record.batch == tokens.shape[0]
         assert [seq.seq_index for seq in record.sequences] == list(
@@ -261,17 +266,10 @@ class TestFleetRecords:
 
     def test_workers0_record_matches_schema_and_batch(self):
         network, tokens = build_workload(batch=4)
-        recorder = Recorder()
-        with InferenceRuntime(
-            network,
-            MODE_CONFIGS[ExecutionMode.INTER],
-            workers=0,
-            max_batch=2,
-            recorder=recorder,
-        ) as runtime:
-            runtime.run_batch(tokens)
-        record = recorder.last()
+        _, record, _ = serve(network, MODE_CONFIGS[ExecutionMode.INTER], tokens,
+                             max_batch=2)
         assert record.batch == tokens.shape[0]
+        assert record.timing["ticks"] == 2.0
         validate_run_dict(record.to_dict())
 
     def test_merge_rejects_mismatched_records(self):

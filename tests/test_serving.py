@@ -1,19 +1,20 @@
-"""Contract suite of the serving core, run under both batch-forming policies.
+"""Contract suite of the serving core, run under all three batch-forming policies.
 
 :class:`~repro.runtime.serving.ServingCore` owns admission, tickets, the
 tick's timing and accounting, ``drain``, records and ``run_open_loop``;
-:class:`~repro.runtime.StreamingServer` and :class:`~repro.runtime.ZooServer`
-only decide which queued work forms a tick's batch and how to run it. Every
-case below is therefore one promise both policies keep alike: all-or-nothing
-shedding and its counter, token ids checked at the door, queue-wait
-attribution and completion at the end of the serving tick, a ticket's
-callback fired once, ``drain`` emptying the queue, schema-valid tick and
-merged records, and a deterministic open-loop replay.
+:class:`~repro.runtime.StreamingServer`, :class:`~repro.runtime.ZooServer`
+and :class:`~repro.runtime.FleetServer` (in-process, ``workers=0``) only
+decide which queued work forms a tick's batch and how to run it. Every
+case below is therefore one promise all three keep alike: all-or-nothing
+shedding, its counter and its deterministic order, token ids checked at
+the door, queue-wait attribution and completion at the end of the serving
+tick, a ticket's callback fired once, ``drain`` emptying the queue,
+schema-valid tick and merged records, and a deterministic open-loop replay.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
@@ -27,6 +28,7 @@ from repro.nn.network import LSTMNetwork
 from repro.obs.recorder import Recorder
 from repro.obs.schema import validate_run_dict
 from repro.runtime import (
+    FleetServer,
     LoadSpec,
     ServingStats,
     StreamingServer,
@@ -52,13 +54,14 @@ def network() -> LSTMNetwork:
 class Policy:
     """One server behind the uniform ``submit(session, tokens, now=)`` face."""
 
-    server: StreamingServer | ZooServer
+    server: StreamingServer | ZooServer | FleetServer
     submit: Callable
     stats: ServingStats
     #: Queued parts one submission of ``n`` tokens takes.
     parts: Callable[[int], int]
     arrivals: Callable[[LoadSpec], list]
     label: str
+    tick_label: str
 
 
 def streaming(network, queue_limit=1000, recorder=None) -> Policy:
@@ -69,7 +72,7 @@ def streaming(network, queue_limit=1000, recorder=None) -> Policy:
     )
     return Policy(
         server, server.submit, server.stats, lambda n: -(-n // CHUNK_LEN),
-        lambda spec: generate_arrivals(spec, VOCAB), "stream",
+        lambda spec: generate_arrivals(spec, VOCAB), "stream", "stream-tick",
     )
 
 
@@ -81,13 +84,26 @@ def zoo(network, queue_limit=1000, recorder=None) -> Policy:
     )
     return Policy(
         server, partial(server.submit, "t"), server.tenant_stats("t"), lambda n: 1,
-        lambda spec: generate_tenant_arrivals(spec, {"t": 1.0}, {"t": VOCAB}), "zoo",
+        lambda spec: generate_tenant_arrivals(spec, {"t": 1.0}, {"t": VOCAB}), "zoo", "t",
     )
 
 
-@pytest.fixture(params=[streaming, zoo], ids=["streaming", "zoo"])
+def fleet(network, queue_limit=1000, recorder=None) -> Policy:
+    server = FleetServer(
+        network, ExecutionConfig(mode=ExecutionMode.BASELINE), workers=0,
+        max_batch=MAX_BATCH, queue_limit=queue_limit, clock=lambda: 0.0, recorder=recorder,
+    )
+    # One whole-sequence submission per session: a chunk covers the longest.
+    return Policy(
+        server, server.submit, server.stats, lambda n: 1,
+        lambda spec: generate_arrivals(replace(spec, chunk_len=spec.session_len_max), VOCAB),
+        "fleet", "fleet-tick",
+    )
+
+
+@pytest.fixture(params=[streaming, zoo, fleet], ids=["streaming", "zoo", "fleet"])
 def make(request, network):
-    """Policy factory; every zoo it made is closed (shared memory) at teardown."""
+    """Policy factory; every server it made is closed at teardown."""
     made: list[Policy] = []
 
     def build(**kwargs) -> Policy:
@@ -96,8 +112,7 @@ def make(request, network):
 
     yield build
     for policy in made:
-        if isinstance(policy.server, ZooServer):
-            policy.server.close()
+        policy.server.close()
 
 
 def tokens(n: int, seed: int = 0) -> np.ndarray:
@@ -118,6 +133,19 @@ class TestAdmission:
         p.server.tick(now=0.0)
         p.submit("big", tokens(8), now=0.0)  # fits once a tick frees room
         assert p.stats.shed == need
+
+    def test_queue_bound_sheds_deterministically(self, make):
+        def history() -> list[int]:
+            p = make(queue_limit=3)
+            shed = []
+            for i in range(8):
+                try:
+                    p.submit(f"s{i}", tokens(4, i), now=0.0)
+                except BackpressureError:
+                    shed.append(i)
+            return shed
+
+        assert history() == history() == [3, 4, 5, 6, 7]
 
     def test_bad_ids_are_refused_at_the_door(self, make):
         """Out-of-vocabulary, negative and float ids are one submission's
@@ -188,6 +216,7 @@ class TestRecords:
         for record in records:
             data = record.to_dict()
             validate_run_dict(data)
+            assert data["label"] == p.tick_label
             assert data["timing"]["ticks"] == 1.0
         data = p.server.merged_record().to_dict()
         validate_run_dict(data)
