@@ -80,7 +80,6 @@ from repro.core.pipeline import OptimizedLSTM
 from repro.core.plan import PlanCache
 from repro.core.reference import ReferenceExecutor
 from repro.gpu.simulator import TimingSimulator
-from repro.nn.backprop import network_parameters
 from repro.nn.model_zoo import build_calibrated_network
 from repro.nn.network import LSTMNetwork
 from repro.obs import Recorder
@@ -490,7 +489,7 @@ def resident_bytes(gates: GateSet) -> dict:
     network = LSTMNetwork(
         config, vocab_size=4096, num_classes=4096, seed=11, per_timestep_head=True
     )
-    weight_bytes = sum(array.nbytes for array in network_parameters(network))
+    weight_bytes = sum(array.nbytes for array in network.parameters())
     row: dict = {
         "hidden_size": config.hidden_size,
         "num_layers": config.num_layers,

@@ -1,25 +1,25 @@
-"""Memory-frugal BPTT gate: bit identity, FD oracle, saved-bytes, calibration.
+"""Memory-frugal BPTT gate: one forward, faithful rebuild, FD oracle,
+saved bytes, calibration.
 
 Exercises :mod:`repro.nn.backprop` and :mod:`repro.nn.calibrate` and
 writes ``BENCH_training.json``:
 
-* **gradient correctness** — the ``stash`` and ``recompute`` saved-tensor
-  policies must produce **bit-identical** fp64 gradients (they share the
-  forward's batched GEMMs verbatim, so the contract is equality, not
-  closeness), and the analytic gradients must agree with the shared
-  central-difference oracle (:mod:`tests.gradcheck`) to
+* **one forward** — the training tape (logits, per-layer ``Y`` and ``C``)
+  must be bit-identical to ``ReferenceExecutor(BASELINE)`` run with
+  ``collect_states`` (``forward_is_reference``), and the gates backward
+  rebuilds from the tape must reproduce ``Y = o * tanh(C)`` and
+  ``C = f * c_prev + i * g`` within ``MAX_REBUILD_ERR``
+  (``rebuild_matches_tape``);
+* **gradient correctness** — the analytic gradients must agree with the
+  shared central-difference oracle (:mod:`tests.gradcheck`) to
   ``MAX_FD_REL_ERR`` on spot-checked coordinates;
-* **saved-tensor reduction** — across a sequence-length sweep the
-  recompute policy's saved-tensor bytes must shrink relative to stash as
-  ``T`` grows, reaching ``>= MIN_SAVED_RATIO`` at the longest swept
-  length *both* analytically (the 7-vs-2 tensors/layer model) and as
-  measured by ``tracemalloc``, and the recompute policy's measured
-  high-water mark for a full step must not exceed stash's;
-* **throughput penalty** — recomputation re-runs the input projections
-  in the backward pass, so it cannot be free; the gate bounds the cost:
-  min-of-``REPEATS`` step time (warmup first, GC paused — allocation
-  noise is one-sided) must keep recompute at
-  ``>= MIN_RECOMPUTE_THROUGHPUT`` of stash throughput;
+* **saved bytes** — across a sequence-length sweep, ``tracemalloc``'s
+  retained-after-forward bytes must sit within ``MAX_SAVED_REL_ERR`` of
+  :func:`~repro.nn.backprop.analytic_saved_bytes` (two ``(B, T, H)``
+  tensors per layer) at the longest swept length; the full-step
+  high-water mark is reported beside it;
+* **step time** — min-of-``REPEATS`` step time (warmup first, GC paused:
+  allocation noise is one-sided) is reported as ``step_s``, ungated;
 * **calibration consumer** — fine-tuning on a drifted synthetic teacher
   must converge, re-fingerprint the weights, and demonstrably move the
   quantities the inference stack derives from gate statistics: the DRS
@@ -50,14 +50,13 @@ if str(_REPO_ROOT) not in sys.path:
 from repro.bench.deflake import REPEATS, SHORT, WARMUP, gc_paused
 from repro.bench.gates import GateSet
 from repro.config import LSTMConfig
+from repro.core.executor import ExecutionConfig, ExecutionMode
+from repro.core.reference import ReferenceExecutor
 from repro.core.tuner import collect_relevance_samples
 from repro.nn.backprop import (
-    SAVED_TENSORS_PER_LAYER,
-    TrainingConfig,
     analytic_saved_bytes,
-    backward,
     measure_training_memory,
-    network_parameters,
+    rebuild_gates,
     training_forward,
     training_step,
 )
@@ -92,14 +91,13 @@ TIME_BATCH = 4 if SHORT else 8
 
 #: Timing discipline (WARMUP/REPEATS/gc_paused) is the shared de-flake
 #: harness in repro.bench.deflake: untimed warmup, then the min of
-#: interleaved repeats with GC paused — allocation/GC noise only ever
-#: adds time, so the min is the honest estimate.
+#: repeats with GC paused — allocation/GC noise only ever adds time, so
+#: the min is the honest estimate.
 
 #: Gate bounds.
 MAX_FD_REL_ERR = DEFAULT_TOLERANCE
-MIN_SAVED_RATIO = 3.0
-MAX_PEAK_RATIO = 1.0
-MIN_RECOMPUTE_THROUGHPUT = 0.6
+MAX_REBUILD_ERR = 1e-12
+MAX_SAVED_REL_ERR = 0.25
 MIN_BREAKPOINTS_MOVED = 1
 
 #: Calibration workload.
@@ -125,47 +123,52 @@ def _batch(network: LSTMNetwork, batch: int, seed: int = 1):
 
 
 def check_gradients(gates: GateSet) -> dict:
-    """Bit identity between policies + the finite-difference oracle."""
+    """One forward, a faithful rebuild, and the finite-difference oracle."""
     network = _network(GRAD_HIDDEN, GRAD_LAYERS, GRAD_SEQ)
     tokens, labels = _batch(network, GRAD_BATCH)
 
-    _, grads_stash = training_step(
-        network, tokens, labels, TrainingConfig(policy="stash")
+    tape = training_forward(network, tokens)
+    reference = ReferenceExecutor(
+        network, ExecutionConfig(mode=ExecutionMode.BASELINE)
+    ).run_batch(tokens, collect_states=True)
+    identical = np.array_equal(tape.logits, reference.logits) and all(
+        np.array_equal(layer.y, y) and np.array_equal(layer.c, c)
+        for layer, y, c in zip(tape.layers, reference.layer_outputs, reference.layer_states)
     )
-    _, grads_recompute = training_step(
-        network, tokens, labels, TrainingConfig(policy="recompute")
-    )
-    identical = grads_stash.allclose(grads_recompute, exact=True)
     gates.require_true(
-        "grad_bit_identity",
+        "forward_is_reference",
         identical,
-        detail="stash vs recompute gradients, exact fp64 equality",
+        detail="logits, Y and C vs ReferenceExecutor(BASELINE), exact fp64 equality",
     )
 
-    # Truncated windows must stay bit-identical too (the reset hits both
-    # policies at the same timesteps).
-    trunc = TrainingConfig(policy="stash", truncation=5)
-    _, t_stash = training_step(network, tokens, labels, trunc)
-    _, t_recompute = training_step(
-        network, tokens, labels, TrainingConfig(policy="recompute", truncation=5)
+    rebuild_err = 0.0
+    xs = network.embedding[tokens]
+    hidden = GRAD_HIDDEN
+    for layer, saved in zip(network.layers, tape.layers):
+        rebuilt, _ = rebuild_gates(layer.weights, xs, saved.y)
+        f, i, g, o = (
+            rebuilt[:, k * hidden : (k + 1) * hidden].reshape(saved.y.shape)
+            for k in range(4)
+        )
+        c_prev = np.zeros_like(saved.c)
+        c_prev[:, 1:] = saved.c[:, :-1]
+        rebuild_err = max(
+            rebuild_err,
+            float(np.max(np.abs(o * np.tanh(saved.c) - saved.y))),
+            float(np.max(np.abs(f * c_prev + i * g - saved.c))),
+        )
+        xs = saved.y
+    gates.require_at_most(
+        "rebuild_matches_tape",
+        rebuild_err,
+        MAX_REBUILD_ERR,
+        detail="max |o*tanh(C) - Y|, |f*c_prev + i*g - C| over every layer",
     )
-    gates.require_true(
-        "grad_bit_identity_truncated",
-        t_stash.allclose(t_recompute, exact=True),
-        detail="truncation=5 windows",
-    )
 
-    config = TrainingConfig(policy="recompute")
-
-    def loss_fn() -> float:
-        tape = training_forward(network, tokens, config)
-        loss, _ = backward(tape, labels)
-        return loss
-
-    _, analytic = training_step(network, tokens, labels, config)
+    _, analytic = training_step(network, tokens, labels)
     fd_err = finite_difference_check(
-        loss_fn,
-        network_parameters(network),
+        lambda: training_step(network, tokens, labels)[0],
+        network.parameters(),
         analytic.arrays(),
         rng=np.random.default_rng(7),
         coords_per_array=2 if SHORT else 4,
@@ -181,95 +184,60 @@ def check_gradients(gates: GateSet) -> dict:
         "layers": GRAD_LAYERS,
         "seq_len": GRAD_SEQ,
         "batch": GRAD_BATCH,
-        "bit_identical": identical,
+        "forward_is_reference": identical,
+        "rebuild_max_abs_err": rebuild_err,
         "fd_max_rel_err": fd_err,
     }
 
 
 def check_saved_bytes(gates: GateSet) -> dict:
-    """Analytic + measured saved-tensor sweep over sequence length."""
+    """Measured saved bytes against the analytic model over sequence length."""
     sweep: list[dict] = []
     for seq_len in SWEEP_SEQ_LENS:
         network = _network(TIME_HIDDEN, TIME_LAYERS, seq_len, seed=2)
         tokens, labels = _batch(network, SWEEP_BATCH, seed=seq_len)
-        row: dict = {"seq_len": seq_len, "batch": SWEEP_BATCH}
-        for policy in ("stash", "recompute"):
-            measured = measure_training_memory(
-                network, tokens, labels, TrainingConfig(policy=policy)
-            )
-            row[policy] = {
-                "analytic_saved_bytes": analytic_saved_bytes(
-                    network, SWEEP_BATCH, seq_len, policy
-                ),
+        if not sweep:
+            # The first step in a process also imports the executor's lazily
+            # loaded modules; keep that out of the measured rows.
+            training_step(network, tokens, labels)
+        measured = measure_training_memory(network, tokens, labels)
+        analytic = analytic_saved_bytes(network, SWEEP_BATCH, seq_len)
+        sweep.append(
+            {
+                "seq_len": seq_len,
+                "batch": SWEEP_BATCH,
+                "analytic_saved_bytes": analytic,
                 "measured_saved_bytes": measured["measured_saved_bytes"],
                 "measured_peak_bytes": measured["measured_peak_bytes"],
+                "saved_rel_err": abs(measured["measured_saved_bytes"] - analytic) / analytic,
             }
-        row["analytic_saved_ratio"] = (
-            row["stash"]["analytic_saved_bytes"]
-            / row["recompute"]["analytic_saved_bytes"]
         )
-        row["measured_saved_ratio"] = (
-            row["stash"]["measured_saved_bytes"]
-            / row["recompute"]["measured_saved_bytes"]
-        )
-        row["measured_peak_ratio"] = (
-            row["recompute"]["measured_peak_bytes"]
-            / row["stash"]["measured_peak_bytes"]
-        )
-        sweep.append(row)
 
     longest = sweep[-1]
-    gates.require_at_least(
-        "analytic_saved_ratio",
-        longest["analytic_saved_ratio"],
-        MIN_SAVED_RATIO,
-        detail=f"stash/recompute saved bytes at T={longest['seq_len']} (analytic)",
-    )
-    gates.require_at_least(
-        "measured_saved_ratio",
-        longest["measured_saved_ratio"],
-        MIN_SAVED_RATIO,
-        detail=f"stash/recompute saved bytes at T={longest['seq_len']} (tracemalloc)",
-    )
     gates.require_at_most(
-        "measured_peak_ratio",
-        longest["measured_peak_ratio"],
-        MAX_PEAK_RATIO,
-        detail="recompute/stash full-step high-water mark",
+        "saved_bytes_rel_err",
+        longest["saved_rel_err"],
+        MAX_SAVED_REL_ERR,
+        detail=(
+            f"|tracemalloc - analytic| / analytic saved bytes at T={longest['seq_len']} "
+            f"(peak {longest['measured_peak_bytes'] / 1e6:.2f} MB)"
+        ),
     )
-    return {
-        "hidden": TIME_HIDDEN,
-        "layers": TIME_LAYERS,
-        "tensors_per_layer": dict(SAVED_TENSORS_PER_LAYER),
-        "sweep": sweep,
-    }
+    return {"hidden": TIME_HIDDEN, "layers": TIME_LAYERS, "sweep": sweep}
 
 
-def check_throughput(gates: GateSet) -> dict:
-    """Recompute's step-time penalty, min-of-REPEATS with GC paused."""
+def check_step_time() -> dict:
+    """Min-of-REPEATS step time with GC paused (reported, not gated)."""
     network = _network(TIME_HIDDEN, TIME_LAYERS, TIME_SEQ, seed=3)
     tokens, labels = _batch(network, TIME_BATCH, seed=5)
-    configs = {policy: TrainingConfig(policy=policy) for policy in ("stash", "recompute")}
-
-    for config in configs.values():
-        for _ in range(WARMUP):
-            training_step(network, tokens, labels, config)
-
-    best = {policy: float("inf") for policy in configs}
+    for _ in range(WARMUP):
+        training_step(network, tokens, labels)
+    best = float("inf")
     with gc_paused():
         for _ in range(REPEATS):
-            for policy, config in configs.items():
-                start = time.perf_counter()
-                training_step(network, tokens, labels, config)
-                best[policy] = min(best[policy], time.perf_counter() - start)
-
-    ratio = best["stash"] / best["recompute"]
-    gates.require_at_least(
-        "recompute_throughput_ratio",
-        ratio,
-        MIN_RECOMPUTE_THROUGHPUT,
-        detail=f"min-of-{REPEATS} step time, stash_s/recompute_s",
-    )
+            start = time.perf_counter()
+            training_step(network, tokens, labels)
+            best = min(best, time.perf_counter() - start)
     return {
         "hidden": TIME_HIDDEN,
         "layers": TIME_LAYERS,
@@ -277,9 +245,7 @@ def check_throughput(gates: GateSet) -> dict:
         "batch": TIME_BATCH,
         "warmup": WARMUP,
         "repeats": REPEATS,
-        "stash_step_s": best["stash"],
-        "recompute_step_s": best["recompute"],
-        "recompute_throughput_ratio": ratio,
+        "step_s": best,
     }
 
 
@@ -344,20 +310,19 @@ def run() -> tuple[dict, GateSet]:
     gates = GateSet("training")
     gradients = check_gradients(gates)
     saved = check_saved_bytes(gates)
-    throughput = check_throughput(gates)
+    step_time = check_step_time()
     calibration = check_calibration(gates)
     return {
         "short_mode": SHORT,
         "bounds": {
             "max_fd_rel_err": MAX_FD_REL_ERR,
-            "min_saved_ratio": MIN_SAVED_RATIO,
-            "max_peak_ratio": MAX_PEAK_RATIO,
-            "min_recompute_throughput": MIN_RECOMPUTE_THROUGHPUT,
+            "max_rebuild_err": MAX_REBUILD_ERR,
+            "max_saved_rel_err": MAX_SAVED_REL_ERR,
             "min_breakpoints_moved": MIN_BREAKPOINTS_MOVED,
         },
         "gradients": gradients,
         "saved_bytes": saved,
-        "throughput": throughput,
+        "step_time": step_time,
         "calibration": calibration,
         "gates": gates.as_dict(),
         "failures": gates.failures,

@@ -9,7 +9,7 @@ Subcommands::
     repro serve --policy stream --mode intra --record stream.jsonl
     repro serve --policy zoo --tenant MR:2:fp64 --tenant MR:1:int8
     repro serve --policy fleet --workers 2 --mode combined
-    repro calibrate MR --steps 5 --optimizer adam --policy recompute
+    repro calibrate MR --steps 5 --optimizer adam --truncation 10
     repro trace record MR --out runs.jsonl --chrome trace.json
     repro trace summarize runs.jsonl
     repro trace diff base.jsonl other.jsonl
@@ -193,11 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     calibrate.add_argument(
         "--optimizer", choices=["adam", "sgd"], default="adam",
         help="update rule for the fine-tuning loop",
-    )
-    calibrate.add_argument(
-        "--policy", choices=["stash", "recompute"], default="recompute",
-        help="saved-tensor policy of the backward pass (gradients are "
-        "bit-identical either way; only peak memory differs)",
     )
     calibrate.add_argument(
         "--truncation", type=int, default=None,
@@ -567,7 +562,7 @@ def _cmd_calibrate(args) -> int:
 
     from repro.config import get_app
     from repro.core.tuner import collect_relevance_samples
-    from repro.nn.backprop import TrainingConfig, measure_training_memory
+    from repro.nn.backprop import measure_training_memory
     from repro.nn.calibrate import (
         DriftSpec,
         drift_network,
@@ -586,10 +581,9 @@ def _cmd_calibrate(args) -> int:
     tokens, labels = synthetic_drift_batch(
         teacher, num_sequences=args.sequences, seed=args.seed + 1
     )
-    config = TrainingConfig(policy=args.policy, truncation=args.truncation)
     print(
         f"Fine-tuning on drift (magnitude {args.drift:g}) for {args.steps} "
-        f"step(s) [{args.optimizer}, {args.policy}] ...",
+        f"step(s) [{args.optimizer}] ...",
         file=sys.stderr,
     )
     result = fine_tune(
@@ -599,7 +593,7 @@ def _cmd_calibrate(args) -> int:
         steps=args.steps,
         optimizer=args.optimizer,
         lr=args.lr,
-        config=config,
+        truncation=args.truncation,
         keep_final_tape=True,
     )
     print(
@@ -613,11 +607,7 @@ def _cmd_calibrate(args) -> int:
         f"({'changed' if result.weights_changed else 'UNCHANGED'})"
     )
     memory = dict(result.final_tape.memory_report())
-    print(
-        f"saved tensors [{args.policy}]: {memory['saved_bytes'] / 1e6:.3f} MB "
-        f"(stash would hold {memory['saved_bytes_stash'] / 1e6:.3f} MB, "
-        f"recompute {memory['saved_bytes_recompute'] / 1e6:.3f} MB)"
-    )
+    print(f"saved tensors (Y and C per layer): {memory['saved_bytes'] / 1e6:.3f} MB")
 
     # Breakpoint threshold: a fixed quantile of the *frozen* relevance
     # distribution, so placements exist on both sides and any movement is
@@ -642,7 +632,7 @@ def _cmd_calibrate(args) -> int:
     if args.record:
         from repro.obs import RunRecord, write_jsonl
 
-        trained = measure_training_memory(network, tokens, labels, config)
+        trained = measure_training_memory(network, tokens, labels, args.truncation)
         memory["measured_saved_bytes"] = float(trained["measured_saved_bytes"])
         memory["measured_peak_bytes"] = float(trained["measured_peak_bytes"])
         record = RunRecord(
@@ -652,7 +642,6 @@ def _cmd_calibrate(args) -> int:
             batch=int(tokens.shape[0]),
             seq_length=int(tokens.shape[1]),
             config={
-                "policy": args.policy,
                 "truncation": args.truncation,
                 "optimizer": args.optimizer,
                 "lr": args.lr,

@@ -17,11 +17,6 @@ from repro.core.relevance import relevance_values, exact_relevance_values
 from repro.core.breakpoints import find_breakpoints, divide_layer, SubLayer
 from repro.core.context_prediction import ContextLinkPredictor, PredictedLink
 from repro.core.drs import trivial_row_mask, tissue_skip_mask, skip_fraction
-from repro.core.gru_adaptation import (
-    gru_compression_ratio,
-    gru_relevance_values,
-    gru_trivial_row_mask,
-)
 from repro.core.tissue import Tissue, align_tissues, form_tissues, calibrate_mts
 from repro.core.plan import LayerPlanRecord, SequencePlan, TissueRecord
 from repro.core.executor import ExecutionConfig, ExecutionMode, ExecutionResult, LSTMExecutor
@@ -55,9 +50,6 @@ __all__ = [
     "exact_relevance_values",
     "find_breakpoints",
     "form_tissues",
-    "gru_compression_ratio",
-    "gru_relevance_values",
-    "gru_trivial_row_mask",
     "relevance_values",
     "skip_fraction",
     "tissue_skip_mask",

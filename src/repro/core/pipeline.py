@@ -46,7 +46,6 @@ from repro.errors import CalibrationError, ConfigurationError
 from repro.gpu.simulator import TimingSimulator
 from repro.gpu.specs import GPUSpec, TEGRA_X1
 from repro.gpu.trace import TraceSummary
-from repro.nn.backprop import network_parameters
 from repro.nn.model_zoo import build_calibrated_network
 from repro.nn.network import LSTMNetwork
 from repro.nn.quantize import Precision
@@ -175,7 +174,7 @@ class OptimizedLSTM:
         figure is the owner's own ``nbytes`` (array bytes; interpreter
         objects are not counted), read at the time of the call."""
         return {
-            "weights": sum(array.nbytes for array in network_parameters(self.network)),
+            "weights": sum(array.nbytes for array in self.network.parameters()),
             "workspace_arenas": self.program_cache.nbytes,
             "plan_cache": self.plan_cache.nbytes,
             "token_row_memo": self.plan_cache.token_rows.nbytes,

@@ -1,32 +1,30 @@
-"""Neural-network substrate: a from-scratch numpy LSTM/GRU stack.
+"""Neural-network substrate: a from-scratch numpy LSTM stack.
 
 This subpackage provides everything the paper's PyTorch side provided —
 cell math (Eq. 1-5), unrolled layers, multi-layer networks with embedding and
 task heads, the zero-pruning baseline, and a calibrated model zoo standing in
-for pre-trained checkpoints.
+for pre-trained checkpoints — plus truncated BPTT whose forward is the exact
+executor's run (:mod:`repro.nn.backprop`) and the fine-tuning loop on top of
+it (:mod:`repro.nn.calibrate`).
 """
 
 from repro.nn.activations import (
     SENSITIVE_HI,
     SENSITIVE_LO,
     SENSITIVE_WIDTH,
-    dhard_sigmoid,
     dsigmoid,
     dtanh,
     hard_sigmoid,
     sensitive_overlap,
     sigmoid,
-    sigmoid_derivative_for,
     tanh,
 )
 from repro.nn.backprop import (
     Gradients,
-    TrainingConfig,
     TrainingTape,
     analytic_saved_bytes,
     backward,
     measure_training_memory,
-    network_parameters,
     softmax_cross_entropy,
     training_forward,
     training_step,
@@ -47,7 +45,6 @@ from repro.nn.initializers import WeightInitializer
 from repro.nn.lstm_cell import CellState, GateVectors, LSTMCellWeights, lstm_cell_step
 from repro.nn.lstm_layer import LSTMLayer
 from repro.nn.network import LSTMNetwork, NetworkOutput
-from repro.nn.gru import GRUCellWeights, GRULayer, gru_cell_step, gru_layer_backward
 from repro.nn.pruning import ZeroPruningResult, zero_prune
 from repro.nn.model_zoo import CalibrationProfile, build_calibrated_network
 
@@ -61,8 +58,6 @@ __all__ = [
     "DriftReport",
     "DriftSpec",
     "FineTuneResult",
-    "GRUCellWeights",
-    "GRULayer",
     "GateVectors",
     "Gradients",
     "LSTMCellWeights",
@@ -70,29 +65,23 @@ __all__ = [
     "LSTMNetwork",
     "NetworkOutput",
     "SGD",
-    "TrainingConfig",
     "TrainingTape",
     "WeightInitializer",
     "ZeroPruningResult",
     "analytic_saved_bytes",
     "backward",
     "build_calibrated_network",
-    "dhard_sigmoid",
     "drift_network",
     "drift_report",
     "dsigmoid",
     "dtanh",
     "fine_tune",
-    "gru_cell_step",
-    "gru_layer_backward",
     "hard_sigmoid",
     "lstm_cell_step",
     "measure_gate_statistics",
     "measure_training_memory",
-    "network_parameters",
     "sensitive_overlap",
     "sigmoid",
-    "sigmoid_derivative_for",
     "softmax_cross_entropy",
     "synthetic_drift_batch",
     "tanh",

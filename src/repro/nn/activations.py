@@ -55,8 +55,8 @@ def dsigmoid(y: np.ndarray) -> np.ndarray:
 
     For ``y = sigmoid(x)`` the derivative w.r.t. ``x`` is ``y * (1 - y)``.
     Taking the activation (not the pre-activation) as input is what makes
-    the memory-frugal backward pass possible: the recompute policy rebuilds
-    ``y`` from the saved states and never needs the pre-activation.
+    the memory-frugal backward pass possible: it rebuilds ``y`` from the
+    saved states and never needs the pre-activation.
     """
     y = np.asarray(y, dtype=np.float64)
     return y * (1.0 - y)
@@ -66,39 +66,6 @@ def dtanh(y: np.ndarray) -> np.ndarray:
     """Tanh derivative in terms of the saved activation: ``1 - y**2``."""
     y = np.asarray(y, dtype=np.float64)
     return 1.0 - y * y
-
-
-def dhard_sigmoid(y: np.ndarray) -> np.ndarray:
-    """Hard-sigmoid derivative in terms of the saved activation value.
-
-    ``hard_sigmoid`` has slope 0.25 on the linear segment and 0 on both
-    saturated plateaus. The activation value alone identifies the segment:
-    strictly inside ``(0, 1)`` the point sits on the ramp, at exactly 0 or
-    1 it is clipped (the measure-zero kinks at ``x = ±2`` are assigned the
-    saturated subgradient 0, matching the convention of major frameworks).
-    """
-    y = np.asarray(y, dtype=np.float64)
-    return np.where((y > 0.0) & (y < 1.0), 0.25, 0.0)
-
-
-def sigmoid_derivative_for(sigmoid_fn) -> "np.ufunc | object":
-    """The activation-value derivative matching a forward sigmoid variant.
-
-    The training stack lets layers swap :func:`hard_sigmoid` in for
-    :func:`sigmoid`; the backward pass resolves the matching derivative
-    here so both variants train through one code path.
-
-    Raises:
-        KeyError: For an unknown activation function.
-    """
-    table = {sigmoid: dsigmoid, hard_sigmoid: dhard_sigmoid}
-    try:
-        return table[sigmoid_fn]
-    except KeyError:
-        raise KeyError(
-            f"no derivative registered for sigmoid variant {sigmoid_fn!r} "
-            "(expected repro.nn.activations.sigmoid or hard_sigmoid)"
-        ) from None
 
 
 def sensitive_overlap(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

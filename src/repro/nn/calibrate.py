@@ -13,8 +13,8 @@ placement and DRS skip ratios are live quantities, not constants.
 Pieces:
 
 * :class:`SGD` / :class:`Adam` — minimal in-place optimizers over the
-  canonical parameter order of :func:`~repro.nn.backprop.
-  network_parameters`.
+  canonical parameter order of :meth:`~repro.nn.network.LSTMNetwork.
+  parameters`.
 * :func:`drift_network` — the synthetic drift model: a copy of the
   network whose output/forget-gate biases and input projections are
   shifted, the way retraining on moved data shifts trained gates.
@@ -35,14 +35,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.nn.backprop import (
-    Gradients,
-    TrainingConfig,
-    TrainingTape,
-    backward,
-    network_parameters,
-    training_forward,
-)
+from repro.nn.backprop import TrainingTape, backward, training_forward
 from repro.nn.network import LSTMNetwork
 
 if TYPE_CHECKING:
@@ -194,8 +187,7 @@ def synthetic_drift_batch(
     tokens = rng.integers(
         0, teacher.vocab_size, size=(num_sequences, teacher.config.seq_length)
     )
-    tape = training_forward(teacher, tokens, TrainingConfig(policy="recompute"))
-    labels = np.argmax(tape.logits, axis=-1)
+    labels = np.argmax(training_forward(teacher, tokens).logits, axis=-1)
     return tokens, labels
 
 
@@ -210,7 +202,6 @@ class FineTuneResult:
     fingerprint_before: str
     fingerprint_after: str
     wall_s: float
-    config: TrainingConfig
     final_tape: TrainingTape | None = None
 
     @property
@@ -231,7 +222,7 @@ def fine_tune(
     steps: int = 8,
     optimizer: "SGD | Adam | str" = "adam",
     lr: float = 1e-2,
-    config: TrainingConfig | None = None,
+    truncation: int | None = None,
     keep_final_tape: bool = False,
 ) -> FineTuneResult:
     """Fine-tune ``network`` in place on one labelled batch.
@@ -242,7 +233,8 @@ def fine_tune(
         labels: Targets — ``(B,)`` or ``(B, T)`` matching the head.
         steps: Full-batch optimizer steps.
         optimizer: Instance or registry name (``lr`` applies to names).
-        config: Saved-tensor policy / truncation for the BPTT pass.
+        truncation: Truncated-BPTT window of the backward pass
+            (:func:`~repro.nn.backprop.backward`).
         keep_final_tape: Retain the last step's tape on the result (for
             memory reporting) instead of dropping it.
     """
@@ -250,17 +242,16 @@ def fine_tune(
         raise ConfigurationError(f"steps must be positive, got {steps}")
     from repro.core.plan import fingerprint_network, invalidate_weight_fingerprints
 
-    config = config if config is not None else TrainingConfig()
     if isinstance(optimizer, str):
         optimizer = build_optimizer(optimizer, lr)
-    params = network_parameters(network)
+    params = network.parameters()
     fingerprint_before = fingerprint_network(network)
     losses: list[float] = []
     final_tape: TrainingTape | None = None
     start = time.perf_counter()
     for step_index in range(steps):
-        tape = training_forward(network, tokens, config)
-        loss, grads = backward(tape, labels)
+        tape = training_forward(network, tokens)
+        loss, grads = backward(tape, labels, truncation)
         optimizer.step(params, grads.arrays())
         losses.append(loss)
         if keep_final_tape and step_index == steps - 1:
@@ -274,7 +265,6 @@ def fine_tune(
         fingerprint_before=fingerprint_before,
         fingerprint_after=fingerprint_network(network),
         wall_s=wall_s,
-        config=config,
         final_tape=final_tape,
     )
 

@@ -23,7 +23,6 @@ united matrices is ``(f, i, c, o)``, matching the paper's subscripts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -93,6 +92,12 @@ class LSTMCellWeights:
     def gate_b(self, gate: str) -> np.ndarray:
         """Bias vector ``b_gate``."""
         return getattr(self, f"b_{gate}")
+
+    def gate_arrays(self) -> list[np.ndarray]:
+        """The twelve per-gate views ``W_{f,i,c,o}``, ``U_{f,i,c,o}``,
+        ``b_{f,i,c,o}`` in that order — slices of the blocks, so an
+        in-place update through them lands in the one copy."""
+        return [getattr(self, f"{kind}_{gate}") for kind in "wub" for gate in GATE_ORDER]
 
     def united_w(self) -> np.ndarray:
         """The ``W_{f,i,c,o}`` block, shape ``(4H, input_size)`` (not a copy)."""
@@ -199,7 +204,6 @@ def lstm_cell_step(
     x_proj: dict[str, np.ndarray],
     state: CellState,
     skip_rows: np.ndarray | None = None,
-    sigmoid_fn: Callable[[np.ndarray], np.ndarray] = sigmoid,
 ) -> tuple[CellState, GateVectors]:
     """Advance one LSTM cell by one timestep (Eq. 1-5).
 
@@ -212,8 +216,6 @@ def lstm_cell_step(
             trivial row skipped by DRS. Skipped rows contribute ``c_t = 0``
             and therefore ``h_t = 0`` (Section V-A). The output gate ``o_t``
             is always computed in full — DRS needs it to pick the rows.
-        sigmoid_fn: Gate activation (swap in :func:`hard_sigmoid` to model
-            frameworks that use the piecewise-linear approximation).
 
     Returns:
         The new :class:`CellState` and the :class:`GateVectors` diagnostics.
@@ -221,7 +223,7 @@ def lstm_cell_step(
     h_prev, c_prev = state.h, state.c
 
     o_pre = x_proj["o"] + h_prev @ weights.u_o.T + weights.b_o
-    o = sigmoid_fn(o_pre)
+    o = sigmoid(o_pre)
 
     if skip_rows is None:
         keep = None
@@ -234,8 +236,8 @@ def lstm_cell_step(
         keep = ~skip_rows
 
     if keep is None:
-        f = sigmoid_fn(x_proj["f"] + h_prev @ weights.u_f.T + weights.b_f)
-        i = sigmoid_fn(x_proj["i"] + h_prev @ weights.u_i.T + weights.b_i)
+        f = sigmoid(x_proj["f"] + h_prev @ weights.u_f.T + weights.b_f)
+        i = sigmoid(x_proj["i"] + h_prev @ weights.u_i.T + weights.b_i)
         g = tanh(x_proj["c"] + h_prev @ weights.u_c.T + weights.b_c)
         c = f * c_prev + i * g
     else:
@@ -245,10 +247,10 @@ def lstm_cell_step(
         i = np.zeros_like(o)
         g = np.zeros_like(o)
         if np.any(keep):
-            f_kept = sigmoid_fn(
+            f_kept = sigmoid(
                 _rows(x_proj["f"], keep) + h_prev @ weights.u_f[keep].T + weights.b_f[keep]
             )
-            i_kept = sigmoid_fn(
+            i_kept = sigmoid(
                 _rows(x_proj["i"], keep) + h_prev @ weights.u_i[keep].T + weights.b_i[keep]
             )
             g_kept = tanh(
@@ -267,7 +269,6 @@ def run_reference_cell_sequence(
     weights: LSTMCellWeights,
     xs: np.ndarray,
     initial: CellState | None = None,
-    sigmoid_fn: Callable[[np.ndarray], np.ndarray] = sigmoid,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the exact (unoptimized) cell recurrence over a whole sequence.
 
@@ -288,7 +289,7 @@ def run_reference_cell_sequence(
     cs = np.empty_like(hs)
     for t in range(xs.shape[0]):
         step_proj = {g: proj[g][t] for g in GATE_ORDER}
-        state, _ = lstm_cell_step(weights, step_proj, state, sigmoid_fn=sigmoid_fn)
+        state, _ = lstm_cell_step(weights, step_proj, state)
         hs[t] = state.h
         cs[t] = state.c
     return hs, cs

@@ -9,12 +9,9 @@ for agreement accuracy.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.nn.activations import sigmoid
 from repro.nn.lstm_cell import (
     CellState,
     LSTMCellWeights,
@@ -26,13 +23,8 @@ from repro.nn.initializers import WeightInitializer
 class LSTMLayer:
     """An unrolled LSTM layer (a chain of cells sharing one weight set)."""
 
-    def __init__(
-        self,
-        weights: LSTMCellWeights,
-        sigmoid_fn: Callable[[np.ndarray], np.ndarray] = sigmoid,
-    ) -> None:
+    def __init__(self, weights: LSTMCellWeights) -> None:
         self.weights = weights
-        self.sigmoid_fn = sigmoid_fn
 
     @property
     def hidden_size(self) -> int:
@@ -75,6 +67,4 @@ class LSTMLayer:
             raise ShapeError(
                 f"layer expects (T, {self.input_size}) inputs, got {xs.shape}"
             )
-        return run_reference_cell_sequence(
-            self.weights, xs, initial=initial, sigmoid_fn=self.sigmoid_fn
-        )
+        return run_reference_cell_sequence(self.weights, xs, initial=initial)

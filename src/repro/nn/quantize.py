@@ -42,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.nn.gru import GRU_GATE_ORDER, GRUCellWeights
 from repro.nn.lstm_cell import GATE_ORDER, LSTMCellWeights
 
 #: Valid ``Precision.weights`` values, widest first.
@@ -181,13 +180,13 @@ class QuantizedCell:
     Attributes:
         precision: The policy that produced this cell.
         dequantized: Cell weights rebuilt in float64 — what the executor
-            computes with (``LSTMCellWeights`` or ``GRUCellWeights``).
+            computes with.
         w: Per-gate quantized input-projection payloads.
         u: Per-gate quantized recurrence payloads.
     """
 
     precision: Precision
-    dequantized: "LSTMCellWeights | GRUCellWeights"
+    dequantized: LSTMCellWeights
     w: dict[str, QuantizedMatrix]
     u: dict[str, QuantizedMatrix]
 
@@ -199,41 +198,23 @@ class QuantizedCell:
         )
 
 
-def _gate_order_for(weights: "LSTMCellWeights | GRUCellWeights") -> tuple[str, ...]:
-    if isinstance(weights, GRUCellWeights):
-        return GRU_GATE_ORDER
-    if isinstance(weights, LSTMCellWeights):
-        return GATE_ORDER
-    raise ConfigurationError(
-        f"cannot quantize weights of type {type(weights).__name__}"
-    )
-
-
-def quantize_cell_weights(
-    weights: "LSTMCellWeights | GRUCellWeights", precision: Precision
-) -> QuantizedCell:
+def quantize_cell_weights(weights: LSTMCellWeights, precision: Precision) -> QuantizedCell:
     """Quantize one cell's ``W``/``U`` under ``precision``.
 
     Biases pass through untouched (they are read once per gate per step
     and contribute nothing to the streamed-weight traffic the paper
-    models). Works for both LSTM and GRU cells via their gate orders.
+    models).
     """
     if not precision.is_quantized:
         raise ConfigurationError(
             "quantize_cell_weights requires a quantized precision; "
             "fp64 is the identity policy"
         )
-    gates = _gate_order_for(weights)
-    qw = {g: quantize_matrix(getattr(weights, f"w_{g}"), precision) for g in gates}
-    qu = {g: quantize_matrix(getattr(weights, f"u_{g}"), precision) for g in gates}
-    if gates is GATE_ORDER:
-        dequantized = dequantize_lstm_cell(qw, qu, weights.b)
-    else:
-        dequantized = GRUCellWeights(
-            **{f"w_{g}": m.dequantize() for g, m in qw.items()},
-            **{f"u_{g}": m.dequantize() for g, m in qu.items()},
-            **{f"b_{g}": getattr(weights, f"b_{g}") for g in gates},
-        )
+    if not isinstance(weights, LSTMCellWeights):
+        raise ConfigurationError(f"cannot quantize weights of type {type(weights).__name__}")
+    qw = {g: quantize_matrix(weights.gate_w(g), precision) for g in GATE_ORDER}
+    qu = {g: quantize_matrix(weights.gate_u(g), precision) for g in GATE_ORDER}
+    dequantized = dequantize_lstm_cell(qw, qu, weights.b)
     return QuantizedCell(precision=precision, dequantized=dequantized, w=qw, u=qu)
 
 

@@ -167,7 +167,7 @@ def format_run_summary(record: RunRecord) -> str:
         )
     if record.memory:
         # The training-side twin of the weight-bytes line: what the saved
-        # tapes held (and would have held under the other policy).
+        # tapes held, against the analytic model and the step's peaks.
         rows = [
             (key, f"{value / 1e6:.3f}")
             for key, value in sorted(record.memory.items())

@@ -105,8 +105,8 @@ class RunRecord:
     ``evictions``) and program-cache counters (``program_*``) share it —
     or ``None`` when no cache was wired. ``memory`` is the analogous open
     byte mapping for training runs — saved-tensor accounting
-    (``saved_bytes``, per-layer ``layer{i}_saved_bytes``, the
-    counterfactual ``saved_bytes_stash``/``saved_bytes_recompute``) and
+    (``saved_bytes``, per-layer ``layer{i}_saved_bytes``, the model's
+    ``analytic_saved_bytes``) and
     measured high-water marks (keys containing ``peak``, which merge by
     max while everything else sums) — or ``None`` for inference runs.
     """

@@ -8,13 +8,11 @@ from repro.nn.activations import (
     SENSITIVE_HI,
     SENSITIVE_LO,
     SENSITIVE_WIDTH,
-    dhard_sigmoid,
     dsigmoid,
     dtanh,
     hard_sigmoid,
     sensitive_overlap,
     sigmoid,
-    sigmoid_derivative_for,
     tanh,
 )
 
@@ -123,31 +121,10 @@ class TestActivationDerivatives:
         analytic = dtanh(tanh(np.array(x)))
         assert float(analytic) == pytest.approx(float(numeric), abs=1e-8)
 
-    @given(st.floats(min_value=-1.9, max_value=1.9))
-    def test_dhard_sigmoid_on_the_ramp(self, x):
-        assert float(dhard_sigmoid(hard_sigmoid(np.array(x)))) == 0.25
-
-    @given(finite_floats.filter(lambda x: abs(x) > 2.1))
-    def test_dhard_sigmoid_saturated(self, x):
-        assert float(dhard_sigmoid(hard_sigmoid(np.array(x)))) == 0.0
-
     def test_dsigmoid_peak_at_midpoint(self):
         ys = sigmoid(np.linspace(-6, 6, 101))
         assert np.argmax(dsigmoid(ys)) == 50
         assert float(dsigmoid(np.array(0.5))) == pytest.approx(0.25)
 
     def test_dtanh_in_terms_of_value(self):
-        np.testing.assert_allclose(
-            dhard_sigmoid(np.array([0.0, 0.5, 1.0])), [0.0, 0.25, 0.0]
-        )
         np.testing.assert_allclose(dtanh(np.array([0.0, 1.0, -1.0])), [1.0, 0.0, 0.0])
-
-
-class TestSigmoidDerivativeFor:
-    def test_resolves_both_variants(self):
-        assert sigmoid_derivative_for(sigmoid) is dsigmoid
-        assert sigmoid_derivative_for(hard_sigmoid) is dhard_sigmoid
-
-    def test_unknown_variant_raises(self):
-        with pytest.raises(KeyError):
-            sigmoid_derivative_for(np.tanh)

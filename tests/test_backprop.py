@@ -1,11 +1,12 @@
 """Tests for the memory-frugal BPTT (`repro.nn.backprop`).
 
-The two contracts under test:
+The contracts under test:
 
-* **Bit identity** — the stash and recompute saved-tensor policies must
-  produce *identical* fp64 gradients (equality, not tolerance), because
-  the recompute path re-runs the exact forward arithmetic on the exact
-  saved bits.
+* **One forward** — the training tape (logits, per-layer ``Y`` and ``C``)
+  is the exact executor's run, bit-identical to the frozen
+  ``ReferenceExecutor``, including right after an in-place optimizer step.
+* **Faithful rebuild** — the gates backward rebuilds from the tape
+  reproduce ``Y`` and ``C`` to rounding.
 * **Correctness** — analytic gradients must agree with central finite
   differences (the `gradcheck` oracle) to 1e-6 relative error.
 """
@@ -20,22 +21,20 @@ from tests.gradcheck import (
     relative_error,
 )
 from repro.config import LSTMConfig
+from repro.core.executor import ExecutionConfig, ExecutionMode
+from repro.core.reference import ReferenceExecutor
 from repro.errors import ConfigurationError, ShapeError
-from repro.nn.activations import hard_sigmoid
 from repro.nn.backprop import (
     ELEMENT_BYTES,
-    SAVED_TENSORS_PER_LAYER,
-    TrainingConfig,
     analytic_saved_bytes,
     backward,
     measure_training_memory,
-    network_parameters,
+    rebuild_gates,
     softmax_cross_entropy,
     training_forward,
     training_step,
 )
-from repro.nn.gru import GRUCellWeights, GRULayer, gru_layer_backward
-from repro.nn.initializers import WeightInitializer
+from repro.nn.calibrate import SGD
 from repro.nn.network import LSTMNetwork
 
 
@@ -73,52 +72,100 @@ def batch_for(network, batch=3, seed=0):
     return tokens, labels
 
 
-def loss_only(network, tokens, labels, config):
-    return softmax_cross_entropy(
-        training_forward(network, tokens, config).logits, labels
-    )[0]
+def loss_only(network, tokens, labels):
+    return softmax_cross_entropy(training_forward(network, tokens).logits, labels)[0]
+
+
+def reference_run(network, tokens):
+    return ReferenceExecutor(network, ExecutionConfig(mode=ExecutionMode.BASELINE)).run_batch(
+        tokens, collect_states=True
+    )
+
+
+def assert_tape_is_reference(tape, network, tokens):
+    expected = reference_run(network, tokens)
+    assert np.array_equal(tape.logits, expected.logits)
+    for layer, y, c in zip(tape.layers, expected.layer_outputs, expected.layer_states):
+        assert np.array_equal(layer.y, y)
+        assert np.array_equal(layer.c, c)
 
 
 class TestTrainingConfig:
-    def test_defaults(self):
-        config = TrainingConfig()
-        assert config.policy == "recompute"
-        assert config.truncation is None
-
-    def test_rejects_unknown_policy(self):
-        with pytest.raises(ConfigurationError):
-            TrainingConfig(policy="checkpoint")
-
     def test_rejects_nonpositive_truncation(self):
+        net = small_network()
+        tokens, labels = batch_for(net)
         with pytest.raises(ConfigurationError):
-            TrainingConfig(truncation=0)
+            training_step(net, tokens, labels, truncation=0)
 
 
 class TestForwardTape:
     def test_logits_match_inference_forward(self):
-        # The training forward batches its GEMMs over (B*T, E), so it is
-        # allowed to differ from the per-sequence inference path in the
-        # last ulp — the *bit* contract is between the two policies.
-        net = small_network()
-        tokens, _ = batch_for(net)
-        tape = training_forward(net, tokens, TrainingConfig(policy="recompute"))
-        for b in range(tokens.shape[0]):
-            expected = net.forward(tokens[b]).logits
-            np.testing.assert_allclose(tape.logits[b], expected, rtol=1e-12)
+        # Both head kinds: the pooled readout and the per-timestep one.
+        for per_timestep, pool in ((False, 3), (True, 1)):
+            net = small_network(per_timestep_head=per_timestep, head_pool=pool)
+            tokens, _ = batch_for(net)
+            tape = training_forward(net, tokens)
+            expected = reference_run(net, tokens)
+            assert np.array_equal(tape.logits, expected.logits)
 
-    def test_stash_tape_holds_gates_recompute_does_not(self):
-        net = small_network()
-        tokens, _ = batch_for(net)
-        stash = training_forward(net, tokens, TrainingConfig(policy="stash"))
-        lean = training_forward(net, tokens, TrainingConfig(policy="recompute"))
-        assert stash.layers[0].f is not None and stash.embedded is not None
-        assert lean.layers[0].f is None and lean.embedded is None
+    def test_tape_is_the_reference_run(self):
+        net = small_network(layers=3, head_pool=2, seed=4)
+        tokens, _ = batch_for(net, batch=5, seed=4)
+        assert_tape_is_reference(training_forward(net, tokens), net, tokens)
+
+    def test_forward_after_an_optimizer_step_sees_the_new_weights(self):
+        """The training forward builds a private executor per call, so an
+        in-place step can never be served by programs or token rows keyed
+        on the old weights' digests — even though nothing invalidated the
+        memoized fingerprints."""
+        net = small_network(seed=6)
+        tokens, labels = batch_for(net, seed=6)
+        params = net.parameters()
+        optimizer = SGD(lr=0.5)
+        for _ in range(2):
+            tape = training_forward(net, tokens)
+            _, grads = backward(tape, labels)
+            optimizer.step(params, grads.arrays())
+            assert_tape_is_reference(training_forward(net, tokens), net, tokens)
 
     def test_rejects_out_of_vocab_tokens(self):
         net = small_network()
         tokens = np.full((2, net.config.seq_length), net.vocab_size)
         with pytest.raises(ShapeError):
             training_forward(net, tokens)
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 7), (7,)])
+    def test_rejects_degenerate_batches(self, shape):
+        """An empty batch has nothing to score: it must be refused at the
+        door, not turned into a NaN loss or a bare reshape error."""
+        net = small_network()
+        tokens = np.zeros(shape, dtype=np.int64)
+        labels = np.zeros(shape[:1], dtype=np.int64)
+        with pytest.raises(ShapeError):
+            training_forward(net, tokens)
+        with pytest.raises(ShapeError):
+            training_step(net, tokens, labels)
+
+
+class TestRebuild:
+    def test_rebuilt_gates_reproduce_the_tape(self):
+        net = small_network(hidden=12, seq_len=9, seed=3)
+        tokens, _ = batch_for(net, batch=4, seed=3)
+        tape = training_forward(net, tokens)
+        hidden = net.config.hidden_size
+        xs = net.embedding[tokens]
+        for layer, saved in zip(net.layers, tape.layers):
+            gates, h_prev = rebuild_gates(layer.weights, xs, saved.y)
+            f, i, g, o = (
+                gates[:, k * hidden : (k + 1) * hidden].reshape(saved.y.shape)
+                for k in range(4)
+            )
+            c_prev = np.zeros_like(saved.c)
+            c_prev[:, 1:] = saved.c[:, :-1]
+            np.testing.assert_allclose(o * np.tanh(saved.c), saved.y, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(f * c_prev + i * g, saved.c, rtol=0, atol=1e-12)
+            assert np.array_equal(h_prev.reshape(saved.y.shape)[:, 1:], saved.y[:, :-1])
+            xs = saved.y
 
 
 class TestSoftmaxCrossEntropy:
@@ -143,45 +190,6 @@ class TestSoftmaxCrossEntropy:
             softmax_cross_entropy(np.zeros((2, 3)), np.zeros((4,), dtype=int))
 
 
-class TestPolicyBitIdentity:
-    """The tentpole contract: stash == recompute, bit for bit."""
-
-    @pytest.mark.parametrize("per_timestep", [False, True])
-    def test_policies_bit_identical(self, per_timestep):
-        net = small_network(per_timestep_head=per_timestep, head_pool=1)
-        tokens, labels = batch_for(net)
-        loss_a, grads_a = training_step(
-            net, tokens, labels, TrainingConfig(policy="stash")
-        )
-        loss_b, grads_b = training_step(
-            net, tokens, labels, TrainingConfig(policy="recompute")
-        )
-        assert loss_a == loss_b
-        assert grads_a.allclose(grads_b, exact=True)
-
-    def test_bit_identity_under_truncation(self):
-        net = small_network(seq_len=9)
-        tokens, labels = batch_for(net)
-        _, grads_a = training_step(
-            net, tokens, labels, TrainingConfig(policy="stash", truncation=3)
-        )
-        _, grads_b = training_step(
-            net, tokens, labels, TrainingConfig(policy="recompute", truncation=3)
-        )
-        assert grads_a.allclose(grads_b, exact=True)
-
-    def test_bit_identity_with_hard_sigmoid_and_pooled_head(self):
-        net = small_network(head_pool=3, seed=2)
-        for layer in net.layers:
-            layer.sigmoid_fn = hard_sigmoid
-        tokens, labels = batch_for(net, seed=2)
-        _, grads_a = training_step(net, tokens, labels, TrainingConfig(policy="stash"))
-        _, grads_b = training_step(
-            net, tokens, labels, TrainingConfig(policy="recompute")
-        )
-        assert grads_a.allclose(grads_b, exact=True)
-
-
 class TestFiniteDifferences:
     """Analytic gradients vs the central-difference oracle."""
 
@@ -193,27 +201,23 @@ class TestFiniteDifferences:
             seed=seed % 1000, per_timestep_head=per_timestep,
         )
         tokens, labels = batch_for(net, batch=2, seed=seed)
-        config = TrainingConfig(policy="recompute")
-        _, grads = training_step(net, tokens, labels, config)
+        _, grads = training_step(net, tokens, labels)
         err = finite_difference_check(
-            lambda: loss_only(net, tokens, labels, config),
-            network_parameters(net),
+            lambda: loss_only(net, tokens, labels),
+            net.parameters(),
             grads.arrays(),
             rng=np.random.default_rng(seed),
             coords_per_array=3,
         )
         assert err <= DEFAULT_TOLERANCE
 
-    def test_gradcheck_pooled_head_and_hard_sigmoid(self):
+    def test_gradcheck_pooled_head(self):
         net = small_network(head_pool=4, seq_len=8, seed=7)
-        for layer in net.layers:
-            layer.sigmoid_fn = hard_sigmoid
         tokens, labels = batch_for(net, seed=7)
-        config = TrainingConfig(policy="stash")
-        _, grads = training_step(net, tokens, labels, config)
+        _, grads = training_step(net, tokens, labels)
         err = finite_difference_check(
-            lambda: loss_only(net, tokens, labels, config),
-            network_parameters(net),
+            lambda: loss_only(net, tokens, labels),
+            net.parameters(),
             grads.arrays(),
             rng=np.random.default_rng(7),
         )
@@ -224,130 +228,50 @@ class TestTruncation:
     def test_window_equal_to_length_matches_full_bptt(self):
         net = small_network(seq_len=6)
         tokens, labels = batch_for(net)
-        _, full = training_step(net, tokens, labels, TrainingConfig())
-        _, windowed = training_step(
-            net, tokens, labels, TrainingConfig(truncation=6)
-        )
-        assert full.allclose(windowed, exact=True)
+        _, full = training_step(net, tokens, labels)
+        _, windowed = training_step(net, tokens, labels, truncation=6)
+        assert full.array_equal(windowed)
 
     def test_short_window_changes_recurrent_gradients(self):
         net = small_network(seq_len=12)
         tokens, labels = batch_for(net)
-        _, full = training_step(net, tokens, labels, TrainingConfig())
-        _, truncated = training_step(
-            net, tokens, labels, TrainingConfig(truncation=3)
-        )
-        assert not full.allclose(truncated, exact=True)
+        _, full = training_step(net, tokens, labels)
+        _, truncated = training_step(net, tokens, labels, truncation=3)
+        assert not full.array_equal(truncated)
 
 
 class TestMemoryAccounting:
     def test_tape_bytes_match_analytic_model(self):
         net = small_network()
         tokens, _ = batch_for(net, batch=4)
-        for policy in ("stash", "recompute"):
-            tape = training_forward(net, tokens, TrainingConfig(policy=policy))
-            assert tape.saved_bytes() == analytic_saved_bytes(
-                net, 4, net.config.seq_length, policy
-            )
+        tape = training_forward(net, tokens)
+        assert tape.saved_bytes() == analytic_saved_bytes(net, 4, net.config.seq_length)
 
     def test_memory_report_keys_and_ratio(self):
         net = small_network(layers=2)
         tokens, _ = batch_for(net)
-        report = training_forward(net, tokens, TrainingConfig()).memory_report()
-        assert {"layer0_saved_bytes", "layer1_saved_bytes", "saved_bytes"} <= set(
-            report
-        )
-        ratio = report["saved_bytes_stash"] / report["saved_bytes_recompute"]
-        assert ratio >= SAVED_TENSORS_PER_LAYER["stash"] / SAVED_TENSORS_PER_LAYER[
-            "recompute"
-        ]
+        report = training_forward(net, tokens).memory_report()
+        assert set(report) == {
+            "layer0_saved_bytes", "layer1_saved_bytes", "saved_bytes", "analytic_saved_bytes",
+        }
+        assert report["saved_bytes"] / report["analytic_saved_bytes"] == 1.0
 
     def test_analytic_model_counts_elements(self):
         net = small_network(hidden=10, layers=2, seq_len=7, input_size=8)
-        recompute = analytic_saved_bytes(net, 3, 7, "recompute")
-        assert recompute == 2 * 3 * 7 * 10 * 2 * ELEMENT_BYTES
-        stash = analytic_saved_bytes(net, 3, 7, "stash")
-        assert stash == (7 * 3 * 7 * 10 * 2 + 3 * 7 * 8) * ELEMENT_BYTES
-        with pytest.raises(ConfigurationError):
-            analytic_saved_bytes(net, 3, 7, "gradient_checkpointing")
+        assert analytic_saved_bytes(net, 3, 7) == 2 * 3 * 7 * 10 * 2 * ELEMENT_BYTES
 
-    def test_measured_memory_orders_policies(self):
+    def test_measured_memory_tracks_analytic_model(self):
         net = small_network(hidden=16, seq_len=32)
         tokens, labels = batch_for(net, batch=4)
-        lean = measure_training_memory(
-            net, tokens, labels, TrainingConfig(policy="recompute")
-        )
-        fat = measure_training_memory(
-            net, tokens, labels, TrainingConfig(policy="stash")
-        )
-        assert 0 < lean["measured_saved_bytes"] < fat["measured_saved_bytes"]
-        assert lean["measured_peak_bytes"] >= lean["measured_saved_bytes"]
+        # The first call in a process also imports the executor's lazily
+        # loaded modules; measure a warm step.
+        training_step(net, tokens, labels)
+        measured = measure_training_memory(net, tokens, labels)
+        assert measured["measured_peak_bytes"] >= measured["measured_saved_bytes"] > 0
         # tracemalloc's retained-delta must track the analytic model.
-        assert lean["measured_saved_bytes"] == pytest.approx(
-            lean["analytic_saved_bytes"], rel=0.25
+        assert measured["measured_saved_bytes"] == pytest.approx(
+            measured["analytic_saved_bytes"], rel=0.25
         )
-
-
-class TestGRUBackward:
-    """The GRU stops being forward-only: low-memory backward + gradcheck."""
-
-    def _layer(self, seed=0, hidden=6, input_size=5):
-        init = WeightInitializer(seed)
-        return GRULayer(GRUCellWeights.initialize(hidden, input_size, init))
-
-    def test_gradcheck_weights_and_inputs(self):
-        layer = self._layer(seed=3)
-        rng = np.random.default_rng(3)
-        xs = rng.normal(size=(7, layer.input_size))
-        proj = rng.normal(size=(7, layer.hidden_size))
-
-        def loss():
-            return float(np.sum(layer.forward(xs) * proj))
-
-        hs = layer.forward(xs)
-        d_xs, grads = gru_layer_backward(layer.weights, xs, hs, proj)
-        weights = layer.weights
-        params = [getattr(weights, n) for n in (
-            "w_z", "w_r", "w_n", "u_z", "u_r", "u_n", "b_z", "b_r", "b_n"
-        )] + [xs]
-        analytic = [getattr(grads, n) for n in (
-            "w_z", "w_r", "w_n", "u_z", "u_r", "u_n", "b_z", "b_r", "b_n"
-        )] + [d_xs]
-        err = finite_difference_check(
-            loss, params, analytic, rng=np.random.default_rng(11)
-        )
-        assert err <= DEFAULT_TOLERANCE
-
-    def test_hard_sigmoid_variant(self):
-        layer = self._layer(seed=5)
-        layer.sigmoid_fn = hard_sigmoid
-        rng = np.random.default_rng(5)
-        xs = rng.normal(size=(6, layer.input_size))
-        proj = rng.normal(size=(6, layer.hidden_size))
-        hs = layer.forward(xs)
-        d_xs, grads = gru_layer_backward(
-            layer.weights, xs, hs, proj, sigmoid_fn=hard_sigmoid
-        )
-
-        def loss():
-            return float(np.sum(layer.forward(xs) * proj))
-
-        err = finite_difference_check(
-            loss,
-            [layer.weights.u_n, layer.weights.b_z, xs],
-            [grads.u_n, grads.b_z, d_xs],
-            rng=np.random.default_rng(13),
-        )
-        assert err <= DEFAULT_TOLERANCE
-
-    def test_shape_validation(self):
-        layer = self._layer()
-        xs = np.zeros((4, layer.input_size))
-        hs = np.zeros((4, layer.hidden_size))
-        with pytest.raises(ShapeError):
-            gru_layer_backward(layer.weights, xs[:, :-1], hs, np.zeros_like(hs))
-        with pytest.raises(ShapeError):
-            gru_layer_backward(layer.weights, xs, hs, np.zeros((3, layer.hidden_size)))
 
 
 class TestRelativeError:

@@ -1,27 +1,17 @@
 """The hard-sigmoid framework variant (Section IV-A).
 
 The paper notes some frameworks model the sigmoid with the piecewise-
-linear hard sigmoid, and that the sensitive-area boundaries fit both. The
-reference cell path supports swapping the activation; these tests verify
-the sensitive-area analysis transfers.
+linear hard sigmoid, and that the sensitive-area boundaries fit both.
+Every execution path runs the exact sigmoid; these tests verify that the
+sensitive-area analysis would transfer to the hard variant.
 """
 
 import numpy as np
 
 from repro.nn.activations import hard_sigmoid, sigmoid
 from repro.nn.initializers import WeightInitializer
-from repro.nn.lstm_layer import LSTMLayer
 from repro.core.relevance import relevance_values
 from repro.nn.lstm_cell import GATE_ORDER, LSTMCellWeights
-
-
-def test_hard_sigmoid_layer_stays_bounded():
-    layer = LSTMLayer.create(16, 12, WeightInitializer(0), forget_bias=0.5)
-    layer.sigmoid_fn = hard_sigmoid
-    xs = np.random.default_rng(0).normal(size=(12, 12)) * 2
-    hs, cs = layer.forward(xs)
-    assert np.all(np.abs(hs) <= 1.0)
-    assert np.all(np.isfinite(cs))
 
 
 def test_hard_and_exact_sigmoid_agree_in_saturation():

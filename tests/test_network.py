@@ -1,10 +1,9 @@
-"""Tests for layers, networks, pooled heads, and the GRU extension."""
+"""Tests for layers, networks and pooled heads."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.nn.gru import GRUCellWeights, GRULayer, gru_cell_step
 from repro.nn.initializers import WeightInitializer
 from repro.nn.lstm_layer import LSTMLayer
 from repro.nn.network import LSTMNetwork
@@ -88,57 +87,3 @@ class TestNetwork:
         b = LSTMNetwork(tiny_config, 50, 3, seed=9)
         np.testing.assert_array_equal(a.embedding, b.embedding)
         np.testing.assert_array_equal(a.layers[0].weights.u_f, b.layers[0].weights.u_f)
-
-
-class TestGRU:
-    def test_step_matches_manual(self):
-        from repro.nn.activations import sigmoid, tanh
-
-        w = GRUCellWeights.initialize(6, 4, WeightInitializer(0))
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=4)
-        h = rng.normal(size=6) * 0.3
-        out = gru_cell_step(w, x, h)
-        z = sigmoid(w.w_z @ x + w.u_z @ h + w.b_z)
-        r = sigmoid(w.w_r @ x + w.u_r @ h + w.b_r)
-        n = tanh(w.w_n @ x + w.u_n @ (r * h) + w.b_n)
-        np.testing.assert_allclose(out, (1 - z) * h + z * n)
-
-    def test_skip_keeps_previous_hidden(self):
-        w = GRUCellWeights.initialize(6, 4, WeightInitializer(0))
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=4)
-        h = rng.normal(size=6) * 0.3
-        skip = np.zeros(6, dtype=bool)
-        skip[[0, 5]] = True
-        out = gru_cell_step(w, x, h, skip_rows=skip)
-        np.testing.assert_allclose(out[[0, 5]], h[[0, 5]])
-
-    def test_skip_does_not_change_kept(self):
-        w = GRUCellWeights.initialize(6, 4, WeightInitializer(0))
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=4)
-        h = rng.normal(size=6) * 0.3
-        skip = np.zeros(6, dtype=bool)
-        # With no reset-coupling through kept rows the results match exactly
-        # when nothing is skipped.
-        np.testing.assert_allclose(
-            gru_cell_step(w, x, h, skip_rows=skip), gru_cell_step(w, x, h)
-        )
-
-    def test_layer_forward(self):
-        layer = GRULayer.create(6, 4, WeightInitializer(0))
-        xs = np.random.default_rng(0).normal(size=(9, 4))
-        hs = layer.forward(xs)
-        assert hs.shape == (9, 6)
-        assert np.all(np.abs(hs) <= 1.0)
-
-    def test_layer_rejects_bad_width(self):
-        layer = GRULayer.create(6, 4, WeightInitializer(0))
-        with pytest.raises(ShapeError):
-            layer.forward(np.zeros((3, 5)))
-
-    def test_skip_shape_validated(self):
-        w = GRUCellWeights.initialize(6, 4, WeightInitializer(0))
-        with pytest.raises(ShapeError):
-            gru_cell_step(w, np.zeros(4), np.zeros(6), skip_rows=np.zeros(7, dtype=bool))

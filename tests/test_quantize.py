@@ -5,8 +5,7 @@ Covers the ``repro.nn.quantize`` contract end to end:
 * **Per-element error bounds** (hypothesis property tests): the symmetric
   per-row int8 scheme reconstructs within ``scale / 2`` everywhere,
   all-zero rows exactly; fp16 stays within its ``2**-11`` relative
-  rounding in the normal range. GRU cells are quantized through the same
-  primitives.
+  rounding in the normal range.
 * **Policy plumbing**: the fp64 policy is a strict no-op — bit-identical
   to the frozen reference in all five execution modes — a quantized
   executor equals the reference run on the dequantized weights, and
@@ -41,8 +40,6 @@ from repro.core.tuner import (
     sweep_precision_thresholds,
 )
 from repro.errors import ArenaLayoutError, CalibrationError, ConfigurationError
-from repro.nn.gru import GRUCellWeights
-from repro.nn.initializers import WeightInitializer
 from repro.nn.network import LSTMNetwork
 from repro.nn.pruning import prune_cell_weights
 from repro.nn.quantize import (
@@ -153,25 +150,6 @@ class TestQuantizePrimitives:
         assert int8.payload_bytes == 16 * 16 + 16 * 8  # codes + fp64 scales
         assert fp16.payload_bytes == 16 * 16 * 2
         assert isinstance(int8, QuantizedMatrix)
-
-
-class TestGRUQuantization:
-    def test_gru_cell_quantizes_with_bounded_error(self):
-        init = WeightInitializer(seed=7)
-        weights = GRUCellWeights.initialize(12, 10, init)
-        cell = quantize_cell_weights(weights, Precision.parse("int8"))
-        assert isinstance(cell.dequantized, GRUCellWeights)
-        for gate in ("z", "r", "n"):
-            for store, prefix in ((cell.w, "w"), (cell.u, "u")):
-                original = getattr(weights, f"{prefix}_{gate}")
-                q = store[gate]
-                err = np.abs(q.dequantize() - original)
-                bound = np.where(q.scales > 0.0, q.scales / 2.0, 0.0)
-                assert np.all(err <= bound[:, None])
-            # Biases pass through untouched (same object, not a copy).
-            assert getattr(cell.dequantized, f"b_{gate}") is getattr(
-                weights, f"b_{gate}"
-            )
 
     def test_unknown_cell_type_rejected(self):
         with pytest.raises(ConfigurationError):

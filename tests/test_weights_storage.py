@@ -30,12 +30,7 @@ from repro.core.plan import (
     fingerprint_weights,
     invalidate_weight_fingerprints,
 )
-from repro.nn.backprop import (
-    TrainingConfig,
-    backward,
-    network_parameters,
-    training_forward,
-)
+from repro.nn.backprop import backward, training_forward
 from repro.nn.calibrate import SGD
 from repro.nn.lstm_cell import GATE_ORDER, LSTMCellWeights
 from repro.nn.model_zoo import build_calibrated_network
@@ -284,14 +279,14 @@ class TestTrainingSeesTheBlocks:
         network = make_network()
         tokens = np.random.default_rng(1).integers(0, 40, size=(2, 8))
         labels = np.array([0, 2])
-        params = network_parameters(network)
+        params = network.parameters()
         for layer in network.layers:
             assert any(np.shares_memory(p, layer.weights.united_u()) for p in params)
         before_fp = fingerprint_network(network)
         before_layer_fp = fingerprint_weights(network.layers[0].weights)
         before_u = network.layers[0].weights.united_u().copy()
 
-        tape = training_forward(network, tokens, TrainingConfig(policy="recompute"))
+        tape = training_forward(network, tokens)
         _, grads = backward(tape, labels)
         for grad_layer in grads.layers:  # the gradient holder is block-wise too
             assert all(np.shares_memory(grad_layer.gate_u(g), grad_layer.u) for g in GATE_ORDER)
