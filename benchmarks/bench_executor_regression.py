@@ -24,6 +24,10 @@ predictions for COMBINED; :func:`repro.core.backends.is_exact`), writes
   batch shape warmed in two more modes through the same cache, the
   workspace arenas must hold no more than the largest single program
   layout per dispatch slot: workspaces exist once too,
+* the four exact modes must stay bit-identical to the reference where
+  their products take weight slabs (``exact_slabs``: calibrated IMDB,
+  ``H = 512``, batch 4, fresh tokens), and take them there and not at
+  BABI width; min ``exec_wall_s`` per mode is reported ungated,
 * a five-mode ``OptimizedLSTM.run`` sweep over one token batch
   (``sweep_overhead``) must, once warm, construct no executor and project
   no more layer-0 rows than the batch has distinct tokens — the share of
@@ -127,6 +131,11 @@ RESIDENT_BATCH_SHAPE = (16, 64)
 #: threshold set 5, batch 8, fresh tokens per sample).
 MIN_COMBINED_VS_BASELINE = 1.3
 VS_BASELINE_SAMPLES = pick(15, 7)
+
+#: The exact modes where their products take weight slabs: calibrated IMDB
+#: at this batch (paper_sweep's), min-of-N fresh-token samples per mode.
+SLAB_BATCH = 4
+SLAB_SAMPLES = pick(5, 3)
 
 NUM_SEQUENCES = 64
 #: The fresh-input row serves shards of this many sequences.
@@ -391,6 +400,70 @@ def combined_vs_baseline(gates: GateSet) -> dict:
         f"combined {combined * 1e3:8.2f} ms   "
         f"{speedup:5.2f}x (gate {MIN_COMBINED_VS_BASELINE:.1f}x)"
     )
+    return row
+
+
+def exact_slabs(gates: GateSet) -> dict:
+    """The exact modes where their products take weight slabs.
+
+    Calibrated IMDB (``H = 512``: 2 MiB gate blocks, above
+    :data:`~repro.core.program.SLAB_MIN_BYTES`) at threshold set 5, batch
+    :data:`SLAB_BATCH`, fresh tokens per sample: each exact mode must stay
+    bit-identical to the reference (gated on one draw per mode), and its
+    minimum ``exec_wall_s`` over :data:`SLAB_SAMPLES` samples is reported
+    beside BASELINE at BABI width (``H = 256``, 512 KiB gates), which lifts
+    whole gates. Whether each run's programs took slabs is gated too: the
+    rule follows gate size and row count, so a moved threshold shows here.
+    """
+    rng = np.random.default_rng(41)
+    row: dict = {"batch": SLAB_BATCH, "samples": SLAB_SAMPLES, "statistic": "min exec_wall_s"}
+    for name, modes in (
+        ("IMDB", [m for m in ExecutionMode if m is not ExecutionMode.COMBINED]),
+        ("BABI", [ExecutionMode.BASELINE]),
+    ):
+        app = OptimizedLSTM.from_app(name, seed=0)
+        app.calibrate()
+        network = app.network
+
+        def draw() -> np.ndarray:
+            return rng.integers(
+                0, network.vocab_size, size=(SLAB_BATCH, network.config.seq_length)
+            )
+
+        for mode in modes:
+            config = app.execution_config(mode, threshold_index=5)
+            links = app.calibration.predicted_links
+            executor = LSTMExecutor(network, config, predicted_links=links, plan_cache=PlanCache())
+            tokens = draw()
+            out = executor.run_batch(tokens)
+            out_r = ReferenceExecutor(network, config, predicted_links=links).run_batch(tokens)
+            key = f"{name.lower()}_{mode.value}"
+            if name == "IMDB":
+                grade, identical = grade_check(out, out_r, executor.exact)
+                gates.require_true(
+                    f"exact_slabs/{grade}/{mode.value}",
+                    identical,
+                    "a slabbed exact mode left the reference's bits",
+                )
+                row[f"{key}_{grade}"] = identical
+            slabbed = [entry._cut > 0 for _, entry in executor.program_cache.items()]
+            gates.require_true(
+                f"exact_slabs/slab-path/{key}",
+                all(slabbed) if name == "IMDB" else not any(slabbed),
+                "the slab rule no longer follows gate size",
+            )
+            with gc_paused():
+                wall = min(
+                    executor.run_batch(draw()).timings["exec_wall_s"]
+                    for _ in range(SLAB_SAMPLES)
+                )
+            row[f"{key}_exec_wall_s"] = wall
+            row[f"{key}_slabbed"] = all(slabbed)
+            print(
+                f"{'slabs':10s} {name:4s} H={network.config.hidden_size} "
+                f"{mode.value:10s} {wall * 1e3:8.2f} ms   slabbed={all(slabbed)}"
+                + (f"   {grade}={identical}" if name == "IMDB" else "")
+            )
     return row
 
 
@@ -710,6 +783,7 @@ def run() -> tuple[dict, GateSet]:
 
     results["combined_fresh"] = combined_fresh(gates)
     results["combined_vs_baseline"] = combined_vs_baseline(gates)
+    results["exact_slabs"] = exact_slabs(gates)
     results["resident_bytes"] = resident_bytes(gates)
     results["sweep_overhead"] = sweep_overhead(gates)
 

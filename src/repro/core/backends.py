@@ -26,11 +26,15 @@ it is omitted). Two invariants every backend keeps:
 
 * **Plans are backend-invariant.** Anywhere the inter-level planner reads
   projection bits, every backend reads the same ones: inter-active
-  stepwise layers and COMBINED's layer 0 use the exact per-row lift, and
-  COMBINED's layers >= 1 use one ``(B*T, E) @ (E, 4H)`` GEMM on every
-  backend. Relevance values, breakpoints and tissue schedules therefore
-  match across backends for equal layer inputs; only the gate arithmetic
-  differs at tolerance level.
+  stepwise layers and COMBINED's layer 0 run the one exact per-row lift,
+  :func:`~repro.core.program.project_rows` (gate by gate, in aligned
+  weight slabs for large gates), and COMBINED's layers >= 1 use one
+  ``(B*T, E) @ (E, 4H)`` GEMM on every backend. Relevance values,
+  breakpoints and tissue schedules therefore match across backends for
+  equal layer inputs, at every width — a per-row lift against the united
+  ``(E, 4H)`` block would not: its bits leave the gate-wise lift's
+  whenever ``H % 4 != 0``. Only the gate arithmetic differs at tolerance
+  level.
 * **The simulator plane is untouched.** Kernel traces and bytes-moved
   accounting describe the *modeled mobile GPU* execution of a plan; a
   host backend changes how the numerics are computed, never the plan, so

@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.program import LeasedProgram, WorkspaceArena
+from repro.core.program import LeasedProgram, WorkspaceArena, project_rows
 from repro.errors import BackendUnavailableError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -392,7 +392,7 @@ class CGenStepwiseProgram(LeasedProgram):
         self.drs_alpha = drs_alpha
         self._u = united.u
         self._b = united.b
-        self._w_t = united.w.T  # (E, 4H) view: exact per-row lift operand
+        self._w_ops = united.gate_w_ops()  # (E, H) each: the exact lift's operands
         self._w_t_dense = united.dense_w_t()  # big-GEMM operand, one per layer
         self._h_bar = np.ascontiguousarray(link.h_bar)
         self._c_bar = np.ascontiguousarray(link.c_bar)
@@ -419,18 +419,22 @@ class CGenStepwiseProgram(LeasedProgram):
 
         ``exact=False`` (the default) hoists ``W·x_t`` for every timestep
         into one ``(B*T, E) @ (E, 4H)`` GEMM — Appleyard's timestep-batched
-        input GEMM. ``exact=True`` keeps the per-row GEMV lift of
-        :func:`repro.core.executor._row_proj` so the inter-level planner
-        sees the same projection bits on every backend (structural plans
-        stay backend-invariant).
+        input GEMM. ``exact=True`` runs the numpy program's own lift,
+        :func:`~repro.core.program.project_rows`, into the gate columns, so
+        the inter-level planner sees the same projection bits on every
+        backend (structural plans stay backend-invariant). A per-row lift
+        against the united ``(E, 4H)`` operand would not do: when ``H % 4
+        != 0`` every gate but the first starts mid-way through the GEMV
+        kernel's column group, and its bits differ from the gate-wise lift.
         """
         proj = (self._ws or self._bind()).proj
+        views = {g: proj[..., sl] for g, sl in self._slices.items()}
         if exact:
-            np.matmul(xs[:, :, None, :], self._w_t, out=proj[:, :, None, :])
+            project_rows(xs, self._w_ops, views.values())
         else:
             flat = xs.reshape(-1, xs.shape[-1])
             np.matmul(flat, self._w_t_dense, out=proj.reshape(flat.shape[0], 4 * self.hidden))
-        return {g: proj[..., sl] for g, sl in self._slices.items()}
+        return views
 
     def execute(
         self,

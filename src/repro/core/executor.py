@@ -25,11 +25,13 @@ Three levels of batching keep the hot paths vectorized:
   wave, sliced per gate before the activations. The input projections
   of the stepwise modes and of COMBINED's layer 0 are per-row GEMVs
   against one gate block at a time (:func:`repro.core.program.
-  project_rows`); COMBINED projects layers >= 1 with one
-  ``(B*T, E) @ (E, 4H)`` GEMM.
+  project_rows`) — or, for gate blocks above 1 MiB, one aligned 64-row
+  weight slab at a time, loaded once for every row; COMBINED projects
+  layers >= 1 with one ``(B*T, E) @ (E, 4H)`` GEMM.
 * **Batch-invariant stepwise recurrence.** The stepwise recurrent products
-  run as *stacked per-row GEMVs* — ``h[:, None, :] @ U_g.T`` — instead of
-  one ``(B, H) @ (H, H)`` GEMM (:func:`_row_gemv`). A ``(1, H)`` slice of
+  run as *stacked per-row GEMVs* — ``h[:, None, :] @ U_g.T``, or per
+  aligned weight slab of ``U_g`` when the gate block exceeds 1 MiB — instead
+  of one ``(B, H) @ (H, H)`` GEMM (:func:`_row_gemv`). A ``(1, H)`` slice of
   a stacked matmul dispatches the exact GEMV the per-sequence walk uses,
   so every sequence's trajectory is bit-identical at *any* batch
   composition: solo runs, shards, and fleets of any grouping agree to the
@@ -497,8 +499,10 @@ class LSTMExecutor:
         #: Layer 0 serves its projections from the distinct-token memo
         #: wherever the parent path is :func:`project_rows` (the exact
         #: programs, COMBINED on any backend); the cgen stepwise programs
-        #: keep their own projections. The memo is the plan cache's, so
-        #: every executor of an app shares it.
+        #: keep their own projections (the timestep-batched GEMM, or
+        #: ``project_rows`` itself where the inter level reads the bits).
+        #: The memo is the plan cache's, so every executor of an app
+        #: shares it.
         self._memo_layer0 = self.exact or config.mode is ExecutionMode.COMBINED
         self._token_memo = plan_cache.token_rows if plan_cache is not None else TokenRowMemo()
         self._w0_fp: str | None = None

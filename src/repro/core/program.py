@@ -41,6 +41,26 @@ on OpenBLAS, measured on this platform:
   stacked matmul ``(1, B, 1, H) @ (4, 1, H, H)``: each ``(1, H) @ (H, H)``
   slice dispatches the same GEMV as the per-gate call (0 mismatches in
   10^4 random trials), so a step costs one BLAS dispatch instead of four.
+* **Alignment rule.** An output row's bits depend on its place in the
+  GEMV kernel's column grouping, not on how many rows the call has. So a
+  gate block may be cut into row slabs — each output row computed by the
+  same kernel against a ``(E, n)`` slice — provided every slab starts on
+  that grouping: slabs of :data:`SLAB_ROWS` rows start at multiples of 64
+  from the gate's *own* first row, and the remainder joins the last slab,
+  so no slab is one row (numpy runs a one-column product as ``dot``).
+  Aligned slabs matched the gate-wide lift in every tested split (gate
+  heights 96-1024, 1-8 rows, slabs of 16-128, 1, 2 and default BLAS
+  threads). Grids whose starts leave multiples of 4 (65-, 67-, 70-,
+  127-row slabs) matched in 4 of 128 splits, only where the gate was one
+  slab, and a 100-row grid, whose starts stay on them, in all 32; a lift
+  against the united ``(E, 4H)`` block — whose later gates start
+  mid-group when ``H % 4 != 0`` — differs for the same reason. Gate
+  blocks above :data:`SLAB_MIN_BYTES` that several rows share are lifted
+  slab by slab (:func:`project_rows`, and the recurrence as one stacked
+  ``(1, 1, B, 1, H) @ (4, H/64, 1, H, 64)`` matmul plus one for the
+  remainder slabs): a slab of a few hundred KiB is loaded once per step
+  and reused by every row, where each row used to re-stream its 2-3 MiB
+  gate past a 2 MiB L2.
 * Each per-gate block stays row-major and is consumed through a
   transpose view — layout is what selects the BLAS kernel, and a row
   slice of the united block *is* the reference walk's ``u_g``. Re-laying
@@ -126,6 +146,15 @@ _WAVE_PLANES = (
 #: Alignment of an arena's buffer and of every slab inside it: one cache line.
 _ALIGN = 64
 
+#: Rows of one weight slab, and the grid slab starts keep from a gate's
+#: first row (see the module docstring's alignment rule).
+SLAB_ROWS = 64
+
+#: Gate blocks larger than this are lifted one slab at a time: below it a
+#: whole gate stays cache-resident across the rows anyway (BABI's 512 KiB
+#: blocks measured 0.93-0.99x with slabs forced).
+SLAB_MIN_BYTES = 1 << 20
+
 
 def sigmoid_into(
     x: np.ndarray,
@@ -153,6 +182,21 @@ def sigmoid_into(
     np.copyto(out, s2, where=mask)
 
 
+def slab_bounds(height: int) -> list[tuple[int, int]]:
+    """The ``(start, stop)`` rows of one gate block's slabs: starts at
+    multiples of :data:`SLAB_ROWS` from the gate's first row, and the
+    remainder joins the last slab, so no slab is one row (numpy would
+    dispatch a one-column product as ``dot``, not GEMV)."""
+    starts = range(0, max(height - SLAB_ROWS, 0) + 1, SLAB_ROWS)
+    return [(lo, lo + SLAB_ROWS) for lo in starts[:-1]] + [(starts[-1], height)]
+
+
+def uses_slabs(gate_nbytes: int, rows: int) -> bool:
+    """Whether a product lifting ``rows`` rows against gate blocks of
+    ``gate_nbytes`` bytes each runs one slab at a time."""
+    return rows > 1 and gate_nbytes > SLAB_MIN_BYTES
+
+
 def project_rows(xs: np.ndarray, w_ops, outs) -> None:
     """Gate-blocked per-row input projection: ``outs[j] = xs @ w_ops[j]``.
 
@@ -163,11 +207,23 @@ def project_rows(xs: np.ndarray, w_ops, outs) -> None:
     on the token and the weights only. Gate by gate rather than one fused
     ``(E, 4H)`` operand: a gate block stays cache-resident across all
     ``B * T`` rows instead of the whole united matrix streaming past every
-    row — same bits, about half the time at serving widths.
+    row — same bits, about half the time at serving widths. A gate block
+    too large for that (:func:`uses_slabs`) is lifted one aligned row slab
+    at a time (:func:`slab_bounds`): each slab is loaded once and reused by
+    every row, and each output element keeps its place in the kernel's
+    column grouping, so the bits are the gate-wide lift's.
     """
     xs_rows = xs[:, :, None, :]  # (B, T, 1, E): one GEMV per token
+    height = w_ops[0].shape[1]
+    bounds = (
+        slab_bounds(height)
+        if uses_slabs(w_ops[0].nbytes, xs.shape[0] * xs.shape[1])
+        else [(0, height)]
+    )
     for w_t, out in zip(w_ops, outs):
-        np.matmul(xs_rows, w_t, out=out[:, :, None, :])
+        out_rows = out[:, :, None, :]
+        for lo, hi in bounds:
+            np.matmul(xs_rows, w_t[:, lo:hi], out=out_rows[..., lo:hi])
 
 
 def gather_rows(rows: np.ndarray, index: np.ndarray, outs) -> None:
@@ -455,8 +511,22 @@ class StepwiseProgram(LeasedProgram):
         # Operands: views of the layer's own blocks, one leading slice per
         # gate. Each gate block is row-major and consumed through a transpose
         # view, so the products below dispatch the same GEMV as the reference
-        # walk's per-gate `h @ u_g.T` (see module docstring).
-        self._u_op = united.u.reshape(4, hidden, hidden).transpose(0, 2, 1)[:, None]
+        # walk's per-gate `h @ u_g.T` (see module docstring). A gate block
+        # that takes slabs (`uses_slabs`) splits at `cut`: rows [0, cut) of
+        # every gate form one stack of 64-row slabs, rows [cut, H) the
+        # tail — the remainder slab, or the whole gate without slabs.
+        u_gates = united.u.reshape(4, hidden, hidden)
+        cut = 0
+        if uses_slabs(u_gates[0].nbytes, batch):
+            lo, hi = slab_bounds(hidden)[-1]
+            cut = hi if hi - lo == SLAB_ROWS else lo
+        self._cut = cut
+        self._u_slabs = (
+            u_gates[:, :cut]
+            .reshape(4, cut // SLAB_ROWS, SLAB_ROWS, hidden)
+            .transpose(0, 1, 3, 2)[:, :, None]
+        )  # (4, cut/64, 1, H, 64)
+        self._u_tail = u_gates[:, cut:].transpose(0, 2, 1)[:, None]  # (4, 1, H, H - cut)
         self._w_ops = united.gate_w_ops()  # (E, H) each
         self._b = united.b.reshape(4, 1, hidden)
 
@@ -498,16 +568,30 @@ class StepwiseProgram(LeasedProgram):
 
     def _bind(self) -> SimpleNamespace:
         ws = super()._bind()
+        batch, hidden, cut = self.batch, self.hidden, self._cut
+        n_slabs = cut // SLAB_ROWS
         # Fixed views, built once so the loop creates no per-step objects.
         ws.h_op = ws.h[None, :, None, :]  # (1, B, 1, H) matmul operand
-        ws.huv = ws.hu[:, :, 0, :]  # (4, B, H)
+        # The recurrent product lands in `hu`'s bytes slab-major — a slab's
+        # rows for the whole batch contiguous, so matmul's loop reuses each
+        # slab across the batch before the next — and the pre-activation
+        # add reads it back through gate-major views of the same bytes.
+        flat = ws.hu.reshape(-1)
+        ws.hu_slabs = flat[: 4 * batch * cut].reshape(4, n_slabs, batch, 1, SLAB_ROWS)
+        ws.hu_tail = flat[4 * batch * cut :].reshape(4, batch, 1, hidden - cut)
+        ws.hu_head_v = ws.hu_slabs[:, :, :, 0].transpose(0, 2, 1, 3)  # (4, B, cut/64, 64)
+        ws.hu_tail_v = ws.hu_tail[:, :, 0]  # (4, B, H - cut)
+        ws.pre_head = ws.pre[..., :cut].reshape(4, batch, n_slabs, SLAB_ROWS)
+        ws.pre_tail = ws.pre[..., cut:]
         ws.f, ws.i, ws.g, ws.o = ws.pre
         # The sigmoid gates in place: the contiguous (f, i) pair, then o,
         # each as (x, out, s1, s2, mask) of one sigmoid_into call.
         fi = ws.pre[:2]
         ws.sig_fi = (fi, fi, ws.s1[:2], ws.s2[:2], ws.m[:2])
         ws.sig_o = (ws.o, ws.o, ws.s1[2], ws.s2[2], ws.m[2])
-        ws.proj_t = [ws.proj[:, :, t] for t in range(self.seq_len)]
+        proj_t = [ws.proj[:, :, t] for t in range(self.seq_len)]
+        ws.proj_head = [p[..., :cut].reshape(4, batch, n_slabs, SLAB_ROWS) for p in proj_t]
+        ws.proj_tail = [p[..., cut:] for p in proj_t]
         if self.drs_alpha > 0.0:
             ws.mask_t = [ws.masks_all[:, t] for t in range(self.seq_len)]
         return ws
@@ -578,9 +662,9 @@ class StepwiseProgram(LeasedProgram):
         link = self._link
         alpha = self.drs_alpha
         drs = alpha > 0.0
-        h, c, t1 = ws.h, ws.c, ws.t1
-        hu, huv, pre = ws.hu, ws.huv, ws.pre
+        h, c, t1, pre = ws.h, ws.c, ws.t1, ws.pre
         f, i, g, o = ws.f, ws.i, ws.g, ws.o
+        slabbed, tail = self._cut > 0, self._cut < self.hidden
         if h0 is None:
             h[:] = 0.0
         else:
@@ -602,8 +686,12 @@ class StepwiseProgram(LeasedProgram):
                 if reset is not None:
                     np.copyto(h, link.h_bar, where=reset)
                     np.copyto(c, link.c_bar, where=reset)
-            np.matmul(prev_op, self._u_op, out=hu)
-            np.add(ws.proj_t[t], huv, out=pre)
+            if slabbed:
+                np.matmul(prev_op[None], self._u_slabs, out=ws.hu_slabs)
+                np.add(ws.proj_head[t], ws.hu_head_v, out=ws.pre_head)
+            if tail:
+                np.matmul(prev_op, self._u_tail, out=ws.hu_tail)
+                np.add(ws.proj_tail[t], ws.hu_tail_v, out=ws.pre_tail)
             np.add(pre, self._b, out=pre)
             sigmoid_into(*ws.sig_fi)
             sigmoid_into(*ws.sig_o)
@@ -621,9 +709,10 @@ class StepwiseProgram(LeasedProgram):
                     # compact scratch, run the g tanh and the cell update
                     # on ``(B, alive)`` only, and scatter back. Per-element
                     # ops on a column subset are bit-identical to full
-                    # width (the recurrent product above stays full width —
-                    # shrinking a GEMV changes BLAS's N dimension, hence its
-                    # blocking and reduction order and the last bit).
+                    # width. The recurrent product above stays full width:
+                    # an output row's bits depend on its place in the GEMV
+                    # kernel's column grouping, which gathering the alive
+                    # rows would shift (the aligned slabs keep it).
                     np.logical_not(ws.dropped, out=ws.alive)
                     alive = np.flatnonzero(ws.alive)
                     k = alive.size

@@ -30,7 +30,9 @@ be ``None``) and the ``_form_batch`` / ``_run`` / ``_rows`` / ``_stats`` /
 ``_record_meta`` hooks, plus ``_reserve`` or ``_after_tick`` when it
 vets an admission or reacts to a served tick (the fleet, whose executors
 record themselves in other processes, replaces ``_record_tick`` and
-``_cache_stats`` instead of naming caches). All time enters through
+``_cache_stats`` instead of naming caches), and ``_requeue`` when its
+parts do not live in one ``_queue``: a tick whose ``_run`` raises hands
+its parts back through it, so no ticket is stranded. All time enters through
 ``now`` arguments (or the injected ``clock``), so
 :func:`~repro.runtime.loadgen.run_open_loop` replays identical histories on
 virtual time.
@@ -342,6 +344,9 @@ class ServingCore:
         completes at ``end_s = now + service_s``, so latencies observed
         inside the tick (the zoo's controller) and by
         :func:`~repro.runtime.loadgen.run_open_loop` agree. An empty tick costs nothing and returns ``batch == 0``.
+        When the policy's executor call raises, the batch is handed back
+        (:meth:`_requeue`) before the exception propagates, so a following
+        tick or :meth:`drain` serves it.
         """
         if now is None:
             now = self.clock()
@@ -354,7 +359,14 @@ class ServingCore:
         record = self.recorder is not None and self.recorder.enabled
         before = self._cache_stats() if record else None
         start = time.perf_counter()
-        out = self._run(report, picked, tokens)
+        try:
+            out = self._run(report, picked, tokens)
+        except BaseException:
+            # Nothing was served: the parts go back to the head of their
+            # queue and the tick leaves no trace (nothing counted, resolved
+            # or recorded).
+            self._requeue(report, picked)
+            raise
         report.exec_wall_s = time.perf_counter() - start
         report.service_s = (
             report.exec_wall_s if service_model is None else service_model(report)
@@ -393,6 +405,13 @@ class ServingCore:
     def _run(self, report: TickReport, picked: list[_Work], tokens: np.ndarray):
         """The timed executor call over the stacked ``(B, L)`` tokens."""
         raise NotImplementedError
+
+    def _requeue(self, report: TickReport, picked: list[_Work]) -> None:
+        """Undo :meth:`_form_batch` after :meth:`_run` raised: put the
+        parts back at the head of the queue in their original order (and
+        refund whatever the policy charged for them). The default serves
+        policies with one ``_queue``."""
+        self._queue.extendleft(reversed(picked))
 
     def _rows(self, report: TickReport, picked: list[_Work], out, now: float):
         """Per-part logits from ``out``, in ``picked`` order."""

@@ -394,6 +394,10 @@ class ZooServer(ServingCore):
     def _form_batch(self, report, now):
         """WDRR: the next eligible tenant's FIFO equal-length batch of up to
         ``min(deficit, max_batch)`` requests, at its current point."""
+        # The WDRR state before the visit, which _requeue restores.
+        self._before_tick = (
+            self.ticks, self._cursor, [t.deficit for t in self._tenants.values()]
+        )
         self.ticks += 1
         picked = self._pick_tenant()
         if picked is None:
@@ -405,6 +409,15 @@ class ZooServer(ServingCore):
         if not tenant.queue:
             tenant.deficit = 0.0
         return batch
+
+    def _requeue(self, report, picked):
+        """A failed tick never happened: the parts return to the head of
+        their tenant's queue and the visit's WDRR state — the cursor, every
+        deficit it credited or charged, the tick count — is restored."""
+        self._tenants[report.tenant].queue.extendleft(reversed(picked))
+        self.ticks, self._cursor, deficits = self._before_tick
+        for tenant, deficit in zip(self._tenants.values(), deficits):
+            tenant.deficit = deficit
 
     def _run(self, report, picked, tokens):
         tenant = self._tenants[report.tenant]

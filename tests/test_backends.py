@@ -21,10 +21,12 @@ What :mod:`repro.core.backends` promises:
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.config import LSTMConfig
+from repro.config import LSTMConfig, get_app
 from repro.core import cgen
 from repro.core.backends import (
     BACKEND_NAMES,
@@ -34,6 +36,7 @@ from repro.core.backends import (
     validate_backend_name,
 )
 from repro.core.executor import ExecutionConfig, ExecutionMode, LSTMExecutor
+from repro.core.pipeline import OptimizedLSTM
 from repro.core.reference import ReferenceExecutor
 from repro.errors import BackendUnavailableError, ConfigurationError
 from repro.nn.network import LSTMNetwork
@@ -165,6 +168,31 @@ class TestFusedNumerics:
             for layer_a, layer_b in zip(plan_a.layers, plan_b.layers):
                 assert layer_a.breakpoints == layer_b.breakpoints
                 assert layer_a.sublayer_lengths == layer_b.sublayer_lengths
+
+    @pytest.mark.parametrize("hidden", [24, 26])
+    def test_layer0_relevance_is_backend_invariant_at_any_width(self, hidden):
+        """cgen's exact projection used to lift each token against the
+        united ``(E, 4H)`` block: at ``H % 4 != 0`` every later gate starts
+        mid-way through the GEMV kernel's column group, so its bits — and
+        a calibrated network's INTER relevance — left numpy's. ``H = 24``
+        is the control."""
+        base = get_app("BABI")
+        app = OptimizedLSTM.from_app(
+            dataclasses.replace(base, model=base.model.scaled(hidden_size=hidden, seq_length=40)),
+            seed=0,
+        )
+        app.calibrate()
+        tokens = app.sample_tokens(8, seed=5)
+        relevance = {}
+        for backend in ("numpy", "cgen"):
+            executor = LSTMExecutor(
+                app.network,
+                app.execution_config(ExecutionMode.INTER, threshold_index=5, backend=backend),
+                predicted_links=app.calibration.predicted_links,
+            )
+            plans = executor.run_batch(tokens).plans
+            relevance[backend] = np.array([plan.layers[0].relevance for plan in plans])
+        assert np.array_equal(relevance["numpy"], relevance["cgen"])
 
     def test_recorder_attributes_the_resolved_backend(self):
         network, tokens = make_case()

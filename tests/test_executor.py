@@ -6,9 +6,13 @@ reference network forward; and the combined mode degenerates to the inter /
 intra modes when the other knob is off.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.config import get_app
+from repro.core import program as program_module
 from repro.core.context_prediction import PredictedLink
 from repro.core.executor import (
     ExecutionConfig,
@@ -426,7 +430,8 @@ class TestPartialWarp:
 
 class TestServingGeometry:
     """The declared oracle grade at ``H = 256`` (BABI, calibrated links,
-    threshold set 5, batch 8) — hypothesis only draws ``H <= 24``."""
+    threshold set 5, batch 8) — hypothesis only draws ``H <= 24`` — and,
+    for the weight-slab path, at ``H = 512`` and ``H = 650``."""
 
     @pytest.fixture(scope="class")
     def babi(self):
@@ -501,3 +506,40 @@ class TestServingGeometry:
         assert np.array_equal(resident[1][0], resident[2][0])
         assert np.array_equal(resident[1][1], resident[2][1])
         assert resident[1][0].any()
+
+    @pytest.mark.parametrize(
+        "app_name, batch", [("IMDB", 4), ("PTB", 2)], ids=["h512-b4", "h650-b2"]
+    )
+    def test_exact_modes_take_weight_slabs_bit_identically(self, app_name, batch, monkeypatch):
+        """Calibrated gate blocks above ``SLAB_MIN_BYTES`` (IMDB's 2 MiB,
+        PTB's 3.3 MiB, whose H % 64 != 0 leaves a remainder slab) take the
+        slab path in both products, and the four exact modes still equal
+        the reference in logits, layer outputs and plans."""
+        base = get_app(app_name)
+        app = OptimizedLSTM.from_app(
+            dataclasses.replace(base, model=base.model.scaled(seq_length=10)), seed=0
+        )
+        app.calibrate()
+        tokens = app.sample_tokens(batch, seed=21)
+        lifted = []
+        bounds = program_module.slab_bounds
+        monkeypatch.setattr(
+            program_module, "slab_bounds", lambda height: lifted.append(height) or bounds(height)
+        )
+        for mode in ExecutionMode:
+            if mode is ExecutionMode.COMBINED:
+                continue
+            lifted.clear()
+            executor = self.executor(app, mode)
+            out = executor.run_batch(tokens)
+            ref = ReferenceExecutor(
+                app.network, executor.config, predicted_links=app.calibration.predicted_links
+            ).run_batch(tokens)
+            assert_meets_grade(out, ref, exact=True)
+            hidden = app.network.config.hidden_size
+            # One slabbed lift per layer (layer 0's is the distinct-token
+            # projection) and one slabbed recurrence per layer program.
+            assert lifted == [hidden] * (2 * app.network.num_layers)
+            programs = [entry for _, entry in executor.program_cache.items()]
+            assert len(programs) == app.network.num_layers
+            assert all(program._cut > 0 for program in programs)

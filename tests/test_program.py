@@ -1,11 +1,15 @@
 """Compiled plan programs: bit-identity, workspace reuse, allocations.
 
-Three properties of :mod:`repro.core.program`:
+Four properties of :mod:`repro.core.program`:
 
 * **Agreement with the oracle.** The executor's programs equal the
   frozen :class:`~repro.core.reference.ReferenceExecutor` bit for bit in
   the four stepwise modes and at the graded tier in COMBINED (the
   broader hypothesis sweep lives in ``tests/test_executor_equivalence.py``).
+
+* **Weight slabs move no bit.** A gate block lifted one 64-row slab at
+  a time, slabs aligned to the gate's first row, equals the gate-wide
+  lift, in the input projection and in the recurrence (hypothesis).
 
 * **Workspace reuse.** Every program of a cache computes in the cache's
   one workspace arena; consecutive ``run_batch`` calls on one compiled
@@ -183,6 +187,75 @@ class TestCompiledMatchesReference:
         assert len(out_c.layer_states) == len(out_r.layer_states) == network.num_layers
         for c_c, c_r in zip(out_c.layer_states, out_r.layer_states):
             assert np.array_equal(c_c, c_r)
+
+
+#: Gate heights for the slab properties: H % 4 == 2 (130, 198, 250, 386,
+#: 650), H % 64 != 0 (all but 512), one slab plus a remainder (130) and
+#: a remainder-free split (512).
+SLAB_HEIGHTS = [96, 130, 198, 250, 386, 512, 650]
+
+EXACT_MODES = [m for m in MODE_CONFIGS if m is not ExecutionMode.COMBINED]
+
+
+class TestWeightSlabs:
+    """A gate block lifted one aligned row slab at a time gives the
+    gate-wide lift's bits; ``SLAB_MIN_BYTES`` is forced to 0 so small
+    gates take the slab path too."""
+
+    def test_slab_bounds_are_aligned_and_never_one_row(self):
+        for height in range(2, 1100):
+            bounds = program_module.slab_bounds(height)
+            assert bounds[0][0] == 0 and bounds[-1][1] == height
+            assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+            for lo, hi in bounds:
+                assert lo % program_module.SLAB_ROWS == 0
+                assert hi - lo >= min(height, program_module.SLAB_ROWS) > 1
+                assert hi - lo < 2 * program_module.SLAB_ROWS or len(bounds) == 1
+
+    def test_slabs_only_for_large_gates_and_several_rows(self):
+        big = program_module.SLAB_MIN_BYTES + 8
+        assert program_module.uses_slabs(big, 2)
+        assert not program_module.uses_slabs(big, 1)
+        assert not program_module.uses_slabs(program_module.SLAB_MIN_BYTES, 8)
+
+    @given(
+        height=st.sampled_from(SLAB_HEIGHTS),
+        rows=st.integers(2, 8),
+        width=st.sampled_from([64, 130, 300]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_slabbed_lift_equals_gate_wide_lift(self, height, rows, width, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(4 * height, width))
+        xs = rng.normal(size=(1, rows, width))
+        gates = [w[k * height : (k + 1) * height] for k in range(4)]
+        outs = np.empty((4, 1, rows, height))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(program_module, "SLAB_MIN_BYTES", 0)
+            program_module.project_rows(xs, [g.T for g in gates], outs)
+        for gate, out in zip(gates, outs):
+            assert np.array_equal(out, (xs[:, :, None, :] @ gate.T)[:, :, 0])
+
+    @given(
+        height=st.sampled_from(SLAB_HEIGHTS),
+        batch=st.integers(2, 8),
+        mode=st.sampled_from(EXACT_MODES),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_slabbed_recurrence_equals_reference(self, height, batch, mode, seed):
+        network, tokens, links = make_case(seed, hidden=height, layers=1, seq=3, batch=batch)
+        config = ExecutionConfig(mode=mode, **MODE_CONFIGS[mode])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(program_module, "SLAB_MIN_BYTES", 0)
+            executor = LSTMExecutor(network, config, predicted_links=links)
+            out = executor.run_batch(tokens)
+        (program,) = [entry for _, entry in executor.program_cache.items()]
+        assert program._cut % program_module.SLAB_ROWS == 0
+        assert (program._cut > 0) is (height >= 2 * program_module.SLAB_ROWS)
+        reference = ReferenceExecutor(network, config, predicted_links=links)
+        assert_meets_grade(out, reference.run_batch(tokens), exact=True)
 
 
 class TestWorkspaceReuse:

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.config import LSTMConfig
-from repro.core.executor import ExecutionConfig, ExecutionMode
+from repro.core.executor import ExecutionConfig, ExecutionMode, LSTMExecutor
 from repro.errors import BackpressureError, ShapeError
 from repro.nn.network import LSTMNetwork
 from repro.obs.recorder import Recorder
@@ -192,6 +192,46 @@ class TestTick:
         p.server.drain(now=0.0)
         p.server.tick(now=0.0)
         assert ticket.done and len(calls) == 1 and calls[0] is ticket.result
+
+    def test_a_tick_whose_run_raises_strands_nothing(self, make, monkeypatch):
+        """The parts of a failed tick go back to the head of their queue:
+        nothing is counted or resolved, and the next drain serves them as
+        a clean server would, tick for tick and bit for bit."""
+        lengths = [4, 8, 4, 3, 4]
+
+        def submit_all(p):
+            return [p.submit(f"s{i}", tokens(n, i), now=0.0) for i, n in enumerate(lengths)]
+
+        clean = make()
+        clean_tickets = submit_all(clean)
+        clean_reports = clean.server.drain(now=0.0)
+
+        p = make()
+        tickets = submit_all(p)
+        depth = p.server.queue_depth
+        calls = []
+        for name in ("run_batch", "run_stream"):
+            original = getattr(LSTMExecutor, name)
+
+            def failing_once(self, *args, _original=original, **kwargs):
+                calls.append(1)
+                if len(calls) == 1:
+                    raise RuntimeError("executor failed")
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(LSTMExecutor, name, failing_once)
+        with pytest.raises(RuntimeError, match="executor failed"):
+            p.server.tick(now=0.0)
+        assert p.server.queue_depth == depth
+        assert not any(ticket.done for ticket in tickets)
+        assert p.stats.ticks == p.stats.served == 0
+        reports = p.server.drain(now=0.0)
+        assert [(r.batch, r.length) for r in reports] == [
+            (r.batch, r.length) for r in clean_reports
+        ]
+        for ticket, expected in zip(tickets, clean_tickets):
+            assert ticket.done
+            assert np.array_equal(ticket.result.logits, expected.result.logits)
 
     def test_drain_empties_the_queue(self, make):
         p = make()

@@ -263,7 +263,8 @@ class TestArena:
                     assert np.shares_memory(united.w, worker_segment)
                     assert np.shares_memory(united.u, worker_segment)
                 for program in executor.program_cache._store.values():
-                    assert np.shares_memory(program._u_op, worker_segment)
+                    for u_op in (program._u_slabs, program._u_tail):
+                        assert u_op.size == 0 or np.shares_memory(u_op, worker_segment)
                 expected = LSTMExecutor(network, config).run_batch(tokens)
                 assert np.array_equal(result.logits, expected.logits)
                 del executor, attached, program, united, layer, block, result
