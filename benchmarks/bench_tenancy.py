@@ -3,11 +3,14 @@
 Exercises :mod:`repro.runtime.tenancy` three ways and writes
 ``BENCH_tenancy.json``:
 
-* **arena dedup** — four tenants over two distinct networks (two fp64
-  siblings of one model, two int8 siblings of another) must publish at
-  most ``DEDUP_RATIO_BOUND`` of the bytes naive per-tenant publishing
-  would (every duplicate acquire attaches existing pages through the
-  :class:`~repro.runtime.arena.ArenaRegistry`);
+* **weight dedup** — four tenants over two distinct networks (two fp64
+  siblings of one model, two int8 siblings of another) must keep at most
+  ``DEDUP_RATIO_BOUND`` of the weight bytes that private copies would
+  cost: the distinct arrays the zoo holds
+  (:meth:`~repro.runtime.tenancy.ZooServer.resident_bytes` weights plus
+  executor arrays) over, per tenant, its network's parameter bytes plus
+  what a standalone executor at its point derives. No shared-memory
+  segment may appear while the zoo serves;
 * **shared-cache amortization** — after one tenant warms the cross-tenant
   :class:`~repro.core.program.ProgramCache`, a steady-state window
   serving *both* tenants of the same model must run at
@@ -43,7 +46,7 @@ from repro.bench.deflake import SHORT
 from repro.bench.gates import GateSet
 from repro.config import LSTMConfig
 from repro.core.reference import ReferenceExecutor
-from repro.core.executor import ExecutionConfig, ExecutionMode
+from repro.core.executor import ExecutionConfig, ExecutionMode, LSTMExecutor
 from repro.nn.network import LSTMNetwork
 from repro.obs.recorder import Recorder
 from repro.runtime import (
@@ -54,6 +57,7 @@ from repro.runtime import (
     TenantSpec,
     ZooServer,
     generate_tenant_arrivals,
+    leaked_segments,
     run_open_loop,
 )
 
@@ -104,33 +108,45 @@ def model_service(report) -> float:
 # ------------------------------------------------------------------- dedup
 
 
+def private_bytes(network: LSTMNetwork, config: ExecutionConfig) -> int:
+    """A tenant's weight bytes without sharing: its own copy of the network
+    plus what a standalone executor at its point derives."""
+    executor = LSTMExecutor(network, config)
+    return sum(a.nbytes for a in network.parameters()) + sum(
+        a.nbytes for a in executor.owned_arrays()
+    )
+
+
 def check_dedup(gates: GateSet) -> dict:
-    """Four tenants over two networks: registry bytes vs naive publishing."""
+    """Four tenants over two networks: distinct bytes held vs private copies."""
     net1 = build_network(seed=11)
     net2 = build_network(seed=23)
+    segments_before = leaked_segments()
+    tenants = [
+        (TenantSpec(name="a1", model="m1", weight=2.0), net1),
+        (TenantSpec(name="a2", model="m1", weight=1.0), net1),
+        (TenantSpec(name="b1", model="m2", point=OperatingPoint(precision="int8")), net2),
+        (TenantSpec(name="b2", model="m2", point=OperatingPoint(precision="int8")), net2),
+    ]
     with ZooServer() as server:
-        server.add_tenant(TenantSpec(name="a1", model="m1", weight=2.0), net1)
-        server.add_tenant(TenantSpec(name="a2", model="m1", weight=1.0), net1)
-        server.add_tenant(
-            TenantSpec(name="b1", model="m2", point=OperatingPoint(precision="int8")),
-            net2,
+        for spec, network in tenants:
+            server.add_tenant(spec, network)
+        private = sum(
+            private_bytes(network, server._point_config(spec.point)) for spec, network in tenants
         )
-        server.add_tenant(
-            TenantSpec(name="b2", model="m2", point=OperatingPoint(precision="int8")),
-            net2,
-        )
-        stats = server.registry.stats
-        ratio = stats.dedup_ratio
 
-        # Serve a little traffic through the deduplicated arenas, and pin
-        # the fp64 tenants to the frozen reference (the no-op discipline
-        # must hold through the shared-arena path).
+        # Serve a little traffic through the shared executors, and pin the
+        # fp64 tenants to the frozen reference (the no-op discipline must
+        # hold through the shared path).
         rng = np.random.default_rng(5)
         tokens = [rng.integers(0, VOCAB, size=SEQ_LEN) for _ in range(8)]
         for i, tok in enumerate(tokens):
             for name in ("a1", "a2", "b1", "b2"):
                 server.submit(name, f"{name}-{i}", tok, now=0.0)
         server.drain(now=0.0, service_model=model_service)
+        resident = server.resident_bytes()
+        held = resident["weights"] + resident["executor_arrays"]
+        no_segment = leaked_segments() == segments_before
         reference = ReferenceExecutor(
             net1, ExecutionConfig(mode=ExecutionMode.BASELINE)
         )
@@ -147,27 +163,36 @@ def check_dedup(gates: GateSet) -> dict:
                 for i, t in enumerate(pinned)
             )
 
+    ratio = held / private
     gates.require_at_most(
-        "dedup/arena-bytes-ratio",
+        "dedup/weight-bytes-ratio",
         ratio,
         DEDUP_RATIO_BOUND,
-        "published arena bytes over naive per-tenant publishing "
+        "distinct weight bytes the zoo holds over private per-tenant copies "
         "(4 tenants, 2 networks)",
     )
     gates.require_true(
         "dedup/fp64-bit-identical",
         fp64_identical,
-        "fp64 tenant logits through the shared-arena path differ from the "
+        "fp64 tenant logits through the shared-executor path differ from the "
         "frozen reference",
     )
+    gates.require_true(
+        "dedup/no-shm-segment",
+        no_segment,
+        "a shared-memory segment appeared while the zoo served",
+    )
     print(
-        f"dedup: {stats.published_segments} segments, "
-        f"{stats.published_bytes / 1e6:.2f} MB published vs "
-        f"{stats.naive_bytes / 1e6:.2f} MB naive -> ratio {ratio:.3f} "
-        f"(bound {DEDUP_RATIO_BOUND}), fp64 identical {fp64_identical}"
+        f"dedup: {held:,} B held vs {private:,} B in private copies -> ratio "
+        f"{ratio:.3f} (bound {DEDUP_RATIO_BOUND}), fp64 identical {fp64_identical}, "
+        f"no segment {no_segment}"
     )
     return {
-        **stats.as_dict(),
+        "resident_bytes": resident,
+        "held_bytes": held,
+        "private_bytes": private,
+        "weight_bytes_ratio": ratio,
+        "no_shm_segment": no_segment,
         "fp64_bit_identical": fp64_identical,
         "bound": DEDUP_RATIO_BOUND,
     }

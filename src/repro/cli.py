@@ -155,7 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="add one zoo tenant bound to a Table II app (repeatable); WEIGHT "
         "is its QoS share (default 1), PRECISION its weight storage "
-        "(default fp64). Tenants of the same app share arena segments. "
+        "(default fp64). Tenants of the same app share its weights and, at "
+        "one precision, its executor. "
         "Default: MR:2:fp64 MR:1:fp64 MR:1:int8",
     )
     serve.add_argument("--max-batch", type=int, default=8,
@@ -485,8 +486,8 @@ def _zoo_policy(args, recorder):
             )
         parsed.append((parts[0], weight, precision))
 
-    # One network build per distinct app: tenants of the same app submit
-    # the *same* weights to the registry, which is what deduplicates them.
+    # One network build per distinct app: tenants of the same app are served
+    # on the same arrays, through one executor per precision.
     networks = {}
     for app_name, _, _ in parsed:
         if app_name not in networks:
@@ -497,26 +498,22 @@ def _zoo_policy(args, recorder):
     server = ZooServer(recorder=recorder, threads=args.threads)
     weights: dict[str, float] = {}
     vocabs: dict[str, int] = {}
-    try:
-        for index, (app_name, weight, precision) in enumerate(parsed):
-            app, network = networks[app_name]
-            name = f"t{index}-{app_name.lower()}-{precision}"
-            server.add_tenant(
-                TenantSpec(
-                    name=name,
-                    model=app_name,
-                    weight=weight,
-                    point=OperatingPoint(precision=precision),
-                    max_batch=args.max_batch,
-                    queue_limit=args.queue_limit,
-                ),
-                network,
-            )
-            weights[name] = weight
-            vocabs[name] = app.vocab_size
-    except BaseException:
-        server.close()
-        raise
+    for index, (app_name, weight, precision) in enumerate(parsed):
+        app, network = networks[app_name]
+        name = f"t{index}-{app_name.lower()}-{precision}"
+        server.add_tenant(
+            TenantSpec(
+                name=name,
+                model=app_name,
+                weight=weight,
+                point=OperatingPoint(precision=precision),
+                max_batch=args.max_batch,
+                queue_limit=args.queue_limit,
+            ),
+            network,
+        )
+        weights[name] = weight
+        vocabs[name] = app.vocab_size
     low, high = _SEQUENCE_LEN
     spec = _serve_spec(args, session_len_min=low, session_len_max=high)
     return server, generate_tenant_arrivals(spec, weights, vocabs)

@@ -45,8 +45,9 @@ class LSTMCellWeights:
     optimizations treat gates differently — DRS skips rows of ``U_f, U_i,
     U_c`` but never ``U_o``) are row slices of the blocks: each keeps its
     own row-major layout, and reads, in-place updates and assignments all
-    land in the one copy that executors, compiled programs and the
-    shared-memory arena compute on.
+    land in the one copy that executors, compiled programs and the zoo's
+    tenants compute on (the fleet's shared-memory arena is a copy, taken
+    when it publishes).
     """
 
     w: np.ndarray

@@ -29,9 +29,11 @@ streamed bytes (Sec. II-B) and their rows are what DRS skips. Biases,
 the embedding table, and the head stay float64.
 
 Quantization happens once, at executor construction (mirroring how zero
-pruning replaces weights before planning), so every downstream path —
-relevance planning, compiled programs, the shared-memory arena, the
-fleet — observes ordinary float64 weights whose *values* carry the
+pruning replaces weights before planning); executors over the same
+weights at one precision share the resulting cells — an app's threshold
+sweep, the zoo's tenants, a fleet worker handed the codes its parent
+published. Every downstream path — relevance planning, compiled
+programs — observes ordinary float64 weights whose *values* carry the
 quantization.
 """
 

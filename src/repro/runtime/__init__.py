@@ -16,8 +16,9 @@ command. Three batch-forming policies ride on it:
   chunk per session per tick over resident per-session ``(h, c)`` state,
   LRU/TTL session eviction, an asyncio front door;
 * :class:`ZooServer` (:mod:`repro.runtime.tenancy`) — weighted deficit
-  round-robin over per-tenant queues on one deduplicated
-  :class:`ArenaRegistry` and one cross-tenant program/plan cache, with
+  round-robin over per-tenant queues in one process: one executor per
+  (network, operating point) on the caller's arrays, shared by every
+  tenant that reaches it, and one cross-tenant program/plan cache, with
   :mod:`repro.runtime.controller` closing the per-tenant SLO loop after
   each tick from :mod:`repro.runtime.shadow`'s sampled agreement;
 * :class:`FleetServer` (:mod:`repro.runtime.fleet`) — whole sequences FIFO
@@ -28,8 +29,6 @@ command. Three batch-forming policies ride on it:
 
 from repro.runtime.arena import (
     ArenaManifest,
-    ArenaRegistry,
-    ArenaRegistryStats,
     WeightArena,
     leaked_segments,
 )
@@ -65,8 +64,6 @@ from repro.runtime.tenancy import TenantSpec, ZooServer
 
 __all__ = [
     "ArenaManifest",
-    "ArenaRegistry",
-    "ArenaRegistryStats",
     "Arrival",
     "ControllerMove",
     "FleetServer",

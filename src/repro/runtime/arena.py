@@ -1,14 +1,17 @@
-"""Shared-memory weight arena: publish a network once, attach everywhere.
+"""Shared-memory weight arena: the fleet's cross-process weight transport.
 
 The paper's tissue insight is that the recurrent matrix ``U`` should be
-loaded once and amortized across every fused cell. The serving runtime
-lifts the same principle to process scale: the parent publishes every
-parameter array of an :class:`~repro.nn.network.LSTMNetwork` into one
-``multiprocessing.shared_memory`` segment, and each worker *attaches* —
-mapping the same physical pages read-only — instead of receiving a
-pickled copy per task. The segment is keyed by
+loaded once and amortized across every fused cell. The fleet
+(:mod:`repro.runtime.fleet`) lifts the same principle across processes:
+the parent publishes every parameter array of an
+:class:`~repro.nn.network.LSTMNetwork` into one
+``multiprocessing.shared_memory`` segment, and each spawned worker
+*attaches* — mapping the same physical pages read-only — instead of
+receiving a pickled copy per task. The segment is keyed by
 :func:`~repro.core.plan.fingerprint_network`, so a manifest can never be
-attached to the wrong weights.
+attached to the wrong weights. In-process sharing needs no segment: the
+zoo (:mod:`repro.runtime.tenancy`) serves its tenants on the caller's
+arrays by reference.
 
 Layout: one block, each array at a 64-byte-aligned offset (at least the
 alignment numpy's own allocator guarantees, so attached views take the
@@ -26,8 +29,8 @@ segment down under the others (and spam leak warnings on 3.10–3.12).
 
 from __future__ import annotations
 
+import copy
 import secrets
-import threading
 from dataclasses import dataclass, field
 from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
@@ -129,16 +132,8 @@ def _dequantized_network(
     the arena — and every downstream plan/program cache — per precision
     with no extra tag plumbing.
     """
-    deq = LSTMNetwork.__new__(LSTMNetwork)
-    deq.config = network.config
-    deq.vocab_size = network.vocab_size
-    deq.num_classes = network.num_classes
-    deq.per_timestep_head = network.per_timestep_head
-    deq.head_pool = network.head_pool
-    deq.embedding = network.embedding
+    deq = copy.copy(network)
     deq.layers = [LSTMLayer(cell.dequantized) for cell in cells]
-    deq.head_weight = network.head_weight
-    deq.head_bias = network.head_bias
     return deq
 
 
@@ -322,41 +317,28 @@ class WeightArena:
         """Read-only views of every published array, keyed by manifest key."""
         return {entry.key: self._view(entry) for entry in self.manifest.entries}
 
-    def _gate_payload(
-        self, views: dict[str, np.ndarray], index: int, name: str, copy: bool
-    ) -> QuantizedMatrix:
-        data = views[f"layers.{index}.{name}.q"]
-        scales = views.get(f"layers.{index}.{name}.scale")
-        if copy:
-            data = np.array(data)
-            scales = None if scales is None else np.array(scales)
-        return QuantizedMatrix(data=data, scales=scales)
-
-    def _layer_payloads(
-        self, views: dict[str, np.ndarray], index: int, copy: bool
-    ) -> tuple[dict[str, QuantizedMatrix], dict[str, QuantizedMatrix]]:
-        """Layer ``index``'s per-gate ``W`` and ``U`` payloads (``copy``:
-        detached from the segment)."""
-        return tuple(
-            {g: self._gate_payload(views, index, f"{kind}_{g}", copy) for g in GATE_ORDER}
-            for kind in "wu"
-        )
-
-    def network(self) -> LSTMNetwork:
+    def network(self, cells: list[QuantizedCell] | None = None) -> LSTMNetwork:
         """Rebuild the network on top of the shared pages.
 
         For an fp64 arena the parameter arrays — per layer, the three
         united blocks — are zero-copy read-only views into the segment, so
         an executor built on this network computes on the shared pages
         themselves; the network must not outlive this arena's mapping.
-        For a quantized arena the gate matrices are dequantized
-        into fresh float64 arrays (the payloads stay shared; only the
-        reconstruction is materialized), so the rebuilt weights are
-        byte-identical to what the publishing side dequantized.
+        For a quantized arena each layer's weights are the ``dequantized``
+        blocks of ``cells`` (by default a fresh :meth:`quantized_cells`):
+        a worker that hands the same cells to its executor holds one
+        float64 reconstruction per layer, shared by network and executor.
         """
         views = self.arrays()
         manifest = self.manifest
-        precision = Precision.parse(manifest.precision)
+        if Precision.parse(manifest.precision).is_quantized:
+            cells = self.quantized_cells() if cells is None else cells
+            layers = [cell.dequantized for cell in cells]
+        else:
+            layers = [
+                LSTMCellWeights(*(views[f"layers.{index}.{name}"] for name in "wub"))
+                for index in range(manifest.config.num_layers)
+            ]
         network = LSTMNetwork.__new__(LSTMNetwork)
         network.config = manifest.config
         network.vocab_size = manifest.vocab_size
@@ -364,16 +346,7 @@ class WeightArena:
         network.per_timestep_head = manifest.per_timestep_head
         network.head_pool = manifest.head_pool
         network.embedding = views["embedding"]
-        network.layers = []
-        for index in range(manifest.config.num_layers):
-            if precision.is_quantized:
-                weights = dequantize_lstm_cell(
-                    *self._layer_payloads(views, index, copy=False),
-                    views[f"layers.{index}.b"],
-                )
-            else:
-                weights = LSTMCellWeights(*(views[f"layers.{index}.{name}"] for name in "wub"))
-            network.layers.append(LSTMLayer(weights))
+        network.layers = [LSTMLayer(weights) for weights in layers]
         network.head_weight = views["head_weight"]
         network.head_bias = views["head_bias"]
         if fingerprint_network(network) != manifest.fingerprint:
@@ -386,11 +359,11 @@ class WeightArena:
         """Rebuild per-layer :class:`QuantizedCell`\\ s from the payloads.
 
         Workers hand these to :class:`~repro.core.executor.LSTMExecutor`
-        so the fleet runs on the *published* codes and scales rather than
-        re-quantizing — the executor's weights are then byte-identical to
-        the parent's by construction. Payloads and biases are copied out
-        of the segment (they are small at quantized storage), so the
-        cells may outlive the arena mapping.
+        and to :meth:`network`, so the fleet runs on the *published* codes
+        and scales rather than re-quantizing — the executor's weights are
+        then byte-identical to the parent's by construction. Payloads and
+        biases are copied out of the segment (they are small at quantized
+        storage), so the cells may outlive the arena mapping.
         """
         precision = Precision.parse(self.manifest.precision)
         if not precision.is_quantized:
@@ -398,9 +371,20 @@ class WeightArena:
                 "arena was published at fp64; it holds no quantized payloads"
             )
         views = self.arrays()
+
+        def payload(key: str) -> QuantizedMatrix:
+            scales = views.get(f"{key}.scale")
+            return QuantizedMatrix(
+                data=np.array(views[f"{key}.q"]),
+                scales=None if scales is None else np.array(scales),
+            )
+
         cells: list[QuantizedCell] = []
         for index in range(self.manifest.config.num_layers):
-            qw, qu = self._layer_payloads(views, index, copy=True)
+            qw, qu = (
+                {gate: payload(f"layers.{index}.{kind}_{gate}") for gate in GATE_ORDER}
+                for kind in "wu"
+            )
             bias = np.array(views[f"layers.{index}.b"])
             cells.append(
                 QuantizedCell(
@@ -411,151 +395,6 @@ class WeightArena:
                 )
             )
         return cells
-
-
-@dataclass
-class ArenaRegistryStats:
-    """Dedup accounting of an :class:`ArenaRegistry`.
-
-    ``naive_bytes`` is what per-tenant publishing would have copied (every
-    acquire pays its arena's full size); ``published_bytes`` is what the
-    registry actually holds. Their ratio is the multi-tenant memory gate.
-    """
-
-    acquires: int = 0
-    dedup_hits: int = 0
-    published_segments: int = 0
-    published_bytes: int = 0
-    naive_bytes: int = 0
-
-    @property
-    def dedup_ratio(self) -> float:
-        """Published bytes over naive per-acquire bytes (1.0 = no sharing)."""
-        if self.naive_bytes <= 0:
-            return 1.0
-        return self.published_bytes / self.naive_bytes
-
-    def as_dict(self) -> dict[str, float]:
-        """Flat form for bench reports."""
-        return {
-            "acquires": self.acquires,
-            "dedup_hits": self.dedup_hits,
-            "published_segments": self.published_segments,
-            "published_bytes": self.published_bytes,
-            "naive_bytes": self.naive_bytes,
-            "dedup_ratio": self.dedup_ratio,
-        }
-
-
-class _RegistryVariant:
-    """One refcounted published arena (a precision variant of one network)."""
-
-    __slots__ = ("arena", "refcount")
-
-    def __init__(self, arena: WeightArena) -> None:
-        self.arena = arena
-        self.refcount = 0
-
-
-class ArenaRegistry:
-    """Deduplicating, refcounted pool of published weight arenas.
-
-    Entries are keyed by the *source* network's
-    :func:`~repro.core.plan.fingerprint_network` — the fp64 fingerprint —
-    with precision variants nested under it. Re-publishing a
-    precision sibling (the same network at int8 after fp64, or a second
-    int8 tenant of an already-served model) therefore reuses the existing
-    fingerprint entry instead of publishing a second segment: an fp64 and
-    an int8 publish of one network share one key path, and only a *new*
-    (fingerprint, precision) variant copies bytes. Each variant's
-    manifest keeps the dequantized-network fingerprint, so downstream
-    plan/program caches stay keyed per precision exactly as before.
-
-    :meth:`acquire` bumps a per-variant refcount; :meth:`release` drops
-    it and unlinks the segment at zero. The registry is a context
-    manager — exiting tears down every variant it still holds.
-
-    Thread-safe: a reentrant lock serializes acquire/release/close, so
-    tenants admitted from concurrent threads (or zoo executors running
-    under the in-process dispatcher) can share one registry — two racing
-    first-acquires publish exactly one segment, and refcounts stay exact.
-    Publishing happens under the lock; it is rare (once per variant) and
-    holding the lock closes the check-then-publish race window.
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[str, dict[str, _RegistryVariant]] = {}
-        self._lock = threading.RLock()
-        self.stats = ArenaRegistryStats()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return sum(len(variants) for variants in self._entries.values())
-
-    def acquire(
-        self, network: LSTMNetwork, precision: "Precision | str" = "fp64"
-    ) -> WeightArena:
-        """Return the shared arena for ``(network, precision)``, publishing once.
-
-        The first acquire of a variant publishes; every later acquire of
-        the same source fingerprint and precision attaches to the same
-        segment and only bumps the refcount.
-        """
-        precision = Precision.parse(precision)
-        source_fp = fingerprint_network(network)
-        with self._lock:
-            variants = self._entries.setdefault(source_fp, {})
-            variant = variants.get(precision.tag)
-            self.stats.acquires += 1
-            if variant is None:
-                variant = _RegistryVariant(WeightArena.publish(network, precision))
-                variants[precision.tag] = variant
-                self.stats.published_segments += 1
-                self.stats.published_bytes += variant.arena.manifest.total_bytes
-            else:
-                self.stats.dedup_hits += 1
-            self.stats.naive_bytes += variant.arena.manifest.total_bytes
-            variant.refcount += 1
-            return variant.arena
-
-    def release(self, arena: WeightArena) -> None:
-        """Drop one reference; unlink the segment when the last one goes."""
-        with self._lock:
-            for source_fp, variants in self._entries.items():
-                for tag, variant in variants.items():
-                    if variant.arena is not arena:
-                        continue
-                    variant.refcount -= 1
-                    if variant.refcount <= 0:
-                        self.stats.published_bytes -= arena.manifest.total_bytes
-                        self.stats.published_segments -= 1
-                        arena.close()
-                        arena.unlink()
-                        del variants[tag]
-                        if not variants:
-                            del self._entries[source_fp]
-                    return
-            raise RuntimeStateError("arena was not acquired from this registry")
-
-    def variants(self, network: LSTMNetwork) -> tuple[str, ...]:
-        """Precision tags currently published under ``network``'s fingerprint."""
-        with self._lock:
-            return tuple(sorted(self._entries.get(fingerprint_network(network), ())))
-
-    def close(self) -> None:
-        """Unlink every segment still held (idempotent)."""
-        with self._lock:
-            for variants in self._entries.values():
-                for variant in variants.values():
-                    variant.arena.close()
-                    variant.arena.unlink()
-            self._entries.clear()
-
-    def __enter__(self) -> "ArenaRegistry":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def leaked_segments(shm_dir: str = "/dev/shm") -> list[str]:

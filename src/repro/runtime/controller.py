@@ -38,6 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.nn.quantize import Precision
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,14 @@ class OperatingPoint:
     alpha_inter: float = 0.0
     alpha_intra: float = 0.0
     precision: str = "fp64"
+
+    def __post_init__(self) -> None:
+        if self.alpha_inter < 0 or self.alpha_intra < 0:
+            raise ConfigurationError(
+                f"thresholds must be non-negative, got alpha_inter="
+                f"{self.alpha_inter}, alpha_intra={self.alpha_intra}"
+            )
+        Precision.parse(self.precision)  # an unknown precision raises here
 
     def as_dict(self) -> dict:
         """Flat form for run-record configs and bench reports."""

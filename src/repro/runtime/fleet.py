@@ -85,7 +85,9 @@ def worker_main(
             # rebuilt weights) makes the fleet byte-identical to the parent
             # by construction. An fp64 arena under a quantized config (the
             # zero-prune case: pruning must happen before quantization) lets
-            # the executor quantize for itself, deterministically.
+            # the executor quantize for itself, deterministically. The
+            # network's layers are the cells' dequantized blocks, so the
+            # worker holds one float64 reconstruction per layer.
             quantized_cells = None
             if manifest.precision != "fp64":
                 if manifest.precision != config.precision.tag:
@@ -96,7 +98,7 @@ def worker_main(
                 quantized_cells = arena.quantized_cells()
             recorder = Recorder() if record else None
             executor = LSTMExecutor(
-                arena.network(),
+                arena.network(quantized_cells),
                 config,
                 plan_cache=PlanCache(),
                 recorder=recorder,

@@ -1,4 +1,4 @@
-"""Multi-tenant model-zoo serving: one arena, one cache, N tenants.
+"""Multi-tenant model-zoo serving: one process, one cache, N tenants.
 
 E-PUR's reuse-maximization argument — amortize every weight fetch across
 as much work as possible — applied at the *zoo* level: when N tenants
@@ -7,11 +7,15 @@ and execution plans are the reusable resources, and the serving layer's
 job is to make sure no tenant pays for a copy another tenant already
 owns. Three shared structures carry that:
 
-* **one** :class:`~repro.runtime.arena.ArenaRegistry` — weight segments
-  deduplicated by source-network fingerprint with precision variants
-  nested under it, refcounted across tenants (two tenants of the same
-  model attach the same pages; an int8 sibling reuses the fp64
-  fingerprint entry);
+* **one executor per** (network fingerprint, operating point) — built
+  directly on the caller's network, so every fp64 tenant of a model
+  computes on the caller's own arrays by reference (the zoo is one
+  process: sharing needs no segment and no refcount). Tenants whose
+  networks have equal content share one executor; a quantized point
+  reuses the quantized cells (:class:`~repro.nn.quantize.QuantizedCell`)
+  of any kept executor of the same network and precision, so a model
+  holds one derivation per precision however many tenants or controller
+  moves reach it. :meth:`ZooServer.resident_bytes` reports what is held;
 * **one cross-tenant** :class:`~repro.core.program.ProgramCache` **and**
   :class:`~repro.core.plan.PlanCache` — their keys already carry weight
   fingerprints and shapes, so sharing is safe by construction, and a
@@ -33,9 +37,9 @@ request latencies and a :class:`~repro.runtime.shadow.ShadowSampler`
 agreement stream (every ``K``-th served batch replayed on the exact fp64
 oracle), stepping (``alpha_inter``, ``alpha_intra``, ``precision``)
 along the offline sweep frontier to hold the p99/accuracy SLO. Moving
-to a new precision acquires the sibling arena through the registry —
-deduplicated like any other publish — and rebuilds the executor against
-the shared caches, so previously compiled programs stay warm.
+to a new point reaches that point's kept executor, or builds one against
+the shared caches (reusing a sibling's quantized cells), so previously
+compiled programs stay warm.
 
 **Equivalence discipline.** A tenant at the fp64 BASELINE point with no
 controller is a strict no-op path: its logits are bit-identical to the
@@ -62,12 +66,11 @@ from typing import Callable
 import numpy as np
 
 from repro.core.executor import ExecutionConfig, ExecutionMode, LSTMExecutor
-from repro.core.plan import PlanCache
+from repro.core.plan import PlanCache, fingerprint_network
 from repro.core.program import ProgramCache
 from repro.errors import ConfigurationError
 from repro.nn.network import LSTMNetwork
 from repro.obs.recorder import Recorder
-from repro.runtime.arena import ArenaRegistry, WeightArena
 from repro.runtime.controller import OperatingPoint, SLOController
 from repro.runtime.serving import ServingCore, ServingStats, ServingTicket, take_batch
 from repro.runtime.shadow import ShadowSampler
@@ -80,8 +83,13 @@ class TenantSpec:
     Attributes:
         name: Tenant identity (labels run records and cache attribution).
         model: Free-form model identity (zoo app name or a synthetic
-            tag); informational — the *weights* are identified by
-            fingerprint in the registry.
+            tag); informational — the zoo identifies the *weights* by
+            :func:`~repro.core.plan.fingerprint_network` of the network
+            passed to :meth:`ZooServer.add_tenant`, and serves that
+            network's arrays by reference, as
+            :class:`~repro.runtime.streaming.StreamingServer` and
+            :class:`~repro.core.pipeline.OptimizedLSTM` do: do not mutate
+            them while the zoo serves.
         weight: WDRR share. Sustained service ratios between saturated
             tenants converge to the ratio of their weights.
         point: Starting operating point (``alpha_inter``, ``alpha_intra``,
@@ -123,24 +131,25 @@ class _Tenant:
         self,
         spec: TenantSpec,
         network: LSTMNetwork,
+        fingerprint: str,
         controller: SLOController | None,
         shadow: ShadowSampler | None,
     ) -> None:
         self.spec = spec
-        self.source_network = network  # fp64 weights; registry key source
+        #: The network the zoo serves this tenant (the first one added
+        #: with this content) and its fingerprint, the executors' key.
+        self.network = network
+        self.fingerprint = fingerprint
         self.controller = controller
         self.shadow = shadow
         self.point = controller.point if controller is not None else spec.point
         self.queue: deque = deque()
         self.deficit = 0.0
         self.stats = ServingStats()
-        #: (arena, executor) per operating point — switching points keeps
-        #: previously built executors (and their warm programs) alive.
-        self.executors: dict[OperatingPoint, tuple[WeightArena, LSTMExecutor]] = {}
 
 
 class ZooServer(ServingCore):
-    """WDRR multi-tenant server over shared arena/program/plan caches.
+    """WDRR multi-tenant server over shared executors and program/plan caches.
 
     The serving core's whole-sequence policy: :meth:`submit` admits
     requests per tenant, ``tick`` serves one tenant's batch under weighted
@@ -148,9 +157,11 @@ class ZooServer(ServingCore):
     All time enters through ``now`` and the optional per-tick
     ``service_model``.
 
+    One executor per (network fingerprint, operating point) serves every
+    tenant that reaches it, and stays (with its warm programs) when a
+    controller moves a tenant away.
+
     Args:
-        registry: Shared weight-arena registry; owned (and torn down on
-            :meth:`close`) when omitted.
         recorder: Optional recorder; each tick appends one run record
             labelled with the serving tenant.
         quantum: Deficit added per unit weight each time the scheduler
@@ -178,7 +189,6 @@ class ZooServer(ServingCore):
 
     def __init__(
         self,
-        registry: ArenaRegistry | None = None,
         recorder: Recorder | None = None,
         quantum: float = 1.0,
         mts: int = 5,
@@ -190,8 +200,6 @@ class ZooServer(ServingCore):
         if threads < 1:
             raise ConfigurationError(f"threads must be >= 1, got {threads}")
         super().__init__(clock, recorder)
-        self.registry = registry if registry is not None else ArenaRegistry()
-        self._owns_registry = registry is None
         self.quantum = quantum
         self.mts = mts
         #: In-process dispatcher width stamped on every tenant executor
@@ -201,6 +209,7 @@ class ZooServer(ServingCore):
         self.threads = threads
         self.program_cache = ProgramCache()
         self.plan_cache = PlanCache()
+        self._executors: dict[tuple[str, OperatingPoint], LSTMExecutor] = {}
         self._tenants: dict[str, _Tenant] = {}
         self._ring: list[str] = []
         self._cursor = 0
@@ -217,13 +226,16 @@ class ZooServer(ServingCore):
     ) -> None:
         """Register a tenant bound to ``network`` (fp64 source weights).
 
-        The tenant's starting arena is acquired from the shared registry
-        immediately — identical or precision-sibling models across
-        tenants deduplicate here. When ``spec.shadow_every > 0`` and no
-        ``shadow_oracle`` is given, the exact fp64 BASELINE executor over
-        the source network becomes the oracle (bit-identical to the
-        frozen reference). A ``controller`` closes the UO loop; without
-        one the tenant's operating point is fixed for the window.
+        All or nothing: the tenant's starting executor is reached (or
+        built) before the tenant joins the ring, so a point that cannot be
+        served raises and leaves no tenant behind. A network equal in
+        content to one the zoo already serves is served through the
+        earlier object, sharing its executors. When
+        ``spec.shadow_every > 0`` and no ``shadow_oracle`` is given, the
+        exact fp64 BASELINE executor over the source network becomes the
+        oracle (bit-identical to the frozen reference). A ``controller``
+        closes the UO loop; without one the tenant's operating point is
+        fixed for the window.
         """
         if spec.name in self._tenants:
             raise ConfigurationError(f"tenant {spec.name!r} already registered")
@@ -233,6 +245,9 @@ class ZooServer(ServingCore):
             raise ConfigurationError(
                 "a controlled tenant needs shadow_every >= 1 to observe agreement"
             )
+        fingerprint = fingerprint_network(network)
+        kept = self._kept(fingerprint)
+        network = kept[0].network if kept else network
         shadow = None
         if spec.shadow_every > 0:
             if shadow_oracle is None:
@@ -245,10 +260,10 @@ class ZooServer(ServingCore):
                     tokens
                 ).predictions()
             shadow = ShadowSampler(shadow_oracle, every_k=spec.shadow_every)
-        tenant = _Tenant(spec, network, controller, shadow)
+        tenant = _Tenant(spec, network, fingerprint, controller, shadow)
+        self._executor_for(tenant, tenant.point)
         self._tenants[spec.name] = tenant
         self._ring.append(spec.name)
-        self._executor_for(tenant, tenant.point)  # acquire the starting arena
 
     def tenant_names(self) -> list[str]:
         """Registered tenants in ring order."""
@@ -305,26 +320,55 @@ class ZooServer(ServingCore):
     def _executor_for(
         self, tenant: _Tenant, point: OperatingPoint
     ) -> LSTMExecutor:
-        """The tenant's executor at ``point``, building (and deduplicating
-        the arena acquire) on first use."""
-        cached = tenant.executors.get(point)
-        if cached is not None:
-            return cached[1]
-        config = self._point_config(point)
-        arena = self.registry.acquire(tenant.source_network, config.precision)
-        network = arena.network()
-        quantized_cells = (
-            arena.quantized_cells() if config.precision.is_quantized else None
-        )
-        executor = LSTMExecutor(
-            network,
-            config,
-            plan_cache=self.plan_cache,
-            program_cache=self.program_cache,
-            quantized_cells=quantized_cells,
-        )
-        tenant.executors[point] = (arena, executor)
+        """The executor of the tenant's network at ``point``, built on
+        first use. A quantized point runs on the cells of any kept
+        executor of the same network and precision (the rule
+        :class:`~repro.core.pipeline.OptimizedLSTM` keeps), so the model
+        holds one quantized derivation per precision."""
+        key = (tenant.fingerprint, point)
+        executor = self._executors.get(key)
+        if executor is None:
+            config = self._point_config(point)
+            cells = next(
+                (
+                    kept.quantized_cells
+                    for kept in self._kept(tenant.fingerprint)
+                    if kept.config.precision == config.precision
+                ),
+                None,
+            )
+            executor = self._executors[key] = LSTMExecutor(
+                tenant.network,
+                config,
+                plan_cache=self.plan_cache,
+                program_cache=self.program_cache,
+                quantized_cells=cells,
+            )
         return executor
+
+    def _kept(self, fingerprint: str) -> list[LSTMExecutor]:
+        """The kept executors of the network with ``fingerprint``."""
+        return [executor for (fp, _), executor in self._executors.items() if fp == fingerprint]
+
+    def resident_bytes(self) -> dict[str, int]:
+        """What the zoo keeps resident, in bytes by owner, as
+        :meth:`~repro.core.pipeline.OptimizedLSTM.resident_bytes` reports
+        an app. Every served network and every executor-derived array
+        (quantized codes, scales, dequantized blocks) counts once however
+        many tenants share it; shadow oracles' private caches are not
+        counted."""
+        executors = self._executors.values()
+        networks = {id(executor.network): executor.network for executor in executors}
+        derived = {
+            id(array): array.nbytes for executor in executors for array in executor.owned_arrays()
+        }
+        return {
+            "weights": sum(a.nbytes for net in networks.values() for a in net.parameters()),
+            "executor_arrays": sum(derived.values()),
+            "workspace_arenas": self.program_cache.nbytes,
+            "plan_cache": self.plan_cache.nbytes,
+            "token_row_memo": self.plan_cache.token_rows.nbytes,
+        }
 
     # ------------------------------------------------------------ admission
 
@@ -348,7 +392,7 @@ class ZooServer(ServingCore):
         tenant = self._require(tenant_name)
         return self._admit(
             tenant.queue, tenant.spec.queue_limit, tenant.stats,
-            tenant.source_network, session_id, tokens, now, tenant=tenant_name,
+            tenant.network, session_id, tokens, now, tenant=tenant_name,
         )
 
     def submit_arrival(self, arrival, now: float) -> ServingTicket:
@@ -461,15 +505,3 @@ class ZooServer(ServingCore):
             "precision": config.precision.tag,
             "backend": "numpy",
         }
-
-    # ------------------------------------------------------------ lifecycle
-
-    def close(self) -> None:
-        """Release every tenant's arenas (and the registry, if owned)."""
-        for tenant in self._tenants.values():
-            for arena, _ in tenant.executors.values():
-                if not self._owns_registry:
-                    self.registry.release(arena)
-            tenant.executors.clear()
-        if self._owns_registry:
-            self.registry.close()

@@ -1,12 +1,11 @@
 """Concurrency stress tests for the shared caches and the cgen loader.
 
 The in-process dispatcher (:mod:`repro.core.parallel`) runs shard
-threads against one :class:`PlanCache`, one :class:`ProgramCache`, and —
-in the zoo — one :class:`ArenaRegistry`. These tests hammer each from
-many threads and assert the exact invariants the executor relies on:
-counters stay consistent (hits + misses == requests), the LRU bound
-holds, refcounts are exact, and cold keys build **once** (single-flight)
-no matter how many threads race on them.
+threads against one :class:`PlanCache` and one :class:`ProgramCache`.
+These tests hammer each from many threads and assert the exact
+invariants the executor relies on: counters stay consistent (hits +
+misses == requests), the LRU bound holds, and cold keys build **once**
+(single-flight) no matter how many threads race on them.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import pytest
 from repro.core import cgen
 from repro.core.plan import PlanCache
 from repro.core.program import ProgramCache
-from repro.runtime.arena import ArenaRegistry, leaked_segments
 
 
 def _run_threads(count: int, target) -> None:
@@ -200,47 +198,6 @@ class TestProgramCacheConcurrency:
         # The key is not poisoned: the next get builds cleanly.
         assert cache.get(("fail",), lambda: "ok") == "ok"
         assert cache.stats.misses == 1
-
-
-# ----------------------------------------------------------- ArenaRegistry
-
-
-class TestArenaRegistryConcurrency:
-    def test_racing_first_acquires_publish_one_segment(self, tiny_network):
-        with ArenaRegistry() as registry:
-            arenas: list[object] = [None] * 6
-
-            def hammer(slot: int) -> None:
-                arenas[slot] = registry.acquire(tiny_network, "fp64")
-
-            _run_threads(6, hammer)
-            assert registry.stats.published_segments == 1
-            assert registry.stats.acquires == 6
-            assert registry.stats.dedup_hits == 5
-            assert len({id(a) for a in arenas}) == 1
-            assert len(registry) == 1
-
-            # Concurrent releases: refcounts stay exact, the segment
-            # unlinks only when the last reference goes.
-            def drop(slot: int) -> None:
-                registry.release(arenas[slot])
-
-            _run_threads(6, drop)
-            assert len(registry) == 0
-            assert registry.stats.published_segments == 0
-        assert not leaked_segments()
-
-    def test_concurrent_precision_variants_stay_separate(self, tiny_network):
-        with ArenaRegistry() as registry:
-            tags = ("fp64", "int8", "fp16") * 2
-
-            def hammer(slot: int) -> None:
-                registry.acquire(tiny_network, tags[slot])
-
-            _run_threads(len(tags), hammer)
-            assert registry.stats.published_segments == 3
-            assert registry.variants(tiny_network) == ("fp16", "fp64", "int8")
-        assert not leaked_segments()
 
 
 # ------------------------------------------------------------- cgen loader

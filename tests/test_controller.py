@@ -158,6 +158,20 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             TenantSLO(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"alpha_intra": -0.1},
+            {"alpha_inter": -1.0},
+            {"precision": "int4"},
+        ],
+    )
+    def test_bad_operating_point_rejected(self, kwargs):
+        """A negative threshold or an unknown precision is refused where the
+        point is made, not when a zoo first builds an executor for it."""
+        with pytest.raises(ConfigurationError):
+            OperatingPoint(**kwargs)
+
     def test_operating_points_from_tuner_frontier(self):
         frontier = [
             FrontierPoint(

@@ -248,6 +248,28 @@ class TestQuantizedArena:
                     assert np.array_equal(store_a[gate].data, store_b[gate].data)
                     assert np.array_equal(store_a[gate].scales, store_b[gate].scales)
 
+    def test_network_layers_are_the_cells_dequantized_blocks(self):
+        """A worker's network and executor share one float64 reconstruction
+        per layer: the executor derives nothing beyond codes and scales."""
+        network, tokens = build_case()
+        config = ExecutionConfig(mode=ExecutionMode.BASELINE, precision="int8")
+        expected = LSTMExecutor(network, config).run_batch(tokens).logits
+        with WeightArena.publish(network, precision="int8") as arena:
+            cells = arena.quantized_cells()
+            rebuilt = arena.network(cells)
+            for layer, cell in zip(rebuilt.layers, cells):
+                assert layer.weights is cell.dequantized
+            executor = LSTMExecutor(rebuilt, config, quantized_cells=cells)
+            payloads = [
+                array
+                for cell in cells
+                for matrix in (*cell.w.values(), *cell.u.values())
+                for array in (matrix.data, matrix.scales)
+            ]
+            assert [id(a) for a in executor.owned_arrays()] == [id(a) for a in payloads]
+            assert np.array_equal(executor.run_batch(tokens).logits, expected)
+        assert leaked_segments() == []
+
     def test_quantized_segment_is_smaller(self):
         network, _ = build_case(hidden=32)
         with WeightArena.publish(network) as fp64_arena:

@@ -159,6 +159,17 @@ class TestFleetBitIdentity:
             assert record.sequences == outputs[0][1].sequences
 
 
+    def test_int8_worker_matches_in_process_executor(self):
+        """A quantized fleet through a spawned worker: the worker runs on the
+        published codes, byte-identical to quantizing in process."""
+        network, tokens = build_workload()
+        exec_config = ExecutionConfig(mode=ExecutionMode.BASELINE, precision="int8")
+        logits, _, _ = serve(network, exec_config, tokens, workers=1, max_batch=3)
+        expected, _ = groupwise_expected(network, exec_config, tokens, max_batch=3)
+        assert np.array_equal(logits, expected)
+        assert leaked_segments() == []
+
+
 class TestArena:
     def test_attached_network_is_bit_identical_and_read_only(self):
         network, tokens = build_workload(batch=3)

@@ -1,8 +1,9 @@
 """Tests for :mod:`repro.runtime.tenancy` multi-tenant zoo serving.
 
-Covers the arena registry (cross-tenant dedup, precision siblings under
-one fingerprint entry, refcounted teardown), weighted deficit
-round-robin scheduling, per-tenant backpressure isolation, the fp64
+Covers the zoo's sharing (fp64 tenants on the caller's arrays, one
+executor per network and point, one set of quantized cells per network
+and precision, no shared-memory segment), all-or-nothing tenant
+registration, weighted deficit round-robin scheduling, per-tenant backpressure isolation, the fp64
 strict no-op discipline through the tenancy path, per-tenant cache
 attribution in merged records, the controller integration, and the
 deterministic multi-tenant load generator.
@@ -12,13 +13,12 @@ import numpy as np
 import pytest
 
 from repro.config import LSTMConfig
-from repro.core.executor import ExecutionConfig, ExecutionMode
+from repro.core.executor import ExecutionConfig, ExecutionMode, LSTMExecutor
 from repro.core.reference import ReferenceExecutor
-from repro.errors import BackpressureError, ConfigurationError, RuntimeStateError
+from repro.errors import BackpressureError, ConfigurationError
 from repro.nn.network import LSTMNetwork
 from repro.obs import Recorder, validate_run_dict
 from repro.runtime import (
-    ArenaRegistry,
     LoadSpec,
     OperatingPoint,
     SLOController,
@@ -28,7 +28,8 @@ from repro.runtime import (
     generate_tenant_arrivals,
     run_open_loop,
 )
-from repro.runtime.arena import fingerprint_network
+from repro.runtime import tenancy
+from repro.runtime.arena import WeightArena, leaked_segments
 
 HIDDEN = 24
 INPUT = 20
@@ -65,70 +66,136 @@ def flat_service(report) -> float:
     return MODEL_TICK
 
 
-class TestArenaRegistry:
-    def test_same_network_same_precision_deduplicates(self, net_a):
-        with ArenaRegistry() as registry:
-            first = registry.acquire(net_a)
-            second = registry.acquire(net_a)
-            assert first is second
-            assert len(registry) == 1
-            stats = registry.stats
-            assert stats.acquires == 2
-            assert stats.dedup_hits == 1
-            assert stats.published_segments == 1
-            assert stats.naive_bytes == 2 * stats.published_bytes
-            assert stats.dedup_ratio == pytest.approx(0.5)
+def the_executors(server: ZooServer) -> list[LSTMExecutor]:
+    """Every executor the zoo keeps."""
+    return list(server._executors.values())
 
-    def test_precision_sibling_reuses_the_fp64_fingerprint_entry(self, net_a):
-        """Regression (satellite 3): an int8 re-publish of a network whose
-        fp64 arena is already live must land under the *same* fingerprint
-        entry — the quantized manifest is keyed by the dequantized
-        network's fingerprint, not by a fresh key."""
-        with ArenaRegistry() as registry:
-            fp64_arena = registry.acquire(net_a, "fp64")
-            int8_arena = registry.acquire(net_a, "int8")
-            assert int8_arena is not fp64_arena
-            assert registry.variants(net_a) == ("fp64", "int8")
-            assert len(registry._entries) == 1  # one fingerprint entry
-            assert len(registry) == 2  # two precision variants under it
-            source_fp = fingerprint_network(net_a)
-            assert fp64_arena.manifest.fingerprint == source_fp
-            # The sibling publish path: a second int8 acquire attaches,
-            # never re-publishes.
-            again = registry.acquire(net_a, "int8")
-            assert again is int8_arena
-            assert registry.stats.published_segments == 2
+
+def standalone_owned_bytes(network: LSTMNetwork, point: OperatingPoint) -> int:
+    """Derived bytes of a private executor at ``point`` (what a zoo without
+    sharing would hold per tenant beyond the network)."""
+    config = ZooServer()._point_config(point)
+    return sum(array.nbytes for array in LSTMExecutor(network, config).owned_arrays())
+
+
+def parameter_bytes(network: LSTMNetwork) -> int:
+    return sum(array.nbytes for array in network.parameters())
+
+
+INT8 = OperatingPoint(precision="int8")
+
+
+class TestZooSharing:
+    def test_fp64_tenants_run_on_the_callers_arrays(self, net_a):
+        with ZooServer() as server:
+            server.add_tenant(TenantSpec(name="one"), net_a)
+            server.add_tenant(TenantSpec(name="two"), net_a)
+            (executor,) = the_executors(server)
+            assert executor.network is net_a
+            for weights, layer in zip(executor._weights, net_a.layers):
+                assert weights is layer.weights
+            assert executor.owned_arrays() == []
+            resident = server.resident_bytes()
+            assert resident["weights"] == parameter_bytes(net_a)
+            assert resident["executor_arrays"] == 0
+
+    def test_int8_tenants_share_one_set_of_quantized_cells(self, net_a):
+        with ZooServer() as server:
+            server.add_tenant(TenantSpec(name="one", point=INT8), net_a)
+            server.add_tenant(TenantSpec(name="two", point=INT8), net_a)
+            server.add_tenant(
+                TenantSpec(name="drs", point=OperatingPoint(alpha_intra=0.1, precision="int8")),
+                net_a,
+            )
+            executors = the_executors(server)
+            assert len(executors) == 2  # two points, one set of cells
+            assert executors[0].quantized_cells is executors[1].quantized_cells
+            resident = server.resident_bytes()
+            assert resident["weights"] == parameter_bytes(net_a)
+            assert resident["executor_arrays"] == standalone_owned_bytes(net_a, INT8)
 
     def test_distinct_networks_do_not_share(self, net_a, net_b):
-        with ArenaRegistry() as registry:
-            registry.acquire(net_a)
-            registry.acquire(net_b)
-            assert registry.stats.dedup_hits == 0
-            assert len(registry._entries) == 2
+        with ZooServer() as server:
+            server.add_tenant(TenantSpec(name="a", point=INT8), net_a)
+            server.add_tenant(TenantSpec(name="b", point=INT8), net_b)
+            executors = the_executors(server)
+            assert [e.network for e in executors] == [net_a, net_b]
+            assert executors[0].quantized_cells is not executors[1].quantized_cells
+            assert server.resident_bytes()["weights"] == (
+                parameter_bytes(net_a) + parameter_bytes(net_b)
+            )
 
-    def test_release_refcounts_and_unlinks_last(self, net_a):
-        registry = ArenaRegistry()
-        first = registry.acquire(net_a)
-        registry.acquire(net_a)
-        registry.release(first)
-        assert len(registry) == 1  # one reference still out
-        registry.release(first)
-        assert len(registry) == 0
-        assert registry.stats.published_segments == 0
+    def test_controller_move_to_int8_reuses_a_siblings_cells(self, net_a):
+        fast = OperatingPoint(alpha_intra=0.1, precision="int8")
+        controller = SLOController(
+            [OperatingPoint(), fast],
+            TenantSLO(p99_latency_s=0.05, min_agreement=0.0),
+            hysteresis=2,
+            cooldown_ticks=2,
+            min_latency_samples=4,
+        )
+        spec = LoadSpec(
+            duration_s=1.0,
+            session_rate=40.0,
+            seed=5,
+            session_len_min=SEQ_LEN,
+            session_len_max=SEQ_LEN,
+        )
+        arrivals = generate_tenant_arrivals(spec, {"t": 1.0}, {"t": VOCAB})
+        with ZooServer() as server:
+            server.add_tenant(TenantSpec(name="sibling", point=INT8), net_a)
+            server.add_tenant(
+                TenantSpec(name="t", shadow_every=2, queue_limit=256),
+                net_a,
+                controller=controller,
+            )
+            run_open_loop(
+                server,
+                arrivals,
+                tick_interval_s=0.002,
+                service_model=lambda r: 0.08 if r.point.precision == "fp64" else 0.004,
+            )
+            assert server.tenant_point("t") == fast
+            sibling, _, moved = the_executors(server)
+            assert moved.config.precision.tag == "int8"
+            assert moved.quantized_cells is sibling.quantized_cells
 
-    def test_release_unknown_arena_raises(self, net_a, net_b):
-        with ArenaRegistry() as registry, ArenaRegistry() as other:
-            registry.acquire(net_a)
-            foreign = other.acquire(net_b)
-            with pytest.raises(RuntimeStateError):
-                registry.release(foreign)
+    def test_equal_content_networks_share_an_executor(self, net_a):
+        twin = build_network(seed=3)  # equal content, another object
+        assert twin is not net_a
+        rng = np.random.default_rng(2)
+        tokens = np.stack([make_tokens(rng) for _ in range(3)])
+        expected = ReferenceExecutor(
+            net_a, ExecutionConfig(mode=ExecutionMode.BASELINE)
+        ).run_batch(tokens).logits
+        with ZooServer() as server:
+            server.add_tenant(TenantSpec(name="one"), net_a)
+            server.add_tenant(TenantSpec(name="two"), twin)
+            (executor,) = the_executors(server)
+            assert executor.network is net_a
+            # A new point for the twin is built on the first object too.
+            server.add_tenant(TenantSpec(name="three", point=INT8), twin)
+            assert [e.network for e in the_executors(server)] == [net_a, net_a]
+            assert server.resident_bytes()["weights"] == parameter_bytes(net_a)
+            tickets = [server.submit("two", f"s{i}", row, now=0.0) for i, row in enumerate(tokens)]
+            server.drain(now=0.0, service_model=flat_service)
+        assert np.array_equal(np.stack([t.result.logits for t in tickets]), expected)
 
-    def test_quantized_acquire_serves_dequantized_network(self, net_a):
-        with ArenaRegistry() as registry:
-            arena = registry.acquire(net_a, "int8")
-            assert arena.manifest.precision == "int8"
-            cells = arena.quantized_cells()
-            assert len(cells) == len(net_a.layers)
+    def test_serving_zoo_creates_no_segment(self, net_a, net_b, monkeypatch):
+        def no_publish(*args, **kwargs):
+            raise AssertionError("the zoo published a shared-memory segment")
+
+        monkeypatch.setattr(WeightArena, "publish", no_publish)
+        before = leaked_segments()
+        rng = np.random.default_rng(6)
+        with ZooServer() as server:
+            server.add_tenant(TenantSpec(name="fp64"), net_a)
+            server.add_tenant(TenantSpec(name="int8", point=INT8), net_b)
+            for i in range(4):
+                server.submit("fp64", f"a{i}", make_tokens(rng), now=0.0)
+                server.submit("int8", f"b{i}", make_tokens(rng), now=0.0)
+            server.drain(now=0.0, service_model=flat_service)
+            assert leaked_segments() == before
 
 
 class TestScheduling:
@@ -258,13 +325,6 @@ class TestSharedCaches:
             assert after["program_misses"] == before["program_misses"]
             assert after["program_hits"] > before["program_hits"]
 
-    def test_registry_dedup_across_tenants(self, net_a):
-        with ZooServer() as server:
-            server.add_tenant(TenantSpec(name="one"), net_a)
-            server.add_tenant(TenantSpec(name="two"), net_a)
-            assert server.registry.stats.dedup_hits == 1
-            assert server.registry.stats.published_segments == 1
-
 
 class TestControllerIntegration:
     def test_overloaded_tenant_steps_to_int8_and_recovers(self, net_a):
@@ -344,6 +404,34 @@ class TestValidation:
             server.add_tenant(TenantSpec(name="t"), net_a)
             with pytest.raises(ConfigurationError):
                 server.add_tenant(TenantSpec(name="t"), net_a)
+
+    def test_failed_add_tenant_leaves_no_tenant(self, net_a, monkeypatch):
+        """A tenant whose starting executor cannot be built is never
+        registered: the name stays free, it takes no submissions, and
+        its neighbours keep being served."""
+        rng = np.random.default_rng(11)
+        built = tenancy.LSTMExecutor
+
+        def broken(network, config, **kwargs):
+            if config.precision.tag == "int8":
+                raise ConfigurationError("cannot build this point")
+            return built(network, config, **kwargs)
+
+        with ZooServer() as server:
+            server.add_tenant(TenantSpec(name="healthy"), net_a)
+            monkeypatch.setattr(tenancy, "LSTMExecutor", broken)
+            with pytest.raises(ConfigurationError, match="cannot build"):
+                server.add_tenant(TenantSpec(name="bad", point=INT8), net_a)
+            assert server.tenant_names() == ["healthy"]
+            with pytest.raises(ConfigurationError, match="unknown tenant"):
+                server.submit("bad", "s", make_tokens(rng), now=0.0)
+            for i in range(6):
+                server.submit("healthy", f"h{i}", make_tokens(rng), now=0.0)
+            server.drain(now=0.0, service_model=flat_service)
+            assert server.tenant_stats("healthy").served == 6
+            monkeypatch.setattr(tenancy, "LSTMExecutor", built)
+            server.add_tenant(TenantSpec(name="bad", point=INT8), net_a)  # the retry
+            assert server.tenant_names() == ["healthy", "bad"]
 
     def test_unknown_tenant_rejected(self, net_a):
         with ZooServer() as server:
