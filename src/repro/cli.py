@@ -37,7 +37,9 @@ from repro.nn.quantize import PRECISIONS
 #: Shared help text for the ``--backend`` flag.
 _BACKEND_HELP = (
     "compiled-program lowering: 'numpy' carries the fp64 bit contract with "
-    "the reference, 'cgen' runs generated-C fused kernels (needs a C compiler)"
+    "the reference, 'cgen' runs a generated-C fused kernel for the stepwise "
+    "loop (needs a C compiler); INTER and COMBINED run the numpy programs on "
+    "every backend"
 )
 
 _THREADS_HELP = (

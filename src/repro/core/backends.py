@@ -1,7 +1,7 @@
 """Execution-backend registry for compiled programs.
 
 ``ExecutionConfig.backend`` names how :class:`~repro.core.executor.
-LSTMExecutor` lowers plans into compiled programs:
+LSTMExecutor` lowers the stepwise loop into compiled programs:
 
 * ``"numpy"`` — the default: the :mod:`repro.core.program` lowerings,
   whose BLAS-dispatch-pinned stepwise arithmetic carries the fp64
@@ -9,36 +9,29 @@ LSTMExecutor` lowers plans into compiled programs:
   bit-identical in BASELINE / INTER / INTRA / ZERO_PRUNE. COMBINED runs
   its tissues and layer >= 1 input projections as real GEMMs and is
   graded: within ``1e-9`` with equal predictions.
-* ``"cgen"`` — generated-C fused kernels (:mod:`repro.core.cgen`): one
+* ``"cgen"`` — a generated-C fused kernel (:mod:`repro.core.cgen`): one
   native call per layer run, GEMM + fused gate epilogue, in-kernel DRS
-  row compaction, Appleyard timestep-batched input GEMM, and a native
-  combined-mode tissue walk. Needs a host C compiler; graded in every
-  mode.
+  row compaction and the Appleyard timestep-batched input GEMM. Needs a
+  host C compiler; graded.
 
-:func:`is_exact` is the one place that grade is decided. The name is
-checked once, at executor construction (:func:`resolve_backend`), so a
-missing toolchain fails fast with a
+**cgen lowers the stepwise loop; INTER and COMBINED are numpy programs on
+every backend.** The executor resolves a structural mode to ``"numpy"``
+whatever the config names (:attr:`LSTMExecutor.backend`), so cgen INTER
+is exact and cgen COMBINED is numpy COMBINED, and the inter-level planner
+reads the same projection bits on every backend: relevance values,
+breakpoints and tissue schedules cannot depend on it.
+
+:func:`is_exact` is the one place the grade of a *resolved* backend and
+mode is decided. The name is checked once, at executor construction
+(:func:`resolve_backend`), so a missing toolchain fails fast with a
 :class:`~repro.errors.BackendUnavailableError` naming the reason rather
 than deep inside a run. Programs of every backend are built from the
 layer's ``_UnitedWeights`` — views of the network's own blocks — and lease
 their workspace from the arena the factory is handed (a private one when
-it is omitted). Two invariants every backend keeps:
-
-* **Plans are backend-invariant.** Anywhere the inter-level planner reads
-  projection bits, every backend reads the same ones: inter-active
-  stepwise layers and COMBINED's layer 0 run the one exact per-row lift,
-  :func:`~repro.core.program.project_rows` (gate by gate, in aligned
-  weight slabs for large gates), and COMBINED's layers >= 1 use one
-  ``(B*T, E) @ (E, 4H)`` GEMM on every backend. Relevance values,
-  breakpoints and tissue schedules therefore match across backends for
-  equal layer inputs, at every width — a per-row lift against the united
-  ``(E, 4H)`` block would not: its bits leave the gate-wise lift's
-  whenever ``H % 4 != 0``. Only the gate arithmetic differs at tolerance
-  level.
-* **The simulator plane is untouched.** Kernel traces and bytes-moved
-  accounting describe the *modeled mobile GPU* execution of a plan; a
-  host backend changes how the numerics are computed, never the plan, so
-  weight-traffic counters are identical across backends (tested).
+it is omitted). Kernel traces and bytes-moved accounting describe the
+*modeled mobile GPU* execution of a plan; a host backend changes how the
+numerics are computed, never the plan, so weight-traffic counters are
+identical across backends (tested).
 """
 
 from __future__ import annotations
@@ -94,15 +87,15 @@ def resolve_backend(name: str) -> str:
 
 
 def is_exact(backend: str, mode: "ExecutionMode | str") -> bool:
-    """The oracle grade of one ``(backend, mode)`` pair.
+    """The oracle grade of one resolved ``(backend, mode)`` pair.
 
     *Exact* — bit-identical to :class:`~repro.core.reference.
     ReferenceExecutor` — means the numpy backend in a stepwise mode
     (BASELINE / INTER / INTRA / ZERO_PRUNE). Everything else is *graded*:
     logits within :data:`GRADED_ATOL` with equal predictions and identical
-    plans.
-    That is COMBINED on any backend (its tissues and input projections
-    run as real GEMMs) and cgen in any mode.
+    plans. That is COMBINED (its tissues and input projections run as real
+    GEMMs) and cgen in BASELINE / INTRA / ZERO_PRUNE; a cgen-configured
+    INTER executor resolves to numpy and is exact.
     """
     from repro.core.executor import ExecutionMode
 
@@ -118,18 +111,18 @@ def make_stepwise_program(
     drs_alpha: float = 0.0,
     arena: WorkspaceArena | None = None,
 ):
-    """Build one stepwise program under a *resolved* backend name."""
+    """Build one stepwise program under a *resolved* backend name (only the
+    numpy program resets to ``link`` at breakpoints; cgen never divides)."""
     if backend == "numpy":
-        program_type = StepwiseProgram
-    elif backend == "cgen":
-        from repro.core.cgen import CGenStepwiseProgram as program_type
-    else:
-        raise ConfigurationError(f"unresolved backend {backend!r}")
-    return program_type(united, link, batch, seq_len, drs_alpha=drs_alpha, arena=arena)
+        return StepwiseProgram(united, link, batch, seq_len, drs_alpha=drs_alpha, arena=arena)
+    if backend == "cgen":
+        from repro.core.cgen import CGenStepwiseProgram
+
+        return CGenStepwiseProgram(united, batch, seq_len, drs_alpha=drs_alpha, arena=arena)
+    raise ConfigurationError(f"unresolved backend {backend!r}")
 
 
 def make_combined_program(
-    backend: str,
     united: "_UnitedWeights",
     link: "PredictedLink",
     batch: int,
@@ -137,12 +130,8 @@ def make_combined_program(
     mts: int,
     alpha_intra: float = 0.0,
     arena: WorkspaceArena | None = None,
-):
-    """Build one combined-mode layer program under a *resolved* backend name."""
-    if backend == "cgen":
-        from repro.core.cgen import CGenCombinedProgram as program_type
-    else:
-        program_type = CombinedGroupProgram
-    return program_type(
+) -> CombinedGroupProgram:
+    """Build one combined-mode layer program (numpy on every backend)."""
+    return CombinedGroupProgram(
         united, link, batch, seq_len, mts, alpha_intra=alpha_intra, arena=arena
     )

@@ -58,12 +58,14 @@ skip the ids it has already seen. A copy moves no bit, and the memo only
 ever holds exact rows.
 
 Two oracle grades (:func:`repro.core.backends.is_exact`, exposed as
-:attr:`LSTMExecutor.exact`). Under the numpy backend the four stepwise
-modes are *exact*: bit-compatible with the per-sequence walk
-(:class:`repro.core.reference.ReferenceExecutor`). COMBINED, on any
-backend, and cgen in every mode are *graded*: logits within ``1e-9`` with
-equal predictions, identical breakpoints, tissues and skip fractions,
-relevance and layer outputs within ``1e-9``.
+:attr:`LSTMExecutor.exact`). The four stepwise modes on the numpy programs
+are *exact*: bit-compatible with the per-sequence walk
+(:class:`repro.core.reference.ReferenceExecutor`). cgen lowers only the
+stepwise loop of BASELINE / INTRA / ZERO_PRUNE; INTER and COMBINED run the
+numpy programs on every backend, so INTER is exact everywhere. COMBINED
+and cgen's stepwise modes are *graded*: logits within ``1e-9`` with equal
+predictions, identical breakpoints, tissues and skip fractions, relevance
+and layer outputs within ``1e-9``.
 ``tests/test_executor_equivalence.py`` property-tests both grades and
 ``tests/test_executor.py`` pins them at serving geometry.
 
@@ -165,13 +167,13 @@ class ExecutionConfig:
             quantize ``W``/``U`` once at executor construction, so every
             downstream path (programs, planning, the fleet) runs on the
             dequantized values; a plain string (``"int8"``) is coerced.
-        backend: How programs execute (:mod:`repro.core.backends`).
-            ``"numpy"`` (the default) carries the fp64 bit contract with
-            the frozen reference in the stepwise modes; ``"cgen"`` runs
-            generated-C fused kernels that agree with it at the graded
-            tier, never bit-exactly (the grade of a backend and mode is
-            :func:`~repro.core.backends.is_exact`). Structural plans stay
-            backend-invariant.
+        backend: How the stepwise loop executes (:mod:`repro.core.
+            backends`). ``"numpy"`` (the default) carries the fp64 bit
+            contract with the frozen reference in the stepwise modes;
+            ``"cgen"`` runs a generated-C fused kernel in BASELINE / INTRA
+            / ZERO_PRUNE that agrees with it at the graded tier, never
+            bit-exactly. INTER and COMBINED run the numpy programs on every
+            backend (:attr:`LSTMExecutor.backend` is ``"numpy"`` there).
             Availability is resolved at executor construction.
         threads: In-process work-unit parallelism
             (:mod:`repro.core.parallel`). ``1`` (the default) runs the
@@ -432,9 +434,11 @@ class LSTMExecutor:
         #: thread or on a pool thread, and each needs its own wall-clock
         #: accumulators and dispatch slot.
         self._tls = threading.local()
-        #: Checked backend name (a missing toolchain raises
-        #: BackendUnavailableError now, not mid-run).
-        self.backend = resolve_backend(config.backend)
+        #: The backend the programs actually run on: cgen lowers the
+        #: stepwise loop only, so INTER and COMBINED resolve to numpy on
+        #: every backend; otherwise the checked config name (a missing
+        #: toolchain raises BackendUnavailableError now, not mid-run).
+        self.backend = "numpy" if config.inter_active else resolve_backend(config.backend)
         #: The oracle grade (:func:`~repro.core.backends.is_exact`): exact
         #: runs are bit-identical to the reference, graded ones agree to
         #: ``1e-9`` with equal predictions and identical plans.
@@ -497,13 +501,11 @@ class LSTMExecutor:
             for united in self._united:
                 united.dense_w_t()  # staged here, before dispatch threads could race to it
         #: Layer 0 serves its projections from the distinct-token memo
-        #: wherever the parent path is :func:`project_rows` (the exact
-        #: programs, COMBINED on any backend); the cgen stepwise programs
-        #: keep their own projections (the timestep-batched GEMM, or
-        #: ``project_rows`` itself where the inter level reads the bits).
+        #: wherever the parent path is :func:`project_rows` (every numpy
+        #: program); the cgen programs keep their timestep-batched GEMM.
         #: The memo is the plan cache's, so every executor of an app
         #: shares it.
-        self._memo_layer0 = self.exact or config.mode is ExecutionMode.COMBINED
+        self._memo_layer0 = self.backend == "numpy"
         self._token_memo = plan_cache.token_rows if plan_cache is not None else TokenRowMemo()
         self._w0_fp: str | None = None
 
@@ -883,9 +885,10 @@ class LSTMExecutor:
         thread; the shards gather from the result (:meth:`_staged`).
         Returns ``(rows, index)`` — ``(4, n, H)`` and ``(B, T)`` — or
         ``None`` where layer 0 projects through its program: the cgen
-        stepwise programs, and a one-token call (a streamed LM tick), which
-        has nothing to share and would only displace the previous call's
-        rows.
+        programs (BASELINE / INTRA / ZERO_PRUNE only; INTER and COMBINED
+        run numpy programs and take the memo on every backend), and a
+        one-token call (a streamed LM tick), which has nothing to share and
+        would only displace the previous call's rows.
         """
         if not self._memo_layer0 or tokens.size == 1:
             return None
@@ -980,13 +983,14 @@ class LSTMExecutor:
         """Timestep loop of every mode except COMBINED: one cached program
         per (shapes, weights).
 
-        Mode differences are run-time inputs to the program — the inter
-        level passes breakpoint reset columns resolved from the sequence
-        plans, DRS reads its threshold out of the program — so BASELINE /
-        ZERO_PRUNE / INTER / INTRA at one ``(B, T)`` all replay the same
-        compiled object. INTRA never divides the layer (inter level off),
-        so DRS needs no breakpoint handling. Bit-identical to the frozen
-        reference walk under the numpy backend (property-tested in
+        Mode differences are run-time inputs to the program — INTER passes
+        breakpoint reset columns resolved from the sequence plans (numpy
+        programs only: cgen never runs an inter level), DRS reads its
+        threshold out of the program — so BASELINE / ZERO_PRUNE / INTER /
+        INTRA at one ``(B, T)`` all replay the same compiled object. INTRA
+        never divides the layer (inter level off), so DRS needs no
+        breakpoint handling. Bit-identical to the frozen reference walk
+        under the numpy backend (property-tested in
         ``tests/test_program.py``).
         """
         cfg = self.config
@@ -994,48 +998,34 @@ class LSTMExecutor:
         batch, seq_len, _ = xs.shape
         hidden = weights.hidden_size
         program = self._compiled_stepwise(layer_index, united, batch, seq_len, drs)
-        # Inter-active planning reads the projection bits, so fused
-        # backends project exactly there (plans stay backend-invariant);
-        # everywhere else they take the timestep-batched input GEMM.
         if staged is None:
-            proj = program.project(xs, exact=cfg.inter_active or self.exact)
+            proj = program.project(xs)
         else:
             proj = program.gather(*staged)  # numpy programs only, see _memo_layer0
+        hs = np.empty((batch, seq_len, hidden))
+        cs = np.empty((batch, seq_len, hidden)) if collect_states else None
 
-        plans: list[CachedLayerPlan] | None = None
-        reset_cols: list[np.ndarray | None] | None = None
         if cfg.inter_active:
             plans = self._plan_inter(layer_index, weights, proj, xs)
             break_mask = np.zeros((batch, seq_len), dtype=bool)
             for b, plan in enumerate(plans):
                 for start in plan.breakpoints:
                     break_mask[b, start] = True
+            reset_cols = None
             if break_mask.any():
                 reset_cols = [
                     break_mask[:, t : t + 1] if break_mask[:, t].any() else None
                     for t in range(seq_len)
                 ]
-
-        hs = np.empty((batch, seq_len, hidden))
-        cs = np.empty((batch, seq_len, hidden)) if collect_states else None
-        program.execute(hs, reset_cols=reset_cols, cs=cs)
-
-        if plans is not None:
-            # Inter-level records resolve per-tissue statistics against
-            # the planned tissue structure, so their fractions stay eager.
-            if drs:
-                skip_fracs = np.count_nonzero(program.masks_all, axis=2) / hidden
-                warp_fracs = _warp_skip_fractions(program.masks_all)
-            else:
-                skip_fracs = np.zeros((batch, seq_len))
-                warp_fracs = np.zeros((batch, seq_len))
+            program.execute(hs, reset_cols=reset_cols, cs=cs)
+            # INTER has no DRS (alpha_intra is never read), so every
+            # tissue's skip fractions are zero.
             records = [
-                self._inter_record(
-                    layer_index, weights, seq_len, plans[b], skip_fracs[b], warp_fracs[b]
-                )
-                for b in range(batch)
+                self._inter_record(layer_index, weights, seq_len, plan) for plan in plans
             ]
             return hs, records, cs
+
+        program.execute(hs, cs=cs)
         # Single-cell records: both the record objects and the DRS mask
         # reductions are read at most once (if at all) after the run, so
         # everything defers — the masks are snapshotted because they are
@@ -1091,23 +1081,8 @@ class LSTMExecutor:
         weights: LSTMCellWeights,
         seq_len: int,
         plan: CachedLayerPlan,
-        skip_fracs: np.ndarray,
-        warp_fracs: np.ndarray,
     ) -> LayerPlanRecord:
-        """Plan record of one inter-active stepwise sequence."""
-        tissue_records = []
-        for cells in plan.tissue_cells():
-            # Timestamp-resolved skip stats; the per-tissue shared-load
-            # fraction is the mean of the fused cells' fractions here
-            # because stepwise modes never intersect masks (INTER has
-            # alpha_intra == 0, so the fractions are all zero anyway).
-            tissue_records.append(
-                TissueRecord(
-                    cells=cells,
-                    skip_fraction=float(np.mean([skip_fracs[t] for _, t in cells])),
-                    warp_skip_fraction=float(np.mean([warp_fracs[t] for _, t in cells])),
-                )
-            )
+        """Plan record of one INTER sequence (no DRS: nothing skips)."""
         return LayerPlanRecord(
             layer_index=layer_index,
             hidden_size=weights.hidden_size,
@@ -1115,7 +1090,7 @@ class LSTMExecutor:
             seq_length=seq_len,
             breakpoints=list(plan.breakpoints),
             sublayer_lengths=plan.sublayer_lengths(),
-            tissues=tissue_records,
+            tissues=[TissueRecord(cells, 0.0, 0.0) for cells in plan.tissue_cells()],
             relevance=plan.relevance,
         )
 
@@ -1256,7 +1231,6 @@ class LSTMExecutor:
             layer_index,
             (batch, seq_len, cfg.mts, cfg.alpha_intra),
             lambda arena: make_combined_program(
-                self.backend, united, link, batch, seq_len, cfg.mts,
-                alpha_intra=cfg.alpha_intra, arena=arena,
+                united, link, batch, seq_len, cfg.mts, alpha_intra=cfg.alpha_intra, arena=arena
             ),
         )

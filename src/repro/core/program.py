@@ -603,19 +603,14 @@ class StepwiseProgram(LeasedProgram):
         before anything else runs."""
         return getattr(self._ws or self._bind(), "masks_all", None)
 
-    def project(self, xs: np.ndarray, exact: bool = True) -> dict[str, np.ndarray]:
+    def project(self, xs: np.ndarray) -> dict[str, np.ndarray]:
         """Stage the per-gate input projections; returns planner views.
 
-        The matmul is lifted to per-row GEMV dispatch exactly like
-        :func:`repro.core.executor._row_proj` — each token's
-        projected bits are a pure function of the token and the weights,
-        independent of ``T``, ``B``, or chunk boundaries (the property the
-        streaming runtime's chunked replay relies on). ``out=`` never
-        changes bits relative to the allocating call.
-
-        ``exact`` exists for signature parity with the cgen backend
-        programs (:mod:`repro.core.backends`) and is ignored: the numpy
-        lowering always projects exactly — it *is* the oracle.
+        The matmul is lifted to per-row GEMV dispatch (:func:`project_rows`)
+        — each token's projected bits are a pure function of the token and
+        the weights, independent of ``T``, ``B``, or chunk boundaries (the
+        property the streaming runtime's chunked replay relies on).
+        ``out=`` never changes bits relative to the allocating call.
         """
         proj = (self._ws or self._bind()).proj
         project_rows(xs, self._w_ops, proj)

@@ -1,11 +1,12 @@
 """The two oracle grades, asserted the same way by every suite.
 
-:func:`repro.core.backends.is_exact` decides which grade a
-``(backend, mode)`` pair carries:
+:func:`repro.core.backends.is_exact` decides which grade a resolved
+``(backend, mode)`` pair carries (:attr:`LSTMExecutor.backend`: cgen lowers
+the stepwise loop; INTER and COMBINED are numpy programs on every backend):
 
-* **exact** (numpy, stepwise modes) — logits, every layer's outputs and
-  every plan record bit-identical to the oracle;
-* **graded** (COMBINED on any backend, cgen in any mode) — logits within
+* **exact** (numpy, stepwise modes — INTER on any backend) — logits, every
+  layer's outputs and every plan record bit-identical to the oracle;
+* **graded** (COMBINED, and cgen in BASELINE / INTRA / ZERO_PRUNE) — logits within
   :data:`GRADED_ATOL` with equal predictions; breakpoints, sub-layer
   lengths, tissue cells, ``skip_fraction`` and ``warp_skip_fraction``
   identical; relevance and layer outputs within :data:`GRADED_ATOL`.

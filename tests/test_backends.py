@@ -14,19 +14,28 @@ What :mod:`repro.core.backends` promises:
   modes and meets the graded tier in COMBINED (:func:`~repro.core.
   backends.is_exact`).
 
-* **Fused numerics.** The generated-C backend agrees with the oracle at
-  fp64-roundoff tolerance in every mode, deterministically, with
-  backend-invariant plans (the inter level sees identical projections).
+* **Fused numerics.** The generated-C backend lowers the stepwise loop of
+  BASELINE / INTRA / ZERO_PRUNE and agrees with the oracle there at
+  fp64-roundoff tolerance, deterministically. INTER and COMBINED run the
+  numpy programs on every backend, so a cgen-configured executor gives
+  their bytes exactly.
+
+* **The kernel cache heals.** A cached object whose digest does not match
+  is rebuilt before it is loaded, never mapped.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.config import LSTMConfig, get_app
+from repro.config import LSTMConfig
 from repro.core import cgen
 from repro.core.backends import (
     BACKEND_NAMES,
@@ -36,7 +45,6 @@ from repro.core.backends import (
     validate_backend_name,
 )
 from repro.core.executor import ExecutionConfig, ExecutionMode, LSTMExecutor
-from repro.core.pipeline import OptimizedLSTM
 from repro.core.reference import ReferenceExecutor
 from repro.errors import BackendUnavailableError, ConfigurationError
 from repro.nn.network import LSTMNetwork
@@ -89,6 +97,18 @@ class TestRegistry:
             assert not is_exact("cgen", mode)
         assert is_exact("numpy", "baseline") and not is_exact("numpy", "combined")
 
+    @pytest.mark.parametrize("mode", list(MODE_CONFIGS), ids=lambda m: m.value)
+    def test_executor_backend_is_the_one_its_programs_run_on(self, mode):
+        """cgen lowers the stepwise loop only: a cgen-configured INTER or
+        COMBINED executor runs, records and grades as numpy."""
+        if not cgen.compiler_available() and not mode_config(mode).inter_active:
+            pytest.skip("no C compiler on this host")
+        network, _ = make_case()
+        executor = LSTMExecutor(network, mode_config(mode, backend="cgen"))
+        structural = mode in (ExecutionMode.INTER, ExecutionMode.COMBINED)
+        assert executor.backend == ("numpy" if structural else "cgen")
+        assert executor.exact is is_exact(executor.backend, mode)
+
     def test_unknown_name_rejected(self):
         for name in ("cuda", "numba", "torch", "fused"):
             with pytest.raises(ConfigurationError, match="unknown backend"):
@@ -112,6 +132,8 @@ class TestRegistry:
         network, _ = make_case()
         with pytest.raises(BackendUnavailableError, match="cgen"):
             LSTMExecutor(network, mode_config(ExecutionMode.BASELINE, backend="cgen"))
+        # INTER and COMBINED never reach the kernel, so they need no compiler.
+        assert LSTMExecutor(network, mode_config(ExecutionMode.INTER, backend="cgen")).exact
 
 
 # ------------------------------------------------------------------- numerics
@@ -132,7 +154,8 @@ class TestFusedNumerics:
         out_ref = ReferenceExecutor(network, mode_config(mode)).run_batch(tokens)
         fused = LSTMExecutor(network, mode_config(mode, backend="cgen"))
         out_fused = fused.run_batch(tokens)
-        assert fused.backend == "cgen"
+        structural = mode in (ExecutionMode.INTER, ExecutionMode.COMBINED)
+        assert fused.backend == ("numpy" if structural else "cgen")
         assert np.abs(out_fused.logits - out_ref.logits).max() <= TOLERANCE
         assert np.array_equal(
             np.asarray(out_fused.predictions()), np.asarray(out_ref.predictions())
@@ -156,43 +179,20 @@ class TestFusedNumerics:
     @pytest.mark.parametrize(
         "mode", [ExecutionMode.INTER, ExecutionMode.COMBINED], ids=lambda m: m.value
     )
-    def test_plans_are_backend_invariant(self, mode):
-        """The inter planner must see identical projection bits, so
-        breakpoints and tissue schedules cannot depend on the backend."""
+    def test_structural_modes_run_the_numpy_programs(self, mode):
+        """A cgen-configured INTER or COMBINED executor is the numpy one:
+        logits, layer outputs and plans byte-identical, no dense ``W^T``
+        staged, and INTER bit-identical to the frozen reference."""
         network, tokens = make_case()
         out_numpy = LSTMExecutor(network, mode_config(mode)).run_batch(tokens)
-        out_fused = LSTMExecutor(
-            network, mode_config(mode, backend="cgen")
-        ).run_batch(tokens)
-        for plan_a, plan_b in zip(out_numpy.plans, out_fused.plans):
-            for layer_a, layer_b in zip(plan_a.layers, plan_b.layers):
-                assert layer_a.breakpoints == layer_b.breakpoints
-                assert layer_a.sublayer_lengths == layer_b.sublayer_lengths
-
-    @pytest.mark.parametrize("hidden", [24, 26])
-    def test_layer0_relevance_is_backend_invariant_at_any_width(self, hidden):
-        """cgen's exact projection used to lift each token against the
-        united ``(E, 4H)`` block: at ``H % 4 != 0`` every later gate starts
-        mid-way through the GEMV kernel's column group, so its bits — and
-        a calibrated network's INTER relevance — left numpy's. ``H = 24``
-        is the control."""
-        base = get_app("BABI")
-        app = OptimizedLSTM.from_app(
-            dataclasses.replace(base, model=base.model.scaled(hidden_size=hidden, seq_length=40)),
-            seed=0,
-        )
-        app.calibrate()
-        tokens = app.sample_tokens(8, seed=5)
-        relevance = {}
-        for backend in ("numpy", "cgen"):
-            executor = LSTMExecutor(
-                app.network,
-                app.execution_config(ExecutionMode.INTER, threshold_index=5, backend=backend),
-                predicted_links=app.calibration.predicted_links,
-            )
-            plans = executor.run_batch(tokens).plans
-            relevance[backend] = np.array([plan.layers[0].relevance for plan in plans])
-        assert np.array_equal(relevance["numpy"], relevance["cgen"])
+        fused = LSTMExecutor(network, mode_config(mode, backend="cgen"))
+        out_fused = fused.run_batch(tokens)
+        assert_meets_grade(out_fused, out_numpy, exact=True)
+        assert all(united._w_t_dense is None for united in fused._united)
+        assert fused.owned_arrays() == []
+        if mode is ExecutionMode.INTER:
+            out_ref = ReferenceExecutor(network, mode_config(mode)).run_batch(tokens)
+            assert_meets_grade(out_fused, out_ref, exact=True)
 
     def test_recorder_attributes_the_resolved_backend(self):
         network, tokens = make_case()
@@ -229,3 +229,34 @@ class TestFusedNumerics:
 
         delta = np.abs(serve("cgen") - serve("numpy")).max()
         assert delta <= TOLERANCE
+
+
+# ---------------------------------------------------------------- kernel cache
+
+
+@needs_compiler
+class TestKernelCache:
+    def test_truncated_cached_object_is_rebuilt(self, tmp_path):
+        """A truncated ``.so`` used to be mapped as is and the interpreter
+        died by SIGBUS, which nothing can catch: the load runs in a child."""
+        env = dict(
+            os.environ,
+            REPRO_CGEN_CACHE=str(tmp_path),
+            PYTHONPATH=str(Path(cgen.__file__).resolve().parents[2]),
+        )
+        code = "from repro.core import cgen; cgen.load_library()"
+
+        def load() -> subprocess.CompletedProcess:
+            return subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                timeout=120,
+            )
+
+        assert load().returncode == 0
+        [so_path] = tmp_path.glob("repro-cgen-*/repro_kernels.so")
+        with open(so_path, "r+b") as handle:
+            handle.truncate(1000)
+        proc = load()
+        assert proc.returncode == 0, f"child exited {proc.returncode}: {proc.stderr}"
+        digest = (so_path.parent / "repro_kernels.so.sha256").read_text()
+        assert digest == hashlib.sha256(so_path.read_bytes()).hexdigest()
