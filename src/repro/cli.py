@@ -138,8 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--precision",
         choices=[*PRECISIONS],
         default="fp64",
-        help="weight-storage policy of stream/fleet (the fleet's arena "
-        "publishes quantized payloads)",
+        help="weight-storage policy of stream/fleet (forked fleet workers "
+        "run the parent's quantized cells)",
     )
     serve.add_argument(
         "--backend", choices=[*BACKEND_NAMES], default="numpy", help=_BACKEND_HELP

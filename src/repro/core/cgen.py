@@ -36,8 +36,8 @@ oracle stays the numpy backend; agreement is gated per mode in
 Build pipeline: the C source below is hashed together with the compiler
 identity and flags; the shared object is cached under the user's temp
 directory with its sha256 beside it, verified before every load and
-rebuilt when either changes or the digest does not match, so spawned fleet
-workers load the same ``.so`` without recompiling and a truncated cache
+rebuilt when either changes or the digest does not match, so other
+interpreters load the same ``.so`` without recompiling and a truncated cache
 entry is rebuilt instead of crashing the interpreter. No compiler on the
 host simply makes the backend unavailable (:func:`compiler_available`), it
 never breaks import.
@@ -195,7 +195,7 @@ def load_library() -> ctypes.CDLL:
 
     The shared object is cached under :func:`_build_dir` keyed on a hash
     of the C source, the compiler identity and the flags, so repeated runs
-    — and the fleet's spawned worker processes — reuse one build. The
+    — and other interpreters — reuse one build. The
     compile step writes to a process-unique name and atomically renames
     into place, so concurrent builder *processes* never read a
     half-written object; concurrent *threads* are serialized by

@@ -351,8 +351,8 @@ class _UnitedWeights:
     """What one layer's programs compute on: the layer's own blocks.
 
     ``w`` / ``u`` / ``b`` *are* the :class:`~repro.nn.lstm_cell.
-    LSTMCellWeights` blocks (for a fleet worker, the arena's shared pages),
-    never copies. Rows follow :data:`~repro.nn.lstm_cell.GATE_ORDER` —
+    LSTMCellWeights` blocks (for a forked fleet worker, the parent's pages,
+    copy-on-write), never copies. Rows follow :data:`~repro.nn.lstm_cell.GATE_ORDER` —
     ``(f, i, c, o)`` — so ``slices[g]`` selects gate ``g`` out of a
     ``(..., 4H)`` product.
     """
@@ -409,11 +409,11 @@ class LSTMExecutor:
             ProgramCache`; when omitted the executor owns a private one.
         quantized_cells: Pre-quantized per-layer payloads
             (:class:`~repro.nn.quantize.QuantizedCell`) to run with
-            instead of quantizing ``network``'s weights here. The fleet
-            workers pass the cells rebuilt from the shared-memory arena,
-            so parent and workers compute on byte-identical codes and
-            scales (re-quantizing a dequantized copy could drift by one
-            ulp). Requires a quantized ``config.precision``.
+            instead of quantizing ``network``'s weights here.
+            :class:`~repro.core.pipeline.OptimizedLSTM` and the zoo pass
+            a kept executor's cells, so both compute on the same codes
+            and scales (fleet workers need none: they inherit the
+            parent's executor). Requires a quantized ``config.precision``.
     """
 
     def __init__(

@@ -1,6 +1,6 @@
 """In-process multicore dispatch over independent execution work units.
 
-The spawn fleet (:mod:`repro.runtime.fleet`) scales across *processes*;
+The fleet (:mod:`repro.runtime.fleet`) scales across *processes*;
 this module scales *inside* one. A run is partitioned into independent
 work units — contiguous batch-row shards, combined-mode schedule-key
 groups, per-tissue programs — whose outputs land in disjoint array
@@ -8,8 +8,8 @@ slices, and the units execute on a persistent pool of plain threads.
 Real core scaling comes from the hot kernels releasing the GIL: BLAS
 matmuls always do, the numpy ufunc chains do above the small-buffer
 threshold, and the ctypes cgen kernels release it for the whole native
-walk. Unlike the fleet, threads share the weight arena and the caches
-in-place — zero serialization, zero segment copies.
+walk. Unlike the fleet's forked workers, threads share the caches
+in place, not as copy-on-write pages.
 
 Why plain threads and a queue instead of ``concurrent.futures``: the
 dispatcher must attribute *queue wait* (submit → start) and *busy time*
@@ -28,6 +28,7 @@ surround it).
 
 from __future__ import annotations
 
+import os
 import queue
 import threading
 import time
@@ -176,6 +177,8 @@ class ThreadedDispatcher:
 
 _dispatchers: dict[int, ThreadedDispatcher] = {}
 _dispatchers_lock = threading.Lock()
+# A forked child (a fleet worker) inherits the registry but not its threads.
+os.register_at_fork(after_in_child=_dispatchers.clear)
 
 
 def get_dispatcher(threads: int) -> ThreadedDispatcher:

@@ -526,9 +526,9 @@ def fingerprint_network(network) -> str:
 
     Combines the embedding table, every layer's cell-weight fingerprint
     (:func:`fingerprint_weights`), and the head parameters — anything that
-    can change a logit bit. The serving runtime keys its shared-memory
-    weight arena on this digest, so two runtimes publishing the same
-    network never collide with two publishing different ones.
+    can change a logit bit. The zoo keys its executors on this digest, so
+    tenants over networks of equal content share one executor and tenants
+    over different ones never collide.
     """
     digest = hashlib.blake2b(digest_size=16)
     digest.update(fingerprint_array(network.embedding).encode())

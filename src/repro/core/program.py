@@ -11,8 +11,8 @@ combined mode — into a *program*: an object that holds
 * **no weights of its own** — its operands are views of the layer's united
   blocks (:class:`~repro.nn.lstm_cell.LSTMCellWeights`: ``U`` seen as
   ``(4, H, H)``, ``b`` as ``(4, 1, H)``, ``W`` gate by gate, hence gate
-  slabs in ``GATE_ORDER``): the weights exist once, in the network or the
-  arena's shared pages, however many programs run on them,
+  slabs in ``GATE_ORDER``): the weights exist once, in the network,
+  however many programs run on them,
 * **no memory of its own either** — its workspace (projection block,
   gate slabs, ``h``/``c`` state, DRS mask and compaction scratch, wave
   planes) is a fixed layout *leased* from the :class:`WorkspaceArena` of

@@ -56,15 +56,5 @@ class RuntimeStateError(ReproError):
     already closed, or a worker died)."""
 
 
-class ArenaLayoutError(RuntimeStateError):
-    """A shared-memory arena segment's layout is invalid.
-
-    Raised when a manifest entry is misaligned (every payload must start
-    on a 64-byte boundary), overlaps a neighbour, or runs past the end of
-    the segment — instead of silently building a mis-strided view over
-    mixed-dtype (int8 payload + float scale) storage.
-    """
-
-
 class CalibrationError(ReproError):
     """Offline calibration (MTS search, threshold tuning) failed to converge."""

@@ -45,9 +45,9 @@ class LSTMCellWeights:
     optimizations treat gates differently — DRS skips rows of ``U_f, U_i,
     U_c`` but never ``U_o``) are row slices of the blocks: each keeps its
     own row-major layout, and reads, in-place updates and assignments all
-    land in the one copy that executors, compiled programs and the zoo's
-    tenants compute on (the fleet's shared-memory arena is a copy, taken
-    when it publishes).
+    land in the one copy that executors, compiled programs, the zoo's
+    tenants and the fleet's forked workers compute on (a worker reads the
+    parent's pages copy-on-write).
     """
 
     w: np.ndarray

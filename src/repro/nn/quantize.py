@@ -229,14 +229,3 @@ def dequantize_lstm_cell(
     return LSTMCellWeights(
         *(np.concatenate([m[g].dequantize() for g in GATE_ORDER]) for m in (w, u)), b
     )
-
-
-def quantize_network_layers(network, precision: Precision) -> list[QuantizedCell]:
-    """Quantize every layer of an :class:`~repro.nn.network.LSTMNetwork`.
-
-    Returns one :class:`QuantizedCell` per layer. The network itself is
-    never mutated — callers substitute ``cell.dequantized`` where they
-    would have used ``layer.weights`` (the executor does exactly this,
-    like zero pruning).
-    """
-    return [quantize_cell_weights(layer.weights, precision) for layer in network.layers]

@@ -23,15 +23,11 @@ command. Three batch-forming policies ride on it:
   each tick from :mod:`repro.runtime.shadow`'s sampled agreement;
 * :class:`FleetServer` (:mod:`repro.runtime.fleet`) — whole sequences FIFO
   by length, each tick cut into shards of ``max_batch`` rows that run one
-  per spawned worker over a shared-memory :class:`WeightArena` (or
+  per worker process, forked after the fleet's one executor is built so
+  every worker runs that executor on the parent's copy-on-write pages (or
   in-process at ``workers=0``, with identical bits).
 """
 
-from repro.runtime.arena import (
-    ArenaManifest,
-    WeightArena,
-    leaked_segments,
-)
 from repro.runtime.controller import (
     ControllerMove,
     OperatingPoint,
@@ -63,7 +59,6 @@ from repro.runtime.streaming import (
 from repro.runtime.tenancy import TenantSpec, ZooServer
 
 __all__ = [
-    "ArenaManifest",
     "Arrival",
     "ControllerMove",
     "FleetServer",
@@ -82,10 +77,8 @@ __all__ = [
     "TenantSLO",
     "TenantSpec",
     "TickReport",
-    "WeightArena",
     "ZooServer",
     "generate_arrivals",
     "generate_tenant_arrivals",
-    "leaked_segments",
     "run_open_loop",
 ]

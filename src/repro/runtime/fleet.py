@@ -1,4 +1,4 @@
-"""The fleet: whole sequences, FIFO by length, sharded across spawned workers.
+"""The fleet: whole sequences, FIFO by length, sharded across forked workers.
 
 :class:`FleetServer` is the serving core's third batch-forming policy
 (:class:`~repro.runtime.serving.ServingCore` owns admission, shedding
@@ -10,27 +10,28 @@ stacked ``(B, L)`` tokens into consecutive shards of at most ``max_batch``
 rows and runs one shard per worker — or every shard on one in-process
 :class:`~repro.core.executor.LSTMExecutor` at ``workers=0``.
 
-The workers are only a transport. The parent publishes the network once
-into a shared-memory :class:`~repro.runtime.arena.WeightArena`; each
-spawned worker attaches those pages, builds one long-lived executor (its
-compiled programs persist across shards: programs are keyed on shape,
-never on plans) and answers each shard over its own pipe. The gather waits
-on the pipes *and* the worker process sentinels, so a worker that dies
-mid-shard fails the tick at once with
-:class:`~repro.errors.RuntimeStateError`, closing the pool and unlinking
-the arena, instead of after ``result_timeout_s``.
+The workers are only a transport. The parent builds the fleet's one
+executor before it starts any worker, and forks each worker from itself
+(``multiprocessing.get_context("fork")``, so the fleet runs on Linux and
+other fork platforms): a worker inherits that executor — its weights, its
+quantized or pruned cells and whatever programs it has compiled — as
+copy-on-write pages (nothing is published, pickled or rebuilt), and
+answers each shard over its own pipe with ``executor.run_batch``. The gather waits on the
+pipes *and* the worker process sentinels, so a worker that dies mid-shard
+fails the tick at once with :class:`~repro.errors.RuntimeStateError`,
+closing the pool, instead of after ``result_timeout_s``.
 
 Numerics contract (``tests/test_runtime.py``): a shard's logits equal
-:meth:`~repro.core.executor.LSTMExecutor.run_batch` on the same rows in the
-calling process, in every mode — shared pages and the process boundary
-change no bits, and a product of one shape is deterministic, which covers
-graded COMBINED's wave GEMMs. A tick's shards are consecutive
-``max_batch``-row slices of its FIFO batch, so sequences queued together
-are sharded alike at any worker count (the exact tier is bit-stable under
-any grouping anyway: its recurrences are per-row GEMVs). Each shard's own
-executor record has ``seq_index`` remapped to the row's position in the
-fleet's service order;
-a tick's shard records merge into one ``fleet-tick`` record and
+:meth:`~repro.core.executor.LSTMExecutor.run_batch` on the same rows in
+the calling process, in every mode — the worker runs the parent's own
+executor, so the process boundary changes no bits, and a product of one
+shape is deterministic, which covers graded COMBINED's wave GEMMs. A
+tick's shards are consecutive ``max_batch``-row slices of its FIFO batch,
+so sequences queued together are sharded alike at any worker count (the
+exact tier is bit-stable under any grouping anyway: its recurrences are
+per-row GEMVs). Each shard's own executor record has ``seq_index``
+remapped to the row's position in the fleet's service order; a tick's
+shard records merge into one ``fleet-tick`` record and
 :meth:`~repro.runtime.serving.ServingCore.merged_record` folds a window
 into one record labelled ``fleet``.
 """
@@ -38,6 +39,7 @@ into one record labelled ``fleet``.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 import traceback
 from collections import deque
@@ -46,14 +48,12 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.executor import ExecutionConfig, ExecutionMode, LSTMExecutor
+from repro.core.executor import ExecutionConfig, LSTMExecutor
 from repro.core.plan import PlanCache
 from repro.errors import ConfigurationError, RuntimeStateError
 from repro.nn.network import LSTMNetwork
-from repro.nn.quantize import Precision
 from repro.obs import Recorder, merge_run_records
 from repro.obs.record import RunRecord
-from repro.runtime.arena import ArenaManifest, WeightArena
 from repro.runtime.serving import ServingCore, ServingStats, ServingTicket, take_batch
 
 #: Worker-to-parent message tags.
@@ -70,55 +70,32 @@ def _pop_record(recorder: Recorder | None) -> RunRecord | None:
     return record
 
 
-def worker_main(
-    worker_id: int,
-    manifest: ArenaManifest,
-    config: ExecutionConfig,
-    conn,
-    record: bool,
-) -> None:
-    """Worker loop: attach the arena, run shards until the ``None`` sentinel."""
+def worker_main(executor: LSTMExecutor, conn, parent_ends: list, cpu: int) -> None:
+    """Worker loop: run shards on the inherited executor until the ``None``
+    sentinel."""
     try:
-        with WeightArena.attach(manifest) as arena:
-            # A quantized arena carries the published codes and scales;
-            # handing them to the executor (instead of re-quantizing the
-            # rebuilt weights) makes the fleet byte-identical to the parent
-            # by construction. An fp64 arena under a quantized config (the
-            # zero-prune case: pruning must happen before quantization) lets
-            # the executor quantize for itself, deterministically. The
-            # network's layers are the cells' dequantized blocks, so the
-            # worker holds one float64 reconstruction per layer.
-            quantized_cells = None
-            if manifest.precision != "fp64":
-                if manifest.precision != config.precision.tag:
-                    raise ConfigurationError(
-                        f"arena published at precision {manifest.precision!r} "
-                        f"but worker config wants {config.precision.tag!r}"
-                    )
-                quantized_cells = arena.quantized_cells()
-            recorder = Recorder() if record else None
-            executor = LSTMExecutor(
-                arena.network(quantized_cells),
-                config,
-                plan_cache=PlanCache(),
-                recorder=recorder,
-                quantized_cells=quantized_cells,
-            )
-            conn.send((OK, None))
-            while (tokens := conn.recv()) is not None:
-                logits = executor.run_batch(tokens).logits
-                conn.send((OK, (logits, _pop_record(recorder))))
+        for end in parent_ends:  # fork copied them; closed, a dead parent means EOF
+            end.close()
+        # A forked worker starts where its parent runs, and workers woken
+        # together there can stay there, taking turns on one CPU. One move
+        # spreads them as exec would place them; the full mask comes back.
+        allowed = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {cpu})
+        os.sched_setaffinity(0, allowed)
+        while (tokens := conn.recv()) is not None:
+            logits = executor.run_batch(tokens).logits
+            conn.send((OK, (logits, _pop_record(executor.recorder))))
     except Exception:  # pragma: no cover - surfaced to the parent
         conn.send((ERROR, traceback.format_exc()))
 
 
 class FleetServer(ServingCore):
-    """Whole-sequence FIFO-by-length policy over a pool of spawned workers.
+    """Whole-sequence FIFO-by-length policy over a pool of forked workers.
 
     Args:
         network: The network to serve.
         config: Execution scheme (one per fleet, like one executor).
-        workers: Worker process count; ``0`` serves in-process (no arena, no
+        workers: Worker process count; ``0`` serves in-process (no
             processes) with identical results.
         max_batch: Rows per shard; a tick serves at most
             ``max_batch x max(workers, 1)`` sequences.
@@ -128,14 +105,13 @@ class FleetServer(ServingCore):
         recorder: Optional recorder; when enabled, every tick appends one
             merged ``fleet-tick`` record of its shards' executor records.
 
-    The pool spawns at construction; use as a context manager or call
-    :meth:`close`. A closed fleet refuses to tick.
+    The pool forks at construction, after the executor is built; use as a
+    context manager or call :meth:`close`. A closed fleet refuses to tick.
     """
 
     record_label = "fleet"
-    #: Liveness bounds (seconds) for a worker that is alive but silent; a
+    #: Liveness bound (seconds) for a worker that is alive but silent; a
     #: dead worker fails the fleet at once.
-    startup_timeout_s = 120.0
     result_timeout_s = 300.0
 
     def __init__(
@@ -163,48 +139,34 @@ class FleetServer(ServingCore):
         self.stats = ServingStats()
         self._queue: deque = deque()
         self._closed = False
-        self._arena: WeightArena | None = None
         self._processes: list[multiprocessing.Process] = []
         self._conns: list = []
         record = recorder is not None and recorder.enabled
-        self._shard_recorder = Recorder() if record and workers == 0 else None
-        self._executor = (
-            LSTMExecutor(
-                network, config, plan_cache=PlanCache(), recorder=self._shard_recorder
-            )
-            if workers == 0
-            else None
+        self._executor = LSTMExecutor(
+            network, config, plan_cache=PlanCache(), recorder=Recorder() if record else None
         )
         if workers:
-            self._spawn(record)
+            self._fork()
 
     # ------------------------------------------------------------ lifecycle
 
-    def _spawn(self, record: bool) -> None:
-        ctx = multiprocessing.get_context("spawn")
-        # Publish at the serving precision so the segment itself shrinks
-        # with the policy (int8 pages are ~8x smaller). Zero pruning is the
-        # exception: it must happen before quantization and needs the fp64
-        # masters, so those workers prune and quantize for themselves.
-        precision = self.config.precision
-        if self.config.mode is ExecutionMode.ZERO_PRUNE:
-            precision = Precision()
-        self._arena = WeightArena.publish(self.network, precision=precision)
+    def _fork(self) -> None:
+        ctx = multiprocessing.get_context("fork")
+        cpus = sorted(os.sched_getaffinity(0))
         for worker_id in range(self.workers):
             conn, child = ctx.Pipe()
             process = ctx.Process(
                 target=worker_main,
-                args=(worker_id, self._arena.manifest, self.config, child, record),
+                args=(self._executor, child, [*self._conns, conn], cpus[worker_id % len(cpus)]),
                 daemon=True,
             )
             process.start()
             child.close()  # the worker holds the only other end: EOF means death
             self._processes.append(process)
             self._conns.append(conn)
-        self._gather(self.workers, self.startup_timeout_s, "worker start-up")
 
     def close(self) -> None:
-        """Stop the workers and tear the arena down (idempotent)."""
+        """Stop the workers (idempotent)."""
         if self._closed:
             return
         self._closed = True
@@ -222,10 +184,6 @@ class FleetServer(ServingCore):
             conn.close()
         self._processes.clear()
         self._conns.clear()
-        if self._arena is not None:
-            self._arena.close()
-            self._arena.unlink()
-            self._arena = None
 
     def _fail(self, message: str) -> None:
         """Kill the pool, tear it down and raise ``RuntimeStateError``."""
@@ -309,7 +267,7 @@ class FleetServer(ServingCore):
             results = []
             for shard in shards:
                 logits = self._executor.run_batch(shard).logits
-                results.append((logits, _pop_record(self._shard_recorder)))
+                results.append((logits, _pop_record(self._executor.recorder)))
         else:
             for worker_id, shard in enumerate(shards):
                 try:

@@ -4,7 +4,7 @@ Every serving engine — :class:`~repro.runtime.streaming.StreamingServer`
 (continuous batching over resident session state),
 :class:`~repro.runtime.tenancy.ZooServer` (weighted deficit round-robin
 over per-tenant queues) and :class:`~repro.runtime.fleet.FleetServer`
-(whole sequences FIFO by length, sharded across spawned workers) — is a
+(whole sequences FIFO by length, sharded across forked workers) — is a
 *batch-forming policy* over :class:`ServingCore`. The core owns
 everything that is not policy:
 
@@ -485,8 +485,8 @@ class ServingCore:
     # ------------------------------------------------------------ lifecycle
 
     def close(self) -> None:
-        """Release what the policy holds beyond the process (shared memory,
-        worker processes); a no-op for a policy that holds none."""
+        """Release what the policy holds beyond the process (worker
+        processes); a no-op for a policy that holds none."""
 
     def __enter__(self):
         return self

@@ -20,6 +20,7 @@ from repro.core.executor import (
     LSTMExecutor,
 )
 from repro.core.pipeline import OptimizedLSTM
+from repro.core.plan import PlanCache
 from repro.core.reference import ReferenceExecutor
 from repro.errors import ConfigurationError, ShapeError
 from tests.conftest import TINY_HIDDEN, TINY_VOCAB, make_executor
@@ -543,3 +544,54 @@ class TestServingGeometry:
             programs = [entry for _, entry in executor.program_cache.items()]
             assert len(programs) == app.network.num_layers
             assert all(program._cut > 0 for program in programs)
+
+
+class PlantedFault(Exception):
+    """Raised by a test between a layer's projection and its execution."""
+
+
+class TestFaultBetweenProjectAndExecute:
+    """Layer 1 has projected its inputs (into the slot's workspace, and its
+    relevance into the plan cache when there is one) when planning raises.
+    The executor's next run must not see any of that half-finished state."""
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "plan-cache"])
+    @pytest.mark.parametrize(
+        "mode", [ExecutionMode.INTER, ExecutionMode.COMBINED], ids=lambda m: m.value
+    )
+    def test_next_run_equals_a_fresh_executor(
+        self, calibrated_network, tiny_tokens, mode, cached, monkeypatch
+    ):
+        probe = make_executor(calibrated_network, ExecutionMode.INTER, alpha_inter=1e-300)
+        relevance = np.concatenate(
+            [plan.layers[1].relevance for plan in probe.run_batch(tiny_tokens).plans]
+        )
+        config = ExecutionConfig(
+            mode=mode, alpha_inter=float(np.median(relevance)), alpha_intra=0.3, mts=3
+        )
+
+        def make():
+            return LSTMExecutor(
+                calibrated_network, config, plan_cache=PlanCache() if cached else None
+            )
+
+        executor = make()
+        build_plan = executor._build_plan
+
+        def planted(layer_index, *args):
+            if layer_index == 1:
+                raise PlantedFault("after layer 1's projection")
+            return build_plan(layer_index, *args)
+
+        monkeypatch.setattr(executor, "_build_plan", planted)
+        with pytest.raises(PlantedFault):
+            executor.run_batch(tiny_tokens)
+        monkeypatch.undo()
+
+        result = executor.run_batch(tiny_tokens)
+        fresh = make().run_batch(tiny_tokens)
+        assert_meets_grade(result, fresh, exact=True)
+        assert any(rec.breakpoints for plan in result.plans for rec in plan.layers)
+        if mode is ExecutionMode.INTER:
+            reference = ReferenceExecutor(calibrated_network, config).run_batch(tiny_tokens)
+            assert_meets_grade(result, reference, exact=True)

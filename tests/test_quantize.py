@@ -1,4 +1,4 @@
-"""Quantized weight memory: error bounds, policy plumbing, arena layout.
+"""Quantized weight memory: error bounds, policy plumbing, the quantized fleet.
 
 Covers the ``repro.nn.quantize`` contract end to end:
 
@@ -11,10 +11,10 @@ Covers the ``repro.nn.quantize`` contract end to end:
   executor equals the reference run on the dequantized weights, and
   quantized policies keep end-task predictions within the documented
   tolerance.
-* **Arena layout**: quantized publish/attach round-trips byte-identical
-  payloads; corrupt manifests (misaligned, overlapping, out-of-bounds)
-  raise :class:`~repro.errors.ArenaLayoutError` before any view exists;
-  mixed-dtype segments tear down without leaks.
+* **The quantized fleet**: a forked worker runs the parent's quantized
+  executor, byte-identical to quantizing in process; that executor runs
+  the codes of direct quantization and holds one float64 reconstruction
+  per layer beyond them.
 * **Tuner**: the joint (thresholds x precision) sweep produces points
   whose traffic reduction reflects the storage policy and whose selection
   respects the accuracy target.
@@ -22,7 +22,9 @@ Covers the ``repro.nn.quantize`` contract end to end:
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -39,7 +41,8 @@ from repro.core.tuner import (
     accuracy_guided_precision,
     sweep_precision_thresholds,
 )
-from repro.errors import ArenaLayoutError, CalibrationError, ConfigurationError
+from repro.errors import CalibrationError, ConfigurationError
+from repro.nn.lstm_layer import LSTMLayer
 from repro.nn.network import LSTMNetwork
 from repro.nn.pruning import prune_cell_weights
 from repro.nn.quantize import (
@@ -50,11 +53,9 @@ from repro.nn.quantize import (
     dequantize_rows,
     quantize_cell_weights,
     quantize_matrix,
-    quantize_network_layers,
     quantize_rows,
 )
-from repro.runtime import WeightArena, leaked_segments
-from repro.runtime.arena import _dequantized_network, validate_layout
+from repro.runtime import FleetServer
 
 from tests.grading import assert_meets_grade
 
@@ -72,6 +73,14 @@ MODE_CONFIGS = {
 }
 
 ALL_MODES = list(ExecutionMode)
+
+
+def dequantized_network(network: LSTMNetwork, cells) -> LSTMNetwork:
+    """``network`` with each layer's weights replaced by the cell's float64
+    reconstruction (embedding and head shared)."""
+    deq = copy.copy(network)
+    deq.layers = [LSTMLayer(cell.dequantized) for cell in cells]
+    return deq
 
 
 def build_case(hidden=20, layers=2, seq=10, batch=5, seed=3):
@@ -202,14 +211,15 @@ class TestExecutorPolicy:
             ref_mode = ExecutionMode.BASELINE
         cells = [quantize_cell_weights(w, config.precision) for w in weights]
         reference = ReferenceExecutor(
-            _dequantized_network(network, cells),
+            dequantized_network(network, cells),
             dataclasses.replace(config, mode=ref_mode, precision="fp64"),
         ).run_batch(tokens)
         assert_meets_grade(compiled, reference, executor.exact)
 
     def test_quantized_cells_param_requires_quantized_precision(self):
         network, _ = build_case()
-        cells = quantize_network_layers(network, Precision.parse("int8"))
+        int8 = Precision.parse("int8")
+        cells = [quantize_cell_weights(layer.weights, int8) for layer in network.layers]
         with pytest.raises(ConfigurationError):
             LSTMExecutor(
                 network,
@@ -218,8 +228,8 @@ class TestExecutorPolicy:
             )
 
 
-class TestQuantizedArena:
-    def test_quantized_publish_attach_round_trip(self):
+class TestQuantizedFleet:
+    def test_int8_combined_worker_matches_in_process_executor(self):
         network, tokens = build_case()
         config = ExecutionConfig(
             mode=ExecutionMode.COMBINED,
@@ -227,94 +237,49 @@ class TestQuantizedArena:
             **MODE_CONFIGS[ExecutionMode.COMBINED],
         )
         expected = LSTMExecutor(network, config).run_batch(tokens)
-        with WeightArena.publish(network, precision="int8") as arena:
-            assert arena.manifest.precision == "int8"
-            with WeightArena.attach(arena.manifest) as attached:
-                cells = attached.quantized_cells()
-                out = LSTMExecutor(
-                    network, config, quantized_cells=cells
-                ).run_batch(tokens)
-                assert np.array_equal(out.logits, expected.logits)
-        assert leaked_segments() == []
+        with FleetServer(network, config, workers=1, max_batch=len(tokens)) as fleet:
+            tickets = [fleet.submit(f"r{i}", row, now=0.0) for i, row in enumerate(tokens)]
+            fleet.drain(now=0.0)
+        logits = np.stack([ticket.result.logits for ticket in tickets])
+        assert np.array_equal(logits, expected.logits)
+        assert multiprocessing.active_children() == []
 
-    def test_quantized_cells_byte_identical_to_direct_quantization(self):
+    def test_fleet_executor_runs_direct_quantization(self):
         network, _ = build_case()
-        direct = quantize_network_layers(network, Precision.parse("int8"))
-        with WeightArena.publish(network, precision="int8") as arena:
-            rebuilt = arena.quantized_cells()
-        for a, b in zip(direct, rebuilt):
+        int8 = Precision.parse("int8")
+        direct = [quantize_cell_weights(layer.weights, int8) for layer in network.layers]
+        config = ExecutionConfig(mode=ExecutionMode.BASELINE, precision=int8)
+        with FleetServer(network, config) as fleet:
+            served = fleet._executor.quantized_cells
+        for a, b in zip(direct, served):
             for gate in ("f", "i", "c", "o"):
                 for store_a, store_b in ((a.w, b.w), (a.u, b.u)):
                     assert np.array_equal(store_a[gate].data, store_b[gate].data)
                     assert np.array_equal(store_a[gate].scales, store_b[gate].scales)
 
-    def test_network_layers_are_the_cells_dequantized_blocks(self):
-        """A worker's network and executor share one float64 reconstruction
-        per layer: the executor derives nothing beyond codes and scales."""
+    def test_fleet_executor_holds_one_reconstruction_per_layer(self):
+        """Beyond the caller's network, a quantized fleet's executor holds
+        each layer's codes and scales plus one float64 reconstruction of its
+        ``W`` and ``U`` (biases are never quantized, so ``b`` is shared)."""
         network, tokens = build_case()
         config = ExecutionConfig(mode=ExecutionMode.BASELINE, precision="int8")
         expected = LSTMExecutor(network, config).run_batch(tokens).logits
-        with WeightArena.publish(network, precision="int8") as arena:
-            cells = arena.quantized_cells()
-            rebuilt = arena.network(cells)
-            for layer, cell in zip(rebuilt.layers, cells):
-                assert layer.weights is cell.dequantized
-            executor = LSTMExecutor(rebuilt, config, quantized_cells=cells)
-            payloads = [
+        with FleetServer(network, config) as fleet:
+            executor = fleet._executor
+            cells = executor.quantized_cells
+            assert executor.network is network
+            held = []
+            for layer, cell in zip(network.layers, cells):
+                assert cell.dequantized.b is layer.weights.b
+                held += [cell.dequantized.w, cell.dequantized.u]
+            held += [
                 array
                 for cell in cells
                 for matrix in (*cell.w.values(), *cell.u.values())
                 for array in (matrix.data, matrix.scales)
             ]
-            assert [id(a) for a in executor.owned_arrays()] == [id(a) for a in payloads]
+            assert [id(a) for a in executor.owned_arrays()] == [id(a) for a in held]
             assert np.array_equal(executor.run_batch(tokens).logits, expected)
-        assert leaked_segments() == []
-
-    def test_quantized_segment_is_smaller(self):
-        network, _ = build_case(hidden=32)
-        with WeightArena.publish(network) as fp64_arena:
-            fp64_bytes = fp64_arena.manifest.total_bytes
-        with WeightArena.publish(network, precision="int8") as int8_arena:
-            int8_bytes = int8_arena.manifest.total_bytes
-        # Embedding/head/biases stay fp64, so well short of 8x — but the
-        # gate payloads dominate and the segment must clearly shrink.
-        assert int8_bytes < fp64_bytes / 2
-        assert leaked_segments() == []
-
-    def test_quantized_cells_on_fp64_manifest_rejected(self):
-        network, _ = build_case()
-        with WeightArena.publish(network) as arena:
-            with pytest.raises(ConfigurationError):
-                arena.quantized_cells()
-
-    def test_corrupt_layouts_raise_arena_layout_error(self):
-        network, _ = build_case()
-        with WeightArena.publish(network, precision="int8") as arena:
-            manifest = arena.manifest
-            size = manifest.total_bytes
-
-            def tampered(**changes):
-                entries = list(manifest.entries)
-                entries[1] = dataclasses.replace(entries[1], **changes)
-                return dataclasses.replace(manifest, entries=tuple(entries))
-
-            # Misaligned offset (valid bytes, wrong stride discipline).
-            with pytest.raises(ArenaLayoutError, match="aligned"):
-                validate_layout(tampered(offset=manifest.entries[1].offset + 1), size)
-            # Overlap with the previous entry.
-            with pytest.raises(ArenaLayoutError, match="overlaps"):
-                validate_layout(tampered(offset=manifest.entries[0].offset), size)
-            # Past the end of the segment.
-            with pytest.raises(ArenaLayoutError, match="past"):
-                validate_layout(
-                    tampered(shape=(10_000, 10_000)), size
-                )
-            # Manifest claims more bytes than the segment maps.
-            with pytest.raises(ArenaLayoutError, match="maps only"):
-                validate_layout(
-                    dataclasses.replace(manifest, total_bytes=size + 1), size
-                )
-        assert leaked_segments() == []
 
 
 class TestFig14Workload:

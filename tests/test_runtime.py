@@ -2,26 +2,31 @@
 
 The fleet's numerics contract: every shard executes bit-identically to
 :meth:`repro.core.executor.LSTMExecutor.run_batch` on that shard in the
-calling process — shared-memory weight views, the process boundary and the
-worker count change no bits — and a tick's shards are consecutive
-``max_batch``-row slices of its FIFO batch, so a sequence's logits and its
-per-sequence record are the same at any parallelism. ``workers=0`` must
-reproduce the worker path exactly. Lifecycle: the weight arena tears down
-cleanly (no leaked ``/dev/shm`` segments), a bad token id is the caller's
+calling process — a forked worker runs the parent's own executor, so the
+process boundary and the worker count change no bits — and a tick's shards
+are consecutive ``max_batch``-row slices of its FIFO batch, so a sequence's
+logits and its per-sequence record are the same at any parallelism.
+``workers=0`` must reproduce the worker path exactly. Lifecycle: ``close``
+leaves no worker process behind, a bad token id is the caller's
 :class:`~repro.errors.ShapeError` and leaves the fleet serving, a worker
-killed mid-shard fails the tick at once, and per-shard run records merge
+killed mid-shard fails the tick at once, a worker forked after the parent
+ran a threaded executor still answers, and per-shard run records merge
 into schema-valid tick and window records. (Admission, shedding and
 open-loop replay are the serving core's, checked in ``test_serving.py``.)
 
-Worker processes spawn per test, so the cross-process tests use one fixed
+Worker processes fork per test, so the cross-process tests use one fixed
 mid-size workload per mode instead of hypothesis-sized fleets; hypothesis
 drives the (cheap, in-process) ``workers=0`` fleet.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -43,8 +48,7 @@ from repro.errors import (  # noqa: E402
 )
 from repro.nn.network import LSTMNetwork  # noqa: E402
 from repro.obs import Recorder, merge_run_records, validate_run_dict  # noqa: E402
-from repro.runtime import FleetServer, WeightArena, leaked_segments  # noqa: E402
-from tests.grading import assert_plans_equal  # noqa: E402
+from repro.runtime import FleetServer  # noqa: E402
 
 VOCAB = 50
 CLASSES = 4
@@ -145,7 +149,7 @@ class TestFleetBitIdentity:
         )
         assert np.array_equal(logits, expected_logits)
         assert record.sequences == expected_sequences
-        assert leaked_segments() == []
+        assert multiprocessing.active_children() == []
 
     def test_worker_count_does_not_change_bits(self):
         network, tokens = build_workload()
@@ -158,40 +162,67 @@ class TestFleetBitIdentity:
             assert np.array_equal(logits, outputs[0][0])
             assert record.sequences == outputs[0][1].sequences
 
-
     def test_int8_worker_matches_in_process_executor(self):
-        """A quantized fleet through a spawned worker: the worker runs on the
-        published codes, byte-identical to quantizing in process."""
+        """A quantized fleet through a forked worker: the worker runs the
+        parent's quantized cells, byte-identical to quantizing in process."""
         network, tokens = build_workload()
         exec_config = ExecutionConfig(mode=ExecutionMode.BASELINE, precision="int8")
         logits, _, _ = serve(network, exec_config, tokens, workers=1, max_batch=3)
         expected, _ = groupwise_expected(network, exec_config, tokens, max_batch=3)
         assert np.array_equal(logits, expected)
-        assert leaked_segments() == []
+        assert multiprocessing.active_children() == []
 
 
-class TestArena:
-    def test_attached_network_is_bit_identical_and_read_only(self):
-        network, tokens = build_workload(batch=3)
-        exec_config = MODE_CONFIGS[ExecutionMode.COMBINED]
-        expected = LSTMExecutor(network, exec_config).run_batch(tokens)
-        with WeightArena.publish(network) as arena:
-            attached = arena.network()
-            with pytest.raises((ValueError, RuntimeError)):
-                attached.embedding[0, 0] = 1.0
-            out = LSTMExecutor(attached, exec_config).run_batch(tokens)
-            assert np.array_equal(out.logits, expected.logits)
-            assert_plans_equal(out.plans, expected.plans)
-        assert leaked_segments() == []
+class TestForkedWorkers:
+    def test_threaded_fleet_after_a_threaded_run_in_the_parent(self, monkeypatch):
+        """A forked worker inherits the parent's dispatcher registry but not
+        its pool threads: without the at-fork reset in
+        ``repro.core.parallel`` the worker's shard waits on threads that do
+        not exist and the tick fails after ``result_timeout_s``."""
+        monkeypatch.setattr(FleetServer, "result_timeout_s", 30.0)
+        network, tokens = build_workload()
+        exec_config = dataclasses.replace(MODE_CONFIGS[ExecutionMode.BASELINE], threads=2)
+        # Runs the threads=2 pool in this process before the fleet forks.
+        expected, _ = groupwise_expected(network, exec_config, tokens, max_batch=3)
+        logits, _, _ = serve(network, exec_config, tokens, workers=2, max_batch=3)
+        assert np.array_equal(logits, expected)
+        assert multiprocessing.active_children() == []
 
-    def test_publish_unlink_leaves_no_segment(self):
-        network, _ = build_workload(batch=1)
-        arena = WeightArena.publish(network)
-        name = arena.manifest.shm_name
-        assert any(name in leaked for leaked in leaked_segments())
-        arena.close()
-        arena.unlink()
-        assert leaked_segments() == []
+    def test_workers_exit_when_the_parent_dies(self):
+        """Fork copies the parent's pipe ends into every worker; a worker
+        that kept them open would never see EOF and outlive a killed
+        parent."""
+        script = (
+            "import os, signal\n"
+            "from repro.config import LSTMConfig\n"
+            "from repro.core.executor import ExecutionConfig\n"
+            "from repro.nn.network import LSTMNetwork\n"
+            "from repro.runtime import FleetServer\n"
+            "config = LSTMConfig(hidden_size=8, num_layers=1, seq_length=4, input_size=8)\n"
+            "network = LSTMNetwork(config, 20, 3, seed=1)\n"
+            "fleet = FleetServer(network, ExecutionConfig(), workers=2)\n"
+            "print(*[process.pid for process in fleet._processes], flush=True)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        parent = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True)
+        pids = [int(pid) for pid in parent.stdout.readline().split()]
+        parent.wait(timeout=60)
+
+        def running(pid: int) -> bool:
+            try:
+                with open(f"/proc/{pid}/stat") as stat:
+                    return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 10.0
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        orphans = [pid for pid in pids if running(pid)]
+        for pid in orphans:
+            os.kill(pid, signal.SIGKILL)
+        parent.stdout.close()
+        assert len(pids) == 2 and orphans == []
 
 
 class TestBackpressure:
@@ -207,7 +238,7 @@ class TestBackpressure:
             fleet.drain(now=0.0)
         expected_logits, _ = groupwise_expected(network, exec_config, tokens, max_batch=3)
         assert np.array_equal(np.stack([t.result.logits for t in tickets]), expected_logits)
-        assert leaked_segments() == []
+        assert multiprocessing.active_children() == []
 
     def test_lifecycle_errors(self):
         network, tokens = build_workload(batch=2)
@@ -246,7 +277,7 @@ class TestWorkerDeath:
         with pytest.raises(RuntimeStateError, match="worker 1 died"):
             fleet.tick(now=0.0)
         assert time.monotonic() - start < 10.0
-        assert leaked_segments() == []
+        assert multiprocessing.active_children() == []
         assert all(not process.is_alive() for process in fleet._processes)
         with pytest.raises(RuntimeStateError, match="closed"):
             fleet.tick(now=0.0)

@@ -2,7 +2,7 @@
 
 Covers the zoo's sharing (fp64 tenants on the caller's arrays, one
 executor per network and point, one set of quantized cells per network
-and precision, no shared-memory segment), all-or-nothing tenant
+and precision), all-or-nothing tenant
 registration, weighted deficit round-robin scheduling, per-tenant backpressure isolation, the fp64
 strict no-op discipline through the tenancy path, per-tenant cache
 attribution in merged records, the controller integration, and the
@@ -29,7 +29,6 @@ from repro.runtime import (
     run_open_loop,
 )
 from repro.runtime import tenancy
-from repro.runtime.arena import WeightArena, leaked_segments
 
 HIDDEN = 24
 INPUT = 20
@@ -181,22 +180,6 @@ class TestZooSharing:
             server.drain(now=0.0, service_model=flat_service)
         assert np.array_equal(np.stack([t.result.logits for t in tickets]), expected)
 
-    def test_serving_zoo_creates_no_segment(self, net_a, net_b, monkeypatch):
-        def no_publish(*args, **kwargs):
-            raise AssertionError("the zoo published a shared-memory segment")
-
-        monkeypatch.setattr(WeightArena, "publish", no_publish)
-        before = leaked_segments()
-        rng = np.random.default_rng(6)
-        with ZooServer() as server:
-            server.add_tenant(TenantSpec(name="fp64"), net_a)
-            server.add_tenant(TenantSpec(name="int8", point=INT8), net_b)
-            for i in range(4):
-                server.submit("fp64", f"a{i}", make_tokens(rng), now=0.0)
-                server.submit("int8", f"b{i}", make_tokens(rng), now=0.0)
-            server.drain(now=0.0, service_model=flat_service)
-            assert leaked_segments() == before
-
 
 class TestScheduling:
     def test_wdrr_serves_in_weight_ratio(self, net_a):
@@ -257,7 +240,7 @@ class TestBackpressure:
 
 class TestFp64NoOpDiscipline:
     def test_fp64_tenant_is_bit_identical_to_reference(self, net_a, net_b):
-        """A controller-less fp64 tenant served through shared arenas,
+        """A controller-less fp64 tenant served through a shared executor,
         shared caches, and WDRR interleaving with other tenants must
         produce logits bit-identical to the frozen reference."""
         rng = np.random.default_rng(4)

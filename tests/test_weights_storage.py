@@ -2,8 +2,8 @@
 
 :class:`~repro.nn.lstm_cell.LSTMCellWeights` owns three united blocks;
 everything else — per-gate names, executors, compiled programs of both
-backends, the shared-memory arena's attached networks — computes on views
-of them. The one staged copy is the cgen backend's dense ``W^T``, made once
+backends, the fleet's executor that its forked workers inherit — computes
+on views of them. The one staged copy is the cgen backend's dense ``W^T``, made once
 per layer. These tests pin that with ``np.shares_memory`` and
 ``tracemalloc`` (numpy reports its array data to ``tracemalloc``).
 """
@@ -36,7 +36,7 @@ from repro.nn.lstm_cell import GATE_ORDER, LSTMCellWeights
 from repro.nn.model_zoo import build_calibrated_network
 from repro.nn.network import LSTMNetwork
 from repro.nn.pruning import prune_cell_weights
-from repro.runtime import WeightArena
+from repro.runtime import FleetServer
 
 needs_cc = pytest.mark.skipif(not cgen.compiler_available(), reason="no C compiler")
 BACKENDS = ["numpy", pytest.param("cgen", marks=needs_cc)]
@@ -235,41 +235,32 @@ class TestProgramsAreWeightFree:
         assert workspace <= held <= peak <= workspace + 16 * 1024
 
 
-class TestArena:
-    def test_attached_network_and_its_executor_compute_on_the_segment(self):
+class TestFleet:
+    def test_fleet_executor_computes_on_the_callers_arrays(self):
+        """The fleet's one executor — the object its forked workers inherit —
+        runs on the caller's blocks, through every compiled program, and owns
+        no weight array at fp64."""
         network = make_network()
         tokens = np.random.default_rng(0).integers(0, 40, size=(3, 8))
         config = ExecutionConfig(mode=ExecutionMode.INTRA, alpha_intra=0.2)
-        with WeightArena.publish(network) as arena:
-            keys = [entry.key for entry in arena.manifest.entries]
-            assert keys.count("layers.0.u") == 1
-            assert len(keys) == 3 + 3 * network.num_layers  # three blocks per layer
-            segment = np.ndarray((arena._shm.size,), dtype=np.uint8, buffer=arena._shm.buf)
-            with WeightArena.attach(arena.manifest) as worker_side:
-                worker_segment = np.ndarray(
-                    (worker_side._shm.size,), dtype=np.uint8, buffer=worker_side._shm.buf
-                )
-                attached = worker_side.network()
-                for layer in attached.layers:
-                    for block in (layer.weights.w, layer.weights.u, layer.weights.b):
-                        assert np.shares_memory(block, worker_segment)
-                        assert not block.flags.writeable
-                    assert np.shares_memory(layer.weights.u_o, worker_segment)
-                # The worker's executor holds no private W / U: its operands
-                # are the mapped pages, through every compiled program.
-                executor, held, _ = traced(lambda: LSTMExecutor(attached, config))
-                assert held < 64 * 1024
-                result = executor.run_batch(tokens)
-                for united in executor._united:
-                    assert np.shares_memory(united.w, worker_segment)
-                    assert np.shares_memory(united.u, worker_segment)
-                for program in executor.program_cache._store.values():
-                    for u_op in (program._u_slabs, program._u_tail):
-                        assert u_op.size == 0 or np.shares_memory(u_op, worker_segment)
-                expected = LSTMExecutor(network, config).run_batch(tokens)
-                assert np.array_equal(result.logits, expected.logits)
-                del executor, attached, program, united, layer, block, result
-            del segment, worker_segment
+        with FleetServer(network, config, workers=1, max_batch=3) as fleet:
+            tickets = [fleet.submit(f"r{i}", row, now=0.0) for i, row in enumerate(tokens)]
+            fleet.drain(now=0.0)
+            executor = fleet._executor
+            executor.run_batch(tokens)  # compile the parent's programs too
+        assert executor.network is network
+        assert executor.owned_arrays() == []
+        for layer, united in zip(network.layers, executor._united):
+            assert united.w is layer.weights.w
+            assert united.u is layer.weights.u
+            assert united.b is layer.weights.b
+        blocks = [layer.weights.u for layer in network.layers]
+        for program in executor.program_cache._store.values():
+            for u_op in (program._u_slabs, program._u_tail):
+                assert u_op.size == 0 or any(np.shares_memory(u_op, u) for u in blocks)
+        expected = LSTMExecutor(network, config).run_batch(tokens)
+        logits = np.stack([ticket.result.logits for ticket in tickets])
+        assert np.array_equal(logits, expected.logits)
 
 
 class TestTrainingSeesTheBlocks:
