@@ -343,7 +343,10 @@ def combined_vs_baseline(gates: GateSet) -> dict:
     COMBINED run interleaved on the same tokens, each through its own plan
     cache (so neither gathers layer-0 rows the other projected), and each
     reports the minimum ``exec_wall_s`` — planning included — over
-    :data:`VS_BASELINE_SAMPLES` samples after one warm-up batch.
+    :data:`VS_BASELINE_SAMPLES` samples after one warm-up batch, with the
+    ``plan_wall_s`` of that same sample, so a reading of the gate can be
+    attributed: COMBINED's planning share is its plan wall over its exec
+    wall at the minimum.
     """
     app = OptimizedLSTM.from_app("BABI", seed=0)
     app.calibrate()
@@ -363,7 +366,7 @@ def combined_vs_baseline(gates: GateSet) -> dict:
     def draw() -> np.ndarray:
         return rng.integers(0, network.vocab_size, size=(FRESH_BATCH, network.config.seq_length))
 
-    walls: list[list[float]] = [[] for _ in modes]
+    walls: list[list[tuple[float, float]]] = [[] for _ in modes]
     for _ in range(WARMUP):
         tokens = draw()
         for executor in executors:
@@ -372,9 +375,12 @@ def combined_vs_baseline(gates: GateSet) -> dict:
         for _ in range(VS_BASELINE_SAMPLES):
             tokens = draw()
             for executor, samples in zip(executors, walls):
-                samples.append(executor.run_batch(tokens).timings["exec_wall_s"])
-    baseline, combined = (min(samples) for samples in walls)
+                timings = executor.run_batch(tokens).timings
+                samples.append((timings["exec_wall_s"], timings["plan_wall_s"]))
+    # (exec_wall_s, plan_wall_s) of each mode's fastest sample.
+    (baseline, baseline_plan), (combined, combined_plan) = (min(samples) for samples in walls)
     speedup = baseline / combined
+    plan_share = combined_plan / combined
     gates.require_at_least(
         "combined_vs_baseline/speedup",
         speedup,
@@ -391,6 +397,9 @@ def combined_vs_baseline(gates: GateSet) -> dict:
         "statistic": "min exec_wall_s",
         "baseline_exec_wall_s": baseline,
         "combined_exec_wall_s": combined,
+        "baseline_plan_wall_s": baseline_plan,
+        "combined_plan_wall_s": combined_plan,
+        "combined_plan_share": plan_share,
         "speedup": speedup,
         "min_speedup": MIN_COMBINED_VS_BASELINE,
         "exact": [executor.exact for executor in executors],
@@ -398,7 +407,8 @@ def combined_vs_baseline(gates: GateSet) -> dict:
     print(
         f"{'comb_vs_bl':10s} baseline {baseline * 1e3:8.2f} ms   "
         f"combined {combined * 1e3:8.2f} ms   "
-        f"{speedup:5.2f}x (gate {MIN_COMBINED_VS_BASELINE:.1f}x)"
+        f"{speedup:5.2f}x (gate {MIN_COMBINED_VS_BASELINE:.1f}x)   "
+        f"combined planning {combined_plan * 1e3:6.2f} ms ({plan_share:.0%})"
     )
     return row
 

@@ -585,7 +585,8 @@ class LSTMExecutor:
             self._slot = slot
             self._plan_wall = 0.0
             self._compile_wall = 0.0
-            cur = self.network.embedding[tokens[rows]]  # (b, T, E)
+            layer_tokens = tokens[rows]
+            cur = self.network.embedding[layer_tokens]  # (b, T, E)
             shard_batch = cur.shape[0]
             shard_plans: list[list[LayerPlanRecord]] = [[] for _ in range(shard_batch)]
             outs: list[np.ndarray] = []
@@ -593,9 +594,9 @@ class LSTMExecutor:
             staged = self._staged(token_rows, rows)
             for layer_index, weights in enumerate(self._weights):
                 cur, records, cs = self._run_layer(
-                    layer_index, weights, cur, collect_states, staged
+                    layer_index, weights, cur, collect_states, staged, layer_tokens
                 )
-                staged = None  # layer 0 only
+                staged = layer_tokens = None  # layer 0 only
                 outs.append(cur)
                 if cs is not None:
                     states.append(cs)
@@ -845,11 +846,13 @@ class LSTMExecutor:
         xs: np.ndarray,
         collect_states: bool,
         staged: tuple[np.ndarray, np.ndarray] | None = None,
+        tokens: np.ndarray | None = None,
     ) -> tuple[np.ndarray, list[LayerPlanRecord], np.ndarray | None]:
         """One layer: ``(hs, per-sequence records, cs)`` — ``cs`` is the
         cell-state sequence when collected (stepwise modes only).
         ``staged`` is layer 0's ``(token rows, index)`` when its
-        projections come from the token memo (:meth:`_token_rows`)."""
+        projections come from the token memo (:meth:`_token_rows`);
+        ``tokens`` is layer 0's ``(B, T)`` ids, ``None`` above it."""
         united = self._united[layer_index]
         if self.config.mode is ExecutionMode.COMBINED:
             # One (B, T, 4H) block for the walk's fused gate math. Layer 0
@@ -869,10 +872,12 @@ class LSTMExecutor:
                     united.w.T,
                     out=proj_u.reshape(-1, proj_u.shape[-1]),
                 )
-            plans = self._plan_inter(layer_index, weights, proj, xs)
+            plans = self._plan_inter(layer_index, weights, proj, xs, tokens)
             hs, records = self._run_layer_combined(layer_index, weights, united, proj_u, plans)
             return hs, records, None  # combined mode does not collect states
-        return self._run_layer_stepwise(layer_index, weights, united, xs, collect_states, staged)
+        return self._run_layer_stepwise(
+            layer_index, weights, united, xs, collect_states, staged, tokens
+        )
 
     def _token_rows(self, tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         """Layer 0's projections of a call's *distinct* tokens.
@@ -932,13 +937,19 @@ class LSTMExecutor:
         weights: LSTMCellWeights,
         proj: dict[str, np.ndarray],
         xs: np.ndarray,
+        tokens: np.ndarray | None = None,
     ) -> list[CachedLayerPlan]:
-        """Per-sequence structural plans, served from the cache when wired."""
+        """Per-sequence structural plans, served from the cache when wired.
+        Layer 0's input is ``embedding[tokens]``, so it is keyed on the ids
+        and the embedding's fingerprint, as the token memo is."""
         cfg = self.config
         plan_start = time.perf_counter()
         batch, seq_len, _ = xs.shape
         cache = self.plan_cache
         weights_fp = fingerprint_weights(weights) if cache is not None else None
+        if cache is not None and tokens is not None:
+            embedding_fp = fingerprint_embedding(self.network)
+            ids = tokens.astype(np.int64, copy=False)  # equal ids, equal bytes
         # COMBINED's layers >= 1 plan from GEMM-projected rows: their
         # relevance must never serve an exact mode with the same layer input.
         graded = ("gemm",) if cfg.mode is ExecutionMode.COMBINED and layer_index > 0 else ()
@@ -953,12 +964,8 @@ class LSTMExecutor:
                     self._build_plan(layer_index, weights, compute_relevance(), seq_len)
                 )
                 continue
-            relevance_key = (
-                "rel",
-                weights_fp,
-                fingerprint_array(xs[b]),
-                cfg.use_exact_relevance,
-            ) + graded
+            row = fingerprint_array(xs[b]) if tokens is None else (embedding_fp, ids[b].tobytes())
+            relevance_key = ("rel", weights_fp, row, cfg.use_exact_relevance) + graded
             plan_key = relevance_key + (cfg.alpha_inter, cfg.mts, cfg.spec.name)
             plans.append(
                 cache.layer_plan(
@@ -979,6 +986,7 @@ class LSTMExecutor:
         xs: np.ndarray,
         collect_states: bool,
         staged: tuple[np.ndarray, np.ndarray] | None = None,
+        tokens: np.ndarray | None = None,
     ) -> tuple[np.ndarray, list[LayerPlanRecord], np.ndarray | None]:
         """Timestep loop of every mode except COMBINED: one cached program
         per (shapes, weights).
@@ -1006,7 +1014,7 @@ class LSTMExecutor:
         cs = np.empty((batch, seq_len, hidden)) if collect_states else None
 
         if cfg.inter_active:
-            plans = self._plan_inter(layer_index, weights, proj, xs)
+            plans = self._plan_inter(layer_index, weights, proj, xs, tokens)
             break_mask = np.zeros((batch, seq_len), dtype=bool)
             for b, plan in enumerate(plans):
                 for start in plan.breakpoints:

@@ -67,11 +67,12 @@ on OpenBLAS, measured on this platform:
   a block out transposed-contiguous changes the reduction order and the
   bits (up to 100 % mismatch measured), so that classic "pre-transpose
   the weights" staging is deliberately NOT done here.
-* The sigmoid gates activate as two in-place ladders — the contiguous
-  ``(f, i)`` pair, then ``o`` — elementwise, so the split moves no bit.
+* The sigmoid gates activate as two ladders — the contiguous ``(f, i)``
+  pair, then ``o`` — in both programs, elementwise, so the split moves no
+  bit; each ladder divides once (:func:`sigmoid_into`).
 * In-place ufunc chains (the sigmoid ladder below, ``tanh(out=)``, the
   cell update) are elementwise and bit-identical to their allocating
-  forms; ``np.take(..., out=)`` and boolean ``np.copyto`` likewise.
+  forms; ``np.take(..., out=)`` and boolean ``np.putmask`` likewise.
 
 A stepwise program's projection block has two writers with the same
 bits: :meth:`StepwiseProgram.project` lifts every token of the layer input
@@ -139,9 +140,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: A combined program's ``(rows, H)`` float scratch planes, in the order
 #: its walk unpacks them.
-_WAVE_PLANES = (
-    "h_prev", "c_prev", "o", "f", "i", "g", "c_new", "h_new", "t1", "s1", "s2",
-)
+_WAVE_PLANES = ("h_prev", "c_prev", "o", "g", "c_new", "h_new", "t1")
 
 #: Alignment of an arena's buffer and of every slab inside it: one cache line.
 _ALIGN = 64
@@ -164,22 +163,21 @@ def sigmoid_into(
     mask: np.ndarray,
 ) -> None:
     """In-place numerically-stable sigmoid, bit-identical to
-    :func:`repro.nn.activations.sigmoid`.
-
-    Mirrors the library ladder step for step — ``ex = exp(-|x|)``,
-    ``denom = 1 + ex``, positive branch ``1/denom``, negative branch
-    ``ex/denom`` — with every intermediate landing in caller scratch.
-    ``out`` may alias ``x`` (the sign mask is read before the first
-    overwrite). All buffers share ``x``'s shape; ``mask`` is boolean.
+    :func:`repro.nn.activations.sigmoid` (``ex = exp(-|x|)``, then
+    ``1/(1 + ex)`` where ``x >= 0``, else ``ex/(1 + ex)``) with one divide:
+    ``ex`` lies in ``[0, 1]``, so the numerator ``max(ex, x >= 0)`` is
+    exactly ``1`` or ``ex``, and NaN stays NaN. Intermediates land in
+    caller scratch (``exp`` in place on ``s1``, which callers keep
+    contiguous). ``out`` may alias ``x``. All buffers share ``x``'s shape;
+    ``mask`` may be boolean or float.
     """
     np.abs(x, out=s1)
     np.negative(s1, out=s1)
     np.exp(s1, out=s1)  # s1 = exp(-|x|)
     np.add(1.0, s1, out=s2)  # s2 = 1 + exp(-|x|)
     np.greater_equal(x, 0.0, out=mask)
-    np.divide(s1, s2, out=out)  # negative branch
-    np.divide(1.0, s2, out=s2)  # positive branch
-    np.copyto(out, s2, where=mask)
+    np.maximum(s1, mask, out=s1)  # 1 where x >= 0, else exp(-|x|)
+    np.divide(s1, s2, out=out)
 
 
 def slab_bounds(height: int) -> list[tuple[int, int]]:
@@ -732,7 +730,7 @@ class StepwiseProgram(LeasedProgram):
                 # Masked elements end exactly 0.0 on both sides: surviving
                 # elements ran the same chain as the reference's full-width
                 # update, dropped ones never see a stale value.
-                np.copyto(c, 0.0, where=mask)
+                np.putmask(c, mask, 0.0)
             else:
                 np.tanh(g, out=g)
                 np.multiply(f, c, out=c)
@@ -797,15 +795,15 @@ class CombinedGroupProgram(LeasedProgram):
         self._link = link
         self._u_t = united.u.T  # (H, 4H) transpose view, as the reference
         self._b = united.b
-        self._gate_columns = [united.slices[g] for g in "ofic"]
 
         # One wave of scratch — gathered projections, pre-activations,
-        # gathered h/c, gate outputs, c/h results, temporaries, and three
-        # boolean planes (sigmoid sign, per-cell DRS mask, per-row shared
-        # mask) — in the order execute() unpacks them.
+        # gathered h/c, gate outputs, c/h results, a temporary, the
+        # activated (f, i) pair and two boolean planes (per-cell DRS mask,
+        # per-row shared mask) — in the order execute() unpacks them.
         slabs = [(name, (rows, 4 * hidden), float) for name in ("x", "pre")]
         slabs += [(name, (rows, hidden), float) for name in _WAVE_PLANES]
-        slabs += [(name, (rows, hidden), bool) for name in ("m", "masks", "mask_rows")]
+        slabs.append(("fi", (rows, 2 * hidden), float))
+        slabs += [(name, (rows, hidden), bool) for name in ("masks", "mask_rows")]
         self._wave_names = [name for name, _, _ in slabs]
         if alpha_intra > 0.0:
             # Per-tissue shared (intersection) masks, in walk order and —
@@ -824,17 +822,30 @@ class CombinedGroupProgram(LeasedProgram):
     def _bind(self) -> SimpleNamespace:
         ws = super()._bind()
         ws.scratch = tuple(getattr(ws, name) for name in self._wave_names)
-        #: Views of the scratch, built on first use so a warm walk creates
-        #: no array objects for wave heights it has seen: every buffer's
-        #: leading rows (prefix views of C-contiguous buffers stay
-        #: contiguous) plus the pre-activations' gate columns.
+        #: Views of the scratch per wave height (:meth:`_rows`), built on
+        #: first use so a warm walk creates no array objects for heights
+        #: it has seen.
         ws.wave_views = {}
         return ws
 
-    def _rows(self, ws: SimpleNamespace, n: int) -> tuple[np.ndarray, ...]:
-        """The scratch's leading ``n`` rows and their gate columns."""
-        views = tuple(buf[:n] for buf in ws.scratch)
-        views += tuple(views[1][:, columns] for columns in self._gate_columns)
+    def _rows(self, ws: SimpleNamespace, n: int) -> tuple:
+        """The scratch's leading ``n`` rows, the gate views the walk reads
+        and the two sigmoid ladders' arguments. Once the projections are
+        added in, ``x``'s bytes are the ladders' (contiguous) scratch, and
+        each ladder's output plane doubles as its sign mask."""
+        x, pre, h_prev, c_prev, o, g, c_new, h_new, t1, fi, masks, mask_rows = (
+            buf[:n] for buf in ws.scratch
+        )
+        hid = self.hidden
+        flat = ws.x.reshape(-1)[: 4 * n * hid]
+        pair, single = flat.reshape(2, n, 2 * hid), flat[: 2 * n * hid].reshape(2, n, hid)
+        # Gate columns in GATE_ORDER (f, i, c, o): the f, i pair is contiguous.
+        views = (
+            x, pre, h_prev, c_prev, o, g, c_new, h_new, t1, masks, mask_rows,
+            fi[:, :hid], fi[:, hid:], pre[:, 2 * hid : 3 * hid],
+            (pre[:, : 2 * hid], fi, *pair, fi),
+            (pre[:, 3 * hid :], o, *single, o),
+        )
         ws.wave_views[n] = views
         return views
 
@@ -870,22 +881,21 @@ class CombinedGroupProgram(LeasedProgram):
         for out_rows, state_rows, tissues, starts, tissue_of_row in waves:
             views = wave_views.get(out_rows.size) or self._rows(ws, out_rows.size)
             (
-                x, pre, h_prev, c_prev, o, f, i, g, c_new, h_new, t1, s1, s2,
-                m, masks, mask_rows, pre_o, pre_f, pre_i, pre_c,
+                x, pre, h_prev, c_prev, o, g, c_new, h_new, t1, masks, mask_rows,
+                f, i, pre_c, sig_fi, sig_o,
             ) = views
             # mode="clip" only skips take's bounds-check staging copy;
             # the schedule's rows are in range by construction.
-            np.take(proj_flat, out_rows, axis=0, out=x, mode="clip")
-            np.take(h_flat, state_rows, axis=0, out=h_prev, mode="clip")
-            np.take(c_flat, state_rows, axis=0, out=c_prev, mode="clip")
+            proj_flat.take(out_rows, axis=0, out=x, mode="clip")
+            h_flat.take(state_rows, axis=0, out=h_prev, mode="clip")
+            c_flat.take(state_rows, axis=0, out=c_prev, mode="clip")
             # The wave's one GEMM: U is loaded once for every cell of every
             # tissue in the wave (the paper's Sgemv -> Sgemm).
             np.matmul(h_prev, self._u_t, out=pre)
             np.add(x, pre, out=pre)
             np.add(pre, self._b, out=pre)
-            sigmoid_into(pre_o, o, s1, s2, m)
-            sigmoid_into(pre_f, f, s1, s2, m)
-            sigmoid_into(pre_i, i, s1, s2, m)
+            sigmoid_into(*sig_fi)
+            sigmoid_into(*sig_o)
             np.tanh(pre_c, out=g)
             np.multiply(f, c_prev, out=c_new)
             np.multiply(i, g, out=t1)
@@ -895,8 +905,8 @@ class CombinedGroupProgram(LeasedProgram):
                 # trivial rows, and every one of its cells drops those rows.
                 np.less(o, alpha, out=masks)
                 np.logical_and.reduceat(masks, starts, axis=0, out=ws.shared_walk[tissues])
-                np.take(ws.shared_walk, tissue_of_row, axis=0, out=mask_rows, mode="clip")
-                np.copyto(c_new, 0.0, where=mask_rows)
+                ws.shared_walk.take(tissue_of_row, axis=0, out=mask_rows, mode="clip")
+                np.putmask(c_new, mask_rows, 0.0)
             np.tanh(c_new, out=t1)
             np.multiply(o, t1, out=h_new)
             h_flat[state_rows] = h_new

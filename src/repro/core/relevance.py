@@ -14,11 +14,13 @@ is exact. Small ``S`` means a weak link.
 
 Two implementations are provided:
 
-* :func:`relevance_values` — the paper's Algorithm 2, line for line
-  (including its asymmetric treatment of the forget gate). The only
-  deviation is a final clip of each per-gate term to ``[0, 4]``: the
-  published pseudo-code can go negative when a range sits entirely outside
-  the sensitive area with small ``D``, which would *reduce* the summed
+* :func:`relevance_values` — the paper's Algorithm 2 (including its
+  asymmetric treatment of the forget gate), in six in-place passes per
+  gate: line 5's ``min(term_a, term_b)`` is ``term_b`` by the identity
+  ``term_a = 2 + min(2, |center|) >= 2 >= term_b``. The only deviation is
+  a final clip of each per-gate term to ``[0, 4]``: the published
+  pseudo-code can go negative when a range sits entirely outside the
+  sensitive area with small ``D``, which would *reduce* the summed
   relevance; a negative overlap has no geometric meaning.
 * :func:`exact_relevance_values` — an ablation variant that replaces the
   per-gate expressions with the exact interval-overlap computation of
@@ -50,8 +52,8 @@ def _check_projections(
     """Validate the per-gate projections; returns the leading shape.
 
     Projections are ``(..., T, H)``: the canonical per-layer ``(T, H)``
-    form, or any number of leading batch dimensions (the batched executor
-    passes ``(B, T, H)`` when it vectorizes the relevance pass).
+    form — what the executors pass, one sequence at a time — or any number
+    of leading batch dimensions.
     """
     hidden = weights.hidden_size
     lead: tuple[int, ...] | None = None
@@ -94,21 +96,30 @@ def relevance_values(
     lead = _check_projections(weights, x_proj)
     ranges = row_ranges if row_ranges is not None else recurrent_row_ranges(weights)
 
-    per_gate: dict[str, np.ndarray] = {}
     # Line 4: the forget gate's one-sided overlap with the sensitive area.
-    center_f = x_proj["f"] + weights.b_f
-    s_f = np.minimum(SENSITIVE_WIDTH, np.maximum(center_f + ranges["f"] + 2.0, 0.0))
-    per_gate["f"] = s_f
-    # Line 5: the symmetric expression for the input/candidate/output gates.
+    s_f = np.add(x_proj["f"], weights.b_f)
+    np.add(s_f, ranges["f"], out=s_f)
+    np.add(s_f, 2.0, out=s_f)
+    np.maximum(s_f, 0.0, out=s_f)
+    np.minimum(SENSITIVE_WIDTH, s_f, out=s_f)
+    # Line 5 for i, c, o: min(term_a, term_b) is term_b (NaN stays NaN), and
+    # max(term_b, 0) is the clip bit for bit: term_b <= 2, never -0.0.
+    per_gate = []
     for gate in ("i", "c", "o"):
-        center = np.abs(x_proj[gate] + weights.gate_b(gate))
-        term_a = 2.0 + np.minimum(2.0, center)
-        term_b = np.minimum(2.0, 2.0 + ranges[gate] - np.maximum(2.0, center))
-        per_gate[gate] = np.clip(np.minimum(term_a, term_b), 0.0, SENSITIVE_WIDTH)
+        term_b = np.add(x_proj[gate], weights.gate_b(gate))
+        np.abs(term_b, out=term_b)  # center
+        np.maximum(2.0, term_b, out=term_b)
+        np.subtract(2.0 + ranges[gate], term_b, out=term_b)
+        np.minimum(2.0, term_b, out=term_b)
+        np.maximum(term_b, 0.0, out=term_b)
+        per_gate.append(term_b)
+    s_i, s_c, s_o = per_gate
 
     # Line 6: combine gate overlaps; line 7: reduce over the hidden dim.
-    s_elem = per_gate["o"] * (per_gate["f"] + per_gate["i"] * per_gate["c"])
-    s = s_elem.sum(axis=-1)
+    np.multiply(s_i, s_c, out=s_c)
+    np.add(s_f, s_c, out=s_c)
+    np.multiply(s_o, s_c, out=s_c)
+    s = s_c.sum(axis=-1)
     if s.shape != lead:
         raise ShapeError("internal: relevance reduction produced a bad shape")
     return s

@@ -21,6 +21,7 @@ curve.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from repro.core.breakpoints import SubLayer
@@ -52,14 +53,12 @@ def form_tissues(sublayers: list[SubLayer]) -> list[Tissue]:
     """
     if not sublayers:
         raise PlanError("form_tissues needs at least one sub-layer")
-    longest = max(s.length for s in sublayers)
-    tissues = []
-    for k in range(longest):
-        cells = [
-            (idx, sub.start + k) for idx, sub in enumerate(sublayers) if k < sub.length
-        ]
-        tissues.append(Tissue(cells=cells))
-    return tissues
+    chains = [(idx, sub.start, sub.end) for idx, sub in enumerate(sublayers)]
+    longest = max(end - start for _, start, end in chains)
+    return [
+        Tissue(cells=[(idx, start + k) for idx, start, end in chains if start + k < end])
+        for k in range(longest)
+    ]
 
 
 def align_tissues(sublayers: list[SubLayer], mts: int) -> list[Tissue]:
@@ -67,28 +66,27 @@ def align_tissues(sublayers: list[SubLayer], mts: int) -> list[Tissue]:
 
     Greedy chain scheduling: at every tissue step each sub-layer offers its
     next unscheduled cell; if more than ``mts`` are on offer, the sub-layers
-    with the most remaining cells win (LPT rule). No context link is broken
-    beyond the existing breakpoints and every tissue has ``size <= mts``.
+    with the most remaining cells win (LPT rule; a heap on ``(-remaining,
+    index)``). No context link is broken beyond the existing breakpoints and
+    every tissue has ``size <= mts``.
     """
     if mts < 1:
         raise PlanError(f"mts must be >= 1, got {mts}")
     if not sublayers:
         raise PlanError("align_tissues needs at least one sub-layer")
-    progress = [0] * len(sublayers)
+    if len(sublayers) <= mts:  # every chain runs every step
+        return form_tissues(sublayers)
+    heap = [(-sub.length, idx) for idx, sub in enumerate(sublayers)]
+    heapq.heapify(heap)
     tissues: list[Tissue] = []
-    remaining = sum(s.length for s in sublayers)
-    while remaining > 0:
-        candidates = [
-            idx for idx, sub in enumerate(sublayers) if progress[idx] < sub.length
-        ]
-        # Longest remaining chain first; stable tie-break on sub-layer index.
-        candidates.sort(key=lambda idx: (-(sublayers[idx].length - progress[idx]), idx))
-        chosen = candidates[:mts]
+    while heap:
+        chosen = [heapq.heappop(heap) for _ in range(min(mts, len(heap)))]
+        chosen.sort(key=lambda item: item[1])
         cells = []
-        for idx in sorted(chosen):
-            cells.append((idx, sublayers[idx].start + progress[idx]))
-            progress[idx] += 1
-            remaining -= 1
+        for neg_left, idx in chosen:
+            cells.append((idx, sublayers[idx].end + neg_left))
+            if neg_left < -1:
+                heapq.heappush(heap, (neg_left + 1, idx))
         tissues.append(Tissue(cells=cells))
     return tissues
 

@@ -5,7 +5,9 @@
 the stepwise loop; INTER and COMBINED are numpy programs on every backend):
 
 * **exact** (numpy, stepwise modes — INTER on any backend) — logits, every
-  layer's outputs and every plan record bit-identical to the oracle;
+  layer's outputs and every plan record bit-identical to the oracle:
+  equal dtype, shape and bytes (:func:`assert_bytes_equal`), so ``-0.0``
+  never passes for ``0.0``;
 * **graded** (COMBINED, and cgen in BASELINE / INTRA / ZERO_PRUNE) — logits within
   :data:`GRADED_ATOL` with equal predictions; breakpoints, sub-layer
   lengths, tissue cells, ``skip_fraction`` and ``warp_skip_fraction``
@@ -20,9 +22,17 @@ from repro.core.backends import GRADED_ATOL
 from repro.core.executor import ExecutionResult
 
 
+def assert_bytes_equal(mine: np.ndarray, theirs: np.ndarray) -> None:
+    """Bit-identical: same dtype, same shape, same bytes (``np.array_equal``
+    would let ``-0.0`` pass for ``0.0`` and fail every NaN)."""
+    assert mine.dtype == theirs.dtype
+    assert mine.shape == theirs.shape
+    assert np.ascontiguousarray(mine).tobytes() == np.ascontiguousarray(theirs).tobytes()
+
+
 def assert_plans_equal(plans_a, plans_b, relevance_atol: float = 0.0) -> None:
     """Structural + statistics equality of two SequencePlan lists; relevance
-    bit-exact unless ``relevance_atol`` is given."""
+    byte-identical unless ``relevance_atol`` is given."""
     assert len(plans_a) == len(plans_b)
     for plan_a, plan_b in zip(plans_a, plans_b):
         assert len(plan_a.layers) == len(plan_b.layers)
@@ -39,7 +49,7 @@ def assert_plans_equal(plans_a, plans_b, relevance_atol: float = 0.0) -> None:
             if rec_a.relevance is None:
                 assert rec_b.relevance is None
             elif relevance_atol == 0.0:
-                assert np.array_equal(rec_a.relevance, rec_b.relevance)
+                assert_bytes_equal(rec_a.relevance, rec_b.relevance)
             else:
                 np.testing.assert_allclose(
                     rec_a.relevance, rec_b.relevance, rtol=0, atol=relevance_atol
@@ -61,10 +71,10 @@ def assert_meets_grade(result, reference, exact: bool) -> None:
     if not exact:
         assert_graded(result, reference)
         return
-    assert np.array_equal(result.logits, reference.logits)
+    assert_bytes_equal(result.logits, reference.logits)
     assert len(result.layer_outputs) == len(reference.layer_outputs)
     for mine, theirs in zip(result.layer_outputs, reference.layer_outputs):
-        assert np.array_equal(mine, theirs)
+        assert_bytes_equal(mine, theirs)
     assert_plans_equal(result.plans, reference.plans)
 
 

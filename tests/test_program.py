@@ -76,7 +76,69 @@ def make_case(seed: int, hidden: int = 16, layers: int = 2, seq: int = 10, batch
     return network, tokens, links
 
 
+def two_divide_ladder(x, out, s1, s2, mask):
+    """The ladder :func:`sigmoid_into` replaced, kept as its oracle: both
+    branches divided, then the positive one copied in under the mask."""
+    np.abs(x, out=s1)
+    np.negative(s1, out=s1)
+    np.exp(s1, out=s1)
+    np.add(1.0, s1, out=s2)
+    np.greater_equal(x, 0.0, out=mask)
+    np.divide(s1, s2, out=out)
+    np.divide(1.0, s2, out=s2)
+    np.copyto(out, s2, where=mask)
+
+
+#: Inputs where a one-divide ladder could drift: signed zeros, infinities,
+#: NaN, subnormals, and |x| where exp(-|x|) underflows (~745).
+_SIGMOID_EDGES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308]),
+    st.floats(700.0, 750.0).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.floats(-1e-300, 1e-300),
+    st.floats(-40.0, 40.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
 class TestSigmoidInto:
+    @given(
+        rows=st.integers(1, 6),
+        hidden=st.integers(1, 9),
+        first=st.integers(0, 3),
+        pair=st.booleans(),
+        float_mask=st.booleans(),
+        aliased=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_strided_columns_bytes_equal_two_divide_ladder(
+        self, rows, hidden, first, pair, float_mask, aliased, data
+    ):
+        """Column views of a ``(rows, 4H)`` block, as the programs pass
+        them: the one-divide ladder's bytes are the two-divide ladder's
+        and the library's."""
+        width = hidden * (2 if pair and first < 3 else 1)
+        size = rows * 4 * hidden
+        values = data.draw(st.lists(_SIGMOID_EDGES, min_size=size, max_size=size))
+        block = np.array(values, dtype=float).reshape(rows, 4 * hidden)
+        cols = slice(first * hidden, first * hidden + width)
+        x = block[:, cols]
+        expected = sigmoid(x)
+
+        def run(ladder):
+            target = block.copy() if aliased else np.full((rows, 4 * hidden), 7.0)
+            xin = target[:, cols] if aliased else x
+            out = target[:, cols]
+            s1, s2 = np.empty((rows, width)), np.empty((rows, width))
+            mask = np.empty((rows, width), dtype=float if float_mask else bool)
+            ladder(xin, out, s1, s2, mask)
+            return out
+
+        mine = run(sigmoid_into)
+        if not float_mask:  # np.copyto(where=) takes a boolean mask only
+            assert mine.tobytes() == run(two_divide_ladder).tobytes()
+        assert mine.tobytes() == expected.tobytes()
+
     @given(st.integers(0, 2**16))
     @settings(max_examples=30, deadline=None)
     def test_bit_identical_to_library_sigmoid(self, seed):

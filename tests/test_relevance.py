@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ShapeError
 from repro.nn.activations import SENSITIVE_WIDTH
@@ -35,6 +36,58 @@ class TestRowRanges:
         w, _ = weights_and_proj()
         for arr in recurrent_row_ranges(w).values():
             assert np.all(arr >= 0)
+
+
+def algorithm2_line_for_line(weights, x_proj, ranges):
+    """Algorithm 2 as the paper writes it, the expression
+    :func:`relevance_values` replaced, kept as its oracle: ``term_a`` and the
+    upper clip at 4 included."""
+    center_f = x_proj["f"] + weights.b_f
+    per_gate = {
+        "f": np.minimum(SENSITIVE_WIDTH, np.maximum(center_f + ranges["f"] + 2.0, 0.0))
+    }
+    for gate in ("i", "c", "o"):
+        center = np.abs(x_proj[gate] + weights.gate_b(gate))
+        term_a = 2.0 + np.minimum(2.0, center)
+        term_b = np.minimum(2.0, 2.0 + ranges[gate] - np.maximum(2.0, center))
+        per_gate[gate] = np.clip(np.minimum(term_a, term_b), 0.0, SENSITIVE_WIDTH)
+    s_elem = per_gate["o"] * (per_gate["f"] + per_gate["i"] * per_gate["c"])
+    return s_elem.sum(axis=-1)
+
+
+class TestRelevanceOracle:
+    """The in-place 6-pass form is byte-identical to the line-for-line one."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        lead=st.sampled_from([(), (1,), (3,)]),
+        seq=st.integers(1, 12),
+        hidden=st.integers(1, 9),
+        log_scale=st.floats(-3.0, 3.0),
+        nan_share=st.sampled_from([0.0, 0.05, 0.3]),
+        zero_rows=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_equal_line_for_line(
+        self, seed, lead, seq, hidden, log_scale, nan_share, zero_rows
+    ):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        w = LSTMCellWeights.zeros(hidden, 3)
+        w.u[:] = rng.normal(scale=scale / hidden, size=w.u.shape)
+        w.b[:] = rng.normal(scale=scale, size=w.b.shape)
+        if zero_rows:  # rows with a zero range D
+            w.u[rng.random(4 * hidden) < 0.5] = 0.0
+        # The projections are column views of one (..., T, 4H) block, the
+        # way the combined executor hands them over.
+        block = rng.normal(scale=scale, size=(*lead, seq, 4 * hidden))
+        block[rng.random(block.shape) < nan_share] = np.nan
+        proj = {g: block[..., k * hidden : (k + 1) * hidden] for k, g in enumerate(GATE_ORDER)}
+        ranges = recurrent_row_ranges(w)
+        mine = relevance_values(w, proj, row_ranges=ranges)
+        theirs = algorithm2_line_for_line(w, proj, ranges)
+        assert mine.shape == theirs.shape == (*lead, seq)
+        assert mine.tobytes() == theirs.tobytes()
 
 
 class TestRelevanceValues:

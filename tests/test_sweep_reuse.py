@@ -1,6 +1,6 @@
 """A sweep pays once: what :class:`OptimizedLSTM` keeps between runs.
 
-Three properties:
+Four properties:
 
 * **Memo bit-identity.** Layer-0 projections served through the
   distinct-token memo (:class:`~repro.core.plan.TokenRowMemo`) equal
@@ -14,6 +14,9 @@ Three properties:
   update followed by ``invalidate_weight_fingerprints`` both reach fresh
   executors and fresh token rows, and an exact mode never plans from the
   relevance a graded COMBINED run computed.
+* **Layer-0 keys.** Layer 0 plans are keyed on token ids plus the
+  embedding's fingerprint: its input rows are never hashed, and an
+  embedding edit plus ``invalidate_weight_fingerprints`` re-plans it.
 """
 
 from __future__ import annotations
@@ -379,3 +382,51 @@ class TestNoStaleState:
         )
         # Layer 0's keys are still shared; layer 1 planned twice.
         assert (cache.stats.plan_hits, cache.stats.relevance_misses) == (1, 3)
+
+
+class TestLayerZeroKeys:
+    """Layer 0's relevance is keyed on token ids plus the embedding's
+    fingerprint, not on a digest of the embedded rows."""
+
+    @staticmethod
+    def make(network: LSTMNetwork, mode: ExecutionMode):
+        config = ExecutionConfig(mode=mode, alpha_inter=200.0, mts=3)
+        cache = PlanCache()
+        return config, cache, LSTMExecutor(network, config, plan_cache=cache)
+
+    @pytest.mark.parametrize("mode", [ExecutionMode.INTER, ExecutionMode.COMBINED])
+    def test_layer_zero_inputs_are_never_hashed(self, mode, monkeypatch, calibrated_network):
+        network = calibrated_network
+        _, _, executor = self.make(network, mode)
+        rng = np.random.default_rng(3)
+        executor.run_batch(rng.integers(0, 60, size=(4, 12)))  # memoize w/link digests
+        hashed = []
+        real = executor_module.fingerprint_array
+
+        def recording(array):
+            hashed.append(np.array(array))
+            return real(array)
+
+        monkeypatch.setattr(executor_module, "fingerprint_array", recording)
+        tokens = rng.integers(0, 60, size=(4, 12))
+        result = executor.run_batch(tokens)
+        # One digest per sequence per layer >= 1: exactly its layer input.
+        assert len(hashed) == 4 * (network.num_layers - 1)
+        for b, array in enumerate(hashed):
+            assert array.tobytes() == result.layer_outputs[0][b].tobytes()
+
+    def test_an_embedding_edit_replans_layer_zero(self, calibrated_network):
+        network = calibrated_network
+        config, cache, executor = self.make(network, ExecutionMode.INTER)
+        tokens = np.random.default_rng(4).integers(0, 60, size=(3, 12))
+        executor.run_batch(tokens)
+        misses = cache.stats.relevance_misses
+        executor.run_batch(tokens)
+        assert cache.stats.relevance_misses == misses  # all served
+        network.embedding[tokens[0, 5]] *= -1.5
+        invalidate_weight_fingerprints(network)
+        result = executor.run_batch(tokens)
+        assert cache.stats.relevance_misses > misses
+        assert_meets_grade(
+            result, ReferenceExecutor(network, config).run_batch(tokens), executor.exact
+        )

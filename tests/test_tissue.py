@@ -15,6 +15,25 @@ from repro.errors import PlanError
 from repro.gpu.specs import TEGRA_X1
 
 
+def sort_lpt_oracle(sublayers, mts):
+    """The sort-based LPT :func:`align_tissues` replaced, kept as its oracle:
+    every step sorts the chains with cells left by ``(-remaining, index)``
+    and runs the first ``mts``, cells in index order."""
+    progress = [0] * len(sublayers)
+    remaining = sum(s.length for s in sublayers)
+    schedule = []
+    while remaining > 0:
+        candidates = [i for i, s in enumerate(sublayers) if progress[i] < s.length]
+        candidates.sort(key=lambda i: (-(sublayers[i].length - progress[i]), i))
+        cells = []
+        for i in sorted(candidates[:mts]):
+            cells.append((i, sublayers[i].start + progress[i]))
+            progress[i] += 1
+            remaining -= 1
+        schedule.append(cells)
+    return schedule
+
+
 def paper_example_sublayers():
     """The Fig. 8 example: a 9-cell layer divided into four sub-layers
     [0..2], [3], [4..6], [7..8]."""
@@ -91,6 +110,22 @@ class TestAlignTissues:
         subs = divide_layer(length, breaks)
         tissues = align_tissues(subs, mts)
         assert len(tissues) == minimum_tissues(subs, mts)
+
+
+class TestAlignTissuesOracle:
+    """The heap LPT schedules exactly what the sort-based LPT did."""
+
+    @given(
+        st.integers(1, 160),
+        st.sets(st.integers(1, 159)),
+        st.integers(1, 12),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_sort_based_lpt(self, length, raw_breaks, mts):
+        subs = divide_layer(length, sorted(b for b in raw_breaks if b < length))
+        tissues = align_tissues(subs, mts)
+        assert [t.cells for t in tissues] == sort_lpt_oracle(subs, mts)
+        validate_schedule(subs, tissues, mts)
 
 
 class TestValidateSchedule:
