@@ -669,7 +669,7 @@ def ablation_tissue_alignment(ctx: ExperimentContext | None = None, app: str = "
     the same division executed both ways.
     """
     from repro.core.breakpoints import divide_layer
-    from repro.core.plan import LayerPlanRecord, SequencePlan, TissueRecord
+    from repro.core.plan import CachedLayerPlan, LayerPlanRecord, SequencePlan
     from repro.core.tissue import form_tissues, align_tissues
     from repro.core.trace_builder import build_kernel_trace
 
@@ -682,18 +682,16 @@ def ablation_tissue_alignment(ctx: ExperimentContext | None = None, app: str = "
     mts = ctx.workload(app).app.calibration.mts
 
     def plan_for(tissues):
-        records = [
-            LayerPlanRecord(
-                layer_index=0,
-                hidden_size=model.hidden_size,
-                input_size=model.effective_input_size,
-                seq_length=seq,
-                breakpoints=breaks,
-                sublayer_lengths=[s.length for s in sublayers],
-                tissues=[TissueRecord(cells=list(t.cells)) for t in tissues],
-            )
-        ]
-        return SequencePlan(layers=records)
+        zeros = np.zeros(len(tissues))  # no DRS: nothing skips
+        record = LayerPlanRecord(
+            layer_index=0,
+            hidden_size=model.hidden_size,
+            input_size=model.effective_input_size,
+            plan=CachedLayerPlan.from_schedule(None, breaks, tissues),
+            skip=zeros,
+            warp=zeros,
+        )
+        return SequencePlan(layers=[record])
 
     simulator = TimingSimulator(ctx.spec)
     naive = simulator.run_trace(

@@ -18,7 +18,7 @@ from repro.core.breakpoints import find_breakpoints, divide_layer, SubLayer
 from repro.core.context_prediction import ContextLinkPredictor, PredictedLink
 from repro.core.drs import trivial_row_mask, tissue_skip_mask, skip_fraction
 from repro.core.tissue import Tissue, align_tissues, form_tissues, calibrate_mts
-from repro.core.plan import LayerPlanRecord, SequencePlan, TissueRecord
+from repro.core.plan import LayerPlanRecord, SequencePlan
 from repro.core.executor import ExecutionConfig, ExecutionMode, ExecutionResult, LSTMExecutor
 from repro.core.trace_builder import build_kernel_trace
 from repro.core.thresholds import ThresholdSchedule, ThresholdSet
@@ -41,7 +41,6 @@ __all__ = [
     "ThresholdSchedule",
     "ThresholdSet",
     "Tissue",
-    "TissueRecord",
     "align_tissues",
     "build_kernel_trace",
     "calibrate_mts",

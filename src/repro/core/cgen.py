@@ -237,16 +237,21 @@ def _build(compiler: str, build: Path, so_path: Path, sum_path: Path) -> None:
     # Two steps on purpose: fast-math at compile only (see LDFLAGS).
     compile_cmd = [compiler, *CFLAGS, "-c", str(src), "-o", str(obj)]
     link_cmd = [compiler, *LDFLAGS, str(obj), "-o", str(tmp), "-lm"]
-    for cmd in (compile_cmd, link_cmd):
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise BackendUnavailableError(
-                f"C kernel build failed ({' '.join(cmd)}):\n{proc.stderr}"
-            )
-    obj.unlink(missing_ok=True)
-    tmp_sum.write_text(_digest(tmp))
-    os.replace(tmp, so_path)
-    os.replace(tmp_sum, sum_path)
+    try:
+        for cmd in (compile_cmd, link_cmd):
+            proc = subprocess.run(cmd, capture_output=True, text=True)
+            if proc.returncode != 0:
+                raise BackendUnavailableError(
+                    f"C kernel build failed ({' '.join(cmd)}):\n{proc.stderr}"
+                )
+        tmp_sum.write_text(_digest(tmp))
+        os.replace(tmp, so_path)
+        os.replace(tmp_sum, sum_path)
+    finally:
+        # A failed build leaves whatever the compiler wrote; a good one
+        # has renamed all but the object.
+        for path in (obj, tmp, tmp_sum):
+            path.unlink(missing_ok=True)
 
 
 def _load_library_locked() -> ctypes.CDLL:

@@ -3,7 +3,9 @@
 The executor runs the *actual arithmetic* of each scheme (so accuracy
 results are measured, not modeled) while recording the structural plan that
 the :mod:`repro.core.trace_builder` converts into GPU kernel traces (so
-timing results come from the simulator). Modes:
+timing results come from the simulator): per sequence and layer, one
+:class:`~repro.core.plan.LayerPlanRecord` — the executed tissue schedule
+plus per-tissue skip statistics. Modes:
 
 * ``BASELINE`` — Algorithm 1, the exact reference.
 * ``INTER`` — layer division at weak links + predicted context links +
@@ -112,12 +114,12 @@ from repro.core.plan import (
     LayerPlanRecord,
     PlanCache,
     SequencePlan,
-    SingleCellTissues,
-    TissueRecord,
     TokenRowMemo,
     fingerprint_array,
     fingerprint_embedding,
     fingerprint_weights,
+    single_cell_plan,
+    warp_skip_fractions,
 )
 from repro.core.program import ProgramCache, StepwiseProgram, gather_rows, project_rows
 from repro.core.relevance import (
@@ -287,63 +289,34 @@ def _row_proj(xs: np.ndarray, w_t: np.ndarray) -> np.ndarray:
     return (xs[..., None, :] @ w_t)[..., 0, :]
 
 
-def _warp_skip_fractions(masks: np.ndarray, warp_size: int = 32) -> np.ndarray:
-    """Vectorized fraction of *rows* living in all-trivial warps, per mask.
+def _layer_records(
+    layer_index: int,
+    weights: LSTMCellWeights,
+    plans: list[CachedLayerPlan],
+    skip: np.ndarray | None = None,
+    warp: np.ndarray | None = None,
+) -> list[LayerPlanRecord]:
+    """One layer's per-sequence records.
 
-    Each warp is weighted by its real lane count, so when ``H`` is not a
-    multiple of the warp size the trailing partial warp contributes only
-    its actual rows (a 16-lane tail warp of a 48-row layer is 16/48 of the
-    rows, not 1/2 of the warps). This keeps the warp-level fraction <= the
-    row-level skip fraction — the invariant the software-DRS divergence
-    model in :mod:`repro.gpu.cta` relies on.
-
-    Args:
-        masks: Boolean array ``(..., H)``.
-    Returns:
-        Array of shape ``masks.shape[:-1]``.
+    ``skip`` / ``warp`` hold every plan's per-tissue statistics,
+    sequence-major; each record takes read-only views of them. Without
+    them (DRS off) nothing skipped: one shared zero array.
     """
-    hidden = masks.shape[-1]
-    n_warps = -(-hidden // warp_size)
-    padded = np.ones(masks.shape[:-1] + (n_warps * warp_size,), dtype=bool)
-    padded[..., :hidden] = masks
-    whole = padded.reshape(masks.shape[:-1] + (n_warps, warp_size)).all(axis=-1)
-    lanes = np.full(n_warps, warp_size, dtype=float)
-    lanes[-1] = hidden - (n_warps - 1) * warp_size
-    return (whole * lanes).sum(axis=-1) / hidden
-
-
-class _DeferredStepStats:
-    """Batch-shared lazy DRS statistics for compiled stepwise runs.
-
-    Holds a snapshot of the program's per-step masks (the program's own
-    view is arena memory, rewritten by whatever runs next) and reduces it to
-    per-sequence skip / warp-skip fraction lists only when some record's
-    statistics are first read. ``count_nonzero`` sums booleans exactly
-    and the division matches ``masks.mean(axis=2)`` bit for bit, so the
-    deferred floats equal the eager ones.
-    """
-
-    __slots__ = ("_masks", "_hidden", "_skip", "_warp")
-
-    def __init__(self, masks: np.ndarray, hidden: int) -> None:
-        self._masks = masks
-        self._hidden = hidden
-        self._skip: list[list[float]] | None = None
-        self._warp: list[list[float]] | None = None
-
-    def loader(self, b: int):
-        """A thunk resolving sequence ``b``'s fraction lists."""
-        return lambda: self._row(b)
-
-    def _row(self, b: int) -> tuple[list[float], list[float]]:
-        if self._skip is None:
-            masks = self._masks
-            self._skip = (
-                np.count_nonzero(masks, axis=2) / self._hidden
-            ).tolist()
-            self._warp = _warp_skip_fractions(masks).tolist()
-            self._masks = None
-        return self._skip[b], self._warp[b]
+    counts = [plan.num_tissues for plan in plans]
+    if skip is None:
+        skip = warp = np.zeros(sum(counts))
+    skip.setflags(write=False)
+    warp.setflags(write=False)
+    records, lo = [], 0
+    for plan, count in zip(plans, counts):
+        hi = lo + count
+        records.append(
+            LayerPlanRecord(
+                layer_index, weights.hidden_size, weights.input_size, plan, skip[lo:hi], warp[lo:hi]
+            )
+        )
+        lo = hi
+    return records
 
 
 @dataclass
@@ -446,8 +419,6 @@ class LSTMExecutor:
         self.program_cache = ProgramCache() if program_cache is None else program_cache
         self._link_fps: list[str | None] = [None] * len(network.layers)
         self._weights_fps: list[str | None] = [None] * len(network.layers)
-        self._cells_by_t: dict[int, list[list[tuple[int, int]]]] = {}
-        self._zero_fracs: dict[int, list[float]] = {}
         hidden = network.config.hidden_size
         if predicted_links is None:
             predicted_links = [PredictedLink.zeros(hidden) for _ in network.layers]
@@ -1026,81 +997,18 @@ class LSTMExecutor:
                     for t in range(seq_len)
                 ]
             program.execute(hs, reset_cols=reset_cols, cs=cs)
-            # INTER has no DRS (alpha_intra is never read), so every
-            # tissue's skip fractions are zero.
-            records = [
-                self._inter_record(layer_index, weights, seq_len, plan) for plan in plans
-            ]
-            return hs, records, cs
+            return hs, _layer_records(layer_index, weights, plans), cs
 
         program.execute(hs, cs=cs)
-        # Single-cell records: both the record objects and the DRS mask
-        # reductions are read at most once (if at all) after the run, so
-        # everything defers — the masks are snapshotted because they are
-        # arena memory, the next program's workspace.
-        cells_by_t = self._single_cells(seq_len)
-        stats = _DeferredStepStats(program.masks_all.copy(), hidden) if drs else None
-        zeros = None if drs else self._zero_fractions(seq_len)
-        records = []
-        for b in range(batch):
-            # Lazy: B*T single-cell records per layer run cost more to
-            # build than the arithmetic they describe; the sequence
-            # materializes them only if something indexes or iterates it
-            # (tests, trace building) — the recorder reads aggregates.
-            tissues = (
-                SingleCellTissues(cells_by_t, loader=stats.loader(b))
-                if drs
-                else SingleCellTissues(cells_by_t, zeros, zeros)
-            )
-            records.append(
-                LayerPlanRecord(
-                    layer_index=layer_index,
-                    hidden_size=hidden,
-                    input_size=weights.input_size,
-                    seq_length=seq_len,
-                    breakpoints=[],
-                    sublayer_lengths=[seq_len],
-                    tissues=tissues,
-                    relevance=None,
-                )
-            )
-        return hs, records, cs
-
-    def _single_cells(self, seq_len: int) -> list[list[tuple[int, int]]]:
-        """One ``[(0, t)]`` list per timestep, shared across every
-        sequence's records (nothing mutates record cells downstream)."""
-        cells_by_t = self._cells_by_t.get(seq_len)
-        if cells_by_t is None:
-            cells_by_t = [[(0, t)] for t in range(seq_len)]
-            self._cells_by_t[seq_len] = cells_by_t
-        return cells_by_t
-
-    def _zero_fractions(self, seq_len: int) -> list[float]:
-        """Shared all-zero fraction list for non-DRS stepwise records."""
-        zeros = self._zero_fracs.get(seq_len)
-        if zeros is None:
-            zeros = [0.0] * seq_len
-            self._zero_fracs[seq_len] = zeros
-        return zeros
-
-    def _inter_record(
-        self,
-        layer_index: int,
-        weights: LSTMCellWeights,
-        seq_len: int,
-        plan: CachedLayerPlan,
-    ) -> LayerPlanRecord:
-        """Plan record of one INTER sequence (no DRS: nothing skips)."""
-        return LayerPlanRecord(
-            layer_index=layer_index,
-            hidden_size=weights.hidden_size,
-            input_size=weights.input_size,
-            seq_length=seq_len,
-            breakpoints=list(plan.breakpoints),
-            sublayer_lengths=plan.sublayer_lengths(),
-            tissues=[TissueRecord(cells, 0.0, 0.0) for cells in plan.tissue_cells()],
-            relevance=plan.relevance,
-        )
+        plans = [single_cell_plan(seq_len)] * batch
+        if not drs:
+            return hs, _layer_records(layer_index, weights, plans), cs
+        # The masks are arena memory (the next program's workspace), so
+        # they are reduced now: (B, T) statistics, one row per sequence.
+        masks = program.masks_all
+        skip = np.count_nonzero(masks, axis=2) / hidden
+        warp = warp_skip_fractions(masks)
+        return hs, _layer_records(layer_index, weights, plans, skip.ravel(), warp.ravel()), cs
 
     def _run_layer_combined(
         self,
@@ -1122,34 +1030,9 @@ class LSTMExecutor:
         hs = np.empty((batch, seq_len, hidden))
         shared = program.execute(proj_u, plans, hs)
         if shared is None:
-            skip = warp = [0.0] * sum(plan.num_tissues for plan in plans)
-        else:
-            skip = shared.mean(axis=1).tolist()
-            warp = _warp_skip_fractions(shared).tolist()
-        records = []
-        done = 0
-        for plan in plans:
-            stop = done + plan.num_tissues
-            tissue_records = [
-                TissueRecord(cells, skip_frac, warp_frac)
-                for cells, skip_frac, warp_frac in zip(
-                    plan.tissue_cells(), skip[done:stop], warp[done:stop]
-                )
-            ]
-            done = stop
-            records.append(
-                LayerPlanRecord(
-                    layer_index=layer_index,
-                    hidden_size=hidden,
-                    input_size=weights.input_size,
-                    seq_length=seq_len,
-                    breakpoints=list(plan.breakpoints),
-                    sublayer_lengths=plan.sublayer_lengths(),
-                    tissues=tissue_records,
-                    relevance=plan.relevance,
-                )
-            )
-        return hs, records
+            return hs, _layer_records(layer_index, weights, plans)
+        skip, warp = shared.mean(axis=1), warp_skip_fractions(shared)
+        return hs, _layer_records(layer_index, weights, plans, skip, warp)
 
     # -------------------------------------------------------- program cache
 

@@ -19,11 +19,12 @@ one combined-mode program walks any mix of plans.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import threading
 from collections import OrderedDict
 from collections.abc import Callable, Hashable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -35,242 +36,149 @@ if TYPE_CHECKING:
     from repro.nn.lstm_cell import LSTMCellWeights
 
 
-@dataclass(slots=True)
-class TissueRecord:
-    """One executed tissue (or single cell when the inter level is off).
+def warp_skip_fractions(masks: np.ndarray, warp_size: int = 32) -> np.ndarray:
+    """Fraction of *rows* living in all-trivial warps, per mask.
 
-    ``slots=True`` because batched runs materialize one record per
-    (sequence, timestep) — tens of thousands per run — and the slotted
-    layout constructs faster and drops the per-instance ``__dict__``.
+    A software-only DRS skips a warp only when every row in it is trivial
+    (the whole warp exits at the branch). Each warp is weighted by its real
+    lane count, so when ``H`` is not a multiple of the warp size the
+    trailing partial warp contributes only its actual rows (a 16-lane tail
+    warp of a 48-row layer is 16/48 of the rows, not 1/2 of the warps).
+    This keeps the warp-level fraction <= the row-level skip fraction — the
+    invariant the software-DRS divergence model in :mod:`repro.gpu.cta`
+    relies on.
+
+    Args:
+        masks: Boolean array ``(..., H)``, ``True`` = trivial row.
+        warp_size: Rows per warp (row-per-thread mapping).
+    Returns:
+        Array of shape ``masks.shape[:-1]``.
+    """
+    hidden = masks.shape[-1]
+    n_warps = -(-hidden // warp_size)
+    padded = np.ones(masks.shape[:-1] + (n_warps * warp_size,), dtype=bool)
+    padded[..., :hidden] = masks
+    whole = padded.reshape(masks.shape[:-1] + (n_warps, warp_size)).all(axis=-1)
+    lanes = np.full(n_warps, warp_size, dtype=float)
+    lanes[-1] = hidden - (n_warps - 1) * warp_size
+    return (whole * lanes).sum(axis=-1) / hidden
+
+
+@dataclass(eq=False, slots=True)
+class LayerPlanRecord:
+    """Structural record of one layer's execution for one sequence: the
+    tissue schedule it ran plus what DRS measured per tissue.
+
+    Everything else is read off those: the stepwise modes run the shared
+    :func:`single_cell_plan` (one cell per tissue, no relevance), INTER and
+    COMBINED their planned schedule. The two statistics are float64 views
+    into one per-layer array (read-only; a run's records share it), so a
+    record holds no per-cell Python objects and pickles as it is.
 
     Attributes:
-        cells: The fused cells as ``(sublayer_index, timestamp)`` pairs.
-        skip_fraction: Fraction of ``U_{f,i,c}`` rows skipped by the tissue's
-            shared load (the intersection mask; 0 when DRS is off).
-        warp_skip_fraction: Fraction of warps that were *entirely* trivial —
-            what a software-only DRS can skip without divergence.
-    """
-
-    cells: list[tuple[int, int]]
-    skip_fraction: float = 0.0
-    warp_skip_fraction: float = 0.0
-
-    @property
-    def size(self) -> int:
-        """Number of fused cells."""
-        return len(self.cells)
-
-
-class SingleCellTissues(Sequence):
-    """Materialize-on-demand tissue list for the stepwise modes.
-
-    A batched stepwise run records one single-cell tissue per
-    (sequence, timestep) — tens of thousands of :class:`TissueRecord`
-    objects per run whose only varying payload is two floats. Building
-    them eagerly costs more wall-clock than the structural information
-    is worth on the hot path, and the only per-run consumer (the
-    recorder's layer counters) reads aggregates, never elements. This
-    sequence therefore stores the shared per-timestep cell lists plus
-    the raw fraction lists and builds the records on first *element*
-    access (equivalence tests, trace building, diffing). ``len()``,
-    equality against another unresolved lazy sequence, and the
-    aggregate properties never materialize.
-
-    The fraction lists themselves may also be deferred: instead of
-    lists, the constructor accepts a ``loader`` callable returning
-    ``(skip_fractions, warp_skip_fractions)`` on first use, so a
-    compiled executor run can skip even the mask reductions unless
-    someone reads the statistics. Whatever state the loader captures
-    (e.g. a DRS mask snapshot) stays alive until then.
-
-    The aggregates reduce the same floats in the same order as reducing
-    the materialized records, so they are bit-identical to the eager
-    path.
-    """
-
-    __slots__ = ("_cells_by_t", "_skip", "_warp", "_loader", "_items")
-
-    def __init__(
-        self,
-        cells_by_t: list[list[tuple[int, int]]],
-        skip_fractions: list[float] | None = None,
-        warp_skip_fractions: list[float] | None = None,
-        loader: Callable[[], tuple[list[float], list[float]]] | None = None,
-    ) -> None:
-        if (skip_fractions is None) != (warp_skip_fractions is None) or (
-            (skip_fractions is None) == (loader is None)
-        ):
-            raise ConfigurationError(
-                "pass either both fraction lists or a loader, not both"
-            )
-        self._cells_by_t = cells_by_t
-        self._skip = skip_fractions
-        self._warp = warp_skip_fractions
-        self._loader = loader
-        self._items: list[TissueRecord] | None = None
-
-    def _resolve(self) -> None:
-        if self._skip is None:
-            self._skip, self._warp = self._loader()
-            self._loader = None
-
-    def _materialize(self) -> list[TissueRecord]:
-        items = self._items
-        if items is None:
-            self._resolve()
-            items = self._items = [
-                TissueRecord(c, s, w)
-                for c, s, w in zip(self._cells_by_t, self._skip, self._warp)
-            ]
-        return items
-
-    def __len__(self) -> int:
-        return len(self._cells_by_t)
-
-    def __getitem__(self, index):
-        return self._materialize()[index]
-
-    def __iter__(self):
-        return iter(self._materialize())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, SingleCellTissues):
-            self._resolve()
-            other._resolve()
-            return (
-                self._cells_by_t == other._cells_by_t
-                and self._skip == other._skip
-                and self._warp == other._warp
-            )
-        if isinstance(other, (list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None  # mutable-by-materialization; match list semantics
-
-    def __reduce__(self):
-        # Loaders may close over process-local state (DRS mask
-        # snapshots), so crossing a pickle boundary — e.g. runtime worker
-        # result queues — resolves the fraction lists and ships those.
-        self._resolve()
-        return (SingleCellTissues, (self._cells_by_t, self._skip, self._warp))
-
-    def __repr__(self) -> str:
-        return (
-            f"SingleCellTissues(len={len(self)}, "
-            f"materialized={self._items is not None})"
-        )
-
-    @property
-    def mean_size(self) -> float:
-        """Every tissue holds exactly one cell."""
-        return 1.0 if self._cells_by_t else 0.0
-
-    @property
-    def mean_skip_fraction(self) -> float:
-        if not self._cells_by_t:
-            return 0.0
-        self._resolve()
-        return sum(self._skip) / len(self._skip)
-
-    @property
-    def mean_warp_skip_fraction(self) -> float:
-        if not self._cells_by_t:
-            return 0.0
-        self._resolve()
-        return sum(self._warp) / len(self._warp)
-
-
-@dataclass
-class LayerPlanRecord:
-    """Structural record of one layer's optimized execution.
-
-    ``tissues`` is list-like rather than strictly a list: the stepwise
-    executor paths hand over a :class:`SingleCellTissues` so the hot
-    path never pays for materializing per-timestep records.
+        plan: The executed tissue schedule.
+        skip: Per-tissue fraction of ``U_{f,i,c}`` rows skipped by the
+            tissue's shared load (the intersection mask; 0 when DRS is off).
+        warp: Per-tissue fraction of rows in *entirely* trivial warps —
+            what a software-only DRS can skip without divergence
+            (:func:`warp_skip_fractions`).
     """
 
     layer_index: int
     hidden_size: int
     input_size: int
-    seq_length: int
-    breakpoints: list[int] = field(default_factory=list)
-    sublayer_lengths: list[int] = field(default_factory=list)
-    tissues: Sequence[TissueRecord] = field(default_factory=list)
-    relevance: np.ndarray | None = None
+    plan: CachedLayerPlan
+    skip: np.ndarray
+    warp: np.ndarray
+
+    @property
+    def seq_length(self) -> int:
+        """Cells in the layer (the schedule covers each exactly once)."""
+        return self.plan.ts.size
+
+    @property
+    def breakpoints(self) -> list[int]:
+        """Timestamps where the layer divides (empty: one sub-layer)."""
+        return list(self.plan.breakpoints)
+
+    @property
+    def sublayer_lengths(self) -> list[int]:
+        """Every sub-layer's cell count, in order."""
+        return self.plan.sublayer_lengths()
+
+    @property
+    def relevance(self) -> np.ndarray | None:
+        """Per-timestep relevance (``None`` in the stepwise modes)."""
+        return self.plan.relevance
 
     @property
     def num_sublayers(self) -> int:
         """Number of independent sub-layers after division."""
-        return len(self.sublayer_lengths) if self.sublayer_lengths else 1
+        return self.plan.num_sublayers
 
     @property
     def num_tissues(self) -> int:
         """Number of tissues (equals cell count when the inter level is off)."""
-        return len(self.tissues)
+        return self.plan.num_tissues
+
+    @property
+    def tissue_sizes(self) -> np.ndarray:
+        """Cells fused per tissue, in schedule order."""
+        return np.diff(self.plan.offsets)
+
+    def tissue_cells(self) -> list[list[tuple[int, int]]]:
+        """Per-tissue ``(sub-layer, timestamp)`` lists."""
+        return self.plan.tissue_cells()
+
+    # The means add Python floats left to right in schedule order: numpy's
+    # pairwise sum would round differently, and dispatches slower than
+    # ~100 additions.
 
     @property
     def mean_tissue_size(self) -> float:
-        """Average number of cells fused per tissue.
-
-        Computed in exact integer arithmetic (cell counts are small ints,
-        so the sum never rounds) — the recorder reads this once per layer
-        record, and an ``np.mean`` call here costs more in dispatch than
-        the whole reduction.
-        """
-        tissues = self.tissues
-        if not tissues:
-            return 0.0
-        if isinstance(tissues, SingleCellTissues):
-            return tissues.mean_size
-        return sum(len(t.cells) for t in tissues) / len(tissues)
+        """Average number of cells fused per tissue."""
+        return self.seq_length / self.num_tissues if self.num_tissues else 0.0
 
     @property
     def mean_skip_fraction(self) -> float:
         """Cell-weighted average skipped-row fraction."""
-        tissues = self.tissues
-        if not tissues:
+        if not self.num_tissues:
             return 0.0
-        if isinstance(tissues, SingleCellTissues):
-            return tissues.mean_skip_fraction
-        sizes = [len(t.cells) for t in tissues]
-        total_cells = sum(sizes)
-        return (
-            sum(t.skip_fraction * s for t, s in zip(tissues, sizes))
-            / total_cells
-        )
+        return sum((self.skip * self.tissue_sizes).tolist()) / self.seq_length
 
     @property
     def mean_warp_skip_fraction(self) -> float:
         """Plain average warp-skip fraction across tissues."""
-        tissues = self.tissues
-        if not tissues:
+        if not self.num_tissues:
             return 0.0
-        if isinstance(tissues, SingleCellTissues):
-            return tissues.mean_warp_skip_fraction
-        return float(
-            sum(t.warp_skip_fraction for t in tissues) / len(tissues)
-        )
+        return sum(self.warp.tolist()) / self.num_tissues
 
     def validate(self) -> None:
         """Internal consistency checks (used by tests)."""
-        covered = sorted(t for rec in self.tissues for _, t in rec.cells)
-        if covered != list(range(self.seq_length)):
+        plan, seq_len = self.plan, self.seq_length
+        if not np.array_equal(np.sort(plan.ts), np.arange(seq_len)):
             raise PlanError(
-                f"layer {self.layer_index}: tissues cover {len(covered)} cells, "
-                f"expected {self.seq_length}"
+                f"layer {self.layer_index}: tissues do not cover each of "
+                f"the {seq_len} cells once"
             )
-        if self.sublayer_lengths and sum(self.sublayer_lengths) != self.seq_length:
-            raise PlanError(f"layer {self.layer_index}: sub-layer lengths are inconsistent")
+        lengths = np.diff((0, *plan.breakpoints, seq_len))
+        own_sub = np.searchsorted(plan.breakpoints, plan.ts, side="right")
+        if (lengths < 1).any() or not np.array_equal(plan.subs, own_sub):
+            raise PlanError(f"layer {self.layer_index}: cells disagree with the breakpoints")
+        sizes = self.tissue_sizes
+        if plan.offsets[0] != 0 or plan.offsets[-1] != seq_len or (sizes < 1).any():
+            raise PlanError(f"layer {self.layer_index}: tissue extents are inconsistent")
+        if self.skip.shape != sizes.shape or self.warp.shape != sizes.shape:
+            raise PlanError(f"layer {self.layer_index}: need one statistic per tissue")
 
 
 @dataclass(frozen=True, slots=True)
 class CachedLayerPlan:
     """One layer's structural plan for one sequence, as cached/reused.
 
-    This is the *input-side* counterpart of :class:`LayerPlanRecord`: the
-    record describes what executed (including measured skip statistics);
-    the cached plan holds only what can be decided *before* execution —
+    This is the *input-side* half of a :class:`LayerPlanRecord`: the
+    record adds the skip statistics measured while it executed; the plan
+    holds only what can be decided *before* execution —
     relevance, breakpoints, sub-layers, and the aligned tissue schedule —
     which is exactly the part that is identical across repeated runs of the
     same sequence under the same configuration.
@@ -285,7 +193,7 @@ class CachedLayerPlan:
     Attributes:
         relevance: Per-timestep relevance ``S`` of shape ``(T,)``. Marked
             read-only when served from a :class:`PlanCache` because many
-            plans/records may share it.
+            plans/records may share it; ``None`` in :func:`single_cell_plan`.
         breakpoints: Sorted timestamps where the layer divides (none ->
             one sub-layer).
         subs: Sub-layer index of every cell, flattened in schedule order.
@@ -294,7 +202,7 @@ class CachedLayerPlan:
             (``num_tissues + 1`` entries).
     """
 
-    relevance: np.ndarray
+    relevance: np.ndarray | None
     breakpoints: tuple[int, ...]
     subs: np.ndarray
     ts: np.ndarray
@@ -303,7 +211,7 @@ class CachedLayerPlan:
     @classmethod
     def from_schedule(
         cls,
-        relevance: np.ndarray,
+        relevance: np.ndarray | None,
         breakpoints: Sequence[int],
         tissues: Sequence["Tissue"],
     ) -> "CachedLayerPlan":
@@ -332,14 +240,30 @@ class CachedLayerPlan:
 
     def sublayer_lengths(self) -> list[int]:
         """Every sub-layer's cell count, in order."""
-        return np.diff((0, *self.breakpoints, self.relevance.size)).tolist()
+        return np.diff((0, *self.breakpoints, self.ts.size)).tolist()
 
     def tissue_cells(self) -> list[list[tuple[int, int]]]:
-        """The schedule as fresh per-tissue ``(sub-layer, timestamp)`` lists
-        (the form :class:`TissueRecord` carries)."""
+        """The schedule as fresh per-tissue ``(sub-layer, timestamp)`` lists."""
         cells = list(zip(self.subs.tolist(), self.ts.tolist()))
         extents = self.offsets.tolist()
         return [cells[lo:hi] for lo, hi in zip(extents, extents[1:])]
+
+
+@functools.lru_cache(maxsize=64)
+def single_cell_plan(seq_len: int) -> CachedLayerPlan:
+    """The stepwise modes' schedule at length ``seq_len``: one undivided
+    sub-layer, one cell per tissue in time order, no relevance. One
+    read-only instance per length serves every record."""
+    plan = CachedLayerPlan(
+        relevance=None,
+        breakpoints=(),
+        subs=np.zeros(seq_len, dtype=np.int64),
+        ts=np.arange(seq_len, dtype=np.int64),
+        offsets=np.arange(seq_len + 1, dtype=np.int64),
+    )
+    for array in (plan.subs, plan.ts, plan.offsets):
+        array.setflags(write=False)
+    return plan
 
 
 def wave_schedule(plans: Sequence[CachedLayerPlan], seq_len: int):

@@ -54,9 +54,14 @@ from repro.core.executor import (
     ExecutionResult,
     _row_gemv,
     _row_proj,
-    _warp_skip_fractions,
 )
-from repro.core.plan import LayerPlanRecord, SequencePlan, TissueRecord
+from repro.core.plan import (
+    CachedLayerPlan,
+    LayerPlanRecord,
+    SequencePlan,
+    single_cell_plan,
+    warp_skip_fractions,
+)
 from repro.core.relevance import (
     exact_relevance_values,
     recurrent_row_ranges,
@@ -238,7 +243,7 @@ class ReferenceExecutor:
                 masks = o < cfg.alpha_intra  # (B, H)
                 c = np.where(masks, 0.0, c)
                 skip_fracs[:, t] = masks.mean(axis=1)
-                warp_fracs[:, t] = _warp_skip_fractions(masks)
+                warp_fracs[:, t] = warp_skip_fractions(masks)
             h = o * tanh(c)
             hs[:, t] = h
             if cs is not None:
@@ -273,42 +278,15 @@ class ReferenceExecutor:
         warp_fracs: np.ndarray,
     ) -> LayerPlanRecord:
         if self.config.inter_active:
-            tissue_records = []
-            for tissue in tissues:
-                # Timestamp-resolved skip stats; the per-tissue shared-load
-                # fraction is the mean of the fused cells' fractions here
-                # because stepwise modes never intersect masks (INTER has
-                # alpha_intra == 0, so the fractions are all zero anyway).
-                ts = tissue.timestamps()
-                tissue_records.append(
-                    TissueRecord(
-                        cells=list(tissue.cells),
-                        skip_fraction=float(np.mean([skip_fracs[t] for t in ts])),
-                        warp_skip_fraction=float(np.mean([warp_fracs[t] for t in ts])),
-                    )
-                )
+            # INTER never runs DRS (alpha_intra is not read), so every
+            # tissue's skip statistics are zero.
             breakpoints = [sub.start for sub in sublayers[1:]]
-            sublayer_lengths = [sub.length for sub in sublayers]
+            plan = CachedLayerPlan.from_schedule(relevance, breakpoints, tissues)
+            skip_fracs = warp_fracs = np.zeros(plan.num_tissues)
         else:
-            tissue_records = [
-                TissueRecord(
-                    cells=[(0, t)],
-                    skip_fraction=float(skip_fracs[t]),
-                    warp_skip_fraction=float(warp_fracs[t]),
-                )
-                for t in range(seq_len)
-            ]
-            breakpoints = []
-            sublayer_lengths = [seq_len]
+            plan = single_cell_plan(seq_len)
         return LayerPlanRecord(
-            layer_index=layer_index,
-            hidden_size=weights.hidden_size,
-            input_size=weights.input_size,
-            seq_length=seq_len,
-            breakpoints=breakpoints,
-            sublayer_lengths=sublayer_lengths,
-            tissues=tissue_records,
-            relevance=relevance,
+            layer_index, weights.hidden_size, weights.input_size, plan, skip_fracs, warp_fracs
         )
 
     def _run_layer_combined(
@@ -332,7 +310,7 @@ class ReferenceExecutor:
                 h_state[sub_idx] = link.h_bar
                 c_state[sub_idx] = link.c_bar
 
-            tissue_records = []
+            skips, warps = [], []
             for tissue in tissues:
                 subs = [s for s, _ in tissue.cells]
                 ts = [t for _, t in tissue.cells]
@@ -351,28 +329,22 @@ class ReferenceExecutor:
                     shared = masks.all(axis=0)  # the tissue's intersection
                     c_new = np.where(shared[None, :], 0.0, c_new)
                     skip_frac = float(shared.mean())
-                    warp_frac = float(_warp_skip_fractions(shared[None, :])[0])
+                    warp_frac = float(warp_skip_fractions(shared[None, :])[0])
                 h_new = o * tanh(c_new)
                 h_state[subs] = h_new
                 c_state[subs] = c_new
                 hs[b, ts] = h_new
-                tissue_records.append(
-                    TissueRecord(
-                        cells=list(tissue.cells),
-                        skip_fraction=skip_frac,
-                        warp_skip_fraction=warp_frac,
-                    )
-                )
+                skips.append(skip_frac)
+                warps.append(warp_frac)
+            breakpoints = [sub.start for sub in sublayers[1:]]
             records.append(
                 LayerPlanRecord(
-                    layer_index=layer_index,
-                    hidden_size=hidden,
-                    input_size=weights.input_size,
-                    seq_length=seq_len,
-                    breakpoints=[sub.start for sub in sublayers[1:]],
-                    sublayer_lengths=[sub.length for sub in sublayers],
-                    tissues=tissue_records,
-                    relevance=relevances[b],
+                    layer_index,
+                    hidden,
+                    weights.input_size,
+                    CachedLayerPlan.from_schedule(relevances[b], breakpoints, tissues),
+                    np.array(skips),
+                    np.array(warps),
                 )
             )
         return hs, records

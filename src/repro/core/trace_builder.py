@@ -180,8 +180,9 @@ def _layer_kernels(
     if inter:
         kernels.append(relevance_kernel(hidden, record.seq_length, tag=tag))
 
-    for tissue in record.tissues:
-        batch = tissue.size
+    for batch, skip, warp_skip in zip(
+        record.tissue_sizes.tolist(), record.skip.tolist(), record.warp.tolist()
+    ):
         if zero_prune_kept is not None:
             warp_eff, gather_eff = pruned_spmv_penalties(zero_prune_kept)
             # Bitmap-compressed storage: kept values + 1 bit per element.
@@ -220,7 +221,7 @@ def _layer_kernels(
         elif intra:
             kernels.extend(
                 _intra_tissue_kernels(
-                    spec, record, tissue, batch, drs_style, tag, precision
+                    spec, record, batch, skip, warp_skip, drs_style, tag, precision
                 )
             )
         else:
@@ -245,22 +246,21 @@ def _layer_kernels(
 def _intra_tissue_kernels(
     spec: GPUSpec,
     record: LayerPlanRecord,
-    tissue,
     batch: int,
+    skip: float,
+    warp_skip: float,
     drs_style: str,
     tag: str,
     precision: Precision,
 ) -> list[KernelLaunch]:
-    """Algorithm 3's five-kernel flow for one tissue (or one cell)."""
+    """Algorithm 3's five-kernel flow for one tissue (or one cell) of
+    ``batch`` cells whose shared load skips ``skip`` of the rows."""
     hidden = record.hidden_size
-    skip = tissue.skip_fraction
     if drs_style == "hardware":
         warp_eff, gather_eff, effective_skip = hardware_drs_penalties(skip)
         uses_crm = skip > 0.0
     elif drs_style == "software":
-        warp_eff, gather_eff, effective_skip = software_drs_penalties(
-            skip, tissue.warp_skip_fraction
-        )
+        warp_eff, gather_eff, effective_skip = software_drs_penalties(skip, warp_skip)
         uses_crm = False
     else:
         raise PlanError(f"unknown drs_style {drs_style!r}")

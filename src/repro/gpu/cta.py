@@ -19,45 +19,17 @@ The functions here turn a skip/prune fraction into the
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ConfigurationError
-
-
-def warp_level_skip_fraction(
-    skip_mask: np.ndarray, warp_size: int = 32
-) -> float:
-    """Fraction of *rows* whose warp is entirely trivial (fully skippable
-    in software: the whole warp exits at the branch).
-
-    Each warp is weighted by its real lane count: a trailing partial warp
-    of a non-multiple-of-32 hidden size contributes only its actual rows.
-    This keeps the result <= the plain row-level skip fraction, which the
-    :func:`software_drs_penalties` divergence model requires (its mixed
-    term would otherwise go negative and report efficiencies above 1).
-
-    Args:
-        skip_mask: Boolean per-row mask, ``True`` = trivial row.
-        warp_size: Rows per warp (row-per-thread mapping).
-    """
-    mask = np.asarray(skip_mask, dtype=bool).ravel()
-    if mask.size == 0:
-        return 0.0
-    n_warps = int(np.ceil(mask.size / warp_size))
-    padded = np.zeros(n_warps * warp_size, dtype=bool)
-    padded[: mask.size] = mask
-    # Padding lanes beyond the row count are inactive, treat them as trivial.
-    padded[mask.size:] = True
-    whole = padded.reshape(n_warps, warp_size).all(axis=1)
-    lanes = np.full(n_warps, warp_size, dtype=float)
-    lanes[-1] = mask.size - (n_warps - 1) * warp_size
-    return float((whole * lanes).sum() / mask.size)
 
 
 def software_drs_penalties(
     skip_fraction: float, warp_skip_fraction: float
 ) -> tuple[float, float, float]:
     """Efficiency triple for software-only DRS.
+
+    ``warp_skip_fraction`` is the lane-weighted share of rows in entirely
+    trivial warps (:func:`repro.core.plan.warp_skip_fractions`), never
+    above ``skip_fraction``.
 
     Returns:
         ``(warp_efficiency, gather_efficiency, effective_skip)`` where

@@ -111,8 +111,6 @@ class RunBuilder:
         """Record one sequence's structural plan (per-layer counters)."""
         seq = self._sequence(seq_index)
         for rec in plan.layers:
-            # Aggregate properties only — element access would force a
-            # lazy stepwise tissue list to materialize B*T records.
             seq.layers.append(
                 _record.LayerObservation(
                     layer_index=rec.layer_index,

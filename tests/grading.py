@@ -9,9 +9,12 @@ the stepwise loop; INTER and COMBINED are numpy programs on every backend):
   equal dtype, shape and bytes (:func:`assert_bytes_equal`), so ``-0.0``
   never passes for ``0.0``;
 * **graded** (COMBINED, and cgen in BASELINE / INTRA / ZERO_PRUNE) — logits within
-  :data:`GRADED_ATOL` with equal predictions; breakpoints, sub-layer
-  lengths, tissue cells, ``skip_fraction`` and ``warp_skip_fraction``
-  identical; relevance and layer outputs within :data:`GRADED_ATOL`.
+  :data:`GRADED_ATOL` with equal predictions; plans identical as at the
+  exact grade; relevance and layer outputs within :data:`GRADED_ATOL`.
+
+Plans are compared the same way at both grades: breakpoints and
+sub-layer lengths equal, tissue sizes, cells, ``skip`` and ``warp``
+byte-identical.
 """
 
 from __future__ import annotations
@@ -38,14 +41,13 @@ def assert_plans_equal(plans_a, plans_b, relevance_atol: float = 0.0) -> None:
         assert len(plan_a.layers) == len(plan_b.layers)
         for rec_a, rec_b in zip(plan_a.layers, plan_b.layers):
             assert rec_a.layer_index == rec_b.layer_index
-            assert rec_a.seq_length == rec_b.seq_length
             assert rec_a.breakpoints == rec_b.breakpoints
             assert rec_a.sublayer_lengths == rec_b.sublayer_lengths
-            assert len(rec_a.tissues) == len(rec_b.tissues)
-            for t_a, t_b in zip(rec_a.tissues, rec_b.tissues):
-                assert t_a.cells == t_b.cells
-                assert t_a.skip_fraction == t_b.skip_fraction
-                assert t_a.warp_skip_fraction == t_b.warp_skip_fraction
+            assert_bytes_equal(rec_a.tissue_sizes, rec_b.tissue_sizes)
+            assert_bytes_equal(rec_a.plan.subs, rec_b.plan.subs)  # the cells
+            assert_bytes_equal(rec_a.plan.ts, rec_b.plan.ts)
+            assert_bytes_equal(rec_a.skip, rec_b.skip)
+            assert_bytes_equal(rec_a.warp, rec_b.warp)
             if rec_a.relevance is None:
                 assert rec_b.relevance is None
             elif relevance_atol == 0.0:

@@ -260,3 +260,47 @@ class TestKernelCache:
         assert proc.returncode == 0, f"child exited {proc.returncode}: {proc.stderr}"
         digest = (so_path.parent / "repro_kernels.so.sha256").read_text()
         assert digest == hashlib.sha256(so_path.read_bytes()).hexdigest()
+
+    def test_failing_compiler_leaves_the_cache_clean_and_usable(self, tmp_path):
+        """A ``cc`` that writes junk to its ``-o`` and exits 1: the build
+        raises, leaves no object or temporary behind, and the real
+        compiler then builds and loads in the same cache directory."""
+        fake = tmp_path / "bin"
+        fake.mkdir()
+        (fake / "cc").write_text(
+            '#!/bin/sh\nwhile [ $# -gt 0 ]; do\n'
+            '  if [ "$1" = "-o" ]; then echo junk > "$2"; fi\n  shift\n'
+            'done\nexit 1\n'
+        )
+        (fake / "cc").chmod(0o755)
+        cache = tmp_path / "cache"
+        code = f"""
+import os
+from pathlib import Path
+from repro.core import cgen
+from repro.errors import BackendUnavailableError
+real_path = os.environ["PATH"]
+os.environ["PATH"] = {str(fake)!r} + os.pathsep + real_path
+try:
+    cgen.load_library()
+except BackendUnavailableError:
+    pass
+else:
+    raise SystemExit("the fake compiler's build did not raise")
+cache = Path({str(cache)!r})
+left = [p.name for p in cache.rglob("*") if ".tmp." in p.name or p.name == "repro_kernels.so"]
+assert not left, left
+os.environ["PATH"] = real_path
+cgen.load_library()
+[so_path] = cache.glob("repro-cgen-*/repro_kernels.so")
+assert not [p for p in cache.rglob("*") if ".tmp." in p.name]
+"""
+        env = dict(
+            os.environ,
+            REPRO_CGEN_CACHE=str(cache),
+            PYTHONPATH=str(Path(cgen.__file__).resolve().parents[2]),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, f"child exited {proc.returncode}: {proc.stderr}"

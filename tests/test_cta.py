@@ -4,45 +4,45 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.plan import warp_skip_fractions
 from repro.errors import ConfigurationError
 from repro.gpu.cta import (
     hardware_drs_penalties,
     pruned_spmv_penalties,
     software_drs_penalties,
-    warp_level_skip_fraction,
 )
 
 
 class TestWarpLevelSkip:
     def test_no_skips(self):
-        assert warp_level_skip_fraction(np.zeros(64, bool)) == 0.0
+        assert warp_skip_fractions(np.zeros(64, bool)) == 0.0
 
     def test_all_skips(self):
-        assert warp_level_skip_fraction(np.ones(64, bool)) == 1.0
+        assert warp_skip_fractions(np.ones(64, bool)) == 1.0
 
     def test_one_full_warp(self):
         mask = np.zeros(64, bool)
         mask[:32] = True
-        assert warp_level_skip_fraction(mask) == 0.5
+        assert warp_skip_fractions(mask) == 0.5
 
     def test_scattered_skips_yield_no_full_warps(self):
         mask = np.zeros(64, bool)
         mask[::2] = True  # every other row
-        assert warp_level_skip_fraction(mask) == 0.0
+        assert warp_skip_fractions(mask) == 0.0
 
     def test_partial_warp_weighted_by_real_lanes(self):
         # 33 rows = 2 warps; the second warp has 1 real row. Its skip
         # contributes that one row, not half the grid.
         mask = np.zeros(33, bool)
         mask[32] = True
-        assert warp_level_skip_fraction(mask) == pytest.approx(1 / 33)
+        assert warp_skip_fractions(mask) == pytest.approx(1 / 33)
 
     def test_never_exceeds_row_level_skip(self):
         # hidden=48: rows 32..47 trivial -> row skip 1/3. The old unweighted
         # mean reported 0.5 here, which broke software_drs_penalties.
         mask = np.zeros(48, bool)
         mask[32:] = True
-        warp_skip = warp_level_skip_fraction(mask)
+        warp_skip = warp_skip_fractions(mask)
         assert warp_skip == pytest.approx(1 / 3)
         assert warp_skip <= mask.mean()
         warp, gather, _ = software_drs_penalties(float(mask.mean()), warp_skip)
@@ -51,11 +51,12 @@ class TestWarpLevelSkip:
     @given(st.integers(1, 130), st.integers(0, 2**32 - 1))
     def test_lane_weighting_bounds(self, size, seed):
         mask = np.random.default_rng(seed).random(size) < 0.5
-        warp_skip = warp_level_skip_fraction(mask)
+        warp_skip = warp_skip_fractions(mask)
         assert 0.0 <= warp_skip <= mask.mean() + 1e-12
 
     def test_empty(self):
-        assert warp_level_skip_fraction(np.zeros(0, bool)) == 0.0
+        # No masks, no fractions (a batch of zero rows).
+        assert warp_skip_fractions(np.zeros((0, 64), bool)).shape == (0,)
 
 
 class TestSoftwareDRS:

@@ -24,7 +24,7 @@ from repro.core.plan import PlanCache
 from repro.core.reference import ReferenceExecutor
 from repro.errors import ConfigurationError, ShapeError
 from tests.conftest import TINY_HIDDEN, TINY_VOCAB, make_executor
-from tests.grading import assert_graded, assert_meets_grade, row_of
+from tests.grading import assert_graded, assert_meets_grade, assert_plans_equal, row_of
 
 
 class TestConfig:
@@ -59,7 +59,7 @@ class TestBaseline:
         for plan in result.plans:
             for record in plan.layers:
                 record.validate()
-                assert all(t.size == 1 for t in record.tissues)
+                assert (record.tissue_sizes == 1).all()
                 assert record.breakpoints == []
 
     def test_collect_states(self, tiny_network, tiny_tokens):
@@ -234,7 +234,7 @@ class TestInter:
         for plan in result.plans:
             for record in plan.layers:
                 record.validate()
-                assert all(t.size <= mts for t in record.tissues)
+                assert (record.tissue_sizes <= mts).all()
 
     def test_predicted_link_count_validated(self, calibrated_network):
         with pytest.raises(ConfigurationError):
@@ -377,26 +377,28 @@ class TestPartialWarp:
         return LSTMNetwork(config, vocab_size=60, num_classes=3, seed=9)
 
     def test_fractions_agree_with_cta_model(self):
-        from repro.core.executor import _warp_skip_fractions
-        from repro.gpu.cta import warp_level_skip_fraction
+        from repro.core.plan import warp_skip_fractions
+        from repro.gpu.cta import software_drs_penalties
 
         rng = np.random.default_rng(17)
         for hidden in (33, 48, 64, 90):
             masks = rng.random((5, hidden)) < 0.6
-            batched = _warp_skip_fractions(masks)
+            batched = warp_skip_fractions(masks)
             for row, mask in zip(batched, masks):
-                assert row == pytest.approx(warp_level_skip_fraction(mask))
+                assert row == warp_skip_fractions(mask)  # batched = one mask at a time
                 assert row <= mask.mean() + 1e-12
+                warp, gather, _ = software_drs_penalties(float(mask.mean()), float(row))
+                assert warp <= 1.0 and gather <= 1.0
 
     def test_trailing_warp_weighted_by_lanes(self):
-        from repro.core.executor import _warp_skip_fractions
+        from repro.core.plan import warp_skip_fractions
 
         # hidden=48: rows 32..47 trivial -> row skip 1/3, and the whole
         # 16-lane tail warp skips, so the warp-level fraction is also 1/3
         # (the buggy unweighted mean said 0.5).
         mask = np.zeros((1, 48), bool)
         mask[0, 32:] = True
-        assert _warp_skip_fractions(mask)[0] == pytest.approx(1 / 3)
+        assert warp_skip_fractions(mask)[0] == pytest.approx(1 / 3)
 
     def test_software_drs_trace_simulates(self, network48):
         from repro.gpu.simulator import TimingSimulator
@@ -427,6 +429,44 @@ class TestPartialWarp:
         # BLAS accumulation order differs at non-power-of-two widths, so
         # equality holds only to machine epsilon here (unlike hidden=64).
         np.testing.assert_allclose(batched.logits, reference.logits, atol=1e-12)
+
+
+class TestPlanRecordFormat:
+    """A record is its schedule plus two per-tissue arrays; a layer's
+    records share one read-only array per statistic and cross a pickle
+    boundary (the fleet pipe) unchanged."""
+
+    @pytest.mark.parametrize(
+        "mode, knobs",
+        [
+            (ExecutionMode.COMBINED, {"alpha_inter": 100.0, "alpha_intra": 0.15}),
+            (ExecutionMode.INTRA, {"alpha_intra": 0.15}),
+            (ExecutionMode.INTER, {"alpha_inter": 100.0}),
+        ],
+        ids=["combined", "intra", "inter"],
+    )
+    def test_views_of_one_array_per_layer_and_pickles(
+        self, calibrated_network, tiny_tokens, mode, knobs
+    ):
+        import pickle
+
+        result = make_executor(calibrated_network, mode, **knobs).run_batch(tiny_tokens)
+        for layer in range(calibrated_network.num_layers):
+            records = [plan.layers[layer] for plan in result.plans]
+            for stat in ("skip", "warp"):
+                arrays = [getattr(record, stat) for record in records]
+                assert len({id(array.base) for array in arrays}) == 1
+                for array, record in zip(arrays, records):
+                    assert np.shares_memory(array, arrays[0].base)
+                    assert not array.flags.writeable
+                    assert array.dtype == np.float64
+                    assert array.shape == (record.num_tissues,)
+        if mode is not ExecutionMode.INTER:
+            assert any(plan.mean_skip_fraction > 0.0 for plan in result.plans)
+        restored = pickle.loads(pickle.dumps(result.plans))
+        assert_plans_equal(restored, result.plans)
+        for mine, theirs in zip(restored, result.plans):
+            assert mine.mean_skip_fraction == theirs.mean_skip_fraction
 
 
 class TestServingGeometry:

@@ -45,7 +45,7 @@ class TestPlanInvariants:
         for plan in result.plans:
             for record in plan.layers:
                 record.validate()
-                assert all(t.size <= mts for t in record.tissues)
+                assert (record.tissue_sizes <= mts).all()
 
     @given(st.floats(0.0, 0.5))
     @slow_settings

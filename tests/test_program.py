@@ -526,9 +526,7 @@ class TestFreshInputsReplayPrograms:
         schedules = set()
         for call in range(3):
             out = executor.run_batch(draw())
-            schedules |= {
-                tuple(tuple(t.cells) for t in plan.layers[0].tissues) for plan in out.plans
-            }
+            schedules |= {tuple(map(tuple, plan.layers[0].tissue_cells())) for plan in out.plans}
             if call:
                 assert out.timings["compile_wall_s"] == 0.0
         assert len(schedules) > 4  # the inputs really did plan differently

@@ -40,7 +40,7 @@ from repro.core.reference import ReferenceExecutor  # noqa: E402
 from repro.nn.model_zoo import build_calibrated_network  # noqa: E402
 from repro.nn.network import LSTMNetwork  # noqa: E402
 
-from tests.grading import assert_meets_grade  # noqa: E402
+from tests.grading import assert_bytes_equal, assert_meets_grade  # noqa: E402
 
 VOCAB = 23
 HIDDEN = 16
@@ -216,7 +216,9 @@ def assert_outcomes_equal(a, b) -> None:
         for rec_a, rec_b in zip(plan_a.layers, plan_b.layers):
             assert rec_a.breakpoints == rec_b.breakpoints
             assert rec_a.sublayer_lengths == rec_b.sublayer_lengths
-            assert list(rec_a.tissues) == list(rec_b.tissues)
+            assert rec_a.tissue_cells() == rec_b.tissue_cells()
+            assert_bytes_equal(rec_a.skip, rec_b.skip)
+            assert_bytes_equal(rec_a.warp, rec_b.warp)
             assert (rec_a.relevance is None) == (rec_b.relevance is None)
             if rec_a.relevance is not None:
                 assert np.array_equal(rec_a.relevance, rec_b.relevance)

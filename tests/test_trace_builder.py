@@ -1,8 +1,10 @@
 """Tests for the plan -> kernel-trace translation."""
 
+import numpy as np
 import pytest
 
-from repro.core.plan import LayerPlanRecord, SequencePlan, TissueRecord
+from repro.core.plan import CachedLayerPlan, LayerPlanRecord, SequencePlan
+from repro.core.tissue import Tissue
 from repro.core.trace_builder import (
     build_kernel_trace,
     forced_tissue_layer_trace,
@@ -18,17 +20,15 @@ def plan(tissue_sizes=(1,) * T, skip=0.0):
     tissues = []
     t = 0
     for size in tissue_sizes:
-        tissues.append(
-            TissueRecord(cells=[(0, t + k) for k in range(size)], skip_fraction=skip)
-        )
+        tissues.append(Tissue(cells=[(0, t + k) for k in range(size)]))
         t += size
     record = LayerPlanRecord(
         layer_index=0,
         hidden_size=H,
         input_size=E,
-        seq_length=T,
-        sublayer_lengths=[T],
-        tissues=tissues,
+        plan=CachedLayerPlan.from_schedule(None, [], tissues),
+        skip=np.full(len(tissues), skip),
+        warp=np.zeros(len(tissues)),
     )
     return SequencePlan(layers=[record])
 

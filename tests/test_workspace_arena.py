@@ -123,7 +123,7 @@ def plan_facts(result):
                 record.breakpoints,
                 record.sublayer_lengths,
                 None if record.relevance is None else record.relevance.tolist(),
-                [(t.cells, t.skip_fraction, t.warp_skip_fraction) for t in record.tissues],
+                list(zip(record.tissue_cells(), record.skip.tolist(), record.warp.tolist())),
             )
             for record in plan.layers
         ]
@@ -203,16 +203,16 @@ def test_nothing_returned_aliases_the_arena(network, thresholds, mode, backend):
     assert arena.nbytes > 0
     returned = [result.logits, *result.layer_outputs, *result.layer_states]
     returned += [
-        record.relevance
+        array
         for plan in result.plans
         for record in plan.layers
-        if record.relevance is not None
+        for array in (record.relevance, record.skip, record.warp)
+        if array is not None
     ]
     assert len(result.layer_states) == (network.num_layers if collect else 0)
     assert not any(np.shares_memory(array, arena) for array in returned)
     kept = [array.copy() for array in returned]
     arena.fill(0xFF)
-    # Records resolve their (possibly deferred) skip fractions only now.
     facts = plan_facts(result)
     assert all(np.array_equal(a, b) for a, b in zip(returned, kept))
     fresh = executor_for(network, config).run_batch(tokens, collect_states=collect)
