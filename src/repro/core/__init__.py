@@ -4,7 +4,6 @@
 * :mod:`repro.core.breakpoints` — weak-link search and layer division.
 * :mod:`repro.core.context_prediction` — Eq. 6, the predicted context link.
 * :mod:`repro.core.tissue` — tissue formation, alignment, MTS calibration.
-* :mod:`repro.core.drs` — Algorithm 3, dynamic row skip.
 * :mod:`repro.core.plan` / :mod:`repro.core.planner` — per-sequence plans.
 * :mod:`repro.core.executor` — numerically exact execution of every mode.
 * :mod:`repro.core.trace_builder` — plan -> GPU kernel trace.
@@ -16,7 +15,6 @@
 from repro.core.relevance import relevance_values, exact_relevance_values
 from repro.core.breakpoints import find_breakpoints, divide_layer, SubLayer
 from repro.core.context_prediction import ContextLinkPredictor, PredictedLink
-from repro.core.drs import trivial_row_mask, tissue_skip_mask, skip_fraction
 from repro.core.tissue import Tissue, align_tissues, form_tissues, calibrate_mts
 from repro.core.plan import LayerPlanRecord, SequencePlan
 from repro.core.executor import ExecutionConfig, ExecutionMode, ExecutionResult, LSTMExecutor
@@ -50,7 +48,4 @@ __all__ = [
     "find_breakpoints",
     "form_tissues",
     "relevance_values",
-    "skip_fraction",
-    "tissue_skip_mask",
-    "trivial_row_mask",
 ]

@@ -677,9 +677,12 @@ class LSTMExecutor:
         """Run one streamed chunk against resident per-session state.
 
         The single-step / short-chunk entry the streaming runtime
-        (:mod:`repro.runtime.streaming`) drives every tick: each layer
-        replays the same cached :class:`~repro.core.program.
-        StepwiseProgram` as :meth:`run_batch` at shape ``(B, L)``, with the
+        (:mod:`repro.runtime.streaming`) drives every tick; its second
+        caller is the model zoo's head probe
+        (:func:`repro.nn.model_zoo._informativeness_scale_head`), a
+        layers-only walk from zero state. Each layer replays the same
+        cached :class:`~repro.core.program.StepwiseProgram` as
+        :meth:`run_batch` at shape ``(B, L)``, with the
         callers' resident ``(h, c)`` injected as the initial state and the
         post-chunk state written back in place. Because the recurrent
         products are per-row GEMVs (:func:`_row_gemv`) and the input

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.breakpoints import divide_layer
+from repro.core.breakpoints import divide_layer, find_breakpoints
 from repro.core.context_prediction import ContextLinkPredictor, PredictedLink
 from repro.core.executor import (
     ExecutionConfig,
@@ -94,8 +94,7 @@ def _mean_tissue_count(
     """Average tissues per layer at a given threshold (plan-only, no numerics)."""
     counts = []
     for s in relevance_samples:
-        breaks = [int(t) for t in np.flatnonzero(s < alpha) if t >= 1]
-        sublayers = divide_layer(s.shape[0], breaks)
+        sublayers = divide_layer(s.shape[0], find_breakpoints(s, alpha))
         counts.append(len(align_tissues(sublayers, mts)))
     return float(np.mean(counts))
 
@@ -265,9 +264,7 @@ class CalibrationDrift:
 
 def _breakpoints_at(samples: Sequence[np.ndarray], alpha: float) -> tuple:
     """Per-sample breakpoint placements at a fixed relevance threshold."""
-    return tuple(
-        tuple(int(t) for t in np.flatnonzero(s < alpha) if t >= 1) for s in samples
-    )
+    return tuple(tuple(find_breakpoints(s, alpha)) for s in samples)
 
 
 def compare_calibrations(

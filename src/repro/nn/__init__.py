@@ -44,7 +44,7 @@ from repro.nn.calibrate import (
 from repro.nn.initializers import WeightInitializer
 from repro.nn.lstm_cell import CellState, GateVectors, LSTMCellWeights, lstm_cell_step
 from repro.nn.lstm_layer import LSTMLayer
-from repro.nn.network import LSTMNetwork, NetworkOutput
+from repro.nn.network import LSTMNetwork
 from repro.nn.pruning import ZeroPruningResult, zero_prune
 from repro.nn.model_zoo import CalibrationProfile, build_calibrated_network
 
@@ -63,7 +63,6 @@ __all__ = [
     "LSTMCellWeights",
     "LSTMLayer",
     "LSTMNetwork",
-    "NetworkOutput",
     "SGD",
     "TrainingTape",
     "WeightInitializer",

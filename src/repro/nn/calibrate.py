@@ -308,6 +308,7 @@ def measure_gate_statistics(
     fixed makes two calls comparable: any difference is attributable to
     the weights alone.
     """
+    from repro.core.breakpoints import find_breakpoints
     from repro.core.executor import ExecutionConfig, ExecutionMode, LSTMExecutor
     from repro.core.tuner import collect_relevance_samples
     from repro.gpu.specs import TEGRA_X1
@@ -322,10 +323,7 @@ def measure_gate_statistics(
     skip = float(np.mean([plan.mean_skip_fraction for plan in result.plans]))
 
     samples = collect_relevance_samples(network, tokens, spec=spec)
-    breakpoints = [
-        tuple(int(t) for t in np.flatnonzero(s < alpha_inter) if t >= 1)
-        for s in samples
-    ]
+    breakpoints = [tuple(find_breakpoints(s, alpha_inter)) for s in samples]
     return GateStatistics(
         skip_fraction=skip,
         breakpoints=breakpoints,

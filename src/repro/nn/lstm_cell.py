@@ -266,36 +266,6 @@ def lstm_cell_step(
     return CellState(h=h, c=c), GateVectors(f=f, i=i, g=g, o=o)
 
 
-def run_reference_cell_sequence(
-    weights: LSTMCellWeights,
-    xs: np.ndarray,
-    initial: CellState | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run the exact (unoptimized) cell recurrence over a whole sequence.
-
-    Args:
-        weights: Layer weights.
-        xs: Inputs of shape ``(T, E)``.
-        initial: Optional initial state (defaults to zeros).
-
-    Returns:
-        ``(hs, cs)`` of shape ``(T, H)`` each — the per-timestep outputs.
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2:
-        raise ShapeError(f"xs must be 2-D (T, E), got shape {xs.shape}")
-    proj = input_projections(weights, xs)
-    state = initial if initial is not None else CellState.zeros(weights.hidden_size)
-    hs = np.empty((xs.shape[0], weights.hidden_size))
-    cs = np.empty_like(hs)
-    for t in range(xs.shape[0]):
-        step_proj = {g: proj[g][t] for g in GATE_ORDER}
-        state, _ = lstm_cell_step(weights, step_proj, state)
-        hs[t] = state.h
-        cs[t] = state.c
-    return hs, cs
-
-
 def _rows(vec: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Select kept elements along the hidden axis for vectors or batches."""
     return vec[..., keep]

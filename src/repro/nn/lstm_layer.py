@@ -1,22 +1,16 @@
-"""One unrolled LSTM layer and its exact (reference) execution.
+"""One unrolled LSTM layer: the weight set its cells share.
 
 A layer owns one :class:`~repro.nn.lstm_cell.LSTMCellWeights` shared by all
 unrolled cells (the sharing is exactly what makes the inter-cell weight
-re-load problem of Section III-A possible). The reference execution here is
-the numerical ground truth against which every optimized execution is scored
-for agreement accuracy.
+re-load problem of Section III-A possible). A layer holds weights only; it
+runs through :mod:`repro.core`, and the numerical ground truth every
+optimized execution is scored against is
+:class:`~repro.core.reference.ReferenceExecutor`.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.errors import ShapeError
-from repro.nn.lstm_cell import (
-    CellState,
-    LSTMCellWeights,
-    run_reference_cell_sequence,
-)
+from repro.nn.lstm_cell import LSTMCellWeights
 from repro.nn.initializers import WeightInitializer
 
 
@@ -54,17 +48,3 @@ class LSTMLayer:
             forget_bias=forget_bias,
         )
         return cls(weights)
-
-    def forward(
-        self, xs: np.ndarray, initial: CellState | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact sequential execution over ``xs`` of shape ``(T, E)``.
-
-        Returns ``(hs, cs)``, each of shape ``(T, H)``.
-        """
-        xs = np.asarray(xs, dtype=np.float64)
-        if xs.ndim != 2 or xs.shape[1] != self.input_size:
-            raise ShapeError(
-                f"layer expects (T, {self.input_size}) inputs, got {xs.shape}"
-            )
-        return run_reference_cell_sequence(self.weights, xs, initial=initial)

@@ -406,16 +406,16 @@ def _informativeness_scale_head(network: LSTMNetwork, rng: np.random.Generator) 
     RMS of ``h_j`` measured on a probe batch, renormalized to preserve the
     overall logit scale.
     """
+    from repro.core.executor import ExecutionConfig, LSTMExecutor
+
     probe = rng.integers(0, network.vocab_size, size=(4, network.config.seq_length))
-    hs = []
-    for row in probe:
-        # The layers only: the probe reads the top hidden sequence, and a
-        # per-timestep LM head would cost (T, classes) logits it never uses.
-        xs = network.embed(row)
-        for layer in network.layers:
-            xs, _ = layer.forward(xs)
-        hs.append(xs)
-    stacked = np.concatenate(hs, axis=0)
+    # Exact BASELINE through the executor's per-row lifts, so the scale's
+    # bytes are ReferenceExecutor's whatever the BLAS thread split. The
+    # layers only: a per-timestep LM head would cost (T, classes) logits
+    # the probe never reads.
+    zeros = np.zeros((network.num_layers, probe.shape[0], network.config.hidden_size))
+    top = LSTMExecutor(network, ExecutionConfig()).run_stream(probe, zeros, zeros.copy())
+    stacked = top.reshape(-1, top.shape[-1])
     rms = np.sqrt((stacked**2).mean(axis=0))
     scale = rms / max(float(rms.mean()), 1e-12)
     network.head_weight *= scale[None, :]

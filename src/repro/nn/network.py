@@ -7,14 +7,14 @@ the two output conventions the paper's task families need:
   hidden vector of the top layer;
 * *per-timestep* heads (LM / MT) read every hidden vector of the top layer.
 
-The network deliberately exposes its internals (``embedding``, ``layers``,
-``head``) because the optimized executor replaces the layer recurrence while
-reusing the embedding and head verbatim.
+The network holds weights and the embedding / head readouts; it has no
+forward of its own. Every execution runs through :mod:`repro.core` — the
+numerical ground truth is :class:`~repro.core.reference.ReferenceExecutor`,
+the production path :class:`~repro.core.executor.LSTMExecutor` — which
+replaces the layer recurrence while reusing the embedding and head verbatim.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,26 +22,6 @@ from repro.config import LSTMConfig
 from repro.errors import ConfigurationError, ShapeError
 from repro.nn.initializers import WeightInitializer
 from repro.nn.lstm_layer import LSTMLayer
-
-
-@dataclass
-class NetworkOutput:
-    """Result of one forward pass.
-
-    Attributes:
-        logits: ``(num_classes,)`` for sequence-final heads or
-            ``(T, num_classes)`` for per-timestep heads.
-        layer_outputs: Per-layer hidden sequences, each ``(T, H)``.
-        layer_states: Per-layer cell-state sequences, each ``(T, H)``.
-    """
-
-    logits: np.ndarray
-    layer_outputs: list[np.ndarray]
-    layer_states: list[np.ndarray]
-
-    def prediction(self) -> np.ndarray:
-        """Argmax prediction: scalar for final heads, ``(T,)`` otherwise."""
-        return np.argmax(self.logits, axis=-1)
 
 
 class LSTMNetwork:
@@ -138,18 +118,3 @@ class LSTMNetwork:
             ``(H,)`` / ``(B, H)``: the mean of the last ``head_pool`` steps.
         """
         return top[..., -self.head_pool:, :].mean(axis=-2)
-
-    def forward(self, tokens: np.ndarray) -> NetworkOutput:
-        """Exact forward pass (the paper's baseline numerics)."""
-        xs = self.embed(tokens)
-        layer_outputs: list[np.ndarray] = []
-        layer_states: list[np.ndarray] = []
-        for layer in self.layers:
-            xs, cs = layer.forward(xs)
-            layer_outputs.append(xs)
-            layer_states.append(cs)
-        top = layer_outputs[-1]
-        logits = self.head_logits(top if self.per_timestep_head else self.pool_top(top))
-        return NetworkOutput(
-            logits=logits, layer_outputs=layer_outputs, layer_states=layer_states
-        )

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from repro.config import LSTMConfig
+from repro.core.executor import ExecutionConfig
 from repro.core.plan import fingerprint_network
+from repro.core.reference import ReferenceExecutor
 from repro.core.tuner import calibrate_offline, compare_calibrations
 from repro.errors import CalibrationError, ConfigurationError
 from repro.nn.backprop import training_step
@@ -129,8 +131,8 @@ class TestSyntheticDriftBatch:
     def test_labels_are_teacher_predictions(self):
         teacher = drift_network(tiny_calibrated())
         tokens, labels = synthetic_drift_batch(teacher, num_sequences=4, seed=2)
-        for b in range(4):
-            assert labels[b] == int(np.argmax(teacher.forward(tokens[b]).logits))
+        reference = ReferenceExecutor(teacher, ExecutionConfig()).run_batch(tokens)
+        np.testing.assert_array_equal(labels, reference.predictions())
 
 
 class TestFineTune:

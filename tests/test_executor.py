@@ -1,9 +1,9 @@
 """Tests for the mode executor — the numerical heart of the reproduction.
 
 The key invariants: every optimized mode with its thresholds at zero is
-numerically identical to the baseline; the baseline executor matches the
-reference network forward; and the combined mode degenerates to the inter /
-intra modes when the other knob is off.
+numerically identical to the baseline; the baseline and intra executors
+match the cell-level oracle (``lstm_cell_step``); and the combined mode
+degenerates to the inter / intra modes when the other knob is off.
 """
 
 import dataclasses
@@ -23,6 +23,8 @@ from repro.core.pipeline import OptimizedLSTM
 from repro.core.plan import PlanCache
 from repro.core.reference import ReferenceExecutor
 from repro.errors import ConfigurationError, ShapeError
+from repro.nn.activations import sigmoid
+from repro.nn.lstm_cell import GATE_ORDER, CellState, input_projections, lstm_cell_step
 from tests.conftest import TINY_HIDDEN, TINY_VOCAB, make_executor
 from tests.grading import assert_graded, assert_meets_grade, assert_plans_equal, row_of
 
@@ -46,13 +48,40 @@ class TestConfig:
             ExecutionConfig(zero_prune_fraction=1.0)
 
 
+def cell_loop_logits(network, tokens: np.ndarray, alpha: float) -> np.ndarray:
+    """Logits of one sequence through the cell-level oracle: whole-layer
+    ``input_projections`` and one :func:`~repro.nn.lstm_cell.lstm_cell_step`
+    per timestep, with true row slicing for the DRS mask (``o`` first, as
+    Algorithm 3 does) when ``alpha > 0``. Independent of every executor."""
+    xs = network.embed(tokens)
+    for layer in network.layers:
+        w = layer.weights
+        proj = input_projections(w, xs)
+        state = CellState.zeros(w.hidden_size)
+        hs = []
+        for t in range(xs.shape[0]):
+            step_proj = {g: proj[g][t] for g in GATE_ORDER}
+            mask = None
+            if alpha > 0.0:
+                mask = sigmoid(step_proj["o"] + w.u_o @ state.h + w.b_o) < alpha
+            state, _ = lstm_cell_step(w, step_proj, state, skip_rows=mask)
+            hs.append(state.h)
+        xs = np.asarray(hs)
+    return network.head_logits(network.pool_top(xs))
+
+
+def assert_matches_cell_loop(network, tokens: np.ndarray, mode: ExecutionMode, alpha: float):
+    result = make_executor(network, mode, alpha_intra=alpha).run_batch(tokens)
+    for b, row in enumerate(tokens):
+        np.testing.assert_allclose(
+            result.logits[b], cell_loop_logits(network, row, alpha), atol=1e-10
+        )
+
+
 class TestBaseline:
     def test_matches_reference_forward(self, tiny_network, tiny_tokens):
-        executor = make_executor(tiny_network)
-        result = executor.run_batch(tiny_tokens)
-        for b, tokens in enumerate(tiny_tokens):
-            ref = tiny_network.forward(tokens)
-            np.testing.assert_allclose(result.logits[b], ref.logits, atol=1e-10)
+        """The alpha = 0 case of the cell-level check below."""
+        assert_matches_cell_loop(tiny_network, tiny_tokens, ExecutionMode.BASELINE, 0.0)
 
     def test_plans_are_singleton_tissues(self, tiny_network, tiny_tokens):
         result = make_executor(tiny_network).run_batch(tiny_tokens)
@@ -134,39 +163,9 @@ class TestIntra:
 
     def test_skip_semantics_match_reference_cell(self, calibrated_network, tiny_tokens):
         """Batched masked-matmul numerics == sliced-weight row skipping."""
-        from repro.nn.lstm_cell import (
-            CellState,
-            GATE_ORDER,
-            input_projections,
-            lstm_cell_step,
+        assert_matches_cell_loop(
+            calibrated_network, tiny_tokens[:1], ExecutionMode.INTRA, 0.1
         )
-
-        alpha = 0.1
-        executor = make_executor(
-            calibrated_network, ExecutionMode.INTRA, alpha_intra=alpha
-        )
-        result = executor.run_batch(tiny_tokens[:1])
-
-        # Reference: single-sequence loop with true row slicing.
-        net = calibrated_network
-        xs = net.embed(tiny_tokens[0])
-        for layer in net.layers:
-            w = layer.weights
-            proj = input_projections(w, xs)
-            state = CellState.zeros(w.hidden_size)
-            hs = []
-            for t in range(xs.shape[0]):
-                step_proj = {g: proj[g][t] for g in GATE_ORDER}
-                # Compute o first to build the mask, as DRS does.
-                o_pre = step_proj["o"] + w.u_o @ state.h + w.b_o
-                from repro.nn.activations import sigmoid
-
-                mask = sigmoid(o_pre) < alpha
-                state, _ = lstm_cell_step(w, step_proj, state, skip_rows=mask)
-                hs.append(state.h)
-            xs = np.asarray(hs)
-        ref_logits = net.head_logits(net.pool_top(xs))
-        np.testing.assert_allclose(result.logits[0], ref_logits, atol=1e-10)
 
     def test_records_skip_fractions(self, calibrated_network, tiny_tokens):
         executor = make_executor(

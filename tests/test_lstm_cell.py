@@ -13,7 +13,6 @@ from repro.nn.lstm_cell import (
     LSTMCellWeights,
     input_projections,
     lstm_cell_step,
-    run_reference_cell_sequence,
 )
 
 H, E = 8, 6
@@ -177,25 +176,6 @@ class TestBatchedStep:
 
 
 class TestReferenceSequence:
-    def test_shapes(self):
-        w = small_weights()
-        xs = np.random.default_rng(0).normal(size=(5, E))
-        hs, cs = run_reference_cell_sequence(w, xs)
-        assert hs.shape == (5, H) and cs.shape == (5, H)
-
-    def test_rejects_bad_rank(self):
-        w = small_weights()
-        with pytest.raises(ShapeError):
-            run_reference_cell_sequence(w, np.zeros(E))
-
-    def test_initial_state_respected(self):
-        w = small_weights()
-        xs = np.random.default_rng(0).normal(size=(1, E))
-        init = CellState(h=np.full(H, 0.5), c=np.full(H, 1.0))
-        hs_init, _ = run_reference_cell_sequence(w, xs, initial=init)
-        hs_zero, _ = run_reference_cell_sequence(w, xs)
-        assert not np.allclose(hs_init, hs_zero)
-
     def test_input_projections_match_loop(self):
         w = small_weights()
         xs = np.random.default_rng(2).normal(size=(4, E))

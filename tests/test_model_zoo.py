@@ -5,18 +5,24 @@ saturated pre-activations, bimodal output gates, write-gated memory
 dimensions, boundary resets, and informativeness-scaled heads.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.config import LSTMConfig, get_app
+from repro.core.executor import ExecutionConfig
+from repro.core.reference import ReferenceExecutor
 from repro.errors import ConfigurationError
 from repro.nn.activations import sigmoid
 from repro.nn.model_zoo import (
     APP_PROFILES,
     CalibrationProfile,
+    _informativeness_scale_head,
     build_calibrated_network,
     profile_for_app,
 )
+from tests.grading import assert_bytes_equal
 
 
 @pytest.fixture(scope="module")
@@ -25,12 +31,17 @@ def mr_network():
     return build_calibrated_network(get_app("MR"), seed=0)
 
 
+def reference_run(network, tokens):
+    """An exact BASELINE run of a ``(B, T)`` batch through the frozen oracle."""
+    return ReferenceExecutor(network, ExecutionConfig()).run_batch(tokens)
+
+
 def gate_stats(network, tokens):
     """Output-gate activations over a short exact run."""
-    out = network.forward(tokens)
+    layer0 = reference_run(network, tokens[None]).layer_outputs[0][0]
     w = network.layers[0].weights
     xs = network.embed(tokens)
-    h_prev = np.vstack([np.zeros(w.hidden_size), out.layer_outputs[0][:-1]])
+    h_prev = np.vstack([np.zeros(w.hidden_size), layer0[:-1]])
     o_pre = xs @ w.w_o.T + h_prev @ w.u_o.T + w.b_o
     return sigmoid(o_pre)
 
@@ -94,10 +105,10 @@ class TestCalibratedStatistics:
         tokens = rng.integers(0, mr_network.vocab_size, size=mr_network.config.seq_length)
         boundary = mr_network.boundary_token_ids[0]
         tokens[6] = boundary
-        out = mr_network.forward(tokens)
+        layer0 = reference_run(mr_network, tokens[None]).layer_outputs[0][0]
         w = mr_network.layers[0].weights
         xs = mr_network.embed(tokens)
-        h_prev = out.layer_outputs[0][5]
+        h_prev = layer0[5]
         f_pre = xs[6] @ w.w_f.T + w.u_f @ h_prev + w.b_f
         o_pre = xs[6] @ w.w_o.T + w.u_o @ h_prev + w.b_o
         assert np.median(sigmoid(f_pre)) < 0.35
@@ -110,8 +121,7 @@ class TestCalibratedStatistics:
         boundary = mr_network.boundary_token_ids[0]
         tokens[4] = boundary
         non_boundary = np.setdiff1d(tokens, mr_network.boundary_token_ids)
-        out = mr_network.forward(tokens)
-        channel = out.layer_outputs[0][:, -1]
+        channel = reference_run(mr_network, tokens[None]).layer_outputs[0][0, :, -1]
         assert channel[4] > 0.5
         boundary_ids = set(mr_network.boundary_token_ids.tolist())
         quiet = [channel[t] for t in range(len(tokens)) if tokens[t] not in boundary_ids]
@@ -122,14 +132,31 @@ class TestCalibratedStatistics:
         """Head columns of low-activity dims carry less weight."""
         rng = np.random.default_rng(4)
         tokens = rng.integers(0, mr_network.vocab_size, size=(4, mr_network.config.seq_length))
-        hs = np.concatenate(
-            [mr_network.forward(row).layer_outputs[-1] for row in tokens]
+        hs = reference_run(mr_network, tokens).layer_outputs[-1].reshape(
+            -1, mr_network.config.hidden_size
         )
         rms = np.sqrt((hs**2).mean(axis=0))
         norms = np.abs(mr_network.head_weight).mean(axis=0)
         quiet = rms < np.quantile(rms, 0.3)
         loud = rms > np.quantile(rms, 0.7)
         assert norms[quiet].mean() < norms[loud].mean()
+
+    def test_head_probe_reads_the_oracles_bytes(self, mr_network):
+        """The probe's top layer is ReferenceExecutor's, byte for byte, so
+        the scaled head does not depend on the BLAS thread split."""
+        network = copy.deepcopy(mr_network)
+        head = np.random.default_rng(5).normal(size=network.head_weight.shape)
+        network.head_weight = head.copy()
+        _informativeness_scale_head(network, np.random.default_rng(6))
+
+        probe = np.random.default_rng(6).integers(
+            0, network.vocab_size, size=(4, network.config.seq_length)
+        )
+        top = reference_run(network, probe).layer_outputs[-1]
+        hs = top.reshape(-1, network.config.hidden_size)
+        rms = np.sqrt((hs**2).mean(axis=0))
+        scale = rms / max(float(rms.mean()), 1e-12)
+        assert_bytes_equal(network.head_weight, head * scale[None, :])
 
 
 class TestBuilders:
@@ -139,8 +166,8 @@ class TestBuilders:
             config=cfg, vocab_size=40, num_classes=4, seed=1
         )
         assert net.num_layers == 2
-        out = net.forward(np.arange(8) % 40)
-        assert out.logits.shape == (4,)
+        out = reference_run(net, (np.arange(8) % 40)[None])
+        assert out.logits.shape == (1, 4)
 
     def test_missing_arguments_rejected(self):
         with pytest.raises(ConfigurationError):

