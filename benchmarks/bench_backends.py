@@ -21,6 +21,11 @@ backend contract (``repro.core.backends``):
   geometry (batch 1, the streaming hot path) it must beat the numpy
   program, the path that serves by default, by at least
   ``MIN_CGEN_SPEEDUP``×,
+* the **cgen kernel reuses its weights across a tick** — at the
+  streaming geometry (H = 256, chunk 4) a session's share of a layer
+  call at batch 8 costs at most ``MAX_BATCH8_SESSION_RATIO`` of what it
+  costs alone, because each weight row is read once for every session;
+  the row also records the kernel's cold build time,
 * **an unavailable backend skips cleanly** — a missing compiler surfaces
   a reason string and raises ``BackendUnavailableError`` at resolution,
   not an error mid-run.
@@ -35,8 +40,11 @@ Honors ``REPRO_BENCH_SHORT=1`` (smaller workload, fewer timing repeats).
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -44,12 +52,15 @@ import numpy as np
 from repro.bench.deflake import SHORT, gc_paused, pick
 from repro.bench.gates import GateSet, grade_check
 from repro.config import LSTMConfig
-from repro.core.backends import backend_availability, resolve_backend
-from repro.core.executor import ExecutionConfig, ExecutionMode, LSTMExecutor
+from repro.core.backends import backend_availability, make_stepwise_program, resolve_backend
+from repro.core.context_prediction import PredictedLink
+from repro.core.executor import ExecutionConfig, ExecutionMode, LSTMExecutor, _UnitedWeights
 from repro.core.reference import ReferenceExecutor
 from repro.errors import BackendUnavailableError
 from repro.gpu.simulator import TimingSimulator
 from repro.nn.network import LSTMNetwork
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: Fused-backend numerics bound: max absolute logit deviation from the
 #: fp64 oracle. Measured ~4e-16 on the acceptance workload; the bound
@@ -62,6 +73,15 @@ FUSED_TOLERANCE = 1e-9
 #: Measured 1.67-3.10x (median ~2.2x) over eight runs on the development
 #: host; 1.5x is the floor those runs never crossed.
 MIN_CGEN_SPEEDUP = 1.5
+
+#: Per-session cost of a cgen INTRA layer call at batch 8 over batch 1
+#: (streaming geometry: H = 256, chunk 4). A kernel that streams ``U``
+#: once per (session, step) reads 1.00-1.02 here; a weight-stationary one
+#: pays each weight row once per tick.
+MAX_BATCH8_SESSION_RATIO = 0.75
+BATCH_HIDDEN = 256
+BATCH_CHUNK = 4
+BATCH_REPEATS = pick(60, 30)
 
 NUM_SEQUENCES = pick(64, 16)
 TIMING_REPEATS = pick(9, 5)
@@ -206,18 +226,82 @@ def speedup_run(network, gates: GateSet) -> dict:
     }
 
 
+def cold_build_s() -> float:
+    """Wall time of the kernel's cold ``cc`` build and load, in a child
+    process with an empty cache directory."""
+    with tempfile.TemporaryDirectory() as cache:
+        env = dict(os.environ, REPRO_CGEN_CACHE=cache, PYTHONPATH=str(ROOT / "src"))
+        code = (
+            "import time; from repro.core import cgen; t = time.perf_counter(); "
+            "cgen.load_library(); print(time.perf_counter() - t)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+    return float(proc.stdout.strip())
+
+
+def batch_run(gates: GateSet) -> dict:
+    """Per-session step time of one cgen INTRA layer call, batch 8 vs 1."""
+    config = LSTMConfig(
+        hidden_size=BATCH_HIDDEN, num_layers=1, seq_length=BATCH_CHUNK, input_size=BATCH_HIDDEN
+    )
+    network = LSTMNetwork(config, vocab_size=200, num_classes=8, seed=11)
+    united = _UnitedWeights.from_weights(network.layers[0].weights)
+    link = PredictedLink.zeros(BATCH_HIDDEN)
+    alpha = mode_config(ExecutionMode.INTRA).alpha_intra
+    rng = np.random.default_rng(5)
+    calls = {}
+    for batch in (1, 8):
+        program = make_stepwise_program(
+            "cgen", united, link, batch, BATCH_CHUNK, drs_alpha=alpha
+        )
+        program.project(rng.normal(scale=0.3, size=(batch, BATCH_CHUNK, BATCH_HIDDEN)))
+        hs = np.empty((batch, BATCH_CHUNK, BATCH_HIDDEN))
+        h0, c0 = rng.normal(scale=0.1, size=(2, batch, BATCH_HIDDEN))
+        calls[batch] = lambda program=program, hs=hs, h0=h0, c0=c0: program.execute(
+            hs, h0=h0, c0=c0
+        )
+    best = {batch: float("inf") for batch in calls}
+    with gc_paused():
+        for _ in range(BATCH_REPEATS):  # interleaved, so drift hits both
+            for batch, call in calls.items():
+                start = time.perf_counter()
+                call()
+                best[batch] = min(best[batch], time.perf_counter() - start)
+    per_session = {batch: best[batch] / (batch * BATCH_CHUNK) for batch in best}
+    ratio = per_session[8] / per_session[1]
+    gates.require_at_most(
+        "cgen_b8_session_ratio",
+        ratio,
+        MAX_BATCH8_SESSION_RATIO,
+        detail=f"b1 {per_session[1] * 1e6:.1f} us vs b8 {per_session[8] * 1e6:.1f} us "
+        "per session-step",
+    )
+    return {
+        "geometry": {"hidden": BATCH_HIDDEN, "chunk": BATCH_CHUNK, "mode": "intra"},
+        "b1_us_per_session_step": per_session[1] * 1e6,
+        "b8_us_per_session_step": per_session[8] * 1e6,
+        "b8_over_b1": ratio,
+        "cold_build_s": cold_build_s(),
+    }
+
+
 def run() -> tuple[dict, GateSet]:
     gates = GateSet("backends")
     network, tokens = build_case()
     availability = availability_report(gates)
     modes = agreement_run(network, tokens, gates)
     speedup = speedup_run(network, gates)
+    batch = batch_run(gates)
     report = {
         "short": SHORT,
         "num_sequences": NUM_SEQUENCES,
         "availability": availability,
         "modes": modes,
         "speedup": speedup,
+        "batch": batch,
         "gates": gates.as_dict(),
         "failures": gates.failures,
         "passed": gates.passed,
@@ -227,7 +311,7 @@ def run() -> tuple[dict, GateSet]:
 
 def main() -> int:
     report, gates = run()
-    out = pathlib.Path(__file__).resolve().parent.parent / "BENCH_backends.json"
+    out = ROOT / "BENCH_backends.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}")
     for mode, block in report["modes"].items():
@@ -240,6 +324,12 @@ def main() -> int:
         f"batch-1 cgen vs numpy program: {speedup['speedup']:.2f}x "
         f"({speedup['numpy_program_wall_s'] * 1e3:.2f} ms vs "
         f"{speedup['cgen_wall_s'] * 1e3:.2f} ms, floor {MIN_CGEN_SPEEDUP}x)"
+    )
+    batch = report["batch"]
+    print(
+        f"cgen intra per session-step: b1 {batch['b1_us_per_session_step']:.1f} us, "
+        f"b8 {batch['b8_us_per_session_step']:.1f} us ({batch['b8_over_b1']:.2f}x, "
+        f"gate <= {MAX_BATCH8_SESSION_RATIO}x); cold build {batch['cold_build_s']:.2f} s"
     )
     return gates.exit_code()
 

@@ -116,7 +116,7 @@ MAX_RECORDER_OVERHEAD = 1.05
 #: Bytes held by one executor and its warmed programs, as a share of the
 #: network's weight bytes. Copying executors read 0.7-1.0 here (a united
 #: copy per executor, a restacked ``U`` per program); the cgen backend's
-#: one dense ``W^T`` per layer is the only weight-sized thing left.
+#: dense ``W^T`` per layer read 0.18 until its kernel read ``W`` in place.
 MAX_RESIDENT_SHARE = 0.25
 #: The ``(batch, chunk)`` shapes the resident-bytes row warms: token by
 #: token, and a full streaming tick.

@@ -10,9 +10,11 @@ LSTMExecutor` lowers the stepwise loop into compiled programs:
   its tissues and layer >= 1 input projections as real GEMMs and is
   graded: within ``1e-9`` with equal predictions.
 * ``"cgen"`` — a generated-C fused kernel (:mod:`repro.core.cgen`): one
-  native call per layer run, GEMM + fused gate epilogue, in-kernel DRS
-  row compaction and the Appleyard timestep-batched input GEMM. Needs a
-  host C compiler; graded.
+  native call per layer run — input projection, recurrent products and
+  gate epilogue through one weight-stationary routine that reads each
+  weight row once for every token and session, with in-kernel DRS row
+  compaction. Needs a host C compiler; graded against the oracle, exact
+  against itself across batch compositions and chunkings.
 
 **cgen lowers the stepwise loop; INTER and COMBINED are numpy programs on
 every backend.** The executor resolves a structural mode to ``"numpy"``

@@ -334,7 +334,6 @@ class _UnitedWeights:
     u: np.ndarray  # (4H, H)
     b: np.ndarray  # (4H,)
     slices: dict[str, slice]
-    _w_t_dense: np.ndarray | None = None
 
     @classmethod
     def from_weights(cls, weights: LSTMCellWeights) -> "_UnitedWeights":
@@ -349,14 +348,6 @@ class _UnitedWeights:
         """The ``(E, H)`` transpose view of every gate's ``W`` block, the
         operands of :func:`~repro.core.program.project_rows`."""
         return [self.w[sl].T for sl in self.slices.values()]
-
-    def dense_w_t(self) -> np.ndarray:
-        """``W^T`` laid out dense ``(E, 4H)`` for the cgen backend's batched
-        input GEMM: the one staged weight copy, made once and shared by
-        every program of the layer."""
-        if self._w_t_dense is None:
-            self._w_t_dense = np.ascontiguousarray(self.w.T)
-        return self._w_t_dense
 
 
 class LSTMExecutor:
@@ -468,12 +459,9 @@ class LSTMExecutor:
         #: next executor of the same precision over the same weights.
         self.quantized_cells = quantized_cells
         self._united = [_UnitedWeights.from_weights(w) for w in self._weights]
-        if self.backend == "cgen":
-            for united in self._united:
-                united.dense_w_t()  # staged here, before dispatch threads could race to it
         #: Layer 0 serves its projections from the distinct-token memo
         #: wherever the parent path is :func:`project_rows` (every numpy
-        #: program); the cgen programs keep their timestep-batched GEMM.
+        #: program); the cgen programs project inside their native call.
         #: The memo is the plan cache's, so every executor of an app
         #: shares it.
         self._memo_layer0 = self.backend == "numpy"
@@ -483,20 +471,17 @@ class LSTMExecutor:
     def owned_arrays(self) -> list[np.ndarray]:
         """The weight arrays this executor holds beyond the network's own:
         ZERO_PRUNE's pruned ``U``, a quantized precision's codes, scales
-        and dequantized blocks, the cgen backend's staged ``W^T`` — what
-        keeping the executor costs (:attr:`~repro.core.program.
-        ProgramCache.nbytes` counts each once across executors sharing
-        it)."""
+        and dequantized blocks — what keeping the executor costs
+        (:attr:`~repro.core.program.ProgramCache.nbytes` counts each once
+        across executors sharing it)."""
         owned = []
-        for layer, weights, united in zip(self.network.layers, self._weights, self._united):
+        for layer, weights in zip(self.network.layers, self._weights):
             model = layer.weights
             owned += [
                 mine
                 for mine, theirs in ((weights.w, model.w), (weights.u, model.u), (weights.b, model.b))
                 if mine is not theirs
             ]
-            if united._w_t_dense is not None:
-                owned.append(united._w_t_dense)
         for cell in self.quantized_cells or ():
             for matrix in (*cell.w.values(), *cell.u.values()):
                 owned += [a for a in (matrix.data, matrix.scales) if a is not None]
@@ -690,7 +675,10 @@ class LSTMExecutor:
         are identical whether its sequence arrives as one contiguous run
         or as any partition into chunks under any batch composition —
         the bit-identity contract the streaming tests assert against the
-        frozen reference.
+        frozen reference. The cgen backend keeps the same invariance
+        against itself (every dot of its kernel sums in one fixed order,
+        whatever the tick and the chunk), equal to cgen :meth:`run_batch`
+        on the whole sequence, and is graded against the reference.
 
         Structural modes are excluded: INTER / COMBINED plan from the
         *full* sequence's relevance, which a chunked arrival never has.

@@ -22,18 +22,22 @@ shedding, tickets, tick timing, records and ``drain``):
   through the compiled :class:`~repro.core.program.ProgramCache` path, and
   scatters the updated states back.
 
-**Bit-identity contract.** At fp64, a session served in any chunking
-under any batch composition produces logits bit-identical to running its
-full sequence through the frozen
+**Bit-identity contract.** At fp64 on the numpy backend, a session
+served in any chunking under any batch composition produces logits
+bit-identical to running its full sequence through the frozen
 :class:`~repro.core.reference.ReferenceExecutor`. Three properties carry
 it: recurrent products are per-row GEMVs (batch-composition-invariant),
 input projections and per-timestep heads are per-row lifts
 (sequence-length/chunking-invariant; see
 :func:`repro.core.executor._row_proj`), and the pooled head reads a
 contiguous trailing window whose per-column mean reduction is
-shape-independent. Structural modes (INTER / COMBINED) plan from
-full-sequence relevance, which chunked arrivals never have, so the server
-rejects them at construction.
+shape-independent. On the cgen backend a session is exact against
+*itself* — the same bits in any chunking and any tick composition, and
+equal to cgen ``run_batch`` on the whole sequence, because the kernel
+sums every dot in one source-fixed order (:mod:`repro.core.cgen`) — and
+graded against the reference. Structural modes (INTER / COMBINED) plan
+from full-sequence relevance, which chunked arrivals never have, so the
+server rejects them at construction.
 
 Every tick records one ``repro.obs/run/v1`` run labelled ``stream-tick``
 (batch = sessions in the tick, seq_length = the tick's chunk length);

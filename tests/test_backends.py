@@ -21,7 +21,8 @@ What :mod:`repro.core.backends` promises:
   their bytes exactly.
 
 * **The kernel cache heals.** A cached object whose digest does not match
-  is rebuilt before it is loaded, never mapped.
+  is rebuilt before it is loaded, never mapped, and an object built for
+  another ISA or by another compiler version is never found.
 """
 
 from __future__ import annotations
@@ -162,8 +163,8 @@ class TestFusedNumerics:
         )
 
     def test_loading_the_kernel_keeps_ieee_subnormals(self):
-        """The fast-math build must not ship crtfastmath's FTZ/DAZ
-        constructor: loading the .so may never flip process FPU state."""
+        """The kernel must not ship crtfastmath's FTZ/DAZ constructor:
+        loading the .so may never flip process FPU state."""
         cgen.load_library()
         smallest_subnormal = np.float64(5e-324)
         assert smallest_subnormal * 1.0 != 0.0
@@ -181,14 +182,13 @@ class TestFusedNumerics:
     )
     def test_structural_modes_run_the_numpy_programs(self, mode):
         """A cgen-configured INTER or COMBINED executor is the numpy one:
-        logits, layer outputs and plans byte-identical, no dense ``W^T``
-        staged, and INTER bit-identical to the frozen reference."""
+        logits, layer outputs and plans byte-identical, no weight array of
+        its own, and INTER bit-identical to the frozen reference."""
         network, tokens = make_case()
         out_numpy = LSTMExecutor(network, mode_config(mode)).run_batch(tokens)
         fused = LSTMExecutor(network, mode_config(mode, backend="cgen"))
         out_fused = fused.run_batch(tokens)
         assert_meets_grade(out_fused, out_numpy, exact=True)
-        assert all(united._w_t_dense is None for united in fused._united)
         assert fused.owned_arrays() == []
         if mode is ExecutionMode.INTER:
             out_ref = ReferenceExecutor(network, mode_config(mode)).run_batch(tokens)
@@ -236,6 +236,27 @@ class TestFusedNumerics:
 
 @needs_compiler
 class TestKernelCache:
+    def test_the_cache_key_carries_the_host_isa_and_compiler_version(self, monkeypatch):
+        """A ``-march=native`` object loaded on a host of another ISA dies
+        with SIGILL, and an upgraded compiler keeps its path: both
+        identities key the build directory."""
+        compiler = cgen._compiler()
+
+        def build_dir(isa: str, version: str = "cc 12.2.0") -> Path:
+            monkeypatch.setattr(cgen, "_host_isa", lambda _compiler: isa)
+            monkeypatch.setattr(cgen, "_compiler_version", lambda _compiler: version)
+            return cgen._build_dir(cgen._kernel_tag(compiler))
+
+        avx2 = build_dir("fpu sse2 avx avx2 fma")
+        assert build_dir("fpu sse2 avx avx2 fma avx512f avx512vl") != avx2
+        assert build_dir("fpu sse2 avx avx2 fma") == avx2
+        assert build_dir("fpu sse2 avx avx2 fma", version="cc 13.1.0") != avx2
+
+    def test_this_host_has_an_isa_and_a_compiler_version(self):
+        compiler = cgen._compiler()
+        assert cgen._host_isa(compiler)
+        assert cgen._compiler_version(compiler)
+
     def test_truncated_cached_object_is_rebuilt(self, tmp_path):
         """A truncated ``.so`` used to be mapped as is and the interpreter
         died by SIGBUS, which nothing can catch: the load runs in a child."""

@@ -1,7 +1,7 @@
 """Fault case: non-finite inputs stay in the sequences that read them.
 
 One embedding row is NaN and another is +inf. In every mode on numpy, and
-in BASELINE and INTRA on cgen (whose kernels build with ``-ffast-math``),
+in BASELINE and INTRA on cgen (its generated-C kernel),
 exactly the sequences that read a poisoned row get non-finite layer-0
 outputs and — the row read at the last step, which the head pools, so no
 breakpoint can cut it off — non-finite logits, and every other sequence

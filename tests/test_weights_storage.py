@@ -3,9 +3,9 @@
 :class:`~repro.nn.lstm_cell.LSTMCellWeights` owns three united blocks;
 everything else — per-gate names, executors, compiled programs of both
 backends, the fleet's executor that its forked workers inherit — computes
-on views of them. The one staged copy is the cgen backend's dense ``W^T``, made once
-per layer. These tests pin that with ``np.shares_memory`` and
-``tracemalloc`` (numpy reports its array data to ``tracemalloc``).
+on views of them, and nothing stages a copy. These tests pin that with
+``np.shares_memory`` and ``tracemalloc`` (numpy reports its array data to
+``tracemalloc``).
 """
 
 from __future__ import annotations
@@ -152,15 +152,14 @@ class TestProgramsAreWeightFree:
         # the stale bytes of a freed copy made while the network was built).
         stepwise = make_stepwise_program(backend, united, link, 3, 4, drs_alpha=0.3)
         combined = make_combined_program(united, link, 3, 4, 3, alpha_intra=0.3)
-        dense_w_t = united.dense_w_t() if backend == "cgen" else None
         for program in (stepwise, combined):
             held = arrays_of(program)
             shared = [a for a in held if any(np.shares_memory(a, b) for b in blocks)]
-            # u and b for both kinds, w for the numpy stepwise program (it
-            # projects gate by gate; cgen's GEMM reads the dense W^T).
-            assert len(shared) >= (3 if program is stepwise and backend == "numpy" else 2)
+            # u and b for both kinds, w for the stepwise programs (numpy
+            # projects gate by gate, cgen inside its native call).
+            assert len(shared) >= (3 if program is stepwise else 2)
             for array in held:
-                if any(array is a for a in shared) or array is dense_w_t:
+                if any(array is a for a in shared):
                     continue
                 # Whatever else it holds is workspace: nothing weight-sized
                 # with weight contents.
@@ -169,17 +168,24 @@ class TestProgramsAreWeightFree:
                 )
 
     @needs_cc
-    def test_cgen_stages_one_dense_w_t_per_layer(self):
+    def test_cgen_programs_stage_no_weight_copy(self):
+        """Every operand a cgen program holds, at every shape, is memory of
+        the network's blocks, and an fp64 cgen executor owns no array."""
         network = make_network()
-        united = _UnitedWeights.from_weights(network.layers[0].weights)
+        weights = network.layers[0].weights
+        blocks = (weights.w, weights.u, weights.b)
+        united = _UnitedWeights.from_weights(weights)
         link = PredictedLink.zeros(16)
-        programs = [
-            make_stepwise_program("cgen", united, link, batch, steps)
-            for batch, steps in ((1, 1), (2, 4), (4, 2))
-        ]
-        assert all(p._w_t_dense is programs[0]._w_t_dense for p in programs)
-        assert programs[0]._w_t_dense.flags.c_contiguous
-        np.testing.assert_array_equal(programs[0]._w_t_dense, united.w.T)
+        for batch, steps in ((1, 1), (2, 4), (4, 2)):
+            program = make_stepwise_program("cgen", united, link, batch, steps, drs_alpha=0.3)
+            operands = arrays_of(program)
+            assert len(operands) == 3
+            assert all(any(np.shares_memory(a, b) for b in blocks) for a in operands)
+        for mode in (ExecutionMode.BASELINE, ExecutionMode.INTRA):
+            config = ExecutionConfig(mode=mode, alpha_intra=0.2, backend="cgen")
+            executor = LSTMExecutor(network, config)
+            executor.run_batch(np.zeros((2, 8), dtype=np.int64))
+            assert executor.owned_arrays() == []
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_executor_construction_copies_no_weights(self, backend):
@@ -190,10 +196,7 @@ class TestProgramsAreWeightFree:
         )
         config = ExecutionConfig(mode=ExecutionMode.INTRA, alpha_intra=0.2, backend=backend)
         executor, held, _ = traced(lambda: LSTMExecutor(network, config))
-        # cgen's per-layer dense W^T is staged at construction: the one copy.
-        staged = sum(u._w_t_dense.nbytes for u in executor._united if u._w_t_dense is not None)
-        assert staged == (0 if backend == "numpy" else weight_bytes // 2)
-        assert held - staged < 64 * 1024, f"executor holds {held} bytes of {weight_bytes}"
+        assert held < 64 * 1024, f"executor holds {held} bytes of {weight_bytes}"
         for layer, united in zip(network.layers, executor._united):
             weights = layer.weights
             assert united.w is weights.w and united.u is weights.u and united.b is weights.b
@@ -226,9 +229,10 @@ class TestProgramsAreWeightFree:
         network = make_network(hidden=hidden, layers=1)
         united = _UnitedWeights.from_weights(network.layers[0].weights)
         link = PredictedLink.zeros(hidden)
-        make_stepwise_program("cgen", united, link, 1, 1)  # library + dense W^T
+        make_stepwise_program("cgen", united, link, 1, 1)  # loads the library
         bh, bth = batch * hidden, batch * steps * hidden
-        workspace = 8 * (4 * bth + 2 * bh + 3 * hidden) + bth
+        # x, proj; h, c, pre; the step masks.
+        workspace = 8 * (5 * bth + 6 * bh) + bth
         _, held, peak = traced(
             lambda: make_stepwise_program("cgen", united, link, batch, steps, drs_alpha=0.3)
         )
