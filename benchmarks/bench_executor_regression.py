@@ -61,10 +61,15 @@ threshold, adding 10-20 ms of bimodal noise that swamps a 1.0x gate.
 Run directly (CI does) or under pytest-benchmark via ``benchmarks/``::
 
     PYTHONPATH=src python benchmarks/bench_executor_regression.py
+
+``--only ROW`` runs one row and its gates and writes no JSON — e.g.
+``--only combined_vs_baseline`` reads the headline gate in seconds.
 """
 
 from __future__ import annotations
 
+import argparse
+import functools
 import json
 import pathlib
 import sys
@@ -703,100 +708,93 @@ def recorder_overhead(
     }
 
 
-def run() -> tuple[dict, GateSet]:
-    network, tokens = build_case()
-    results: dict[str, dict] = {}
-    gates = GateSet("executor")
-    for mode in (
-        ExecutionMode.BASELINE,
-        ExecutionMode.INTER,
-        ExecutionMode.INTRA,
-        ExecutionMode.COMBINED,
-    ):
-        config = mode_config(mode)
-        times: list[float] | None = None
-        compile_wall_cold = 0.0
-        identical = True
-        for attempt in range(CONSTRUCTIONS):
-            compiled = LSTMExecutor(network, config, plan_cache=PlanCache())
-            reference = ReferenceExecutor(network, config)
+def mode_row(
+    mode: ExecutionMode, network: LSTMNetwork, tokens: np.ndarray, gates: GateSet
+) -> dict:
+    """One mode on the replayed 64-sequence batch against the reference:
+    speedup, oracle grade, steady recompiles and int8 weight traffic."""
+    config = mode_config(mode)
+    times: list[float] | None = None
+    compile_wall_cold = 0.0
+    identical = True
+    for attempt in range(CONSTRUCTIONS):
+        compiled = LSTMExecutor(network, config, plan_cache=PlanCache())
+        reference = ReferenceExecutor(network, config)
 
-            out_c = compiled.run_batch(tokens)
-            if attempt == 0:
-                compile_wall_cold = out_c.timings["compile_wall_s"]
-                out_r = reference.run_batch(tokens)
-                grade, identical = grade_check(out_c, out_r, compiled.exact)
-                gates.require_true(
-                    f"{mode.value}/{grade}",
-                    identical,
-                    "compiled output differs from reference beyond its oracle grade",
-                )
-
-            sample = time_group([compiled, reference], tokens)
-            times = (
-                sample
-                if times is None
-                else [min(a, b) for a, b in zip(times, sample)]
+        out_c = compiled.run_batch(tokens)
+        if attempt == 0:
+            compile_wall_cold = out_c.timings["compile_wall_s"]
+            out_r = reference.run_batch(tokens)
+            grade, identical = grade_check(out_c, out_r, compiled.exact)
+            gates.require_true(
+                f"{mode.value}/{grade}",
+                identical,
+                "compiled output differs from reference beyond its oracle grade",
             )
-            # Compile time must never contaminate the gates: every program
-            # was built during warm-up, so a steady-state run recompiles
-            # nothing.
-            compile_wall_steady = compiled.run_batch(tokens).timings[
-                "compile_wall_s"
-            ]
-            gates.require_at_most(
-                f"{mode.value}/steady-recompile-s",
-                compile_wall_steady,
-                0.0,
-                "a timed steady-state run recompiled a program",
-            )
-        t_compiled, t_reference = times
 
-        speedup = t_reference / t_compiled
-        gate = MIN_SPEEDUP[mode.value]
+        sample = time_group([compiled, reference], tokens)
+        times = (
+            sample
+            if times is None
+            else [min(a, b) for a, b in zip(times, sample)]
+        )
+        # Compile time must never contaminate the gates: every program
+        # was built during warm-up, so a steady-state run recompiles
+        # nothing.
+        compile_wall_steady = compiled.run_batch(tokens).timings[
+            "compile_wall_s"
+        ]
+        gates.require_at_most(
+            f"{mode.value}/steady-recompile-s",
+            compile_wall_steady,
+            0.0,
+            "a timed steady-state run recompiled a program",
+        )
+    t_compiled, t_reference = times
+
+    speedup = t_reference / t_compiled
+    gate = MIN_SPEEDUP[mode.value]
+    gates.require_at_least(
+        f"{mode.value}/speedup", speedup, gate, "compiled vs reference"
+    )
+    traffic = weight_traffic(network, tokens, config)
+    traffic_gate = (
+        MIN_INT8_COMBINED_TRAFFIC_REDUCTION
+        if mode is ExecutionMode.COMBINED
+        else None
+    )
+    traffic["min_traffic_reduction"] = traffic_gate
+    if traffic_gate is not None:
         gates.require_at_least(
-            f"{mode.value}/speedup", speedup, gate, "compiled vs reference"
+            f"{mode.value}/int8-traffic-reduction",
+            traffic["traffic_reduction"],
+            traffic_gate,
         )
-        traffic = weight_traffic(network, tokens, config)
-        traffic_gate = (
-            MIN_INT8_COMBINED_TRAFFIC_REDUCTION
-            if mode is ExecutionMode.COMBINED
-            else None
-        )
-        traffic["min_traffic_reduction"] = traffic_gate
-        if traffic_gate is not None:
-            gates.require_at_least(
-                f"{mode.value}/int8-traffic-reduction",
-                traffic["traffic_reduction"],
-                traffic_gate,
-            )
-        results[mode.value] = {
-            "batched_s": t_compiled,
-            "reference_s": t_reference,
-            "speedup": speedup,
-            "min_speedup": gate,
-            "compile_wall_cold_s": compile_wall_cold,
-            "compile_wall_steady_s": compile_wall_steady,
-            "compile_excluded_from_gates": True,
-            "oracle_grade": grade,
-            "meets_grade": identical,
-            "weight_traffic": traffic,
-        }
-        print(
-            f"{mode.value:10s} compiled {t_compiled * 1e3:8.2f} ms   "
-            f"reference {t_reference * 1e3:8.2f} ms   "
-            f"{speedup:5.2f}x (gate {gate:.1f}x)   "
-            f"compile {compile_wall_cold * 1e3:6.2f} ms cold   "
-            f"int8 traffic {traffic['traffic_reduction']:4.2f}x less   "
-            f"{grade}={identical}"
-        )
+    row = {
+        "batched_s": t_compiled,
+        "reference_s": t_reference,
+        "speedup": speedup,
+        "min_speedup": gate,
+        "compile_wall_cold_s": compile_wall_cold,
+        "compile_wall_steady_s": compile_wall_steady,
+        "compile_excluded_from_gates": True,
+        "oracle_grade": grade,
+        "meets_grade": identical,
+        "weight_traffic": traffic,
+    }
+    print(
+        f"{mode.value:10s} compiled {t_compiled * 1e3:8.2f} ms   "
+        f"reference {t_reference * 1e3:8.2f} ms   "
+        f"{speedup:5.2f}x (gate {gate:.1f}x)   "
+        f"compile {compile_wall_cold * 1e3:6.2f} ms cold   "
+        f"int8 traffic {traffic['traffic_reduction']:4.2f}x less   "
+        f"{grade}={identical}"
+    )
+    return row
 
-    results["combined_fresh"] = combined_fresh(gates)
-    results["combined_vs_baseline"] = combined_vs_baseline(gates)
-    results["exact_slabs"] = exact_slabs(gates)
-    results["resident_bytes"] = resident_bytes(gates)
-    results["sweep_overhead"] = sweep_overhead(gates)
 
+def recorder_row(network: LSTMNetwork, tokens: np.ndarray, gates: GateSet) -> dict:
+    """The recorder gates on the replayed 64-sequence batch."""
     recorder = recorder_overhead(network, tokens)
     gates.require_true(
         "recorder/bit-identical",
@@ -815,7 +813,40 @@ def run() -> tuple[dict, GateSet]:
         f"{recorder['overhead_ratio']:5.3f}x (gate {recorder['max_overhead_ratio']:.2f}x)   "
         f"bit-identical={recorder['bit_identical']}"
     )
+    return recorder
 
+
+#: The modes timed against the reference on the replayed batch.
+MODES = (ExecutionMode.BASELINE, ExecutionMode.INTER, ExecutionMode.INTRA, ExecutionMode.COMBINED)
+
+#: Every row's name, in report order: the mode rows, the standalone rows,
+#: then the recorder.
+ROW_NAMES = (
+    *(mode.value for mode in MODES),
+    "combined_fresh",
+    "combined_vs_baseline",
+    "exact_slabs",
+    "resident_bytes",
+    "sweep_overhead",
+    "recorder",
+)
+
+
+def run(only: str | None = None) -> tuple[dict, GateSet]:
+    """Run every row (or just ``only``) and check its gates."""
+    network, tokens = build_case()
+    gates = GateSet("executor")
+    rows = {mode.value: functools.partial(mode_row, mode, network, tokens) for mode in MODES}
+    rows.update(
+        combined_fresh=combined_fresh,
+        combined_vs_baseline=combined_vs_baseline,
+        exact_slabs=exact_slabs,
+        resident_bytes=resident_bytes,
+        sweep_overhead=sweep_overhead,
+        recorder=functools.partial(recorder_row, network, tokens),
+    )
+    results = {name: rows[name](gates) for name in ROW_NAMES if only in (None, name)}
+    recorder = results.pop("recorder", None)
     return {
         "workload": {
             "num_sequences": NUM_SEQUENCES,
@@ -840,11 +871,20 @@ def run() -> tuple[dict, GateSet]:
     }, gates
 
 
-def main() -> int:
-    report, gates = run()
-    out_path = pathlib.Path(__file__).parent.parent / "BENCH_executor.json"
-    out_path.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {out_path}")
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--only",
+        metavar="ROW",
+        choices=ROW_NAMES,
+        help="run just this row and its gates and write no JSON (rows: %(choices)s)",
+    )
+    args = parser.parse_args(argv)
+    report, gates = run(args.only)
+    if args.only is None:
+        out_path = pathlib.Path(__file__).parent.parent / "BENCH_executor.json"
+        out_path.write_text(json.dumps(report, indent=2) + "\n")
+        print(f"wrote {out_path}")
     return gates.exit_code()
 
 

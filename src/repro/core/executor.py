@@ -56,8 +56,9 @@ projects each *distinct* id once and gathers the ``(B, T)`` block from
 those rows, and the shared :class:`~repro.core.plan.TokenRowMemo` (one
 call deep, owned by the plan cache) lets the next call — another mode of a
 sweep over the same tokens, the next request over a small vocabulary —
-skip the ids it has already seen. A copy moves no bit, and the memo only
-ever holds exact rows.
+skip the ids it has already seen. INTER and COMBINED score each distinct
+id's relevance once as well. A copy moves no bit, and the memo only ever
+holds exact rows and their scores.
 
 Two oracle grades (:func:`repro.core.backends.is_exact`, exposed as
 :attr:`LSTMExecutor.exact`). The four stepwise modes on the numpy programs
@@ -84,10 +85,10 @@ shape only (backend, weights and link fingerprints, ``(B, T)``, thresholds)
 workload at a steady shape compiles one program per layer and replays it
 for every request, however its sequences plan.
 
-Structural planning (relevance -> breakpoints -> aligned tissues) can be
-memoized across runs through an optional :class:`~repro.core.plan.
-PlanCache` — the benchmark harness shares one per session so threshold
-sweeps recompute no relevance array twice.
+Layer 0's structural planning (relevance -> breakpoints -> aligned
+tissues) can be memoized across runs through an optional :class:`~repro.
+core.plan.PlanCache` — the benchmark harness shares one per session so
+threshold sweeps recompute no layer-0 relevance array twice.
 """
 
 from __future__ import annotations
@@ -358,8 +359,8 @@ class LSTMExecutor:
         config: The execution scheme and its thresholds.
         predicted_links: Per-layer Eq. 6 context links (zeros by default).
         plan_cache: Optional shared :class:`~repro.core.plan.PlanCache`;
-            when given, per-sequence relevance arrays, structural plans
-            and layer 0's projected token rows are reused across executor
+            when given, layer 0's relevance arrays, structural plans and
+            projected (and scored) token rows are reused across executor
             instances and runs (without one the executor keeps a private
             token memo).
         recorder: Optional :class:`~repro.obs.recorder.Recorder`; when
@@ -731,7 +732,7 @@ class LSTMExecutor:
                 if staged is None:
                     program.project(cur)
                 else:
-                    program.gather(*staged)
+                    program.gather(*staged[:2])
                     staged = None  # layer 0 only
                 hs = np.empty((shard_batch, chunk, hidden))
                 h_view = h_states[layer_index, rows]
@@ -807,12 +808,12 @@ class LSTMExecutor:
         weights: LSTMCellWeights,
         xs: np.ndarray,
         collect_states: bool,
-        staged: tuple[np.ndarray, np.ndarray] | None = None,
+        staged: tuple | None = None,
         tokens: np.ndarray | None = None,
     ) -> tuple[np.ndarray, list[LayerPlanRecord], np.ndarray | None]:
         """One layer: ``(hs, per-sequence records, cs)`` — ``cs`` is the
         cell-state sequence when collected (stepwise modes only).
-        ``staged`` is layer 0's ``(token rows, index)`` when its
+        ``staged`` is layer 0's ``(token rows, index, relevance)`` when its
         projections come from the token memo (:meth:`_token_rows`);
         ``tokens`` is layer 0's ``(B, T)`` ids, ``None`` above it."""
         united = self._united[layer_index]
@@ -825,7 +826,7 @@ class LSTMExecutor:
             proj_u = np.empty(xs.shape[:2] + united.b.shape)
             proj = {g: proj_u[..., sl] for g, sl in united.slices.items()}
             if staged is not None:
-                gather_rows(*staged, proj.values())
+                gather_rows(*staged[:2], proj.values())
             elif layer_index == 0:
                 project_rows(xs, united.gate_w_ops(), proj.values())
             else:
@@ -834,23 +835,26 @@ class LSTMExecutor:
                     united.w.T,
                     out=proj_u.reshape(-1, proj_u.shape[-1]),
                 )
-            plans = self._plan_inter(layer_index, weights, proj, xs, tokens)
+            plans = self._plan_inter(layer_index, weights, proj, staged, tokens)
             hs, records = self._run_layer_combined(layer_index, weights, united, proj_u, plans)
             return hs, records, None  # combined mode does not collect states
         return self._run_layer_stepwise(
             layer_index, weights, united, xs, collect_states, staged, tokens
         )
 
-    def _token_rows(self, tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """Layer 0's projections of a call's *distinct* tokens.
+    def _token_rows(self, tokens: np.ndarray) -> tuple | None:
+        """Layer 0's projections — and, when the layer is divided, its
+        relevance — of a call's *distinct* tokens.
 
         The per-row lift makes a token's projected row a function of the
         token and ``W`` only, so each distinct id is projected once — and
         not at all if the previous call through the shared
         :class:`~repro.core.plan.TokenRowMemo` left it behind (every mode
-        after the first of a sweep). Runs once per call on the caller's
-        thread; the shards gather from the result (:meth:`_staged`).
-        Returns ``(rows, index)`` — ``(4, n, H)`` and ``(B, T)`` — or
+        after the first of a sweep); INTER and COMBINED score each distinct
+        id's relevance once too (Algorithm 2 reads the row, ``U`` and ``b``
+        only). Runs once per call on the caller's thread; the shards gather
+        from the result (:meth:`_staged`). Returns ``(rows, index,
+        relevance)`` — ``(4, n, H)``, ``(B, T)``, ``(n,)`` or ``None`` — or
         ``None`` where layer 0 projects through its program: the cgen
         programs (BASELINE / INTRA / ZERO_PRUNE only; INTER and COMBINED
         run numpy programs and take the memo on every backend), and a
@@ -866,17 +870,22 @@ class LSTMExecutor:
         def project(ids: np.ndarray, out: np.ndarray) -> None:
             project_rows(self.network.embedding[ids][None], united.gate_w_ops(), out)
 
+        def score(rows: np.ndarray) -> np.ndarray:
+            return self._relevance(0, self._weights[0], dict(zip(GATE_ORDER, rows)))
+
+        score_key = (fingerprint_weights(self._weights[0]), self.config.use_exact_relevance)
         return self._token_memo.lookup(
             (fingerprint_embedding(self.network), self._w0_fp),
             tokens,
             united.u.shape[1],
             project,
+            (score_key, score) if self.config.inter_active else None,
         )
 
     @staticmethod
     def _staged(token_rows, rows: slice):
         """One shard's view of :meth:`_token_rows`."""
-        return None if token_rows is None else (token_rows[0], token_rows[1][rows])
+        return None if token_rows is None else (token_rows[0], token_rows[1][rows], token_rows[2])
 
     def _relevance(self, layer_index: int, weights, proj_b: dict[str, np.ndarray]):
         fn = exact_relevance_values if self.config.use_exact_relevance else relevance_values
@@ -898,40 +907,38 @@ class LSTMExecutor:
         layer_index: int,
         weights: LSTMCellWeights,
         proj: dict[str, np.ndarray],
-        xs: np.ndarray,
+        staged: tuple | None = None,
         tokens: np.ndarray | None = None,
     ) -> list[CachedLayerPlan]:
-        """Per-sequence structural plans, served from the cache when wired.
-        Layer 0's input is ``embedding[tokens]``, so it is keyed on the ids
-        and the embedding's fingerprint, as the token memo is."""
+        """Per-sequence structural plans. Layer 0 gathers its relevance from
+        the token memo's per-id scores (:meth:`_token_rows`) and caches its
+        plans keyed on the ids and the embedding's fingerprint; layers >= 1
+        plan uncached (a digest of their input would cost what it saves)."""
         cfg = self.config
         plan_start = time.perf_counter()
-        batch, seq_len, _ = xs.shape
-        cache = self.plan_cache
-        weights_fp = fingerprint_weights(weights) if cache is not None else None
-        if cache is not None and tokens is not None:
+        batch, seq_len = proj["f"].shape[:2]
+        cache = self.plan_cache if tokens is not None else None
+        if cache is not None:
+            weights_fp = fingerprint_weights(weights)
             embedding_fp = fingerprint_embedding(self.network)
             ids = tokens.astype(np.int64, copy=False)  # equal ids, equal bytes
-        # COMBINED's layers >= 1 plan from GEMM-projected rows: their
-        # relevance must never serve an exact mode with the same layer input.
-        graded = ("gemm",) if cfg.mode is ExecutionMode.COMBINED and layer_index > 0 else ()
         plans = []
         for b in range(batch):
             def compute_relevance(b=b):
-                proj_b = {g: proj[g][b] for g in GATE_ORDER}
-                return self._relevance(layer_index, weights, proj_b)
+                if staged is not None:  # layer 0's per-id relevance, gathered
+                    return staged[2][staged[1][b]]
+                return self._relevance(layer_index, weights, {g: proj[g][b] for g in GATE_ORDER})
 
             if cache is None:
                 plans.append(
                     self._build_plan(layer_index, weights, compute_relevance(), seq_len)
                 )
                 continue
-            row = fingerprint_array(xs[b]) if tokens is None else (embedding_fp, ids[b].tobytes())
-            relevance_key = ("rel", weights_fp, row, cfg.use_exact_relevance) + graded
-            plan_key = relevance_key + (cfg.alpha_inter, cfg.mts, cfg.spec.name)
+            row = (embedding_fp, ids[b].tobytes())
+            relevance_key = ("rel", weights_fp, row, cfg.use_exact_relevance)
             plans.append(
                 cache.layer_plan(
-                    plan_key,
+                    relevance_key + (cfg.alpha_inter, cfg.mts),
                     relevance_key,
                     compute_relevance,
                     lambda s: self._build_plan(layer_index, weights, s, seq_len),
@@ -947,7 +954,7 @@ class LSTMExecutor:
         united: _UnitedWeights,
         xs: np.ndarray,
         collect_states: bool,
-        staged: tuple[np.ndarray, np.ndarray] | None = None,
+        staged: tuple | None = None,
         tokens: np.ndarray | None = None,
     ) -> tuple[np.ndarray, list[LayerPlanRecord], np.ndarray | None]:
         """Timestep loop of every mode except COMBINED: one cached program
@@ -971,12 +978,12 @@ class LSTMExecutor:
         if staged is None:
             proj = program.project(xs)
         else:
-            proj = program.gather(*staged)  # numpy programs only, see _memo_layer0
+            proj = program.gather(*staged[:2])  # numpy programs only, see _memo_layer0
         hs = np.empty((batch, seq_len, hidden))
         cs = np.empty((batch, seq_len, hidden)) if collect_states else None
 
         if cfg.inter_active:
-            plans = self._plan_inter(layer_index, weights, proj, xs, tokens)
+            plans = self._plan_inter(layer_index, weights, proj, staged, tokens)
             break_mask = np.zeros((batch, seq_len), dtype=bool)
             for b, plan in enumerate(plans):
                 for start in plan.breakpoints:

@@ -9,8 +9,8 @@ This mirrors the paper's own methodology (Fig. 13): PyTorch produces the
 breakpoints and trivial-row counts, DeepBench replays them on the board.
 
 Two cache layers sit on top of these records: the :class:`PlanCache` here
-memoizes the *structural* pipeline (relevance arrays and layer plans,
-content-addressed by weights + inputs), and the :class:`~repro.core.
+memoizes layer 0's *structural* pipeline (relevance arrays and layer plans,
+content-addressed by weights + token ids), and the :class:`~repro.core.
 program.ProgramCache` memoizes the *executable* lowering of a layer at one
 shape. Plans are run-time inputs to those programs: a
 :class:`CachedLayerPlan` carries its tissue schedule as index vectors, so
@@ -476,7 +476,9 @@ class TokenRowMemo:
     shares ``W``, hits; a quantized ``W``, another network or a weight
     update replaces the entry. A call whose ids are all present leaves the
     entry alone; otherwise the call's own rows (carried over or freshly
-    projected) replace it, so the bound never grows past one call.
+    projected) replace it, so the bound never grows past one call. Per-row
+    scores (layer 0's relevance) ride with their rows, one array per score
+    key, so no id is scored twice under a key.
 
     Entries are immutable once stored, so concurrent callers only race
     for which entry survives, never for its contents.
@@ -484,7 +486,7 @@ class TokenRowMemo:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._entry: tuple[Hashable, np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._entry: tuple | None = None  # key, ids, slots, rows, {score key: (values, known)}
         #: Token rows projected so far (each is four gate GEMVs).
         self.projected = 0
 
@@ -495,11 +497,12 @@ class TokenRowMemo:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the entry: one call's distinct ids, their slots and
-        their ``(4, distinct, H)`` projected rows."""
+        """Bytes of the entry: one call's distinct ids, their slots, their
+        ``(4, distinct, H)`` projected rows and their scores."""
         with self._lock:
             entry = self._entry
-        return 0 if entry is None else sum(array.nbytes for array in entry[1:])
+        arrays = [] if entry is None else [*entry[1:4], *sum(entry[4].values(), ())]
+        return sum(array.nbytes for array in arrays)
 
     def lookup(
         self,
@@ -507,76 +510,100 @@ class TokenRowMemo:
         tokens: np.ndarray,
         hidden: int,
         project: Callable[[np.ndarray, np.ndarray], None],
-    ) -> tuple[np.ndarray, np.ndarray]:
+        score: tuple[Hashable, Callable[[np.ndarray], np.ndarray]] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Projected rows for a ``(B, T)`` token batch.
 
-        Returns ``(rows, index)``: ``rows`` is ``(4, n, H)`` in gate order
-        and ``rows[g][index]`` is gate ``g``'s ``(B, T, H)`` projection.
+        Returns ``(rows, index, values)``: ``rows`` is ``(4, n, H)`` in gate
+        order and ``rows[g][index]`` is gate ``g``'s ``(B, T, H)`` projection.
         ``project(ids, out)`` fills ``out`` — ``(4, 1, m, H)`` — with the
-        projections of the ``m`` ids the previous call did not leave
-        behind.
+        projections of the ``m`` ids the previous call did not leave behind.
+        With ``score = (score_key, fn)``, ``values[index]`` holds the scores
+        (else ``None``); ``fn`` maps ``(4, m, H)`` rows to ``(m,)``, row by row.
         """
         ids, inverse = np.unique(tokens, return_inverse=True)
         inverse = inverse.reshape(tokens.shape)
         if ids.size == 0:  # an empty batch projects nothing and displaces nothing
-            return np.empty((4, 0, hidden)), inverse
+            return np.empty((4, 0, hidden)), inverse, None
         with self._lock:
             entry = self._entry
         hit = np.zeros(ids.size, dtype=bool)
         if entry is not None and entry[0] == key:
-            _, old_ids, old_slots, old_rows = entry
-            pos = np.minimum(np.searchsorted(old_ids, ids), old_ids.size - 1)
-            hit = old_ids[pos] == ids
-            if hit.all():
-                return old_rows, old_slots[pos][inverse]
-        # This call's rows: the ids carried over first, then the new ones,
-        # which project straight into their (contiguous) slab.
-        carried = int(np.count_nonzero(hit))
-        slots = np.empty(ids.size, dtype=np.intp)
-        slots[hit] = np.arange(carried)
-        slots[~hit] = np.arange(carried, ids.size)
-        rows = np.empty((4, ids.size, hidden))
-        if carried:
-            source = old_slots[pos[hit]]
-            for old_gate, gate in zip(old_rows, rows):
-                np.take(old_gate, source, axis=0, out=gate[:carried], mode="clip")
-        project(ids[~hit], rows[:, None, carried:])
-        with self._lock:
-            self.projected += ids.size - carried
-            self._entry = (key, ids, slots, rows)
-        return rows, slots[inverse]
+            pos = np.minimum(np.searchsorted(entry[1], ids), entry[1].size - 1)
+            hit = entry[1][pos] == ids
+        if hit.all():
+            index = entry[2][pos][inverse]
+        else:
+            # This call's rows: the ids carried over first, then the new
+            # ones, which project straight into their (contiguous) slab.
+            carried = int(np.count_nonzero(hit))
+            slots = np.empty(ids.size, dtype=np.intp)
+            slots[hit] = np.arange(carried)
+            slots[~hit] = np.arange(carried, ids.size)
+            rows = np.empty((4, ids.size, hidden))
+            scores = {}
+            if carried:
+                source = entry[2][pos[hit]]
+                for old_gate, gate in zip(entry[3], rows):
+                    np.take(old_gate, source, axis=0, out=gate[:carried], mode="clip")
+                for score_key, (values, known) in entry[4].items():
+                    scores[score_key] = tuple(
+                        np.pad(old[source], (0, ids.size - carried)) for old in (values, known)
+                    )
+            project(ids[~hit], rows[:, None, carried:])
+            entry, index = (key, ids, slots, rows, scores), slots[inverse]
+            with self._lock:
+                self.projected += ids.size - carried
+                self._entry = entry
+        if score is None:
+            return entry[3], index, None
+        score_key, fn = score
+        unscored = np.zeros(entry[1].size)
+        values, known = entry[4].get(score_key, (unscored, unscored.astype(bool)))
+        if not known.all():
+            # From the first unscored row (rescoring is byte-equal), 64 cache-resident rows a pass.
+            values = values.copy()
+            for lo in range(int(np.argmin(known)), known.size, 64):
+                values[lo : lo + 64] = fn(entry[3][:, lo : lo + 64])
+            entry = entry[:4] + ({**entry[4], score_key: (values, np.ones_like(known))},)
+            with self._lock:
+                self._entry = entry
+        return entry[3], index, values
 
 
-#: A conservative weight of one planned (sequence, layer) while cached at
-#: serving geometry (BABI, ``T = 86``; ~5 KB measured): 2.4 KB of arrays —
-#: the relevance array and the plan's three index vectors, what
+#: A conservative weight of one sequence's cached layer-0 plan at serving
+#: geometry (BABI, ``T = 86``; ~5 KB measured): 2.4 KB of arrays — the
+#: relevance array and the plan's three index vectors, what
 #: :attr:`PlanCache.nbytes` counts — plus the two keys and the containers
 #: around them.
 _PLAN_ENTRY_BYTES = 6 * 1024
 
 #: Default bound of each :class:`PlanCache` store: what 24 MiB hold. A
-#: fresh-token request adds entries that never hit again, so the bound is
-#: what a long-lived server's cache weighs; a threshold sweep's reuse
-#: distance (every sequence and layer of an application, times its eleven
-#: threshold sets) stays well inside it.
+#: fresh-token request adds ``B`` entries (layer 0's; deeper layers are
+#: not cached) that never hit again, so the bound is what a long-lived
+#: server's cache weighs; a threshold sweep's reuse distance (every
+#: sequence of an application, times its eleven threshold sets) stays well
+#: inside it.
 _DEFAULT_MAX_ENTRIES = (24 << 20) // _PLAN_ENTRY_BYTES
 
 
 class PlanCache:
-    """Memoizes per-sequence structural planning across executions.
+    """Memoizes layer 0's per-sequence structural planning across executions.
 
     Planning a sequence costs a relevance pass (Algorithm 2) plus a
     breakpoint search and an LPT tissue alignment — and the benchmark
     harness re-executes the *same* token batches under dozens of
-    (mode, threshold) configurations, recomputing all of it each time.
-    The cache splits the work at its natural reuse boundaries:
+    (mode, threshold) configurations. Only layer 0, whose input is a
+    function of the token ids, is cached: a deeper layer's key would be a
+    digest of its input, costing about the pass it saves in traffic that
+    never repeats. The cache splits the work at its reuse boundaries:
 
-    * **relevance** is keyed on ``(weights fingerprint, layer-input
-      fingerprint, exact-variant flag)`` — it does not depend on any
-      threshold, so one entry serves every threshold set of a sweep;
+    * **relevance** is keyed on ``(weights fingerprint, (embedding
+      fingerprint, token ids), exact-variant flag)`` — it does not depend
+      on any threshold, so one entry serves every threshold set of a sweep;
     * **plans** (breakpoints + sub-layers + aligned tissues) are keyed on
-      the relevance key extended with ``(alpha_inter, MTS, GPU spec)`` —
-      the full configuration that determines the structural schedule.
+      the relevance key extended with ``(alpha_inter, MTS)`` — the full
+      configuration that determines the structural schedule.
 
     Both stores are LRU maps bounded at ``max_entries`` each; hit/miss
     counters are kept in :attr:`stats` and rendered by

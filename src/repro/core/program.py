@@ -822,6 +822,7 @@ class CombinedGroupProgram(LeasedProgram):
     def _bind(self) -> SimpleNamespace:
         ws = super()._bind()
         ws.scratch = tuple(getattr(ws, name) for name in self._wave_names)
+        ws.h_flat, ws.c_flat = ws.state  # bound once: a warm walk makes no state views
         #: Views of the scratch per wave height (:meth:`_rows`), built on
         #: first use so a warm walk creates no array objects for heights
         #: it has seen.
@@ -870,7 +871,7 @@ class CombinedGroupProgram(LeasedProgram):
         proj_flat = proj_u.reshape(-1, 4 * self.hidden)
         hs_flat = hs.reshape(-1, self.hidden)
         waves, rank, chains, num_chains = wave_schedule(plans, self.seq_len)
-        h_flat, c_flat = ws.state
+        h_flat, c_flat = ws.h_flat, ws.c_flat
         # Every sub-layer starts from the predicted link, except each
         # sequence's first, which starts from zeros.
         h_flat[:num_chains] = self._link.h_bar
@@ -902,10 +903,15 @@ class CombinedGroupProgram(LeasedProgram):
             np.add(c_new, t1, out=c_new)
             if drs:
                 # A tissue's shared mask is the intersection of its cells'
-                # trivial rows, and every one of its cells drops those rows.
-                np.less(o, alpha, out=masks)
-                np.logical_and.reduceat(masks, starts, axis=0, out=ws.shared_walk[tissues])
-                ws.shared_walk.take(tissue_of_row, axis=0, out=mask_rows, mode="clip")
+                # trivial rows, and every one of its cells drops those rows
+                # (a wave of single cells: its own masks, stored as they are).
+                if starts.size == out_rows.size:
+                    np.less(o, alpha, out=mask_rows)
+                    ws.shared_walk[tissues] = mask_rows
+                else:
+                    np.less(o, alpha, out=masks)
+                    np.logical_and.reduceat(masks, starts, axis=0, out=ws.shared_walk[tissues])
+                    ws.shared_walk.take(tissue_of_row, axis=0, out=mask_rows, mode="clip")
                 np.putmask(c_new, mask_rows, 0.0)
             np.tanh(c_new, out=t1)
             np.multiply(o, t1, out=h_new)

@@ -120,10 +120,10 @@ class TestBatchedMatchesReference:
         assert_plans_equal(out_u.plans, out_c1.plans)
         assert_plans_equal(out_c1.plans, out_c2.plans)
         if config.mode in (ExecutionMode.INTER, ExecutionMode.COMBINED):
-            layers = network.num_layers
-            expected = 2 * tokens.shape[0] * layers
-            assert cache.stats.plan_requests == expected
-            assert cache.stats.plan_hits >= tokens.shape[0] * layers
+            # Layer 0 alone goes through the cache: one lookup per
+            # sequence per run, the second run's all hits.
+            assert cache.stats.plan_requests == 2 * tokens.shape[0]
+            assert cache.stats.plan_hits >= tokens.shape[0]
 
 
 class TestMixedDivisionBatch:

@@ -16,6 +16,7 @@ from repro.core.plan import (
 )
 from repro.errors import ConfigurationError
 from repro.nn.network import LSTMNetwork
+from tests.grading import assert_bytes_equal, assert_plans_equal
 
 
 @pytest.fixture
@@ -173,8 +174,8 @@ class TestResidentBytes:
         assert 16 << 20 <= cache.max_entries * 6 * 1024 <= 64 << 20
         executor = LSTMExecutor(network, combined_config(alpha_inter=40.0), plan_cache=cache)
         rng = np.random.default_rng(3)
-        per_request = 8 * model.num_layers
-        requests = 600
+        per_request = 8  # layer 0's plans; layers >= 1 are not cached
+        requests = 700
         assert requests * per_request > cache.max_entries
         footprint = []  # nbytes after every tenth request
         for request in range(requests):
@@ -194,14 +195,18 @@ class TestResidentBytes:
 
 
 class TestExecutorIntegration:
+    """Only layer 0 plans through the cache: its input is a function of
+    the token ids. Layers >= 1 plan uncached from their own projections."""
+
     def test_repeat_run_hits_plan_store(self, network, tokens):
         cache = PlanCache()
         executor = LSTMExecutor(network, combined_config(), plan_cache=cache)
         executor.run_batch(tokens)
-        lookups = tokens.shape[0] * network.num_layers
+        lookups = tokens.shape[0]  # one per sequence, layer 0 only
         assert cache.stats.plan_misses == lookups
         executor.run_batch(tokens)
         assert cache.stats.plan_hits == lookups
+        assert cache.stats.plan_requests == 2 * lookups
 
     def test_cache_shared_across_executors_and_thresholds(self, network, tokens):
         cache = PlanCache()
@@ -209,20 +214,33 @@ class TestExecutorIntegration:
         first = LSTMExecutor(network, combined_config(), plan_cache=cache)
         first.run_batch(tokens)
         misses = cache.stats.relevance_misses
-        assert misses == batch * network.num_layers
+        assert misses == batch
         # New executor, different inter threshold: every plan misses, but
         # layer 0 sees the same embeddings, so its relevance is served from
-        # cache. Deeper layers consume layer 0's *output*, which the new
-        # threshold changes — their relevance keys legitimately differ.
+        # cache. Deeper layers never reach the cache.
         second = LSTMExecutor(
             network, combined_config(alpha_inter=500.0), plan_cache=cache
         )
         second.run_batch(tokens)
         assert cache.stats.relevance_hits == batch
-        assert cache.stats.relevance_misses == misses + batch * (
-            network.num_layers - 1
-        )
+        assert cache.stats.relevance_misses == misses
         assert cache.stats.plan_hits == 0
+        assert len(cache) == 3 * batch  # batch relevance arrays, 2 x batch plans
+
+    def test_plans_are_not_keyed_on_the_gpu_spec(self, network, tokens):
+        """Plans never read the simulated GPU: a plan built under TX1 is
+        served under M40 and equals a fresh one."""
+        from repro.gpu.specs import TESLA_M40, TEGRA_X1
+
+        cache = PlanCache()
+        tx1 = LSTMExecutor(network, combined_config(spec=TEGRA_X1), plan_cache=cache)
+        tx1.run_batch(tokens)
+        m40_config = combined_config(spec=TESLA_M40)
+        served = LSTMExecutor(network, m40_config, plan_cache=cache).run_batch(tokens)
+        assert cache.stats.plan_hits == tokens.shape[0]
+        fresh = LSTMExecutor(network, m40_config).run_batch(tokens)
+        assert_plans_equal(served.plans, fresh.plans)
+        assert_bytes_equal(served.logits, fresh.logits)
 
     def test_exact_relevance_variant_does_not_collide(self, network, tokens):
         cache = PlanCache()
@@ -239,7 +257,7 @@ class TestExecutorIntegration:
         executor = LSTMExecutor(network, config, plan_cache=cache)
         executor.run_batch(tokens)
         executor.run_batch(tokens)
-        assert cache.stats.plan_hits == tokens.shape[0] * network.num_layers
+        assert cache.stats.plan_hits == tokens.shape[0]
 
     def test_baseline_mode_never_touches_cache(self, network, tokens):
         cache = PlanCache()

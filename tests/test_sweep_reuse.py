@@ -15,8 +15,9 @@ Four properties:
   executors and fresh token rows, and an exact mode never plans from the
   relevance a graded COMBINED run computed.
 * **Layer-0 keys.** Layer 0 plans are keyed on token ids plus the
-  embedding's fingerprint: its input rows are never hashed, and an
-  embedding edit plus ``invalidate_weight_fingerprints`` re-plans it.
+  embedding's fingerprint, layers >= 1 are not cached: ``run_batch``
+  hashes no layer input, and an embedding edit plus
+  ``invalidate_weight_fingerprints`` re-plans layer 0.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from repro.config import AppConfig, LSTMConfig, TaskFamily  # noqa: E402
 from repro.core import executor as executor_module  # noqa: E402
 from repro.core import pipeline as pipeline_module  # noqa: E402
+from repro.core import plan as plan_module  # noqa: E402
 from repro.core.executor import ExecutionConfig, ExecutionMode, LSTMExecutor  # noqa: E402
 from repro.core.pipeline import OptimizedLSTM  # noqa: E402
 from repro.core.plan import PlanCache, invalidate_weight_fingerprints  # noqa: E402
@@ -62,7 +64,7 @@ def direct_projection(network: LSTMNetwork, tokens: np.ndarray) -> np.ndarray:
 
 
 def memo_projection(executor: LSTMExecutor, tokens: np.ndarray) -> np.ndarray:
-    rows, index = executor._token_rows(tokens)
+    rows, index, _ = executor._token_rows(tokens)
     return rows[:, index]
 
 
@@ -89,7 +91,7 @@ class TestMemoBitIdentity:
             if tokens.size == 1:  # projects through its program, see below
                 assert executor._token_rows(tokens) is None
                 continue
-            rows, index = executor._token_rows(tokens)
+            rows, index, _ = executor._token_rows(tokens)
             assert np.array_equal(rows[:, index], direct_projection(network, tokens))
             # One call deep: the rows of this or of one earlier call's
             # distinct ids, never an accumulation.
@@ -357,7 +359,8 @@ class TestNoStaleState:
     def test_exact_modes_never_read_graded_relevance(self):
         """COMBINED plans layers >= 1 from GEMM-projected rows. Given the
         same layer-1 input, a later INTER run through the same plan cache
-        must still plan from its own exact rows, not from COMBINED's."""
+        must still plan from its own exact rows, not from COMBINED's: only
+        layer 0, whose rows are exact in every mode, is cached."""
         model = LSTMConfig(hidden_size=24, num_layers=2, seq_length=12, input_size=20)
         app = AppConfig(
             name="GRADED",
@@ -382,13 +385,14 @@ class TestNoStaleState:
         assert np.array_equal(
             inter.plans[0].layers[1].relevance, expected.plans[0].layers[1].relevance
         )
-        # Layer 0's keys are still shared; layer 1 planned twice.
-        assert (cache.stats.plan_hits, cache.stats.relevance_misses) == (1, 3)
+        # Layer 0's keys are shared; layer 1 never reaches the cache.
+        assert (cache.stats.plan_hits, cache.stats.relevance_misses) == (1, 1)
 
 
 class TestLayerZeroKeys:
     """Layer 0's relevance is keyed on token ids plus the embedding's
-    fingerprint, not on a digest of the embedded rows."""
+    fingerprint, not on a digest of the embedded rows; layers >= 1 are
+    planned uncached, so no layer input is ever hashed."""
 
     @staticmethod
     def make(network: LSTMNetwork, mode: ExecutionMode):
@@ -398,8 +402,9 @@ class TestLayerZeroKeys:
 
     @pytest.mark.parametrize("mode", [ExecutionMode.INTER, ExecutionMode.COMBINED])
     def test_layer_zero_inputs_are_never_hashed(self, mode, monkeypatch, calibrated_network):
+        """``run_batch`` hashes no layer input, at layer 0 or above."""
         network = calibrated_network
-        _, _, executor = self.make(network, mode)
+        _, cache, executor = self.make(network, mode)
         rng = np.random.default_rng(3)
         executor.run_batch(rng.integers(0, 60, size=(4, 12)))  # memoize w/link digests
         hashed = []
@@ -410,12 +415,11 @@ class TestLayerZeroKeys:
             return real(array)
 
         monkeypatch.setattr(executor_module, "fingerprint_array", recording)
-        tokens = rng.integers(0, 60, size=(4, 12))
-        result = executor.run_batch(tokens)
-        # One digest per sequence per layer >= 1: exactly its layer input.
-        assert len(hashed) == 4 * (network.num_layers - 1)
-        for b, array in enumerate(hashed):
-            assert array.tobytes() == result.layer_outputs[0][b].tobytes()
+        monkeypatch.setattr(plan_module, "fingerprint_array", recording)
+        requests = cache.stats.plan_requests
+        executor.run_batch(rng.integers(0, 60, size=(4, 12)))
+        assert hashed == []
+        assert cache.stats.plan_requests - requests == 4  # layer 0's, one per sequence
 
     def test_an_embedding_edit_replans_layer_zero(self, calibrated_network):
         network = calibrated_network
