@@ -118,6 +118,7 @@ from repro.core.plan import (
     TokenRowMemo,
     fingerprint_array,
     fingerprint_embedding,
+    fingerprint_input_weights,
     fingerprint_weights,
     single_cell_plan,
     warp_skip_fractions,
@@ -410,7 +411,6 @@ class LSTMExecutor:
         self.exact = is_exact(self.backend, config.mode)
         self.program_cache = ProgramCache() if program_cache is None else program_cache
         self._link_fps: list[str | None] = [None] * len(network.layers)
-        self._weights_fps: list[str | None] = [None] * len(network.layers)
         hidden = network.config.hidden_size
         if predicted_links is None:
             predicted_links = [PredictedLink.zeros(hidden) for _ in network.layers]
@@ -467,7 +467,6 @@ class LSTMExecutor:
         #: shares it.
         self._memo_layer0 = self.backend == "numpy"
         self._token_memo = plan_cache.token_rows if plan_cache is not None else TokenRowMemo()
-        self._w0_fp: str | None = None
 
     def owned_arrays(self) -> list[np.ndarray]:
         """The weight arrays this executor holds beyond the network's own:
@@ -864,8 +863,6 @@ class LSTMExecutor:
         if not self._memo_layer0 or tokens.size == 1:
             return None
         united = self._united[0]
-        if self._w0_fp is None:
-            self._w0_fp = fingerprint_array(united.w)
 
         def project(ids: np.ndarray, out: np.ndarray) -> None:
             project_rows(self.network.embedding[ids][None], united.gate_w_ops(), out)
@@ -875,7 +872,7 @@ class LSTMExecutor:
 
         score_key = (fingerprint_weights(self._weights[0]), self.config.use_exact_relevance)
         return self._token_memo.lookup(
-            (fingerprint_embedding(self.network), self._w0_fp),
+            (fingerprint_embedding(self.network), fingerprint_input_weights(self._weights[0])),
             tokens,
             united.u.shape[1],
             project,
@@ -1043,16 +1040,6 @@ class LSTMExecutor:
             self._link_fps[layer_index] = fp
         return fp
 
-    def _weights_fingerprint(self, layer_index: int) -> str:
-        """Content fingerprint of one layer's weights (memoized — the
-        executor's weights are fixed at construction, so hashing them once
-        keeps program-cache keys off the steady-state path)."""
-        fp = self._weights_fps[layer_index]
-        if fp is None:
-            fp = fingerprint_weights(self._weights[layer_index])
-            self._weights_fps[layer_index] = fp
-        return fp
-
     def _program(self, kind: str, layer_index: int, shape: tuple, build):
         """Program-cache lookup; build time lands in ``compile_wall_s``.
 
@@ -1068,7 +1055,7 @@ class LSTMExecutor:
         key = (
             kind,
             self.backend,
-            self._weights_fingerprint(layer_index),
+            fingerprint_weights(self._weights[layer_index]),
             self._link_fingerprint(layer_index),
             *shape,
         )

@@ -415,6 +415,19 @@ def fingerprint_weights(weights: "LSTMCellWeights") -> str:
     return fingerprint
 
 
+def fingerprint_input_weights(weights: "LSTMCellWeights") -> str:
+    """Content fingerprint of one layer's input-projection block ``W``
+    alone (:func:`fingerprint_array` of it), memoized on the weights object
+    like :func:`fingerprint_weights` and dropped with it. Layer 0's
+    projected token rows depend on the embedding and ``W`` only, so the
+    token memo keys on this: ZERO_PRUNE, which prunes ``U`` but keeps
+    ``W``, shares the dense modes' rows."""
+    cached = getattr(weights, "_w_fingerprint", None)
+    if cached is None:
+        cached = weights._w_fingerprint = fingerprint_array(weights.w)
+    return cached
+
+
 def fingerprint_embedding(network) -> str:
     """Content fingerprint of a network's embedding table, memoized on the
     network like the per-layer digests (and dropped with them by
@@ -428,7 +441,8 @@ def fingerprint_embedding(network) -> str:
 def invalidate_weight_fingerprints(network) -> None:
     """Drop the memoized digests after a weight mutation.
 
-    :func:`fingerprint_weights` and :func:`fingerprint_embedding` memoize
+    :func:`fingerprint_weights`, :func:`fingerprint_input_weights` and
+    :func:`fingerprint_embedding` memoize
     on the objects they hash under the inference-time immutability
     assumption. Training breaks it: an
     optimizer step (or :func:`repro.nn.calibrate.drift_network`, whose
@@ -441,8 +455,9 @@ def invalidate_weight_fingerprints(network) -> None:
     if hasattr(network, "_embedding_fingerprint"):
         del network._embedding_fingerprint
     for layer in network.layers:
-        if hasattr(layer.weights, "_plan_fingerprint"):
-            del layer.weights._plan_fingerprint
+        for memo in ("_plan_fingerprint", "_w_fingerprint"):
+            if hasattr(layer.weights, memo):
+                delattr(layer.weights, memo)
 
 
 def fingerprint_network(network) -> str:

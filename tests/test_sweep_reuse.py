@@ -356,6 +356,28 @@ class TestNoStaleState:
         reference = ReferenceExecutor(network, config)
         assert np.array_equal(outcome.logits, reference.run_batch(tiny_tokens).logits)
 
+    @pytest.mark.parametrize(
+        "mode", [ExecutionMode.BASELINE, ExecutionMode.INTER, ExecutionMode.INTRA]
+    )
+    def test_kept_executor_follows_an_in_place_weight_edit(self, mode):
+        """An executor kept across ``w *= 1.5`` + invalidation serves the new
+        weights: the token memo's ``W`` key and the program-cache keys are
+        the weights object's memoized digests, which the invalidation drops
+        (memoized on the executor, they served rows projected from the old
+        ``W``)."""
+        model = LSTMConfig(hidden_size=8, num_layers=1, seq_length=6, input_size=8)
+        network = LSTMNetwork(model, vocab_size=20, num_classes=3, seed=0)
+        config = ExecutionConfig(mode=mode, alpha_inter=5.0, alpha_intra=0.1)
+        executor = LSTMExecutor(network, config, plan_cache=PlanCache())
+        tokens = np.random.default_rng(0).integers(0, 20, size=(3, 6))
+        executor.run_batch(tokens)
+        network.layers[0].weights.w *= 1.5
+        invalidate_weight_fingerprints(network)
+        assert_bytes_equal(
+            executor.run_batch(tokens).logits,
+            ReferenceExecutor(network, config).run_batch(tokens).logits,
+        )
+
     def test_exact_modes_never_read_graded_relevance(self):
         """COMBINED plans layers >= 1 from GEMM-projected rows. Given the
         same layer-1 input, a later INTER run through the same plan cache
