@@ -6,6 +6,7 @@ dimensions, boundary resets, and informativeness-scaled heads.
 """
 
 import copy
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -143,11 +144,13 @@ class TestCalibratedStatistics:
 
     def test_head_probe_reads_the_oracles_bytes(self, mr_network):
         """The probe's top layer is ReferenceExecutor's, byte for byte, so
-        the scaled head does not depend on the BLAS thread split."""
+        the scaled head does not depend on the BLAS thread split or on the
+        helper thread walking half the probe rows."""
         network = copy.deepcopy(mr_network)
         head = np.random.default_rng(5).normal(size=network.head_weight.shape)
         network.head_weight = head.copy()
-        _informativeness_scale_head(network, np.random.default_rng(6))
+        with ThreadPoolExecutor(1) as helper:
+            _informativeness_scale_head(network, np.random.default_rng(6), helper)
 
         probe = np.random.default_rng(6).integers(
             0, network.vocab_size, size=(4, network.config.seq_length)
