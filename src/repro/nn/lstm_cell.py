@@ -33,6 +33,22 @@ from repro.nn.initializers import WeightInitializer
 #: Canonical gate order for the united matrices ``W_{f,i,c,o}`` / ``U_{f,i,c,o}``.
 GATE_ORDER: tuple[str, ...] = ("f", "i", "c", "o")
 
+#: Byte alignment of the blocks :meth:`LSTMCellWeights.zeros` allocates: a
+#: cache line. The per-row lifts stream weight rows through BLAS vector
+#: loads; a row that starts mid-line (glibc's large allocations start 16
+#: bytes into a page) splits loads across lines, which measured ~25 %
+#: slower per IMDB projection.
+BLOCK_ALIGN = 64
+
+
+def _aligned_zeros(rows: int, cols: int) -> np.ndarray:
+    """A zeroed ``(rows, cols)`` float64 array whose data starts on a
+    :data:`BLOCK_ALIGN` boundary (a view into a slightly larger buffer)."""
+    nbytes = rows * cols * np.dtype(np.float64).itemsize
+    raw = np.zeros(nbytes + BLOCK_ALIGN, dtype=np.uint8)
+    start = -raw.ctypes.data % BLOCK_ALIGN
+    return raw[start : start + nbytes].view(np.float64).reshape(rows, cols)
+
 
 @dataclass
 class LSTMCellWeights:
@@ -68,9 +84,12 @@ class LSTMCellWeights:
 
     @classmethod
     def zeros(cls, hidden_size: int, input_size: int) -> "LSTMCellWeights":
-        """All-zero blocks, for callers that fill them gate by gate."""
+        """All-zero blocks, for callers that fill them gate by gate; ``w``
+        and ``u`` start on a cache line (:data:`BLOCK_ALIGN`)."""
         rows = 4 * hidden_size
-        return cls(np.zeros((rows, input_size)), np.zeros((rows, hidden_size)), np.zeros(rows))
+        return cls(
+            _aligned_zeros(rows, input_size), _aligned_zeros(rows, hidden_size), np.zeros(rows)
+        )
 
     @property
     def hidden_size(self) -> int:
