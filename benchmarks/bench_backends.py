@@ -58,6 +58,7 @@ from repro.core.executor import ExecutionConfig, ExecutionMode, LSTMExecutor, _U
 from repro.core.reference import ReferenceExecutor
 from repro.errors import BackendUnavailableError
 from repro.gpu.simulator import TimingSimulator
+from repro.gpu.specs import TEGRA_X1
 from repro.nn.network import LSTMNetwork
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -118,10 +119,10 @@ def mode_config(mode: ExecutionMode, backend: str = "numpy") -> ExecutionConfig:
 
 def weight_traffic(executor: LSTMExecutor, plans) -> float:
     """Summed modeled weight bytes moved over every sequence trace."""
-    simulator = TimingSimulator(executor.config.spec)
+    simulator = TimingSimulator(TEGRA_X1)
     moved = 0.0
     for plan in plans:
-        trace = simulator.run_trace(executor.kernel_trace(plan))
+        trace = simulator.run_trace(executor.kernel_trace(plan, TEGRA_X1))
         moved += trace.total_weight_bytes_moved
     return moved
 

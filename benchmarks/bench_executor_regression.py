@@ -89,6 +89,7 @@ from repro.core.pipeline import OptimizedLSTM
 from repro.core.plan import PlanCache
 from repro.core.reference import ReferenceExecutor
 from repro.gpu.simulator import TimingSimulator
+from repro.gpu.specs import TEGRA_X1
 from repro.nn.model_zoo import build_calibrated_network
 from repro.nn.network import LSTMNetwork
 from repro.obs import Recorder
@@ -219,10 +220,10 @@ def weight_traffic(
         network, replace(config, precision="int8"), plan_cache=PlanCache()
     )
     out = executor.run_batch(tokens)
-    simulator = TimingSimulator(config.spec)
+    simulator = TimingSimulator(TEGRA_X1)
     fp64 = moved = 0.0
     for plan in out.plans:
-        trace = simulator.run_trace(executor.kernel_trace(plan))
+        trace = simulator.run_trace(executor.kernel_trace(plan, TEGRA_X1))
         fp64 += trace.total_weight_bytes_fp64
         moved += trace.total_weight_bytes_moved
     return {

@@ -38,6 +38,7 @@ from repro.core.executor import ExecutionConfig, ExecutionMode, LSTMExecutor
 from repro.core.plan import PlanCache
 from repro.core.reference import ReferenceExecutor
 from repro.gpu.simulator import TimingSimulator
+from repro.gpu.specs import TEGRA_X1
 from repro.nn.network import LSTMNetwork
 from repro.nn.quantize import Precision, quantize_matrix
 
@@ -105,12 +106,12 @@ def error_bound_check(network: LSTMNetwork) -> dict:
     }
 
 
-def traffic(executor: LSTMExecutor, plans, spec) -> tuple[float, float]:
+def traffic(executor: LSTMExecutor, plans) -> tuple[float, float]:
     """Summed (fp64, moved) host weight bytes over every sequence trace."""
-    simulator = TimingSimulator(spec)
+    simulator = TimingSimulator(TEGRA_X1)
     fp64 = moved = 0.0
     for plan in plans:
-        trace = simulator.run_trace(executor.kernel_trace(plan))
+        trace = simulator.run_trace(executor.kernel_trace(plan, TEGRA_X1))
         fp64 += trace.total_weight_bytes_fp64
         moved += trace.total_weight_bytes_moved
     return fp64, moved
@@ -150,7 +151,7 @@ def run() -> tuple[dict, GateSet]:
                 gate,
                 "prediction agreement with the fp64 policy",
             )
-            bytes_fp64, bytes_moved = traffic(executor, out.plans, config.spec)
+            bytes_fp64, bytes_moved = traffic(executor, out.plans)
             reduction = bytes_fp64 / bytes_moved if bytes_moved > 0.0 else 1.0
             per_mode[tag] = {
                 "agreement_with_fp64": agreement,

@@ -91,15 +91,11 @@ class ExperimentContext:
         """Rendered hit/miss statistics of the session's shared plan cache."""
         return format_cache_stats(self.plan_cache.stats)
 
-    def sweep(
-        self, name: str, mode: ExecutionMode, drs_style: str = "hardware"
-    ) -> list[WorkloadEvaluation]:
+    def sweep(self, name: str, mode: ExecutionMode) -> list[WorkloadEvaluation]:
         """Threshold sweep (cached) for one app and mode."""
-        key = (name.upper(), mode, drs_style)
+        key = (name.upper(), mode)
         if key not in self._sweeps:
-            self._sweeps[key] = self.workload(name).threshold_sweep(
-                mode, drs_style=drs_style
-            )
+            self._sweeps[key] = self.workload(name).threshold_sweep(mode)
         return self._sweeps[key]
 
     def ao_evaluation(
@@ -407,12 +403,15 @@ def fig16_compression_schemes(ctx: ExperimentContext | None = None, apps=None):
         intra_sweep = ctx.sweep(name, ExecutionMode.INTRA)
         ao = Workload.ao_index(intra_sweep, ctx.target_accuracy)
         hardware = intra_sweep[ao]
-        software = workload.evaluate(
-            ExecutionMode.INTRA,
+        # Software DRS skips the rows the CRM skips: the bar is an INTRA
+        # execution at the AO threshold, priced with DRS in software.
+        intra = workload.app.run(
+            workload.dataset.tokens,
+            mode=ExecutionMode.INTRA,
             alpha_intra=hardware.alpha_intra,
             alpha_inter=0.0,
-            drs_style="software",
         )
+        software = workload.app.price(intra, drs_style="software")
         pruned = workload.evaluate(ExecutionMode.ZERO_PRUNE)
         from repro.nn.pruning import prune_cell_weights
 
@@ -427,8 +426,8 @@ def fig16_compression_schemes(ctx: ExperimentContext | None = None, apps=None):
             },
             "software_drs": {
                 "compression": 0.75 * software.mean_skip_fraction,
-                "speedup": software.speedup,
-                "energy_saving": software.energy_saving,
+                "speedup": software.speedup_vs(workload.baseline),
+                "energy_saving": software.energy_saving_vs(workload.baseline),
             },
             "hardware_drs": {
                 "compression": 0.75 * hardware.mean_skip_fraction,
@@ -729,7 +728,6 @@ def ablation_predicted_link(ctx: ExperimentContext | None = None, app: str = "MT
         mode=ExecutionMode.INTER,
         alpha_inter=alpha,
         mts=calibration.mts,
-        spec=ctx.spec,
     )
     hidden = workload.app.network.config.hidden_size
     tokens = workload.dataset.tokens
@@ -762,24 +760,20 @@ def ablation_large_gpu(ctx: ExperimentContext | None = None, app: str = "MR"):
     from repro.gpu.specs import TESLA_M40
 
     ctx = ctx or get_context()
-    mobile = ctx.workload(app)
-    tokens = mobile.dataset.tokens[:TRACE_SEQUENCES]
+    workload = ctx.workload(app)
+    tokens = workload.dataset.tokens[:TRACE_SEQUENCES]
+    # One execution, priced on the mobile GPU by the run and on the M40 after.
+    mobile = workload.app.run(tokens, mode=ExecutionMode.BASELINE, keep_traces=True)
+    server = workload.app.price(mobile, TESLA_M40, keep_traces=True)
 
-    def reload_ratio(spec) -> float:
-        app_obj = mobile.app
-        old_spec = app_obj.spec
-        app_obj.spec = spec
-        try:
-            base = app_obj.run(tokens, mode=ExecutionMode.BASELINE, keep_traces=True)
-        finally:
-            app_obj.spec = old_spec
-        trace = base.traces[0]
+    def reload_ratio(outcome) -> float:
+        trace = outcome.traces[0]
         weight_bytes = TABLE2_APPS[app].model.recurrent_weight_bytes
         sgemv_bytes = sum(k.dram_bytes for k in trace.kernels if k.name == "sgemv")
         return sgemv_bytes / weight_bytes
 
-    mobile_ratio = reload_ratio(ctx.spec)
-    server_ratio = reload_ratio(TESLA_M40)
+    mobile_ratio = reload_ratio(mobile)
+    server_ratio = reload_ratio(server)
     report = format_table(
         ["Platform", "U re-load amplification"],
         [
@@ -806,7 +800,6 @@ def ablation_exact_relevance(ctx: ExperimentContext | None = None, app: str = "M
             alpha_inter=calibration.alpha_inter_max,
             mts=calibration.mts,
             use_exact_relevance=exact,
-            spec=ctx.spec,
         )
         executor = LSTMExecutor(
             workload.app.network, config, predicted_links=calibration.predicted_links

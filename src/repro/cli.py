@@ -64,6 +64,13 @@ FIGURES = (
 )
 
 
+def _batch_size(text: str) -> int:
+    """``--sequences``: a batch holds at least one sequence."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -84,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--set", dest="threshold_set", type=int, default=4,
                      help="threshold set index 0..10")
-    run.add_argument("--sequences", type=int, default=8, help="batch size")
+    run.add_argument("--sequences", type=_batch_size, default=8, help="batch size")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument(
         "--precision",
@@ -202,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="truncated-BPTT window (default: backpropagate the full "
         "sequence)",
     )
-    calibrate.add_argument("--sequences", type=int, default=6,
+    calibrate.add_argument("--sequences", type=_batch_size, default=6,
                            help="drift-batch size")
     calibrate.add_argument("--seed", type=int, default=0)
     calibrate.add_argument(
@@ -236,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     record.add_argument("--set", dest="threshold_set", type=int, default=4,
                         help="threshold set index 0..10")
-    record.add_argument("--sequences", type=int, default=8, help="batch size")
+    record.add_argument("--sequences", type=_batch_size, default=8, help="batch size")
     record.add_argument("--seed", type=int, default=0)
     record.add_argument(
         "--precision",

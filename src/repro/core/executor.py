@@ -130,15 +130,16 @@ from repro.core.relevance import (
     relevance_values,
 )
 from repro.core.tissue import align_tissues
-from repro.core.trace_builder import build_kernel_trace
+from repro.core.trace_builder import DRS_STYLES, build_kernel_trace
 from repro.errors import ConfigurationError, ShapeError
-from repro.gpu.specs import GPUSpec, TEGRA_X1
 from repro.nn.lstm_cell import GATE_ORDER, LSTMCellWeights
 from repro.nn.network import LSTMNetwork
 from repro.nn.pruning import prune_cell_weights
 from repro.nn.quantize import Precision, QuantizedCell, quantize_cell_weights
 
 if TYPE_CHECKING:
+    from repro.gpu.kernels import KernelLaunch
+    from repro.gpu.specs import GPUSpec
     from repro.obs.recorder import Recorder
 
 
@@ -154,17 +155,17 @@ class ExecutionMode(enum.Enum):
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """Knobs of one execution scheme.
+    """Knobs of one execution scheme — only what changes host bits. The GPU
+    and the DRS style are pricing arguments (:meth:`LSTMExecutor.
+    kernel_trace`), so one execution prices under any GPU.
 
     Attributes:
         mode: The scheme to run.
         alpha_inter: Relevance threshold (breaks links with ``S < alpha``).
         alpha_intra: Near-zero threshold on ``o_t`` (skips rows below it).
         mts: Maximum tissue size (from :func:`repro.core.tissue.calibrate_mts`).
-        drs_style: ``"hardware"`` (CRM-backed) or ``"software"`` DRS.
         zero_prune_fraction: Element fraction erased in ``ZERO_PRUNE`` mode.
         use_exact_relevance: Use the exact-overlap ablation of Algorithm 2.
-        spec: GPU model used when building kernel traces.
         precision: Weight-storage policy (:class:`~repro.nn.quantize.
             Precision`). ``fp64`` (the default) is the identity — the
             weights the frozen reference runs on. ``int8`` / ``fp16``
@@ -198,10 +199,8 @@ class ExecutionConfig:
     alpha_inter: float = 0.0
     alpha_intra: float = 0.0
     mts: int = 5
-    drs_style: str = "hardware"
     zero_prune_fraction: float = 0.37
     use_exact_relevance: bool = False
-    spec: GPUSpec = TEGRA_X1
     precision: Precision = Precision()
     backend: str = "numpy"
     threads: int = 1
@@ -214,8 +213,6 @@ class ExecutionConfig:
             raise ConfigurationError("thresholds must be non-negative")
         if self.mts < 1:
             raise ConfigurationError(f"mts must be >= 1, got {self.mts}")
-        if self.drs_style not in ("hardware", "software"):
-            raise ConfigurationError(f"unknown drs_style {self.drs_style!r}")
         if not 0 <= self.zero_prune_fraction < 1:
             raise ConfigurationError("zero_prune_fraction must be in [0, 1)")
         if self.threads < 1:
@@ -756,14 +753,12 @@ class LSTMExecutor:
         builder = self.recorder.start_run(
             label="executor",
             mode=cfg.mode.value,
-            spec=cfg.spec.name,
             batch=batch,
             seq_length=seq_len,
             config={
                 "alpha_inter": cfg.alpha_inter,
                 "alpha_intra": cfg.alpha_intra,
                 "mts": cfg.mts,
-                "drs_style": cfg.drs_style,
                 "precision": cfg.precision.tag,
                 "backend": self.backend,
                 "threads": cfg.threads,
@@ -782,15 +777,24 @@ class LSTMExecutor:
         builder.set_timing(wall_s=result.timings["exec_wall_s"], **result.timings)
         builder.finish()
 
-    def kernel_trace(self, plan: SequencePlan):
-        """GPU kernel trace of one executed sequence (for the simulator)."""
+    def kernel_trace(
+        self, plan: SequencePlan, spec: GPUSpec, drs_style: str = "hardware"
+    ) -> list[KernelLaunch]:
+        """GPU kernel trace of one executed sequence — the one place a trace
+        is built. The execution supplies its levels, ZERO_PRUNE's kept
+        fraction and the precision; the caller the GPU and the DRS style
+        (``"hardware"``: on the CRM, or ``"software"``)."""
+        if drs_style not in DRS_STYLES:
+            raise ConfigurationError(
+                f"unknown drs_style {drs_style!r}; expected one of {DRS_STYLES}"
+            )
         cfg = self.config
         return build_kernel_trace(
             plan,
-            cfg.spec,
+            spec,
             inter=cfg.inter_active,
             intra=cfg.intra_active,
-            drs_style=cfg.drs_style,
+            drs_style=drs_style,
             zero_prune_kept=(
                 self.pruning_kept_fraction
                 if cfg.mode is ExecutionMode.ZERO_PRUNE

@@ -10,9 +10,11 @@ Typical use::
     fast = app.run(tokens, mode=ExecutionMode.COMBINED, threshold_index=4)
     print(fast.speedup_vs(base), fast.agreement_with(base))
 
-``run`` executes the exact numerics of the chosen scheme *and* replays the
-recorded plan on the GPU timing model, so one call yields predictions,
-simulated latency, and simulated whole-system energy.
+``run`` = execute + price: ``run_batch`` computes the exact numerics of the
+scheme and its plans, which are then replayed on the GPU timing model (the
+app's ``spec``, hardware DRS) for simulated latency and energy. ``price``
+re-prices a kept outcome under another GPU or DRS style, executing nothing:
+``app.price(fast, spec=TESLA_M40)``, ``app.price(fast, drs_style="software")``.
 
 A sweep — the same tokens under several modes or threshold sets, which is
 what ``repro run``, the figure harness and :func:`repro.core.tuner.
@@ -27,7 +29,7 @@ kept, keyed on what, dropped when and bounded by what is tabled in
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -39,10 +41,10 @@ from repro.core.executor import (
     ExecutionResult,
     LSTMExecutor,
 )
-from repro.core.plan import PlanCache, fingerprint_array, fingerprint_weights
+from repro.core.plan import PlanCache, SequencePlan, fingerprint_array, fingerprint_weights
 from repro.core.program import ProgramCache
 from repro.core.tuner import OfflineCalibration, calibrate_offline
-from repro.errors import CalibrationError, ConfigurationError
+from repro.errors import CalibrationError, ConfigurationError, ShapeError
 from repro.gpu.simulator import TimingSimulator
 from repro.gpu.specs import GPUSpec, TEGRA_X1
 from repro.gpu.trace import TraceSummary
@@ -56,18 +58,38 @@ if TYPE_CHECKING:
 
 @dataclass
 class InferenceOutcome:
-    """Numerics plus simulated platform behaviour of one batched inference."""
+    """Numerics plus simulated platform behaviour of one batched inference:
+    the execution (``config`` to ``plans``, ``result``) and its pricing
+    (``times``, ``energies``, ``traces``; see :meth:`OptimizedLSTM.price`)."""
 
-    mode: ExecutionMode
+    config: ExecutionConfig
     logits: np.ndarray
     predictions: np.ndarray
+    plans: list[SequencePlan]
     times: np.ndarray
     energies: np.ndarray
-    mean_tissue_size: float
-    mean_skip_fraction: float
-    mean_breakpoints: float
     traces: list[TraceSummary] = field(default_factory=list)
     result: ExecutionResult | None = None
+
+    @property
+    def mode(self) -> ExecutionMode:
+        """The scheme that ran."""
+        return self.config.mode
+
+    @property
+    def mean_tissue_size(self) -> float:
+        """Mean tissue size over the batch's sequences."""
+        return float(np.mean([p.mean_tissue_size for p in self.plans]))
+
+    @property
+    def mean_skip_fraction(self) -> float:
+        """Mean DRS row-skip fraction over the batch's sequences."""
+        return float(np.mean([p.mean_skip_fraction for p in self.plans]))
+
+    @property
+    def mean_breakpoints(self) -> float:
+        """Mean breakpoints per sequence."""
+        return float(np.mean([p.total_breakpoints for p in self.plans]))
 
     @property
     def mean_time(self) -> float:
@@ -197,57 +219,44 @@ class OptimizedLSTM:
         alpha_inter: float | None = None,
         alpha_intra: float | None = None,
         threshold_index: int | None = None,
-        drs_style: str = "hardware",
         zero_prune_fraction: float = 0.37,
         precision: "Precision | str" = "fp64",
         backend: str = "numpy",
         threads: int = 1,
     ) -> ExecutionConfig:
-        """Resolve thresholds (explicit, by schedule index, or maxima)."""
-        precision = Precision.parse(precision)
-        if mode is ExecutionMode.BASELINE:
-            return ExecutionConfig(
-                mode=mode, spec=self.spec, precision=precision, backend=backend,
-                threads=threads,
-            )
+        """Resolve thresholds (explicit, by schedule index, or maxima).
+        Only the knobs ``mode`` reads are set; the rest keep their defaults."""
+        levels = ExecutionConfig(mode=mode)
+        knobs: dict = {}
         if mode is ExecutionMode.ZERO_PRUNE:
-            return ExecutionConfig(
-                mode=mode,
-                spec=self.spec,
-                zero_prune_fraction=zero_prune_fraction,
-                precision=precision,
-                backend=backend,
-                threads=threads,
+            knobs["zero_prune_fraction"] = zero_prune_fraction
+        if levels.inter_active or levels.intra_active:
+            calibration = self._require_calibration(mode)
+            if threshold_index is not None:
+                schedule = calibration.schedule()
+                if not 0 <= threshold_index < len(schedule):
+                    raise ConfigurationError(
+                        f"threshold_index {threshold_index} out of range "
+                        f"(schedule has sets 0..{len(schedule) - 1})"
+                    )
+                ts = schedule[threshold_index]
+                alpha_inter = ts.alpha_inter if alpha_inter is None else alpha_inter
+                alpha_intra = ts.alpha_intra if alpha_intra is None else alpha_intra
+            if alpha_inter is None:
+                alpha_inter = calibration.alpha_inter_max
+            if alpha_intra is None:
+                alpha_intra = calibration.alpha_intra_max
+            knobs.update(
+                alpha_inter=alpha_inter if levels.inter_active else 0.0,
+                alpha_intra=alpha_intra if levels.intra_active else 0.0,
+                mts=calibration.mts,
             )
-        calibration = self._require_calibration(mode)
-        if threshold_index is not None:
-            schedule = calibration.schedule()
-            if not 0 <= threshold_index < len(schedule):
-                raise ConfigurationError(
-                    f"threshold_index {threshold_index} out of range "
-                    f"(schedule has sets 0..{len(schedule) - 1})"
-                )
-            ts = schedule[threshold_index]
-            alpha_inter = ts.alpha_inter if alpha_inter is None else alpha_inter
-            alpha_intra = ts.alpha_intra if alpha_intra is None else alpha_intra
-        if alpha_inter is None:
-            alpha_inter = calibration.alpha_inter_max
-        if alpha_intra is None:
-            alpha_intra = calibration.alpha_intra_max
-        if mode is ExecutionMode.INTER:
-            alpha_intra = 0.0
-        if mode is ExecutionMode.INTRA:
-            alpha_inter = 0.0
         return ExecutionConfig(
             mode=mode,
-            alpha_inter=alpha_inter,
-            alpha_intra=alpha_intra,
-            mts=calibration.mts,
-            drs_style=drs_style,
-            spec=self.spec,
-            precision=precision,
+            precision=Precision.parse(precision),
             backend=backend,
             threads=threads,
+            **knobs,
         )
 
     def _executor_for(self, config: ExecutionConfig) -> LSTMExecutor:
@@ -310,7 +319,6 @@ class OptimizedLSTM:
         alpha_inter: float | None = None,
         alpha_intra: float | None = None,
         threshold_index: int | None = None,
-        drs_style: str = "hardware",
         zero_prune_fraction: float = 0.37,
         precision: "Precision | str" = "fp64",
         backend: str = "numpy",
@@ -320,7 +328,8 @@ class OptimizedLSTM:
         recorder: "Recorder | None" = None,
         label: str | None = None,
     ) -> InferenceOutcome:
-        """Execute a batch under one scheme and simulate it on the GPU model.
+        """Execute a batch under one scheme (one ``run_batch`` on the kept
+        executor) and price it on :attr:`spec` with hardware DRS.
 
         Args:
             precision: Weight-storage policy (``"fp64"`` / ``"fp16"`` /
@@ -343,7 +352,6 @@ class OptimizedLSTM:
             alpha_inter=alpha_inter,
             alpha_intra=alpha_intra,
             threshold_index=threshold_index,
-            drs_style=drs_style,
             zero_prune_fraction=zero_prune_fraction,
             precision=precision,
             backend=backend,
@@ -368,7 +376,7 @@ class OptimizedLSTM:
                     "alpha_inter": config.alpha_inter,
                     "alpha_intra": config.alpha_intra,
                     "mts": config.mts,
-                    "drs_style": config.drs_style,
+                    "drs_style": "hardware",
                     "threshold_index": threshold_index,
                     "precision": config.precision.tag,
                     "threads": config.threads,
@@ -378,26 +386,17 @@ class OptimizedLSTM:
             else None
         )
         result = executor.run_batch(tokens)
-
         sim_start = time.perf_counter()
-        simulator = TimingSimulator(self.spec)
-        times, energies, traces = [], [], []
-        # With neither level live (BASELINE, ZERO_PRUNE) every sequence's
-        # plan is the same by construction — T single cells per layer,
-        # nothing skipped — so one trace is built and simulated for all.
-        one_trace = not (config.inter_active or config.intra_active)
-        trace = None
-        for seq_index, plan in enumerate(result.plans):
-            if trace is None or not one_trace:
-                trace = simulator.run_trace(executor.kernel_trace(plan))
-            times.append(trace.total_time)
-            energies.append(trace.total_energy)
-            if keep_traces:
-                traces.append(trace)
-            if builder is not None:
-                builder.observe_plan(seq_index, plan)
-                builder.observe_trace(seq_index, trace)
-
+        outcome = InferenceOutcome(
+            config=config,
+            logits=result.logits,
+            predictions=result.predictions(),
+            plans=result.plans,
+            result=result if keep_result else None,
+            **self._price(
+                executor, result.plans, self.spec, "hardware", keep_traces, builder
+            ),
+        )
         if builder is not None:
             builder.observe_cache_delta(cache_before, self.plan_cache.stats.as_dict())
             builder.observe_program_cache_delta(
@@ -409,17 +408,59 @@ class OptimizedLSTM:
                 **result.timings,
             )
             builder.finish()
+        return outcome
 
-        plans = result.plans
-        return InferenceOutcome(
-            mode=mode,
-            logits=result.logits,
-            predictions=result.predictions(),
-            times=np.asarray(times),
-            energies=np.asarray(energies),
-            mean_tissue_size=float(np.mean([p.mean_tissue_size for p in plans])),
-            mean_skip_fraction=float(np.mean([p.mean_skip_fraction for p in plans])),
-            mean_breakpoints=float(np.mean([p.total_breakpoints for p in plans])),
-            traces=traces,
-            result=result if keep_result else None,
+    def price(
+        self,
+        outcome: InferenceOutcome,
+        spec: GPUSpec | None = None,
+        drs_style: str = "hardware",
+        keep_traces: bool = False,
+    ) -> InferenceOutcome:
+        """A copy of ``outcome`` with ``times`` / ``energies`` / ``traces``
+        re-priced on ``spec`` (default :attr:`spec`) with DRS on the CRM
+        (``"hardware"``) or in software. Nothing executes: neither changes
+        a host bit. Raises :class:`ConfigurationError` on an unknown style
+        and :class:`ShapeError` on an empty batch."""
+        executor = self._executor_for(outcome.config)
+        spec = self.spec if spec is None else spec
+        return replace(
+            outcome, **self._price(executor, outcome.plans, spec, drs_style, keep_traces)
         )
+
+    @staticmethod
+    def _price(
+        executor: LSTMExecutor,
+        plans: list[SequencePlan],
+        spec: GPUSpec,
+        drs_style: str,
+        keep_traces: bool,
+        builder=None,
+    ) -> dict:
+        """The pricing step of :meth:`run` and :meth:`price`: the
+        ``times`` / ``energies`` / ``traces`` of ``plans`` on ``spec``."""
+        if not plans:
+            raise ShapeError("cannot price an empty batch: it has no sequence to time")
+        simulator = TimingSimulator(spec)
+        times, energies, traces = [], [], []
+        # With neither level live (BASELINE, ZERO_PRUNE) every sequence's
+        # plan is the same by construction — T single cells per layer,
+        # nothing skipped — so one trace is built and simulated for all.
+        config = executor.config
+        one_trace = not (config.inter_active or config.intra_active)
+        trace = None
+        for seq_index, plan in enumerate(plans):
+            if trace is None or not one_trace:
+                trace = simulator.run_trace(executor.kernel_trace(plan, spec, drs_style))
+            times.append(trace.total_time)
+            energies.append(trace.total_energy)
+            if keep_traces:
+                traces.append(trace)
+            if builder is not None:
+                builder.observe_plan(seq_index, plan)
+                builder.observe_trace(seq_index, trace)
+        return {
+            "times": np.asarray(times),
+            "energies": np.asarray(energies),
+            "traces": traces,
+        }

@@ -68,7 +68,6 @@ from repro.core.relevance import (
     relevance_values,
 )
 from repro.core.tissue import align_tissues
-from repro.core.trace_builder import build_kernel_trace
 from repro.errors import ConfigurationError, ShapeError
 from repro.nn.activations import sigmoid, tanh
 from repro.nn.lstm_cell import GATE_ORDER, LSTMCellWeights
@@ -100,18 +99,11 @@ class ReferenceExecutor:
         self._weights: list[LSTMCellWeights] = [layer.weights for layer in network.layers]
         self._collect_states = False
         self._last_states: np.ndarray | None = None
-        self.pruning_kept_fraction: float | None = None
         if config.mode is ExecutionMode.ZERO_PRUNE:
-            pruned = []
-            kept = []
-            for layer in network.layers:
-                new_weights, aggregate = prune_cell_weights(
-                    layer.weights, config.zero_prune_fraction
-                )
-                pruned.append(new_weights)
-                kept.append(aggregate.kept_fraction)
-            self._weights = pruned
-            self.pruning_kept_fraction = float(np.mean(kept))
+            self._weights = [
+                prune_cell_weights(weights, config.zero_prune_fraction)[0]
+                for weights in self._weights
+            ]
 
     # ------------------------------------------------------------------ API
 
@@ -149,22 +141,6 @@ class ReferenceExecutor:
             plans=plans,
             layer_outputs=layer_outputs,
             layer_states=layer_states,
-        )
-
-    def kernel_trace(self, plan: SequencePlan):
-        """GPU kernel trace of one executed sequence (for the simulator)."""
-        cfg = self.config
-        return build_kernel_trace(
-            plan,
-            cfg.spec,
-            inter=cfg.inter_active,
-            intra=cfg.intra_active,
-            drs_style=cfg.drs_style,
-            zero_prune_kept=(
-                self.pruning_kept_fraction
-                if cfg.mode is ExecutionMode.ZERO_PRUNE
-                else None
-            ),
         )
 
     # ------------------------------------------------------------ internals

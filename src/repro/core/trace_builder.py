@@ -45,6 +45,9 @@ from repro.nn.quantize import Precision
 #: per-cell/per-tissue kernels that re-read activations per row).
 TILED_ONCHIP_FACTOR: float = 0.1
 
+#: How DRS executes: on the CRM (Fig. 12) or as software row masking.
+DRS_STYLES: tuple[str, ...] = ("hardware", "software")
+
 #: Host bytes per float64 weight element (the executor's master arrays).
 _FP64 = 8.0
 

@@ -132,14 +132,14 @@ def find_alpha_inter_max(
 
 
 def _relevance_probe(
-    network: LSTMNetwork, tokens: np.ndarray, spec: GPUSpec, collect_states: bool = False
+    network: LSTMNetwork, tokens: np.ndarray, collect_states: bool = False
 ) -> ExecutionResult:
     """An INTER run at an epsilon threshold: every layer's relevance is
     computed and recorded, and no link breaks unless its relevance is
     exactly zero."""
     probe = LSTMExecutor(
         network,
-        ExecutionConfig(mode=ExecutionMode.INTER, alpha_inter=1e-300, spec=spec),
+        ExecutionConfig(mode=ExecutionMode.INTER, alpha_inter=1e-300),
     )
     return probe.run_batch(np.asarray(tokens), collect_states=collect_states)
 
@@ -166,26 +166,20 @@ def _fit_links(result: ExecutionResult) -> list[PredictedLink]:
     return links
 
 
-def _exact_run(network: LSTMNetwork, tokens: np.ndarray, spec: GPUSpec) -> ExecutionResult:
-    baseline = LSTMExecutor(
-        network, ExecutionConfig(mode=ExecutionMode.BASELINE, spec=spec)
-    )
+def _exact_run(network: LSTMNetwork, tokens: np.ndarray) -> ExecutionResult:
+    baseline = LSTMExecutor(network, ExecutionConfig(mode=ExecutionMode.BASELINE))
     return baseline.run_batch(np.asarray(tokens), collect_states=True)
 
 
-def collect_relevance_samples(
-    network: LSTMNetwork, tokens: np.ndarray, spec: GPUSpec = TEGRA_X1
-) -> list[np.ndarray]:
+def collect_relevance_samples(network: LSTMNetwork, tokens: np.ndarray) -> list[np.ndarray]:
     """Relevance arrays ``S`` for every (sequence, layer) of a calibration
     batch, computed with an epsilon threshold (no links actually break)."""
-    return _relevance_samples(_relevance_probe(network, tokens, spec))
+    return _relevance_samples(_relevance_probe(network, tokens))
 
 
-def fit_predicted_links(
-    network: LSTMNetwork, tokens: np.ndarray, spec: GPUSpec = TEGRA_X1
-) -> list[PredictedLink]:
+def fit_predicted_links(network: LSTMNetwork, tokens: np.ndarray) -> list[PredictedLink]:
     """Fig. 10, step 4: Eq. 6 link predictors from an exact calibration run."""
-    return _fit_links(_exact_run(network, tokens, spec))
+    return _fit_links(_exact_run(network, tokens))
 
 
 def calibrate_offline(
@@ -207,13 +201,13 @@ def calibrate_offline(
         # particular sequence: probe with a fixed, amortization-friendly
         # length so short applications do not bias the knee (Fig. 10 (1)).
         mts = calibrate_mts(spec, hidden)
-    result = _relevance_probe(network, tokens, spec, collect_states=True)
+    result = _relevance_probe(network, tokens, collect_states=True)
     relevance_samples = _relevance_samples(result)
     alpha_max = find_alpha_inter_max(relevance_samples, mts)
     if any(record.breakpoints for plan in result.plans for record in plan.layers):
         # A relevance of exactly zero broke a link even at the epsilon
         # threshold, so the probe was not the exact walk: run that.
-        result = _exact_run(network, tokens, spec)
+        result = _exact_run(network, tokens)
     return OfflineCalibration(
         mts=mts,
         alpha_inter_max=alpha_max,

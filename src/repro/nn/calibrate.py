@@ -30,7 +30,6 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,12 +37,9 @@ from repro.errors import ConfigurationError
 from repro.nn.backprop import TrainingTape, backward, training_forward
 from repro.nn.network import LSTMNetwork
 
-if TYPE_CHECKING:
-    from repro.gpu.specs import GPUSpec
-
-# repro.core / repro.gpu imports stay function-local below: repro.core
-# itself imports repro.nn at package-init time, so importing the executor
-# here would close an import cycle.
+# repro.core imports stay function-local below: repro.core itself imports
+# repro.nn at package-init time, so importing the executor here would
+# close an import cycle.
 
 #: Optimizer registry for :func:`build_optimizer` / the CLI.
 OPTIMIZERS: tuple[str, ...] = ("sgd", "adam")
@@ -297,7 +293,6 @@ def measure_gate_statistics(
     tokens: np.ndarray,
     alpha_inter: float,
     alpha_intra: float,
-    spec: "GPUSpec | None" = None,
 ) -> GateStatistics:
     """Measure DRS skip ratio and breakpoint placement on a token batch.
 
@@ -311,18 +306,14 @@ def measure_gate_statistics(
     from repro.core.breakpoints import find_breakpoints
     from repro.core.executor import ExecutionConfig, ExecutionMode, LSTMExecutor
     from repro.core.tuner import collect_relevance_samples
-    from repro.gpu.specs import TEGRA_X1
 
-    if spec is None:
-        spec = TEGRA_X1
     executor = LSTMExecutor(
-        network,
-        ExecutionConfig(mode=ExecutionMode.INTRA, alpha_intra=alpha_intra, spec=spec),
+        network, ExecutionConfig(mode=ExecutionMode.INTRA, alpha_intra=alpha_intra)
     )
     result = executor.run_batch(np.asarray(tokens))
     skip = float(np.mean([plan.mean_skip_fraction for plan in result.plans]))
 
-    samples = collect_relevance_samples(network, tokens, spec=spec)
+    samples = collect_relevance_samples(network, tokens)
     breakpoints = [tuple(find_breakpoints(s, alpha_inter)) for s in samples]
     return GateStatistics(
         skip_fraction=skip,
@@ -379,14 +370,9 @@ def drift_report(
     tokens: np.ndarray,
     alpha_inter: float,
     alpha_intra: float,
-    spec: "GPUSpec | None" = None,
 ) -> DriftReport:
     """Measure both weight sets on the same batch and same thresholds."""
     return DriftReport(
-        before=measure_gate_statistics(
-            before_network, tokens, alpha_inter, alpha_intra, spec=spec
-        ),
-        after=measure_gate_statistics(
-            after_network, tokens, alpha_inter, alpha_intra, spec=spec
-        ),
+        before=measure_gate_statistics(before_network, tokens, alpha_inter, alpha_intra),
+        after=measure_gate_statistics(after_network, tokens, alpha_inter, alpha_intra),
     )

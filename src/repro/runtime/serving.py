@@ -441,7 +441,6 @@ class ServingCore:
         builder = self.recorder.start_run(
             label=label,
             mode=config.mode.value,
-            spec=config.spec.name,
             batch=report.batch,
             seq_length=report.length,
             config=meta,

@@ -270,7 +270,6 @@ class StreamingServer(ServingCore):
             "alpha_inter": config.alpha_inter,
             "alpha_intra": config.alpha_intra,
             "mts": config.mts,
-            "drs_style": config.drs_style,
             "precision": config.precision.tag,
             "threads": config.threads,
             "stream_chunk_len": chunk_len,

@@ -87,20 +87,18 @@ class Workload:
         return self._baseline
 
     def _as_evaluation(
-        self,
-        outcome: InferenceOutcome,
-        mode: ExecutionMode,
-        threshold_index: int | None,
-        alpha_inter: float,
-        alpha_intra: float,
+        self, outcome: InferenceOutcome, threshold_index: int | None
     ) -> WorkloadEvaluation:
+        """One evaluation of ``outcome`` against the baseline, with the
+        mode and thresholds its execution resolved."""
         base = self.baseline
+        config = outcome.config
         return WorkloadEvaluation(
             app_name=self.name,
-            mode=mode,
+            mode=config.mode,
             threshold_index=threshold_index,
-            alpha_inter=alpha_inter,
-            alpha_intra=alpha_intra,
+            alpha_inter=config.alpha_inter,
+            alpha_intra=config.alpha_intra,
             accuracy=self.dataset.accuracy(outcome.predictions),
             speedup=outcome.speedup_vs(base),
             energy_saving=outcome.energy_saving_vs(base),
@@ -117,7 +115,6 @@ class Workload:
         threshold_index: int | None = None,
         alpha_inter: float | None = None,
         alpha_intra: float | None = None,
-        drs_style: str = "hardware",
         zero_prune_fraction: float = 0.37,
     ) -> WorkloadEvaluation:
         """Measure one scheme on the evaluation batch.
@@ -126,41 +123,26 @@ class Workload:
         Fig. 19), so it is reported as exactly 1.0x / 100 %.
         """
         if mode is ExecutionMode.BASELINE or threshold_index == 0:
-            base = self.baseline
-            return self._as_evaluation(base, ExecutionMode.BASELINE, 0, 0.0, 0.0)
+            return self._as_evaluation(self.baseline, 0)
         outcome = self.app.run(
             self.dataset.tokens,
             mode=mode,
             threshold_index=threshold_index,
             alpha_inter=alpha_inter,
             alpha_intra=alpha_intra,
-            drs_style=drs_style,
             zero_prune_fraction=zero_prune_fraction,
         )
-        config = self.app.execution_config(
-            mode,
-            alpha_inter=alpha_inter,
-            alpha_intra=alpha_intra,
-            threshold_index=threshold_index,
-            drs_style=drs_style,
-            zero_prune_fraction=zero_prune_fraction,
-        )
-        return self._as_evaluation(
-            outcome, mode, threshold_index, config.alpha_inter, config.alpha_intra
-        )
+        return self._as_evaluation(outcome, threshold_index)
 
     def threshold_sweep(
         self,
         mode: ExecutionMode = ExecutionMode.COMBINED,
         indices: range | list[int] | None = None,
-        drs_style: str = "hardware",
     ) -> list[WorkloadEvaluation]:
         """The Fig. 19 sweep: one evaluation per threshold set."""
         if indices is None:
             indices = range(len(self.app.calibration.schedule()))
-        return [
-            self.evaluate(mode, threshold_index=i, drs_style=drs_style) for i in indices
-        ]
+        return [self.evaluate(mode, threshold_index=i) for i in indices]
 
     @staticmethod
     def ao_index(sweep: list[WorkloadEvaluation], target_accuracy: float = 0.98) -> int:

@@ -65,15 +65,15 @@ class TestContextCaching:
         calls = []
 
         class FakeWorkload:
-            def threshold_sweep(self, mode, drs_style="hardware"):
-                calls.append((mode, drs_style))
+            def threshold_sweep(self, mode):
+                calls.append(mode)
                 return ["sweep"]
 
         ctx._workloads["MR"] = FakeWorkload()
         ctx.sweep("MR", ExecutionMode.INTER)
-        ctx.sweep("MR", ExecutionMode.INTER)
-        ctx.sweep("MR", ExecutionMode.INTER, drs_style="software")
-        assert len(calls) == 2
+        ctx.sweep("mr", ExecutionMode.INTER)
+        ctx.sweep("MR", ExecutionMode.INTRA)
+        assert calls == [ExecutionMode.INTER, ExecutionMode.INTRA]
 
 
 class TestDerivedSeeds:

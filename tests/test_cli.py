@@ -25,6 +25,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "NOPE"])
 
+    @pytest.mark.parametrize(
+        "command", [["run", "MR"], ["trace", "record", "MR"], ["calibrate", "MR"]]
+    )
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_sequences_must_be_at_least_one(self, command, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([*command, "--sequences", value])
+        assert exit_info.value.code == 2
+        assert f"must be at least 1, got {value}" in capsys.readouterr().err
+
     def test_sweep_disallows_baseline(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "MR", "--mode", "baseline"])

@@ -23,6 +23,7 @@ from repro.core.pipeline import OptimizedLSTM
 from repro.core.plan import PlanCache
 from repro.core.reference import ReferenceExecutor
 from repro.errors import ConfigurationError, ShapeError
+from repro.gpu.specs import TEGRA_X1
 from repro.nn.activations import sigmoid
 from repro.nn.lstm_cell import GATE_ORDER, CellState, input_projections, lstm_cell_step
 from tests.conftest import TINY_HIDDEN, TINY_VOCAB, make_executor
@@ -42,8 +43,6 @@ class TestConfig:
             ExecutionConfig(alpha_inter=-1.0)
         with pytest.raises(ConfigurationError):
             ExecutionConfig(mts=0)
-        with pytest.raises(ConfigurationError):
-            ExecutionConfig(drs_style="quantum")
         with pytest.raises(ConfigurationError):
             ExecutionConfig(zero_prune_fraction=1.0)
 
@@ -340,7 +339,7 @@ class TestKernelTraces:
     def test_every_mode_produces_a_trace(self, calibrated_network, tiny_tokens, mode, kwargs):
         executor = make_executor(calibrated_network, mode, **kwargs)
         result = executor.run_batch(tiny_tokens[:1])
-        kernels = executor.kernel_trace(result.plans[0])
+        kernels = executor.kernel_trace(result.plans[0], TEGRA_X1)
         assert len(kernels) > 0
         names = {k.name for k in kernels}
         assert "sgemm" in names  # the per-layer Sgemm(W, x) is always there
@@ -348,13 +347,13 @@ class TestKernelTraces:
     def test_intra_trace_has_algorithm3_kernels(self, calibrated_network, tiny_tokens):
         executor = make_executor(calibrated_network, ExecutionMode.INTRA, alpha_intra=0.2)
         result = executor.run_batch(tiny_tokens[:1])
-        names = [k.name for k in executor.kernel_trace(result.plans[0])]
+        names = [k.name for k in executor.kernel_trace(result.plans[0], TEGRA_X1)]
         assert "drs" in names
 
     def test_inter_trace_has_relevance_kernel(self, calibrated_network, tiny_tokens):
         executor = make_executor(calibrated_network, ExecutionMode.INTER, alpha_inter=1e-300)
         result = executor.run_batch(tiny_tokens[:1])
-        names = [k.name for k in executor.kernel_trace(result.plans[0])]
+        names = [k.name for k in executor.kernel_trace(result.plans[0], TEGRA_X1)]
         assert "relevance" in names
 
 
@@ -404,13 +403,11 @@ class TestPartialWarp:
 
         rng = np.random.default_rng(3)
         tokens = rng.integers(0, 60, size=(3, 10))
-        executor = make_executor(
-            network48, ExecutionMode.INTRA, alpha_intra=0.6, drs_style="software"
-        )
+        executor = make_executor(network48, ExecutionMode.INTRA, alpha_intra=0.6)
         result = executor.run_batch(tokens)
         simulator = TimingSimulator()
         for plan in result.plans:
-            kernels = executor.kernel_trace(plan)
+            kernels = executor.kernel_trace(plan, TEGRA_X1, drs_style="software")
             for kernel in kernels:
                 assert 0.0 < kernel.warp_efficiency <= 1.0
                 assert 0.0 < kernel.gather_efficiency <= 1.0
@@ -420,9 +417,7 @@ class TestPartialWarp:
     def test_batched_matches_reference(self, network48):
         rng = np.random.default_rng(5)
         tokens = rng.integers(0, 60, size=(3, 10))
-        config = ExecutionConfig(
-            mode=ExecutionMode.INTRA, alpha_intra=0.4, drs_style="software"
-        )
+        config = ExecutionConfig(mode=ExecutionMode.INTRA, alpha_intra=0.4)
         batched = LSTMExecutor(network48, config).run_batch(tokens)
         reference = ReferenceExecutor(network48, config).run_batch(tokens)
         # BLAS accumulation order differs at non-power-of-two widths, so

@@ -33,7 +33,7 @@ slow_settings = settings(
 
 
 def run(mode, **kwargs):
-    executor = LSTMExecutor(NETWORK, ExecutionConfig(mode=mode, spec=TEGRA_X1, **kwargs))
+    executor = LSTMExecutor(NETWORK, ExecutionConfig(mode=mode, **kwargs))
     return executor, executor.run_batch(TOKENS)
 
 
@@ -83,7 +83,7 @@ class TestTraceInvariants:
             ExecutionMode.COMBINED, alpha_inter=a_inter, alpha_intra=a_intra
         )
         sim = TimingSimulator(TEGRA_X1)
-        trace = sim.run_trace(executor.kernel_trace(result.plans[0]))
+        trace = sim.run_trace(executor.kernel_trace(result.plans[0], TEGRA_X1))
         assert trace.total_time > 0
         assert trace.total_energy > 0
         assert trace.total_dram_bytes >= 0
@@ -93,7 +93,7 @@ class TestTraceInvariants:
     def test_more_skipping_never_increases_weight_traffic(self, alpha):
         def fic_bytes(a):
             executor, result = run(ExecutionMode.INTRA, alpha_intra=a)
-            kernels = executor.kernel_trace(result.plans[0])
+            kernels = executor.kernel_trace(result.plans[0], TEGRA_X1)
             return sum(k.weight_bytes for k in kernels if (k.weight_id or "").startswith("Ufic"))
 
         assert fic_bytes(alpha) >= fic_bytes(min(0.5, alpha + 0.1)) - 1e-6
@@ -109,6 +109,6 @@ class TestDeterminism:
     def test_simulator_repeatability(self):
         executor, result = run(ExecutionMode.BASELINE)
         sim = TimingSimulator(TEGRA_X1)
-        t1 = sim.run_trace(executor.kernel_trace(result.plans[0])).total_time
-        t2 = sim.run_trace(executor.kernel_trace(result.plans[0])).total_time
+        t1 = sim.run_trace(executor.kernel_trace(result.plans[0], TEGRA_X1)).total_time
+        t2 = sim.run_trace(executor.kernel_trace(result.plans[0], TEGRA_X1)).total_time
         assert t1 == t2

@@ -16,7 +16,6 @@ from repro.core.plan import (
 )
 from repro.errors import ConfigurationError
 from repro.nn.network import LSTMNetwork
-from tests.grading import assert_bytes_equal, assert_plans_equal
 
 
 @pytest.fixture
@@ -226,21 +225,6 @@ class TestExecutorIntegration:
         assert cache.stats.relevance_misses == misses
         assert cache.stats.plan_hits == 0
         assert len(cache) == 3 * batch  # batch relevance arrays, 2 x batch plans
-
-    def test_plans_are_not_keyed_on_the_gpu_spec(self, network, tokens):
-        """Plans never read the simulated GPU: a plan built under TX1 is
-        served under M40 and equals a fresh one."""
-        from repro.gpu.specs import TESLA_M40, TEGRA_X1
-
-        cache = PlanCache()
-        tx1 = LSTMExecutor(network, combined_config(spec=TEGRA_X1), plan_cache=cache)
-        tx1.run_batch(tokens)
-        m40_config = combined_config(spec=TESLA_M40)
-        served = LSTMExecutor(network, m40_config, plan_cache=cache).run_batch(tokens)
-        assert cache.stats.plan_hits == tokens.shape[0]
-        fresh = LSTMExecutor(network, m40_config).run_batch(tokens)
-        assert_plans_equal(served.plans, fresh.plans)
-        assert_bytes_equal(served.logits, fresh.logits)
 
     def test_exact_relevance_variant_does_not_collide(self, network, tokens):
         cache = PlanCache()
