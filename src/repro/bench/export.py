@@ -40,6 +40,7 @@ def to_jsonable(value: Any) -> Any:
         return {
             f.name: to_jsonable(getattr(value, f.name))
             for f in dataclasses.fields(value)
+            if f.repr  # a kept execution is not a result
         }
     if isinstance(value, dict):
         return {str(k): to_jsonable(v) for k, v in value.items()}

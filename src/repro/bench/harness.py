@@ -10,7 +10,7 @@ sweeps so one benchmark session builds each application exactly once.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -403,15 +403,14 @@ def fig16_compression_schemes(ctx: ExperimentContext | None = None, apps=None):
         intra_sweep = ctx.sweep(name, ExecutionMode.INTRA)
         ao = Workload.ao_index(intra_sweep, ctx.target_accuracy)
         hardware = intra_sweep[ao]
-        # Software DRS skips the rows the CRM skips: the bar is an INTRA
-        # execution at the AO threshold, priced with DRS in software.
-        intra = workload.app.run(
-            workload.dataset.tokens,
-            mode=ExecutionMode.INTRA,
-            alpha_intra=hardware.alpha_intra,
-            alpha_inter=0.0,
-        )
-        software = workload.app.price(intra, drs_style="software")
+        # Software DRS skips the rows the CRM skips: the bar is the sweep's
+        # INTRA execution at the AO threshold, priced with DRS in software.
+        # Set 0 is the baseline's execution, which is INTRA's at alpha 0.
+        executed = hardware.outcome
+        if ao == 0:
+            intra = workload.app.execution_config(ExecutionMode.INTRA, alpha_intra=0.0)
+            executed = replace(executed, config=intra)
+        software = workload.app.price(executed, drs_style="software")
         pruned = workload.evaluate(ExecutionMode.ZERO_PRUNE)
         from repro.nn.pruning import prune_cell_weights
 

@@ -60,10 +60,11 @@ if TYPE_CHECKING:
 class InferenceOutcome:
     """Numerics plus simulated platform behaviour of one batched inference:
     the execution (``config`` to ``plans``, ``result``) and its pricing
-    (``times``, ``energies``, ``traces``; see :meth:`OptimizedLSTM.price`)."""
+    (``times``, ``energies``, ``traces``; see :meth:`OptimizedLSTM.price`).
+    ``logits`` is ``None`` in the copy a sweep's evaluation keeps."""
 
     config: ExecutionConfig
-    logits: np.ndarray
+    logits: np.ndarray | None
     predictions: np.ndarray
     plans: list[SequencePlan]
     times: np.ndarray

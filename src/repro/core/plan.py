@@ -287,11 +287,13 @@ def wave_schedule(plans: Sequence[CachedLayerPlan], seq_len: int):
     sequence ``b``'s first sub-layer (the one that starts from zeros, not
     from the predicted link). Each wave is a tuple
 
-    ``(out_rows, state_rows, tissues, starts, tissue_of_row)``
+    ``(out_rows, state_rows, tissues, starts, tissue_of_row, link_rows)``
 
     of its rows' output and state row indices, its tissues' walk
-    positions as a ``slice``, each tissue's first wave-local row, and each
-    row's tissue as a walk position.
+    positions as a ``slice``, each tissue's first wave-local row, each
+    row's tissue as a walk position, and the wave-local rows that start a
+    sub-layer from the predicted link (a chain's first cell, except each
+    sequence's first chain).
     """
     base = (np.arange(len(plans)) * seq_len).tolist()
     chain_counts = [plan.num_sublayers for plan in plans]
@@ -314,10 +316,16 @@ def wave_schedule(plans: Sequence[CachedLayerPlan], seq_len: int):
     out_rows = np.concatenate([b + plan.ts for b, plan in zip(base, plans)])[cells]
     state_rows = np.concatenate([c + plan.subs for c, plan in zip(chains, plans)])[cells]
     tissue_of_row = np.repeat(np.arange(order.size), sizes)
+    # A chain's cells are walked in time order, so its first row in walk
+    # order is its first cell; np.unique lists chains 0, 1, … in order.
+    first_cell = np.unique(state_rows, return_index=True)[1]
+    first_cell[chains] = -1
+    link_rows = np.sort(first_cell[first_cell >= 0])
 
     wave_starts = np.flatnonzero(np.diff(wave)) + 1
     bounds = [0, *wave_starts.tolist(), order.size]
     first_rows, end_rows = row_start.tolist(), row_end.tolist()
+    link_cuts = np.searchsorted(link_rows, first_rows + [int(row_end[-1])]).tolist()
     waves = []
     for lo, hi in zip(bounds, bounds[1:]):
         r0, r1 = first_rows[lo], end_rows[hi - 1]
@@ -328,6 +336,7 @@ def wave_schedule(plans: Sequence[CachedLayerPlan], seq_len: int):
                 slice(lo, hi),
                 row_start[lo:hi] - r0,
                 tissue_of_row[r0:r1],
+                link_rows[link_cuts[lo] : link_cuts[hi]] - r0,
             )
         )
     return waves, rank, chains, int(chain_ends[-1])

@@ -29,11 +29,12 @@ Two grades (:func:`repro.core.backends.is_exact`). The stepwise program is
 *exact*: it reproduces the reference walk's arithmetic bit for bit
 (property-tested in ``tests/test_program.py`` and
 ``tests/test_executor_equivalence.py``). The combined program is *graded*:
-each wave's recurrent product is one real ``(rows, H) @ (H, 4H)`` GEMM, whose
-row bits depend on how many rows share it, so it agrees with the reference
-to ``1e-9`` with equal predictions and identical plans — and, at one shape,
-deterministically with itself. The rules that keep the exact program exact
-on OpenBLAS, measured on this platform:
+each wave's recurrent product is one real ``(rows, H) @ (H, 4H)`` GEMM — with
+DRS, two smaller ones over the units and columns still live — whose row bits
+depend on how many rows and columns share it, so it agrees with the
+reference to ``1e-9`` with equal predictions and identical plans — and, for
+one batch, deterministically with itself. The rules that keep the exact
+program exact on OpenBLAS, measured on this platform:
 
 * ``np.matmul(..., out=)`` never changes bits relative to the allocating
   call — the dispatch is chosen from the operands, not the output.
@@ -766,6 +767,9 @@ class CombinedGroupProgram(LeasedProgram):
     * the wave's recurrent products are one ``(rows, H) @ (H, 4H)`` GEMM
       over every cell of every tissue in it — ``U`` is loaded once per
       wave, the paper's Sgemv -> Sgemm (graded, see the module docstring);
+      with DRS, Algorithm 3 on the wave (:meth:`_wave_live`): an ``o``
+      product over ``h``'s live columns, then an f/i/g product for the
+      live units only;
     * gather, gate epilogue, the DRS intersection (one
       ``logical_and.reduceat`` over the wave's contiguous tissue extents)
       and scatter run once per wave over all of its rows.
@@ -773,7 +777,8 @@ class CombinedGroupProgram(LeasedProgram):
     The per-plan index vectors come prebuilt on
     :class:`~repro.core.plan.CachedLayerPlan`; a run only concatenates and
     orders them (:func:`~repro.core.plan.wave_schedule`). The workspace
-    holds one wave — at most ``B * mts`` rows.
+    holds one wave — at most ``B * mts`` rows — and, with DRS, the live
+    operand: at most ``4 * H * H`` doubles.
     """
 
     def __init__(
@@ -795,6 +800,13 @@ class CombinedGroupProgram(LeasedProgram):
         self._link = link
         self._u_t = united.u.T  # (H, 4H) transpose view, as the reference
         self._b = united.b
+        if alpha_intra > 0.0:
+            # The live walk's per-unit constants: b (f, i, c, o), then what a
+            # sub-layer starting from the link reads instead of its first
+            # product, h_bar @ U^T (f, i, c, o), and c_bar.
+            self._u3 = united.u.reshape(4, hidden, hidden)
+            hbar_u = link.h_bar @ self._u_t
+            self._units = np.concatenate([united.b, hbar_u, link.c_bar]).reshape(9, hidden)
 
         # One wave of scratch — gathered projections, pre-activations,
         # gathered h/c, gate outputs, c/h results, a temporary, the
@@ -807,10 +819,20 @@ class CombinedGroupProgram(LeasedProgram):
         self._wave_names = [name for name, _, _ in slabs]
         if alpha_intra > 0.0:
             # Per-tissue shared (intersection) masks, in walk order and —
-            # what execute() returns — in sequence-major schedule order.
+            # what execute() returns — in sequence-major schedule order;
+            # then the live walk's (_wave_live): the live units in discovery
+            # order, their membership, the live operand (row p: column S[p]
+            # of U_f, U_i, U_c at the live units, then of U_o), the
+            # compacted unit constants and projections.
             slabs += [
                 ("shared_walk", (cells, hidden), bool),
                 ("shared", (cells, hidden), bool),
+                ("live", (hidden,), np.intp),
+                ("in_s", (hidden,), bool),
+                ("dead", (hidden,), bool),
+                ("live_u", (hidden, 4, hidden), float),
+                ("live_units", (9, hidden), float),
+                ("xs", (rows * 4 * hidden,), float),
             ]
         # Recurrent (h, c) state, one row per sub-layer of the batch: room
         # for the B * T a fully divided batch has. A layer typically has a
@@ -827,6 +849,9 @@ class CombinedGroupProgram(LeasedProgram):
         #: first use so a warm walk creates no array objects for heights
         #: it has seen.
         ws.wave_views = {}
+        #: The scratch planes' bytes, flat: the live walk's compacted
+        #: operands are contiguous prefixes of them.
+        ws.flat = SimpleNamespace(**{k: getattr(ws, k).reshape(-1) for k in self._wave_names})
         return ws
 
     def _rows(self, ws: SimpleNamespace, n: int) -> tuple:
@@ -864,22 +889,31 @@ class CombinedGroupProgram(LeasedProgram):
         otherwise.
         """
         ws = self._ws or self._bind()
-        alpha = self.alpha_intra
-        drs = alpha > 0.0
+        drs = self.alpha_intra > 0.0
         if not plans:
             return ws.shared[:0] if drs else None
         proj_flat = proj_u.reshape(-1, 4 * self.hidden)
         hs_flat = hs.reshape(-1, self.hidden)
         waves, rank, chains, num_chains = wave_schedule(plans, self.seq_len)
         h_flat, c_flat = ws.h_flat, ws.c_flat
-        # Every sub-layer starts from the predicted link, except each
-        # sequence's first, which starts from zeros.
-        h_flat[:num_chains] = self._link.h_bar
-        c_flat[:num_chains] = self._link.c_bar
-        h_flat[chains] = 0.0
-        c_flat[chains] = 0.0
+        if drs:
+            # The live walk's state is compacted (see _wave_live): it starts
+            # all zeros, and link rows read the link from the unit constants.
+            h_flat[:num_chains] = 0.0
+            c_flat[:num_chains] = 0.0
+            hs_flat[:] = 0.0
+            ws.in_s[:] = False
+        else:
+            # Every sub-layer starts from the predicted link, except each
+            # sequence's first, which starts from zeros.
+            h_flat[:num_chains] = self._link.h_bar
+            c_flat[:num_chains] = self._link.c_bar
+            h_flat[chains] = 0.0
+            c_flat[chains] = 0.0
         wave_views = ws.wave_views
-        for out_rows, state_rows, tissues, starts, tissue_of_row in waves:
+        live = 0
+        for wave in waves:
+            out_rows, state_rows = wave[:2]
             views = wave_views.get(out_rows.size) or self._rows(ws, out_rows.size)
             (
                 x, pre, h_prev, c_prev, o, g, c_new, h_new, t1, masks, mask_rows,
@@ -888,6 +922,9 @@ class CombinedGroupProgram(LeasedProgram):
             # mode="clip" only skips take's bounds-check staging copy;
             # the schedule's rows are in range by construction.
             proj_flat.take(out_rows, axis=0, out=x, mode="clip")
+            if drs:
+                live = self._wave_live(ws, views, wave, live, hs_flat)
+                continue
             h_flat.take(state_rows, axis=0, out=h_prev, mode="clip")
             c_flat.take(state_rows, axis=0, out=c_prev, mode="clip")
             # The wave's one GEMM: U is loaded once for every cell of every
@@ -901,18 +938,6 @@ class CombinedGroupProgram(LeasedProgram):
             np.multiply(f, c_prev, out=c_new)
             np.multiply(i, g, out=t1)
             np.add(c_new, t1, out=c_new)
-            if drs:
-                # A tissue's shared mask is the intersection of its cells'
-                # trivial rows, and every one of its cells drops those rows
-                # (a wave of single cells: its own masks, stored as they are).
-                if starts.size == out_rows.size:
-                    np.less(o, alpha, out=mask_rows)
-                    ws.shared_walk[tissues] = mask_rows
-                else:
-                    np.less(o, alpha, out=masks)
-                    np.logical_and.reduceat(masks, starts, axis=0, out=ws.shared_walk[tissues])
-                    ws.shared_walk.take(tissue_of_row, axis=0, out=mask_rows, mode="clip")
-                np.putmask(c_new, mask_rows, 0.0)
             np.tanh(c_new, out=t1)
             np.multiply(o, t1, out=h_new)
             h_flat[state_rows] = h_new
@@ -922,3 +947,99 @@ class CombinedGroupProgram(LeasedProgram):
             return None
         shared = ws.shared[: rank.size]
         return np.take(ws.shared_walk, rank, axis=0, out=shared, mode="clip")
+
+    def _wave_live(
+        self, ws: SimpleNamespace, views: tuple, wave: tuple, live: int, hs_flat: np.ndarray
+    ) -> int:
+        """One wave of the DRS walk — Algorithm 3 on a wave — once its
+        projections are in ``x``; returns the new live count.
+
+        The live units ``S`` (``ws.live[:live]``, in discovery order) are
+        the units some tissue of this call has kept so far. Any other unit
+        was dropped in every row yet walked, so its ``c`` and ``h`` are
+        exactly ``0.0`` there: the state is kept compacted (column ``p``
+        holds unit ``S[p]``, columns past ``|S|`` stay zero), and a product
+        needs only ``h``'s live columns ``K`` — ``S`` as the wave found it.
+        Link rows hold zeros and read ``h_bar @ U^T`` and ``c_bar`` from
+        the unit constants instead. The wave forms ``o`` over ``K``, builds the
+        shared masks, grows ``S`` by the units it keeps (and the live
+        operand with them, in place: :meth:`_grow`), then runs the f/i/g
+        product over ``K`` and the cell update for ``S`` only; every other
+        unit ends ``c = h = 0``, as the masked reference's.
+        """
+        out_rows, state_rows, tissues, starts, tissue_of_row, link_rows = wave
+        x, pre, h_prev, c_prev, o, g, c_new, h_new, t1, masks, mask_rows = views[:11]
+        n, hid, k, flat = out_rows.size, self.hidden, live, ws.flat
+        # Whole state rows: take would first copy a strided source whole.
+        ws.h_flat.take(state_rows, axis=0, out=h_prev, mode="clip")
+        hk = h_prev[:, :k]
+        pre_o = flat.pre[: n * hid].reshape(n, hid)
+        np.matmul(hk, ws.live_u[:k, 3], out=pre_o)
+        if link_rows.size:
+            pre_o[link_rows] = self._units[7]
+        np.add(x[:, 3 * hid :], pre_o, out=pre_o)
+        np.add(pre_o, self._units[3], out=pre_o)
+        sigmoid_into(pre_o, o, c_new, h_new, o)
+        # A tissue's shared mask is the intersection of its cells' trivial
+        # rows, and every one of its cells drops those rows (a wave of
+        # single cells: its own masks, stored as they are).
+        if starts.size == n:
+            np.less(o, self.alpha_intra, out=mask_rows)
+            ws.shared_walk[tissues] = mask_rows
+        else:
+            np.less(o, self.alpha_intra, out=masks)
+            np.logical_and.reduceat(masks, starts, axis=0, out=ws.shared_walk[tissues])
+            ws.shared_walk.take(tissue_of_row, axis=0, out=mask_rows, mode="clip")
+        # S grows by the units some tissue of the wave keeps.
+        np.logical_and.reduce(ws.shared_walk[tissues], axis=0, out=ws.dead)
+        np.logical_or(ws.dead, ws.in_s, out=ws.dead)
+        if not ws.dead.all():
+            live = self._grow(ws, np.flatnonzero(~ws.dead), k)
+        s, order = live, ws.live[:live]
+        ns = n * s
+
+        xs = ws.xs[: 4 * ns].reshape(n, 4, s)
+        x.reshape(n, 4, hid).take(order, axis=2, out=xs, mode="clip")
+        y = flat.pre[n * hid : n * hid + 3 * ns].reshape(3, n, s)
+        np.matmul(hk, ws.live_u[:k, :3, :s].transpose(1, 0, 2), out=y)
+        if link_rows.size:
+            y[:, link_rows] = ws.live_units[4:7, None, :s]
+        np.add(xs[:, :3].transpose(1, 0, 2), y, out=y)
+        np.add(y, ws.live_units[:3, None, :s], out=y)
+        fi, gk = y[:2], y[2]
+        sigmoid_into(fi, fi, *flat.x[: 4 * ns].reshape(2, 2, n, s), fi)
+        np.tanh(gk, out=gk)
+        ws.c_flat.take(state_rows, axis=0, out=c_prev, mode="clip")
+        cs = c_prev[:, :s]
+        if link_rows.size:
+            cs[link_rows] = ws.live_units[8, :s]
+        cn = flat.c_new[:ns].reshape(n, s)
+        np.multiply(fi[0], cs, out=cn)
+        np.multiply(fi[1], gk, out=gk)
+        np.add(cn, gk, out=cn)
+        dropped = flat.masks[:ns].reshape(n, s)
+        mask_rows.take(order, axis=1, out=dropped, mode="clip")
+        np.putmask(cn, dropped, 0.0)
+        hn = flat.t1[:ns].reshape(n, s)
+        np.tanh(cn, out=hn)
+        np.multiply(o.take(order, axis=1, out=flat.g[:ns].reshape(n, s), mode="clip"), hn, out=hn)
+        ws.h_flat[state_rows, :s] = hn
+        ws.c_flat[state_rows, :s] = cn
+        hs_flat[out_rows[:, None], order] = hn
+        return live
+
+    def _grow(self, ws: SimpleNamespace, new: np.ndarray, s0: int) -> int:
+        """Append the units ``new`` to the live set of ``s0`` units: their
+        constants, the live operand's rows for them as input columns
+        (``U_o``'s, and ``U_f``/``U_i``/``U_c``'s at every live unit) and
+        its columns for them as outputs; returns ``|S|``."""
+        s = s0 + new.size
+        ws.live[s0:s] = new
+        ws.in_s[new] = True
+        order = ws.live[:s]
+        ws.live_units[:, s0:s] = self._units[:, new]
+        u3, gates = self._u3, np.arange(3)[:, None, None]
+        ws.live_u[s0:s, 3] = u3[3][:, new].T
+        ws.live_u[s0:s, :3, :s] = u3[gates, order[:, None], new].transpose(2, 0, 1)
+        ws.live_u[:s0, :3, s0:s] = u3[gates, new[:, None], order[:s0]].transpose(2, 0, 1)
+        return s

@@ -9,7 +9,7 @@ energy saving, plus the full threshold sweep of Fig. 19.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,6 +64,9 @@ class WorkloadEvaluation:
     mean_breakpoints: float
     mean_time: float
     mean_energy: float
+    #: The execution measured, logits dropped (config, plans, prices), so a
+    #: figure can re-price it (:meth:`OptimizedLSTM.price`) without a rerun.
+    outcome: InferenceOutcome | None = field(default=None, repr=False, compare=False)
 
 
 class Workload:
@@ -107,6 +110,7 @@ class Workload:
             mean_breakpoints=outcome.mean_breakpoints,
             mean_time=outcome.mean_time,
             mean_energy=outcome.mean_energy,
+            outcome=replace(outcome, logits=None),
         )
 
     def evaluate(

@@ -148,7 +148,9 @@ class TestDegenerateShapes:
         ] * tiny_network.num_layers
         # The empty run leaves the cached programs' neighbours untouched.
         full = executor.run_batch(tiny_tokens)
-        fresh = make_executor(tiny_network, mode, **LIVE_THRESHOLDS).run_batch(tiny_tokens)
+        fresh = make_executor(
+            tiny_network, mode, threads=threads, **LIVE_THRESHOLDS
+        ).run_batch(tiny_tokens)
         assert np.array_equal(full.logits, fresh.logits)
 
 

@@ -52,13 +52,13 @@ CLASSES = 4
 
 
 @st.composite
-def executor_cases(draw):
+def executor_cases(draw, modes=tuple(ExecutionMode)):
     """A small random network + batch + mode + thresholds + links."""
     hidden = draw(st.sampled_from([8, 16, 24]))
     num_layers = draw(st.integers(1, 2))
     seq_length = draw(st.integers(4, 14))
     batch = draw(st.integers(1, 6))
-    mode = draw(st.sampled_from(list(ExecutionMode)))
+    mode = draw(st.sampled_from(modes))
     seed = draw(st.integers(0, 2**16))
     # Thresholds spanning "no effect" to "everything divides / skips".
     alpha_inter = draw(st.sampled_from([0.0, 1.0, 50.0, 500.0, 1e12]))
@@ -104,6 +104,16 @@ class TestBatchedMatchesReference:
         out_b = batched.run_batch(tokens)
         out_r = reference.run_batch(tokens)
         assert_meets_grade(out_b, out_r, batched.exact)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=executor_cases(modes=(ExecutionMode.COMBINED,)))
+    def test_combined_graded_at_every_drop_rate(self, case):
+        """COMBINED alone: the live walk (``alpha_intra > 0``) and the
+        full-width one meet the oracle's grade with identical plans."""
+        network, tokens, config, links = case
+        batched = LSTMExecutor(network, config, predicted_links=links)
+        reference = ReferenceExecutor(network, config, predicted_links=links)
+        assert_graded(batched.run_batch(tokens), reference.run_batch(tokens))
 
     @settings(max_examples=15, deadline=None)
     @given(case=executor_cases())

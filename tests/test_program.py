@@ -1,6 +1,6 @@
 """Compiled plan programs: bit-identity, workspace reuse, allocations.
 
-Four properties of :mod:`repro.core.program`:
+Five properties of :mod:`repro.core.program`:
 
 * **Agreement with the oracle.** The executor's programs equal the
   frozen :class:`~repro.core.reference.ReferenceExecutor` bit for bit in
@@ -17,13 +17,19 @@ Four properties of :mod:`repro.core.program`:
   leaks between runs, including across mid-sequence breakpoint resets
   (hypothesis).
 
-* **Allocation regression.** Once a program is warm, the steady-state
-  timestep loop must allocate nothing: a tracemalloc diff over a repeat
-  run, filtered to ``program.py``, must show zero net new live blocks.
+* **The live walk.** COMBINED with DRS forms ``o`` first and runs f/i/g
+  only for the live units over ``h``'s live columns: graded against the
+  oracle with identical plans at every drop rate, byte for byte the
+  full-width walk without DRS, and a function of its inputs alone.
+
+* **Allocation regression.** Once a program is warm, its runs must keep
+  nothing: what ``program.py`` leaves allocated does not grow from 3 to 30
+  warm runs, and none of it is an array buffer.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import tracemalloc
 
@@ -36,11 +42,15 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from repro.config import AppConfig, LSTMConfig, TaskFamily  # noqa: E402
 from repro.core import program as program_module  # noqa: E402
 from repro.core.context_prediction import PredictedLink  # noqa: E402
+from repro.core.backends import make_combined_program  # noqa: E402
 from repro.core.executor import (  # noqa: E402
     ExecutionConfig,
     ExecutionMode,
     LSTMExecutor,
+    _UnitedWeights,
 )
+from repro.core.pipeline import OptimizedLSTM  # noqa: E402
+from repro.core.plan import wave_schedule  # noqa: E402
 from repro.core.program import ProgramCache, sigmoid_into  # noqa: E402
 from repro.core.reference import ReferenceExecutor  # noqa: E402
 from repro.errors import ConfigurationError  # noqa: E402
@@ -48,7 +58,7 @@ from repro.nn.activations import sigmoid  # noqa: E402
 from repro.nn.model_zoo import build_calibrated_network  # noqa: E402
 from repro.nn.network import LSTMNetwork  # noqa: E402
 
-from tests.grading import assert_meets_grade  # noqa: E402
+from tests.grading import assert_bytes_equal, assert_graded, assert_meets_grade  # noqa: E402
 
 VOCAB = 31
 CLASSES = 3
@@ -446,34 +456,48 @@ class TestStepwiseStateInjection:
 
 
 class TestAllocationRegression:
-    """Satellite: warm compiled runs allocate nothing inside program.py."""
+    """Satellite: warm compiled runs retain nothing inside program.py."""
 
     @pytest.mark.parametrize(
         "mode", [ExecutionMode.BASELINE, ExecutionMode.INTRA, ExecutionMode.COMBINED]
     )
     def test_steady_state_program_allocations_are_zero(self, mode):
+        """What ``program.py`` lines leave allocated must not grow from 3 to
+        30 warm runs, and none of it may be an array buffer (numpy reports
+        those in its own tracemalloc domain). numpy's small dimension
+        cache does keep a bounded number of blocks, whichever line freed
+        them last, so the byte count is compared, not the blocks."""
         network, tokens, links = make_case(seed=5, hidden=24, seq=16, batch=6)
         config = ExecutionConfig(mode=mode, **MODE_CONFIGS[mode])
         executor = LSTMExecutor(network, config, predicted_links=links)
         executor.run_batch(tokens)  # compile + warm every program
         executor.run_batch(tokens)
 
-        trace_filter = tracemalloc.Filter(True, program_module.__file__)
-        gc.collect()
-        tracemalloc.start(10)
-        try:
-            before = tracemalloc.take_snapshot().filter_traces([trace_filter])
-            for _ in range(3):
+        in_program = tracemalloc.Filter(True, program_module.__file__)
+
+        def retained_after(runs: int) -> tracemalloc.Snapshot:
+            for _ in range(runs):
                 executor.run_batch(tokens)
             gc.collect()
-            after = tracemalloc.take_snapshot().filter_traces([trace_filter])
+            return tracemalloc.take_snapshot().filter_traces([in_program])
+
+        tracemalloc.start(10)
+        try:
+            early = retained_after(3)
+            late = retained_after(27)
         finally:
             tracemalloc.stop()
-        stats = after.compare_to(before, "lineno")
-        grown = [s for s in stats if s.size_diff > 0]
-        assert not grown, "steady-state allocations inside program.py:\n" + "\n".join(
-            f"  {s.traceback}: +{s.size_diff} B in {s.count_diff} block(s)"
-            for s in grown
+
+        def nbytes(snapshot: tracemalloc.Snapshot) -> int:
+            return sum(trace.size for trace in snapshot.traces)
+
+        grown = [s for s in late.compare_to(early, "lineno") if s.size_diff > 0]
+        assert nbytes(late) <= nbytes(early), "retained bytes grew in program.py:\n" + "\n".join(
+            f"  {s.traceback}: +{s.size_diff} B in {s.count_diff} block(s)" for s in grown
+        )
+        buffers = late.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        assert not buffers.traces, "array buffers retained by program.py:\n" + "\n".join(
+            f"  {stat.traceback}: {stat.size} B" for stat in buffers.statistics("lineno")
         )
 
     def test_compile_wall_time_only_on_cache_miss(self):
@@ -536,3 +560,113 @@ class TestFreshInputsReplayPrograms:
         assert cache.stats.hits == 2 * programs
         assert cache.stats.evictions == 0
         assert len(cache) == programs
+
+
+def full_width_walk(united, link, proj_u: np.ndarray, plans) -> np.ndarray:
+    """COMBINED's wave walk without DRS, written out: each wave one
+    ``(rows, H) @ (H, 4H)`` GEMM, then the gate epilogue."""
+    batch, seq_len, width = proj_u.shape
+    hidden = width // 4
+    waves, _, chains, num_chains = wave_schedule(plans, seq_len)
+    h = np.tile(link.h_bar, (num_chains, 1))
+    c = np.tile(link.c_bar, (num_chains, 1))
+    h[chains] = 0.0
+    c[chains] = 0.0
+    proj = proj_u.reshape(-1, width)
+    out = np.empty((batch * seq_len, hidden))
+    for out_rows, state_rows, *_ in waves:
+        pre = proj[out_rows] + h[state_rows] @ united.u.T + united.b
+        f, i, g, o = np.split(pre, 4, axis=1)
+        c_new = sigmoid(f) * c[state_rows] + sigmoid(i) * np.tanh(g)
+        h_new = sigmoid(o) * np.tanh(c_new)
+        h[state_rows], c[state_rows], out[out_rows] = h_new, c_new, h_new
+    return out.reshape(batch, seq_len, hidden)
+
+
+class TestCombinedLiveWalk:
+    """COMBINED with DRS skips what DRS drops: ``o`` first, then f/i/g only
+    for the units some tissue of the wave keeps, over ``h``'s live columns."""
+
+    @pytest.fixture(scope="class")
+    def app(self):
+        model = LSTMConfig(hidden_size=24, num_layers=2, seq_length=12, input_size=20)
+        config = AppConfig(
+            name="LIVE",
+            family=TaskFamily.SENTIMENT_CLASSIFICATION,
+            model=model,
+            vocab_size=60,
+            num_classes=CLASSES,
+        )
+        app = OptimizedLSTM.from_app(config, seed=5)
+        app.calibrate(num_sequences=4)
+        return app
+
+    @pytest.fixture(scope="class")
+    def tokens(self, app):
+        return np.random.default_rng(3).integers(0, app.network.vocab_size, size=(6, 12))
+
+    @staticmethod
+    def config(app, alpha_intra: float | None, mts: int) -> ExecutionConfig:
+        """Threshold set 5 (it divides layer 1), ``alpha_intra`` and ``mts``
+        overridden; ``None`` keeps the set's ``alpha_intra``."""
+        base = app.execution_config(ExecutionMode.COMBINED, threshold_index=5)
+        if alpha_intra is None:
+            alpha_intra = base.alpha_intra
+        return dataclasses.replace(base, alpha_intra=alpha_intra, mts=mts)
+
+    @staticmethod
+    def run(app, config, tokens):
+        return LSTMExecutor(
+            app.network, config, predicted_links=app.calibration.predicted_links
+        ).run_batch(tokens)
+
+    @pytest.mark.parametrize("mts", [1, 3, 8])
+    @pytest.mark.parametrize(
+        "alpha_intra", [0.0, 1e-300, None, 1.0], ids=["off", "drops-nothing", "set5", "drops-all"]
+    )
+    def test_graded_against_reference_with_identical_plans(self, app, tokens, alpha_intra, mts):
+        config = self.config(app, alpha_intra, mts)
+        out = self.run(app, config, tokens)
+        reference = ReferenceExecutor(
+            app.network, config, predicted_links=app.calibration.predicted_links
+        ).run_batch(tokens)
+        assert_graded(out, reference)
+        records = [rec for plan in out.plans for rec in plan.layers]
+        assert any(rec.plan.num_sublayers > 1 for rec in records)  # link rows ran
+        skip = np.concatenate([rec.skip for rec in records])
+        if alpha_intra == 1e-300:
+            assert not skip.any()
+        elif alpha_intra == 1.0:
+            assert skip.min() > 0.9
+
+    def test_without_drs_each_wave_is_one_full_width_gemm(self, app, tokens):
+        """``alpha_intra = 0`` walks full width: byte for byte the walk
+        written out above, on a divided layer."""
+        config = self.config(app, 0.0, 3)
+        plans = [plan.layers[1].plan for plan in self.run(app, config, tokens).plans]
+        assert any(plan.num_sublayers > 1 for plan in plans)
+        united = _UnitedWeights.from_weights(app.network.layers[1].weights)
+        link = app.calibration.predicted_links[1]
+        batch, seq_len = tokens.shape
+        hidden = united.u.shape[1]
+        proj_u = np.random.default_rng(2).normal(size=(batch, seq_len, 4 * hidden))
+        hs = np.empty((batch, seq_len, hidden))
+        program = make_combined_program(united, link, batch, seq_len, config.mts)
+        assert program.execute(proj_u, plans, hs) is None
+        assert_bytes_equal(hs, full_width_walk(united, link, proj_u, plans))
+
+    def test_kept_executor_equals_a_fresh_one(self, app, tokens):
+        """The live set and its operand start empty at every call: an
+        executor that ran three unrelated batches returns a fresh one's
+        bytes."""
+        config = self.config(app, None, 3)
+        links = app.calibration.predicted_links
+        kept = LSTMExecutor(app.network, config, predicted_links=links)
+        rng = np.random.default_rng(21)
+        for _ in range(3):
+            kept.run_batch(rng.integers(0, app.network.vocab_size, size=tokens.shape))
+        mine = kept.run_batch(tokens)
+        fresh = self.run(app, config, tokens)
+        assert_bytes_equal(mine.logits, fresh.logits)
+        for a, b in zip(mine.layer_outputs, fresh.layer_outputs):
+            assert_bytes_equal(a, b)
