@@ -108,7 +108,6 @@ from repro.core.backends import (
     resolve_backend,
     validate_backend_name,
 )
-from repro.core.breakpoints import divide_layer, find_breakpoints
 from repro.core.context_prediction import PredictedLink
 from repro.core.plan import (
     CachedLayerPlan,
@@ -129,7 +128,6 @@ from repro.core.relevance import (
     recurrent_row_ranges,
     relevance_values,
 )
-from repro.core.tissue import align_tissues
 from repro.core.trace_builder import DRS_STYLES, build_kernel_trace
 from repro.errors import ConfigurationError, ShapeError
 from repro.nn.lstm_cell import GATE_ORDER, LSTMCellWeights
@@ -545,9 +543,10 @@ class LSTMExecutor:
             outs: list[np.ndarray] = []
             states: list[np.ndarray] = []
             staged = self._staged(token_rows, rows)
+            live = None  # COMBINED's live set, carried to the next layer
             for layer_index, weights in enumerate(self._weights):
-                cur, records, cs = self._run_layer(
-                    layer_index, weights, cur, collect_states, staged, layer_tokens
+                cur, records, cs, live = self._run_layer(
+                    layer_index, weights, cur, collect_states, staged, layer_tokens, live
                 )
                 staged = layer_tokens = None  # layer 0 only
                 outs.append(cur)
@@ -813,37 +812,25 @@ class LSTMExecutor:
         collect_states: bool,
         staged: tuple | None = None,
         tokens: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, list[LayerPlanRecord], np.ndarray | None]:
-        """One layer: ``(hs, per-sequence records, cs)`` — ``cs`` is the
-        cell-state sequence when collected (stepwise modes only).
+        live: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, list[LayerPlanRecord], np.ndarray | None, np.ndarray | None]:
+        """One layer: ``(hs, per-sequence records, cs, live)`` — ``cs`` is
+        the cell-state sequence when collected (stepwise modes only),
+        ``live`` COMBINED's live set with DRS (the columns of ``hs`` that
+        can be nonzero), which the next layer takes as ``live``.
         ``staged`` is layer 0's ``(token rows, index, relevance)`` when its
         projections come from the token memo (:meth:`_token_rows`);
         ``tokens`` is layer 0's ``(B, T)`` ids, ``None`` above it."""
         united = self._united[layer_index]
         if self.config.mode is ExecutionMode.COMBINED:
-            # One (B, T, 4H) block for the walk's fused gate math. Layer 0
-            # keeps the exact per-row lift: its rows come from (or go into)
-            # the token memo and its relevance keys, which a sweep shares
-            # with the exact stepwise modes. Layers >= 1 are graded: one
-            # (B*T, E) @ (E, 4H) GEMM.
-            proj_u = np.empty(xs.shape[:2] + united.b.shape)
-            proj = {g: proj_u[..., sl] for g, sl in united.slices.items()}
-            if staged is not None:
-                gather_rows(*staged[:2], proj.values())
-            elif layer_index == 0:
-                project_rows(xs, united.gate_w_ops(), proj.values())
-            else:
-                np.matmul(
-                    xs.reshape(-1, xs.shape[-1]),
-                    united.w.T,
-                    out=proj_u.reshape(-1, proj_u.shape[-1]),
-                )
-            plans = self._plan_inter(layer_index, weights, proj, staged, tokens)
-            hs, records = self._run_layer_combined(layer_index, weights, united, proj_u, plans)
-            return hs, records, None  # combined mode does not collect states
-        return self._run_layer_stepwise(
+            hs, records, live = self._run_layer_combined(
+                layer_index, weights, united, xs, staged, tokens, live
+            )
+            return hs, records, None, live  # combined mode does not collect states
+        hs, records, cs = self._run_layer_stepwise(
             layer_index, weights, united, xs, collect_states, staged, tokens
         )
+        return hs, records, cs, None
 
     def _token_rows(self, tokens: np.ndarray) -> tuple | None:
         """Layer 0's projections — and, when the layer is divided, its
@@ -892,16 +879,9 @@ class LSTMExecutor:
         fn = exact_relevance_values if self.config.use_exact_relevance else relevance_values
         return fn(weights, proj_b, row_ranges=self._row_ranges[layer_index])
 
-    def _build_plan(
-        self,
-        layer_index: int,
-        weights: LSTMCellWeights,
-        relevance: np.ndarray,
-        seq_len: int,
-    ) -> CachedLayerPlan:
-        breaks = find_breakpoints(relevance, self.config.alpha_inter)
-        tissues = align_tissues(divide_layer(seq_len, breaks), self.config.mts)
-        return CachedLayerPlan.from_schedule(relevance, breaks, tissues)
+    def _build_plan(self, layer_index: int, weights, relevance: np.ndarray, seq_len: int):
+        cfg = self.config
+        return CachedLayerPlan.from_relevance(relevance, seq_len, cfg.alpha_inter, cfg.mts)
 
     def _plan_inter(
         self,
@@ -1014,24 +994,41 @@ class LSTMExecutor:
         layer_index: int,
         weights: LSTMCellWeights,
         united: _UnitedWeights,
-        proj_u: np.ndarray,
-        plans: list[CachedLayerPlan],
-    ) -> tuple[np.ndarray, list[LayerPlanRecord]]:
+        xs: np.ndarray,
+        staged: tuple | None,
+        tokens: np.ndarray | None,
+        live: np.ndarray | None,
+    ) -> tuple[np.ndarray, list[LayerPlanRecord], np.ndarray | None]:
         """Tissue-ordered walk of the whole shard (inter + intra together).
 
         One cached program per layer and shape walks every sequence's
         plan at once (:class:`~repro.core.program.CombinedGroupProgram`):
         the ``w``-th tissues of all sequences step together as one GEMM.
+        Its ``(B, T, 4H)`` projections: layer 0 keeps the exact per-row
+        lift — its rows come from (or go into) the token memo and its
+        relevance keys, which a sweep shares with the exact stepwise modes.
+        Layers >= 1 are graded: one ``(B*T, k) @ (k, 4H)`` GEMM over the
+        ``k`` input columns the previous layer's walk left ``live``
+        (:meth:`~repro.core.program.CombinedGroupProgram.project`).
         """
-        batch, seq_len, _ = proj_u.shape
-        hidden = weights.hidden_size
+        batch, seq_len = xs.shape[:2]
         program = self._compiled_combined(layer_index, united, batch, seq_len)
-        hs = np.empty((batch, seq_len, hidden))
-        shared = program.execute(proj_u, plans, hs)
-        if shared is None:
-            return hs, _layer_records(layer_index, weights, plans)
+        proj_u = np.empty((batch, seq_len) + united.b.shape)
+        proj = {g: proj_u[..., sl] for g, sl in united.slices.items()}
+        if staged is not None:
+            gather_rows(*staged[:2], proj.values())
+        elif layer_index == 0:
+            project_rows(xs, united.gate_w_ops(), proj.values())
+        else:
+            program.project(xs, live, united.w, proj_u)
+        plans = self._plan_inter(layer_index, weights, proj, staged, tokens)
+        hs = np.empty((batch, seq_len, weights.hidden_size))
+        walked = program.execute(proj_u, plans, hs)
+        if walked is None:
+            return hs, _layer_records(layer_index, weights, plans), None
+        shared, live = walked
         skip, warp = shared.mean(axis=1), warp_skip_fractions(shared)
-        return hs, _layer_records(layer_index, weights, plans, skip, warp)
+        return hs, _layer_records(layer_index, weights, plans, skip, warp), live
 
     # -------------------------------------------------------- program cache
 

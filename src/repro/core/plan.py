@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import heapq
+import itertools
 import threading
 from collections import OrderedDict
 from collections.abc import Callable, Hashable, Sequence
@@ -227,6 +229,38 @@ class CachedLayerPlan:
             ts=np.ascontiguousarray(ts),
             offsets=offsets,
         )
+
+    @classmethod
+    def from_relevance(
+        cls, relevance: np.ndarray, seq_len: int, alpha_inter: float, mts: int
+    ) -> "CachedLayerPlan":
+        """Plan one sequence from its relevance in arrays: the breakpoints
+        (``S < alpha_inter``), each timestep's sub-layer and each cell's
+        tissue — its place in its sub-layer while the sub-layers fit one
+        tissue, else longest remaining sub-layer first, ties by index. Byte
+        for byte :meth:`from_schedule` of ``align_tissues(divide_layer())``."""
+        cuts = np.flatnonzero(relevance[1:] < alpha_inter) + 1 if alpha_inter > 0 else np.arange(0)
+        edges = np.concatenate(([0], cuts, [seq_len]))
+        lengths = np.diff(edges)
+        chain = np.repeat(np.arange(lengths.size), lengths)
+        if lengths.size <= mts:
+            step = np.arange(seq_len) - edges[chain]
+        else:
+            heap = [(-n, c) for c, n in enumerate(lengths.tolist())]
+            heapq.heapify(heap)
+            runs: list[list[int]] = [[] for _ in heap]
+            for tissue in itertools.count():
+                for neg, c in [heapq.heappop(heap) for _ in range(min(mts, len(heap)))]:
+                    runs[c].append(tissue)
+                    if neg < -1:
+                        heapq.heappush(heap, (neg + 1, c))
+                if not heap:
+                    break
+            step = np.fromiter(itertools.chain.from_iterable(runs), np.int64, seq_len)
+        ts = np.argsort(step, kind="stable")
+        offsets = np.zeros(int(step.max()) + 2, dtype=np.int64)
+        np.cumsum(np.bincount(step), out=offsets[1:])
+        return cls(relevance, tuple(cuts.tolist()), chain[ts], ts, offsets)
 
     @property
     def num_tissues(self) -> int:

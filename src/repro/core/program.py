@@ -143,6 +143,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: its walk unpacks them.
 _WAVE_PLANES = ("h_prev", "c_prev", "o", "g", "c_new", "h_new", "t1")
 
+#: The share of a layer's units from which a COMBINED call with DRS stops
+#: compacting (:meth:`CombinedGroupProgram._wave_live`) and the next layer
+#: projects every input column. BABI b8, 2-vCPU host, one BLAS thread: at
+#: set 1 (~255.9 of 256 units live) the walk reads 0.97x the compacting
+#: one; at set 5 (128-162 live) shares 0.7-0.9 read alike, 0.6 +7 %.
+DENSE_LIVE_SHARE = 0.9
+
 #: Alignment of an arena's buffer and of every slab inside it: one cache line.
 _ALIGN = 64
 
@@ -777,8 +784,10 @@ class CombinedGroupProgram(LeasedProgram):
     The per-plan index vectors come prebuilt on
     :class:`~repro.core.plan.CachedLayerPlan`; a run only concatenates and
     orders them (:func:`~repro.core.plan.wave_schedule`). The workspace
-    holds one wave — at most ``B * mts`` rows — and, with DRS, the live
-    operand: at most ``4 * H * H`` doubles.
+    holds one wave — at most ``B * mts`` rows — the sub-layer state and,
+    with DRS, the live operand: at most ``4 * H * H`` doubles. Between
+    walks the state and operand slabs hold :meth:`project`'s gathered
+    input and ``W`` columns.
     """
 
     def __init__(
@@ -877,28 +886,30 @@ class CombinedGroupProgram(LeasedProgram):
 
     def execute(
         self, proj_u: np.ndarray, plans: "list[CachedLayerPlan]", hs: np.ndarray
-    ) -> np.ndarray | None:
+    ) -> tuple[np.ndarray, np.ndarray] | None:
         """Walk ``plans`` over the fused projections ``proj_u`` ``(B, T, 4H)``.
 
         Fills ``hs``, the caller-owned ``(B, T, H)`` output (freshly
         allocated per run, as for :meth:`StepwiseProgram.execute`). With
-        DRS live, returns the tissues' shared (intersection) masks as a
-        ``(total tissues, H)`` workspace view — sequence 0's tissues in
-        schedule order, then sequence 1's, … — for the caller's
-        statistics, to be reduced before anything else runs; ``None``
-        otherwise.
+        DRS live, returns ``(shared, live)``: the tissues' shared
+        (intersection) masks as a ``(total tissues, H)`` workspace view —
+        sequence 0's tissues in schedule order, then sequence 1's, … — for
+        the caller's statistics, to be reduced before anything else runs;
+        and the call's live set, sorted (a fresh array): every column of
+        ``hs`` outside it is exactly ``0.0``. ``None`` otherwise.
         """
         ws = self._ws or self._bind()
         drs = self.alpha_intra > 0.0
         if not plans:
-            return ws.shared[:0] if drs else None
+            return (ws.shared[:0], np.arange(0)) if drs else None
         proj_flat = proj_u.reshape(-1, 4 * self.hidden)
         hs_flat = hs.reshape(-1, self.hidden)
         waves, rank, chains, num_chains = wave_schedule(plans, self.seq_len)
         h_flat, c_flat = ws.h_flat, ws.c_flat
         if drs:
-            # The live walk's state is compacted (see _wave_live): it starts
-            # all zeros, and link rows read the link from the unit constants.
+            # The DRS walk's state starts all zeros (compacted while it is
+            # sparse, see _wave_live); link rows read the link from the
+            # unit constants instead.
             h_flat[:num_chains] = 0.0
             c_flat[:num_chains] = 0.0
             hs_flat[:] = 0.0
@@ -911,9 +922,10 @@ class CombinedGroupProgram(LeasedProgram):
             h_flat[chains] = 0.0
             c_flat[chains] = 0.0
         wave_views = ws.wave_views
-        live = 0
+        live, dense = 0, not drs
         for wave in waves:
             out_rows, state_rows = wave[:2]
+            link_rows = wave[5]
             views = wave_views.get(out_rows.size) or self._rows(ws, out_rows.size)
             (
                 x, pre, h_prev, c_prev, o, g, c_new, h_new, t1, masks, mask_rows,
@@ -922,22 +934,36 @@ class CombinedGroupProgram(LeasedProgram):
             # mode="clip" only skips take's bounds-check staging copy;
             # the schedule's rows are in range by construction.
             proj_flat.take(out_rows, axis=0, out=x, mode="clip")
-            if drs:
-                live = self._wave_live(ws, views, wave, live, hs_flat)
-                continue
+            o_done = False
+            if not dense:
+                grown = self._wave_live(ws, views, wave, live, hs_flat)
+                if grown >= 0:
+                    live = grown
+                    continue
+                self._expand(ws, live, num_chains)
+                dense = o_done = True  # the wave's o and masks are in place
             h_flat.take(state_rows, axis=0, out=h_prev, mode="clip")
             c_flat.take(state_rows, axis=0, out=c_prev, mode="clip")
             # The wave's one GEMM: U is loaded once for every cell of every
             # tissue in the wave (the paper's Sgemv -> Sgemm).
             np.matmul(h_prev, self._u_t, out=pre)
+            if drs and link_rows.size:
+                pre[link_rows] = self._units[4:8].reshape(-1)  # h_bar @ U^T
+                c_prev[link_rows] = self._units[8]
             np.add(x, pre, out=pre)
             np.add(pre, self._b, out=pre)
             sigmoid_into(*sig_fi)
-            sigmoid_into(*sig_o)
+            if not o_done:
+                sigmoid_into(*sig_o)
+                if drs:
+                    np.logical_not(self._masks(ws, views, wave), out=ws.dead)
+                    np.logical_or(ws.in_s, ws.dead, out=ws.in_s)
             np.tanh(pre_c, out=g)
             np.multiply(f, c_prev, out=c_new)
             np.multiply(i, g, out=t1)
             np.add(c_new, t1, out=c_new)
+            if drs:
+                np.putmask(c_new, mask_rows, 0.0)
             np.tanh(c_new, out=t1)
             np.multiply(o, t1, out=h_new)
             h_flat[state_rows] = h_new
@@ -946,13 +972,50 @@ class CombinedGroupProgram(LeasedProgram):
         if not drs:
             return None
         shared = ws.shared[: rank.size]
-        return np.take(ws.shared_walk, rank, axis=0, out=shared, mode="clip")
+        np.take(ws.shared_walk, rank, axis=0, out=shared, mode="clip")
+        return shared, np.flatnonzero(ws.in_s)
+
+    def project(self, xs: np.ndarray, live: np.ndarray | None, w: np.ndarray, out) -> None:
+        """A layer >= 1's projections ``out = xs @ w^T`` (graded), over only
+        the columns ``live`` of its input ``xs`` ``(B, T, E)`` — the previous
+        layer's live set; every other column is exactly ``0.0`` — unless
+        they reach :data:`DENSE_LIVE_SHARE` of ``E``. The gathered operands
+        sit in the state and live operand slabs, free between walks."""
+        rows, width = xs.shape[0] * xs.shape[1], xs.shape[2]
+        xs, out = xs.reshape(rows, width), out.reshape(rows, w.shape[0])
+        if live is not None and live.size < DENSE_LIVE_SHARE * width:
+            ws, k = self._ws or self._bind(), live.size
+            xk = ws.state.reshape(-1)[: rows * k].reshape(rows, k)
+            wk = ws.live_u.reshape(-1)[: w.shape[0] * k].reshape(w.shape[0], k)
+            xs, w = np.take(xs, live, axis=1, out=xk), np.take(w, live, axis=1, out=wk)
+        np.matmul(xs, w.T, out=out)
+
+    def _masks(self, ws: SimpleNamespace, views: tuple, wave: tuple) -> np.ndarray:
+        """The wave's shared masks from its ``o``: a tissue's is the
+        intersection of its cells' trivial rows, and every one of its cells
+        drops those rows (a wave of single cells: its own masks, stored as
+        they are). Fills ``mask_rows`` and the wave's tissues in
+        ``shared_walk``; returns ``ws.dead``, the units no tissue of the
+        call has kept yet."""
+        _, tissues, starts, tissue_of_row = wave[1:5]
+        o, masks, mask_rows = views[4], views[9], views[10]
+        if starts.size == mask_rows.shape[0]:
+            np.less(o, self.alpha_intra, out=mask_rows)
+            ws.shared_walk[tissues] = mask_rows
+        else:
+            np.less(o, self.alpha_intra, out=masks)
+            np.logical_and.reduceat(masks, starts, axis=0, out=ws.shared_walk[tissues])
+            ws.shared_walk.take(tissue_of_row, axis=0, out=mask_rows, mode="clip")
+        np.logical_and.reduce(ws.shared_walk[tissues], axis=0, out=ws.dead)
+        return np.logical_or(ws.dead, ws.in_s, out=ws.dead)
 
     def _wave_live(
         self, ws: SimpleNamespace, views: tuple, wave: tuple, live: int, hs_flat: np.ndarray
     ) -> int:
         """One wave of the DRS walk — Algorithm 3 on a wave — once its
-        projections are in ``x``; returns the new live count.
+        projections are in ``x``; returns the new live count, or ``-1``
+        once the live set is dense (the caller expands the state and
+        finishes the wave).
 
         The live units ``S`` (``ws.live[:live]``, in discovery order) are
         the units some tissue of this call has kept so far. Any other unit
@@ -961,13 +1024,15 @@ class CombinedGroupProgram(LeasedProgram):
         holds unit ``S[p]``, columns past ``|S|`` stay zero), and a product
         needs only ``h``'s live columns ``K`` — ``S`` as the wave found it.
         Link rows hold zeros and read ``h_bar @ U^T`` and ``c_bar`` from
-        the unit constants instead. The wave forms ``o`` over ``K``, builds the
-        shared masks, grows ``S`` by the units it keeps (and the live
+        the unit constants instead. The wave forms ``o`` over ``K``, builds
+        the shared masks, grows ``S`` by the units it keeps (and the live
         operand with them, in place: :meth:`_grow`), then runs the f/i/g
         product over ``K`` and the cell update for ``S`` only; every other
-        unit ends ``c = h = 0``, as the masked reference's.
+        unit ends ``c = h = 0``, as the masked reference's. Once ``S``
+        would reach :data:`DENSE_LIVE_SHARE` of the units, this wave and
+        the rest run full width with the masks instead.
         """
-        out_rows, state_rows, tissues, starts, tissue_of_row, link_rows = wave
+        out_rows, state_rows, link_rows = wave[0], wave[1], wave[5]
         x, pre, h_prev, c_prev, o, g, c_new, h_new, t1, masks, mask_rows = views[:11]
         n, hid, k, flat = out_rows.size, self.hidden, live, ws.flat
         # Whole state rows: take would first copy a strided source whole.
@@ -980,21 +1045,12 @@ class CombinedGroupProgram(LeasedProgram):
         np.add(x[:, 3 * hid :], pre_o, out=pre_o)
         np.add(pre_o, self._units[3], out=pre_o)
         sigmoid_into(pre_o, o, c_new, h_new, o)
-        # A tissue's shared mask is the intersection of its cells' trivial
-        # rows, and every one of its cells drops those rows (a wave of
-        # single cells: its own masks, stored as they are).
-        if starts.size == n:
-            np.less(o, self.alpha_intra, out=mask_rows)
-            ws.shared_walk[tissues] = mask_rows
-        else:
-            np.less(o, self.alpha_intra, out=masks)
-            np.logical_and.reduceat(masks, starts, axis=0, out=ws.shared_walk[tissues])
-            ws.shared_walk.take(tissue_of_row, axis=0, out=mask_rows, mode="clip")
-        # S grows by the units some tissue of the wave keeps.
-        np.logical_and.reduce(ws.shared_walk[tissues], axis=0, out=ws.dead)
-        np.logical_or(ws.dead, ws.in_s, out=ws.dead)
-        if not ws.dead.all():
-            live = self._grow(ws, np.flatnonzero(~ws.dead), k)
+        new = np.flatnonzero(~self._masks(ws, views, wave))
+        if live + new.size >= DENSE_LIVE_SHARE * hid:
+            ws.in_s[new] = True
+            return -1
+        if new.size:
+            live = self._grow(ws, new, k)
         s, order = live, ws.live[:live]
         ns = n * s
 
@@ -1043,3 +1099,13 @@ class CombinedGroupProgram(LeasedProgram):
         ws.live_u[s0:s, :3, :s] = u3[gates, order[:, None], new].transpose(2, 0, 1)
         ws.live_u[:s0, :3, s0:s] = u3[gates, new[:, None], order[:s0]].transpose(2, 0, 1)
         return s
+
+    @staticmethod
+    def _expand(ws: SimpleNamespace, live: int, num_chains: int) -> None:
+        """Lay the compacted state of ``live`` units out by unit (column
+        ``u`` holds unit ``u``, every other column ``0.0``)."""
+        for state in ws.state:
+            rows = state[:num_chains]
+            kept = rows[:, :live].copy()
+            rows[:] = 0.0
+            rows[:, ws.live[:live]] = kept

@@ -91,44 +91,6 @@ def align_tissues(sublayers: list[SubLayer], mts: int) -> list[Tissue]:
     return tissues
 
 
-def validate_schedule(sublayers: list[SubLayer], tissues: list[Tissue], mts: int) -> None:
-    """Check a tissue schedule: capacity, coverage, and chain order.
-
-    Raises :class:`~repro.errors.PlanError` on any violation. Used by tests
-    and by the executor's debug mode.
-    """
-    seen: dict[tuple[int, int], int] = {}
-    for step, tissue in enumerate(tissues):
-        if tissue.size > mts:
-            raise PlanError(f"tissue {step} has {tissue.size} cells (MTS {mts})")
-        for cell in tissue.cells:
-            if cell in seen:
-                raise PlanError(f"cell {cell} scheduled twice")
-            seen[cell] = step
-    expected = {
-        (idx, t) for idx, sub in enumerate(sublayers) for t in sub.timestamps()
-    }
-    if set(seen) != expected:
-        raise PlanError("tissue schedule does not cover the layer exactly")
-    for idx, sub in enumerate(sublayers):
-        steps = [seen[(idx, t)] for t in sub.timestamps()]
-        if any(b <= a for a, b in zip(steps, steps[1:])):
-            raise PlanError(f"sub-layer {idx} chain order violated")
-
-
-def minimum_tissues(sublayers: list[SubLayer], mts: int) -> int:
-    """Lower bound on the tissue count (Eq. 7 generalized to real chains).
-
-    The schedule can finish no earlier than the longest chain and no faster
-    than total-work over capacity: ``max(longest, ceil(N / MTS))``.
-    """
-    if mts < 1:
-        raise PlanError(f"mts must be >= 1, got {mts}")
-    total = sum(s.length for s in sublayers)
-    longest = max(s.length for s in sublayers)
-    return max(longest, -(-total // mts))
-
-
 def calibrate_mts(
     spec,
     hidden_size: int,

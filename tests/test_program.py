@@ -51,7 +51,7 @@ from repro.core.executor import (  # noqa: E402
 )
 from repro.core.pipeline import OptimizedLSTM  # noqa: E402
 from repro.core.plan import wave_schedule  # noqa: E402
-from repro.core.program import ProgramCache, sigmoid_into  # noqa: E402
+from repro.core.program import CombinedGroupProgram, ProgramCache, sigmoid_into  # noqa: E402
 from repro.core.reference import ReferenceExecutor  # noqa: E402
 from repro.errors import ConfigurationError  # noqa: E402
 from repro.nn.activations import sigmoid  # noqa: E402
@@ -638,6 +638,80 @@ class TestCombinedLiveWalk:
             assert not skip.any()
         elif alpha_intra == 1.0:
             assert skip.min() > 0.9
+
+    @staticmethod
+    def spy_walks(monkeypatch) -> list:
+        """Record every walk's ``(hs, returned live set)``."""
+        walks, execute = [], CombinedGroupProgram.execute
+
+        def spy(program, proj_u, plans, hs):
+            walked = execute(program, proj_u, plans, hs)
+            walks.append((hs, walked[1]))
+            return walked
+
+        monkeypatch.setattr(CombinedGroupProgram, "execute", spy)
+        return walks
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("mts", [1, 3, 8])
+    @pytest.mark.parametrize(
+        "alpha_intra", [1e-300, None, 1.0], ids=["drops-nothing", "set5", "drops-all"]
+    )
+    def test_dead_columns_are_zero_and_layers_above_read_only_live_ones(
+        self, app, tokens, alpha_intra, mts, threads, monkeypatch
+    ):
+        """Every column outside a walk's returned live set is ``+0.0`` in
+        every row, and the layer above — which projects only the live
+        columns — is graded against the reference with identical plans."""
+        config = dataclasses.replace(self.config(app, alpha_intra, mts), threads=threads)
+        walks = self.spy_walks(monkeypatch)
+        out = self.run(app, config, tokens)
+        monkeypatch.undo()
+        assert len(walks) == app.network.num_layers * threads
+        for hs, live in walks:
+            assert live.dtype == np.intp and np.all(np.diff(live) > 0)
+            dead = np.setdiff1d(np.arange(hs.shape[-1]), live)
+            assert_bytes_equal(hs[..., dead], np.zeros(hs.shape[:2] + dead.shape))
+        if alpha_intra == 1.0:  # layer 1 projected a strict subset
+            assert all(live.size < program_module.DENSE_LIVE_SHARE * 24 for _, live in walks)
+        reference = ReferenceExecutor(
+            app.network, config, predicted_links=app.calibration.predicted_links
+        ).run_batch(tokens)
+        assert_graded(out, reference)
+
+    @pytest.mark.parametrize("share", [0.0, 0.5, 1.01], ids=["dense", "switches", "compact"])
+    @pytest.mark.parametrize("mts", [1, 3])
+    def test_graded_at_any_dense_crossover(self, app, tokens, share, mts, monkeypatch):
+        """Dense from the first wave, switching mid-call, or compacted to
+        the end: the walk and the live projection above it stay graded
+        against the reference with identical plans, and a live set still
+        leaves ``+0.0`` outside it."""
+        monkeypatch.setattr(program_module, "DENSE_LIVE_SHARE", share)
+        walks, expanded = self.spy_walks(monkeypatch), []
+        expand = CombinedGroupProgram._expand
+
+        def spy_expand(ws, live, num_chains):
+            expanded.append(live)  # the compacted units the state carried
+            expand(ws, live, num_chains)
+
+        monkeypatch.setattr(CombinedGroupProgram, "_expand", staticmethod(spy_expand))
+        config = self.config(app, 0.5, mts)
+        out = self.run(app, config, tokens)
+        sizes = [live.size for _, live in walks]
+        assert 0 < min(sizes) and max(sizes) < 24  # neither empty nor full
+        if share == 0.0:
+            assert expanded == [0] * len(walks)
+        elif share == 0.5:
+            assert any(expanded)  # a call expanded a compacted state mid-walk
+        else:
+            assert not expanded
+        for hs, live in walks:
+            dead = np.setdiff1d(np.arange(hs.shape[-1]), live)
+            assert_bytes_equal(hs[..., dead], np.zeros(hs.shape[:2] + dead.shape))
+        reference = ReferenceExecutor(
+            app.network, config, predicted_links=app.calibration.predicted_links
+        ).run_batch(tokens)
+        assert_graded(out, reference)
 
     def test_without_drs_each_wave_is_one_full_width_gemm(self, app, tokens):
         """``alpha_intra = 0`` walks full width: byte for byte the walk

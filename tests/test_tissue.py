@@ -1,18 +1,48 @@
-"""Tests for tissue formation, alignment, and MTS calibration."""
+"""Tests for tissue formation, alignment, MTS calibration, and the array
+planner COMBINED and INTER run (:meth:`CachedLayerPlan.from_relevance`)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.breakpoints import SubLayer, divide_layer
-from repro.core.tissue import (
-    align_tissues,
-    calibrate_mts,
-    form_tissues,
-    minimum_tissues,
-    validate_schedule,
-)
+from repro.core.breakpoints import SubLayer, divide_layer, find_breakpoints
+from repro.core.plan import CachedLayerPlan
+from repro.core.tissue import Tissue, align_tissues, calibrate_mts, form_tissues
 from repro.errors import PlanError
 from repro.gpu.specs import TEGRA_X1
+
+
+def validate_schedule(sublayers: list[SubLayer], tissues: list[Tissue], mts: int) -> None:
+    """Check a tissue schedule: capacity, coverage, and chain order.
+
+    Raises :class:`~repro.errors.PlanError` on any violation.
+    """
+    seen: dict[tuple[int, int], int] = {}
+    for step, tissue in enumerate(tissues):
+        if tissue.size > mts:
+            raise PlanError(f"tissue {step} has {tissue.size} cells (MTS {mts})")
+        for cell in tissue.cells:
+            if cell in seen:
+                raise PlanError(f"cell {cell} scheduled twice")
+            seen[cell] = step
+    expected = {(idx, t) for idx, sub in enumerate(sublayers) for t in sub.timestamps()}
+    if set(seen) != expected:
+        raise PlanError("tissue schedule does not cover the layer exactly")
+    for idx, sub in enumerate(sublayers):
+        steps = [seen[(idx, t)] for t in sub.timestamps()]
+        if any(b <= a for a, b in zip(steps, steps[1:])):
+            raise PlanError(f"sub-layer {idx} chain order violated")
+
+
+def minimum_tissues(sublayers: list[SubLayer], mts: int) -> int:
+    """Lower bound on the tissue count (Eq. 7 generalized to real chains).
+
+    The schedule can finish no earlier than the longest chain and no faster
+    than total-work over capacity: ``max(longest, ceil(N / MTS))``.
+    """
+    total = sum(s.length for s in sublayers)
+    longest = max(s.length for s in sublayers)
+    return max(longest, -(-total // mts))
 
 
 def sort_lpt_oracle(sublayers, mts):
@@ -161,3 +191,49 @@ class TestMTSCalibration:
         # total 12, longest 10, mts 4 -> max(10, 3) = 10
         assert minimum_tissues(subs, 4) == 10
         assert minimum_tissues(subs, 1) == 12
+
+
+@st.composite
+def relevance_cases(draw):
+    """``(relevance, alpha_inter, T, mts)``: no breakpoint, a breakpoint at
+    every ``t``, equal-length sub-layers (every LPT step a tie), or a random
+    division, each drawn through the relevance the planner reads."""
+    length = draw(st.integers(1, 200))
+    mts = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["none", "every", "equal", "random"]))
+    relevance = np.full(length, 2.0)
+    if kind == "every":
+        relevance[:] = 0.5
+    elif kind == "equal":
+        relevance[:: draw(st.integers(1, max(1, length)))] = 0.5
+    elif kind == "random":
+        relevance = np.asarray(
+            draw(st.lists(st.floats(0, 4), min_size=length, max_size=length))
+        )
+    alpha = draw(st.sampled_from([0.0, 1.0])) if kind == "none" else 1.0
+    return relevance, alpha, length, mts
+
+
+class TestCombinedPlannerOracle:
+    """The array planner plans byte for byte what the reference's object
+    path (``divide_layer`` -> ``align_tissues`` -> ``from_schedule``) does."""
+
+    @given(relevance_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_align_tissues(self, case):
+        relevance, alpha, length, mts = case
+        plan = CachedLayerPlan.from_relevance(relevance, length, alpha, mts)
+        breaks = find_breakpoints(relevance, alpha)
+        sublayers = divide_layer(length, breaks)
+        tissues = align_tissues(sublayers, mts)
+        oracle = CachedLayerPlan.from_schedule(relevance, breaks, tissues)
+        assert plan.relevance is relevance
+        assert plan.breakpoints == oracle.breakpoints
+        assert all(type(t) is int for t in plan.breakpoints)
+        for name in ("subs", "ts", "offsets"):
+            mine, theirs = getattr(plan, name), getattr(oracle, name)
+            assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+            assert mine.flags.c_contiguous and mine.flags.writeable
+            assert mine.tobytes() == theirs.tobytes()
+        validate_schedule(sublayers, [Tissue(cells) for cells in plan.tissue_cells()], mts)
+        assert plan.num_tissues == minimum_tissues(sublayers, mts)
