@@ -666,9 +666,7 @@ def ablation_tissue_alignment(ctx: ExperimentContext | None = None, app: str = "
     alignment balances them under the MTS. Compares the simulated time of
     the same division executed both ways.
     """
-    from repro.core.breakpoints import divide_layer
     from repro.core.plan import CachedLayerPlan, LayerPlanRecord, SequencePlan
-    from repro.core.tissue import form_tissues, align_tissues
     from repro.core.trace_builder import build_kernel_trace
 
     ctx = ctx or get_context()
@@ -676,36 +674,33 @@ def ablation_tissue_alignment(ctx: ExperimentContext | None = None, app: str = "
     seq = model.seq_length
     # An uneven division: many short sub-layers plus one long tail.
     breaks = list(range(2, seq // 2, 2))
-    sublayers = divide_layer(seq, breaks)
+    relevance = np.ones(seq)
+    relevance[breaks] = 0.0  # the only links below the threshold of 0.5
     mts = ctx.workload(app).app.calibration.mts
 
-    def plan_for(tissues):
-        zeros = np.zeros(len(tissues))  # no DRS: nothing skips
+    def run(tissue_size):
+        plan = CachedLayerPlan.from_relevance(relevance, seq, 0.5, tissue_size)
+        zeros = np.zeros(plan.num_tissues)  # no DRS: nothing skips
         record = LayerPlanRecord(
             layer_index=0,
             hidden_size=model.hidden_size,
             input_size=model.effective_input_size,
-            plan=CachedLayerPlan.from_schedule(None, breaks, tissues),
+            plan=plan,
             skip=zeros,
             warp=zeros,
         )
-        return SequencePlan(layers=[record])
+        trace = build_kernel_trace(SequencePlan(layers=[record]), ctx.spec, inter=True, intra=False)
+        return simulator.run_trace(trace), plan.num_tissues
 
     simulator = TimingSimulator(ctx.spec)
-    naive = simulator.run_trace(
-        build_kernel_trace(plan_for(form_tissues(sublayers)), ctx.spec, inter=True, intra=False)
-    )
-    aligned = simulator.run_trace(
-        build_kernel_trace(
-            plan_for(align_tissues(sublayers, mts)), ctx.spec, inter=True, intra=False
-        )
-    )
+    # Naive formation (Fig. 8 b1) is alignment with room for every sub-layer.
+    (naive, naive_tissues), (aligned, aligned_tissues) = run(len(breaks) + 1), run(mts)
     gain = naive.total_time / aligned.total_time
     report = format_table(
         ["Scheme", "Time (ms)", "Tissues"],
         [
-            ("naive formation", naive.total_time * 1e3, len(form_tissues(sublayers))),
-            ("aligned (MTS)", aligned.total_time * 1e3, len(align_tissues(sublayers, mts))),
+            ("naive formation", naive.total_time * 1e3, naive_tissues),
+            ("aligned (MTS)", aligned.total_time * 1e3, aligned_tissues),
             ("alignment gain", f"{gain:.2f}x", ""),
         ],
         title=f"Ablation — tissue alignment ({app}, MTS={mts})",

@@ -207,7 +207,7 @@ class ExecutionConfig:
         if not isinstance(self.precision, Precision):
             object.__setattr__(self, "precision", Precision.parse(self.precision))
         validate_backend_name(self.backend)
-        if self.alpha_inter < 0 or self.alpha_intra < 0:
+        if not (self.alpha_inter >= 0 and self.alpha_intra >= 0):  # NaN fails too
             raise ConfigurationError("thresholds must be non-negative")
         if self.mts < 1:
             raise ConfigurationError(f"mts must be >= 1, got {self.mts}")

@@ -14,9 +14,9 @@ combined mode — into a *program*: an object that holds
   slabs in ``GATE_ORDER``): the weights exist once, in the network,
   however many programs run on them,
 * **no memory of its own either** — its workspace (projection block,
-  gate slabs, ``h``/``c`` state, DRS mask and compaction scratch, wave
-  planes) is a fixed layout *leased* from the :class:`WorkspaceArena` of
-  the dispatch slot it runs on, reused across timesteps and runs via
+  gate slabs, ``h``/``c`` state, DRS masks, wave planes) is a fixed
+  layout *leased* from the :class:`WorkspaceArena` of the dispatch slot
+  it runs on, reused across timesteps and runs via
   ``np.matmul(..., out=)`` and in-place ufunc chains, and shared with
   every other program of the slot, which run strictly one after another,
 * **no structure** — what the inter level decided is a run-time input:
@@ -484,7 +484,12 @@ class StepwiseProgram(LeasedProgram):
     One program serves BASELINE / ZERO_PRUNE / INTER / INTRA at a fixed
     ``(B, T)``: the mode differences — breakpoint resets, the DRS mask —
     are run-time inputs, so the program is keyed on shapes and weights
-    only and reused across plans.
+    only and reused across plans. Every step runs one body: the recurrent
+    product from the ``h`` buffer, the full-width gate epilogue and, with
+    DRS, the mask from ``o`` that zeroes the trivial units' cell state.
+    DRS skips no load here: the recurrent product must stay full width to
+    keep the reference's bits (see the alignment rule), so the mask is the
+    whole of Algorithm 3 in this program.
 
     Two-phase API (the inter-level planner needs the input projections
     *before* the recurrence runs):
@@ -551,24 +556,7 @@ class StepwiseProgram(LeasedProgram):
             ("t1", (batch, hidden), float),
         ]
         if drs_alpha > 0.0:
-            # Compacted-update scratch (Algorithm 3 in the program): on
-            # steps where some row is trivial across the whole batch, the
-            # g tanh and the cell update run on the surviving columns
-            # only, gathered into the leading elements of these buffers.
-            # Flat full-capacity slabs reshaped per step — the alive
-            # count varies, the capacity does not. The per-step views must
-            # be CONTIGUOUS (prefix-of-flat, not a ``[:, :, :k]`` column
-            # slice): in-place unary ufuncs on strided views read the gap
-            # bytes on some numpy builds, leaking uninitialized scratch
-            # into the activation ladder.
-            slabs += [
-                ("cfi", (2 * batch * hidden,), float),
-                ("cg", (batch * hidden,), float),
-                ("cc", (batch * hidden,), float),
-                ("dropped", (hidden,), bool),
-                ("alive", (hidden,), bool),
-                ("masks_all", (batch, seq_len, hidden), bool),
-            ]
+            slabs.append(("masks_all", (batch, seq_len, hidden), bool))
         slabs.append(("proj", (4, batch, seq_len, hidden), float))
         self._lease(arena, slabs)
 
@@ -674,89 +662,41 @@ class StepwiseProgram(LeasedProgram):
             c[:] = 0.0
         else:
             c[:] = c0
-        # Without resets the loop writes each step's h straight into its
-        # output column and reads it back as the next step's operand — a
-        # (1, H) slice of hs is contiguous, so the stacked matmul
-        # dispatches the same per-row GEMV as the h-buffer operand.
-        direct = reset_cols is None
-        h_out = h
-        prev_op = ws.h_op
         for t in range(self.seq_len):
-            if not direct:
+            if reset_cols is not None:
                 reset = reset_cols[t]
                 if reset is not None:
                     np.copyto(h, link.h_bar, where=reset)
                     np.copyto(c, link.c_bar, where=reset)
             if slabbed:
-                np.matmul(prev_op[None], self._u_slabs, out=ws.hu_slabs)
+                np.matmul(ws.h_op[None], self._u_slabs, out=ws.hu_slabs)
                 np.add(ws.proj_head[t], ws.hu_head_v, out=ws.pre_head)
             if tail:
-                np.matmul(prev_op, self._u_tail, out=ws.hu_tail)
+                np.matmul(ws.h_op, self._u_tail, out=ws.hu_tail)
                 np.add(ws.proj_tail[t], ws.hu_tail_v, out=ws.pre_tail)
             np.add(pre, self._b, out=pre)
             sigmoid_into(*ws.sig_fi)
             sigmoid_into(*ws.sig_o)
+            np.tanh(g, out=g)
+            np.multiply(f, c, out=c)
+            np.multiply(i, g, out=t1)
+            np.add(c, t1, out=c)
             if drs:
-                # Algorithm 3: the activated output gate decides how much
-                # of the remaining elementwise work survives this step.
-                # The full-width sigmoids above stay on the hot path
-                # (per-element, so activating f/i before the mask is known
-                # is bit-free); only the tanh + cell update compact.
+                # Algorithm 3 as a mask: the activated output gate marks the
+                # trivial units, whose cell state ends exactly 0.0 as in the
+                # reference. The full-width update above is elementwise, so
+                # it skips no load and moves no bit.
                 mask = ws.mask_t[t]
                 np.less(o, alpha, out=mask)
-                np.all(mask, axis=0, out=ws.dropped)
-                if ws.dropped.any():
-                    # Batch-wide trivial rows: gather the survivors into
-                    # compact scratch, run the g tanh and the cell update
-                    # on ``(B, alive)`` only, and scatter back. Per-element
-                    # ops on a column subset are bit-identical to full
-                    # width. The recurrent product above stays full width:
-                    # an output row's bits depend on its place in the GEMV
-                    # kernel's column grouping, which gathering the alive
-                    # rows would shift (the aligned slabs keep it).
-                    np.logical_not(ws.dropped, out=ws.alive)
-                    alive = np.flatnonzero(ws.alive)
-                    k = alive.size
-                    bk = self.batch * k
-                    fi = ws.cfi[: 2 * bk].reshape(2, self.batch, k)
-                    np.take(f, alive, axis=1, out=fi[0])
-                    np.take(i, alive, axis=1, out=fi[1])
-                    gk = ws.cg[:bk].reshape(self.batch, k)
-                    np.take(g, alive, axis=1, out=gk)
-                    np.tanh(gk, out=gk)
-                    ck = ws.cc[:bk].reshape(self.batch, k)
-                    np.take(c, alive, axis=1, out=ck)
-                    np.multiply(fi[0], ck, out=ck)
-                    np.multiply(fi[1], gk, out=gk)
-                    np.add(ck, gk, out=ck)
-                    c[:, alive] = ck
-                else:
-                    np.tanh(g, out=g)
-                    np.multiply(f, c, out=c)
-                    np.multiply(i, g, out=t1)
-                    np.add(c, t1, out=c)
-                # Masked elements end exactly 0.0 on both sides: surviving
-                # elements ran the same chain as the reference's full-width
-                # update, dropped ones never see a stale value.
                 np.putmask(c, mask, 0.0)
-            else:
-                np.tanh(g, out=g)
-                np.multiply(f, c, out=c)
-                np.multiply(i, g, out=t1)
-                np.add(c, t1, out=c)
             np.tanh(c, out=t1)
-            if direct:
-                h_out = hs[:, t]
-                np.multiply(o, t1, out=h_out)
-                prev_op = h_out[None, :, None, :]
-            else:
-                np.multiply(o, t1, out=h)
-                hs[:, t] = h
+            np.multiply(o, t1, out=h)
+            hs[:, t] = h
             if cs is not None:
                 cs[:, t] = c
         if state_out is not None:
             out_h, out_c = state_out
-            out_h[:] = hs[:, self.seq_len - 1]
+            out_h[:] = h
             out_c[:] = c
 
 

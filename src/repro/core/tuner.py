@@ -10,9 +10,9 @@ Given a network, a calibration token batch and a GPU spec, the tuner:
    this point only costs accuracy without saving further weight loads.
 3. **Fits the predicted context links** (Eq. 6) from the distribution of
    links observed in an exact calibration run.
-4. **Adjusts thresholds to the user-preferred accuracy** — exposed as
-   :func:`accuracy_guided_index` over a measured accuracy curve (the AO
-   selection of :mod:`repro.core.thresholds`).
+4. **Adjusts thresholds to the user-preferred accuracy** — the AO
+   selection :func:`repro.core.thresholds.select_ao` over a measured
+   accuracy curve.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.breakpoints import divide_layer, find_breakpoints
+from repro.core.breakpoints import find_breakpoints
 from repro.core.context_prediction import ContextLinkPredictor, PredictedLink
 from repro.core.executor import (
     ExecutionConfig,
@@ -31,8 +31,8 @@ from repro.core.executor import (
     ExecutionResult,
     LSTMExecutor,
 )
-from repro.core.thresholds import ThresholdSchedule, select_ao
-from repro.core.tissue import align_tissues, calibrate_mts
+from repro.core.thresholds import ThresholdSchedule
+from repro.core.tissue import calibrate_mts
 from repro.errors import CalibrationError
 from repro.gpu.specs import GPUSpec, TEGRA_X1
 from repro.nn.network import LSTMNetwork
@@ -88,15 +88,31 @@ class OfflineCalibration:
         return ThresholdSchedule.from_values(inter_values, intra_values)
 
 
-def _mean_tissue_count(
-    relevance_samples: list[np.ndarray], alpha: float, mts: int
-) -> float:
-    """Average tissues per layer at a given threshold (plan-only, no numerics)."""
-    counts = []
-    for s in relevance_samples:
-        sublayers = divide_layer(s.shape[0], find_breakpoints(s, alpha))
-        counts.append(len(align_tissues(sublayers, mts)))
-    return float(np.mean(counts))
+def _mean_tissue_counts(
+    relevance_samples: list[np.ndarray], alphas: np.ndarray, mts: int
+) -> np.ndarray:
+    """Average tissues per layer at each threshold of ``alphas`` (plan-only,
+    no numerics).
+
+    Tissue alignment (:func:`~repro.core.tissue.align_tissues`) schedules
+    unit-time chains by the LPT rule, which is optimal for chains (Hu
+    1961): a layer of ``T`` cells takes as many tissues as its longest
+    sub-layer, or ``ceil(T / mts)`` if more. A sub-layer starts at ``t =
+    0`` and at every breakpoint (:func:`find_breakpoints`: ``S[t] <
+    alpha`` for ``t >= 1``, none at ``alpha = 0``), so each cell's
+    distance from the last start before it gives the longest run.
+    """
+    alphas = np.asarray(alphas, dtype=np.float64)[:, None]
+    counts = np.empty((len(relevance_samples), alphas.shape[0]))
+    for n, s in enumerate(relevance_samples):
+        steps = np.arange(s.shape[0])
+        starts = np.zeros((alphas.shape[0], steps.size), dtype=np.intp)
+        breaks = (s[1:] < alphas) & (alphas != 0.0)
+        np.multiply(breaks, steps[1:], out=starts[:, 1:])
+        np.maximum.accumulate(starts, axis=1, out=starts)
+        longest = (steps - starts).max(axis=1) + 1
+        counts[n] = np.maximum(longest, -(-steps.size // mts))
+    return counts.mean(axis=0)
 
 
 def find_alpha_inter_max(
@@ -120,9 +136,10 @@ def find_alpha_inter_max(
     pooled = np.concatenate(relevance_samples)
     candidates = np.unique(np.quantile(pooled, _ALPHA_QUANTILES))
     best_alpha = float(candidates[-1]) * 1.001
-    best_count = _mean_tissue_count(relevance_samples, best_alpha, mts)
-    for alpha in candidates:
-        count = _mean_tissue_count(relevance_samples, float(alpha), mts)
+    best_count, *counts = _mean_tissue_counts(
+        relevance_samples, np.append(best_alpha, candidates), mts
+    )
+    for alpha, count in zip(candidates, counts):
         if count <= n_min * tolerance:
             return float(alpha)
         if count < best_count:
@@ -444,8 +461,8 @@ def accuracy_guided_precision(
 ) -> PrecisionSweepPoint:
     """Pick the cheapest sweep point still meeting the accuracy target.
 
-    Mirrors :func:`accuracy_guided_index` on the joint grid: among the
-    points whose agreement with the fp64 baseline meets
+    Mirrors :func:`~repro.core.thresholds.select_ao` on the joint grid:
+    among the points whose agreement with the fp64 baseline meets
     ``target_accuracy``, choose the one that moves the fewest weight
     bytes (precision and skipping compound in that metric). If no point
     qualifies, fall back to the most accurate one.
@@ -456,15 +473,3 @@ def accuracy_guided_precision(
     if not eligible:
         return max(points, key=lambda p: (p.accuracy, p.traffic_reduction))
     return min(eligible, key=lambda p: (p.weight_bytes_moved, -p.accuracy))
-
-
-def accuracy_guided_index(
-    accuracies: np.ndarray, target_accuracy: float
-) -> int:
-    """Fig. 10, step 3: per-application threshold adjustment.
-
-    A thin, explicitly named wrapper over the AO selection — given the
-    measured accuracy per threshold set, choose the most aggressive set
-    still meeting the user-preferred accuracy.
-    """
-    return select_ao(accuracies, target_accuracy)

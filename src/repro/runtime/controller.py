@@ -50,7 +50,7 @@ class OperatingPoint:
     precision: str = "fp64"
 
     def __post_init__(self) -> None:
-        if self.alpha_inter < 0 or self.alpha_intra < 0:
+        if not (self.alpha_inter >= 0 and self.alpha_intra >= 0):  # NaN fails too
             raise ConfigurationError(
                 f"thresholds must be non-negative, got alpha_inter="
                 f"{self.alpha_inter}, alpha_intra={self.alpha_intra}"

@@ -92,6 +92,14 @@ class TestCommands:
         assert record["label"] == policy
         assert record["timing"]["ticks"] >= 1.0
 
+    def test_serve_rejects_a_nan_threshold(self, capsys):
+        """NaN fails every comparison, so it used to pass the non-negative
+        check and serve with DRS silently off under an INTRA config."""
+        argv = ["serve", "--policy", "stream", "--mode", "intra", "--alpha-intra", "nan"]
+        assert main([*argv, "--duration-s", "0.3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:") and "Traceback" not in err
+
 
 class TestTraceParser:
     def test_trace_requires_subcommand(self):

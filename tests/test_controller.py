@@ -163,12 +163,15 @@ class TestConstruction:
         [
             {"alpha_intra": -0.1},
             {"alpha_inter": -1.0},
+            {"alpha_intra": float("nan")},
+            {"alpha_inter": float("nan")},
             {"precision": "int4"},
         ],
     )
     def test_bad_operating_point_rejected(self, kwargs):
-        """A negative threshold or an unknown precision is refused where the
-        point is made, not when a zoo first builds an executor for it."""
+        """A negative or NaN threshold or an unknown precision is refused
+        where the point is made, not when a zoo first builds an executor
+        for it."""
         with pytest.raises(ConfigurationError):
             OperatingPoint(**kwargs)
 

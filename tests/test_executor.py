@@ -41,6 +41,9 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             ExecutionConfig(alpha_inter=-1.0)
+        for nan in ({"alpha_inter": float("nan")}, {"alpha_intra": float("nan")}):
+            with pytest.raises(ConfigurationError):
+                ExecutionConfig(mode=ExecutionMode.INTRA, **nan)
         with pytest.raises(ConfigurationError):
             ExecutionConfig(mts=0)
         with pytest.raises(ConfigurationError):

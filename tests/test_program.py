@@ -216,20 +216,19 @@ class TestCompiledMatchesReference:
 
     @pytest.mark.parametrize("batch", [1, 2, 5])
     def test_drs_compact_scratch_never_read_before_write(self, batch):
-        """NaN-poisoned scratch must not leak into the compacted DRS chain.
+        """NaN-poisoned scratch must not leak into the masked DRS update.
 
         A fresh ``np.empty`` is usually a zeroed page, so a read of
-        uninitialized compact scratch produces *plausible* numbers on the
-        first run and garbage once the heap is warm (this exact failure
-        shipped once: in-place unary ufuncs on strided ``[:, :, :k]``
-        column slices read the gap bytes on some numpy builds). Filling
-        the whole workspace arena with ``0xFF`` bytes — NaN as a float,
-        a non-canonical true as a bool — after the programs are built makes
-        any such read deterministic: one leaked element NaNs the logits.
-        The high threshold at small batch keeps the batch-wide dropped
-        branch firing with small alive counts every few steps.
-        (``tests/test_workspace_arena.py`` does the same between every two
-        programs, in every mode and on both backends.)
+        uninitialized workspace produces *plausible* numbers on the first
+        run and garbage once the heap is warm. Filling the whole workspace
+        arena with ``0xFF`` bytes — NaN as a float, a non-canonical true as
+        a bool — after the programs are built makes any such read
+        deterministic: one leaked element NaNs the logits. Every DRS step
+        writes its ``(B, H)`` mask from ``o`` before ``np.putmask`` reads
+        it, and the high threshold at small batch drops whole units across
+        the batch every few steps, where a stale mask or cell value would
+        show. (``tests/test_workspace_arena.py`` does the same between
+        every two programs, in every mode and on both backends.)
         """
         network, _, links = make_case(seed=57, batch=batch)
         rng = np.random.default_rng(58)
@@ -259,6 +258,30 @@ class TestCompiledMatchesReference:
         assert len(out_c.layer_states) == len(out_r.layer_states) == network.num_layers
         for c_c, c_r in zip(out_c.layer_states, out_r.layer_states):
             assert np.array_equal(c_c, c_r)
+
+    @pytest.mark.parametrize("batch", [1, 8])
+    @pytest.mark.parametrize(
+        "alpha_intra, skip", [(1e-300, 0.0), (0.5, None), (2.0, 1.0)],
+        ids=["below-every-o", "inside", "above-every-o"],
+    )
+    def test_intra_mask_bit_identical_at_any_drop_rate(self, batch, alpha_intra, skip):
+        """The masked DRS update equals the oracle's — logits, layer
+        outputs, cell states and skip fractions — whether the threshold
+        drops no unit, some, or every one (``o`` lies in ``(0, 1)``)."""
+        network, tokens, links = make_case(seed=71, batch=batch)
+        config = ExecutionConfig(mode=ExecutionMode.INTRA, alpha_intra=alpha_intra)
+        compiled = LSTMExecutor(network, config, predicted_links=links)
+        reference = ReferenceExecutor(network, config, predicted_links=links)
+        out_c = compiled.run_batch(tokens, collect_states=True)
+        out_r = reference.run_batch(tokens, collect_states=True)
+        assert_meets_grade(out_c, out_r, exact=True)
+        for c_c, c_r in zip(out_c.layer_states, out_r.layer_states):
+            assert_bytes_equal(c_c, c_r)
+        fractions = [rec.mean_skip_fraction for p in out_c.plans for rec in p.layers]
+        if skip is None:
+            assert 0.0 < np.mean(fractions) < 1.0
+        else:
+            assert fractions == [skip] * len(fractions)
 
 
 #: Gate heights for the slab properties: H % 4 == 2 (130, 198, 250, 386,

@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.breakpoints import divide_layer, find_breakpoints
+from repro.core.thresholds import select_ao
+from repro.core.tissue import align_tissues
 from repro.core.tuner import (
     PrecisionSweepPoint,
+    _mean_tissue_counts,
     calibrate_offline,
     collect_relevance_samples,
     export_frontier,
     find_alpha_inter_max,
     fit_predicted_links,
-    accuracy_guided_index,
 )
 from repro.errors import CalibrationError
 
@@ -45,6 +49,33 @@ class TestAlphaSearch:
         samples = [np.full(3, 100.0)]
         alpha = find_alpha_inter_max(samples, mts=8)
         assert alpha > 0
+
+    #: Few distinct levels, so thresholds tie with relevance values.
+    LEVELS = [0.0, 0.5, 1.0, 2.0, 3.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        samples=st.lists(
+            st.lists(st.sampled_from(LEVELS), min_size=1, max_size=40),
+            min_size=1,
+            max_size=6,
+        ),
+        alphas=st.lists(st.sampled_from([*LEVELS, 0.75, 5.0]), min_size=1, max_size=8),
+        mts=st.integers(1, 9),
+    )
+    def test_closed_form_count_equals_the_list_planner(self, samples, alphas, mts):
+        """The calibration's tissue count — the longest sub-layer or
+        ``ceil(T / mts)``, whichever is more — is what LPT alignment of the
+        divided layer reaches, at every threshold, to the last bit of the
+        mean."""
+        samples = [np.array(s) for s in samples]
+        counts = _mean_tissue_counts(samples, np.array(alphas), mts)
+        for alpha, count in zip(alphas, counts):
+            planned = [
+                len(align_tissues(divide_layer(s.size, find_breakpoints(s, alpha)), mts))
+                for s in samples
+            ]
+            assert count == float(np.mean(planned))
 
 
 class TestCollection:
@@ -165,8 +196,10 @@ class TestOnePassCalibration:
 
 class TestAccuracyGuided:
     def test_wraps_ao(self):
+        """Fig. 10, step 4: the most aggressive set still meeting the
+        user-preferred accuracy."""
         acc = np.array([1.0, 0.99, 0.95])
-        assert accuracy_guided_index(acc, 0.98) == 1
+        assert select_ao(acc, 0.98) == 1
 
 
 class TestExportFrontier:

@@ -211,8 +211,7 @@ class TestProgramsAreWeightFree:
         # proj; h, c, hu, pre, two sigmoid scratches, t1; the sigmoid mask.
         workspace = 8 * (4 * bth + 17 * bh) + 3 * bh
         if drs_alpha > 0.0:
-            # step masks; compacted f/i, g, c scratch; dropped / alive rows.
-            workspace += bth + 8 * 4 * bh + 2 * hidden
+            workspace += bth  # the step masks
         overhead = 16 * 1024  # array headers and the per-step view lists
         _, held, peak = traced(
             lambda: make_stepwise_program(

@@ -283,7 +283,7 @@ class TestMaxNotSum:
         # ``test_stepwise_compile_allocates_its_workspace_only``; alignment
         # adds under a cache line per slab.
         bh, bth = 16 * self.HIDDEN, 16 * 86 * self.HIDDEN
-        formula = 8 * (4 * bth + 17 * bh) + 3 * bh + bth + 8 * 4 * bh + 2 * self.HIDDEN
+        formula = 8 * (4 * bth + 17 * bh) + 3 * bh + bth
         assert formula <= largest < formula + 64 * 16
         assert sum(layouts) > 3 * largest
         # The cache, its executors and everything they keep: one arena plus
