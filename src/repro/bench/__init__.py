@@ -32,7 +32,6 @@ from repro.bench.deflake import (
     pick,
     short_mode,
 )
-from repro.bench.export import dump_json, sweep_to_csv, to_jsonable
 from repro.bench.gates import GateCheck, GateSet
 from repro.bench.reporting import format_series, format_table
 
@@ -56,14 +55,11 @@ __all__ = [
     "fig17_model_capacity",
     "fig18_user_study",
     "fig19_threshold_sweep",
-    "dump_json",
     "format_series",
     "format_table",
     "gc_paused",
     "pick",
     "short_mode",
-    "sweep_to_csv",
-    "to_jsonable",
     "overheads_section6f",
     "table1_platform",
     "table2_applications",

@@ -7,8 +7,10 @@
 * :mod:`repro.core.plan` / :mod:`repro.core.planner` — per-sequence plans.
 * :mod:`repro.core.executor` — numerically exact execution of every mode.
 * :mod:`repro.core.trace_builder` — plan -> GPU kernel trace.
-* :mod:`repro.core.thresholds` / :mod:`repro.core.tuner` — the
-  accuracy/performance knob (threshold sets, AO/BPA/UO schemes).
+* :mod:`repro.core.thresholds` — the accuracy/performance knob
+  (threshold sets, AO/BPA/UO schemes).
+* :mod:`repro.core.tuner` — the offline operations that calibrate it
+  (Fig. 10: MTS, the ``alpha_inter`` ceiling, the predicted links).
 * :mod:`repro.core.pipeline` — the top-level :class:`OptimizedLSTM` API.
 """
 

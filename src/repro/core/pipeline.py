@@ -17,13 +17,13 @@ re-prices a kept outcome under another GPU or DRS style, executing nothing:
 ``app.price(fast, spec=TESLA_M40)``, ``app.price(fast, drs_style="software")``.
 
 A sweep — the same tokens under several modes or threshold sets, which is
-what ``repro run``, the figure harness and :func:`repro.core.tuner.
-sweep_precision_thresholds` do — pays for each derived thing once: the app keeps the
-executors it builds (pruned / dequantized weights, row ranges, digests), one
-program cache and one plan cache under all of them, and through the plan
-cache the layer-0 projections of the last call's distinct tokens. What is
-kept, keyed on what, dropped when and bounded by what is tabled in
-``docs/architecture.md`` ("What an app keeps between runs").
+what ``repro run`` and the figure harness do — pays for each derived
+thing once: the app keeps the executors it builds (pruned / dequantized
+weights, row ranges, digests), one program cache and one plan cache under
+all of them, and through the plan cache the layer-0 projections of the
+last call's distinct tokens. What is kept, keyed on what, dropped when and
+bounded by what is tabled in ``docs/architecture.md`` ("What an app keeps
+between runs").
 """
 
 from __future__ import annotations

@@ -146,13 +146,3 @@ def exact_relevance_values(
 
     s_elem = per_gate["o"] * (per_gate["f"] + per_gate["i"] * per_gate["c"])
     return s_elem.sum(axis=-1)
-
-
-def max_relevance(hidden_size: int) -> float:
-    """Upper bound on ``S`` for a layer of ``hidden_size`` units.
-
-    Per element: ``S_o <= 4`` and ``S_f + S_i * S_c <= 4 + 16``, so the sum
-    is bounded by ``80 * H``. Useful for normalizing thresholds across
-    applications.
-    """
-    return 80.0 * hidden_size

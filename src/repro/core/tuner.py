@@ -17,13 +17,10 @@ Given a network, a calibration token batch and a GPU spec, the tuner:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.breakpoints import find_breakpoints
 from repro.core.context_prediction import ContextLinkPredictor, PredictedLink
 from repro.core.executor import (
     ExecutionConfig,
@@ -36,10 +33,6 @@ from repro.core.tissue import calibrate_mts
 from repro.errors import CalibrationError
 from repro.gpu.specs import GPUSpec, TEGRA_X1
 from repro.nn.network import LSTMNetwork
-from repro.nn.quantize import PRECISIONS, Precision
-
-if TYPE_CHECKING:
-    from repro.core.pipeline import OptimizedLSTM
 
 #: Quantile grid searched for the alpha_inter upper limit.
 _ALPHA_QUANTILES = np.linspace(0.02, 0.98, 33)
@@ -98,9 +91,10 @@ def _mean_tissue_counts(
     unit-time chains by the LPT rule, which is optimal for chains (Hu
     1961): a layer of ``T`` cells takes as many tissues as its longest
     sub-layer, or ``ceil(T / mts)`` if more. A sub-layer starts at ``t =
-    0`` and at every breakpoint (:func:`find_breakpoints`: ``S[t] <
-    alpha`` for ``t >= 1``, none at ``alpha = 0``), so each cell's
-    distance from the last start before it gives the longest run.
+    0`` and at every breakpoint
+    (:func:`~repro.core.breakpoints.find_breakpoints`: ``S[t] < alpha``
+    for ``t >= 1``, none at ``alpha = 0``), so each cell's distance from
+    the last start before it gives the longest run.
     """
     alphas = np.asarray(alphas, dtype=np.float64)[:, None]
     counts = np.empty((len(relevance_samples), alphas.shape[0]))
@@ -232,244 +226,3 @@ def calibrate_offline(
         predicted_links=_fit_links(result),
         relevance_samples=relevance_samples,
     )
-
-
-@dataclass(frozen=True)
-class CalibrationDrift:
-    """How one calibration moved relative to another.
-
-    Produced by :func:`compare_calibrations` for two calibrations of the
-    *same application* (same batch, same GPU spec) taken before and after
-    a weight update — e.g. a :func:`repro.nn.calibrate.fine_tune` run.
-    Breakpoints are compared at the *before* calibration's
-    ``alpha_inter_max`` so the threshold is held fixed and any movement is
-    attributable to the weights alone.
-    """
-
-    alpha_inter_max_before: float
-    alpha_inter_max_after: float
-    breakpoints_before: tuple[tuple[int, ...], ...]
-    breakpoints_after: tuple[tuple[int, ...], ...]
-    relevance_mean_before: float
-    relevance_mean_after: float
-
-    @property
-    def alpha_inter_max_delta(self) -> float:
-        """Signed movement of the usable threshold ceiling."""
-        return self.alpha_inter_max_after - self.alpha_inter_max_before
-
-    @property
-    def breakpoints_moved(self) -> int:
-        """Placements that changed: symmetric-difference size summed over
-        every (sequence, layer) relevance sample."""
-        return sum(
-            len(set(b) ^ set(a))
-            for b, a in zip(self.breakpoints_before, self.breakpoints_after)
-        )
-
-    @property
-    def shifted(self) -> bool:
-        """Whether recalibration would produce a different plan."""
-        return self.breakpoints_moved > 0 or self.alpha_inter_max_delta != 0.0
-
-
-def _breakpoints_at(samples: Sequence[np.ndarray], alpha: float) -> tuple:
-    """Per-sample breakpoint placements at a fixed relevance threshold."""
-    return tuple(tuple(find_breakpoints(s, alpha)) for s in samples)
-
-
-def compare_calibrations(
-    before: OfflineCalibration, after: OfflineCalibration
-) -> CalibrationDrift:
-    """Diff two calibrations of the same application (see
-    :class:`CalibrationDrift`); raises if the sample layouts differ."""
-    if len(before.relevance_samples) != len(after.relevance_samples):
-        raise CalibrationError(
-            "calibrations are not comparable: "
-            f"{len(before.relevance_samples)} vs {len(after.relevance_samples)} "
-            "relevance samples (different batch or network depth)"
-        )
-    alpha = before.alpha_inter_max
-    return CalibrationDrift(
-        alpha_inter_max_before=before.alpha_inter_max,
-        alpha_inter_max_after=after.alpha_inter_max,
-        breakpoints_before=_breakpoints_at(before.relevance_samples, alpha),
-        breakpoints_after=_breakpoints_at(after.relevance_samples, alpha),
-        relevance_mean_before=float(
-            np.mean([s.mean() for s in before.relevance_samples])
-        ),
-        relevance_mean_after=float(
-            np.mean([s.mean() for s in after.relevance_samples])
-        ),
-    )
-
-
-@dataclass(frozen=True)
-class PrecisionSweepPoint:
-    """One configuration of the joint (thresholds x precision) sweep.
-
-    ``accuracy`` is agreement with the exact fp64 baseline on the same
-    batch — the paper's Δ-accuracy metric, now charging quantization and
-    skipping jointly. The byte counters come from the run's kernel trace,
-    so ``traffic_reduction`` reflects skip x precision compounding.
-    """
-
-    threshold_index: int
-    alpha_inter: float
-    alpha_intra: float
-    precision: str
-    accuracy: float
-    mean_time: float
-    speedup: float
-    weight_bytes_fp64: float
-    weight_bytes_moved: float
-
-    @property
-    def traffic_reduction(self) -> float:
-        """Weight-traffic reduction vs moving survivors at fp64."""
-        if self.weight_bytes_moved <= 0.0:
-            return 1.0
-        return self.weight_bytes_fp64 / self.weight_bytes_moved
-
-
-def sweep_precision_thresholds(
-    app: "OptimizedLSTM",
-    tokens: np.ndarray,
-    mode: ExecutionMode = ExecutionMode.COMBINED,
-    precisions: Iterable["Precision | str"] = PRECISIONS,
-    threshold_indices: Iterable[int] | None = None,
-    count: int = 11,
-) -> list[PrecisionSweepPoint]:
-    """Joint (``alpha_inter``, ``alpha_intra``, ``precision``) sweep.
-
-    Extends the Fig. 19 threshold schedule with the precision axis: each
-    threshold set of the calibrated schedule runs once per storage
-    policy, and every point carries its accuracy delta vs the exact fp64
-    baseline plus its measured weight-byte traffic. Feed the result to
-    :func:`accuracy_guided_precision` for the step-3-style selection.
-
-    Args:
-        app: A calibrated :class:`~repro.core.pipeline.OptimizedLSTM`.
-        tokens: Evaluation batch ``(B, T)``.
-        mode: Scheme swept (INTER / INTRA / COMBINED).
-        precisions: Storage policies to cross with the schedule.
-        threshold_indices: Schedule sets to run; all ``count`` by default.
-        count: Schedule length when ``threshold_indices`` is ``None``.
-    """
-    from repro.obs import Recorder
-
-    baseline = app.run(tokens, mode=ExecutionMode.BASELINE)
-    if threshold_indices is None:
-        threshold_indices = range(count)
-    indices = list(threshold_indices)
-    points: list[PrecisionSweepPoint] = []
-    for precision in precisions:
-        tag = Precision.parse(precision).tag
-        for index in indices:
-            recorder = Recorder()
-            outcome = app.run(
-                tokens,
-                mode=mode,
-                threshold_index=index,
-                precision=tag,
-                recorder=recorder,
-            )
-            record = recorder.last()
-            totals = record.weight_bytes_totals()
-            points.append(
-                PrecisionSweepPoint(
-                    threshold_index=index,
-                    alpha_inter=float(record.config["alpha_inter"]),
-                    alpha_intra=float(record.config["alpha_intra"]),
-                    precision=tag,
-                    accuracy=outcome.agreement_with(baseline),
-                    mean_time=outcome.mean_time,
-                    speedup=outcome.speedup_vs(baseline),
-                    weight_bytes_fp64=totals["fp64"],
-                    weight_bytes_moved=totals["moved"],
-                )
-            )
-    return points
-
-
-@dataclass(frozen=True)
-class FrontierPoint:
-    """One Pareto-optimal operating point of the joint sweep.
-
-    The online UO control loop (:mod:`repro.runtime.controller`) walks a
-    list of these, ordered most-accurate first, stepping toward the fast
-    end under latency pressure and back under accuracy pressure.
-    """
-
-    alpha_inter: float
-    alpha_intra: float
-    precision: str
-    accuracy: float
-    mean_time: float
-    weight_bytes_moved: float
-    threshold_index: int
-
-    def as_dict(self) -> dict:
-        """JSON form (bench reports embed it)."""
-        return {
-            "alpha_inter": self.alpha_inter,
-            "alpha_intra": self.alpha_intra,
-            "precision": self.precision,
-            "accuracy": self.accuracy,
-            "mean_time": self.mean_time,
-            "weight_bytes_moved": self.weight_bytes_moved,
-            "threshold_index": self.threshold_index,
-        }
-
-
-def export_frontier(points: Sequence[PrecisionSweepPoint]) -> list[FrontierPoint]:
-    """Pareto frontier of a joint sweep, ordered most-accurate first.
-
-    A point survives only if no other point is at least as accurate *and*
-    strictly faster — the dominated interior of the (accuracy, latency)
-    cloud is useless to a controller, which needs every step along the
-    list to actually trade accuracy for speed. Ties in both coordinates
-    keep the first occurrence. The result is strictly decreasing in
-    accuracy and strictly decreasing in ``mean_time``, so index ``i + 1``
-    is always faster and never more accurate than index ``i``.
-    """
-    if not points:
-        raise CalibrationError("cannot export a frontier from an empty sweep")
-    ordered = sorted(points, key=lambda p: (-p.accuracy, p.mean_time))
-    frontier: list[FrontierPoint] = []
-    best_time = float("inf")
-    for point in ordered:
-        if point.mean_time >= best_time:
-            continue  # dominated: something at least as accurate is faster
-        best_time = point.mean_time
-        frontier.append(
-            FrontierPoint(
-                alpha_inter=point.alpha_inter,
-                alpha_intra=point.alpha_intra,
-                precision=point.precision,
-                accuracy=point.accuracy,
-                mean_time=point.mean_time,
-                weight_bytes_moved=point.weight_bytes_moved,
-                threshold_index=point.threshold_index,
-            )
-        )
-    return frontier
-
-
-def accuracy_guided_precision(
-    points: Sequence[PrecisionSweepPoint], target_accuracy: float
-) -> PrecisionSweepPoint:
-    """Pick the cheapest sweep point still meeting the accuracy target.
-
-    Mirrors :func:`~repro.core.thresholds.select_ao` on the joint grid:
-    among the points whose agreement with the fp64 baseline meets
-    ``target_accuracy``, choose the one that moves the fewest weight
-    bytes (precision and skipping compound in that metric). If no point
-    qualifies, fall back to the most accurate one.
-    """
-    if not points:
-        raise CalibrationError("precision sweep produced no points")
-    eligible = [p for p in points if p.accuracy >= target_accuracy]
-    if not eligible:
-        return max(points, key=lambda p: (p.accuracy, p.traffic_reduction))
-    return min(eligible, key=lambda p: (p.weight_bytes_moved, -p.accuracy))

@@ -120,17 +120,3 @@ def reorganize_ctas(
         active_warps=active_warps,
         cycles=cycles,
     )
-
-
-def crm_time_overhead_s(reorg: CRMReorganization, clock_hz: float) -> float:
-    """Wall-clock cost of one CRM pass (usually well under a microsecond).
-
-    The paper's gate-level simulation reports a 1.47 % end-to-end overhead,
-    which includes issue-queue occupancy effects this cycle model does not
-    capture; the simulator therefore applies the calibrated
-    ``GPUSpec.crm_time_overhead`` fraction to CRM-routed kernels and keeps
-    this function as the first-principles lower bound.
-    """
-    if clock_hz <= 0:
-        raise ConfigurationError("clock_hz must be positive")
-    return reorg.cycles / clock_hz

@@ -90,13 +90,3 @@ class L2Model:
         for key, record in self._records.items():
             if key != active_id:
                 record.traffic_since_use += bytes_moved
-
-    def reload_amplification(self, weight_id: str) -> float | None:
-        """Diagnostic hook — kept for API symmetry with the paper's Fig. 5
-        observation that loaded data can be ~100x the tensor size. The
-        amplification is computed by the simulator, which knows the trace.
-        """
-        record = self._records.get(weight_id)
-        if record is None:
-            return None
-        return 1.0 - self._resident_fraction(record)

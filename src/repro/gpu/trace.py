@@ -119,11 +119,6 @@ class TraceSummary:
         return sum(k.dram_bytes for k in self.kernels)
 
     @property
-    def total_flops(self) -> float:
-        """Useful flops executed."""
-        return sum(k.flops for k in self.kernels)
-
-    @property
     def total_weight_bytes_fp64(self) -> float:
         """Host weight bytes the run would stream at float64 storage."""
         return sum(k.weight_bytes_fp64 for k in self.kernels)
@@ -132,11 +127,6 @@ class TraceSummary:
     def total_weight_bytes_moved(self) -> float:
         """Host weight bytes actually streamed at the active precision."""
         return sum(k.weight_bytes_moved for k in self.kernels)
-
-    @property
-    def total_weight_bytes_skipped(self) -> float:
-        """Host weight bytes DRS row skipping avoided loading."""
-        return sum(k.weight_bytes_skipped for k in self.kernels)
 
     @property
     def num_launches(self) -> int:
@@ -187,14 +177,6 @@ class TraceSummary:
         if which == "onchip":
             return sum(k.onchip_utilization * k.exec_time for k in selected) / total
         raise SimulationError(f"unknown utilization kind {which!r}")
-
-    def energy_breakdown(self) -> dict[str, float]:
-        """Total energy per component."""
-        acc: dict[str, float] = defaultdict(float)
-        for k in self.kernels:
-            for part, joules in k.energy_parts.items():
-                acc[part] += joules
-        return dict(acc)
 
     def speedup_vs(self, baseline: "TraceSummary") -> float:
         """Baseline time divided by this trace's time."""

@@ -52,15 +52,6 @@ class ZeroPruningResult:
         return float(self.mask.mean())
 
     @property
-    def data_movement_reduction(self) -> float:
-        """Fractional reduction in bytes moved (CSR vs dense).
-
-        Can be negative when pruning removes too few elements to amortize
-        the index overhead.
-        """
-        return 1.0 - self.sparse_bytes / self.dense_bytes
-
-    @property
     def compression_ratio(self) -> float:
         """Fraction of weight *elements* eliminated (Fig. 16a metric)."""
         return 1.0 - self.kept_fraction

@@ -14,7 +14,7 @@ command. Three batch-forming policies ride on it:
 
 * :class:`StreamingServer` (:mod:`repro.runtime.streaming`) — at most one
   chunk per session per tick over resident per-session ``(h, c)`` state,
-  LRU/TTL session eviction, an asyncio front door;
+  LRU/TTL session eviction;
 * :class:`ZooServer` (:mod:`repro.runtime.tenancy`) — weighted deficit
   round-robin over per-tenant queues in one process: one executor per
   (network, operating point) on the caller's arrays, shared by every
@@ -53,7 +53,6 @@ from repro.runtime.serving import (
 from repro.runtime.shadow import ShadowSampler
 from repro.runtime.streaming import (
     SessionTable,
-    StreamingFrontDoor,
     StreamingServer,
 )
 from repro.runtime.tenancy import TenantSpec, ZooServer
@@ -72,7 +71,6 @@ __all__ = [
     "ServingTicket",
     "SessionTable",
     "ShadowSampler",
-    "StreamingFrontDoor",
     "StreamingServer",
     "TenantSLO",
     "TenantSpec",

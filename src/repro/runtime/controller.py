@@ -1,15 +1,14 @@
 """Online (α, precision) SLO control for multi-tenant serving.
 
-The offline tuner (:mod:`repro.core.tuner`) answers "which operating
-points are worth running" — :func:`~repro.core.tuner.export_frontier`
-orders the Pareto-optimal (``alpha_inter``, ``alpha_intra``,
-``precision``) configurations most-accurate first. This module closes
-the paper's user-oriented knob into a runtime loop: a per-tenant
-:class:`SLOController` watches the tenant's tail latency (from completed
-requests) and its sampled shadow-execution agreement (from
-:class:`~repro.runtime.shadow.ShadowSampler`), and walks the frontier —
-one step toward the fast end when the p99 SLO is violated, one step back
-toward the accurate end when agreement sinks below the floor.
+A tenant's frontier is a list of :class:`OperatingPoint` — each one
+(``alpha_inter``, ``alpha_intra``, ``precision``) configuration — most
+accurate first. This module closes the paper's user-oriented knob into a
+runtime loop: a per-tenant :class:`SLOController` watches the tenant's
+tail latency (from completed requests) and its sampled shadow-execution
+agreement (from :class:`~repro.runtime.shadow.ShadowSampler`), and walks
+the frontier — one step toward the fast end when the p99 SLO is violated,
+one step back toward the accurate end when agreement sinks below the
+floor.
 
 Two damping mechanisms keep the loop from oscillating on noise:
 
@@ -31,6 +30,7 @@ the fp64 no-op discipline is preserved by absence, not by a flag.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
@@ -65,18 +65,6 @@ class OperatingPoint:
             "precision": self.precision,
         }
 
-    @classmethod
-    def from_frontier(cls, frontier: Sequence) -> list["OperatingPoint"]:
-        """Operating points of an :func:`~repro.core.tuner.export_frontier` list."""
-        return [
-            cls(
-                alpha_inter=point.alpha_inter,
-                alpha_intra=point.alpha_intra,
-                precision=point.precision,
-            )
-            for point in frontier
-        ]
-
 
 @dataclass(frozen=True)
 class TenantSLO:
@@ -93,9 +81,9 @@ class TenantSLO:
     min_agreement: float = 0.98
 
     def __post_init__(self) -> None:
-        if self.p99_latency_s <= 0:
+        if not (math.isfinite(self.p99_latency_s) and self.p99_latency_s > 0):
             raise ConfigurationError(
-                f"p99_latency_s must be positive, got {self.p99_latency_s}"
+                f"p99_latency_s must be finite and positive, got {self.p99_latency_s}"
             )
         if not 0.0 <= self.min_agreement <= 1.0:
             raise ConfigurationError(
@@ -117,9 +105,8 @@ class SLOController:
     """Hysteresis step controller over an accurate→fast frontier.
 
     Args:
-        points: Operating points ordered most-accurate first (index 0)
-            to fastest last — the order :func:`~repro.core.tuner.
-            export_frontier` produces.
+        points: The frontier: a list of :class:`OperatingPoint`, most
+            accurate first (index 0), fastest last.
         slo: The contract to hold.
         start_index: Initial frontier position.
         latency_window: Completed-request latencies kept for the p99

@@ -72,16 +72,22 @@ class LoadSpec:
     session_len_alpha: float = 1.3
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0 or self.session_rate <= 0:
-            raise ConfigurationError("duration_s and session_rate must be positive")
+        # A NaN passes every ``<= 0`` check, and a NaN or infinite window or
+        # rate never lets the arrival process end: finiteness is checked too.
+        for name in ("duration_s", "session_rate", "diurnal_period_s", "session_len_alpha"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{name} must be finite and positive, got {value}")
+        if not (math.isfinite(self.think_time_s) and self.think_time_s >= 0):
+            raise ConfigurationError(
+                f"think_time_s must be finite and non-negative, got {self.think_time_s}"
+            )
         if not 0 <= self.diurnal_amplitude < 1:
             raise ConfigurationError("diurnal_amplitude must be in [0, 1)")
         if self.session_len_min < 1 or self.session_len_max < self.session_len_min:
             raise ConfigurationError("need 1 <= session_len_min <= session_len_max")
-        if self.chunk_len < 1 or self.think_time_s < 0:
-            raise ConfigurationError("chunk_len >= 1 and think_time_s >= 0 required")
-        if self.session_len_alpha <= 0:
-            raise ConfigurationError("session_len_alpha must be positive")
+        if self.chunk_len < 1:
+            raise ConfigurationError("chunk_len must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -318,9 +324,9 @@ def run_open_loop(
     carry tenants; occupancy/shed counters accumulate on the server's
     stats.
     """
-    if tick_interval_s <= 0:
+    if not (math.isfinite(tick_interval_s) and tick_interval_s > 0):
         raise ConfigurationError(
-            f"tick_interval_s must be positive, got {tick_interval_s}"
+            f"tick_interval_s must be finite and positive, got {tick_interval_s}"
         )
     report = LoadReport()
     now = 0.0

@@ -93,17 +93,13 @@ class ServingResult:
 
 
 class ServingTicket:
-    """Pending handle for one submission, resolved when its last part is served.
-
-    ``callback``, when set, is called once with the :class:`ServingResult`.
-    """
+    """Pending handle for one submission, resolved when its last part is served."""
 
     __slots__ = (
         "session_id",
         "tenant",
         "submitted_at",
         "result",
-        "callback",
         "_per_timestep",
         "_parts",
         "_remaining",
@@ -123,7 +119,6 @@ class ServingTicket:
         self.tenant = tenant
         self.submitted_at = submitted_at
         self.result: ServingResult | None = None
-        self.callback: Callable[[ServingResult], None] | None = None
         self._per_timestep = per_timestep
         self._parts: list[tuple[int, np.ndarray]] = []
         self._remaining = n_parts
@@ -151,8 +146,6 @@ class ServingTicket:
             completed_at=now,
             tenant=self.tenant,
         )
-        if self.callback is not None:
-            self.callback(self.result)
         return self.result
 
 

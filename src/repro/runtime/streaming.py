@@ -42,14 +42,11 @@ server rejects them at construction.
 Every tick records one ``repro.obs/run/v1`` run labelled ``stream-tick``
 (batch = sessions in the tick, seq_length = the tick's chunk length);
 :meth:`~repro.runtime.serving.ServingCore.merged_record` folds a window
-into one record labelled ``stream``. :class:`StreamingFrontDoor` is the
-asyncio face: ``await door.request(session_id, tokens)`` admits a chunk
-and resolves when the tick loop completes it.
+into one record labelled ``stream``.
 """
 
 from __future__ import annotations
 
-import asyncio
 import time
 from collections import OrderedDict, deque
 from typing import Callable
@@ -63,7 +60,6 @@ from repro.nn.network import LSTMNetwork
 from repro.obs.recorder import Recorder
 from repro.runtime.serving import (
     ServingCore,
-    ServingResult,
     ServingStats,
     ServingTicket,
     take_batch,
@@ -185,8 +181,7 @@ class StreamingServer(ServingCore):
     Synchronous, deterministic engine: :meth:`submit` admits work,
     :meth:`tick` serves one batched step. All time enters through the
     ``now`` arguments (or the injected ``clock``), so tests and the
-    open-loop bench replay identical histories. The asyncio face is
-    :class:`StreamingFrontDoor`.
+    open-loop bench replay identical histories.
 
     Args:
         network: Model to serve.
@@ -375,71 +370,3 @@ class StreamingServer(ServingCore):
 
     def _record_meta(self, report):
         return "stream-tick", self.config, self._record_config
-
-
-class StreamingFrontDoor:
-    """Asyncio front door over a :class:`StreamingServer`.
-
-    Runs the tick loop as a background task on the event loop and exposes
-    ``await request(...)``: admission errors surface immediately
-    (:class:`~repro.errors.BackpressureError` propagates to the caller),
-    completions resolve when the tick that serves the last chunk runs.
-
-    Usage::
-
-        async with StreamingFrontDoor(server, tick_interval_s=0.002) as door:
-            result = await door.request("session-a", tokens)
-    """
-
-    def __init__(self, server: StreamingServer, tick_interval_s: float = 0.002) -> None:
-        if tick_interval_s <= 0:
-            raise ConfigurationError(
-                f"tick_interval_s must be positive, got {tick_interval_s}"
-            )
-        self.server = server
-        self.tick_interval_s = tick_interval_s
-        self._task: asyncio.Task | None = None
-        self._stopping = False
-
-    async def __aenter__(self) -> "StreamingFrontDoor":
-        self.start()
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.stop()
-
-    def start(self) -> None:
-        """Start the background tick loop (idempotent)."""
-        if self._task is None or self._task.done():
-            self._stopping = False
-            self._task = asyncio.get_running_loop().create_task(self._tick_loop())
-
-    async def stop(self) -> None:
-        """Drain the queue, then stop the tick loop."""
-        self._stopping = True
-        if self._task is not None:
-            await self._task
-            self._task = None
-
-    async def _tick_loop(self) -> None:
-        server = self.server
-        while True:
-            server.tick()
-            if self._stopping and server.queue_depth == 0:
-                return
-            await asyncio.sleep(self.tick_interval_s)
-
-    async def request(self, session_id: str, tokens: np.ndarray) -> ServingResult:
-        """Admit a chunk for ``session_id`` and await its result."""
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future[ServingResult] = loop.create_future()
-        ticket = self.server.submit(session_id, tokens)
-
-        def resolve(result: ServingResult) -> None:
-            if not future.done():
-                future.set_result(result)
-
-        if ticket.done:  # zero-latency path cannot happen today, but be safe
-            return ticket.result
-        ticket.callback = resolve
-        return await future

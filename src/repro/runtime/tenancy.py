@@ -36,7 +36,7 @@ On top rides the UO control loop: a tenant may carry a
 request latencies and a :class:`~repro.runtime.shadow.ShadowSampler`
 agreement stream (every ``K``-th served batch replayed on the exact fp64
 oracle), stepping (``alpha_inter``, ``alpha_intra``, ``precision``)
-along the offline sweep frontier to hold the p99/accuracy SLO. Moving
+along its frontier of operating points to hold the p99/accuracy SLO. Moving
 to a new point reaches that point's kept executor, or builds one against
 the shared caches (reusing a sibling's quantized cells), so previously
 compiled programs stay warm.
@@ -276,10 +276,6 @@ class ZooServer(ServingCore):
     def tenant_point(self, name: str) -> OperatingPoint:
         """The operating point a tenant currently serves at."""
         return self._require(name).point
-
-    def tenant_controller(self, name: str) -> SLOController | None:
-        """The tenant's controller, if it has one."""
-        return self._require(name).controller
 
     def tenant_shadow(self, name: str) -> ShadowSampler | None:
         """The tenant's shadow sampler, if sampling is enabled."""

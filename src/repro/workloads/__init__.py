@@ -12,7 +12,7 @@ approximations).
 """
 
 from repro.workloads.datasets import SyntheticDataset, build_dataset
-from repro.workloads.metrics import agreement_accuracy, prediction_margins, perplexity_proxy
+from repro.workloads.metrics import agreement_accuracy, prediction_margins
 from repro.workloads.apps import Workload, WorkloadEvaluation, build_workload
 from repro.workloads.userstudy import (
     Participant,
@@ -33,7 +33,6 @@ __all__ = [
     "agreement_accuracy",
     "build_dataset",
     "build_workload",
-    "perplexity_proxy",
     "prediction_margins",
     "sample_participants",
 ]

@@ -56,21 +56,3 @@ def agreement_accuracy(
     if not mask.any():
         raise ConfigurationError("evaluation mask selects no units")
     return float(matches[mask].mean())
-
-
-def perplexity_proxy(logits: np.ndarray, targets: np.ndarray) -> float:
-    """Perplexity of per-timestep ``logits`` against target token ids.
-
-    A secondary diagnostic for the LM/MT workloads: unlike top-1 agreement
-    it is sensitive to the whole output distribution.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    targets = np.asarray(targets)
-    if logits.shape[:-1] != targets.shape:
-        raise ConfigurationError(
-            f"logits shape {logits.shape} incompatible with targets {targets.shape}"
-        )
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    picked = np.take_along_axis(log_probs, targets[..., None], axis=-1)[..., 0]
-    return float(np.exp(-picked.mean()))

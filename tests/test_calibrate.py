@@ -16,8 +16,7 @@ from repro.config import LSTMConfig
 from repro.core.executor import ExecutionConfig
 from repro.core.plan import fingerprint_network
 from repro.core.reference import ReferenceExecutor
-from repro.core.tuner import calibrate_offline, compare_calibrations
-from repro.errors import CalibrationError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.nn.backprop import training_step
 from repro.nn.calibrate import (
     Adam,
@@ -181,32 +180,6 @@ class TestGateStatisticsShift:
         stats = measure_gate_statistics(frozen, tokens, alpha_inter=0.05, alpha_intra=0.1)
         payload = json.dumps(stats.as_dict())
         assert json.loads(payload)["skip_fraction"] == stats.skip_fraction
-
-
-class TestCompareCalibrations:
-    def test_fine_tuning_moves_the_offline_calibration(self, drifted_setup):
-        network, frozen, _, tokens, labels = drifted_setup
-        before = calibrate_offline(frozen, tokens)
-        fine_tune(network, tokens, labels, steps=6, lr=5e-2)
-        after = calibrate_offline(network, tokens)
-        drift = compare_calibrations(before, after)
-        assert drift.shifted
-        assert drift.relevance_mean_before != drift.relevance_mean_after
-        assert len(drift.breakpoints_before) == len(drift.breakpoints_after)
-
-    def test_self_comparison_is_stable(self, drifted_setup):
-        _, frozen, _, tokens, _ = drifted_setup
-        cal = calibrate_offline(frozen, tokens)
-        drift = compare_calibrations(cal, cal)
-        assert not drift.shifted
-        assert drift.alpha_inter_max_delta == 0.0
-
-    def test_incomparable_layouts_raise(self, drifted_setup):
-        _, frozen, _, tokens, _ = drifted_setup
-        cal = calibrate_offline(frozen, tokens)
-        smaller = calibrate_offline(frozen, tokens[:2])
-        with pytest.raises(CalibrationError):
-            compare_calibrations(cal, smaller)
 
 
 class TestCalibrateCli:

@@ -1,9 +1,15 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import FIGURES, build_parser, main
 
 
@@ -99,6 +105,37 @@ class TestCommands:
         assert main([*argv, "--duration-s", "0.3"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("repro: error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--duration-s", "nan"), ("--session-rate", "inf"), ("--tick-interval-ms", "nan")],
+    )
+    def test_serve_rejects_a_non_finite_load(self, flag, value):
+        """Each of these used to loop without end (a NaN or infinite window
+        or rate never ends the arrival process; a NaN tick interval never
+        submits), so the command runs in a child with a deadline and a
+        memory cap: a regression fails here instead of stalling the suite."""
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS="1",
+            PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+        )
+        cap = 2 << 30
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "--policy", "stream", flag, value],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=limit_memory,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("repro: error:")
 
 
 class TestTraceParser:

@@ -1,14 +1,12 @@
 """Tests for the :mod:`repro.runtime.controller` SLO step controller.
 
 Covers the damping mechanics (hysteresis, cooldown, window clearing),
-the accuracy-outranks-latency priority, boundary clamping at both ends
-of the frontier, and the frontier-point conversion from the offline
-tuner's export.
+the accuracy-outranks-latency priority and boundary clamping at both
+ends of the frontier.
 """
 
 import pytest
 
-from repro.core.tuner import FrontierPoint
 from repro.errors import ConfigurationError
 from repro.runtime import ControllerMove, OperatingPoint, SLOController, TenantSLO
 
@@ -152,6 +150,9 @@ class TestConstruction:
             {"p99_latency_s": 0.0},
             {"p99_latency_s": -1.0},
             {"p99_latency_s": 0.1, "min_agreement": 1.5},
+            # NaN fails every comparison, so it passed a ``<= 0`` check.
+            {"p99_latency_s": float("nan")},
+            {"p99_latency_s": float("inf")},
         ],
     )
     def test_bad_slo_rejected(self, kwargs):
@@ -174,33 +175,6 @@ class TestConstruction:
         for it."""
         with pytest.raises(ConfigurationError):
             OperatingPoint(**kwargs)
-
-    def test_operating_points_from_tuner_frontier(self):
-        frontier = [
-            FrontierPoint(
-                alpha_inter=0.0,
-                alpha_intra=0.0,
-                precision="fp64",
-                accuracy=1.0,
-                mean_time=2.0,
-                weight_bytes_moved=100.0,
-                threshold_index=0,
-            ),
-            FrontierPoint(
-                alpha_inter=0.5,
-                alpha_intra=0.1,
-                precision="int8",
-                accuracy=0.97,
-                mean_time=1.0,
-                weight_bytes_moved=20.0,
-                threshold_index=4,
-            ),
-        ]
-        points = OperatingPoint.from_frontier(frontier)
-        assert points == [
-            OperatingPoint(),
-            OperatingPoint(alpha_inter=0.5, alpha_intra=0.1, precision="int8"),
-        ]
 
     def test_as_dict_reports_state(self):
         controller = make_controller()

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.gpu.crm import (
-    crm_time_overhead_s,
     decode_disabled_threads,
     reorganize_ctas,
 )
@@ -83,17 +82,3 @@ class TestReorganization:
         assert htids == list(range(reorg.active_threads))
         # No disabled STID appears in the mapping.
         assert not (set(reorg.stid_to_htid) & set(trivial_rows.tolist()))
-
-
-class TestTiming:
-    def test_sub_microsecond_for_typical_grids(self):
-        """The first-principles CRM cost is far below the paper's 1.47 %
-        end-to-end overhead (which includes issue-queue effects); the
-        simulator applies the calibrated spec fraction instead."""
-        reorg = reorganize_ctas(np.arange(1000), total_threads=2600)
-        assert crm_time_overhead_s(reorg, 998e6) < 1e-6
-
-    def test_clock_validated(self):
-        reorg = reorganize_ctas(np.array([0]), total_threads=4)
-        with pytest.raises(ConfigurationError):
-            crm_time_overhead_s(reorg, 0.0)

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from repro.errors import ConfigurationError
 from repro.workloads.metrics import (
     agreement_accuracy,
-    perplexity_proxy,
     prediction_margins,
 )
 
@@ -56,26 +55,3 @@ class TestAgreement:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
             agreement_accuracy(np.array([1, 2]), np.array([1]))
-
-
-class TestPerplexity:
-    def test_uniform(self):
-        logits = np.zeros((4, 10))
-        targets = np.zeros(4, dtype=int)
-        assert perplexity_proxy(logits, targets) == pytest.approx(10.0)
-
-    def test_confident_correct_is_low(self):
-        logits = np.full((4, 10), -10.0)
-        logits[:, 3] = 10.0
-        targets = np.full(4, 3)
-        assert perplexity_proxy(logits, targets) < 1.01
-
-    def test_confident_wrong_is_high(self):
-        logits = np.full((4, 10), -10.0)
-        logits[:, 3] = 10.0
-        targets = np.full(4, 5)
-        assert perplexity_proxy(logits, targets) > 1e6
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            perplexity_proxy(np.zeros((3, 5)), np.zeros(4, dtype=int))

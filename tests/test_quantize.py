@@ -15,9 +15,8 @@ Covers the ``repro.nn.quantize`` contract end to end:
   executor, byte-identical to quantizing in process; that executor runs
   the codes of direct quantization and holds one float64 reconstruction
   per layer beyond them.
-* **Tuner**: the joint (thresholds x precision) sweep produces points
-  whose traffic reduction reflects the storage policy and whose selection
-  respects the accuracy target.
+* **Priced traffic**: at one threshold set an int8 run moves fewer
+  weight bytes than fp64 in its run record.
 """
 
 from __future__ import annotations
@@ -36,12 +35,7 @@ from repro.config import LSTMConfig
 from repro.core.executor import ExecutionConfig, ExecutionMode, LSTMExecutor
 from repro.core.pipeline import OptimizedLSTM
 from repro.core.reference import ReferenceExecutor
-from repro.core.tuner import (
-    PrecisionSweepPoint,
-    accuracy_guided_precision,
-    sweep_precision_thresholds,
-)
-from repro.errors import CalibrationError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.nn.lstm_layer import LSTMLayer
 from repro.nn.network import LSTMNetwork
 from repro.nn.pruning import prune_cell_weights
@@ -55,6 +49,7 @@ from repro.nn.quantize import (
     quantize_matrix,
     quantize_rows,
 )
+from repro.obs import Recorder
 from repro.runtime import FleetServer
 
 from tests.grading import assert_meets_grade
@@ -303,42 +298,23 @@ class TestFig14Workload:
                 assert quant.agreement_with(exact) >= tolerance, (mode, tag)
 
 
-class TestPrecisionSweep:
-    def test_joint_sweep_and_accuracy_guided_selection(self):
+class TestPricedTraffic:
+    def test_int8_moves_fewer_weight_bytes_than_fp64(self):
+        """At one threshold set, int8 storage moves fewer weight bytes
+        than fp64 in the run's priced record: the kernel trace charges
+        the active precision's bytes, compounded with skipping."""
         network, tokens = build_case(hidden=16, seq=8, batch=3)
         app = OptimizedLSTM(network)
         app.calibrate(num_sequences=3)
-        points = sweep_precision_thresholds(
-            app, tokens, threshold_indices=[0, 2], precisions=("fp64", "int8")
-        )
-        assert len(points) == 4
-        tags = {p.precision for p in points}
-        assert tags == {"fp64", "int8"}
-        for point in points:
-            assert 0.0 <= point.accuracy <= 1.0
-            assert point.weight_bytes_moved > 0.0
-            assert point.traffic_reduction >= 1.0
-        int8_points = [p for p in points if p.precision == "int8"]
-        fp64_points = [p for p in points if p.precision == "fp64"]
-        # Same thresholds, smaller storage: int8 must move fewer bytes.
-        assert max(p.weight_bytes_moved for p in int8_points) < min(
-            p.weight_bytes_moved for p in fp64_points
-        )
-        choice = accuracy_guided_precision(points, target_accuracy=0.0)
-        assert choice.weight_bytes_moved == min(p.weight_bytes_moved for p in points)
-        with pytest.raises(CalibrationError):
-            accuracy_guided_precision([], target_accuracy=0.9)
-
-    def test_traffic_reduction_handles_zero_moved(self):
-        point = PrecisionSweepPoint(
-            threshold_index=0,
-            alpha_inter=0.0,
-            alpha_intra=0.0,
-            precision="fp64",
-            accuracy=1.0,
-            mean_time=1.0,
-            speedup=1.0,
-            weight_bytes_fp64=0.0,
-            weight_bytes_moved=0.0,
-        )
-        assert point.traffic_reduction == 1.0
+        moved = {}
+        for tag in ("fp64", "int8"):
+            recorder = Recorder()
+            app.run(
+                tokens,
+                mode=ExecutionMode.COMBINED,
+                threshold_index=2,
+                precision=tag,
+                recorder=recorder,
+            )
+            moved[tag] = recorder.last().weight_bytes_totals()["moved"]
+        assert 0.0 < moved["int8"] < moved["fp64"]

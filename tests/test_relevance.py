@@ -10,12 +10,20 @@ from repro.nn.initializers import WeightInitializer
 from repro.nn.lstm_cell import GATE_ORDER, LSTMCellWeights
 from repro.core.relevance import (
     exact_relevance_values,
-    max_relevance,
     recurrent_row_ranges,
     relevance_values,
 )
 
 H, E, T = 10, 8, 6
+
+
+def max_relevance(hidden_size: int) -> float:
+    """Upper bound on ``S`` for a layer of ``hidden_size`` units.
+
+    Per element: ``S_o <= 4`` and ``S_f + S_i * S_c <= 4 + 16``, so the sum
+    is bounded by ``80 * H``.
+    """
+    return 80.0 * hidden_size
 
 
 def weights_and_proj(seed=0, scale=1.0):

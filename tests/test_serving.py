@@ -8,8 +8,8 @@ decide which queued work forms a tick's batch and how to run it. Every
 case below is therefore one promise all three keep alike: all-or-nothing
 shedding, its counter and its deterministic order, token ids checked at
 the door, queue-wait attribution and completion at the end of the serving
-tick, a ticket's callback fired once, ``drain`` emptying the queue,
-schema-valid tick and merged records, and a deterministic open-loop replay.
+tick, ``drain`` emptying the queue, schema-valid tick and merged records,
+and a deterministic open-loop replay.
 """
 
 from __future__ import annotations
@@ -183,15 +183,6 @@ class TestTick:
         p = make()
         report = p.server.tick(now=3.0, service_model=lambda tick: 1.0)
         assert (report.batch, report.end_s, report.completed) == (0, 3.0, [])
-
-    def test_ticket_callback_fires_once(self, make):
-        p = make()
-        ticket = p.submit("s", tokens(8), now=0.0)  # two chunks when streaming
-        calls = []
-        ticket.callback = calls.append
-        p.server.drain(now=0.0)
-        p.server.tick(now=0.0)
-        assert ticket.done and len(calls) == 1 and calls[0] is ticket.result
 
     def test_a_tick_whose_run_raises_strands_nothing(self, make, monkeypatch):
         """The parts of a failed tick go back to the head of their queue:

@@ -25,11 +25,15 @@ The contracts of :mod:`repro.runtime.streaming`:
 
 from __future__ import annotations
 
-import asyncio
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.config import LSTMConfig
 from repro.core.executor import ExecutionConfig, ExecutionMode, LSTMExecutor
 from repro.core.reference import ReferenceExecutor
@@ -40,7 +44,6 @@ from repro.obs.schema import validate_run_dict
 from repro.runtime import (
     LoadSpec,
     ServingTicket,
-    StreamingFrontDoor,
     StreamingServer,
     generate_arrivals,
     run_open_loop,
@@ -567,41 +570,47 @@ class TestLoadgen:
         )
 
 
-# ------------------------------------------------------------------ asyncio
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("duration_s", float("nan")),
+            ("duration_s", float("inf")),
+            ("session_rate", float("nan")),
+            ("session_rate", float("inf")),
+            ("think_time_s", float("nan")),
+            ("think_time_s", float("inf")),
+            ("session_len_alpha", float("nan")),
+            ("session_len_alpha", float("inf")),
+            ("diurnal_period_s", 0.0),
+            ("diurnal_period_s", -1.0),
+            ("diurnal_period_s", float("nan")),
+            ("diurnal_period_s", float("inf")),
+        ],
+    )
+    def test_non_finite_or_non_positive_spec_rejected(self, field, value):
+        """A NaN or infinite window or rate keeps the arrival process from
+        ending; a zero diurnal period divides by zero and a NaN one thins
+        every arrival away. Each is refused where the spec is made."""
+        with pytest.raises(ConfigurationError, match=field):
+            LoadSpec(**{field: value})
+
+    @pytest.mark.parametrize("tick_interval_s", [float("nan"), float("inf")])
+    def test_non_finite_tick_interval_rejected(self, tick_interval_s):
+        """A NaN interval passed the ``<= 0`` check and then ticked forever
+        without submitting an arrival."""
+        server = make_server(make_network(per_timestep_head=True))
+        with pytest.raises(ConfigurationError, match="tick_interval_s"):
+            run_open_loop(server, [], tick_interval_s=tick_interval_s)
 
 
-class TestFrontDoor:
-    def test_async_round_trip_matches_reference(self):
-        network = make_network(per_timestep_head=True)
-        config = ExecutionConfig(**STREAM_MODES["baseline"])
-        rng = np.random.default_rng(21)
-        tokens = rng.integers(0, VOCAB, size=6)
-        server = StreamingServer(network, config, chunk_len=4)
-
-        async def go():
-            async with StreamingFrontDoor(server, tick_interval_s=0.001) as door:
-                return await asyncio.gather(
-                    door.request("x", tokens[:3]), door.request("x", tokens[3:])
-                )
-
-        first, second = asyncio.run(go())
-        full = ReferenceExecutor(network, config).run_batch(tokens[None]).logits[0]
-        streamed = np.concatenate([first.logits, second.logits], axis=0)
-        assert np.array_equal(streamed, full)
-        assert second.latency_s >= 0.0
-
-    def test_backpressure_surfaces_to_the_caller(self):
-        network = make_network(per_timestep_head=True)
-        config = ExecutionConfig(**STREAM_MODES["baseline"])
-        server = StreamingServer(network, config, chunk_len=1, queue_limit=2)
-
-        async def go():
-            async with StreamingFrontDoor(server, tick_interval_s=0.001) as door:
-                with pytest.raises(BackpressureError):
-                    # 3 chunks > queue_limit before the loop can drain them:
-                    # submit happens synchronously inside request().
-                    server.submit("y", np.arange(3) % VOCAB)
-                return await door.request("y", np.arange(2) % VOCAB)
-
-        result = asyncio.run(go())
-        assert result.n_tokens == 2
+class TestImportCost:
+    def test_importing_the_runtime_leaves_asyncio_out(self):
+        """No serving path needs an event loop, so importing asyncio would
+        only add peak memory and start-up time to every serving process."""
+        code = "import sys, repro.runtime; print('asyncio' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

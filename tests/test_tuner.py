@@ -8,11 +8,9 @@ from repro.core.breakpoints import divide_layer, find_breakpoints
 from repro.core.thresholds import select_ao
 from repro.core.tissue import align_tissues
 from repro.core.tuner import (
-    PrecisionSweepPoint,
     _mean_tissue_counts,
     calibrate_offline,
     collect_relevance_samples,
-    export_frontier,
     find_alpha_inter_max,
     fit_predicted_links,
 )
@@ -200,60 +198,3 @@ class TestAccuracyGuided:
         user-preferred accuracy."""
         acc = np.array([1.0, 0.99, 0.95])
         assert select_ao(acc, 0.98) == 1
-
-
-class TestExportFrontier:
-    def sweep_point(self, index, accuracy, mean_time, precision="fp64"):
-        return PrecisionSweepPoint(
-            threshold_index=index,
-            alpha_inter=0.1 * index,
-            alpha_intra=0.01 * index,
-            precision=precision,
-            accuracy=accuracy,
-            mean_time=mean_time,
-            speedup=1.0 / mean_time,
-            weight_bytes_fp64=100.0,
-            weight_bytes_moved=100.0 * mean_time,
-        )
-
-    def test_frontier_is_accurate_first_and_strictly_improving(self):
-        points = [
-            self.sweep_point(0, 1.00, 2.0),
-            self.sweep_point(1, 0.99, 1.5, "fp16"),
-            self.sweep_point(2, 0.97, 0.8, "int8"),
-        ]
-        frontier = export_frontier(list(reversed(points)))
-        assert [p.threshold_index for p in frontier] == [0, 1, 2]
-        accuracies = [p.accuracy for p in frontier]
-        times = [p.mean_time for p in frontier]
-        assert accuracies == sorted(accuracies, reverse=True)
-        assert times == sorted(times, reverse=True)
-
-    def test_dominated_points_are_dropped(self):
-        points = [
-            self.sweep_point(0, 1.00, 2.0),
-            # Less accurate AND slower than index 0: useless to a controller.
-            self.sweep_point(1, 0.98, 2.5),
-            self.sweep_point(2, 0.97, 1.0, "int8"),
-        ]
-        frontier = export_frontier(points)
-        assert [p.threshold_index for p in frontier] == [0, 2]
-
-    def test_equal_accuracy_keeps_the_faster_point(self):
-        points = [
-            self.sweep_point(0, 0.99, 2.0),
-            self.sweep_point(1, 0.99, 1.0),
-        ]
-        frontier = export_frontier(points)
-        assert [p.threshold_index for p in frontier] == [1]
-
-    def test_empty_sweep_rejected(self):
-        with pytest.raises(CalibrationError):
-            export_frontier([])
-
-    def test_as_dict_round_trip(self):
-        frontier = export_frontier([self.sweep_point(3, 0.98, 1.2, "int8")])
-        data = frontier[0].as_dict()
-        assert data["precision"] == "int8"
-        assert data["threshold_index"] == 3
-        assert data["weight_bytes_moved"] == pytest.approx(120.0)
