@@ -9,7 +9,7 @@ Exercises :mod:`repro.runtime.tenancy` three ways and writes
   cost: the distinct arrays the zoo holds
   (:meth:`~repro.runtime.tenancy.ZooServer.resident_bytes` weights plus
   executor arrays) over, per tenant, its network's parameter bytes plus
-  what a standalone executor at its point derives. Serving must not even
+  what a standalone executor at its config derives. Serving must not even
   import :mod:`multiprocessing.shared_memory`;
 * **shared-cache amortization** — after one tenant warms the cross-tenant
   :class:`~repro.core.program.ProgramCache`, a steady-state window
@@ -18,7 +18,7 @@ Exercises :mod:`repro.runtime.tenancy` three ways and writes
   recompiles — the second tenant never pays the first tenant's
   compilation;
 * **SLO controller convergence** — a virtual-time open-loop run whose
-  modeled per-precision tick cost makes the fp64 frontier point
+  modeled per-precision tick cost makes the fp64 frontier config
   unsustainable at the offered rate: the tenant's
   :class:`~repro.runtime.controller.SLOController` must step to int8
   within ``MOVE_TICK_BOUND`` serving ticks, the trailing
@@ -51,7 +51,6 @@ from repro.nn.network import LSTMNetwork
 from repro.obs.recorder import Recorder
 from repro.runtime import (
     LoadSpec,
-    OperatingPoint,
     SLOController,
     TenantSLO,
     TenantSpec,
@@ -70,7 +69,7 @@ TICK_INTERVAL_S = 0.002
 
 #: Modeled service cost of one serving tick per weight precision (s).
 #: int8 moves ~8x fewer weight bytes, so its modeled tick is cheaper —
-#: the gap is what gives the controller a faster frontier point to move
+#: the gap is what gives the controller a faster frontier config to move
 #: to. Virtual time makes every latency gate deterministic.
 MODEL_TICK_FP64_S = 0.020
 MODEL_TICK_INT8_S = 0.008
@@ -98,8 +97,8 @@ def build_network(seed: int) -> LSTMNetwork:
 
 
 def model_service(report) -> float:
-    """Modeled per-tick service cost by the serving operating point."""
-    if report.point is not None and report.point.precision == "int8":
+    """Modeled per-tick service cost by the serving config's precision."""
+    if report.point is not None and report.point.precision.tag == "int8":
         return MODEL_TICK_INT8_S
     return MODEL_TICK_FP64_S
 
@@ -109,7 +108,7 @@ def model_service(report) -> float:
 
 def private_bytes(network: LSTMNetwork, config: ExecutionConfig) -> int:
     """A tenant's weight bytes without sharing: its own copy of the network
-    plus what a standalone executor at its point derives."""
+    plus what a standalone executor at its config derives."""
     executor = LSTMExecutor(network, config)
     return sum(a.nbytes for a in network.parameters()) + sum(
         a.nbytes for a in executor.owned_arrays()
@@ -123,15 +122,13 @@ def check_dedup(gates: GateSet) -> dict:
     tenants = [
         (TenantSpec(name="a1", model="m1", weight=2.0), net1),
         (TenantSpec(name="a2", model="m1", weight=1.0), net1),
-        (TenantSpec(name="b1", model="m2", point=OperatingPoint(precision="int8")), net2),
-        (TenantSpec(name="b2", model="m2", point=OperatingPoint(precision="int8")), net2),
+        (TenantSpec(name="b1", model="m2", point=ExecutionConfig(precision="int8")), net2),
+        (TenantSpec(name="b2", model="m2", point=ExecutionConfig(precision="int8")), net2),
     ]
     with ZooServer() as server:
         for spec, network in tenants:
             server.add_tenant(spec, network)
-        private = sum(
-            private_bytes(network, server._point_config(spec.point)) for spec, network in tenants
-        )
+        private = sum(private_bytes(network, spec.point) for spec, network in tenants)
 
         # Serve a little traffic through the shared executors, and pin the
         # fp64 tenants to the frozen reference (the no-op discipline must
@@ -265,7 +262,7 @@ def check_shared_cache(gates: GateSet, steady_requests: int) -> dict:
 def check_controller(gates: GateSet, duration_s: float) -> dict:
     """Overloaded fp64 tenant must step to int8 and re-meet its p99 SLO."""
     network = build_network(seed=11)
-    frontier = [OperatingPoint(), OperatingPoint(precision="int8")]
+    frontier = [ExecutionConfig(), ExecutionConfig(precision="int8")]
     controller = SLOController(
         frontier,
         TenantSLO(p99_latency_s=SLO_P99_S, min_agreement=MIN_INT8_AGREEMENT),
@@ -298,7 +295,7 @@ def check_controller(gates: GateSet, duration_s: float) -> dict:
             service_model=model_service,
         )
         shadow = server.tenant_shadow("slo").as_dict()
-        final_point = server.tenant_point("slo").as_dict()
+        final_precision = server.tenant_point("slo").precision.tag
 
     moved = bool(controller.moves)
     move_tick = controller.moves[0].tick if moved else -1
@@ -318,7 +315,7 @@ def check_controller(gates: GateSet, duration_s: float) -> dict:
 
     gates.require_true(
         "controller/moved-to-int8",
-        moved and final_point["precision"] == "int8",
+        moved and final_precision == "int8",
         "controller never stepped off the overloaded fp64 point",
     )
     gates.require_at_most(
@@ -357,7 +354,7 @@ def check_controller(gates: GateSet, duration_s: float) -> dict:
              "reason": m.reason}
             for m in controller.moves
         ],
-        "final_point": final_point,
+        "final_point": controller.as_dict()["point"],
         "trailing_p99_s": trailing_p99,
         "trailing_samples": len(trailing),
         "shadow": shadow,

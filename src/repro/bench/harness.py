@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.config import APP_NAMES, TABLE2_APPS, USER_IMPERCEPTIBLE_ACCURACY
-from repro.core.executor import ExecutionMode
+from repro.core.executor import ZERO_PRUNE_FRACTION, ExecutionMode
 from repro.core.plan import PlanCache
 from repro.core.trace_builder import forced_tissue_layer_trace
 from repro.gpu.simulator import TimingSimulator
@@ -415,7 +415,7 @@ def fig16_compression_schemes(ctx: ExperimentContext | None = None, apps=None):
         from repro.nn.pruning import prune_cell_weights
 
         _, prune_stats = prune_cell_weights(
-            workload.app.network.layers[0].weights, prune_fraction=0.37
+            workload.app.network.layers[0].weights, ZERO_PRUNE_FRACTION
         )
         data[name] = {
             "zero_pruning": {

@@ -472,7 +472,8 @@ def _fleet_policy(args, recorder):
 def _zoo_policy(args, recorder):
     from repro.config import get_app
     from repro.nn.model_zoo import build_calibrated_network
-    from repro.runtime import OperatingPoint, TenantSpec, ZooServer, generate_tenant_arrivals
+    from repro.core.executor import ExecutionConfig
+    from repro.runtime import TenantSpec, ZooServer, generate_tenant_arrivals
 
     parsed: list[tuple[str, float, str]] = []
     for entry in args.tenants or ["MR:2:fp64", "MR:1:fp64", "MR:1:int8"]:
@@ -504,7 +505,7 @@ def _zoo_policy(args, recorder):
             print(f"Building {app.name} ...", file=sys.stderr)
             networks[app_name] = (app, build_calibrated_network(app, seed=args.seed))
 
-    server = ZooServer(recorder=recorder, threads=args.threads)
+    server = ZooServer(recorder=recorder)
     weights: dict[str, float] = {}
     vocabs: dict[str, int] = {}
     for index, (app_name, weight, precision) in enumerate(parsed):
@@ -515,7 +516,7 @@ def _zoo_policy(args, recorder):
                 name=name,
                 model=app_name,
                 weight=weight,
-                point=OperatingPoint(precision=precision),
+                point=ExecutionConfig(precision=precision, threads=args.threads),
                 max_batch=args.max_batch,
                 queue_limit=args.queue_limit,
             ),

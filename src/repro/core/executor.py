@@ -97,7 +97,7 @@ import enum
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -141,6 +141,11 @@ if TYPE_CHECKING:
     from repro.obs.recorder import Recorder
 
 
+#: Element fraction ``ZERO_PRUNE`` erases from each layer's united ``U``:
+#: the compression the paper's Fig. 16 compares DRS against.
+ZERO_PRUNE_FRACTION = 0.37
+
+
 class ExecutionMode(enum.Enum):
     """The five evaluated execution schemes."""
 
@@ -162,7 +167,6 @@ class ExecutionConfig:
         alpha_inter: Relevance threshold (breaks links with ``S < alpha``).
         alpha_intra: Near-zero threshold on ``o_t`` (skips rows below it).
         mts: Maximum tissue size (from :func:`repro.core.tissue.calibrate_mts`).
-        zero_prune_fraction: Element fraction erased in ``ZERO_PRUNE`` mode.
         use_exact_relevance: Use the exact-overlap ablation of Algorithm 2.
         precision: Weight-storage policy (:class:`~repro.nn.quantize.
             Precision`). ``fp64`` (the default) is the identity — the
@@ -197,7 +201,6 @@ class ExecutionConfig:
     alpha_inter: float = 0.0
     alpha_intra: float = 0.0
     mts: int = 5
-    zero_prune_fraction: float = 0.37
     use_exact_relevance: bool = False
     precision: Precision = Precision()
     backend: str = "numpy"
@@ -211,8 +214,6 @@ class ExecutionConfig:
             raise ConfigurationError("thresholds must be non-negative")
         if self.mts < 1:
             raise ConfigurationError(f"mts must be >= 1, got {self.mts}")
-        if not 0 <= self.zero_prune_fraction < 1:
-            raise ConfigurationError("zero_prune_fraction must be in [0, 1)")
         if self.threads < 1:
             raise ConfigurationError(f"threads must be >= 1, got {self.threads}")
 
@@ -422,9 +423,7 @@ class LSTMExecutor:
             pruned = []
             kept = []
             for layer in network.layers:
-                new_weights, aggregate = prune_cell_weights(
-                    layer.weights, config.zero_prune_fraction
-                )
+                new_weights, aggregate = prune_cell_weights(layer.weights, ZERO_PRUNE_FRACTION)
                 pruned.append(new_weights)
                 kept.append(aggregate.kept_fraction)
             self._weights = pruned
@@ -739,6 +738,22 @@ class LSTMExecutor:
         results, _ = self._map_shards(batch, cfg.threads, run_shard)
         return results[0] if len(results) == 1 else np.concatenate(results, axis=0)
 
+    def record_config(self) -> dict:
+        """The scheme fields of a run record's ``config``: thresholds, MTS,
+        precision tag, threads and :attr:`backend` — the backend the
+        programs resolved to, not the configured name. Every record of a
+        run on this executor starts from this dict; callers add only their
+        own keys."""
+        cfg = self.config
+        return {
+            "backend": self.backend,
+            "alpha_inter": cfg.alpha_inter,
+            "alpha_intra": cfg.alpha_intra,
+            "mts": cfg.mts,
+            "precision": cfg.precision.tag,
+            "threads": cfg.threads,
+        }
+
     def _record_run(
         self,
         result: ExecutionResult,
@@ -748,20 +763,12 @@ class LSTMExecutor:
         program_stats_before: dict | None = None,
     ) -> None:
         """Emit a numerics-plane run record (no-op when recorder disabled)."""
-        cfg = self.config
         builder = self.recorder.start_run(
             label="executor",
-            mode=cfg.mode.value,
+            mode=self.config.mode.value,
             batch=batch,
             seq_length=seq_len,
-            config={
-                "alpha_inter": cfg.alpha_inter,
-                "alpha_intra": cfg.alpha_intra,
-                "mts": cfg.mts,
-                "precision": cfg.precision.tag,
-                "backend": self.backend,
-                "threads": cfg.threads,
-            },
+            config=self.record_config(),
         )
         if builder is None:
             return
@@ -1111,3 +1118,30 @@ class LSTMExecutor:
                 united, link, batch, seq_len, cfg.mts, alpha_intra=cfg.alpha_intra, arena=arena
             ),
         )
+
+
+def reusable_quantized_cells(
+    config: ExecutionConfig, kept: Iterable[LSTMExecutor]
+) -> list[QuantizedCell] | None:
+    """The quantized payloads ``config`` may run on instead of quantizing
+    for itself: those of the first of ``kept`` (executors over the same
+    network weights) that quantized the same weight set at ``config``'s
+    precision. The weight set is the network's blocks, or under
+    ``ZERO_PRUNE`` their pruning at :data:`ZERO_PRUNE_FRACTION`; no other
+    knob changes it. ``None`` at fp64 and when no kept executor matches.
+    :class:`~repro.core.pipeline.OptimizedLSTM` and the zoo both ask this,
+    so a model holds one quantized derivation per weight set and
+    precision however many thresholds, tenants or controller moves reach
+    it."""
+    if not config.precision.is_quantized:
+        return None
+    pruned = config.mode is ExecutionMode.ZERO_PRUNE
+    return next(
+        (
+            executor.quantized_cells
+            for executor in kept
+            if executor.config.precision == config.precision
+            and (executor.config.mode is ExecutionMode.ZERO_PRUNE) == pruned
+        ),
+        None,
+    )

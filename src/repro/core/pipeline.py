@@ -40,6 +40,7 @@ from repro.core.executor import (
     ExecutionMode,
     ExecutionResult,
     LSTMExecutor,
+    reusable_quantized_cells,
 )
 from repro.core.plan import PlanCache, SequencePlan, fingerprint_array, fingerprint_weights
 from repro.core.program import ProgramCache
@@ -220,7 +221,6 @@ class OptimizedLSTM:
         alpha_inter: float | None = None,
         alpha_intra: float | None = None,
         threshold_index: int | None = None,
-        zero_prune_fraction: float = 0.37,
         precision: "Precision | str" = "fp64",
         backend: str = "numpy",
         threads: int = 1,
@@ -229,8 +229,6 @@ class OptimizedLSTM:
         Only the knobs ``mode`` reads are set; the rest keep their defaults."""
         levels = ExecutionConfig(mode=mode)
         knobs: dict = {}
-        if mode is ExecutionMode.ZERO_PRUNE:
-            knobs["zero_prune_fraction"] = zero_prune_fraction
         if levels.inter_active or levels.intra_active:
             calibration = self._require_calibration(mode)
             if threshold_index is not None:
@@ -271,7 +269,10 @@ class OptimizedLSTM:
         second ``calibrate()`` or a weight update followed by
         :func:`~repro.core.plan.invalidate_weight_fingerprints` reaches a
         fresh executor, never a stale one. The embedding and the head are
-        read live from the network and need no key.
+        read live from the network and need no key. A quantized config
+        runs on the cells of a kept executor over the same content where
+        :func:`~repro.core.executor.reusable_quantized_cells` allows, so a
+        threshold sweep at int8 holds one dequantized copy.
         """
         links = self.calibration.predicted_links if self.calibration is not None else None
         content = (
@@ -290,28 +291,16 @@ class OptimizedLSTM:
                 predicted_links=links,
                 plan_cache=self.plan_cache,
                 program_cache=self.program_cache,
-                quantized_cells=self._kept_quantized_cells(config, content),
+                quantized_cells=reusable_quantized_cells(
+                    config,
+                    (
+                        executor
+                        for (_, other_content), executor in self.executor_cache.items()
+                        if other_content == content
+                    ),
+                ),
             ),
         )
-
-    def _kept_quantized_cells(self, config: ExecutionConfig, content: tuple):
-        """The quantized payloads a kept executor already runs on, if one
-        has ``config``'s precision over the same weight set — the network's
-        blocks, or their pruning at one fraction — so a threshold sweep at
-        int8 holds one dequantized copy, not one per threshold set.
-        ``None`` at fp64 and for the first such executor, which quantizes
-        for itself."""
-        if not config.precision.is_quantized:
-            return None
-
-        def weight_set(cfg: ExecutionConfig):
-            pruned = cfg.mode is ExecutionMode.ZERO_PRUNE
-            return cfg.precision, cfg.zero_prune_fraction if pruned else None
-
-        for (other, other_content), executor in self.executor_cache.items():
-            if other_content == content and weight_set(other) == weight_set(config):
-                return executor.quantized_cells
-        return None
 
     def run(
         self,
@@ -320,7 +309,6 @@ class OptimizedLSTM:
         alpha_inter: float | None = None,
         alpha_intra: float | None = None,
         threshold_index: int | None = None,
-        zero_prune_fraction: float = 0.37,
         precision: "Precision | str" = "fp64",
         backend: str = "numpy",
         threads: int = 1,
@@ -353,7 +341,6 @@ class OptimizedLSTM:
             alpha_inter=alpha_inter,
             alpha_intra=alpha_intra,
             threshold_index=threshold_index,
-            zero_prune_fraction=zero_prune_fraction,
             precision=precision,
             backend=backend,
             threads=threads,
@@ -373,14 +360,9 @@ class OptimizedLSTM:
                 batch=int(tokens.shape[0]),
                 seq_length=int(tokens.shape[-1]),
                 config={
-                    "backend": executor.backend,
-                    "alpha_inter": config.alpha_inter,
-                    "alpha_intra": config.alpha_intra,
-                    "mts": config.mts,
+                    **executor.record_config(),
                     "drs_style": "hardware",
                     "threshold_index": threshold_index,
-                    "precision": config.precision.tag,
-                    "threads": config.threads,
                 },
             )
             if recorder is not None

@@ -49,6 +49,7 @@ import numpy as np
 from repro.core.breakpoints import divide_layer, find_breakpoints
 from repro.core.context_prediction import PredictedLink
 from repro.core.executor import (
+    ZERO_PRUNE_FRACTION,
     ExecutionConfig,
     ExecutionMode,
     ExecutionResult,
@@ -101,7 +102,7 @@ class ReferenceExecutor:
         self._last_states: np.ndarray | None = None
         if config.mode is ExecutionMode.ZERO_PRUNE:
             self._weights = [
-                prune_cell_weights(weights, config.zero_prune_fraction)[0]
+                prune_cell_weights(weights, ZERO_PRUNE_FRACTION)[0]
                 for weights in self._weights
             ]
 

@@ -36,6 +36,9 @@ from repro.nn.network import LSTMNetwork
 
 #: Quantile grid searched for the alpha_inter upper limit.
 _ALPHA_QUANTILES = np.linspace(0.02, 0.98, 33)
+#: The alpha_inter search accepts a mean tissue count within this factor
+#: of ``N_min``.
+_N_MIN_TOLERANCE = 1.05
 
 #: Largest meaningful near-zero threshold for the output gate: at 0.5 the
 #: sigmoid midpoint itself would count as "near zero".
@@ -109,15 +112,12 @@ def _mean_tissue_counts(
     return counts.mean(axis=0)
 
 
-def find_alpha_inter_max(
-    relevance_samples: list[np.ndarray], mts: int, tolerance: float = 1.05
-) -> float:
+def find_alpha_inter_max(relevance_samples: list[np.ndarray], mts: int) -> float:
     """Fig. 10, step 2: the smallest threshold reaching ``N_min`` tissues.
 
     Args:
         relevance_samples: Per-(sequence, layer) relevance arrays ``S``.
         mts: The calibrated maximum tissue size.
-        tolerance: Accept a tissue count within this factor of ``N_min``.
 
     Returns:
         The chosen ``alpha_inter`` upper limit. If even breaking every link
@@ -134,7 +134,7 @@ def find_alpha_inter_max(
         relevance_samples, np.append(best_alpha, candidates), mts
     )
     for alpha, count in zip(candidates, counts):
-        if count <= n_min * tolerance:
+        if count <= n_min * _N_MIN_TOLERANCE:
             return float(alpha)
         if count < best_count:
             best_count = count

@@ -17,8 +17,9 @@ command. Three batch-forming policies ride on it:
   LRU/TTL session eviction;
 * :class:`ZooServer` (:mod:`repro.runtime.tenancy`) — weighted deficit
   round-robin over per-tenant queues in one process: one executor per
-  (network, operating point) on the caller's arrays, shared by every
-  tenant that reaches it, and one cross-tenant program/plan cache, with
+  (network, :class:`~repro.core.executor.ExecutionConfig`) on the caller's
+  arrays, shared by every tenant that reaches it, and one cross-tenant
+  program/plan cache, with
   :mod:`repro.runtime.controller` closing the per-tenant SLO loop after
   each tick from :mod:`repro.runtime.shadow`'s sampled agreement;
 * :class:`FleetServer` (:mod:`repro.runtime.fleet`) — whole sequences FIFO
@@ -30,7 +31,6 @@ command. Three batch-forming policies ride on it:
 
 from repro.runtime.controller import (
     ControllerMove,
-    OperatingPoint,
     SLOController,
     TenantSLO,
 )
@@ -63,7 +63,6 @@ __all__ = [
     "FleetServer",
     "LoadReport",
     "LoadSpec",
-    "OperatingPoint",
     "SLOController",
     "ServingCore",
     "ServingResult",

@@ -1,7 +1,9 @@
-"""Online (α, precision) SLO control for multi-tenant serving.
+"""Online SLO control over a tenant's frontier of execution schemes.
 
-A tenant's frontier is a list of :class:`OperatingPoint` — each one
-(``alpha_inter``, ``alpha_intra``, ``precision``) configuration — most
+A tenant's frontier is a list of
+:class:`~repro.core.executor.ExecutionConfig` — each a mode with its
+threshold set (``alpha_inter``, ``alpha_intra``), MTS, precision, backend
+and threads, the paper's scheme picked per user (Figs. 18 and 19) — most
 accurate first. This module closes the paper's user-oriented knob into a
 runtime loop: a per-tenant :class:`SLOController` watches the tenant's
 tail latency (from completed requests) and its sampled shadow-execution
@@ -16,7 +18,7 @@ Two damping mechanisms keep the loop from oscillating on noise:
   decisions, so a single bad window never reconfigures a tenant;
 * **cooldown** — after a move, decisions pause for ``cooldown_ticks``
   and both observation windows are cleared, because samples gathered
-  under the old operating point say nothing about the new one.
+  under the old scheme say nothing about the new one.
 
 Accuracy violations outrank latency violations: a tenant that is both
 slow and wrong first steps back toward the accurate end — the SLO
@@ -37,33 +39,14 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.executor import ExecutionConfig
 from repro.errors import ConfigurationError
-from repro.nn.quantize import Precision
 
-
-@dataclass(frozen=True)
-class OperatingPoint:
-    """One runnable configuration along the accuracy/latency frontier."""
-
-    alpha_inter: float = 0.0
-    alpha_intra: float = 0.0
-    precision: str = "fp64"
-
-    def __post_init__(self) -> None:
-        if not (self.alpha_inter >= 0 and self.alpha_intra >= 0):  # NaN fails too
-            raise ConfigurationError(
-                f"thresholds must be non-negative, got alpha_inter="
-                f"{self.alpha_inter}, alpha_intra={self.alpha_intra}"
-            )
-        Precision.parse(self.precision)  # an unknown precision raises here
-
-    def as_dict(self) -> dict:
-        """Flat form for run-record configs and bench reports."""
-        return {
-            "alpha_inter": self.alpha_inter,
-            "alpha_intra": self.alpha_intra,
-            "precision": self.precision,
-        }
+#: Completed-request latencies kept for the p99 estimate.
+LATENCY_WINDOW = 64
+#: Shadow agreement samples kept; one suffices for a decision (shadow
+#: sampling is already sparse).
+AGREEMENT_WINDOW = 4
 
 
 @dataclass(frozen=True)
@@ -105,33 +88,29 @@ class SLOController:
     """Hysteresis step controller over an accurate→fast frontier.
 
     Args:
-        points: The frontier: a list of :class:`OperatingPoint`, most
-            accurate first (index 0), fastest last.
+        points: The frontier: a list of
+            :class:`~repro.core.executor.ExecutionConfig`, most accurate
+            first (index 0), fastest last.
         slo: The contract to hold.
         start_index: Initial frontier position.
-        latency_window: Completed-request latencies kept for the p99
-            estimate; decisions need at least ``min_latency_samples``.
-        agreement_window: Shadow agreement samples kept; one suffices
-            for a decision (shadow sampling is already sparse).
         hysteresis: Consecutive violating decisions required to move.
         cooldown_ticks: Decision ticks skipped after a move.
-        min_latency_samples: Latency samples required before the p99
-            estimate is trusted.
+        min_latency_samples: Latency samples (of the last
+            :data:`LATENCY_WINDOW`) required before the p99 estimate is
+            trusted.
     """
 
     def __init__(
         self,
-        points: Sequence[OperatingPoint],
+        points: Sequence[ExecutionConfig],
         slo: TenantSLO,
         start_index: int = 0,
-        latency_window: int = 64,
-        agreement_window: int = 4,
         hysteresis: int = 2,
         cooldown_ticks: int = 4,
         min_latency_samples: int = 8,
     ) -> None:
         if not points:
-            raise ConfigurationError("controller needs at least one operating point")
+            raise ConfigurationError("controller needs at least one frontier config")
         if not 0 <= start_index < len(points):
             raise ConfigurationError(
                 f"start_index {start_index} out of range for {len(points)} points"
@@ -146,8 +125,8 @@ class SLOController:
         self.hysteresis = hysteresis
         self.cooldown_ticks = cooldown_ticks
         self.min_latency_samples = min_latency_samples
-        self._latencies: deque[float] = deque(maxlen=latency_window)
-        self._agreements: deque[float] = deque(maxlen=agreement_window)
+        self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
+        self._agreements: deque[float] = deque(maxlen=AGREEMENT_WINDOW)
         self._violations = 0  # consecutive violating decisions
         self._violation_reason = ""
         self._cooldown = 0
@@ -157,8 +136,8 @@ class SLOController:
     # ------------------------------------------------------------ observing
 
     @property
-    def point(self) -> OperatingPoint:
-        """The operating point the tenant should currently run."""
+    def point(self) -> ExecutionConfig:
+        """The frontier config the tenant should currently run."""
         return self.points[self.index]
 
     def observe_latency(self, seconds: float) -> None:
@@ -195,8 +174,8 @@ class SLOController:
             return (1, "latency") if self.index < len(self.points) - 1 else (0, "")
         return (0, "")
 
-    def decide(self) -> OperatingPoint | None:
-        """One decision tick; returns the new point when a move fires.
+    def decide(self) -> ExecutionConfig | None:
+        """One decision tick; returns the new config when a move fires.
 
         Call once per scheduler tick that served this tenant. Honors the
         cooldown, requires ``hysteresis`` consecutive ticks agreeing on
@@ -239,7 +218,12 @@ class SLOController:
         """Status summary for bench reports."""
         return {
             "index": self.index,
-            "point": self.point.as_dict(),
+            "point": {
+                "mode": self.point.mode.value,
+                "alpha_inter": self.point.alpha_inter,
+                "alpha_intra": self.point.alpha_intra,
+                "precision": self.point.precision.tag,
+            },
             "p99_s": self.p99(),
             "agreement": self.agreement(),
             "moves": [

@@ -189,7 +189,7 @@ def generate_tenant_arrivals(
         spec: The envelope (duration, rate, seed, diurnal, lengths);
             ``chunk_len``/``think_time_s`` are unused here.
         tenant_weights: Relative arrival share per tenant name; must be
-            non-empty with positive total weight.
+            non-empty, each weight finite and positive.
         vocab_sizes: Vocabulary bound per tenant (every tenant needs an
             entry).
     """
@@ -197,9 +197,11 @@ def generate_tenant_arrivals(
         raise ConfigurationError("tenant_weights must name at least one tenant")
     names = sorted(tenant_weights)
     weights = np.asarray([float(tenant_weights[name]) for name in names])
-    if np.any(weights < 0) or weights.sum() <= 0:
+    # A NaN fails every comparison and an infinite weight makes the shares
+    # NaN, so the check is positive weights with a finite total.
+    if not (np.all(weights > 0) and np.isfinite(weights.sum())):
         raise ConfigurationError(
-            "tenant weights must be non-negative with a positive total"
+            f"tenant weights must be finite and positive, got {tenant_weights}"
         )
     missing = [name for name in names if name not in vocab_sizes]
     if missing:

@@ -55,7 +55,6 @@ if TYPE_CHECKING:
     from repro.nn.network import LSTMNetwork
     from repro.obs.record import RunRecord
     from repro.obs.recorder import Recorder
-    from repro.runtime.controller import OperatingPoint
 
 
 @dataclass
@@ -165,7 +164,7 @@ class TickReport:
     """Outcome of one serving tick; an empty tick has ``batch == 0``.
 
     ``tenant`` / ``point`` / ``moved_to`` are filled by the zoo policy (the
-    tenant served, the operating point it served at, and the controller's
+    tenant served, the execution config it served at, and the controller's
     move after the tick); ``ttl_evictions`` by the streaming policy.
     """
 
@@ -177,8 +176,8 @@ class TickReport:
     queue_wait_s: float = 0.0
     completed: list[ServingResult] = field(default_factory=list)
     tenant: str | None = None
-    point: OperatingPoint | None = None
-    moved_to: OperatingPoint | None = None
+    point: ExecutionConfig | None = None
+    moved_to: ExecutionConfig | None = None
     ttl_evictions: int = 0
 
 

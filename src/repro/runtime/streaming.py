@@ -47,6 +47,7 @@ into one record labelled ``stream``.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import OrderedDict, deque
 from typing import Callable
@@ -104,8 +105,8 @@ class SessionTable:
     ) -> None:
         if max_sessions < 1:
             raise ConfigurationError(f"max_sessions must be >= 1, got {max_sessions}")
-        if ttl_s <= 0:
-            raise ConfigurationError(f"ttl_s must be positive, got {ttl_s}")
+        if not (math.isfinite(ttl_s) and ttl_s > 0):
+            raise ConfigurationError(f"ttl_s must be finite and positive, got {ttl_s}")
         self._num_layers = num_layers
         self._hidden = hidden
         self._head_pool = head_pool
@@ -261,12 +262,7 @@ class StreamingServer(ServingCore):
         self._queue: deque = deque()
         self.stats = ServingStats()
         self._record_config = {
-            "backend": self.executor.backend,
-            "alpha_inter": config.alpha_inter,
-            "alpha_intra": config.alpha_intra,
-            "mts": config.mts,
-            "precision": config.precision.tag,
-            "threads": config.threads,
+            **self.executor.record_config(),
             "stream_chunk_len": chunk_len,
             "stream_max_batch": max_batch,
         }

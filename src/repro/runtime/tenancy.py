@@ -7,15 +7,19 @@ and execution plans are the reusable resources, and the serving layer's
 job is to make sure no tenant pays for a copy another tenant already
 owns. Three shared structures carry that:
 
-* **one executor per** (network fingerprint, operating point) — built
-  directly on the caller's network, so every fp64 tenant of a model
-  computes on the caller's own arrays by reference (the zoo is one
-  process: sharing needs no segment and no refcount). Tenants whose
-  networks have equal content share one executor; a quantized point
-  reuses the quantized cells (:class:`~repro.nn.quantize.QuantizedCell`)
-  of any kept executor of the same network and precision, so a model
-  holds one derivation per precision however many tenants or controller
-  moves reach it. :meth:`ZooServer.resident_bytes` reports what is held;
+* **one executor per** (network fingerprint,
+  :class:`~repro.core.executor.ExecutionConfig`) — built directly on the
+  caller's network, so every fp64 tenant of a model computes on the
+  caller's own arrays by reference (the zoo is one process: sharing needs
+  no segment and no refcount). Tenants whose networks have equal content
+  share one executor; a quantized config reuses the quantized cells
+  (:class:`~repro.nn.quantize.QuantizedCell`) of a kept executor of the
+  same network where :func:`~repro.core.executor.reusable_quantized_cells`
+  allows (same precision, same weight set), the rule
+  :class:`~repro.core.pipeline.OptimizedLSTM` keeps, so a model holds one
+  derivation per weight set and precision however many tenants or
+  controller moves reach it. :meth:`ZooServer.resident_bytes` reports
+  what is held;
 * **one cross-tenant** :class:`~repro.core.program.ProgramCache` **and**
   :class:`~repro.core.plan.PlanCache` — their keys already carry weight
   fingerprints and shapes, so sharing is safe by construction, and a
@@ -25,7 +29,7 @@ owns. Three shared structures carry that:
   (:class:`~repro.runtime.serving.ServingCore`, which owns admission,
   tickets, tick timing, records and ``drain``) — weighted deficit
   round-robin over per-tenant bounded FIFO queues: each backlogged
-  tenant accrues ``weight x quantum`` deficit per visit and serves at
+  tenant accrues ``weight`` sequences of deficit per visit and serves at
   most its deficit, so sustained service ratios converge to the
   configured weights while admission overload sheds per tenant with
   :class:`~repro.errors.BackpressureError` (one noisy tenant cannot
@@ -35,13 +39,12 @@ On top rides the UO control loop: a tenant may carry a
 :class:`~repro.runtime.controller.SLOController` observing its completed-
 request latencies and a :class:`~repro.runtime.shadow.ShadowSampler`
 agreement stream (every ``K``-th served batch replayed on the exact fp64
-oracle), stepping (``alpha_inter``, ``alpha_intra``, ``precision``)
-along its frontier of operating points to hold the p99/accuracy SLO. Moving
-to a new point reaches that point's kept executor, or builds one against
-the shared caches (reusing a sibling's quantized cells), so previously
-compiled programs stay warm.
+oracle), stepping along its frontier of execution configs to hold the
+p99/accuracy SLO. Moving to a new config reaches that config's kept
+executor, or builds one against the shared caches (reusing a sibling's
+quantized cells), so previously compiled programs stay warm.
 
-**Equivalence discipline.** A tenant at the fp64 BASELINE point with no
+**Equivalence discipline.** A tenant at the fp64 BASELINE config with no
 controller is a strict no-op path: its logits are bit-identical to the
 frozen :class:`~repro.core.reference.ReferenceExecutor`, regardless of
 how the WDRR scheduler batches or interleaves it with other tenants
@@ -58,6 +61,7 @@ histories (:func:`~repro.runtime.loadgen.run_open_loop`).
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -65,13 +69,13 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.executor import ExecutionConfig, ExecutionMode, LSTMExecutor
+from repro.core.executor import ExecutionConfig, LSTMExecutor, reusable_quantized_cells
 from repro.core.plan import PlanCache, fingerprint_network
 from repro.core.program import ProgramCache
 from repro.errors import ConfigurationError
 from repro.nn.network import LSTMNetwork
 from repro.obs.recorder import Recorder
-from repro.runtime.controller import OperatingPoint, SLOController
+from repro.runtime.controller import SLOController
 from repro.runtime.serving import ServingCore, ServingStats, ServingTicket, take_batch
 from repro.runtime.shadow import ShadowSampler
 
@@ -92,8 +96,9 @@ class TenantSpec:
             them while the zoo serves.
         weight: WDRR share. Sustained service ratios between saturated
             tenants converge to the ratio of their weights.
-        point: Starting operating point (``alpha_inter``, ``alpha_intra``,
-            ``precision``).
+        point: Starting execution scheme: mode, thresholds, MTS,
+            precision, backend and threads, as every other caller of
+            :class:`~repro.core.executor.LSTMExecutor` states them.
         max_batch: Largest batch served to this tenant in one tick.
         queue_limit: Bound on queued requests; admission past it sheds
             with :class:`~repro.errors.BackpressureError`.
@@ -104,7 +109,7 @@ class TenantSpec:
     name: str
     model: str = ""
     weight: float = 1.0
-    point: OperatingPoint = field(default_factory=OperatingPoint)
+    point: ExecutionConfig = field(default_factory=ExecutionConfig)
     max_batch: int = 8
     queue_limit: int = 64
     shadow_every: int = 0
@@ -112,9 +117,9 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("tenant name must be non-empty")
-        if self.weight <= 0:
+        if not (math.isfinite(self.weight) and self.weight > 0):
             raise ConfigurationError(
-                f"tenant weight must be positive, got {self.weight}"
+                f"tenant weight must be finite and positive, got {self.weight}"
             )
         if self.max_batch < 1 or self.queue_limit < 1:
             raise ConfigurationError("max_batch and queue_limit must be >= 1")
@@ -157,28 +162,19 @@ class ZooServer(ServingCore):
     All time enters through ``now`` and the optional per-tick
     ``service_model``.
 
-    One executor per (network fingerprint, operating point) serves every
+    One executor per (network fingerprint, execution config) serves every
     tenant that reaches it, and stays (with its warm programs) when a
     controller moves a tenant away.
 
     Args:
         recorder: Optional recorder; each tick appends one run record
             labelled with the serving tenant.
-        quantum: Deficit added per unit weight each time the scheduler
-            visits a backlogged tenant. The default of 1.0 makes a
-            weight-w tenant serve w sequences per round under
-            saturation.
-        mts: Maximum tissue size used when a tenant's operating point
-            activates the inter level.
         clock: Time source when ``now`` arguments are omitted.
-        threads: In-process work-unit parallelism for every tenant
-            executor (``repro serve --policy zoo --threads``); ``1`` keeps the
-            serial path.
     """
 
     record_label = "zoo"
     #: Ticks of different tenants differ in sequence length *and*
-    #: configuration (models, alphas, precisions; a controller moves a
+    #: configuration (models, schemes, precisions; a controller moves a
     #: tenant mid-window): agreeing config keys survive the merge, disputed
     #: ones are listed under ``"varied"``, cache counters namespace per tenant.
     merge_flags = {
@@ -190,26 +186,12 @@ class ZooServer(ServingCore):
     def __init__(
         self,
         recorder: Recorder | None = None,
-        quantum: float = 1.0,
-        mts: int = 5,
         clock: Callable[[], float] = time.monotonic,
-        threads: int = 1,
     ) -> None:
-        if quantum <= 0:
-            raise ConfigurationError(f"quantum must be positive, got {quantum}")
-        if threads < 1:
-            raise ConfigurationError(f"threads must be >= 1, got {threads}")
         super().__init__(clock, recorder)
-        self.quantum = quantum
-        self.mts = mts
-        #: In-process dispatcher width stamped on every tenant executor
-        #: (:attr:`repro.core.executor.ExecutionConfig.threads`): tenant
-        #: batches shard across the shared pool while the single-flight
-        #: plan/program caches keep cross-tenant compiles deduplicated.
-        self.threads = threads
         self.program_cache = ProgramCache()
         self.plan_cache = PlanCache()
-        self._executors: dict[tuple[str, OperatingPoint], LSTMExecutor] = {}
+        self._executors: dict[tuple[str, ExecutionConfig], LSTMExecutor] = {}
         self._tenants: dict[str, _Tenant] = {}
         self._ring: list[str] = []
         self._cursor = 0
@@ -222,20 +204,18 @@ class ZooServer(ServingCore):
         spec: TenantSpec,
         network: LSTMNetwork,
         controller: SLOController | None = None,
-        shadow_oracle: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> None:
         """Register a tenant bound to ``network`` (fp64 source weights).
 
         All or nothing: the tenant's starting executor is reached (or
-        built) before the tenant joins the ring, so a point that cannot be
-        served raises and leaves no tenant behind. A network equal in
+        built) before the tenant joins the ring, so a config that cannot
+        be served raises and leaves no tenant behind. A network equal in
         content to one the zoo already serves is served through the
         earlier object, sharing its executors. When
-        ``spec.shadow_every > 0`` and no ``shadow_oracle`` is given, the
-        exact fp64 BASELINE executor over the source network becomes the
-        oracle (bit-identical to the frozen reference). A ``controller``
-        closes the UO loop; without one the tenant's operating point is
-        fixed for the window.
+        ``spec.shadow_every > 0``, the exact fp64 BASELINE executor over
+        the source network is the shadow oracle (bit-identical to the
+        frozen reference). A ``controller`` closes the UO loop; without
+        one the tenant's config is fixed for the window.
         """
         if spec.name in self._tenants:
             raise ConfigurationError(f"tenant {spec.name!r} already registered")
@@ -250,16 +230,11 @@ class ZooServer(ServingCore):
         network = kept[0].network if kept else network
         shadow = None
         if spec.shadow_every > 0:
-            if shadow_oracle is None:
-                oracle_exec = LSTMExecutor(
-                    network,
-                    ExecutionConfig(mode=ExecutionMode.BASELINE),
-                    plan_cache=PlanCache(),
-                )
-                shadow_oracle = lambda tokens: oracle_exec.run_batch(  # noqa: E731
-                    tokens
-                ).predictions()
-            shadow = ShadowSampler(shadow_oracle, every_k=spec.shadow_every)
+            oracle = LSTMExecutor(network, ExecutionConfig(), plan_cache=PlanCache())
+            shadow = ShadowSampler(
+                lambda tokens: oracle.run_batch(tokens).predictions(),
+                every_k=spec.shadow_every,
+            )
         tenant = _Tenant(spec, network, fingerprint, controller, shadow)
         self._executor_for(tenant, tenant.point)
         self._tenants[spec.name] = tenant
@@ -273,8 +248,8 @@ class ZooServer(ServingCore):
         """Serving counters of one tenant."""
         return self._require(name).stats
 
-    def tenant_point(self, name: str) -> OperatingPoint:
-        """The operating point a tenant currently serves at."""
+    def tenant_point(self, name: str) -> ExecutionConfig:
+        """The execution config a tenant currently serves at."""
         return self._require(name).point
 
     def tenant_shadow(self, name: str) -> ShadowSampler | None:
@@ -289,56 +264,19 @@ class ZooServer(ServingCore):
 
     # ------------------------------------------------------------ executors
 
-    def _point_config(self, point: OperatingPoint) -> ExecutionConfig:
-        """Resolve an operating point to an execution configuration."""
-        inter = point.alpha_inter > 0.0
-        intra = point.alpha_intra > 0.0
-        if inter and intra:
-            mode = ExecutionMode.COMBINED
-        elif inter:
-            mode = ExecutionMode.INTER
-        elif intra:
-            mode = ExecutionMode.INTRA
-        else:
-            mode = ExecutionMode.BASELINE
-        kwargs: dict = {
-            "mode": mode,
-            "precision": point.precision,
-            "threads": self.threads,
-        }
-        if inter:
-            kwargs["alpha_inter"] = point.alpha_inter
-            kwargs["mts"] = self.mts
-        if intra:
-            kwargs["alpha_intra"] = point.alpha_intra
-        return ExecutionConfig(**kwargs)
-
-    def _executor_for(
-        self, tenant: _Tenant, point: OperatingPoint
-    ) -> LSTMExecutor:
-        """The executor of the tenant's network at ``point``, built on
-        first use. A quantized point runs on the cells of any kept
-        executor of the same network and precision (the rule
-        :class:`~repro.core.pipeline.OptimizedLSTM` keeps), so the model
-        holds one quantized derivation per precision."""
-        key = (tenant.fingerprint, point)
+    def _executor_for(self, tenant: _Tenant, config: ExecutionConfig) -> LSTMExecutor:
+        """The executor of the tenant's network at ``config``, built on
+        first use. A quantized config runs on a kept executor's cells where
+        :func:`~repro.core.executor.reusable_quantized_cells` allows."""
+        key = (tenant.fingerprint, config)
         executor = self._executors.get(key)
         if executor is None:
-            config = self._point_config(point)
-            cells = next(
-                (
-                    kept.quantized_cells
-                    for kept in self._kept(tenant.fingerprint)
-                    if kept.config.precision == config.precision
-                ),
-                None,
-            )
             executor = self._executors[key] = LSTMExecutor(
                 tenant.network,
                 config,
                 plan_cache=self.plan_cache,
                 program_cache=self.program_cache,
-                quantized_cells=cells,
+                quantized_cells=reusable_quantized_cells(config, self._kept(tenant.fingerprint)),
             )
         return executor
 
@@ -412,7 +350,7 @@ class ZooServer(ServingCore):
         Visits each ring position at most once starting at the cursor.
         A visited empty tenant resets its deficit (classic DRR — credit
         must not accrue while idle); a backlogged tenant accrues
-        ``weight x quantum`` and serves when its deficit covers at least
+        ``weight`` and serves when its deficit covers at least
         one sequence. Returns ``(tenant, budget)`` or ``None`` when no
         tenant can serve this tick (deficits were still credited, so a
         light-weight tenant eventually accumulates service).
@@ -424,7 +362,7 @@ class ZooServer(ServingCore):
             if not tenant.queue:
                 tenant.deficit = 0.0
                 continue
-            tenant.deficit += tenant.spec.weight * self.quantum
+            tenant.deficit += tenant.spec.weight
             budget = int(tenant.deficit)
             if budget >= 1:
                 self._cursor = (position + 1) % n
@@ -433,7 +371,7 @@ class ZooServer(ServingCore):
 
     def _form_batch(self, report, now):
         """WDRR: the next eligible tenant's FIFO equal-length batch of up to
-        ``min(deficit, max_batch)`` requests, at its current point."""
+        ``min(deficit, max_batch)`` requests, at its current config."""
         # The WDRR state before the visit, which _requeue restores.
         self._before_tick = (
             self.ticks, self._cursor, [t.deficit for t in self._tenants.values()]
@@ -490,14 +428,12 @@ class ZooServer(ServingCore):
 
     def _record_meta(self, report):
         tenant = self._tenants[report.tenant]
-        config = self._point_config(report.point)  # the point the tick served at
-        return tenant.spec.name, config, {
+        # The config the tick served at: a controller move after the tick
+        # leaves its executor kept.
+        executor = self._executors[(tenant.fingerprint, report.point)]
+        return tenant.spec.name, report.point, {
+            **executor.record_config(),
             "tenant": tenant.spec.name,
             "model": tenant.spec.model,
             "weight": tenant.spec.weight,
-            "alpha_inter": config.alpha_inter,
-            "alpha_intra": config.alpha_intra,
-            "mts": config.mts,
-            "precision": config.precision.tag,
-            "backend": "numpy",
         }

@@ -119,7 +119,6 @@ class Workload:
         threshold_index: int | None = None,
         alpha_inter: float | None = None,
         alpha_intra: float | None = None,
-        zero_prune_fraction: float = 0.37,
     ) -> WorkloadEvaluation:
         """Measure one scheme on the evaluation batch.
 
@@ -134,7 +133,6 @@ class Workload:
             threshold_index=threshold_index,
             alpha_inter=alpha_inter,
             alpha_intra=alpha_intra,
-            zero_prune_fraction=zero_prune_fraction,
         )
         return self._as_evaluation(outcome, threshold_index)
 

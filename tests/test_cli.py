@@ -115,27 +115,41 @@ class TestCommands:
         or rate never ends the arrival process; a NaN tick interval never
         submits), so the command runs in a child with a deadline and a
         memory cap: a regression fails here instead of stalling the suite."""
-        env = dict(
-            os.environ,
-            OPENBLAS_NUM_THREADS="1",
-            PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
-        )
-        cap = 2 << 30
+        assert_serve_fails_cleanly(["--policy", "stream", flag, value])
 
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "serve", "--policy", "stream", flag, value],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-            preexec_fn=limit_memory,
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_serve_rejects_a_non_finite_tenant_weight(self, weight):
+        """A NaN weight passed the tenant's ``<= 0`` check and ended in a
+        ``Probabilities contain NaN`` traceback from the arrival mix."""
+        assert_serve_fails_cleanly(
+            ["--policy", "zoo", "--tenant", f"MR:{weight}:fp64", "--duration-s", "0.3"]
         )
-        assert proc.returncode == 1, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.splitlines()[-1].startswith("repro: error:")
+
+
+def assert_serve_fails_cleanly(args: list[str]) -> None:
+    """``repro serve *args`` in a child with a deadline and a memory cap must
+    exit 1 with a one-line ``repro: error:`` and no traceback."""
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="1",
+        PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+    )
+    cap = 2 << 30
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "serve", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=limit_memory,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("repro: error:")
 
 
 class TestTraceParser:

@@ -7,13 +7,14 @@ ends of the frontier.
 
 import pytest
 
+from repro.core.executor import ExecutionConfig, ExecutionMode
 from repro.errors import ConfigurationError
-from repro.runtime import ControllerMove, OperatingPoint, SLOController, TenantSLO
+from repro.runtime import ControllerMove, SLOController, TenantSLO
 
 FRONTIER = [
-    OperatingPoint(),
-    OperatingPoint(alpha_intra=0.05, precision="fp16"),
-    OperatingPoint(alpha_intra=0.1, precision="int8"),
+    ExecutionConfig(),
+    ExecutionConfig(mode=ExecutionMode.INTRA, alpha_intra=0.05, precision="fp16"),
+    ExecutionConfig(mode=ExecutionMode.INTRA, alpha_intra=0.1, precision="int8"),
 ]
 
 
@@ -171,10 +172,10 @@ class TestConstruction:
     )
     def test_bad_operating_point_rejected(self, kwargs):
         """A negative or NaN threshold or an unknown precision is refused
-        where the point is made, not when a zoo first builds an executor
-        for it."""
+        where a frontier config is made, not when a zoo first builds an
+        executor for it."""
         with pytest.raises(ConfigurationError):
-            OperatingPoint(**kwargs)
+            ExecutionConfig(mode=ExecutionMode.COMBINED, **kwargs)
 
     def test_as_dict_reports_state(self):
         controller = make_controller()

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.config import get_app
+from repro.core import executor as executor_module
 from repro.core import program as program_module
 from repro.core.context_prediction import PredictedLink
 from repro.core.executor import (
@@ -46,8 +47,6 @@ class TestConfig:
                 ExecutionConfig(mode=ExecutionMode.INTRA, **nan)
         with pytest.raises(ConfigurationError):
             ExecutionConfig(mts=0)
-        with pytest.raises(ConfigurationError):
-            ExecutionConfig(zero_prune_fraction=1.0)
 
 
 def cell_loop_logits(network, tokens: np.ndarray, alpha: float) -> np.ndarray:
@@ -308,25 +307,22 @@ class TestCombined:
 
 class TestZeroPrune:
     def test_prunes_and_runs(self, tiny_network, tiny_tokens):
-        executor = make_executor(
-            tiny_network, ExecutionMode.ZERO_PRUNE, zero_prune_fraction=0.4
+        executor = make_executor(tiny_network, ExecutionMode.ZERO_PRUNE)
+        assert executor.pruning_kept_fraction == pytest.approx(
+            1.0 - executor_module.ZERO_PRUNE_FRACTION, abs=0.02
         )
-        assert executor.pruning_kept_fraction == pytest.approx(0.6, abs=0.02)
         result = executor.run_batch(tiny_tokens)
         assert result.logits.shape == (tiny_tokens.shape[0], tiny_network.num_classes)
 
-    def test_zero_fraction_matches_baseline(self, tiny_network, tiny_tokens):
+    def test_zero_fraction_matches_baseline(self, tiny_network, tiny_tokens, monkeypatch):
         base = make_executor(tiny_network).run_batch(tiny_tokens)
-        pruned = make_executor(
-            tiny_network, ExecutionMode.ZERO_PRUNE, zero_prune_fraction=0.0
-        ).run_batch(tiny_tokens)
+        monkeypatch.setattr(executor_module, "ZERO_PRUNE_FRACTION", 0.0)
+        pruned = make_executor(tiny_network, ExecutionMode.ZERO_PRUNE).run_batch(tiny_tokens)
         np.testing.assert_allclose(pruned.logits, base.logits, atol=1e-12)
 
     def test_pruning_perturbs_outputs(self, tiny_network, tiny_tokens):
         base = make_executor(tiny_network).run_batch(tiny_tokens)
-        pruned = make_executor(
-            tiny_network, ExecutionMode.ZERO_PRUNE, zero_prune_fraction=0.6
-        ).run_batch(tiny_tokens)
+        pruned = make_executor(tiny_network, ExecutionMode.ZERO_PRUNE).run_batch(tiny_tokens)
         assert not np.allclose(pruned.logits, base.logits)
 
 

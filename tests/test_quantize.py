@@ -32,7 +32,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.config import LSTMConfig
-from repro.core.executor import ExecutionConfig, ExecutionMode, LSTMExecutor
+from repro.core.executor import ZERO_PRUNE_FRACTION, ExecutionConfig, ExecutionMode, LSTMExecutor
 from repro.core.pipeline import OptimizedLSTM
 from repro.core.reference import ReferenceExecutor
 from repro.errors import ConfigurationError
@@ -202,7 +202,7 @@ class TestExecutorPolicy:
         weights = [layer.weights for layer in network.layers]
         ref_mode = mode
         if mode is ExecutionMode.ZERO_PRUNE:
-            weights = [prune_cell_weights(w, config.zero_prune_fraction)[0] for w in weights]
+            weights = [prune_cell_weights(w, ZERO_PRUNE_FRACTION)[0] for w in weights]
             ref_mode = ExecutionMode.BASELINE
         cells = [quantize_cell_weights(w, config.precision) for w in weights]
         reference = ReferenceExecutor(

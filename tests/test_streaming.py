@@ -271,6 +271,18 @@ class TestSessionLifecycle:
         assert table.sweep_ttl(now=101.0) == 1
         assert "pinned" in table and "fresh" in table and "idle" not in table
 
+    @pytest.mark.parametrize("ttl_s", [float("nan"), float("inf")])
+    def test_non_finite_ttl_rejected(self, ttl_s):
+        """A NaN TTL passed a ``<= 0`` check and then evicted every idle
+        session at the next sweep, so a returning session restarted from
+        zeroed state."""
+        from repro.runtime.streaming import SessionTable
+
+        with pytest.raises(ConfigurationError, match="ttl_s"):
+            SessionTable(num_layers=1, hidden=2, head_pool=1, max_sessions=8, ttl_s=ttl_s)
+        with pytest.raises(ConfigurationError, match="ttl_s"):
+            make_server(make_network(per_timestep_head=True), session_ttl_s=ttl_s)
+
     def test_busy_sessions_are_pinned(self):
         network = make_network(per_timestep_head=True)
         rng = np.random.default_rng(9)

@@ -318,7 +318,7 @@ class TestSweepEquivalence:
 
     def test_the_executor_store_is_bounded(self, tiny_app, tiny_tokens):
         for k in range(pipeline_module._MAX_EXECUTORS + 3):
-            tiny_app.run(tiny_tokens, mode=ExecutionMode.ZERO_PRUNE, zero_prune_fraction=0.05 * k)
+            tiny_app.run(tiny_tokens, mode=ExecutionMode.INTRA, alpha_intra=0.01 * k)
         assert len(tiny_app.executor_cache) == pipeline_module._MAX_EXECUTORS
 
 

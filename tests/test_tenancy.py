@@ -1,18 +1,22 @@
 """Tests for :mod:`repro.runtime.tenancy` multi-tenant zoo serving.
 
 Covers the zoo's sharing (fp64 tenants on the caller's arrays, one
-executor per network and point, one set of quantized cells per network
-and precision), all-or-nothing tenant
+executor per network and execution config, one set of quantized cells per
+network, weight set and precision), tenants at any scheme matching a
+standalone executor at their config, all-or-nothing tenant
 registration, weighted deficit round-robin scheduling, per-tenant backpressure isolation, the fp64
 strict no-op discipline through the tenancy path, per-tenant cache
 attribution in merged records, the controller integration, and the
 deterministic multi-tenant load generator.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.config import LSTMConfig
+from repro.core import cgen
 from repro.core.executor import ExecutionConfig, ExecutionMode, LSTMExecutor
 from repro.core.reference import ReferenceExecutor
 from repro.errors import BackpressureError, ConfigurationError
@@ -20,7 +24,6 @@ from repro.nn.network import LSTMNetwork
 from repro.obs import Recorder, validate_run_dict
 from repro.runtime import (
     LoadSpec,
-    OperatingPoint,
     SLOController,
     TenantSLO,
     TenantSpec,
@@ -29,6 +32,7 @@ from repro.runtime import (
     run_open_loop,
 )
 from repro.runtime import tenancy
+from tests.grading import assert_plans_equal
 
 HIDDEN = 24
 INPUT = 20
@@ -70,10 +74,9 @@ def the_executors(server: ZooServer) -> list[LSTMExecutor]:
     return list(server._executors.values())
 
 
-def standalone_owned_bytes(network: LSTMNetwork, point: OperatingPoint) -> int:
-    """Derived bytes of a private executor at ``point`` (what a zoo without
+def standalone_owned_bytes(network: LSTMNetwork, config: ExecutionConfig) -> int:
+    """Derived bytes of a private executor at ``config`` (what a zoo without
     sharing would hold per tenant beyond the network)."""
-    config = ZooServer()._point_config(point)
     return sum(array.nbytes for array in LSTMExecutor(network, config).owned_arrays())
 
 
@@ -81,7 +84,21 @@ def parameter_bytes(network: LSTMNetwork) -> int:
     return sum(array.nbytes for array in network.parameters())
 
 
-INT8 = OperatingPoint(precision="int8")
+INT8 = ExecutionConfig(precision="int8")
+INTRA_INT8 = ExecutionConfig(mode=ExecutionMode.INTRA, alpha_intra=0.1, precision="int8")
+
+
+class ServedOutputs(ZooServer):
+    """A zoo that keeps every tick's :class:`~repro.core.executor.ExecutionResult`."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.outputs = []
+
+    def _run(self, report, picked, tokens):
+        out = super()._run(report, picked, tokens)
+        self.outputs.append(out)
+        return out
 
 
 class TestZooSharing:
@@ -102,10 +119,7 @@ class TestZooSharing:
         with ZooServer() as server:
             server.add_tenant(TenantSpec(name="one", point=INT8), net_a)
             server.add_tenant(TenantSpec(name="two", point=INT8), net_a)
-            server.add_tenant(
-                TenantSpec(name="drs", point=OperatingPoint(alpha_intra=0.1, precision="int8")),
-                net_a,
-            )
+            server.add_tenant(TenantSpec(name="drs", point=INTRA_INT8), net_a)
             executors = the_executors(server)
             assert len(executors) == 2  # two points, one set of cells
             assert executors[0].quantized_cells is executors[1].quantized_cells
@@ -125,9 +139,9 @@ class TestZooSharing:
             )
 
     def test_controller_move_to_int8_reuses_a_siblings_cells(self, net_a):
-        fast = OperatingPoint(alpha_intra=0.1, precision="int8")
+        fast = INTRA_INT8
         controller = SLOController(
-            [OperatingPoint(), fast],
+            [ExecutionConfig(), fast],
             TenantSLO(p99_latency_s=0.05, min_agreement=0.0),
             hysteresis=2,
             cooldown_ticks=2,
@@ -152,12 +166,59 @@ class TestZooSharing:
                 server,
                 arrivals,
                 tick_interval_s=0.002,
-                service_model=lambda r: 0.08 if r.point.precision == "fp64" else 0.004,
+                service_model=lambda r: 0.08 if r.point.precision.tag == "fp64" else 0.004,
             )
             assert server.tenant_point("t") == fast
             sibling, _, moved = the_executors(server)
             assert moved.config.precision.tag == "int8"
             assert moved.quantized_cells is sibling.quantized_cells
+
+    def test_pruned_and_unpruned_int8_tenants_keep_their_own_cells(self, net_a):
+        """ZERO_PRUNE quantizes its own pruning, so at one precision it
+        shares no cells with the network's unpruned blocks, and each tenant
+        serves exactly what a standalone executor at its config computes."""
+        pruned = ExecutionConfig(mode=ExecutionMode.ZERO_PRUNE, precision="int8")
+        rng = np.random.default_rng(12)
+        tokens = np.stack([make_tokens(rng) for _ in range(4)])
+        with ZooServer() as server:
+            server.add_tenant(TenantSpec(name="plain", point=INT8), net_a)
+            server.add_tenant(TenantSpec(name="pruned", point=pruned), net_a)
+            plain_executor, pruned_executor = the_executors(server)
+            assert pruned_executor.quantized_cells is not plain_executor.quantized_cells
+            assert not np.shares_memory(
+                pruned_executor._united[0].u, plain_executor._united[0].u
+            )
+            tickets = {
+                name: [server.submit(name, f"{name}{i}", row, now=0.0) for i, row in enumerate(tokens)]
+                for name in ("plain", "pruned")
+            }
+            server.drain(now=0.0, service_model=flat_service)
+        for name, config in (("plain", INT8), ("pruned", pruned)):
+            expected = LSTMExecutor(net_a, config).run_batch(tokens).logits
+            served = np.stack([ticket.result.logits for ticket in tickets[name]])
+            assert served.tobytes() == expected.tobytes()
+
+    def test_a_combined_tenant_runs_at_its_own_mts(self, net_a):
+        """A tenant states its MTS like every other caller: the zoo serves
+        the logits and plans of a standalone executor at its config."""
+        config = ExecutionConfig(
+            mode=ExecutionMode.COMBINED, alpha_inter=1e12, alpha_intra=0.1, mts=3
+        )
+        rng = np.random.default_rng(13)
+        tokens = np.stack([make_tokens(rng) for _ in range(4)])
+        with ServedOutputs() as server:
+            # Weight 4 affords the whole batch in one tick.
+            server.add_tenant(TenantSpec(name="t", weight=4.0, point=config), net_a)
+            for i, row in enumerate(tokens):
+                server.submit("t", f"s{i}", row, now=0.0)
+            server.drain(now=0.0, service_model=flat_service)
+        (served,) = server.outputs
+        expected = LSTMExecutor(net_a, config).run_batch(tokens)
+        assert served.logits.tobytes() == expected.logits.tobytes()
+        assert_plans_equal(served.plans, expected.plans)
+        # Every link is weak, so tissues fill to the tenant's MTS, not 5.
+        sizes = [rec.tissue_sizes.max() for plan in served.plans for rec in plan.layers]
+        assert max(sizes) == 3
 
     def test_equal_content_networks_share_an_executor(self, net_a):
         twin = build_network(seed=3)  # equal content, another object
@@ -252,7 +313,7 @@ class TestFp64NoOpDiscipline:
         with ZooServer() as server:
             server.add_tenant(TenantSpec(name="fp64", max_batch=2), net_a)
             server.add_tenant(
-                TenantSpec(name="other", point=OperatingPoint(precision="int8")),
+                TenantSpec(name="other", point=INT8),
                 net_b,
             )
             tickets = []
@@ -272,7 +333,7 @@ class TestRecords:
         with ZooServer(recorder=recorder) as server:
             server.add_tenant(TenantSpec(name="alpha"), net_a)
             server.add_tenant(
-                TenantSpec(name="beta", point=OperatingPoint(precision="int8")),
+                TenantSpec(name="beta", point=INT8),
                 net_b,
             )
             for i in range(3):
@@ -293,6 +354,36 @@ class TestRecords:
         assert merged.config["backend"] == "numpy"
 
 
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            pytest.param(
+                ExecutionMode.BASELINE,
+                marks=pytest.mark.skipif(
+                    not cgen.compiler_available(), reason="no C compiler on this host"
+                ),
+            ),
+            ExecutionMode.INTER,  # cgen lowers no INTER loop: resolves to numpy
+        ],
+        ids=lambda mode: mode.value,
+    )
+    def test_records_carry_the_resolved_backend(self, net_a, mode):
+        config = ExecutionConfig(mode=mode, backend="cgen")
+        rng = np.random.default_rng(6)
+        with ZooServer(recorder=Recorder()) as server:
+            server.add_tenant(TenantSpec(name="t", point=config), net_a)
+            for i in range(3):
+                server.submit("t", f"s{i}", make_tokens(rng), now=0.0)
+            server.drain(now=0.0, service_model=flat_service)
+            backend = the_executors(server)[0].backend
+            records = server.tick_records()
+            merged = server.merged_record()
+        assert backend == LSTMExecutor(net_a, config).backend
+        assert backend == ("cgen" if mode is ExecutionMode.BASELINE else "numpy")
+        assert {record.config["backend"] for record in records} == {backend}
+        assert merged.config["backend"] == backend
+
+
 class TestSharedCaches:
     def test_second_tenant_rides_first_tenants_programs(self, net_a):
         rng = np.random.default_rng(7)
@@ -311,7 +402,7 @@ class TestSharedCaches:
 
 class TestControllerIntegration:
     def test_overloaded_tenant_steps_to_int8_and_recovers(self, net_a):
-        frontier = [OperatingPoint(), OperatingPoint(precision="int8")]
+        frontier = [ExecutionConfig(), INT8]
         controller = SLOController(
             frontier,
             TenantSLO(p99_latency_s=0.05, min_agreement=0.9),
@@ -338,18 +429,18 @@ class TestControllerIntegration:
                 arrivals,
                 tick_interval_s=0.002,
                 service_model=lambda r: (
-                    0.08 if r.point.precision == "fp64" else 0.004
+                    0.08 if r.point.precision.tag == "fp64" else 0.004
                 ),
             )
             assert controller.moves
             assert controller.moves[0].reason == "latency"
-            assert server.tenant_point("t").precision == "int8"
+            assert server.tenant_point("t") == INT8
             shadow = server.tenant_shadow("t")
             assert shadow.batches_sampled > 0
 
     def test_controller_requires_shadow_sampling(self, net_a):
         controller = SLOController(
-            [OperatingPoint()], TenantSLO(p99_latency_s=0.1)
+            [ExecutionConfig()], TenantSLO(p99_latency_s=0.1)
         )
         with ZooServer() as server:
             with pytest.raises(ConfigurationError):
@@ -436,15 +527,14 @@ class TestValidation:
             {"name": "t", "max_batch": 0},
             {"name": "t", "queue_limit": 0},
             {"name": "t", "shadow_every": -1},
+            # NaN fails every comparison, so it passed a ``<= 0`` check.
+            {"name": "t", "weight": math.nan},
+            {"name": "t", "weight": math.inf},
         ],
     )
     def test_bad_tenant_spec_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             TenantSpec(**kwargs)
-
-    def test_bad_quantum_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ZooServer(quantum=0.0)
 
 
 class TestTenantLoadgen:
@@ -485,6 +575,10 @@ class TestTenantLoadgen:
             ({"a": 0.0}, {"a": 10}),
             ({"a": 1.0}, {}),
             ({"a": 1.0}, {"a": 1}),
+            ({"a": math.nan}, {"a": 10}),
+            ({"a": math.inf}, {"a": 10}),
+            ({"a": 1.0, "b": math.nan}, {"a": 10, "b": 10}),
+            ({"a": 1.0, "b": 0.0}, {"a": 10, "b": 10}),
         ],
     )
     def test_bad_mix_rejected(self, weights, vocabs):
