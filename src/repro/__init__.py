@@ -3,8 +3,7 @@ Memory Networks (LSTMs) on Mobile GPUs* (MICRO 2018).
 
 The package provides:
 
-* a from-scratch numpy LSTM stack, with truncated BPTT on the exact
-  forward (:mod:`repro.nn`),
+* a from-scratch numpy LSTM stack for inference (:mod:`repro.nn`),
 * an analytical mobile-GPU timing and energy simulator (:mod:`repro.gpu`),
 * the paper's inter-cell (layer division / tissues) and intra-cell (dynamic
   row skip) optimizations (:mod:`repro.core`),

@@ -9,7 +9,6 @@ Subcommands::
     repro serve --policy stream --mode intra --record stream.jsonl
     repro serve --policy zoo --tenant MR:2:fp64 --tenant MR:1:int8
     repro serve --policy fleet --workers 2 --mode combined
-    repro calibrate MR --steps 5 --optimizer adam --truncation 10
     repro trace record MR --out runs.jsonl --chrome trace.json
     repro trace summarize runs.jsonl
     repro trace diff base.jsonl other.jsonl
@@ -71,6 +70,13 @@ def _batch_size(text: str) -> int:
     return int(text)
 
 
+def _seed(text: str) -> int:
+    """``--seed``: numpy's ``SeedSequence`` takes only non-negative seeds."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -92,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--set", dest="threshold_set", type=int, default=4,
                      help="threshold set index 0..10")
     run.add_argument("--sequences", type=_batch_size, default=8, help="batch size")
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=_seed, default=0)
     run.add_argument(
         "--precision",
         choices=[*PRECISIONS],
@@ -111,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[m.value for m in ExecutionMode if m is not ExecutionMode.BASELINE],
         default="combined",
     )
-    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--seed", type=_seed, default=0)
 
     figure = sub.add_parser("figure", help="regenerate a paper table/figure")
     figure.add_argument("name", choices=FIGURES)
@@ -184,46 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="hidden size of the stream/fleet network")
     serve.add_argument("--layers", type=int, default=2,
                        help="LSTM layers of the stream/fleet network")
-    serve.add_argument("--seed", type=int, default=11)
+    serve.add_argument("--seed", type=_seed, default=11)
     serve.add_argument(
         "--record", default=None,
         help="write the merged serving-window RunRecord to this JSONL path",
-    )
-
-    calibrate = sub.add_parser(
-        "calibrate",
-        help="fine-tune one zoo model on synthetic drift with the "
-        "memory-frugal BPTT and report how the measured gate statistics "
-        "(DRS skip ratio, breakpoint placement) moved",
-    )
-    calibrate.add_argument("app", choices=[*APP_NAMES], help="Table II application")
-    calibrate.add_argument("--steps", type=int, default=5,
-                           help="optimizer steps over the drift batch")
-    calibrate.add_argument("--lr", type=float, default=5e-2, help="learning rate")
-    calibrate.add_argument(
-        "--optimizer", choices=["adam", "sgd"], default="adam",
-        help="update rule for the fine-tuning loop",
-    )
-    calibrate.add_argument(
-        "--truncation", type=int, default=None,
-        help="truncated-BPTT window (default: backpropagate the full "
-        "sequence)",
-    )
-    calibrate.add_argument("--sequences", type=_batch_size, default=6,
-                           help="drift-batch size")
-    calibrate.add_argument("--seed", type=int, default=0)
-    calibrate.add_argument(
-        "--drift", type=float, default=1.0,
-        help="synthetic-drift magnitude (scales every teacher shift)",
-    )
-    calibrate.add_argument(
-        "--alpha-intra", type=float, default=0.25,
-        help="DRS threshold the before/after skip ratio is measured at",
-    )
-    calibrate.add_argument(
-        "--record", default=None,
-        help="write a RunRecord of the training run (memory accounting "
-        "included) to this JSONL path",
     )
 
     trace = sub.add_parser(
@@ -244,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     record.add_argument("--set", dest="threshold_set", type=int, default=4,
                         help="threshold set index 0..10")
     record.add_argument("--sequences", type=_batch_size, default=8, help="batch size")
-    record.add_argument("--seed", type=int, default=0)
+    record.add_argument("--seed", type=_seed, default=0)
     record.add_argument(
         "--precision",
         choices=[*PRECISIONS],
@@ -564,115 +534,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_calibrate(args) -> int:
-    import numpy as np
-
-    from repro.config import get_app
-    from repro.core.tuner import collect_relevance_samples
-    from repro.nn.backprop import measure_training_memory
-    from repro.nn.calibrate import (
-        DriftSpec,
-        drift_network,
-        drift_report,
-        fine_tune,
-        synthetic_drift_batch,
-    )
-    from repro.nn.model_zoo import build_calibrated_network
-
-    app = get_app(args.app)
-    print(f"Building {app.name} ...", file=sys.stderr)
-    network = build_calibrated_network(app, seed=args.seed)
-    frozen = build_calibrated_network(app, seed=args.seed)
-
-    teacher = drift_network(network, DriftSpec(magnitude=args.drift))
-    tokens, labels = synthetic_drift_batch(
-        teacher, num_sequences=args.sequences, seed=args.seed + 1
-    )
-    print(
-        f"Fine-tuning on drift (magnitude {args.drift:g}) for {args.steps} "
-        f"step(s) [{args.optimizer}] ...",
-        file=sys.stderr,
-    )
-    result = fine_tune(
-        network,
-        tokens,
-        labels,
-        steps=args.steps,
-        optimizer=args.optimizer,
-        lr=args.lr,
-        truncation=args.truncation,
-        keep_final_tape=True,
-    )
-    print(
-        f"{app.name} calibrate: loss {result.losses[0]:.4f} -> "
-        f"{result.losses[-1]:.4f} over {result.steps} step(s) "
-        f"({result.wall_s * 1e3:.0f} ms)"
-    )
-    print(
-        f"fingerprint: {result.fingerprint_before[:12]} -> "
-        f"{result.fingerprint_after[:12]} "
-        f"({'changed' if result.weights_changed else 'UNCHANGED'})"
-    )
-    memory = dict(result.final_tape.memory_report())
-    print(f"saved tensors (Y and C per layer): {memory['saved_bytes'] / 1e6:.3f} MB")
-
-    # Breakpoint threshold: a fixed quantile of the *frozen* relevance
-    # distribution, so placements exist on both sides and any movement is
-    # the weights', not the threshold's.
-    pooled = np.sort(
-        np.concatenate(collect_relevance_samples(frozen, tokens))
-    )
-    alpha_inter = float(pooled[int(0.3 * (len(pooled) - 1))])
-    report = drift_report(
-        frozen, network, tokens, alpha_inter=alpha_inter, alpha_intra=args.alpha_intra
-    )
-    print(
-        f"DRS skip ratio (alpha_intra={args.alpha_intra:g}): "
-        f"{report.before.skip_fraction:.1%} -> {report.after.skip_fraction:.1%} "
-        f"({report.skip_fraction_delta:+.1%})"
-    )
-    print(
-        f"breakpoints (alpha_inter={alpha_inter:.3g}): "
-        f"{report.before.num_breakpoints} -> {report.after.num_breakpoints} "
-        f"placements, {report.breakpoints_moved} moved"
-    )
-    if args.record:
-        from repro.obs import RunRecord, write_jsonl
-
-        trained = measure_training_memory(network, tokens, labels, args.truncation)
-        memory["measured_saved_bytes"] = float(trained["measured_saved_bytes"])
-        memory["measured_peak_bytes"] = float(trained["measured_peak_bytes"])
-        record = RunRecord(
-            label=f"calibrate-{app.name}",
-            mode="train",
-            spec="host",
-            batch=int(tokens.shape[0]),
-            seq_length=int(tokens.shape[1]),
-            config={
-                "truncation": args.truncation,
-                "optimizer": args.optimizer,
-                "lr": args.lr,
-                "steps": args.steps,
-                "drift": args.drift,
-                "loss_first": result.losses[0],
-                "loss_last": result.losses[-1],
-                "fingerprint_before": result.fingerprint_before,
-                "fingerprint_after": result.fingerprint_after,
-                "skip_fraction_before": report.before.skip_fraction,
-                "skip_fraction_after": report.after.skip_fraction,
-                "breakpoints_moved": report.breakpoints_moved,
-            },
-            timing={"train_wall_s": result.wall_s},
-            memory=memory,
-        )
-        write_jsonl([record], args.record)
-        print(f"wrote training record to {args.record}")
-    if not result.weights_changed:
-        print("repro: error: fine-tuning left the weights unchanged", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_trace_record(args) -> int:
     from repro.core.pipeline import OptimizedLSTM
     from repro.obs import Recorder, write_chrome_trace, write_jsonl
@@ -745,7 +606,6 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "figure": _cmd_figure,
     "serve": _cmd_serve,
-    "calibrate": _cmd_calibrate,
     "trace": _cmd_trace,
 }
 

@@ -487,9 +487,8 @@ def invalidate_weight_fingerprints(network) -> None:
     :func:`fingerprint_weights`, :func:`fingerprint_input_weights` and
     :func:`fingerprint_embedding` memoize
     on the objects they hash under the inference-time immutability
-    assumption. Training breaks it: an
-    optimizer step (or :func:`repro.nn.calibrate.drift_network`, whose
-    ``deepcopy`` even clones the memo) rewrites the arrays in place and
+    assumption. An in-place weight edit breaks it: it rewrites the arrays
+    under the memo (a ``deepcopy`` of the network clones the memo too) and
     would leave :func:`fingerprint_network` reporting the stale digest.
     Every mutating path must call this before re-fingerprinting; it is
     also what tells :class:`~repro.core.pipeline.OptimizedLSTM` that its

@@ -50,24 +50,6 @@ def tanh(x: np.ndarray) -> np.ndarray:
     return np.tanh(np.asarray(x, dtype=np.float64))
 
 
-def dsigmoid(y: np.ndarray) -> np.ndarray:
-    """Sigmoid derivative expressed in the *saved activation value*.
-
-    For ``y = sigmoid(x)`` the derivative w.r.t. ``x`` is ``y * (1 - y)``.
-    Taking the activation (not the pre-activation) as input is what makes
-    the memory-frugal backward pass possible: it rebuilds ``y`` from the
-    saved states and never needs the pre-activation.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    return y * (1.0 - y)
-
-
-def dtanh(y: np.ndarray) -> np.ndarray:
-    """Tanh derivative in terms of the saved activation: ``1 - y**2``."""
-    y = np.asarray(y, dtype=np.float64)
-    return 1.0 - y * y
-
-
 def sensitive_overlap(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Length of the overlap between input ranges ``[lo, hi]`` and the
     sensitive area ``[-2, 2]``.

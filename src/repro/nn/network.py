@@ -112,12 +112,10 @@ class LSTMNetwork:
         return len(self.layers)
 
     def parameters(self) -> list[np.ndarray]:
-        """Every trainable array, in the canonical order that
-        :meth:`~repro.nn.backprop.Gradients.arrays` zips against: the
-        embedding, then per layer ``W_{f,i,c,o}``, ``U_{f,i,c,o}``,
-        ``b_{f,i,c,o}`` (views of the united blocks, so an in-place
-        optimizer step updates the weights every executor runs on), then
-        the head weight and bias."""
+        """Every weight array, in a fixed order: the embedding, then per
+        layer ``W_{f,i,c,o}``, ``U_{f,i,c,o}``, ``b_{f,i,c,o}`` (views of
+        the united blocks, so an in-place edit updates the weights every
+        executor runs on), then the head weight and bias."""
         cells = [array for layer in self.layers for array in layer.weights.gate_arrays()]
         return [self.embedding, *cells, self.head_weight, self.head_bias]
 

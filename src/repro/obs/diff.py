@@ -165,20 +165,6 @@ def format_run_summary(record: RunRecord) -> str:
             f"fp64-equivalent={weight_bytes['fp64'] / 1e6:.3f}MB "
             f"(reduction {reduction:.2f}x)"
         )
-    if record.memory:
-        # The training-side twin of the weight-bytes line: what the saved
-        # tapes held, against the analytic model and the step's peaks.
-        rows = [
-            (key, f"{value / 1e6:.3f}")
-            for key, value in sorted(record.memory.items())
-        ]
-        lines.append(
-            format_table(
-                ["Memory counter", "MB"],
-                rows,
-                title="Training memory (saved tensors / peaks)",
-            )
-        )
 
     times = record.time_by_kernel()
     counts = record.launches_by_kernel()
@@ -231,29 +217,9 @@ def format_diff(diff: RunDiff) -> str:
             f"{other_wb['moved'] / 1e6:.3f}MB "
             f"({base_wb['moved'] / other_wb['moved']:.2f}x reduction)"
         )
-    if base.memory or other.memory:
-        base_mem = base.memory or {}
-        other_mem = other.memory or {}
-        mem_rows = [
-            (
-                key,
-                f"{base_mem.get(key, 0.0) / 1e6:.3f}",
-                f"{other_mem.get(key, 0.0) / 1e6:.3f}",
-            )
-            for key in sorted(set(base_mem) | set(other_mem))
-        ]
-        lines.append(
-            format_table(
-                ["Memory counter", "Base (MB)", "Opt (MB)"],
-                mem_rows,
-                title="Training memory movement (base -> opt)",
-            )
-        )
     base_groups = _split_cache_groups(base.cache or {})[1]
     other_groups = _split_cache_groups(other.cache or {})[1]
     if base_groups or other_groups:
-        from repro.bench.reporting import format_table
-
         metrics: list[str] = []
         for groups in (base_groups, other_groups):
             for counters in groups.values():

@@ -101,7 +101,6 @@ def merge_run_records(
     timing: dict[str, float] = {}
     simulated: dict[str, float] = {}
     cache: dict[str, int] | None = None
-    memory: dict[str, float] | None = None
     offset = 0
     for record in records:
         mapping: dict[int, int] = {}
@@ -126,17 +125,6 @@ def merge_run_records(
                 if group_cache_by_label:
                     key = f"{record.label or '(unlabelled)'}/{key}"
                 cache[key] = cache.get(key, 0) + value
-        if record.memory is not None:
-            if memory is None:
-                memory = {}
-            for key, value in record.memory.items():
-                # Byte *totals* add across shards, but a high-water mark
-                # is a max: two workers each peaking at 1 MB concurrently
-                # on separate heaps still report a 1 MB worst case.
-                if "peak" in key:
-                    memory[key] = max(memory.get(key, 0.0), value)
-                else:
-                    memory[key] = memory.get(key, 0.0) + value
     sequences.sort(key=lambda seq: seq.seq_index)
     kernels.sort(key=lambda event: (event.seq_index, event.index))
     return RunRecord(
@@ -153,7 +141,6 @@ def merge_run_records(
         timing=timing,
         simulated=simulated,
         cache=cache,
-        memory=memory,
         sequences=sequences,
         kernels=kernels,
     )

@@ -103,12 +103,7 @@ class RunRecord:
     simulator produced. ``cache`` is an open counter mapping of per-run
     cache *deltas* — plan-cache counters (``relevance_*``/``plan_*``/
     ``evictions``) and program-cache counters (``program_*``) share it —
-    or ``None`` when no cache was wired. ``memory`` is the analogous open
-    byte mapping for training runs — saved-tensor accounting
-    (``saved_bytes``, per-layer ``layer{i}_saved_bytes``, the model's
-    ``analytic_saved_bytes``) and
-    measured high-water marks (keys containing ``peak``, which merge by
-    max while everything else sums) — or ``None`` for inference runs.
+    or ``None`` when no cache was wired.
     """
 
     label: str = ""
@@ -120,7 +115,6 @@ class RunRecord:
     timing: dict[str, float] = field(default_factory=dict)
     simulated: dict[str, float] = field(default_factory=dict)
     cache: dict[str, int] | None = None
-    memory: dict[str, float] | None = None
     sequences: list[SequenceObservation] = field(default_factory=list)
     kernels: list[KernelEvent] = field(default_factory=list)
 
@@ -244,7 +238,6 @@ class RunRecord:
             timing=dict(data.get("timing", {})),
             simulated=dict(data.get("simulated", {})),
             cache=dict(data["cache"]) if data.get("cache") is not None else None,
-            memory=dict(data["memory"]) if data.get("memory") is not None else None,
             sequences=sequences,
             kernels=kernels,
         )

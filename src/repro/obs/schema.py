@@ -102,20 +102,6 @@ def validate_run_dict(data: dict, where: str = "run record") -> None:
                     f"{where}: 'cache' entry {key!r} must map a string "
                     "to a number"
                 )
-    if data.get("memory") is not None:
-        if not isinstance(data["memory"], dict):
-            raise ConfigurationError(f"{where}: 'memory' must be an object or null")
-        # Same openness contract as 'cache': saved-tensor byte counters and
-        # measured peaks share one str -> number mapping, so new memory
-        # accounting needs no schema bump but stays key-wise mergeable.
-        for key, value in data["memory"].items():
-            if not isinstance(key, str) or isinstance(value, bool) or not isinstance(
-                value, (int, float)
-            ):
-                raise ConfigurationError(
-                    f"{where}: 'memory' entry {key!r} must map a string "
-                    "to a number"
-                )
     for k, event in enumerate(data["kernels"]):
         _check_fields(event, _KERNEL_FIELDS, f"{where}: kernel[{k}]")
     for s, seq in enumerate(data["sequences"]):

@@ -138,7 +138,6 @@ class _Tenant:
         network: LSTMNetwork,
         fingerprint: str,
         controller: SLOController | None,
-        shadow: ShadowSampler | None,
     ) -> None:
         self.spec = spec
         #: The network the zoo serves this tenant (the first one added
@@ -146,7 +145,7 @@ class _Tenant:
         self.network = network
         self.fingerprint = fingerprint
         self.controller = controller
-        self.shadow = shadow
+        self.shadow: ShadowSampler | None = None
         self.point = controller.point if controller is not None else spec.point
         self.queue: deque = deque()
         self.deficit = 0.0
@@ -212,10 +211,11 @@ class ZooServer(ServingCore):
         be served raises and leaves no tenant behind. A network equal in
         content to one the zoo already serves is served through the
         earlier object, sharing its executors. When
-        ``spec.shadow_every > 0``, the exact fp64 BASELINE executor over
-        the source network is the shadow oracle (bit-identical to the
-        frozen reference). A ``controller`` closes the UO loop; without
-        one the tenant's config is fixed for the window.
+        ``spec.shadow_every > 0``, the zoo's exact fp64 BASELINE executor
+        of the network is the shadow oracle (bit-identical to the frozen
+        reference), reached after the starting one. A ``controller``
+        closes the UO loop; without one the tenant's config is fixed for
+        the window.
         """
         if spec.name in self._tenants:
             raise ConfigurationError(f"tenant {spec.name!r} already registered")
@@ -228,15 +228,14 @@ class ZooServer(ServingCore):
         fingerprint = fingerprint_network(network)
         kept = self._kept(fingerprint)
         network = kept[0].network if kept else network
-        shadow = None
+        tenant = _Tenant(spec, network, fingerprint, controller)
+        self._executor_for(tenant, tenant.point)
         if spec.shadow_every > 0:
-            oracle = LSTMExecutor(network, ExecutionConfig(), plan_cache=PlanCache())
-            shadow = ShadowSampler(
+            oracle = self._executor_for(tenant, ExecutionConfig())
+            tenant.shadow = ShadowSampler(
                 lambda tokens: oracle.run_batch(tokens).predictions(),
                 every_k=spec.shadow_every,
             )
-        tenant = _Tenant(spec, network, fingerprint, controller, shadow)
-        self._executor_for(tenant, tenant.point)
         self._tenants[spec.name] = tenant
         self._ring.append(spec.name)
 
@@ -289,8 +288,7 @@ class ZooServer(ServingCore):
         :meth:`~repro.core.pipeline.OptimizedLSTM.resident_bytes` reports
         an app. Every served network and every executor-derived array
         (quantized codes, scales, dequantized blocks) counts once however
-        many tenants share it; shadow oracles' private caches are not
-        counted."""
+        many tenants share it."""
         executors = self._executors.values()
         networks = {id(executor.network): executor.network for executor in executors}
         derived = {

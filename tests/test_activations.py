@@ -8,8 +8,6 @@ from repro.nn.activations import (
     SENSITIVE_HI,
     SENSITIVE_LO,
     SENSITIVE_WIDTH,
-    dsigmoid,
-    dtanh,
     hard_sigmoid,
     sensitive_overlap,
     sigmoid,
@@ -102,29 +100,3 @@ class TestSensitiveOverlap:
     def test_bounded_by_width_and_interval(self, lo, span):
         overlap = float(sensitive_overlap(np.array(lo), np.array(lo + span)))
         assert 0.0 <= overlap <= min(SENSITIVE_WIDTH, span) + 1e-12
-
-
-class TestActivationDerivatives:
-    """The saved-activation-value derivatives the backward pass consumes."""
-
-    @given(finite_floats)
-    def test_dsigmoid_matches_central_difference(self, x):
-        eps = 1e-6
-        numeric = (sigmoid(np.array(x + eps)) - sigmoid(np.array(x - eps))) / (2 * eps)
-        analytic = dsigmoid(sigmoid(np.array(x)))
-        assert float(analytic) == pytest.approx(float(numeric), abs=1e-8)
-
-    @given(finite_floats)
-    def test_dtanh_matches_central_difference(self, x):
-        eps = 1e-6
-        numeric = (tanh(np.array(x + eps)) - tanh(np.array(x - eps))) / (2 * eps)
-        analytic = dtanh(tanh(np.array(x)))
-        assert float(analytic) == pytest.approx(float(numeric), abs=1e-8)
-
-    def test_dsigmoid_peak_at_midpoint(self):
-        ys = sigmoid(np.linspace(-6, 6, 101))
-        assert np.argmax(dsigmoid(ys)) == 50
-        assert float(dsigmoid(np.array(0.5))) == pytest.approx(0.25)
-
-    def test_dtanh_in_terms_of_value(self):
-        np.testing.assert_allclose(dtanh(np.array([0.0, 1.0, -1.0])), [1.0, 0.0, 0.0])

@@ -31,15 +31,28 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "NOPE"])
 
-    @pytest.mark.parametrize(
-        "command", [["run", "MR"], ["trace", "record", "MR"], ["calibrate", "MR"]]
-    )
+    @pytest.mark.parametrize("command", [["run", "MR"], ["trace", "record", "MR"]])
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_sequences_must_be_at_least_one(self, command, value, capsys):
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args([*command, "--sequences", value])
         assert exit_info.value.code == 2
         assert f"must be at least 1, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "MR"],
+            ["sweep", "MR"],
+            ["trace", "record", "MR", "--out", "x.jsonl"],
+            ["serve", "--policy", "stream"],
+        ],
+    )
+    def test_seed_must_be_non_negative(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([*command, "--seed", "-1"])
+        assert exit_info.value.code == 2
+        assert "must be non-negative, got -1" in capsys.readouterr().err
 
     def test_sweep_disallows_baseline(self):
         with pytest.raises(SystemExit):

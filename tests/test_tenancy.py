@@ -242,6 +242,31 @@ class TestZooSharing:
         assert np.array_equal(np.stack([t.result.logits for t in tickets]), expected)
 
 
+    def test_shadow_tenants_share_the_zoos_fp64_oracle(self, net_a):
+        """Every sampling tenant of one network replays on the one fp64
+        BASELINE executor the zoo keeps, so the oracle's programs live in
+        the zoo's cache and ``resident_bytes()`` counts them."""
+        intra = ExecutionConfig(mode=ExecutionMode.INTRA, alpha_intra=0.1)
+        rng = np.random.default_rng(14)
+        with ZooServer() as server:
+            for name, point in (("a", INT8), ("b", INTRA_INT8), ("c", intra)):
+                server.add_tenant(TenantSpec(name=name, point=point, shadow_every=1), net_a)
+            (oracle,) = [e for e in the_executors(server) if e.config == ExecutionConfig()]
+            assert oracle.program_cache is server.program_cache
+            for name in ("a", "b", "c"):
+                server.submit(name, f"{name}0", make_tokens(rng), now=0.0)
+            server.drain(now=0.0, service_model=flat_service)
+            for name in ("a", "b", "c"):
+                assert server.tenant_shadow(name).batches_sampled == 1
+            before = server.program_cache.stats.as_dict()
+            oracle.run_batch(make_tokens(rng)[None, :])
+            after = server.program_cache.stats.as_dict()
+            assert after["program_misses"] == before["program_misses"]
+            assert after["program_hits"] > before["program_hits"]
+            resident = server.resident_bytes()
+            assert resident["workspace_arenas"] == server.program_cache.nbytes > 0
+
+
 class TestScheduling:
     def test_wdrr_serves_in_weight_ratio(self, net_a):
         rng = np.random.default_rng(0)
